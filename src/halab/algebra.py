@@ -89,10 +89,6 @@ class FDAlgebra:
                         M.data[k][i * self.dim + j] = s
         return M
 
-    def unit_matrix(self):
-        """The unit map k -> A as a dim x 1 matrix."""
-        return Mat.column(self.unit, self.field)
-
     def is_commutative(self):
         return self.noncommutative_witness() is None
 
@@ -102,12 +98,6 @@ class FDAlgebra:
                 if self.mul[i][j] != self.mul[j][i]:
                     return (i, j)
         return None
-
-    def power_vec(self, x, n):
-        out = list(self.unit)
-        for _ in range(n):
-            out = self.mul_vec(out, x)
-        return out
 
     # -- serialization ----------------------------------------------------
 

@@ -1,29 +1,37 @@
-"""Tensor products over a base algebra and Takeuchi subspaces.
+"""Tensor products balanced over a base algebra and Takeuchi subspaces.
 
-Convention table (every higher-level check names the entry it uses):
+Every tensor quotient over a base is built by one function,
+tensor_over(dims, pairs, field): the legs are coordinate spaces k^dims[i]
+and pairs[i] = (right_acts, left_acts) balances leg i against leg i+1 by
+the relations
 
-  [R-bimodule on H, right side]   r . b . r' := b s_R(r') t_R(r)
-      so over R:  right action  b . r  = b s_R(r)   (right mult)
-                  left action   r . b  = b t_R(r)   (right mult)
+    (x_i . r) (x) x_{i+1}  -  x_i (x) (r . x_{i+1})
+
+for every base basis element r, all other legs held at basis vectors.
+right_acts[r] is the matrix of the right action of r on leg i and
+left_acts[r] that of the left action of r on leg i+1.
+
+Convention table (BialgebroidData.acts() returns the pair for its side):
+
+  [right bialgebroid]   r . b . r' := b s_R(r') t_R(r)
+      acts() = (right mult by s_R(r), right mult by t_R(r))
       H (x)_R H relations:  b s_R(r) (x) b'  -  b (x) b' t_R(r)
 
-  [L-bimodule on H, left side]    l . b . l' := s_L(l) t_L(l') b
-      so over L:  right action  b . l  = t_L(l) b   (left mult)
-                  left action   l . b  = s_L(l) b   (left mult)
+  [left bialgebroid]    l . b . l' := s_L(l) t_L(l') b
+      acts() = (left mult by t_L(l), left mult by s_L(l))
       H (x)_L H relations:  t_L(l) b (x) b'  -  b (x) s_L(l) b'
 
-  [triple products]  H (x)_L H (x)_R H and H (x)_R H (x)_L H are presented
-      as a single quotient of H (x) H (x) H by both relation families at
-      once (legs 1-2 and legs 2-3); association order is immaterial for the
-      resulting subquotient and is fixed this way throughout.
+  [several legs]  H (x)_L H (x)_R H, B (x)_R H (x)_L H, ... are a single
+      quotient of the plain tensor product by every pair's relations at
+      once; association order is immaterial for the resulting subquotient.
 
-  [Kronecker indexing]  as in linalg.kron: (i tensor j) -> i*dimN + j.
-
-All tensor factors here are plain coordinate spaces with base actions given
-by matrix families; the quotient presentation machinery does the rest.
+  [Kronecker indexing]  as in linalg.kron: leg 0 is the slowest index,
+      (i tensor j) -> i*dims[1] + j for two legs.
 """
 
-from .linalg import Mat, Subspace, QuotientPresentation, quotient_by, kernel
+import itertools
+
+from .linalg import Mat, quotient_by, kernel, kron
 from .reports import ViolationReport
 
 
@@ -31,179 +39,62 @@ class BaseMismatch(ValueError):
     pass
 
 
-class TensorOverBase:
-    """M (x)_R N presented as a quotient of M (x)_k N."""
-
-    def __init__(self, dimM, dimN, base_dim, presentation):
-        self.dimM = dimM
-        self.dimN = dimN
-        self.base_dim = base_dim
-        self.presentation = presentation
-
-    @property
-    def dim(self):
-        return self.presentation.dim
-
-    @property
-    def proj(self):
-        return self.presentation.proj
-
-    @property
-    def section(self):
-        return self.presentation.section
-
-
-def tensor_over(dimM, right_acts, dimN, left_acts, field):
-    """Quotient of k^dimM (x) k^dimN by  (m.r)(x)n - m(x)(r.n)  for every
-    basis m, n and every base basis element r.  right_acts[r] is the matrix
-    of the right action of r on M; left_acts[r] acts on N."""
-    if len(right_acts) != len(left_acts):
-        raise BaseMismatch("base dimension mismatch between the two legs")
-    rels = []
-    for r in range(len(right_acts)):
-        Ra = right_acts[r]
-        La = left_acts[r]
-        for i in range(dimM):
-            for j in range(dimN):
-                v = {}
-                for k in range(dimM):
-                    c = Ra.data[k][i]
-                    if c:
-                        v[k * dimN + j] = v.get(k * dimN + j, field.zero) + c
-                for l in range(dimN):
-                    c = La.data[l][j]
-                    if c:
-                        key = i * dimN + l
-                        v[key] = v.get(key, field.zero) - c
-                v = {k: x for k, x in v.items() if x}
-                if v:
-                    rels.append(v)
-    qp = quotient_by(dimM * dimN, rels, field)
-    return TensorOverBase(dimM, dimN, len(right_acts), qp)
-
-
-def _map_image(phi, A, kind):
-    """Multiplication matrices by phi(e_r) for each base basis element."""
-    out = []
-    for r in range(phi.cols):
-        img = phi.col(r)
-        if kind == "left":
-            out.append(A.left_mult_matrix(img))
-        else:
-            out.append(A.right_mult_matrix(img))
-    return out
-
-
-def right_tensor_square(H, sR, tR):
-    """H (x)_R H for a right bialgebroid: relations
-    b s_R(r) (x) b' - b (x) b' t_R(r)."""
-    right_acts = _map_image(sR, H, "right")
-    left_acts = _map_image(tR, H, "right")
-    return tensor_over(H.dim, right_acts, H.dim, left_acts, H.field)
-
-
-def left_tensor_square(H, sL, tL):
-    """H (x)_L H for a left bialgebroid: relations
-    t_L(l) b (x) b' - b (x) s_L(l) b'."""
-    right_acts = _map_image(tL, H, "left")
-    left_acts = _map_image(sL, H, "left")
-    return tensor_over(H.dim, right_acts, H.dim, left_acts, H.field)
-
-
-def _pair_relations(dims, leg, right_acts, left_acts, field):
-    """Relations (x_leg . r) (x) x_{leg+1} - x_leg (x) (r . x_{leg+1})
-    embedded in the full tensor product of len(dims) legs."""
+def tensor_over(dims, pairs, field):
+    """The QuotientPresentation of k^dims[0] (x) ... (x) k^dims[-1] by the
+    balancing relations of every pairs[i] = (right_acts, left_acts)."""
     n = len(dims)
+    for right_acts, left_acts in pairs:
+        if len(right_acts) != len(left_acts):
+            raise BaseMismatch("base dimension mismatch between the two legs")
     strides = [1] * n
     for i in range(n - 2, -1, -1):
         strides[i] = strides[i + 1] * dims[i + 1]
     rels = []
-    other = [i for i in range(n) if i not in (leg, leg + 1)]
-    import itertools
-    for r in range(len(right_acts)):
-        Ra, La = right_acts[r], left_acts[r]
-        for idx_other in itertools.product(*[range(dims[i]) for i in other]):
-            base = sum(strides[i] * v for i, v in zip(other, idx_other))
-            for i in range(dims[leg]):
-                for j in range(dims[leg + 1]):
-                    v = {}
-                    for k in range(dims[leg]):
-                        c = Ra.data[k][i]
-                        if c:
-                            key = base + k * strides[leg] + j * strides[leg + 1]
-                            v[key] = v.get(key, field.zero) + c
-                    for l in range(dims[leg + 1]):
-                        c = La.data[l][j]
-                        if c:
-                            key = base + i * strides[leg] + l * strides[leg + 1]
-                            v[key] = v.get(key, field.zero) - c
-                    v = {k: x for k, x in v.items() if x}
-                    if v:
-                        rels.append(v)
-    return rels
-
-
-def triple_tensor(H, first, second):
-    """H (x)_a H (x)_b H as one quotient of H (x) H (x) H.
-    first/second are ("L", sL, tL) or ("R", sR, tR) naming the base used
-    between legs 1-2 and legs 2-3 respectively."""
-    dims = [H.dim] * 3
-    rels = []
-    for leg, spec in ((0, first), (1, second)):
-        kind, s, t = spec
-        if kind == "R":
-            right_acts = _map_image(s, H, "right")
-            left_acts = _map_image(t, H, "right")
-        else:
-            right_acts = _map_image(t, H, "left")
-            left_acts = _map_image(s, H, "left")
-        rels.extend(_pair_relations(dims, leg, right_acts, left_acts, H.field))
-    qp = quotient_by(H.dim ** 3, rels, H.field)
-    return qp
+    for leg, (right_acts, left_acts) in enumerate(pairs):
+        sa, sb = strides[leg], strides[leg + 1]
+        other = [i for i in range(n) if i not in (leg, leg + 1)]
+        for Ra, La in zip(right_acts, left_acts):
+            for idx in itertools.product(*[range(dims[i]) for i in other]):
+                base = sum(strides[i] * v for i, v in zip(other, idx))
+                for i in range(dims[leg]):
+                    for j in range(dims[leg + 1]):
+                        v = {}
+                        for k in range(dims[leg]):
+                            c = Ra.data[k][i]
+                            if c:
+                                key = base + k * sa + j * sb
+                                v[key] = v.get(key, field.zero) + c
+                        for l in range(dims[leg + 1]):
+                            c = La.data[l][j]
+                            if c:
+                                key = base + i * sa + l * sb
+                                v[key] = v.get(key, field.zero) - c
+                        v = {k: x for k, x in v.items() if x}
+                        if v:
+                            rels.append(v)
+    return quotient_by(strides[0] * dims[0], rels, field)
 
 
 class TakeuchiSubspace:
     def __init__(self, ambient, space):
-        self.ambient = ambient  # TensorOverBase
+        self.ambient = ambient  # QuotientPresentation of the square
         self.space = space      # Subspace in quotient coordinates
 
 
-def takeuchi_right(H, sR, tR, base_dim, square=None):
-    """The subspace of H (x)_R H where sum s(r) b_i (x) b_i' =
-    sum b_i (x) t(r) b_i' for every base element r."""
-    sq = square or right_tensor_square(H, sR, tR)
+def takeuchi(square, first, second):
+    """The subspace of the tensor square where
+    sum first[r] b_i (x) b_i' = sum b_i (x) second[r] b_i'
+    for every base element r.  For a right bialgebroid first/second are
+    left multiplication by s_R(r) and t_R(r); for a left one, right
+    multiplication by t_L(l) and s_L(l)."""
     rows = []
-    for r in range(base_dim):
-        sr = sR.col(r)
-        tr = tR.col(r)
-        from .linalg import kron
-        Ls = H.left_mult_matrix(sr)
-        Lt = H.left_mult_matrix(tr)
-        D = kron(Ls, Mat.identity(H.dim, H.field)) \
-            - kron(Mat.identity(H.dim, H.field), Lt)
-        T = sq.proj * (D * sq.section)
+    for A, B in zip(first, second):
+        I = Mat.identity(A.rows, A.field)
+        D = kron(A, I) - kron(I, B)
+        T = square.proj * (D * square.section)
         rows.extend(T.data)
-    stacked = Mat(len(rows), sq.dim, rows, H.field)
-    return TakeuchiSubspace(sq, kernel(stacked))
-
-
-def takeuchi_left(H, sL, tL, base_dim, square=None):
-    """The subspace of H (x)_L H where sum b_i t(l) (x) b_i' =
-    sum b_i (x) b_i' s(l) for every base element l."""
-    sq = square or left_tensor_square(H, sL, tL)
-    rows = []
-    from .linalg import kron
-    for l in range(base_dim):
-        sl = sL.col(l)
-        tl = tL.col(l)
-        Rt = H.right_mult_matrix(tl)
-        Rs = H.right_mult_matrix(sl)
-        D = kron(Rt, Mat.identity(H.dim, H.field)) \
-            - kron(Mat.identity(H.dim, H.field), Rs)
-        T = sq.proj * (D * sq.section)
-        rows.extend(T.data)
-    stacked = Mat(len(rows), sq.dim, rows, H.field)
-    return TakeuchiSubspace(sq, kernel(stacked))
+    stacked = Mat(len(rows), square.dim, rows, square.field)
+    return TakeuchiSubspace(square, kernel(stacked))
 
 
 def check_takeuchi_closure(H, tk):

@@ -12,9 +12,9 @@ import sys
 
 from .fields import QQ, CyclotomicField, parse_field, field_to_json
 from .algebra import FDAlgebra, validate_algebra, NotAGroup
-from .hopfalgebroid import (HopfAlgebroidData, check_bialgebroid,
-                            check_hopf_algebroid, _coassoc_check,
-                            _counit_check, hopf_to_json, hopf_from_json)
+from .hopfalgebroid import (HopfAlgebroidData, check_coring,
+                            check_bialgebroid, check_hopf_algebroid,
+                            hopf_to_json, hopf_from_json)
 from .reports import ViolationReport
 from .linalg import Mat, mat_from_json, mat_to_json
 from . import zoo
@@ -78,8 +78,7 @@ def _checks_for_hopf(Hd, upto):
     if upto >= 1:
         rep = ViolationReport()
         for b in (Hd.leftb, Hd.rightb):
-            _coassoc_check(b, rep)
-            _counit_check(b, rep)
+            rep.merge(check_coring(b))
         checks.append(("coring", rep))
     if upto >= 2:
         rep = ViolationReport()
@@ -152,7 +151,7 @@ def _run_check(doc, level, path):
         code, report = _torus_battery(
             payload.get("n", 1), payload.get("m", 1),
             payload.get("samples", 100), payload.get("radius", None),
-            payload.get("seed", _default_seed()))
+            payload.get("seed", galois._seed()))
         verdicts["torus"] = report
         rep = ViolationReport()
         rep.require(code == 0, "torus:battery")
@@ -197,10 +196,6 @@ def cmd_check(args):
     return code
 
 
-def _default_seed():
-    return int(os.environ.get("HALAB_SEED", "0"))
-
-
 # ---------------------------------------------------------------------------
 # build
 
@@ -209,11 +204,6 @@ def _write_doc(path, kind, field, payload):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
-
-
-def _input_payload(path):
-    doc = _load(path)
-    return doc
 
 
 def cmd_build(args):
@@ -367,7 +357,7 @@ def main(argv=None):
     p.add_argument("--json", action="store_true")
     p.add_argument("--field", default=None,
                    help="field for documents that do not declare one")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=galois._seed())
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("build", help="run a constructor and write the result")
@@ -385,7 +375,7 @@ def main(argv=None):
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=galois._seed())
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_torus)
 

@@ -16,12 +16,11 @@ import os
 import random
 
 from .linalg import (Mat, kron, rank, inverse, kernel, image, Subspace,
-                     solve_affine_sparse, NoSolution, ShapeMismatch,
-                     quotient_by)
+                     solve_affine_sparse, NoSolution, ShapeMismatch)
 from .algebra import (FDAlgebra, ModuleOverA, is_projective, Inconclusive,
                       check_algebra_morphism, subalgebra_on_rows,
                       central_idempotents_split, center, NotSplit)
-from .bimod import tensor_over, _pair_relations, TensorOverBase
+from .bimod import tensor_over
 from .hopfalgebroid import check_algebraic_morphism, check_geometric_morphism
 from .reports import ViolationReport
 
@@ -96,23 +95,17 @@ class ComoduleAlgebraData:
     def tensorRH(self):
         """B (x)_R H."""
         if self._tRH is None:
-            H = self.H.total
             R = self.H.rightb
-            left_acts = [H.right_mult_matrix(R.t.col(r))
-                         for r in range(R.base.dim)]
-            self._tRH = tensor_over(self.B.dim, self.actR(),
-                                    H.dim, left_acts, self.field)
+            self._tRH = tensor_over([self.B.dim, R.total.dim],
+                                    [(self.actR(), R.acts()[1])], self.field)
         return self._tRH
 
     def tensorLH(self):
         """B (x)_L H."""
         if self._tLH is None:
-            H = self.H.total
             L = self.H.leftb
-            left_acts = [H.left_mult_matrix(L.s.col(l))
-                         for l in range(L.base.dim)]
-            self._tLH = tensor_over(self.B.dim, self.actL,
-                                    H.dim, left_acts, self.field)
+            self._tLH = tensor_over([self.B.dim, L.total.dim],
+                                    [(self.actL, L.acts()[1])], self.field)
         return self._tLH
 
     def tensorAA(self):
@@ -123,7 +116,7 @@ class ComoduleAlgebraData:
                           for a in range(self.dimA)]
             left_acts = [B.left_mult_matrix(self.inclusionA.col(a))
                          for a in range(self.dimA)]
-            self._tAA = tensor_over(B.dim, right_acts, B.dim, left_acts,
+            self._tAA = tensor_over([B.dim] * 2, [(right_acts, left_acts)],
                                     self.field)
         return self._tAA
 
@@ -180,56 +173,13 @@ def _bh_mul(B, H, u, v):
     return out
 
 
-def _mixed_triple(D, first_side):
-    """Quotient of B (x) H (x) H with the (B,H) pair balanced over the base
-    named by first_side and the (H,H) pair over the other base."""
-    H = D.H.total
-    field = D.field
-    dims = [D.B.dim, H.dim, H.dim]
-    R, L = D.H.rightb, D.H.leftb
-    rels = []
-    if first_side == "R":
-        rels += _pair_relations(dims, 0, D.actR(),
-                                [H.right_mult_matrix(R.t.col(r))
-                                 for r in range(R.base.dim)], field)
-        rels += _pair_relations(dims, 1,
-                                [H.left_mult_matrix(L.t.col(l))
-                                 for l in range(L.base.dim)],
-                                [H.left_mult_matrix(L.s.col(l))
-                                 for l in range(L.base.dim)], field)
-    else:
-        rels += _pair_relations(dims, 0, D.actL,
-                                [H.left_mult_matrix(L.s.col(l))
-                                 for l in range(L.base.dim)], field)
-        rels += _pair_relations(dims, 1,
-                                [H.right_mult_matrix(R.s.col(r))
-                                 for r in range(R.base.dim)],
-                                [H.right_mult_matrix(R.t.col(r))
-                                 for r in range(R.base.dim)], field)
-    return quotient_by(D.B.dim * H.dim * H.dim, rels, field)
-
-
-def _same_triple(D, side):
-    """Quotient of B (x) H (x) H with both pairs over the same base."""
-    H = D.H.total
-    field = D.field
-    dims = [D.B.dim, H.dim, H.dim]
-    rels = []
-    if side == "R":
-        R = D.H.rightb
-        hleft = [H.right_mult_matrix(R.t.col(r)) for r in range(R.base.dim)]
-        rels += _pair_relations(dims, 0, D.actR(), hleft, field)
-        rels += _pair_relations(dims, 1,
-                                [H.right_mult_matrix(R.s.col(r))
-                                 for r in range(R.base.dim)], hleft, field)
-    else:
-        L = D.H.leftb
-        hleft = [H.left_mult_matrix(L.s.col(l)) for l in range(L.base.dim)]
-        rels += _pair_relations(dims, 0, D.actL, hleft, field)
-        rels += _pair_relations(dims, 1,
-                                [H.left_mult_matrix(L.t.col(l))
-                                 for l in range(L.base.dim)], hleft, field)
-    return quotient_by(D.B.dim * H.dim * H.dim, rels, field)
+def _bhh_tensor(dimB, actB, first, second, field):
+    """B (x) H (x) H with the (B,H) pair balanced over the base of the
+    bialgebroid `first`, whose base acts on B by actB, and the (H,H) pair
+    over the base of the bialgebroid `second`."""
+    dH = first.total.dim
+    return tensor_over([dimB, dH, dH], [(actB, first.acts()[1]),
+                                        second.acts()], field)
 
 
 def check_comodule(D):
@@ -244,15 +194,16 @@ def check_comodule(D):
     dB, dH = B.dim, H.dim
     I_B = Mat.identity(dB, field)
     I_H = Mat.identity(dH, field)
+    actR = D.actR()
     # per-side coassociativity
-    for side, rho, dd in (("R", D.rhoR_lift, R.coproduct_lift),
-                          ("L", D.rhoL_lift, L.coproduct_lift)):
-        qp = _same_triple(D, side)
+    for side, rho, actB, Hb in (("R", D.rhoR_lift, actR, R),
+                                ("L", D.rhoL_lift, D.actL, L)):
+        dd = Hb.coproduct_lift
+        qp = _bhh_tensor(dB, actB, Hb, Hb, field)
         lhs = qp.proj * (kron(rho, I_H) * rho)
         rhs = qp.proj * (kron(I_B, dd) * rho)
         rep.require(lhs == rhs, "comodule:coassoc:%s" % side)
     # counitality: m -> m^[0] . eps(m^[1]) = m, action of the base on B
-    actR = D.actR()
     for side, rho, eps, acts in (("R", D.rhoR_lift, R.counit, actR),
                                  ("L", D.rhoL_lift, L.counit, D.actL)):
         for b in range(dB):
@@ -272,11 +223,11 @@ def check_comodule(D):
             rep.require(acc == B.basis_vec(b), "comodule:counit:%s" % side,
                         (b,))
     # mixed squares
-    qp = _mixed_triple(D, "R")
+    qp = _bhh_tensor(dB, actR, R, L, field)
     lhs = qp.proj * (kron(D.rhoR_lift, I_H) * D.rhoL_lift)
     rhs = qp.proj * (kron(I_B, L.coproduct_lift) * D.rhoR_lift)
     rep.require(lhs == rhs, "comodule:mixed:RL")
-    qp = _mixed_triple(D, "L")
+    qp = _bhh_tensor(dB, D.actL, L, R, field)
     lhs = qp.proj * (kron(D.rhoL_lift, I_H) * D.rhoR_lift)
     rhs = qp.proj * (kron(I_B, R.coproduct_lift) * D.rhoL_lift)
     rep.require(lhs == rhs, "comodule:mixed:LR")
@@ -669,19 +620,9 @@ def _normal_basis_witness(D, rep):
             etaA.data[k][l] = v[p] / Arows[k][p]
     right_acts = [Aalg.right_mult_matrix(etaA.col(l))
                   for l in range(Hd.leftb.base.dim)]
-    left_acts = [H.left_mult_matrix(Hd.leftb.s.col(l))
-                 for l in range(Hd.leftb.base.dim)]
-    sqAH = tensor_over(dA, right_acts, dH, left_acts, field)
+    sqAH = tensor_over([dA, dH], [(right_acts, Hd.leftb.acts()[1])], field)
     # triple quotient (A x H x H): legs (A,H) over L, (H,H) over R
-    dims = [dA, dH, dH]
-    R = Hd.rightb
-    rels = _pair_relations(dims, 0, right_acts, left_acts, field)
-    rels += _pair_relations(dims, 1,
-                            [H.right_mult_matrix(R.s.col(r))
-                             for r in range(R.base.dim)],
-                            [H.right_mult_matrix(R.t.col(r))
-                             for r in range(R.base.dim)], field)
-    T = quotient_by(dA * dH * dH, rels, field)
+    T = _bhh_tensor(dA, right_acts, Hd.leftb, Hd.rightb, field)
     # unknown theta at lift level: (dA*dH) x dB
     nunk = dA * dH * dB
 
@@ -982,7 +923,7 @@ def crossed_product(C):
                   for l in range(Bb.base.dim)]
     left_acts = [Balg.left_mult_matrix(Bb.s.col(l))
                  for l in range(Bb.base.dim)]
-    sq = tensor_over(dN, right_acts, dB, left_acts, field)
+    sq = tensor_over([dN, dB], [(right_acts, left_acts)], field)
     dd = Bb.coproduct_lift
     I_B = Mat.identity(dB, field)
     dd2 = kron(dd, I_B) * dd     # b -> b1 x b2 x b3
@@ -1110,9 +1051,9 @@ def _prop4_square(rep, D1, D2, phi, psi):
                       for b in range(B1.dim)]
         left_acts = [H2.left_mult_matrix((H2b.s * _b1_to_base(D2)).col(b))
                      for b in range(B1.dim)]
-        T = tensor_over(B1.dim, right_acts, H2.dim, left_acts, field)
+        T = tensor_over([B1.dim, H2.dim], [(right_acts, left_acts)], field)
         comp = psi * phi
-        se = (H2b.s * _b1_to_base(D2)) * (_base_to_b1(D1, side) * H1b.counit)
+        se = (H2b.s * _b1_to_base(D2)) * (D1.etaR * H1b.counit)
         lhs = T.proj * (kron(Mat.identity(B1.dim, field), comp)
                         * Q1BH.section)
         rhs = T.proj * (kron(Mat.identity(B1.dim, field), se)
@@ -1127,11 +1068,6 @@ def _b1_to_base(D2):
     if D2.inclusionA.cols == b:
         return Mat.identity(b, D2.field)
     raise ShapeMismatch("inner covering base does not match B1")
-
-
-def _base_to_b1(D1, side):
-    """Map from the base of the outer symmetry into B1, i.e. eta of D1."""
-    return D1.etaR
 
 
 # ---------------------------------------------------------------------------
@@ -1256,7 +1192,7 @@ class HopfBimoduleWitness:
 
 def _bimodule_tensor(X, Y):
     """X (x)_Q Y for a (P,Q)-bimodule X and (Q,S)-bimodule Y."""
-    return tensor_over(X.dim, X.right_acts, Y.dim, Y.left_acts,
+    return tensor_over([X.dim, Y.dim], [(X.right_acts, Y.left_acts)],
                        X.left_algebra.field)
 
 
@@ -1264,6 +1200,24 @@ def _iso_check(rep, tag, iso, sq, target_dim):
     rep.require(iso.rows == target_dim and iso.cols == sq.dim
                 and rank(iso) == sq.dim and sq.dim == target_dim,
                 tag + ":bijective")
+
+
+def _iso_equivariance(rep, tag, iso, sq, P, Q, C, right):
+    """iso: P (x)_sq Q -> C intertwines the left action of C on P with left
+    multiplication and, when right is set, the right action of C on Q
+    with right multiplication."""
+    field = C.field
+    for i in range(C.dim):
+        e = C.basis_vec(i)
+        lhs = iso * (sq.proj * (kron(P.left_acts[i],
+                                     Mat.identity(Q.dim, field)) * sq.section))
+        rep.require(lhs == C.left_mult_matrix(e) * iso, tag + ":equivariance",
+                    (i, "left") if right else (i,))
+        if right:
+            lhs = iso * (sq.proj * (kron(Mat.identity(P.dim, field),
+                                         Q.right_acts[i]) * sq.section))
+            rep.require(lhs == C.right_mult_matrix(e) * iso,
+                        tag + ":equivariance", (i, "right"))
 
 
 def verify_morita_data(D1, D2, X, Y, U, V, isos):
@@ -1282,33 +1236,8 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
     sqYX = _bimodule_tensor(Y, X)
     _iso_check(rep, "morita:XY", isos["XY"], sqXY, B1.dim)
     _iso_check(rep, "morita:YX", isos["YX"], sqYX, B2.dim)
-    # B1-bimodule equivariance of the XY iso
-    for i in range(B1.dim):
-        L1 = B1.left_mult_matrix(B1.basis_vec(i))
-        lhs = isos["XY"] * (sqXY.proj * (kron(X.left_acts[i],
-                                              Mat.identity(Y.dim, field))
-                                         * sqXY.section))
-        rep.require(lhs == L1 * isos["XY"], "morita:XY:equivariance",
-                    (i, "left"))
-        R1 = B1.right_mult_matrix(B1.basis_vec(i))
-        lhs = isos["XY"] * (sqXY.proj * (kron(Mat.identity(X.dim, field),
-                                              Y.right_acts[i])
-                                         * sqXY.section))
-        rep.require(lhs == R1 * isos["XY"], "morita:XY:equivariance",
-                    (i, "right"))
-    for j in range(B2.dim):
-        L2 = B2.left_mult_matrix(B2.basis_vec(j))
-        lhs = isos["YX"] * (sqYX.proj * (kron(Y.left_acts[j],
-                                              Mat.identity(X.dim, field))
-                                         * sqYX.section))
-        rep.require(lhs == L2 * isos["YX"], "morita:YX:equivariance",
-                    (j, "left"))
-        R2 = B2.right_mult_matrix(B2.basis_vec(j))
-        lhs = isos["YX"] * (sqYX.proj * (kron(Mat.identity(Y.dim, field),
-                                              X.right_acts[j])
-                                         * sqYX.section))
-        rep.require(lhs == R2 * isos["YX"], "morita:YX:equivariance",
-                    (j, "right"))
+    _iso_equivariance(rep, "morita:XY", isos["XY"], sqXY, X, Y, B1, True)
+    _iso_equivariance(rep, "morita:YX", isos["YX"], sqYX, Y, X, B2, True)
     # collapsed (A, -)-bimodule isomorphisms
     for tag, W, target, incl_src, incl_tgt in (
             ("morita:Y-collapse", Y, B1, D2.inclusionA, D1.inclusionA),
@@ -1338,18 +1267,10 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
     sqVU = _bimodule_tensor(V.bimodule, U.bimodule)
     _iso_check(rep, "morita:UV", isos["UV"], sqUV, H1.dim)
     _iso_check(rep, "morita:VU", isos["VU"], sqVU, H2.dim)
-    for i in range(H1.dim):
-        L1 = H1.left_mult_matrix(H1.basis_vec(i))
-        lhs = isos["UV"] * (sqUV.proj * (
-            kron(U.bimodule.left_acts[i],
-                 Mat.identity(V.bimodule.dim, field)) * sqUV.section))
-        rep.require(lhs == L1 * isos["UV"], "morita:UV:equivariance", (i,))
-    for j in range(H2.dim):
-        L2 = H2.left_mult_matrix(H2.basis_vec(j))
-        lhs = isos["VU"] * (sqVU.proj * (
-            kron(V.bimodule.left_acts[j],
-                 Mat.identity(U.bimodule.dim, field)) * sqVU.section))
-        rep.require(lhs == L2 * isos["VU"], "morita:VU:equivariance", (j,))
+    _iso_equivariance(rep, "morita:UV", isos["UV"], sqUV, U.bimodule,
+                      V.bimodule, H1, False)
+    _iso_equivariance(rep, "morita:VU", isos["VU"], sqVU, V.bimodule,
+                      U.bimodule, H2, False)
     # collapsed Hopf isomorphisms: U = H2 and V = H1 as right modules and
     # right comodules
     isoU = isos["Ucollapse"]

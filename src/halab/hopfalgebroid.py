@@ -18,8 +18,7 @@ Axiom tags:
 
 from .linalg import (Mat, kron, rank, solve_affine_sparse, NoSolution,
                      ShapeMismatch)
-from .bimod import (right_tensor_square, left_tensor_square, triple_tensor,
-                    takeuchi_right, takeuchi_left)
+from .bimod import tensor_over, takeuchi
 from .algebra import check_algebra_morphism, check_algebra_antimorphism
 from .reports import ViolationReport
 
@@ -45,36 +44,58 @@ class BialgebroidData:
         self.counit = counit            # Mat, base.dim x dim
         self.name = name
         self._square = None
+        self._triple = None
         self._takeuchi = None
+
+    def _images(self, mult):
+        """mult applied to the images of the base basis under (s, t) on the
+        right side and under (t, s) on the left side."""
+        first, second = ((self.s, self.t) if self.side == "right"
+                         else (self.t, self.s))
+        n = self.base.dim
+        return ([mult(first.col(r)) for r in range(n)],
+                [mult(second.col(r)) for r in range(n)])
+
+    def acts(self):
+        """The (right_acts, left_acts) pair balancing H (x)_base H, see the
+        convention table in bimod."""
+        H = self.total
+        return self._images(H.right_mult_matrix if self.side == "right"
+                            else H.left_mult_matrix)
 
     def square(self):
         """The coring tensor square H (x)_base H (cached)."""
         if self._square is None:
-            if self.side == "right":
-                self._square = right_tensor_square(self.total, self.s, self.t)
-            else:
-                self._square = left_tensor_square(self.total, self.s, self.t)
+            H = self.total
+            self._square = tensor_over([H.dim] * 2, [self.acts()], H.field)
         return self._square
+
+    def triple(self):
+        """H (x)_base H (x)_base H, the home of coassociativity (cached)."""
+        if self._triple is None:
+            H = self.total
+            acts = self.acts()
+            self._triple = tensor_over([H.dim] * 3, [acts, acts], H.field)
+        return self._triple
 
     def takeuchi(self):
         if self._takeuchi is None:
-            if self.side == "right":
-                self._takeuchi = takeuchi_right(
-                    self.total, self.s, self.t, self.base.dim, self.square())
-            else:
-                self._takeuchi = takeuchi_left(
-                    self.total, self.s, self.t, self.base.dim, self.square())
+            H = self.total
+            self._takeuchi = takeuchi(
+                self.square(), *self._images(
+                    H.left_mult_matrix if self.side == "right"
+                    else H.right_mult_matrix))
         return self._takeuchi
 
     def ring_tensor_square(self):
         """H (x)_base H over the base-ring structure via s (both legs):
         relations b s(r) (x) b' - b (x) s(r) b'.  This is the domain of the
         multiplication map, unlike the coring square above."""
-        from .bimod import tensor_over, _map_image
-        right_acts = _map_image(self.s, self.total, "right")
-        left_acts = _map_image(self.s, self.total, "left")
-        return tensor_over(self.total.dim, right_acts,
-                           self.total.dim, left_acts, self.total.field)
+        H = self.total
+        n = self.base.dim
+        acts = ([H.right_mult_matrix(self.s.col(r)) for r in range(n)],
+                [H.left_mult_matrix(self.s.col(r)) for r in range(n)])
+        return tensor_over([H.dim] * 2, [acts], H.field)
 
 
 class HopfAlgebroidData:
@@ -89,18 +110,21 @@ class HopfAlgebroidData:
         return self.rightb.total
 
 
+def _coassociative(first, second, qp):
+    """(Delta_first (x) id) Delta_second = (id (x) Delta_second) Delta_first
+    after projecting to the triple quotient qp."""
+    H = first.total
+    I = Mat.identity(H.dim, H.field)
+    lhs = qp.proj * (kron(first.coproduct_lift, I) * second.coproduct_lift)
+    rhs = qp.proj * (kron(I, second.coproduct_lift) * first.coproduct_lift)
+    return lhs == rhs
+
+
 def _coassoc_check(B, rep):
     """Coassociativity of a one-sided coproduct in the iterated quotient
     over the same base on both pairs of legs."""
-    H = B.total
-    kind = "R" if B.side == "right" else "L"
-    spec = (kind, B.s, B.t)
-    qp = triple_tensor(H, spec, spec)
-    I = Mat.identity(H.dim, H.field)
-    d = B.coproduct_lift
-    lhs = qp.proj * (kron(d, I) * d)
-    rhs = qp.proj * (kron(I, d) * d)
-    rep.require(lhs == rhs, "%s:coassociativity" % B.side)
+    rep.require(_coassociative(B, B, B.triple()),
+                "%s:coassociativity" % B.side)
 
 
 def _counit_check(B, rep):
@@ -201,6 +225,15 @@ def _counit_action_check(B, rep):
                     rep.require(lhs == rhs, "left:counit-action", (r, a, b))
 
 
+def check_coring(B):
+    """Coassociativity and the two counit laws of the coring over the
+    base."""
+    rep = ViolationReport()
+    _coassoc_check(B, rep)
+    _counit_check(B, rep)
+    return rep
+
+
 def check_bialgebroid(B):
     rep = ViolationReport()
     H, base = B.total, B.base
@@ -218,8 +251,7 @@ def check_bialgebroid(B):
             trp = B.t.matvec(base.basis_vec(rp))
             rep.require(H.mul_vec(sr, trp) == H.mul_vec(trp, sr),
                         "%s:commuting-images" % B.side, (r, rp))
-    _coassoc_check(B, rep)
-    _counit_check(B, rep)
+    rep.merge(check_coring(B))
     _counit_bimodule_check(B, rep)
     _counit_action_check(B, rep)
     # Takeuchi corestriction
@@ -252,17 +284,13 @@ def check_hopf_algebroid(Hd, skip_bialgebroids=False):
     a_rep.require(R.s * (R.counit * L.t) == L.t, "hopf:(a)",
                   note="sR.epsR.tL != tL")
     rep.merge(a_rep)
-    # (b) mixed coassociativity, both squares
-    I = Mat.identity(H.dim, H.field)
-    dL, dR = L.coproduct_lift, R.coproduct_lift
-    qpLR = triple_tensor(H, ("L", L.s, L.t), ("R", R.s, R.t))
-    lhs = qpLR.proj * (kron(dL, I) * dR)
-    rhs = qpLR.proj * (kron(I, dR) * dL)
-    rep.require(lhs == rhs, "hopf:(b)", note="H xL H xR H square")
-    qpRL = triple_tensor(H, ("R", R.s, R.t), ("L", L.s, L.t))
-    lhs = qpRL.proj * (kron(dR, I) * dL)
-    rhs = qpRL.proj * (kron(I, dL) * dR)
-    rep.require(lhs == rhs, "hopf:(b)", note="H xR H xL H square")
+    # (b) mixed coassociativity, both squares; each triple quotient is
+    # dropped before the next is built
+    for first, second, note in ((L, R, "H xL H xR H square"),
+                                (R, L, "H xR H xL H square")):
+        rep.require(_coassociative(first, second, tensor_over(
+            [H.dim] * 3, [first.acts(), second.acts()], H.field)),
+            "hopf:(b)", note=note)
     # An antipode of deficient rank pollutes (c) and (d) with cascading
     # failures, and broken counit triangles do the same to (d) -- both
     # convolution identities compare against s.eps compositions.  Gate the
@@ -287,6 +315,7 @@ def check_hopf_algebroid(Hd, skip_bialgebroids=False):
         return rep
     # (d) the two convolution identities, on lifts
     d = H.dim
+    dL, dR = L.coproduct_lift, R.coproduct_lift
     for bidx in range(d):
         colL = dL.col(bidx)
         lhs = H.zero_vec()
@@ -433,6 +462,12 @@ def check_algebraic_morphism(phiL, phiR, source, target):
     return rep
 
 
+def _descends(pp, src, tgt):
+    """pp maps the relations of the quotient src into those of tgt."""
+    rel = tgt.relations
+    return all(rel.contains(pp.matvec(v)) for v in src.relations.basis_rows)
+
+
 def check_geometric_morphism(f, phi, source, target):
     """Geometric morphism (f, phi) between Hopf algebroids over possibly
     different bases.  f: base of source -> base of target (applied to both
@@ -453,10 +488,8 @@ def check_geometric_morphism(f, phi, source, target):
         sqS = BS.ring_tensor_square()
         sqT = BT.ring_tensor_square()
         pp = kron(phi, phi)
-        # descent: phi x phi maps source relations into target relations
-        ok = all(sqT.presentation.relations.contains(pp.matvec(v))
-                 for v in sqS.presentation.relations.basis_rows)
-        rep.require(ok, tag, note="phi x_f phi does not descend")
+        rep.require(_descends(pp, sqS, sqT), tag,
+                    note="phi x_f phi does not descend")
         mulS = BS.total.mul_matrix()
         mulK = K.mul_matrix()
         lhs = phi * (mulS * sqS.section)
@@ -469,9 +502,8 @@ def check_geometric_morphism(f, phi, source, target):
         sqT = BT.square()
         pp = kron(phi, phi)
         sqS = BS.square()
-        ok = all(sqT.presentation.relations.contains(pp.matvec(v))
-                 for v in sqS.presentation.relations.basis_rows)
-        rep.require(ok, tag, note="phi x_f phi does not descend (coring)")
+        rep.require(_descends(pp, sqS, sqT), tag,
+                    note="phi x_f phi does not descend (coring)")
         lhs = sqT.proj * (BT.coproduct_lift * phi)
         rhs = sqT.proj * (pp * BS.coproduct_lift)
         rep.require(lhs == rhs, tag, note="coproduct square")

@@ -49,12 +49,6 @@ class Mat:
         return M
 
     @classmethod
-    def from_rows(cls, rows_list, field=QQ):
-        r = len(rows_list)
-        c = len(rows_list[0]) if r else 0
-        return cls(r, c, [list(row) for row in rows_list], field)
-
-    @classmethod
     def from_cols(cls, cols_list, ambient_dim, field=QQ):
         M = cls.zero(ambient_dim, len(cols_list), field)
         for j, col in enumerate(cols_list):
@@ -424,15 +418,32 @@ class QuotientPresentation:
     """Presentation of k^n / span(relations): a projection onto the
     non-pivot coordinates and a section embedding them back."""
 
-    __slots__ = ("ambient_dim", "relations", "proj", "section", "dim", "field")
+    __slots__ = ("ambient_dim", "pivots", "proj", "section", "dim", "field")
 
-    def __init__(self, ambient_dim, relations, proj, section, field):
+    def __init__(self, ambient_dim, pivots, proj, section, field):
         self.ambient_dim = ambient_dim
-        self.relations = relations
+        self.pivots = pivots
         self.proj = proj
         self.section = section
         self.dim = proj.rows
         self.field = field
+
+    @property
+    def relations(self):
+        """The relation span, read back from proj on each call so that no
+        dense copy is kept: the canonical row with pivot p is e_p minus
+        proj[qi][p] at the qi-th non-pivot column."""
+        n, field = self.ambient_dim, self.field
+        pivset = set(self.pivots)
+        nonpiv = [c for c in range(n) if c not in pivset]
+        rows = []
+        for p in self.pivots:
+            row = [field.zero] * n
+            row[p] = field.one
+            for qi, c in enumerate(nonpiv):
+                row[c] = -self.proj.data[qi][p]
+            rows.append(row)
+        return Subspace(n, rows, list(self.pivots), field)
 
 
 def quotient_by(ambient_dim, relation_vectors, field=QQ):
@@ -452,10 +463,11 @@ def quotient_by(ambient_dim, relation_vectors, field=QQ):
         for qi, c in enumerate(nonpiv):
             if row[c]:
                 proj.data[qi][p] = -row[c]
-    section = Mat.zero(ambient_dim, q, field)
+    # without relations proj is the identity and serves as the section too
+    section = proj if q == ambient_dim else Mat.zero(ambient_dim, q, field)
     for qi, c in enumerate(nonpiv):
         section.data[c][qi] = field.one
-    return QuotientPresentation(ambient_dim, rel, proj, section, field)
+    return QuotientPresentation(ambient_dim, rel.pivots, proj, section, field)
 
 def mat_to_json(M):
     """Sparse matrix form: omitted entries are zero."""

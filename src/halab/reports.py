@@ -31,12 +31,6 @@ class ViolationReport:
     def tags(self):
         return sorted({e["tag"] for e in self.entries})
 
-    def __bool__(self):
-        return bool(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
     def to_json(self):
         out = []
         for e in self.entries:

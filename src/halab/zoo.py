@@ -629,18 +629,6 @@ def coupled_from_character(Hd, sigma):
     return H1, H2, coupling
 
 
-def twisted_antipode(Hd, sigma):
-    """S_2(h) = sigma(h_(1)) S(h_(2)) sigma(h_(3)) for the twisted partner."""
-    R = Hd.rightb
-    H = R.total
-    field = H.field
-    d = H.dim
-    sig = Mat(1, d, [list(sigma)], field)
-    I = Mat.identity(d, field)
-    d3 = kron(R.coproduct_lift, I) * R.coproduct_lift
-    return kron(sig, kron(Hd.antipode, sig)) * d3
-
-
 # ---------------------------------------------------------------------------
 # weak Hopf algebras
 

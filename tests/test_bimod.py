@@ -1,11 +1,11 @@
+import math
+
 from halab.fields import QQ
-from halab.linalg import Mat, kron
-from halab.algebra import group_algebra, product_field_algebra
-from halab.bimod import (tensor_over, right_tensor_square, left_tensor_square,
-                         triple_tensor, takeuchi_right, takeuchi_left,
-                         check_takeuchi_closure, BaseMismatch)
+from halab.linalg import Mat, kron, quotient_by
+from halab.algebra import group_algebra
+from halab.bimod import tensor_over, check_takeuchi_closure, BaseMismatch
 from halab.zoo import (cyclic_table, indiscrete_groupoid, function_algebroid,
-                       group_hopf_algebra)
+                       group_hopf_algebra, groupoid_algebra)
 
 import pytest
 
@@ -14,7 +14,7 @@ def test_tensor_over_k_is_plain_tensor():
     # base k acting by scalars: no collapsing at all
     I3 = Mat.identity(3, QQ)
     I2 = Mat.identity(2, QQ)
-    sq = tensor_over(3, [I3], 2, [I2], QQ)
+    sq = tensor_over([3, 2], [([I3], [I2])], QQ)
     assert sq.dim == 6
     assert sq.proj * sq.section == Mat.identity(6, QQ)
 
@@ -25,7 +25,7 @@ def test_tensor_over_subalgebra_collapses():
     mid = [B.unit, B.basis_vec(2)]
     right_acts = [B.right_mult_matrix(a) for a in mid]
     left_acts = [B.left_mult_matrix(a) for a in mid]
-    sq = tensor_over(4, right_acts, 4, left_acts, QQ)
+    sq = tensor_over([4, 4], [(right_acts, left_acts)], QQ)
     assert sq.dim == 8
     # b h^2 (x) b'  ==  b (x) h^2 b'
     for b in range(4):
@@ -40,23 +40,22 @@ def test_tensor_over_subalgebra_collapses():
 def test_base_dim_mismatch():
     I2 = Mat.identity(2, QQ)
     with pytest.raises(BaseMismatch):
-        tensor_over(2, [I2], 2, [I2, I2], QQ)
+        tensor_over([2, 2], [([I2], [I2, I2])], QQ)
+    with pytest.raises(BaseMismatch):
+        tensor_over([2, 2, 2], [([I2], [I2]), ([I2], [I2, I2])], QQ)
 
 
 def test_square_dims():
     # over base k the square has the full dimension d^2
     Hd = group_hopf_algebra(cyclic_table(3))
-    R = Hd.rightb
-    assert right_tensor_square(Hd.total, R.s, R.t).dim == 9
-    L = Hd.leftb
-    assert left_tensor_square(Hd.total, L.s, L.t).dim == 9
+    assert Hd.rightb.square().dim == 9
+    assert Hd.leftb.square().dim == 9
 
 
 def test_function_algebroid_square_counts_composable_pairs():
     G = indiscrete_groupoid(2)
     Hd = function_algebroid(G)
-    R = Hd.rightb
-    sq = right_tensor_square(Hd.total, R.s, R.t)
+    sq = Hd.rightb.square()
     pairs = sum(1 for f in range(G.n_morphisms) for g in range(G.n_morphisms)
                 if G.src[f] == G.tgt[g])
     assert sq.dim == pairs == 8
@@ -65,7 +64,7 @@ def test_function_algebroid_square_counts_composable_pairs():
 def test_triple_tensor_group_algebra():
     Hd = group_hopf_algebra(cyclic_table(2))
     L, R = Hd.leftb, Hd.rightb
-    qp = triple_tensor(Hd.total, ("L", L.s, L.t), ("R", R.s, R.t))
+    qp = tensor_over([2] * 3, [L.acts(), R.acts()], QQ)
     assert qp.dim == 8
     assert qp.proj * qp.section == Mat.identity(8, QQ)
 
@@ -75,15 +74,15 @@ def test_takeuchi_contains_coproduct_image():
                function_algebroid(indiscrete_groupoid(2))):
         H = Hd.total
         R = Hd.rightb
-        sq = right_tensor_square(H, R.s, R.t)
-        tk = takeuchi_right(H, R.s, R.t, R.base.dim, square=sq)
+        sq = R.square()
+        tk = R.takeuchi()
         for b in range(H.dim):
             q = sq.proj.matvec(R.coproduct_lift.col(b))
             assert tk.space.contains(q)
         assert check_takeuchi_closure(H, tk).ok
         L = Hd.leftb
-        sqL = left_tensor_square(H, L.s, L.t)
-        tkL = takeuchi_left(H, L.s, L.t, L.base.dim, square=sqL)
+        sqL = L.square()
+        tkL = L.takeuchi()
         for b in range(H.dim):
             assert tkL.space.contains(sqL.proj.matvec(L.coproduct_lift.col(b)))
 
@@ -91,10 +90,40 @@ def test_takeuchi_contains_coproduct_image():
 def test_takeuchi_proper_for_algebroid():
     # for the groupoid algebra the Takeuchi space is a proper subspace of
     # the square (only composable tails survive the centralizing condition)
-    from halab.zoo import groupoid_algebra
     Hd = groupoid_algebra(indiscrete_groupoid(2))
-    H = Hd.total
     R = Hd.rightb
-    sq = right_tensor_square(H, R.s, R.t)
-    tk = takeuchi_right(H, R.s, R.t, R.base.dim, square=sq)
-    assert (tk.space.dim, sq.dim) == (4, 8)
+    tk = R.takeuchi()
+    assert (tk.space.dim, R.square().dim) == (4, 8)
+
+
+def _reference_tensor(dims, pairs, field):
+    """Quotient by the columns of kron(Ra, I) - kron(I, La), padded by
+    identities on the legs outside each pair."""
+    cols = []
+    for leg, (right_acts, left_acts) in enumerate(pairs):
+        before = Mat.identity(math.prod(dims[:leg]), field)
+        after = Mat.identity(math.prod(dims[leg + 2:]), field)
+        for Ra, La in zip(right_acts, left_acts):
+            D = (kron(Ra, Mat.identity(dims[leg + 1], field))
+                 - kron(Mat.identity(dims[leg], field), La))
+            M = kron(before, kron(D, after))
+            cols.extend(M.col(c) for c in range(M.cols))
+    return quotient_by(math.prod(dims), cols, field)
+
+
+@pytest.mark.parametrize("name, Hd", [
+    ("kZ4", group_hopf_algebra(cyclic_table(4))),
+    ("indiscrete2 groupoid algebra", groupoid_algebra(indiscrete_groupoid(2))),
+    ("indiscrete2 function algebroid",
+     function_algebroid(indiscrete_groupoid(2))),
+])
+def test_tensor_over_matches_kron_reference(name, Hd):
+    L, R = Hd.leftb, Hd.rightb
+    d = Hd.total.dim
+    for dims, pairs in (([d] * 2, [L.acts()]), ([d] * 2, [R.acts()]),
+                        ([d] * 3, [L.acts(), R.acts()]),
+                        ([d] * 3, [R.acts(), R.acts()])):
+        got = tensor_over(dims, pairs, QQ)
+        ref = _reference_tensor(dims, pairs, QQ)
+        assert got.proj == ref.proj, name
+        assert got.section == ref.section, name

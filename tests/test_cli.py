@@ -16,14 +16,43 @@ def doc_paths():
     return out
 
 
+EXPECTED = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "expected.json")
+
+
 class TestCheckDocuments:
     def test_shipped_documents(self, capsys):
         assert doc_paths(), "document corpus missing"
+        with open(EXPECTED, encoding="utf-8") as fh:
+            golden = json.load(fh)["docs"]
+        assert sorted(golden) == sorted(map(os.path.basename, doc_paths()))
         for path in doc_paths():
             expected = 1 if os.path.basename(path).startswith("mut_") else 0
             code = main(["check", path])
             capsys.readouterr()
             assert code == expected, path
+            # exit code and --json bytes as recorded in bench/expected.json
+            recorded = golden[os.path.basename(path)]
+            assert main(["check", path, "--json"]) == recorded["exit"], path
+            assert capsys.readouterr().out == recorded["json"], path
+
+    def test_bialgebroid_level_builds_each_triple_once(self, monkeypatch,
+                                                       capsys):
+        import halab.bimod
+        ambient_dims = []
+        original = halab.bimod.quotient_by
+
+        def counting(ambient_dim, relation_vectors, field):
+            ambient_dims.append(ambient_dim)
+            return original(ambient_dim, relation_vectors, field)
+
+        monkeypatch.setattr(halab.bimod, "quotient_by", counting)
+        path = os.path.join(DOCS, "kz3_hopf.json")
+        assert main(["check", path, "--level", "bialgebroid"]) == 0
+        capsys.readouterr()
+        # one H (x)_base H (x)_base H per bialgebroid, shared by the coring
+        # and bialgebroid levels
+        assert ambient_dims.count(3 ** 3) == 2
 
     def test_mutation_reports_name_the_tag(self, capsys):
         path = os.path.join(DOCS, "mut_broken_counit.json")

@@ -132,6 +132,12 @@ class TestQuotient:
         q = quotient_by(2, [], QQ)
         assert q.dim == 2
 
+    @given(qmat(3, 5))
+    def test_relations_read_back_from_proj(self, M):
+        q = quotient_by(5, M.data, QQ)
+        assert q.relations == Subspace.from_spanning(5, M.data, QQ)
+        assert q.relations.dim + q.dim == 5
+
 
 def test_mat_json_round_trip():
     F = CyclotomicField(3)
