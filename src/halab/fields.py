@@ -1,15 +1,27 @@
 """Exact scalars: rationals and cyclotomic fields Q(zeta_N).
 
-Rationals are stdlib Fractions.  An element of Q(zeta_N) is stored as the
-unique reduced remainder mod Phi_N, i.e. a coefficient vector of length
-deg Phi_N = phi(N) in the power basis 1, z, z^2, ...  The ground field is
-fixed per document: mixing scalars of different cyclotomic orders raises
-FieldMismatch instead of auto-promoting.
+Rationals are stdlib Fractions.  An element of Q(zeta_N) is the unique
+reduced remainder mod Phi_N in the power basis 1, z, ..., z^(d-1), where
+d = deg Phi_N = phi(N).  It is stored as d integer numerators over one
+positive common denominator, in lowest terms, so every value has exactly
+one form and equality is a tuple compare.
+
+Phi_N is monic with integer coefficients, so z^k mod Phi_N has integer
+coefficients for every k.  Each field tabulates once, when it is built,
+the rows z^k mod Phi_N for d <= k <= 2d-2 and the N powers of zeta: a
+product is an integer convolution folded through those rows followed by
+one gcd, and zeta(k) is a lookup.  No Fraction is created and no
+polynomial is divided on the way; only inverse runs extended Euclid.
+
+The ground field is fixed per document: mixing scalars of different
+cyclotomic orders raises FieldMismatch instead of auto-promoting.
 """
 
 import cmath
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
 
 
 class FieldMismatch(TypeError):
@@ -142,12 +154,26 @@ class RationalField:
 
 _FIELD_CACHE = {}
 
+# a term: sign, then a coefficient (which may carry its own minus, as
+# format writes "1 + -1*z"), then an optional power of z
 _TERM_RE = re.compile(
-    r"\s*([+-]?)\s*(\d+(?:/\d+)?)?\s*(?:\*?\s*z(?:\^(\d+))?)?\s*")
+    r"\s*([+-]?)\s*(-?\d+(?:/\d+)?)?\s*(?:\*?\s*z(?:\^(\d+))?)?\s*")
+
+
+def _times_z(v, top):
+    """z * v reduced mod Phi_N, for an integer vector v of length d, where
+    top holds z^d mod Phi_N."""
+    c = v[-1]
+    out = [0] + v[:-1]
+    if c:
+        for i, t in enumerate(top):
+            out[i] += c * t
+    return out
 
 
 class CyclotomicField:
-    """Q(zeta_N): the quotient Q[z]/Phi_N(z)."""
+    """Q(zeta_N): the quotient Q[z]/Phi_N(z).  One instance per N; its
+    fold table, its N roots of unity, zero and one are built once."""
 
     def __new__(cls, N):
         if N in _FIELD_CACHE:
@@ -155,40 +181,43 @@ class CyclotomicField:
         self = super().__new__(cls)
         self.order = N
         self.poly = cyclotomic_polynomial(N)
-        self.degree = len(self.poly) - 1
+        d = self.degree = len(self.poly) - 1
+        top = [-int(c) for c in self.poly[:d]]          # z^d mod Phi_N
+        # (k, nonzero (i, c) of z^k mod Phi_N) for d <= k <= 2d-2
+        self._fold = []
+        row = top
+        for k in range(d, 2 * d - 1):
+            self._fold.append((k, [(i, c) for i, c in enumerate(row) if c]))
+            row = _times_z(row, top)
+        self._tail = (0,) * (d - 1)
+        v = [1] + [0] * (d - 1)
+        self._zeta = []
+        for _ in range(N):
+            self._zeta.append(Cyc(self, tuple(v), 1))
+            v = _times_z(v, top)
+        self.zero = Cyc(self, (0,) * d, 1)
+        self.one = self._zeta[0]
         _FIELD_CACHE[N] = self
         return self
 
-    @property
-    def zero(self):
-        return Cyc(self, (Fraction(0),) * self.degree)
-
-    @property
-    def one(self):
-        return self.from_int(1)
-
     def from_int(self, n):
-        c = [Fraction(0)] * self.degree
-        if self.degree:
-            c[0] = Fraction(n)
-        return Cyc(self, tuple(c))
+        return self.from_rational(n)
 
     def from_rational(self, q):
-        c = [Fraction(0)] * self.degree
-        if self.degree:
-            c[0] = Fraction(q)
-        return Cyc(self, tuple(c))
+        if isinstance(q, int):
+            return Cyc(self, (q,) + self._tail, 1)
+        return Cyc(self, (q.numerator,) + self._tail, q.denominator)
 
     def zeta(self, k=1):
-        """zeta_N^k reduced mod Phi_N."""
-        k %= self.order
-        p = [Fraction(0)] * k + [Fraction(1)]
-        _, r = _poly_divmod(p, self.poly)
-        return self._from_poly(r)
+        """zeta_N^k reduced mod Phi_N (a shared, immutable element)."""
+        return self._zeta[k % self.order]
 
-    def _from_poly(self, p):
-        c = list(p) + [Fraction(0)] * (self.degree - len(p))
-        return Cyc(self, tuple(c[: self.degree]))
+    def _from_fractions(self, cs):
+        """The element with power-basis coefficients cs (reduced Fractions
+        or ints, at most degree of them)."""
+        den = lcm(*(c.denominator for c in cs))
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        return Cyc(self, tuple(num) + (0,) * (self.degree - len(num)), den)
 
     def parse(self, text):
         """Parse 'c0 + c1*z + c2*z^2' with rational coefficients."""
@@ -213,14 +242,12 @@ class CyclotomicField:
                 k = 0
             if k >= self.degree:
                 # reduce z^k mod Phi_N
-                term = self.zeta(k) * Cyc(self, tuple(
-                    [c] + [Fraction(0)] * (self.degree - 1)))
-                for i in range(self.degree):
-                    coeffs[i] += term.coeffs[i]
+                for i, t in enumerate((self.zeta(k) * c).coeffs):
+                    coeffs[i] += t
             else:
                 coeffs[k] += c
             pos = m.end()
-        return Cyc(self, tuple(coeffs))
+        return self._from_fractions(coeffs)
 
     def format(self, x):
         parts = []
@@ -243,9 +270,9 @@ class CyclotomicField:
         return total
 
     def random(self, rng, span=4):
-        return Cyc(self, tuple(
+        return self._from_fractions([
             Fraction(rng.randint(-span, span), rng.randint(1, 3))
-            for _ in range(self.degree)))
+            for _ in range(self.degree)])
 
     def __repr__(self):
         return "Q(zeta_%d)" % self.order
@@ -254,14 +281,32 @@ class CyclotomicField:
 QQ = RationalField()
 
 
+def _canon(field, num, den):
+    """The Cyc num/den in lowest terms (num a tuple of ints, den > 0)."""
+    g = gcd(den, *num)
+    if g == 1:
+        return Cyc(field, num, den)
+    return Cyc(field, tuple(x // g for x in num), den // g)
+
+
 class Cyc:
-    """An element of a fixed cyclotomic field, in reduced power-basis form."""
+    """An element of a fixed cyclotomic field: power-basis coefficients
+    num[k] / den of the reduced remainder mod Phi_N, with num a tuple of
+    ints of length deg Phi_N, den > 0 and gcd(den, *num) == 1.  Instances
+    are immutable and may be shared (the field caches zero, one and its
+    roots of unity)."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "num", "den")
 
-    def __init__(self, field, coeffs):
+    def __init__(self, field, num, den):
         self.field = field
-        self.coeffs = coeffs
+        self.num = num
+        self.den = den
+
+    @property
+    def coeffs(self):
+        """The power-basis coefficients as Fractions."""
+        return tuple(Fraction(x, self.den) for x in self.num)
 
     def _coerce(self, other):
         if isinstance(other, Cyc):
@@ -274,22 +319,29 @@ class Cyc:
             return self.field.from_rational(other)
         return None
 
-    def __add__(self, other):
+    def _add_sub(self, other, op):
+        """self op other for op in (add, sub)."""
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return Cyc(self.field, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        da, db = self.den, o.den
+        if da == db:
+            num = tuple(map(op, self.num, o.num))
+            return Cyc(self.field, num, 1) if da == 1 \
+                else _canon(self.field, num, da)
+        return _canon(self.field, tuple(
+            op(x * db, y * da) for x, y in zip(self.num, o.num)), da * db)
+
+    def __add__(self, other):
+        return self._add_sub(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Cyc(self.field, tuple(-a for a in self.coeffs))
+        return Cyc(self.field, tuple(map(neg, self.num)), self.den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return Cyc(self.field, tuple(a - b for a, b in zip(self.coeffs, o.coeffs)))
+        return self._add_sub(other, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -301,9 +353,20 @@ class Cyc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        p = _poly_mul(list(self.coeffs), list(o.coeffs))
-        _, r = _poly_divmod(p, self.field.poly)
-        return self.field._from_poly(r)
+        field = self.field
+        d = field.degree
+        out = [0] * (2 * d - 1)
+        nz = [(j, y) for j, y in enumerate(o.num) if y]
+        for i, x in enumerate(self.num):
+            if x:
+                for j, y in nz:
+                    out[i + j] += x * y
+        for k, row in field._fold:
+            c = out[k]
+            if c:
+                for i, r in row:
+                    out[i] += c * r
+        return _canon(field, tuple(out[:d]), self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -315,7 +378,7 @@ class Cyc:
         assert len(g) == 1
         inv = [c / g[0] for c in u]
         _, r = _poly_divmod(inv, self.field.poly)
-        return self.field._from_poly(r)
+        return self.field._from_fractions(r)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -333,13 +396,16 @@ class Cyc:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.field.order, self.coeffs))
+        # a rational value hashes as the equal int or Fraction does
+        if not any(self.num[1:]):
+            return hash(Fraction(self.num[0], self.den))
+        return hash((self.field.order, self.num, self.den))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.num)
 
     def __repr__(self):
         return self.field.format(self)

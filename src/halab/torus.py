@@ -120,16 +120,21 @@ def qt_mul(f, g):
     q^{-bc} U^{a+c} V^{b+e}."""
     f._check(g)
     out = QTElement(f.n, f.m)
+    support = out.support
     N = f.n * f.m
     for (a, b), cf in f.support.items():
         for (c, e), cg in g.support.items():
-            phase = _power(f, (-b * c) % N)
+            term = cf * cg
+            k = (-b * c) % N
+            if k:
+                term = term * _power(f, k)
             key = (a + c, b + e)
-            val = out.support.get(key, f.field.zero) + cf * cg * phase
+            old = support.get(key)
+            val = term if old is None else old + term
             if val:
-                out.support[key] = val
-            elif key in out.support:
-                del out.support[key]
+                support[key] = val
+            elif old is not None:
+                del support[key]
     return out
 
 
@@ -180,7 +185,8 @@ def L_operator(a, i=1):
     for (x, b), c in a.support.items():
         if b % n != 0:
             raise NotInA("V-exponent %d not divisible by %d" % (b, n))
-        out.support[(x, b)] = c * _power(a, (-x * i) % N)
+        k = (-x * i) % N
+        out.support[(x, b)] = c * _power(a, k) if k else c
     return out
 
 

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from halab import fields
 from halab.fields import (QQ, CyclotomicField, Cyc, cyclotomic_polynomial,
                           parse_field, field_to_json, to_complex, embed_root,
                           DivisionByZero)
@@ -101,3 +103,154 @@ def test_random_is_seeded():
     a = [CyclotomicField(3).random(random.Random(5)) for _ in range(4)]
     b = [CyclotomicField(3).random(random.Random(5)) for _ in range(4)]
     assert a == b
+
+
+# ---------------------------------------------------------------------------
+# Cyc against a reference: Fraction polynomials reduced mod Phi_N
+
+def _ref_reduce(p, N):
+    """p (Fractions, index = power) reduced mod the monic Phi_N."""
+    phi = cyclotomic_polynomial(N)
+    d = len(phi) - 1
+    p = list(p) + [Fraction(0)] * max(0, d - len(p))
+    for k in range(len(p) - 1, d - 1, -1):
+        c = p[k]
+        for j, y in enumerate(phi):
+            p[k - d + j] -= c * y
+    return tuple(p[:d])
+
+
+def _ref_mul(a, b, N):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_reduce(out, N)
+
+
+def _ref_const(r, N):
+    return _ref_reduce([Fraction(r)], N)
+
+
+def _element(F, cs):
+    """The element with coefficients cs, written term by term."""
+    return F.parse(" + ".join("%s*z^%d" % (c, k) for k, c in enumerate(cs)))
+
+
+def _agrees(x, ref):
+    """x equals ref and is stored in lowest terms."""
+    assert isinstance(x, Cyc)
+    assert x.coeffs == tuple(ref)
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+DIFF_ORDERS = (1, 2, 3, 4, 5, 8, 12)
+
+
+@st.composite
+def field_case(draw):
+    N = draw(st.sampled_from(DIFF_ORDERS))
+    d = len(cyclotomic_polynomial(N)) - 1
+    coeffs = st.lists(small, min_size=d, max_size=d)
+    return (N, draw(coeffs), draw(coeffs),
+            draw(st.one_of(st.integers(-4, 4), small)))
+
+
+@given(field_case())
+def test_arithmetic_matches_reference(case):
+    N, xs, ys, r = case
+    F = CyclotomicField(N)
+    x, y = _element(F, xs), _element(F, ys)
+    _agrees(x, xs)
+    rx, ry, rr = tuple(xs), tuple(ys), _ref_const(r, N)
+    _agrees(x + y, [a + b for a, b in zip(rx, ry)])
+    _agrees(x - y, [a - b for a, b in zip(rx, ry)])
+    _agrees(x * y, _ref_mul(rx, ry, N))
+    _agrees(-x, [-a for a in rx])
+    _agrees(x + r, [a + b for a, b in zip(rx, rr)])
+    _agrees(r + x, [a + b for a, b in zip(rx, rr)])
+    _agrees(x - r, [a - b for a, b in zip(rx, rr)])
+    _agrees(r - x, [b - a for a, b in zip(rx, rr)])
+    _agrees(x * r, _ref_mul(rx, rr, N))
+    _agrees(r * x, _ref_mul(rx, rr, N))
+    one = _ref_const(1, N)
+    if any(ry):
+        q, inv = x / y, y.inverse()
+        assert _ref_mul(q.coeffs, ry, N) == rx
+        assert _ref_mul(inv.coeffs, ry, N) == one
+        _agrees(q, _ref_mul(rx, inv.coeffs, N))
+        _agrees(r / y, _ref_mul(rr, inv.coeffs, N))
+    else:
+        with pytest.raises(DivisionByZero):
+            y.inverse()
+    if r:
+        _agrees(x / r, [a / r for a in rx])
+    assert F.parse(F.format(x)) == x
+    _agrees(F.parse(F.format(x)), rx)
+
+
+@pytest.mark.parametrize("N", DIFF_ORDERS)
+def test_zeta_matches_reference(N):
+    F = CyclotomicField(N)
+    for k in range(-2 * N, 2 * N + 1):
+        ref = _ref_reduce([Fraction(0)] * (k % N) + [Fraction(1)], N)
+        _agrees(F.zeta(k), ref)
+    _agrees(F.zero, _ref_const(0, N))
+    _agrees(F.one, _ref_const(1, N))
+    _agrees(F.from_int(-7), _ref_const(-7, N))
+    _agrees(F.from_rational(Fraction(-6, 4)), _ref_const(Fraction(-3, 2), N))
+
+
+def test_cached_arithmetic_divides_no_polynomial(monkeypatch):
+    F = CyclotomicField(12)
+
+    def no_division(*args):
+        raise AssertionError("polynomial division in cached arithmetic")
+    monkeypatch.setattr(fields, "_poly_divmod", no_division)
+    z = F.zeta(1)
+    acc = F.one
+    for k in range(1000):
+        acc = (acc * F.zeta(k) + z) * Fraction(1, 2) - F.zero - k
+    assert acc * F.one == acc and F.zero + acc == acc
+    assert F.from_int(3) - F.from_rational(Fraction(1, 2)) == Fraction(5, 2)
+    monkeypatch.undo()
+    # cached elements are shared; no product may have changed them
+    assert F.zeta(1) is z
+    for k in range(12):
+        _agrees(F.zeta(k),
+                _ref_reduce([Fraction(0)] * k + [Fraction(1)], 12))
+    _agrees(F.one, _ref_const(1, 12))
+    _agrees(F.zero, _ref_const(0, 12))
+
+
+# ---------------------------------------------------------------------------
+# hash agrees with == across int, Fraction and Cyc
+
+def scalars(F):
+    elements = st.lists(small, min_size=F.degree, max_size=F.degree).map(
+        lambda cs: _element(F, cs))
+    return st.one_of(st.integers(-3, 3), small, small.map(F.from_rational),
+                     elements)
+
+
+def test_rational_cyc_hashes_as_rational():
+    F = CyclotomicField(4)
+    assert len({F.one, 1}) == 1
+    assert {Fraction(1, 2): "half"}[F.from_rational(Fraction(1, 2))] == "half"
+    assert hash(F.zero) == hash(0)
+
+
+@given(st.sampled_from([3, 4, 12]).flatmap(
+    lambda N: st.lists(scalars(CyclotomicField(N)), max_size=8)))
+def test_hash_agrees_with_eq_over_mixed_scalars(xs):
+    for a in xs:
+        for b in xs:
+            if a == b:
+                assert hash(a) == hash(b)
+    classes = []
+    for x in xs:
+        if not any(x == c for c in classes):
+            classes.append(x)
+    assert len(set(xs)) == len(classes)
+    assert len({x: None for x in xs}) == len(classes)
