@@ -8,10 +8,10 @@ Wedderburn block shape.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .fields import QQ, parse_field, field_to_json
-from .linalg import (Mat, Subspace, kernel, rank, solve_affine_sparse,
-                     NoSolution, ShapeMismatch)
+from .linalg import Mat, kernel, rank, solve_affine_sparse, NoSolution
 from .reports import ViolationReport
 
 
@@ -271,26 +271,19 @@ def tensor_algebra(A, B, name=None):
     return FDAlgebra(d, mul, unit, field, name=name)
 
 
-def subalgebra_on_rows(A, basis_rows):
-    """The subalgebra of A spanned by reduced basis rows (distinct pivots),
-    as an FDAlgebra together with the inclusion matrix.  Coordinates are
-    read off at the pivots; raises ValueError if the span is not closed
-    under multiplication or misses the unit."""
+def subalgebra_on_rows(A, space):
+    """The subalgebra of A spanned by the canonical basis rows of the
+    Subspace space, as an FDAlgebra together with the inclusion matrix.
+    Coordinates are read off at the pivots; raises ValueError if the span
+    is not closed under multiplication or misses the unit."""
     field = A.field
+    basis_rows = space.basis_rows
     m = len(basis_rows)
-    pivots = [next(i for i, c in enumerate(row) if c) for row in basis_rows]
 
     def coords(vec):
-        out = [vec[p] / basis_rows[k][pivots[k]] for k, p in enumerate(pivots)]
-        rec = [field.zero] * A.dim
-        for k, c in enumerate(out):
-            if c:
-                for i, x in enumerate(basis_rows[k]):
-                    if x:
-                        rec[i] = rec[i] + c * x
-        if rec != list(vec):
+        if not space.contains(vec):
             raise ValueError("vector outside the subalgebra span")
-        return out
+        return space.coords(vec)
 
     mul = [[None] * m for _ in range(m)]
     for a in range(m):
@@ -516,10 +509,8 @@ def _candidate_roots(field, coeffs):
     if field == QQ:
         # clear denominators, then apply the rational root theorem to the
         # integer polynomial (ignoring a trailing power of x)
-        lcm = 1
-        for c in coeffs:
-            lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
-        ints = [int(c * lcm) for c in coeffs]
+        den = lcm(*(c.denominator for c in coeffs))
+        ints = [int(c * den) for c in coeffs]
         while ints and ints[0] == 0:
             ints.pop(0)
         if ints:
@@ -539,12 +530,6 @@ def _candidate_roots(field, coeffs):
                 cands.append(field.zeta(k) * field.from_rational(r))
         cands.extend(field.from_rational(r) for r in sorted(rationals))
     return cands
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n):

@@ -10,13 +10,13 @@ import json
 import os
 import sys
 
-from .fields import QQ, CyclotomicField, parse_field, field_to_json
+from .fields import parse_field, field_to_json
 from .algebra import FDAlgebra, validate_algebra, NotAGroup
 from .hopfalgebroid import (HopfAlgebroidData, check_coring,
                             check_bialgebroid, check_hopf_algebroid,
                             hopf_to_json, hopf_from_json)
 from .reports import ViolationReport
-from .linalg import Mat, mat_from_json, mat_to_json
+from .linalg import mat_from_json
 from . import zoo
 from . import galois
 from . import torus as torusmod

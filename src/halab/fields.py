@@ -13,8 +13,9 @@ product is an integer convolution folded through those rows followed by
 one gcd, and zeta(k) is a lookup.  No Fraction is created and no
 polynomial is divided on the way; only inverse runs extended Euclid.
 
-The ground field is fixed per document: mixing scalars of different
-cyclotomic orders raises FieldMismatch instead of auto-promoting.
+The ground field is fixed per document: arithmetic that mixes scalars of
+different cyclotomic orders raises FieldMismatch instead of
+auto-promoting, and such scalars compare unequal.
 """
 
 import cmath
@@ -393,6 +394,10 @@ class Cyc:
         return o * self.inverse()
 
     def __eq__(self, other):
+        # a value of another order is not comparable, so it is unequal
+        # (only arithmetic across orders raises FieldMismatch)
+        if isinstance(other, Cyc) and other.field.order != self.field.order:
+            return NotImplemented
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -419,13 +419,13 @@ def check_covering(D):
         B.dim, [D.inclusionA.col(a) for a in range(D.dimA)], field)
     coinv_ok = coinv == declared
     # B over A: right module via right multiplication by the image of A
-    Aalg, Aincl = subalgebra_on_rows(B, declared.basis_rows)
+    Aalg, Aincl = subalgebra_on_rows(B, declared)
     actB = [B.right_mult_matrix(Aincl.col(a)) for a in range(Aalg.dim)]
     MB = ModuleOverA(Aalg, B.dim, actB, side="right")
     B_proj, _ = is_projective(MB)
     # central connectedness: one primitive idempotent in the center
     Z = center(B)
-    Zalg, _ = subalgebra_on_rows(B, Z.basis_rows)
+    Zalg, _ = subalgebra_on_rows(B, Z)
     try:
         connected = len(central_idempotents_split(Zalg)) == 1
     except NotSplit:
@@ -608,16 +608,11 @@ def _normal_basis_witness(D, rep):
     field = D.field
     dB, dH = B.dim, H.dim
     coin = coinvariants(D, "R")
-    Arows = coin.basis_rows
-    dA = len(Arows)
-    Aalg, Aincl = subalgebra_on_rows(B, Arows)
+    dA = coin.dim
+    Aalg, Aincl = subalgebra_on_rows(B, coin)
     # A (x)_L H with L acting on A through eta and on H through s_L
-    pivots = [next(i for i, x in enumerate(r) if x) for r in Arows]
-    etaA = Mat.zero(dA, Hd.leftb.base.dim, field)
-    for l in range(Hd.leftb.base.dim):
-        v = D.etaR.col(l)
-        for k, p in enumerate(pivots):
-            etaA.data[k][l] = v[p] / Arows[k][p]
+    etaA = Mat.from_cols([coin.coords(D.etaR.col(l))
+                          for l in range(Hd.leftb.base.dim)], dA, field)
     right_acts = [Aalg.right_mult_matrix(etaA.col(l))
                   for l in range(Hd.leftb.base.dim)]
     sqAH = tensor_over([dA, dH], [(right_acts, Hd.leftb.acts()[1])], field)

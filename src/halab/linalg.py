@@ -3,9 +3,14 @@
 Everything downstream (axiom checks, coinvariants, Galois maps) reduces to
 row reduction, kernels, affine solves and quotient presentations computed
 here.  Matrices are dense row-major lists of exact scalars; multiplication
-skips zero entries, so sparse structure still pays off.  All normal forms
-are canonical (RREF with first-nonzero pivoting), which makes subspace
-equality a plain entrywise comparison.
+skips zero entries, so sparse structure still pays off.
+
+One elimination engine, _echelon_dict, does every row reduction: it takes
+list or dict rows, works on their nonzeros only and returns the canonical
+RREF (leftmost-first-nonzero pivots, fully back-substituted), so subspace
+equality is a plain entrywise comparison.  rref, rank, kernel, image,
+solve_affine, solve_affine_sparse, inverse, det, Subspace and quotient_by
+are views of its output.
 
 Kronecker convention, fixed once for the whole package:
     kron(A, B) acts on pure tensors by (i tensor j) -> i*dimB + j,
@@ -170,52 +175,24 @@ def kron(A, B):
     return out
 
 
-def rref(M):
-    """Reduced row echelon form with the leftmost-first-nonzero pivot rule.
-    Returns (R, pivot column list)."""
-    R = [list(r) for r in M.data]
-    rows, cols = M.rows, M.cols
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = None
-        for i in range(r, rows):
-            if R[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        R[r], R[pr] = R[pr], R[r]
-        piv = R[r][c]
-        R[r] = [v / piv for v in R[r]]
-        for i in range(rows):
-            if i != r and R[i][c]:
-                f = R[i][c]
-                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return Mat(rows, cols, R, M.field), pivots
-
-
-def rank(M):
-    return len(rref(M)[1])
-
-
 def _echelon_dict(vectors, field):
-    """Canonical RREF of a spanning set of dict-vectors {col: value}.
-    Returns {pivot_col: reduced dict row}, fully back-substituted; same
-    result as dense rref on the stacked matrix, faster on sparse input."""
+    """The one elimination engine: canonical RREF of a spanning set of
+    vectors, each a list or a dict {col: value}.  Returns (rows, scalars):
+    rows maps each pivot column to its fully back-substituted dict row, in
+    the order the pivots were found; scalars are the pivot values the new
+    rows were divided by, in the same order."""
+    zero = field.zero
     rows = {}  # pivot column -> dict col -> value
+    scalars = []
     for vec in vectors:
-        v = {c: x for c, x in vec.items() if x}
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        v = {c: x for c, x in items if x}
         while v:
             p = min(v)
             if p in rows:
                 f = v[p]
                 for c, x in rows[p].items():
-                    nv = v.get(c, field.zero) - f * x
+                    nv = v.get(c, zero) - f * x
                     if nv:
                         v[c] = nv
                     elif c in v:
@@ -228,7 +205,7 @@ def _echelon_dict(vectors, field):
                     if q in row:
                         f = row[q]
                         for c, x in rows[q].items():
-                            nv = row.get(c, field.zero) - f * x
+                            nv = row.get(c, zero) - f * x
                             if nv:
                                 row[c] = nv
                             elif c in row:
@@ -238,26 +215,21 @@ def _echelon_dict(vectors, field):
                     if p in other:
                         f = other[p]
                         for c, x in row.items():
-                            nv = other.get(c, field.zero) - f * x
+                            nv = other.get(c, zero) - f * x
                             if nv:
                                 other[c] = nv
                             elif c in other:
                                 del other[c]
                 rows[p] = row
+                scalars.append(piv)
                 break
-    return rows, sorted(rows)
+    return rows, scalars
 
 
 def _echelon_rows(vectors, ncols, field):
-    """Canonical RREF rows (dense, nonzero only) of a spanning set of
-    vectors given as lists or dicts."""
-    dicts = []
-    for vec in vectors:
-        if isinstance(vec, dict):
-            dicts.append(vec)
-        else:
-            dicts.append({c: x for c, x in enumerate(vec) if x})
-    rows, pivots = _echelon_dict(dicts, field)
+    """Canonical RREF rows (dense, nonzero only) and their pivot columns."""
+    rows, _ = _echelon_dict(vectors, field)
+    pivots = sorted(rows)
     out = []
     for p in pivots:
         r = [field.zero] * ncols
@@ -265,6 +237,54 @@ def _echelon_rows(vectors, ncols, field):
             r[c] = x
         out.append(r)
     return out, pivots
+
+
+def _kernel_vectors(rows, ncols, field):
+    """One null vector per free column below ncols of the echelon rows:
+    1 at the free column, minus the rows' entries there at their pivots."""
+    kern = []
+    for f in range(ncols):
+        if f in rows:
+            continue
+        v = [field.zero] * ncols
+        v[f] = field.one
+        for p, row in rows.items():
+            if f in row:
+                v[p] = -row[f]
+        kern.append(v)
+    return kern
+
+
+def rref(M):
+    """Reduced row echelon form with the leftmost-first-nonzero pivot rule.
+    Returns (R, pivot column list)."""
+    R, pivots = _echelon_rows(M.data, M.cols, M.field)
+    R += [[M.field.zero] * M.cols for _ in range(M.rows - len(R))]
+    return Mat(M.rows, M.cols, R, M.field), pivots
+
+
+def rank(M):
+    return len(_echelon_dict(M.data, M.field)[0])
+
+
+def det(M):
+    """Determinant of a square matrix: the product of the pivot scalars
+    times the sign of the order in which the pivot columns were found."""
+    if M.rows != M.cols:
+        raise ShapeMismatch("determinant of non-square matrix")
+    rows, scalars = _echelon_dict(M.data, M.field)
+    if len(rows) < M.rows:
+        return M.field.zero
+    out = M.field.one
+    for s in scalars:
+        out = out * s
+    perm = list(rows)
+    for i in range(len(perm)):
+        while perm[i] != i:
+            j = perm[i]
+            perm[i], perm[j] = perm[j], perm[i]
+            out = -out
+    return out
 
 
 class Subspace:
@@ -305,6 +325,12 @@ class Subspace:
                 v = [a - f * b for a, b in zip(v, row)]
         return not any(v)
 
+    def coords(self, vec):
+        """The values of vec at the pivots: its coordinates in the basis
+        when vec lies in the subspace (a canonical row has 1 at its
+        pivot)."""
+        return [vec[p] for p in self.pivots]
+
     def contains_all(self, vectors):
         return all(self.contains(v) for v in vectors)
 
@@ -323,18 +349,9 @@ class Subspace:
 
 def kernel(M):
     """Null space of M with canonical basis."""
-    R, pivots = rref(M)
-    field = M.field
-    free = [c for c in range(M.cols) if c not in pivots]
-    vecs = []
-    for f in free:
-        v = [field.zero] * M.cols
-        v[f] = field.one
-        for r, p in enumerate(pivots):
-            if R.data[r][f]:
-                v[p] = -R.data[r][f]
-        vecs.append(v)
-    return Subspace.from_spanning(M.cols, vecs, field)
+    rows, _ = _echelon_dict(M.data, M.field)
+    return Subspace.from_spanning(
+        M.cols, _kernel_vectors(rows, M.cols, M.field), M.field)
 
 
 def image(M):
@@ -348,16 +365,10 @@ def solve_affine(constraint, rhs):
     Subspace) or raises NoSolution."""
     if len(rhs) != constraint.rows:
         raise ShapeMismatch("rhs length mismatch")
-    field = constraint.field
-    aug = Mat(constraint.rows, constraint.cols + 1,
-              [list(r) + [b] for r, b in zip(constraint.data, rhs)], field)
-    R, pivots = rref(aug)
-    if constraint.cols in pivots:
-        raise NoSolution()
-    x = [field.zero] * constraint.cols
-    for r, p in enumerate(pivots):
-        x[p] = R.data[r][constraint.cols]
-    return x, kernel(constraint)
+    x, kern = solve_affine_sparse([dict(enumerate(r)) for r in constraint.data],
+                                  rhs, constraint.cols, constraint.field,
+                                  want_kernel=True)
+    return x, Subspace.from_spanning(constraint.cols, kern, constraint.field)
 
 
 def is_invertible(M):
@@ -370,14 +381,13 @@ def inverse(M):
         raise ShapeMismatch("inverse of non-square matrix")
     n = M.rows
     field = M.field
-    aug = Mat(n, 2 * n,
-              [list(M.data[i]) + [field.one if j == i else field.zero
-                                  for j in range(n)]
-               for i in range(n)], field)
-    R, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
+    aug = [{**dict(enumerate(r)), n + i: field.one}
+           for i, r in enumerate(M.data)]
+    rows, _ = _echelon_dict(aug, field)
+    if any(p >= n for p in rows):
         raise NoSolution("matrix is singular")
-    return Mat(n, n, [r[n:] for r in R.data], field)
+    return Mat(n, n, [[rows[p].get(n + j, field.zero) for j in range(n)]
+                      for p in range(n)], field)
 
 
 def solve_affine_sparse(constraint_rows, rhs, ncols, field=QQ, want_kernel=False):
@@ -390,27 +400,14 @@ def solve_affine_sparse(constraint_rows, rhs, ncols, field=QQ, want_kernel=False
         r = dict(row)
         if b:
             r[ncols] = b
-        if r:
-            aug.append(r)
-    rows, pivots = _echelon_dict(aug, field)
+        aug.append(r)
+    rows, _ = _echelon_dict(aug, field)
     if ncols in rows:
         raise NoSolution()
     x = [field.zero] * ncols
     for p, row in rows.items():
         x[p] = row.get(ncols, field.zero)
-    kern = None
-    if want_kernel:
-        pivset = set(rows)
-        kern = []
-        for f in range(ncols):
-            if f in pivset:
-                continue
-            v = [field.zero] * ncols
-            v[f] = field.one
-            for p, row in rows.items():
-                if f in row:
-                    v[p] = -row[f]
-            kern.append(v)
+    kern = _kernel_vectors(rows, ncols, field) if want_kernel else None
     return x, kern
 
 

@@ -10,9 +10,10 @@ rule V^b U^c = q^{-bc} U^c V^b follows from the defining relation.
 
 import cmath
 import random
+from functools import cache
 
 from .fields import QQ, CyclotomicField
-from .linalg import Mat
+from .linalg import Mat, det
 
 
 class ParameterMismatch(ValueError):
@@ -27,20 +28,14 @@ class SizeLimit(ValueError):
     pass
 
 
-def _field_for(N):
+@cache
+def _params(N):
+    """The exact field of Q(zeta_N) (Q for N <= 2) and its primitive N-th
+    root of unity q, resolved once per N."""
     if N <= 2:
-        return QQ
-    return CyclotomicField(N)
-
-
-def _root(N):
-    """A primitive N-th root of unity in the field of Q(zeta_N)."""
-    field = _field_for(N)
-    if N == 1:
-        return field.one
-    if N == 2:
-        return -field.one
-    return field.zeta(1)
+        return QQ, (QQ.one if N == 1 else -QQ.one)
+    field = CyclotomicField(N)
+    return field, field.zeta(1)
 
 
 class QTElement:
@@ -50,8 +45,7 @@ class QTElement:
     def __init__(self, n, m, support=None):
         self.n = n
         self.m = m
-        self.field = _field_for(n * m)
-        self.q = _root(n * m)
+        self.field, self.q = _params(n * m)
         self.support = {}
         if support:
             for key, c in support.items():
@@ -332,8 +326,7 @@ def torus_coaction_check(n, radius, seed=0):
         raise ParameterMismatch("radius below n")
     out = {"n": n, "radius": radius, "action_multiplicative": True,
            "invariance_exact": True, "coassociative": True}
-    field = _field_for(n)
-    q = _root(n)
+    field, _ = _params(n)
 
     def act_phase(b, g):
         # g^j . (U^a V^b) = q^{jb} U^a V^b
@@ -369,8 +362,7 @@ def torus_galois_matrix(n):
     determinant and a unit verdict."""
     if n > 4:
         raise SizeLimit("exact determinant expansion limited to n <= 4")
-    field = _field_for(n)
-    q = _root(n)
+    field, _ = _params(n)
     dim = n * n
 
     def qpow(k):
@@ -384,29 +376,9 @@ def torus_galois_matrix(n):
             carry = (i + j - k) // n
             for g in range(n):
                 M[k * n + g][col] = {carry: qpow(j * g)}
-    det = _poly_det(M, field)
-    unit = len(det) == 1 and all(bool(c) for c in det.values())
-    return {"matrix": M, "det": det, "unit": unit}
-
-
-def _det_scalar(A, field):
-    """Determinant over the field by Gaussian elimination."""
-    d = len(A)
-    A = [row[:] for row in A]
-    det = field.one
-    for c in range(d):
-        piv = next((r for r in range(c, d) if A[r][c]), None)
-        if piv is None:
-            return field.zero
-        if piv != c:
-            A[c], A[piv] = A[piv], A[c]
-            det = -det
-        det = det * A[c][c]
-        for r in range(c + 1, d):
-            if A[r][c]:
-                f = A[r][c] / A[c][c]
-                A[r] = [x - f * y for x, y in zip(A[r], A[c])]
-    return det
+    dpoly = _poly_det(M, field)
+    unit = len(dpoly) == 1 and all(bool(c) for c in dpoly.values())
+    return {"matrix": M, "det": dpoly, "unit": unit}
 
 
 def _poly_det(M, field):
@@ -423,7 +395,7 @@ def _poly_det(M, field):
             powers.append(powers[-1] * x)
         A = [[sum((c * powers[k] for k, c in (e or {}).items()),
                   field.zero) for e in row] for row in M]
-        ys.append(_det_scalar(A, field))
+        ys.append(det(Mat(d, d, A, field)))
     coeffs = [field.zero] * (deg + 1)
     for i, (xi, yi) in enumerate(zip(xs, ys)):
         if not yi:

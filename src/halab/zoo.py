@@ -830,10 +830,6 @@ def weak_projections(W):
     return pL, pR
 
 
-def _subalgebra(H, basis_rows):
-    return subalgebra_on_rows(H, basis_rows)
-
-
 def weak_hopf_to_algebroid(W):
     """Base algebras from the canonical idempotents, source = inclusion,
     target t(r) = eps(r 1_(1)) 1_(2), counit = pR, coproduct = the weak
@@ -847,7 +843,7 @@ def weak_hopf_to_algebroid(W):
     d = H.dim
     pL, pR = weak_projections(W)
     Rspace = image(pR)
-    Rbase, incl = _subalgebra(H, Rspace.basis_rows)
+    Rbase, incl = subalgebra_on_rows(H, Rspace)
     m = Rbase.dim
     w = W.coproduct.matvec(H.unit)
     tR = Mat.zero(d, m, field)
@@ -862,13 +858,8 @@ def weak_hopf_to_algebroid(W):
                 if cr:
                     tR.data[j][r] = tR.data[j][r] + c * cr
     # eps_R = pR in base coordinates
-    pivots = [next(i for i, c in enumerate(row) if c)
-              for row in Rspace.basis_rows]
-    epsR = Mat.zero(m, d, field)
-    for h in range(d):
-        v = pR.col(h)
-        for k, p in enumerate(pivots):
-            epsR.data[k][h] = v[p] / Rspace.basis_rows[k][p]
+    epsR = Mat.from_cols([Rspace.coords(pR.col(h)) for h in range(d)],
+                         m, field)
     rightb = BialgebroidData(H, Rbase, "right", incl, tR, W.coproduct, epsR)
     return assemble_hopf_algebroid(rightb, W.antipode,
                                    left_coproduct_lift=W.coproduct,

@@ -1,7 +1,7 @@
 import pytest
 
 from halab.fields import QQ, CyclotomicField
-from halab.linalg import Mat, rank
+from halab.linalg import Mat, Subspace, rank
 from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
                            group_algebra, monoid_algebra, matrix_algebra,
                            product_field_algebra, opposite, enveloping,
@@ -112,7 +112,8 @@ class TestModules:
 class TestSubalgebras:
     def test_even_part_of_kz4(self):
         A = group_algebra(cyclic_table(4))
-        sub, incl = subalgebra_on_rows(A, [A.basis_vec(0), A.basis_vec(2)])
+        span = Subspace.from_spanning(4, [A.basis_vec(0), A.basis_vec(2)])
+        sub, incl = subalgebra_on_rows(A, span)
         assert sub.dim == 2
         assert validate_algebra(sub).ok
         # inclusion is multiplicative

@@ -254,3 +254,14 @@ def test_hash_agrees_with_eq_over_mixed_scalars(xs):
             classes.append(x)
     assert len(set(xs)) == len(classes)
     assert len({x: None for x in xs}) == len(classes)
+
+
+def test_orders_compare_unequal_but_do_not_mix():
+    one3, one4 = CyclotomicField(3).one, CyclotomicField(4).one
+    assert len({one3, one4}) == 2
+    assert one3 != one4 and not one3 == one4
+    assert one3 == 1 and one4 == 1
+    with pytest.raises(fields.FieldMismatch):
+        one3 + one4
+    with pytest.raises(fields.FieldMismatch):
+        one3 * CyclotomicField(4).zeta(1)

@@ -1,12 +1,13 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from halab.fields import QQ, CyclotomicField
-from halab.linalg import (Mat, kron, rref, rank, kernel, image, Subspace,
-                          solve_affine, solve_affine_sparse, inverse,
-                          is_invertible, quotient_by, mat_to_json,
+from halab.linalg import (Mat, kron, rref, rank, det, kernel, image,
+                          Subspace, solve_affine, solve_affine_sparse,
+                          inverse, is_invertible, quotient_by, mat_to_json,
                           mat_from_json, NoSolution, ShapeMismatch)
 
 
@@ -146,3 +147,176 @@ def test_mat_json_round_trip():
     assert mat_from_json(doc, F) == A
     B = Mat(1, 2, [[Fraction(1, 2), Fraction(-3)]], QQ)
     assert mat_from_json(mat_to_json(B)) == B
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the elimination engine against a dense reference
+
+def ref_rref(rows, cols, field):
+    """Dense Gauss-Jordan with the leftmost-first-nonzero pivot rule."""
+    R = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == len(R):
+            break
+        pr = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if pr is None:
+            continue
+        R[r], R[pr] = R[pr], R[r]
+        piv = R[r][c]
+        R[r] = [v / piv for v in R[r]]
+        for i in range(len(R)):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [a - f * b for a, b in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+    return R, pivots
+
+
+def ref_kernel_rows(M):
+    """Canonical kernel basis of M, computed by the reference alone."""
+    R, pivots = ref_rref(M.data, M.cols, M.field)
+    vecs = []
+    for f in range(M.cols):
+        if f not in pivots:
+            v = [M.field.zero] * M.cols
+            v[f] = M.field.one
+            for r, p in enumerate(pivots):
+                v[p] = -R[r][f]
+            vecs.append(v)
+    K, kp = ref_rref(vecs, M.cols, M.field)
+    return K[:len(kp)]
+
+
+def leibniz(M):
+    n = M.rows
+    out = M.field.zero
+    for perm in permutations(range(n)):
+        sign = 1
+        for i in range(n):
+            for j in range(i + 1, n):
+                if perm[i] > perm[j]:
+                    sign = -sign
+        term = M.field.one
+        for i in range(n):
+            term = term * M.data[i][perm[i]]
+        out = out + term if sign > 0 else out - term
+    return out
+
+
+FIELDS = [QQ, CyclotomicField(3), CyclotomicField(4)]
+
+
+def scalar(field):
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), -3])
+    if field is QQ:
+        return coeff.map(Fraction)
+    return st.lists(coeff, min_size=field.degree, max_size=field.degree).map(
+        lambda cs: sum((field.from_rational(Fraction(c)) * field.zeta(k)
+                        for k, c in enumerate(cs)), field.zero))
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None, field=None):
+    """Matrices over Q, Q(zeta_3) or Q(zeta_4), often rank-deficient: a
+    product through a narrow inner dimension, or with repeated rows."""
+    field = field or draw(st.sampled_from(FIELDS))
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 5)) if cols is None else cols
+
+    def dense(r, c):
+        return Mat(r, c, [[draw(scalar(field)) for _ in range(c)]
+                          for _ in range(r)], field)
+    shape = draw(st.sampled_from(["random", "product", "repeat"]))
+    if shape == "product":
+        inner = draw(st.integers(0, 2))
+        return dense(rows, inner) * dense(inner, cols)
+    M = dense(rows, cols)
+    if shape == "repeat" and rows >= 2:
+        M.data[-1] = list(M.data[0])
+    return M
+
+
+def square(n):
+    return st.sampled_from(FIELDS).flatmap(
+        lambda F: matrices(rows=n, cols=n, field=F))
+
+
+class TestEngineAgainstReference:
+    @given(matrices())
+    @settings(max_examples=150, deadline=None)
+    def test_rref_rank_kernel(self, M):
+        R, pivots = ref_rref(M.data, M.cols, M.field)
+        assert rref(M) == (Mat(M.rows, M.cols, R, M.field), pivots)
+        assert rank(M) == len(pivots)
+        K = kernel(M)
+        assert K.basis_rows == ref_kernel_rows(M)
+        assert K.dim == M.cols - len(pivots)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_solve_affine(self, data):
+        M = data.draw(matrices())
+        F = M.field
+        if data.draw(st.booleans()):   # consistent by construction
+            y = [data.draw(scalar(F)) for _ in range(M.cols)]
+            rhs = M.matvec(y)
+        else:
+            rhs = [data.draw(scalar(F)) for _ in range(M.rows)]
+        aug = [list(r) + [b] for r, b in zip(M.data, rhs)]
+        R, pivots = ref_rref(aug, M.cols + 1, F)
+        if M.cols in pivots:
+            with pytest.raises(NoSolution):
+                solve_affine(M, rhs)
+            return
+        x, hom = solve_affine(M, rhs)
+        expect = [F.zero] * M.cols
+        for r, p in enumerate(pivots):
+            expect[p] = R[r][M.cols]
+        assert x == expect
+        assert M.matvec(x) == rhs
+        assert hom.basis_rows == ref_kernel_rows(M)
+
+    @given(st.integers(0, 4).flatmap(square))
+    @settings(max_examples=150, deadline=None)
+    def test_inverse(self, M):
+        n, F = M.rows, M.field
+        aug = [list(r) + [F.one if j == i else F.zero for j in range(n)]
+               for i, r in enumerate(M.data)]
+        R, pivots = ref_rref(aug, 2 * n, F)
+        assert is_invertible(M) == (pivots[:n] == list(range(n)))
+        if not is_invertible(M):
+            with pytest.raises(NoSolution):
+                inverse(M)
+            return
+        assert inverse(M) == Mat(n, n, [r[n:] for r in R], F)
+
+
+class TestDeterminant:
+    @given(st.integers(0, 4).flatmap(square))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_leibniz(self, M):
+        assert det(M) == leibniz(M)
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.sampled_from(FIELDS).flatmap(
+            lambda F: st.tuples(matrices(rows=n, cols=n, field=F),
+                                matrices(rows=n, cols=n, field=F)))))
+    @settings(max_examples=100, deadline=None)
+    def test_multiplicative(self, AB):
+        A, B = AB
+        assert det(A * B) == det(A) * det(B)
+
+    def test_row_swap_flips_sign(self):
+        P = Mat(3, 3, [[QQ.zero, QQ.one, QQ.zero],
+                       [QQ.zero, QQ.zero, QQ.one],
+                       [QQ.one, QQ.zero, QQ.zero]], QQ)
+        assert det(P) == 1
+        P.data[0], P.data[1] = P.data[1], P.data[0]
+        assert det(P) == -1
+
+    def test_non_square(self):
+        with pytest.raises(ShapeMismatch):
+            det(Mat.zero(2, 3, QQ))
