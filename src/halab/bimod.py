@@ -27,11 +27,14 @@ Convention table (BialgebroidData.acts() returns the pair for its side):
 
   [Kronecker indexing]  as in linalg.kron: leg 0 is the slowest index,
       (i tensor j) -> i*dims[1] + j for two legs.
+
+takeuchi and check_takeuchi_closure project sparse lifts with
+QuotientPresentation.project/apply: no Kronecker or dense matrix product.
 """
 
 import itertools
 
-from .linalg import Mat, quotient_by, kernel, kron
+from .linalg import Mat, quotient_by, kernel, kron_cols
 from .reports import ViolationReport
 
 
@@ -54,21 +57,22 @@ def tensor_over(dims, pairs, field):
         sa, sb = strides[leg], strides[leg + 1]
         other = [i for i in range(n) if i not in (leg, leg + 1)]
         for Ra, La in zip(right_acts, left_acts):
+            # the nonzeros of each column of Ra and La, read once
+            rcols = [[(k, c) for k, c in enumerate(Ra.col(i)) if c]
+                     for i in range(dims[leg])]
+            lcols = [[(l, c) for l, c in enumerate(La.col(j)) if c]
+                     for j in range(dims[leg + 1])]
             for idx in itertools.product(*[range(dims[i]) for i in other]):
                 base = sum(strides[i] * v for i, v in zip(other, idx))
                 for i in range(dims[leg]):
                     for j in range(dims[leg + 1]):
                         v = {}
-                        for k in range(dims[leg]):
-                            c = Ra.data[k][i]
-                            if c:
-                                key = base + k * sa + j * sb
-                                v[key] = v.get(key, field.zero) + c
-                        for l in range(dims[leg + 1]):
-                            c = La.data[l][j]
-                            if c:
-                                key = base + i * sa + l * sb
-                                v[key] = v.get(key, field.zero) - c
+                        for k, c in rcols[i]:
+                            key = base + k * sa + j * sb
+                            v[key] = v.get(key, field.zero) + c
+                        for l, c in lcols[j]:
+                            key = base + i * sa + l * sb
+                            v[key] = v.get(key, field.zero) - c
                         v = {k: x for k, x in v.items() if x}
                         if v:
                             rels.append(v)
@@ -86,13 +90,17 @@ def takeuchi(square, first, second):
     sum first[r] b_i (x) b_i' = sum b_i (x) second[r] b_i'
     for every base element r.  For a right bialgebroid first/second are
     left multiplication by s_R(r) and t_R(r); for a left one, right
-    multiplication by t_L(l) and s_L(l)."""
+    multiplication by t_L(l) and s_L(l).  The constraint's columns are the
+    projections of A e_i (x) e_j - e_i (x) B e_j at the non-pivots (i, j)."""
     rows = []
+    lifts, zero = square.section_cols, square.field.zero
     for A, B in zip(first, second):
         I = Mat.identity(A.rows, A.field)
-        D = kron(A, I) - kron(I, B)
-        T = square.proj * (D * square.section)
-        rows.extend(T.data)
+        cols = kron_cols(A, I, lifts)
+        for u, v in zip(cols, kron_cols(I, B, lifts)):
+            for r, x in v.items():
+                u[r] = u.get(r, zero) - x
+        rows.extend(square.apply(cols).data)
     stacked = Mat(len(rows), square.dim, rows, square.field)
     return TakeuchiSubspace(square, kernel(stacked))
 
@@ -102,35 +110,27 @@ def check_takeuchi_closure(H, tk):
     stay inside it (so multiplication is well defined there)."""
     rep = ViolationReport()
     sq = tk.ambient
-    basis = tk.space.basis_rows
-    lifts = [sq.section.matvec(v) for v in basis]
+    # the lifts of the basis, as dicts at the non-pivot columns
+    lifts = [{c: v[qi] for c, qi in sq.index.items() if v[qi]}
+             for v in tk.space.basis_rows]
     d = H.dim
     for a, u in enumerate(lifts):
         for b, v in enumerate(lifts):
             prod = {}
-            for i in range(d):
-                for j in range(d):
-                    cu = u[i * d + j]
-                    if not cu:
-                        continue
-                    for k in range(d):
-                        for l in range(d):
-                            cv = v[k * d + l]
-                            if not cv:
-                                continue
-                            left = H.mul[i][k]
-                            right = H.mul[j][l]
-                            c = cu * cv
-                            for p, x in enumerate(left):
-                                if x:
-                                    for q, y in enumerate(right):
-                                        if y:
-                                            key = p * d + q
-                                            prod[key] = prod.get(
-                                                key, H.field.zero) + c * x * y
-            vec = [H.field.zero] * (d * d)
-            for k, x in prod.items():
-                vec[k] = x
-            qvec = sq.proj.matvec(vec)
-            rep.require(tk.space.contains(qvec), "takeuchi:closure", (a, b))
+            for iu, cu in u.items():
+                i, j = divmod(iu, d)
+                for iv, cv in v.items():
+                    k, l = divmod(iv, d)
+                    left = H.mul[i][k]
+                    right = H.mul[j][l]
+                    c = cu * cv
+                    for p, x in enumerate(left):
+                        if x:
+                            for q, y in enumerate(right):
+                                if y:
+                                    key = p * d + q
+                                    prod[key] = prod.get(
+                                        key, H.field.zero) + c * x * y
+            rep.require(tk.space.contains(sq.project(prod)),
+                        "takeuchi:closure", (a, b))
     return rep

@@ -113,24 +113,27 @@ def _poly_sub(a, b):
 # field descriptors
 
 
+def _fraction(text):
+    """Fraction(text), with a zero denominator reported as ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(
+            "zero denominator in scalar literal %r" % text) from None
+
+
 class RationalField:
     """The field Q.  Elements are Fractions."""
 
     order = None
-
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    zero = Fraction(0)   # Fractions are immutable, so both are shared
+    one = Fraction(1)
 
     def from_int(self, n):
         return Fraction(n)
 
     def parse(self, text):
-        return Fraction(text.strip())
+        return _fraction(text.strip())
 
     def format(self, x):
         return str(x)
@@ -234,7 +237,7 @@ class CyclotomicField:
             sign, coef, power = m.groups()
             if coef is None and "z" not in text[pos:m.end()]:
                 raise ValueError("bad scalar literal: %r" % text)
-            c = Fraction(coef) if coef is not None else Fraction(1)
+            c = _fraction(coef) if coef is not None else Fraction(1)
             if sign == "-":
                 c = -c
             if "z" in text[pos:m.end()]:

@@ -15,8 +15,8 @@ Tensor conventions follow bimod:
 import os
 import random
 
-from .linalg import (Mat, kron, rank, inverse, kernel, image, Subspace,
-                     solve_affine_sparse, NoSolution, ShapeMismatch)
+from .linalg import (Mat, kron, kron_cols, rank, inverse, kernel, image,
+                     Subspace, solve_affine_sparse, NoSolution, ShapeMismatch)
 from .algebra import (FDAlgebra, ModuleOverA, is_projective, Inconclusive,
                       check_algebra_morphism, subalgebra_on_rows,
                       central_idempotents_split, center, NotSplit)
@@ -200,8 +200,8 @@ def check_comodule(D):
                                 ("L", D.rhoL_lift, D.actL, L)):
         dd = Hb.coproduct_lift
         qp = _bhh_tensor(dB, actB, Hb, Hb, field)
-        lhs = qp.proj * (kron(rho, I_H) * rho)
-        rhs = qp.proj * (kron(I_B, dd) * rho)
+        lhs = qp.apply(kron_cols(rho, I_H, rho))
+        rhs = qp.apply(kron_cols(I_B, dd, rho))
         rep.require(lhs == rhs, "comodule:coassoc:%s" % side)
     # counitality: m -> m^[0] . eps(m^[1]) = m, action of the base on B
     for side, rho, eps, acts in (("R", D.rhoR_lift, R.counit, actR),
@@ -224,42 +224,38 @@ def check_comodule(D):
                         (b,))
     # mixed squares
     qp = _bhh_tensor(dB, actR, R, L, field)
-    lhs = qp.proj * (kron(D.rhoR_lift, I_H) * D.rhoL_lift)
-    rhs = qp.proj * (kron(I_B, L.coproduct_lift) * D.rhoR_lift)
+    lhs = qp.apply(kron_cols(D.rhoR_lift, I_H, D.rhoL_lift))
+    rhs = qp.apply(kron_cols(I_B, L.coproduct_lift, D.rhoR_lift))
     rep.require(lhs == rhs, "comodule:mixed:RL")
     qp = _bhh_tensor(dB, D.actL, L, R, field)
-    lhs = qp.proj * (kron(D.rhoL_lift, I_H) * D.rhoR_lift)
-    rhs = qp.proj * (kron(I_B, R.coproduct_lift) * D.rhoL_lift)
+    lhs = qp.apply(kron_cols(D.rhoL_lift, I_H, D.rhoR_lift))
+    rhs = qp.apply(kron_cols(I_B, R.coproduct_lift, D.rhoL_lift))
     rep.require(lhs == rhs, "comodule:mixed:LR")
     # module compatibility
     sqR = D.tensorRH()
     for l in range(L.base.dim):
         tl = H.left_mult_matrix(L.t.col(l))
-        lhs = sqR.proj * (D.rhoR_lift * D.actL[l])
-        rhs = sqR.proj * (kron(I_B, tl) * D.rhoR_lift)
+        lhs = sqR.apply(D.rhoR_lift * D.actL[l])
+        rhs = sqR.apply(kron_cols(I_B, tl, D.rhoR_lift))
         rep.require(lhs == rhs, "comodule:module-compat:R", (l,))
     sqL = D.tensorLH()
     for r in range(R.base.dim):
         sr = H.right_mult_matrix(R.s.col(r))
-        lhs = sqL.proj * (D.rhoL_lift * actR[r])
-        rhs = sqL.proj * (kron(I_B, sr) * D.rhoL_lift)
+        lhs = sqL.apply(D.rhoL_lift * actR[r])
+        rhs = sqL.apply(kron_cols(I_B, sr, D.rhoL_lift))
         rep.require(lhs == rhs, "comodule:module-compat:L", (r,))
     # algebra maps
     for side, rho, sq in (("R", D.rhoR_lift, sqR), ("L", D.rhoL_lift, sqL)):
         for i in range(dB):
             ci = rho.col(i)
             for j in range(dB):
-                lhs = sq.proj.matvec(rho.matvec(B.mul[i][j]))
-                rhs = sq.proj.matvec(_bh_mul(B, H, ci, rho.col(j)))
+                lhs = sq.project(rho.matvec(B.mul[i][j]))
+                rhs = sq.project(_bh_mul(B, H, ci, rho.col(j)))
                 rep.require(lhs == rhs, "comodule:multiplicative:%s" % side,
                             (i, j))
-        one = [field.zero] * (dB * dH)
-        for b in range(dB):
-            if B.unit[b]:
-                for h in range(dH):
-                    if H.unit[h]:
-                        one[b * dH + h] = B.unit[b] * H.unit[h]
-        rep.require(sq.proj.matvec(rho.matvec(B.unit)) == sq.proj.matvec(one),
+        one = {b * dH + h: x * y for b, x in enumerate(B.unit) if x
+               for h, y in enumerate(H.unit) if y}
+        rep.require(sq.project(rho.matvec(B.unit)) == sq.project(one),
                     "comodule:unital:%s" % side)
     return rep
 
@@ -277,8 +273,7 @@ def coinvariants(D, side):
         for h in range(dH):
             if H.unit[h]:
                 T.data[b * dH + h][b] = H.unit[h]
-    M = sq.proj * (rho - T)
-    return kernel(M)
+    return kernel(sq.apply(rho - T))
 
 
 def phi_map(D):
@@ -294,24 +289,18 @@ def phi_map(D):
         raise AntipodeNotInvertible()
     Sinv = inverse(S)
     sqR, sqL = D.tensorRH(), D.tensorLH()
-    PhiLift = Mat.zero(dB * dH, dB * dH, field)
-    PsiLift = Mat.zero(dB * dH, dB * dH, field)
-    for b in range(dB):
-        wL = D.rhoL_lift.col(b)
-        wR = D.rhoR_lift.col(b)
-        for h in range(dH):
-            Rs = H.right_mult_matrix(S.col(h))
-            Ls = H.left_mult_matrix(Sinv.col(h))
-            cphi = kron(Mat.identity(dB, field), Rs).matvec(wL)
-            cpsi = kron(Mat.identity(dB, field), Ls).matvec(wR)
-            for i, c in enumerate(cphi):
-                if c:
-                    PhiLift.data[i][b * dH + h] = c
-            for i, c in enumerate(cpsi):
-                if c:
-                    PsiLift.data[i][b * dH + h] = c
-    Phi = sqL.proj * (PhiLift * sqR.section)
-    Psi = sqR.proj * (PsiLift * sqL.section)
+    I_B = Mat.identity(dB, field)
+    # the lifts of m (x) h, keyed by the column m * dH + h
+    phi_lift, psi_lift = {}, {}
+    for h in range(dH):
+        Rs = H.right_mult_matrix(S.col(h))
+        Ls = H.left_mult_matrix(Sinv.col(h))
+        for b, v in enumerate(kron_cols(I_B, Rs, D.rhoL_lift)):
+            phi_lift[b * dH + h] = v
+        for b, v in enumerate(kron_cols(I_B, Ls, D.rhoR_lift)):
+            psi_lift[b * dH + h] = v
+    Phi = sqL.apply([phi_lift[c] for c in sqR.index])
+    Psi = sqR.apply([psi_lift[c] for c in sqL.index])
     return Phi, Psi
 
 
@@ -324,25 +313,19 @@ def galois_maps(D):
     dB, dH = B.dim, H.dim
     sqAA = D.tensorAA()
     sqR, sqL = D.tensorRH(), D.tensorLH()
-    GR = Mat.zero(dB * dH, dB * dB, field)
-    GL = Mat.zero(dB * dH, dB * dB, field)
     I_H = Mat.identity(dH, field)
+    # the lifts of a (x) b, keyed by the column a * dB + b
+    lift_R, lift_L = {}, {}
     for a in range(dB):
-        La = kron(B.left_mult_matrix(B.basis_vec(a)), I_H)
-        for b in range(dB):
-            cR = La.matvec(D.rhoR_lift.col(b))
-            for i, c in enumerate(cR):
-                if c:
-                    GR.data[i][a * dB + b] = c
+        La = B.left_mult_matrix(B.basis_vec(a))
+        for b, v in enumerate(kron_cols(La, I_H, D.rhoR_lift)):
+            lift_R[a * dB + b] = v
     for b in range(dB):
-        Rb = kron(B.right_mult_matrix(B.basis_vec(b)), I_H)
-        for a in range(dB):
-            cL = Rb.matvec(D.rhoL_lift.col(a))
-            for i, c in enumerate(cL):
-                if c:
-                    GL.data[i][a * dB + b] = c
-    galR = sqR.proj * (GR * sqAA.section)
-    galL = sqL.proj * (GL * sqAA.section)
+        Rb = B.right_mult_matrix(B.basis_vec(b))
+        for a, v in enumerate(kron_cols(Rb, I_H, D.rhoL_lift)):
+            lift_L[a * dB + b] = v
+    galR = sqR.apply([lift_R[c] for c in sqAA.index])
+    galL = sqL.apply([lift_L[c] for c in sqAA.index])
     rkR, rkL = rank(galR), rank(galL)
     return {
         "galR": galR,
@@ -589,9 +572,9 @@ def check_cleft(D, c):
                     note="no convolution inverse exists")
     # comodule-map square
     sqR = D.tensorRH()
-    lhs = sqR.proj * (D.rhoR_lift * c.map)
-    rhs = sqR.proj * (kron(c.map, Mat.identity(dH, field))
-                      * Hd.rightb.coproduct_lift)
+    lhs = sqR.apply(D.rhoR_lift * c.map)
+    rhs = sqR.apply(kron_cols(c.map, Mat.identity(dH, field),
+                              Hd.rightb.coproduct_lift))
     rep.require(lhs == rhs, "cleft:comodule-map")
     if rep.ok:
         _normal_basis_witness(D, rep)
@@ -626,12 +609,12 @@ def _normal_basis_witness(D, rep):
     rows = []
     rhs = []
     # left A-linearity after projection to the quotient
+    prows = sqAH.proj.data
     for a in range(dA):
         La = B.left_mult_matrix(Aincl.col(a))
-        LA = kron(Aalg.left_mult_matrix(Aalg.basis_vec(a)),
-                  Mat.identity(dH, field))
-        for q in range(sqAH.dim):
-            prow = sqAH.proj.data[q]
+        PLA = sqAH.apply(kron(Aalg.left_mult_matrix(Aalg.basis_vec(a)),
+                              Mat.identity(dH, field))).data
+        for prow, plarow in zip(prows, PLA):
             for b in range(dB):
                 row = {}
                 for alpha in range(dA * dH):
@@ -642,11 +625,7 @@ def _normal_basis_witness(D, rep):
                                 key = unk(alpha, bp)
                                 row[key] = row.get(key, field.zero) \
                                     + prow[alpha] * v
-                for alpha in range(dA * dH):
-                    c2 = field.zero
-                    for beta in range(dA * dH):
-                        if prow[beta] and LA.data[beta][alpha]:
-                            c2 = c2 + prow[beta] * LA.data[beta][alpha]
+                for alpha, c2 in enumerate(plarow):
                     if c2:
                         key = unk(alpha, b)
                         row[key] = row.get(key, field.zero) - c2
@@ -657,8 +636,7 @@ def _normal_basis_witness(D, rep):
     # comodule-map square in the triple quotient
     dRl = Hd.rightb.coproduct_lift
     rho = D.rhoR_lift
-    for tq in range(T.dim):
-        prow = T.proj.data[tq]
+    for prow in T.proj.data:
         # coefficient of theta[(a,h)][b] in lhs: sum_{h1,h2} prow[(a,h1,h2)]
         # dR[(h1,h2)][h]
         lhs_coef = {}
@@ -713,7 +691,7 @@ def _normal_basis_witness(D, rep):
         for alpha in range(dA * dH):
             for b in range(dB):
                 Th.data[alpha][b] = vec[unk(alpha, b)]
-        return sqAH.proj * Th
+        return sqAH.apply(Th)
     for vec in sols:
         M = quot_map(vec)
         if rank(M) == dB:
@@ -921,24 +899,18 @@ def crossed_product(C):
     sq = tensor_over([dN, dB], [(right_acts, left_acts)], field)
     dd = Bb.coproduct_lift
     I_B = Mat.identity(dB, field)
-    dd2 = kron(dd, I_B) * dd     # b -> b1 x b2 x b3
-    dim = sq.dim
+    dd2 = kron_cols(dd, I_B, dd)     # b -> b1 x b2 x b3
 
     def lift_mul(u, v):
+        """The product of two lifts, each a dict {index: value}."""
         out = [field.zero] * (dN * dB)
-        for iu, cu in enumerate(u):
-            if not cu:
-                continue
+        for iu, cu in u.items():
             n1, b = divmod(iu, dB)
-            trip = dd2.col(b)
-            for iv, cv in enumerate(v):
-                if not cv:
-                    continue
+            trip = dd2[b]
+            for iv, cv in v.items():
                 n2, bp = divmod(iv, dB)
                 pair = dd.col(bp)
-                for it, ct in enumerate(trip):
-                    if not ct:
-                        continue
+                for it, ct in trip.items():
                     b1, r2 = divmod(it, dB * dB)
                     b2, b3 = divmod(r2, dB)
                     actn = C.act(Balg.basis_vec(b1), N.basis_vec(n2))
@@ -961,18 +933,11 @@ def crossed_product(C):
                                             out[kn * dB + kb] + ck * bfac[kb]
         return out
 
-    mul = [[None] * dim for _ in range(dim)]
-    for i in range(dim):
-        ui = sq.section.col(i)
-        for j in range(dim):
-            mul[i][j] = sq.proj.matvec(lift_mul(ui, sq.section.col(j)))
-    one = [field.zero] * (dN * dB)
-    for i, a in enumerate(N.unit):
-        if a:
-            for j, b in enumerate(Balg.unit):
-                if b:
-                    one[i * dB + j] = a * b
-    return FDAlgebra(dim, mul, sq.proj.matvec(one), field,
+    lifts = sq.section_cols
+    mul = [[sq.project(lift_mul(ui, uj)) for uj in lifts] for ui in lifts]
+    one = {i * dB + j: a * b for i, a in enumerate(N.unit) if a
+           for j, b in enumerate(Balg.unit) if b}
+    return FDAlgebra(sq.dim, mul, sq.project(one), field,
                      name="crossed product")
 
 
@@ -1010,12 +975,12 @@ def check_composition(D1, D, D2, phi, psi, f1=None, f=None):
         Q2BH = D2.tensorRH() if side == "R" else D2.tensorLH()
         key = "gal%s" % side
         # (i): (iota x phi) gal_1 = gal (iota x iota)
-        lhs = (QBH.proj * (kron(iota, phi) * Q1BH.section)) * g1[key]
-        rhs = g[key] * (QAA.proj * (kron(iota, iota) * Q1AA.section))
+        lhs = QBH.apply(kron_cols(iota, phi, Q1BH.section_cols)) * g1[key]
+        rhs = g[key] * QAA.apply(kron_cols(iota, iota, Q1AA.section_cols))
         rep.require(lhs == rhs, "composition:(i):%s" % side)
         # (ii): (id x psi) gal = gal_2 surj
-        surj = Q2AA.proj * QAA.section
-        lhs = (Q2BH.proj * (kron(I_B2, psi) * QBH.section)) * g[key]
+        surj = Q2AA.apply(QAA.section_cols)
+        lhs = Q2BH.apply(kron_cols(I_B2, psi, QBH.section_cols)) * g[key]
         rhs = g2[key] * surj
         rep.require(lhs == rhs, "composition:(ii):%s" % side)
     hopf_chain = (D1.H.rightb.base.dim == 1 and D2.H.rightb.base.dim == 1
@@ -1049,10 +1014,9 @@ def _prop4_square(rep, D1, D2, phi, psi):
         T = tensor_over([B1.dim, H2.dim], [(right_acts, left_acts)], field)
         comp = psi * phi
         se = (H2b.s * _b1_to_base(D2)) * (D1.etaR * H1b.counit)
-        lhs = T.proj * (kron(Mat.identity(B1.dim, field), comp)
-                        * Q1BH.section)
-        rhs = T.proj * (kron(Mat.identity(B1.dim, field), se)
-                        * Q1BH.section)
+        I_B1, lifts = Mat.identity(B1.dim, field), Q1BH.section_cols
+        lhs = T.apply(kron_cols(I_B1, comp, lifts))
+        rhs = T.apply(kron_cols(I_B1, se, lifts))
         rep.require(lhs == rhs, "composition:prop4:%s" % side)
 
 
@@ -1081,8 +1045,8 @@ def verify_topological_equiv(D1, D2, beta, phiL, phiR):
         rho1 = D1.rhoR_lift if side == "R" else D1.rhoL_lift
         rho2 = D2.rhoR_lift if side == "R" else D2.rhoL_lift
         sq = D2.tensorRH() if side == "R" else D2.tensorLH()
-        lhs = sq.proj * (kron(beta, phi) * rho1)
-        rhs = sq.proj * (rho2 * beta)
+        lhs = sq.apply(kron_cols(beta, phi, rho1))
+        rhs = sq.apply(rho2 * beta)
         rep.require(lhs == rhs, "topo:coaction:%s" % side)
     rep.merge(check_algebraic_morphism(phiL, phiR, D1.H, D2.H))
     rep.require(rank(phiR) == D1.H.total.dim, "topo:H-invertible")
@@ -1202,15 +1166,16 @@ def _iso_equivariance(rep, tag, iso, sq, P, Q, C, right):
     multiplication and, when right is set, the right action of C on Q
     with right multiplication."""
     field = C.field
+    lifts = sq.section_cols
     for i in range(C.dim):
         e = C.basis_vec(i)
-        lhs = iso * (sq.proj * (kron(P.left_acts[i],
-                                     Mat.identity(Q.dim, field)) * sq.section))
+        lhs = iso * sq.apply(kron_cols(P.left_acts[i],
+                                       Mat.identity(Q.dim, field), lifts))
         rep.require(lhs == C.left_mult_matrix(e) * iso, tag + ":equivariance",
                     (i, "left") if right else (i,))
         if right:
-            lhs = iso * (sq.proj * (kron(Mat.identity(P.dim, field),
-                                         Q.right_acts[i]) * sq.section))
+            lhs = iso * sq.apply(kron_cols(Mat.identity(P.dim, field),
+                                           Q.right_acts[i], lifts))
             rep.require(lhs == C.right_mult_matrix(e) * iso,
                         tag + ":equivariance", (i, "right"))
 

@@ -10,7 +10,12 @@ list or dict rows, works on their nonzeros only and returns the canonical
 RREF (leftmost-first-nonzero pivots, fully back-substituted), so subspace
 equality is a plain entrywise comparison.  rref, rank, kernel, image,
 solve_affine, solve_affine_sparse, inverse, det, Subspace and quotient_by
-are views of its output.
+are views of its output.  A QuotientPresentation stores only those
+canonical relation rows: project(vec) and apply(M) = proj * M reduce
+against them, and the dense proj and section are built only when read.
+kron_cols(A, B, M) gives the columns of kron(A, B) * M from the nonzeros
+of the three factors, so lifts such as (Delta (x) id) Delta are projected
+without forming a Kronecker product.
 
 Kronecker convention, fixed once for the whole package:
     kron(A, B) acts on pure tensors by (i tensor j) -> i*dimB + j,
@@ -26,6 +31,11 @@ class ShapeMismatch(ValueError):
 
 class NoSolution(Exception):
     """Signal: the affine system is infeasible.  Not a fault."""
+
+
+def _items(vec):
+    """The (index, value) pairs of a list or of a dict {index: value}."""
+    return vec.items() if isinstance(vec, dict) else enumerate(vec)
 
 
 class Mat:
@@ -57,7 +67,7 @@ class Mat:
     def from_cols(cls, cols_list, ambient_dim, field=QQ):
         M = cls.zero(ambient_dim, len(cols_list), field)
         for j, col in enumerate(cols_list):
-            for i, v in enumerate(col):
+            for i, v in _items(col):
                 M.data[i][j] = v
         return M
 
@@ -129,14 +139,16 @@ class Mat:
     def matvec(self, vec):
         if len(vec) != self.cols:
             raise ShapeMismatch("matvec length mismatch")
-        out = [self.field.zero] * self.rows
-        for i in range(self.rows):
-            ri = self.data[i]
-            acc = self.field.zero
-            for k, v in enumerate(vec):
-                if v and ri[k]:
-                    acc = acc + ri[k] * v
-            out[i] = acc
+        nz = [(k, v) for k, v in enumerate(vec) if v]
+        zero = self.field.zero
+        out = []
+        for ri in self.data:
+            acc = zero
+            for k, v in nz:
+                a = ri[k]
+                if a:
+                    acc = acc + a * v
+            out.append(acc)
         return out
 
     def __eq__(self, other):
@@ -175,6 +187,41 @@ def kron(A, B):
     return out
 
 
+def _columns(M):
+    """The columns of a Mat as dicts {row: value} of its nonzeros; a list
+    of columns (lists or dicts) is returned as it is."""
+    if not isinstance(M, Mat):
+        return M
+    cols = [{} for _ in range(M.cols)]
+    for i, r in enumerate(M.data):
+        for j, x in enumerate(r):
+            if x:
+                cols[j][i] = x
+    return cols
+
+
+def kron_cols(A, B, M):
+    """The columns of kron(A, B) * M as dicts {row: value}, built from the
+    nonzeros of A, B and M without forming the Kronecker product.  M is a
+    Mat or a list of columns (lists or dicts)."""
+    acols, bcols = _columns(A), _columns(B)
+    zero = A.field.zero
+    out = []
+    for col in _columns(M):
+        acc = {}
+        for kl, v in _items(col):
+            if not v:
+                continue
+            k, l = divmod(kl, B.cols)
+            bl = bcols[l].items()
+            for i, a in acols[k].items():
+                va, base = v * a, i * B.rows
+                for j, b in bl:
+                    acc[base + j] = acc.get(base + j, zero) + va * b
+        out.append({r: x for r, x in acc.items() if x})
+    return out
+
+
 def _echelon_dict(vectors, field):
     """The one elimination engine: canonical RREF of a spanning set of
     vectors, each a list or a dict {col: value}.  Returns (rows, scalars):
@@ -185,8 +232,7 @@ def _echelon_dict(vectors, field):
     rows = {}  # pivot column -> dict col -> value
     scalars = []
     for vec in vectors:
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        v = {c: x for c, x in items if x}
+        v = {c: x for c, x in _items(vec) if x}
         while v:
             p = min(v)
             if p in rows:
@@ -226,9 +272,9 @@ def _echelon_dict(vectors, field):
     return rows, scalars
 
 
-def _echelon_rows(vectors, ncols, field):
-    """Canonical RREF rows (dense, nonzero only) and their pivot columns."""
-    rows, _ = _echelon_dict(vectors, field)
+def _dense_rows(rows, ncols, field):
+    """Dict rows keyed by pivot as dense lists, in increasing pivot order,
+    and their pivots."""
     pivots = sorted(rows)
     out = []
     for p in pivots:
@@ -258,7 +304,8 @@ def _kernel_vectors(rows, ncols, field):
 def rref(M):
     """Reduced row echelon form with the leftmost-first-nonzero pivot rule.
     Returns (R, pivot column list)."""
-    R, pivots = _echelon_rows(M.data, M.cols, M.field)
+    R, pivots = _dense_rows(_echelon_dict(M.data, M.field)[0], M.cols,
+                            M.field)
     R += [[M.field.zero] * M.cols for _ in range(M.rows - len(R))]
     return Mat(M.rows, M.cols, R, M.field), pivots
 
@@ -301,12 +348,9 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors, field=QQ):
-        rows, pivots = _echelon_rows(vectors, ambient_dim, field)
+        rows, pivots = _dense_rows(_echelon_dict(vectors, field)[0],
+                                   ambient_dim, field)
         return cls(ambient_dim, rows, pivots, field)
-
-    @classmethod
-    def zero(cls, ambient_dim, field=QQ):
-        return cls(ambient_dim, [], [], field)
 
     @property
     def dim(self):
@@ -412,59 +456,79 @@ def solve_affine_sparse(constraint_rows, rhs, ncols, field=QQ, want_kernel=False
 
 
 class QuotientPresentation:
-    """Presentation of k^n / span(relations): a projection onto the
-    non-pivot coordinates and a section embedding them back."""
+    """Presentation of k^n / span(relations) by the canonical relation rows
+    of _echelon_dict: rows maps each pivot column to its dict row (1 at the
+    pivot, the rest at non-pivot columns).  The quotient coordinates are the
+    non-pivot columns in increasing order; index maps each to its
+    coordinate.  proj and section are dense views built on each read."""
 
-    __slots__ = ("ambient_dim", "pivots", "proj", "section", "dim", "field")
+    __slots__ = ("ambient_dim", "rows", "pivots", "index", "dim", "field")
 
-    def __init__(self, ambient_dim, pivots, proj, section, field):
+    def __init__(self, ambient_dim, rows, field):
         self.ambient_dim = ambient_dim
-        self.pivots = pivots
-        self.proj = proj
-        self.section = section
-        self.dim = proj.rows
+        self.rows = rows
+        self.pivots = sorted(rows)
+        self.index = {c: qi for qi, c in enumerate(
+            c for c in range(ambient_dim) if c not in rows)}
+        self.dim = len(self.index)
         self.field = field
+
+    def project(self, vec):
+        """proj . vec for a list or a dict {col: value}: a non-pivot column
+        goes to its own coordinate; a pivot p spreads -v * row_p[c] onto the
+        non-pivot columns c of its row."""
+        if not isinstance(vec, dict) and len(vec) != self.ambient_dim:
+            raise ShapeMismatch("project length mismatch")
+        index, out = self.index, [self.field.zero] * self.dim
+        for c, v in _items(vec):
+            if not v:
+                continue
+            qi = index.get(c)
+            if qi is not None:
+                out[qi] = out[qi] + v
+                continue
+            for c2, x in self.rows[c].items():
+                if c2 != c:
+                    qi = index[c2]
+                    out[qi] = out[qi] - v * x
+        return out
+
+    def apply(self, M):
+        """proj * M, column by column through project; M is a Mat or a
+        list of columns (lists or dicts)."""
+        cols = [self.project(col) for col in _columns(M)]
+        return Mat(self.dim, len(cols),
+                   [[col[qi] for col in cols] for qi in range(self.dim)],
+                   self.field)
+
+    @property
+    def proj(self):
+        """The dim x ambient_dim projection matrix."""
+        return self.apply(Mat.identity(self.ambient_dim, self.field))
+
+    @property
+    def section(self):
+        """Coordinate qi -> e_c for its non-pivot column c."""
+        return Mat.from_cols(self.section_cols, self.ambient_dim, self.field)
+
+    @property
+    def section_cols(self):
+        """The columns of section as dicts."""
+        return [{c: self.field.one} for c in self.index]
 
     @property
     def relations(self):
-        """The relation span, read back from proj on each call so that no
-        dense copy is kept: the canonical row with pivot p is e_p minus
-        proj[qi][p] at the qi-th non-pivot column."""
+        """The relation span, read from the stored rows."""
         n, field = self.ambient_dim, self.field
-        pivset = set(self.pivots)
-        nonpiv = [c for c in range(n) if c not in pivset]
-        rows = []
-        for p in self.pivots:
-            row = [field.zero] * n
-            row[p] = field.one
-            for qi, c in enumerate(nonpiv):
-                row[c] = -self.proj.data[qi][p]
-            rows.append(row)
-        return Subspace(n, rows, list(self.pivots), field)
+        return Subspace(n, *_dense_rows(self.rows, n, field), field)
 
 
 def quotient_by(ambient_dim, relation_vectors, field=QQ):
-    """Quotient of k^ambient_dim by the span of the relation vectors.
-    proj sends a vector to its coordinates at the non-pivot columns after
-    reduction by the canonical relation rows; section embeds those back as
-    the canonical representatives."""
-    rel = Subspace.from_spanning(ambient_dim, relation_vectors, field)
-    pivset = set(rel.pivots)
-    nonpiv = [c for c in range(ambient_dim) if c not in pivset]
-    q = len(nonpiv)
-    proj = Mat.zero(q, ambient_dim, field)
-    for qi, c in enumerate(nonpiv):
-        proj.data[qi][c] = field.one
-    for row, p in zip(rel.basis_rows, rel.pivots):
-        # e_p = -sum over non-pivot coords of the relation row
-        for qi, c in enumerate(nonpiv):
-            if row[c]:
-                proj.data[qi][p] = -row[c]
-    # without relations proj is the identity and serves as the section too
-    section = proj if q == ambient_dim else Mat.zero(ambient_dim, q, field)
-    for qi, c in enumerate(nonpiv):
-        section.data[c][qi] = field.one
-    return QuotientPresentation(ambient_dim, rel.pivots, proj, section, field)
+    """Quotient of k^ambient_dim by the span of the relation vectors (lists
+    or dicts), presented by their canonical rows."""
+    return QuotientPresentation(
+        ambient_dim, _echelon_dict(relation_vectors, field)[0], field)
+
 
 def mat_to_json(M):
     """Sparse matrix form: omitted entries are zero."""
@@ -480,5 +544,9 @@ def mat_to_json(M):
 def mat_from_json(doc, field=QQ):
     M = Mat.zero(int(doc["rows"]), int(doc["cols"]), field)
     for e in doc["entries"]:
-        M.data[int(e["r"])][int(e["c"])] = field.parse(e["v"])
+        r, c = int(e["r"]), int(e["c"])
+        if not (0 <= r < M.rows and 0 <= c < M.cols):
+            raise ValueError("matrix entry %r outside a %dx%d matrix"
+                             % (e, M.rows, M.cols))
+        M.data[r][c] = field.parse(e["v"])
     return M

@@ -92,6 +92,29 @@ class TestSchemaErrors:
         assert main(["check", str(p)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name, key, value", [
+        ("kz3_hopf.json", "v", "1/0"),
+        ("kz3_hopf.json", "r", 99),
+        ("kz3_hopf.json", "c", -1),
+        ("z4_coupled.json", "v", "1/0 + z"),
+    ])
+    def test_bad_matrix_entry(self, tmp_path, capsys, name, key, value):
+        """A zero denominator or an out-of-range index is an input error
+        (exit 2 with a message), not a failed check."""
+        with open(os.path.join(DOCS, name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        stack = [doc]
+        while not (isinstance(stack[-1], dict) and "entries" in stack[-1]
+                   and stack[-1]["entries"]):
+            node = stack.pop()
+            stack.extend(node.values() if isinstance(node, dict) else
+                         node if isinstance(node, list) else [])
+        stack[-1]["entries"][0][key] = value
+        p = tmp_path / name
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 2
+        assert "error" in capsys.readouterr().err
+
     def test_field_flag_conflicts_with_declared_field(self, capsys):
         path = os.path.join(DOCS, "kz3_hopf.json")
         with open(path, encoding="utf-8") as fh:

@@ -265,3 +265,15 @@ def test_orders_compare_unequal_but_do_not_mix():
         one3 + one4
     with pytest.raises(fields.FieldMismatch):
         one3 * CyclotomicField(4).zeta(1)
+
+
+@pytest.mark.parametrize("field", [QQ, CyclotomicField(3)])
+def test_zero_denominator_is_a_value_error(field):
+    for text in ("1/0", "-3/0"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            field.parse(text)
+
+
+def test_rational_zero_and_one_are_shared():
+    assert QQ.zero is QQ.zero and QQ.one is QQ.one
+    assert (QQ.zero, QQ.one) == (0, 1)

@@ -1,8 +1,14 @@
+import random
+
 import pytest
 
+import halab.hopfalgebroid
 from halab.fields import QQ, CyclotomicField
-from halab.linalg import Mat
+from halab.linalg import Mat, kron
+from halab.algebra import product_field_algebra
+from halab.bimod import tensor_over
 from halab.hopfalgebroid import (BialgebroidData, HopfAlgebroidData,
+                                 _coassociative, check_coring,
                                  check_bialgebroid, check_hopf_algebroid,
                                  solve_antipode, check_coupled,
                                  check_algebraic_morphism,
@@ -11,7 +17,8 @@ from halab.hopfalgebroid import (BialgebroidData, HopfAlgebroidData,
 from halab.zoo import (cyclic_table, s3_table, group_hopf_algebra,
                        groupoid_algebra, function_algebroid,
                        indiscrete_groupoid, monoid_bialgebra,
-                       and_monoid_table, coupled_from_character)
+                       and_monoid_table, coupled_from_character,
+                       smash_algebroid)
 
 
 def remut(Hd, which, i, j, delta):
@@ -155,3 +162,61 @@ def test_hopf_json_round_trip():
     assert check_hopf_algebroid(back).ok
     assert back.antipode == Hd.antipode
     assert back.leftb.coproduct_lift == Hd.leftb.coproduct_lift
+
+
+def dense_coassociative(first, second, qp):
+    """Coassociativity by the dense formula: proj times kron products."""
+    I = Mat.identity(first.total.dim, first.total.field)
+    F, S = first.coproduct_lift, second.coproduct_lift
+    P = qp.proj
+    return P * (kron(F, I) * S) == P * (kron(I, S) * F)
+
+
+def coassociativity_cases(Hd):
+    """Both one-sided triples and both mixed squares of hopf:(b)."""
+    L, R = Hd.leftb, Hd.rightb
+    d = Hd.total.dim
+    yield L, L, L.triple()
+    yield R, R, R.triple()
+    for first, second in ((L, R), (R, L)):
+        yield first, second, tensor_over(
+            [d] * 3, [first.acts(), second.acts()], Hd.total.field)
+
+
+def test_coassociative_matches_dense_formula(hopf_corpus):
+    """Every Q instance but kZ12 (whose 1728-dimensional triple has no
+    relations), and one seeded single-entry mutation of a coproduct lift
+    of each instance of dimension at most 8."""
+    rng = random.Random(0)
+    verdicts = []
+    for n, (name, Hd) in enumerate(hopf_corpus):
+        d = Hd.total.dim
+        if Hd.total.field != QQ or d > 9:
+            continue
+        instances = [Hd]
+        if d <= 8:
+            instances.append(remut(Hd, "dL" if n % 2 else "dR",
+                                   rng.randrange(d * d), rng.randrange(d),
+                                   QQ.one))
+        for H2 in instances:
+            for first, second, qp in coassociativity_cases(H2):
+                got = _coassociative(first, second, qp)
+                assert got == dense_coassociative(first, second, qp), name
+                verdicts.append(got)
+    assert True in verdicts and False in verdicts
+
+
+def test_coring_and_takeuchi_form_no_kron_and_no_dense_product(monkeypatch):
+    swap = Mat(2, 2, [[QQ.zero, QQ.one], [QQ.one, QQ.zero]], QQ)
+    Hd = smash_algebroid(product_field_algebra(2), cyclic_table(2),
+                         [Mat.identity(2, QQ), swap])
+
+    def forbidden(*args):
+        raise AssertionError("Kronecker or dense matrix product")
+    monkeypatch.setattr(Mat, "__mul__", forbidden)
+    monkeypatch.setattr(halab.hopfalgebroid, "kron", forbidden)
+    for B in (Hd.leftb, Hd.rightb):
+        assert check_coring(B).ok
+        assert (B.square().dim, B.takeuchi().space.dim) == (32, 16)
+    monkeypatch.undo()
+    assert check_bialgebroid(Hd.leftb).ok and check_bialgebroid(Hd.rightb).ok

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halab.fields import QQ, CyclotomicField
-from halab.linalg import (Mat, kron, rref, rank, det, kernel, image,
-                          Subspace, solve_affine, solve_affine_sparse,
+from halab.linalg import (Mat, kron, kron_cols, rref, rank, det, kernel,
+                          image, Subspace, solve_affine, solve_affine_sparse,
                           inverse, is_invertible, quotient_by, mat_to_json,
                           mat_from_json, NoSolution, ShapeMismatch)
 
@@ -320,3 +320,92 @@ class TestDeterminant:
     def test_non_square(self):
         with pytest.raises(ShapeMismatch):
             det(Mat.zero(2, 3, QQ))
+
+
+# ---------------------------------------------------------------------------
+# differential tests: sparse quotient projection against dense references
+
+def ref_quotient(n, rels, field):
+    """The dense proj and section of k^n / span(rels) from the reference
+    RREF: proj keeps the non-pivot coordinates and sends e_p to minus the
+    non-pivot entries of the relation row with pivot p."""
+    R, pivots = ref_rref(rels, n, field)
+    nonpiv = [c for c in range(n) if c not in pivots]
+    proj = Mat.zero(len(nonpiv), n, field)
+    section = Mat.zero(n, len(nonpiv), field)
+    for qi, c in enumerate(nonpiv):
+        proj.data[qi][c] = field.one
+        section.data[c][qi] = field.one
+        for row, p in zip(R, pivots):
+            if row[c]:
+                proj.data[qi][p] = -row[c]
+    return proj, section
+
+
+@st.composite
+def relation_sets(draw):
+    """(n, relation vectors, field) over Q or Q(zeta_3): a random (often
+    rank-deficient) set, no relations at all, or a spanning set."""
+    field = draw(st.sampled_from(FIELDS[:2]))
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["random", "random", "empty", "full"]))
+    if kind == "empty":
+        return n, [], field
+    if kind == "full":
+        extra = draw(matrices(cols=n, field=field)).data
+        return n, Mat.identity(n, field).data + extra, field
+    rows = draw(matrices(cols=n, field=field)).data
+    return n, rows, field
+
+
+def sparse(vec):
+    return {c: x for c, x in enumerate(vec) if x}
+
+
+class TestSparseQuotient:
+    @given(relation_sets(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_project_and_apply_match_dense_reference(self, rels, data):
+        n, vectors, field = rels
+        q = quotient_by(n, vectors, field)
+        proj, section = ref_quotient(n, vectors, field)
+        assert (q.proj, q.section) == (proj, section)
+        assert q.dim == proj.rows
+        M = data.draw(matrices(rows=n, field=field))
+        for j in range(M.cols):
+            v = M.col(j)
+            assert q.project(v) == proj.matvec(v)
+            assert q.project(sparse(v)) == proj.matvec(v)
+        cols = [sparse(M.col(j)) for j in range(M.cols)]
+        assert q.apply(M) == q.apply(cols) == proj * M
+        for v in vectors:
+            assert q.project(v) == [field.zero] * q.dim
+
+    @given(relation_sets())
+    @settings(max_examples=100, deadline=None)
+    def test_relations_match_spanning_subspace(self, rels):
+        n, vectors, field = rels
+        q = quotient_by(n, vectors, field)
+        assert q.relations == Subspace.from_spanning(n, vectors, field)
+        assert q.relations.dim + q.dim == n
+        assert q.pivots == q.relations.pivots == sorted(q.rows)
+
+    def test_project_checks_length(self):
+        with pytest.raises(ShapeMismatch):
+            quotient_by(3, [], QQ).project([QQ.one] * 2)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_kron_cols_matches_kron_product(self, data):
+        field = data.draw(st.sampled_from(FIELDS[:2]))
+        dims = [data.draw(st.integers(1, 3)) for _ in range(5)]
+        A = data.draw(matrices(rows=dims[0], cols=dims[1], field=field))
+        B = data.draw(matrices(rows=dims[2], cols=dims[3], field=field))
+        M = data.draw(matrices(rows=dims[1] * dims[3], cols=dims[4],
+                               field=field))
+        ref = kron(A, B) * M
+        got = kron_cols(A, B, M)
+        assert got == [sparse(ref.col(j)) for j in range(ref.cols)]
+        assert kron_cols(A, B, [M.col(j) for j in range(M.cols)]) == got
+        assert kron_cols(A, B, [sparse(M.col(j))
+                                for j in range(M.cols)]) == got
