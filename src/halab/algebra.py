@@ -118,10 +118,18 @@ class FDAlgebra:
     def from_json(cls, doc):
         field = parse_field(doc["field"])
         dim = int(doc["dim"])
+        if dim < 0:
+            raise ValueError("'dim' is %d, must be >= 0" % dim)
         mul = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
         for t in doc["mul"]:
-            mul[int(t["i"])][int(t["j"])][int(t["k"])] = field.parse(t["c"])
+            i, j, k = int(t["i"]), int(t["j"]), int(t["k"])
+            if not all(0 <= x < dim for x in (i, j, k)):
+                raise ValueError("'mul' entry %r outside dim %d" % (t, dim))
+            mul[i][j][k] = field.parse(t["c"])
         unit = [field.parse(c) for c in doc["unit"]]
+        if len(unit) != dim:
+            raise ValueError("'unit' has %d entries for dim %d"
+                             % (len(unit), dim))
         return cls(dim, mul, unit, field)
 
     def __repr__(self):

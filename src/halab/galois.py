@@ -12,7 +12,6 @@ Tensor conventions follow bimod:
   B (x)_A B : A acts through its image in B by plain multiplication.
 """
 
-import os
 import random
 
 from .linalg import (Mat, kron, kron_cols, rank, inverse, kernel, image,
@@ -31,10 +30,6 @@ class AntipodeNotInvertible(Exception):
 
 class LabelMismatch(ValueError):
     pass
-
-
-def _seed():
-    return int(os.environ.get("HALAB_SEED", "0"))
 
 
 # ---------------------------------------------------------------------------
@@ -541,11 +536,12 @@ def _conv_inverse(D, c):
     return ConvMorphism(D, "L", "R", dmat)
 
 
-def check_cleft(D, c):
+def check_cleft(D, c, seed=0):
     """Cleftness through the witness c: R -> L: bimodule type, linear
     solvability of a convolution inverse, the comodule-map square, and a
-    bounded seeded search for a normal-basis witness (raises Inconclusive
-    when the search is exhausted without an invertible combination)."""
+    bounded search, seeded by seed, for a normal-basis witness (raises
+    Inconclusive when the search is exhausted without an invertible
+    combination)."""
     rep = ViolationReport()
     B = D.B
     H = D.H.total
@@ -577,11 +573,11 @@ def check_cleft(D, c):
                               Hd.rightb.coproduct_lift))
     rep.require(lhs == rhs, "cleft:comodule-map")
     if rep.ok:
-        _normal_basis_witness(D, rep)
+        _normal_basis_witness(D, rep, seed)
     return rep
 
 
-def _normal_basis_witness(D, rep):
+def _normal_basis_witness(D, rep, seed):
     """Solve the linear system for a left-A-linear right-comodule map
     B -> A (x)_L H and search seeded combinations of the solution space for
     an invertible one."""
@@ -697,7 +693,7 @@ def _normal_basis_witness(D, rep):
         if rank(M) == dB:
             rep.require(True, "cleft:normal-basis")
             return
-    rng = random.Random(_seed())
+    rng = random.Random(seed)
     for _ in range(64):
         combo = [field.zero] * nunk
         for vec in sols:

@@ -19,9 +19,10 @@ Axiom tags:
 """
 
 from .linalg import (Mat, kron, kron_cols, rank, solve_affine_sparse,
-                     NoSolution, ShapeMismatch)
+                     NoSolution, ShapeMismatch, mat_from_json)
 from .bimod import tensor_over, takeuchi
-from .algebra import check_algebra_morphism, check_algebra_antimorphism
+from .algebra import (FDAlgebra, check_algebra_morphism,
+                      check_algebra_antimorphism)
 from .reports import ViolationReport
 
 
@@ -206,11 +207,13 @@ def _counit_action_check(B, rep):
                         "left:counit-action", (r,), note="1.l != l")
         for a in range(H.dim):
             av = H.basis_vec(a)
+            if B.side == "right":
+                ra = act_right(rv, av)
             for b in range(H.dim):
                 bv = H.basis_vec(b)
                 ab = H.mul_vec(av, bv)
                 if B.side == "right":
-                    lhs = act_right(act_right(rv, av), bv)
+                    lhs = act_right(ra, bv)
                     rhs = act_right(rv, ab)
                     rep.require(lhs == rhs, "right:counit-action", (r, a, b))
                 else:
@@ -523,16 +526,24 @@ def bialgebroid_to_json(B):
             "counit": mat_to_json(B.counit)}
 
 
+def _shaped_mat(doc, key, rows, cols, field):
+    """The matrix doc[key], which must be rows x cols."""
+    M = mat_from_json(doc[key], field)
+    if (M.rows, M.cols) != (rows, cols):
+        raise ValueError("%r is %dx%d, must be %dx%d"
+                         % (key, M.rows, M.cols, rows, cols))
+    return M
+
+
 def bialgebroid_from_json(doc, total):
-    from .linalg import mat_from_json
-    from .algebra import FDAlgebra
     base = FDAlgebra.from_json(doc["base"])
     field = total.field
+    H, b = total.dim, base.dim
     return BialgebroidData(total, base, doc["side"],
-                           mat_from_json(doc["s"], field),
-                           mat_from_json(doc["t"], field),
-                           mat_from_json(doc["delta_lift"], field),
-                           mat_from_json(doc["counit"], field))
+                           _shaped_mat(doc, "s", H, b, field),
+                           _shaped_mat(doc, "t", H, b, field),
+                           _shaped_mat(doc, "delta_lift", H * H, H, field),
+                           _shaped_mat(doc, "counit", b, H, field))
 
 
 def hopf_to_json(Hd):
@@ -545,10 +556,8 @@ def hopf_to_json(Hd):
 
 
 def hopf_from_json(doc):
-    from .linalg import mat_from_json
-    from .algebra import FDAlgebra
     total = FDAlgebra.from_json(doc["total"])
     leftb = bialgebroid_from_json(doc["left"], total)
     rightb = bialgebroid_from_json(doc["right"], total)
-    S = mat_from_json(doc["antipode"], total.field)
+    S = _shaped_mat(doc, "antipode", total.dim, total.dim, total.field)
     return HopfAlgebroidData(leftb, rightb, S, name=doc.get("name"))

@@ -1,16 +1,20 @@
 """Exact quantum-torus arithmetic at a root of unity, the convolution-
 pointwise product through the diagonal operator L and the operator
-matrices Omega_k, the explicit fiber-matrix presentation over the torus,
-and the Z/n coaction with its Galois matrix.
+matrices Omega_k, the fiber-matrix presentation over rational points of
+the torus with its relations decided exactly, and the Z/n coaction with
+its Galois matrix and determinant.
 
 Elements are finite-support Laurent polynomials in unitaries U, V with
 U V = q V U, written in normal order (U powers to the left); the carry
 rule V^b U^c = q^{-bc} U^c V^b follows from the defining relation.
+Every scalar lives in Q or Q(zeta_N); no verdict here passes through
+floating point.
 """
 
-import cmath
 import random
+from fractions import Fraction
 from functools import cache
+from math import lcm
 
 from .fields import QQ, CyclotomicField
 from .linalg import Mat, det
@@ -21,10 +25,6 @@ class ParameterMismatch(ValueError):
 
 
 class NotInA(ValueError):
-    pass
-
-
-class SizeLimit(ValueError):
     pass
 
 
@@ -63,13 +63,6 @@ class QTElement:
             out[key] = out.get(key, self.field.zero) + c
         return QTElement(self.n, self.m, out)
 
-    def __sub__(self, other):
-        self._check(other)
-        out = dict(self.support)
-        for key, c in other.support.items():
-            out[key] = out.get(key, self.field.zero) - c
-        return QTElement(self.n, self.m, out)
-
     def scale(self, c):
         return QTElement(self.n, self.m,
                          {k: c * v for k, v in self.support.items()})
@@ -79,14 +72,6 @@ class QTElement:
             return NotImplemented
         return (self.n, self.m) == (other.n, other.m) \
             and self.support == other.support
-
-    def is_zero(self):
-        return not self.support
-
-    def to_json(self):
-        return {"n": self.n, "m": self.m,
-                "terms": [[a, b, repr(c)]
-                          for (a, b), c in sorted(self.support.items())]}
 
     def __repr__(self):
         if not self.support:
@@ -229,188 +214,144 @@ def random_qt(n, m, rng, radius=6, terms=4):
 # ---------------------------------------------------------------------------
 # fiber matrices
 
-def _mat_mul(A, B):
-    m = len(A)
-    return [[sum(A[i][k] * B[k][j] for k in range(m)) for j in range(m)]
-            for i in range(m)]
-
-
-def _mat_pow(A, p):
-    m = len(A)
-    R = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
-    for _ in range(p):
-        R = _mat_mul(R, A)
-    return R
-
-
-def _max_dev(A, B):
-    return max(abs(A[i][j] - B[i][j])
-               for i in range(len(A)) for j in range(len(A)))
-
-
-def _dev_unitary(A):
-    m = len(A)
-    Ah = [[A[j][i].conjugate() for j in range(m)] for i in range(m)]
-    I = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
-    return _max_dev(_mat_mul(A, Ah), I)
+FIBER_RELATIONS = ("unitary_U", "unitary_V", "commutation", "U_power",
+                   "V_power")
 
 
 def fiber_matrices(n, m, x, y):
-    """The explicit diagonal U and shift V over the point (x, y) of the
-    torus, for theta = n/m.  Four V-variants are evaluated: the matrix as
-    printed (one shift entry exp(2*pi*i(n+y)/m), the rest exp(2*pi*iy/m))
-    and the uniform clock shift, each with the shift running above or
-    below the diagonal.  Each variant carries its deviation report
-    (unitarity, the commutation relation U V = e^{2*pi*i*theta} V U, and
-    the m-th powers e^{2*pi*ix} I and e^{2*pi*iy} I)."""
+    """The explicit diagonal U and shift V over the rational point (x, y)
+    of the torus, for theta = n/m, over the field of _params(N) with
+    N = m * lcm(den x, den y), so that every entry is a power of zeta_N.
+    Four V-variants are built: the matrix as printed (one shift entry
+    e^{2 pi i (n+y)/m}, the rest e^{2 pi i y/m}) and the uniform clock
+    shift, each with the shift running above or below the diagonal.  Each
+    variant records the five FIBER_RELATIONS as exact booleans: unitarity
+    of U and of V (conjugation takes zeta^k to zeta^-k), the commutation
+    relation U V = e^{2 pi i theta} V U, and the m-th powers
+    U^m = e^{2 pi i x} I and V^m = e^{2 pi i y} I."""
     if m <= 0:
         raise ParameterMismatch("m must be positive")
-    tau = 2j * cmath.pi
-    U = [[cmath.exp(tau * (k * n + x) / m) if k == j else 0.0
-          for j in range(m)] for k in range(m)]
-    theta_phase = cmath.exp(tau * n / m)
+    if not all(isinstance(t, (int, Fraction)) for t in (x, y)):
+        raise ParameterMismatch("fiber coordinates must be int or Fraction")
+    L = lcm(Fraction(x).denominator, Fraction(y).denominator)
+    N = m * L
+    field, q = _params(N)
+    roots = [field.one]
+    for _ in range(N - 1):
+        roots.append(roots[-1] * q)
+    xe, ye = int(x * L), int(y * L)        # e^{2 pi i x / m} = zeta_N^xe
+
+    def mat(exps):
+        # {(i, j): k} -> the matrix with zeta_N^k at (i, j), zero elsewhere
+        M = Mat.zero(m, m, field)
+        for (i, j), k in exps.items():
+            M.data[i][j] = roots[k % N]
+        return M
+
+    def unitary(exps):
+        adjoint = mat({(j, i): -k for (i, j), k in exps.items()})
+        return mat(exps) * adjoint == Mat.identity(m, field)
+
+    def mth_power_is(A, k):
+        P = A
+        for _ in range(m - 1):
+            P = P * A
+        return P == mat({(i, i): k for i in range(m)})
+    U_exps = {(k, k): k * n * L + xe for k in range(m)}
+    U = mat(U_exps)
+    unitary_U = unitary(U_exps)
+    U_power = mth_power_is(U, xe * m)
     variants = {}
     for printed in (True, False):
         for orientation in ("super", "sub"):
-            V = [[0.0 + 0j] * m for _ in range(m)]
-            entries = []
-            for k in range(m):
-                val = cmath.exp(tau * y / m)
-                entries.append(val)
+            entries = [ye] * m
             if printed and m > 1:
-                entries[0] = cmath.exp(tau * (n + y) / m)
-            for k in range(m):
-                if orientation == "super":
-                    V[k][(k + 1) % m] = entries[k]
-                else:
-                    V[(k + 1) % m][k] = entries[k]
-            UV = _mat_mul(U, V)
-            VU = _mat_mul(V, U)
-            qVU = [[theta_phase * VU[i][j] for j in range(m)]
-                   for i in range(m)]
-            xI = [[cmath.exp(tau * x) if i == j else 0.0 for j in range(m)]
-                  for i in range(m)]
-            yI = [[cmath.exp(tau * y) if i == j else 0.0 for j in range(m)]
-                  for i in range(m)]
+                entries[0] = n * L + ye
+            V_exps = {((k, (k + 1) % m) if orientation == "super"
+                       else ((k + 1) % m, k)): e
+                      for k, e in enumerate(entries)}
+            V = mat(V_exps)
             name = "%s-%s" % ("printed" if printed else "uniform",
                               orientation)
             variants[name] = {
                 "V": V,
-                "unitary_U": _dev_unitary(U),
-                "unitary_V": _dev_unitary(V),
-                "commutation": _max_dev(UV, qVU),
-                "U_power": _max_dev(_mat_pow(U, m), xI),
-                "V_power": _max_dev(_mat_pow(V, m), yI),
+                "unitary_U": unitary_U,
+                "unitary_V": unitary(V_exps),
+                "commutation": U * V == (V * U).scale(roots[n * L % N]),
+                "U_power": U_power,
+                "V_power": mth_power_is(V, ye * m),
             }
     return {"n": n, "m": m, "x": x, "y": y, "U": U, "variants": variants}
 
 
 def best_fiber_variant(report):
-    """The variant with the smallest worst deviation."""
-    def worst(v):
-        return max(v["unitary_U"], v["unitary_V"], v["commutation"],
-                   v["U_power"], v["V_power"])
-    name = min(report["variants"], key=lambda k: worst(report["variants"][k]))
-    return name, worst(report["variants"][name])
+    """The name of the first variant whose relations all hold, or None."""
+    for name, v in report["variants"].items():
+        if all(v[k] for k in FIBER_RELATIONS):
+            return name
+    return None
 
 
 # ---------------------------------------------------------------------------
 # the Z/n coaction
 
 def torus_coaction_check(n, radius, seed=0):
-    """On all monomials U^a V^b with |a|, |b| <= radius: the generator
-    action g.U = U, g.V = qV extends multiplicatively (consistent with
-    qt_mul), a monomial is invariant iff its V-exponent is divisible by n,
-    and the dual coaction is coassociative on the truncation."""
+    """The Z/n action g.(U^a V^b) = q^{gb} U^a V^b with q = zeta_n, on
+    seeded random elements with exponents in [-radius, radius]: it is
+    multiplicative through qt_mul, g.(fh) = (g.f)(g.h); an element is
+    fixed by every g iff each of its V-exponents is divisible by n; and
+    (g+h).f = g.(h.f), so the dual coaction is coassociative."""
     if radius < n:
         raise ParameterMismatch("radius below n")
-    out = {"n": n, "radius": radius, "action_multiplicative": True,
-           "invariance_exact": True, "coassociative": True}
-    field, _ = _params(n)
-
-    def act_phase(b, g):
-        # g^j . (U^a V^b) = q^{jb} U^a V^b
-        return _power(qt_one(n, 1), (g * b) % n)
     rng = random.Random(seed)
-    for a in range(-radius, radius + 1):
-        for b in range(-radius, radius + 1):
-            inv = all(act_phase(b, g) == field.one for g in range(n))
-            if inv != (b % n == 0):
-                out["invariance_exact"] = False
-            # multiplicativity against a random second monomial
-            c = rng.randint(-radius, radius)
-            e = rng.randint(-radius, radius)
-            for g in range(n):
-                lhs = act_phase(b + e, g)
-                rhs = act_phase(b, g) * act_phase(e, g)
-                if lhs != rhs:
-                    out["action_multiplicative"] = False
-            # coassociativity of the dual coaction: the phase map
-            # b -> (q^{gb})_g is a character in g
-            for g in range(n):
-                for h in range(n):
-                    if act_phase(b, g + h) != act_phase(b, g) * act_phase(b, h):
-                        out["coassociative"] = False
-    return out
+
+    def act(g, f):
+        return QTElement(n, 1, {(a, b): c * _power(f, g * b)
+                                for (a, b), c in f.support.items()})
+    mult = inv = coassoc = True
+    for _ in range(2 * radius + 1):
+        f = random_qt(n, 1, rng, radius)
+        h = random_qt(n, 1, rng, radius)
+        for e in (f, decompose(f).components[0]):
+            fixed = all(act(g, e) == e for g in range(n))
+            inv = inv and fixed == all(b % n == 0 for _, b in e.support)
+        for g in range(n):
+            mult = mult and act(g, qt_mul(f, h)) == qt_mul(act(g, f),
+                                                          act(g, h))
+            coassoc = coassoc and all(act(g + k, f) == act(g, act(k, f))
+                                      for k in range(n))
+    return {"n": n, "radius": radius, "action_multiplicative": mult,
+            "invariance_exact": inv, "coassociative": coassoc}
 
 
 def torus_galois_matrix(n):
     """The Galois map on the free A-basis: V^i (x) V^j maps to
     sum_g q^{jg} V^{i+j} (x) delta_g, with the V^n carry kept as a
     monomial coefficient.  Returns the n^2 x n^2 matrix over the monomial
-    ring (entries are dicts {V^n-power: scalar}) together with its exact
-    determinant and a unit verdict."""
-    if n > 4:
-        raise SizeLimit("exact determinant expansion limited to n <= 4")
+    ring (entries are dicts {V^n-power: scalar}, None for zero) together
+    with its exact determinant and a unit verdict.  Every column carries
+    one power x^c of the carry (checked), so M = M0 diag(x^c) with M0
+    scalar and det M = x^{sum c} det M0: the determinant is
+    {sum c: det M0}, or {} when det M0 = 0."""
     field, _ = _params(n)
+    one = qt_one(n, 1)
     dim = n * n
-
-    def qpow(k):
-        return _power(qt_one(n, 1), k % n)
     # row index: k * n + g  (V^k tensor delta_g); column: i * n + j
     M = [[None] * dim for _ in range(dim)]
     for i in range(n):
         for j in range(n):
-            col = i * n + j
             k = (i + j) % n
             carry = (i + j - k) // n
             for g in range(n):
-                M[k * n + g][col] = {carry: qpow(j * g)}
-    dpoly = _poly_det(M, field)
-    unit = len(dpoly) == 1 and all(bool(c) for c in dpoly.values())
-    return {"matrix": M, "det": dpoly, "unit": unit}
-
-
-def _poly_det(M, field):
-    """Exact determinant of a matrix of {exponent: scalar} entries (None
-    meaning zero), by evaluation at enough integer points followed by
-    Lagrange interpolation back to coefficients."""
-    d = len(M)
-    deg = sum(max((max(e) for e in row if e), default=0) for row in M)
-    xs = [field.from_int(k) for k in range(deg + 1)]
-    ys = []
-    for x in xs:
-        powers = [field.one]
-        for _ in range(deg):
-            powers.append(powers[-1] * x)
-        A = [[sum((c * powers[k] for k, c in (e or {}).items()),
-                  field.zero) for e in row] for row in M]
-        ys.append(det(Mat(d, d, A, field)))
-    coeffs = [field.zero] * (deg + 1)
-    for i, (xi, yi) in enumerate(zip(xs, ys)):
-        if not yi:
-            continue
-        num = [field.one]
-        denom = field.one
-        for j, xj in enumerate(xs):
-            if j == i:
-                continue
-            num = ([-xj * num[0]]
-                   + [num[k - 1] - xj * num[k] for k in range(1, len(num))]
-                   + [num[-1]])
-            denom = denom * (xi - xj)
-        scale = yi / denom
-        for k, c in enumerate(num):
-            if c:
-                coeffs[k] = coeffs[k] + c * scale
-    return {k: c for k, c in enumerate(coeffs) if c}
+                M[k * n + g][i * n + j] = {carry: _power(one, j * g)}
+    carries = 0
+    for col in range(dim):
+        powers = {e for row in M if row[col] for e in row[col]}
+        if len(powers) != 1:
+            raise ValueError("column %d mixes powers of the carry" % col)
+        carries += powers.pop()
+    M0 = Mat(dim, dim, [[sum(e.values(), field.zero) if e else field.zero
+                         for e in row] for row in M], field)
+    d0 = det(M0)
+    dpoly = {carries: d0} if d0 else {}
+    return {"matrix": M, "det": dpoly, "unit": bool(dpoly)}

@@ -115,6 +115,46 @@ class TestSchemaErrors:
         assert main(["check", str(p)]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dim", [-1, 0, 2])
+    def test_bad_base_dim(self, tmp_path, capsys, dim):
+        with open(os.path.join(DOCS, "kz3_hopf.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["payload"]["left"]["base"]["dim"] = dim
+        p = tmp_path / "bad_dim.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 2
+        assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where, key, value", [
+        (("left", "s"), "rows", 4),
+        (("right", "t"), "cols", 2),
+        (("left", "delta_lift"), "rows", 10),
+        (("right", "counit"), "rows", 2),
+        (("antipode",), "cols", 4),
+    ])
+    def test_structure_map_shape(self, tmp_path, capsys, where, key, value):
+        with open(os.path.join(DOCS, "kz3_hopf.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        node = doc["payload"]
+        for step in where:
+            node = node[step]
+        node[key] = value
+        p = tmp_path / "bad_shape.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 2
+        assert where[-1] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field", [{"cyclotomic": 5}, "Q(zeta_5)"])
+    def test_envelope_field_must_match_payload(self, tmp_path, capsys,
+                                               field):
+        with open(os.path.join(DOCS, "kz3_hopf.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["field"] = field
+        p = tmp_path / "field_swap.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 2
+        assert "Q(zeta_5)" in capsys.readouterr().err
+
     def test_field_flag_conflicts_with_declared_field(self, capsys):
         path = os.path.join(DOCS, "kz3_hopf.json")
         with open(path, encoding="utf-8") as fh:
@@ -174,3 +214,12 @@ def test_torus_battery(capsys):
     assert main(["torus", "--n", "2", "--samples", "40"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
+
+
+def test_seed_reaches_torus_params(tmp_path, capsys):
+    p = tmp_path / "torus.json"
+    p.write_text(json.dumps({"kind": "torus_params", "field": None,
+                             "payload": {"n": 2, "samples": 5}}))
+    assert main(["check", str(p), "--json", "--seed", "7"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdicts"]["torus"]["seed"] == 7

@@ -1,5 +1,6 @@
-"""Static checks over the halab sources: every imported name is used, and
-every quotient projection goes through project or apply."""
+"""Static checks over the halab sources: every imported name is used,
+every quotient projection goes through project or apply, and no floating
+point reaches a torus verdict."""
 
 import ast
 from pathlib import Path
@@ -43,3 +44,25 @@ def test_one_projection_path(path):
             and _is_proj(node.value)))
     assert not dense, "%s applies a dense proj at lines %s" % (path.name,
                                                                dense)
+
+
+def _float_uses(tree):
+    """Lines with a float or complex literal, a use of the name float, or
+    cmath."""
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if (isinstance(node, ast.Constant)
+            and isinstance(node.value, (float, complex)))
+        or (isinstance(node, ast.Name) and node.id in ("float", "cmath"))
+        or (isinstance(node, ast.alias) and node.name == "cmath")
+        or (isinstance(node, ast.ImportFrom) and node.module == "cmath"))
+
+
+def test_torus_verdicts_are_exact():
+    torus = ast.parse((SRC / "torus.py").read_text())
+    cli = ast.parse((SRC / "cli.py").read_text())
+    battery = next(node for node in ast.walk(cli)
+                   if isinstance(node, ast.FunctionDef)
+                   and node.name == "_torus_battery")
+    assert not _float_uses(torus), "torus.py uses floating point"
+    assert not _float_uses(battery), "cli._torus_battery uses floating point"

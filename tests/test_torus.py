@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halab.fields import QQ, CyclotomicField
+from halab.linalg import Mat, det
 from halab.torus import (QTElement, qt_monomial, qt_one, qt_mul, decompose,
                          recompose, L_operator, chi_product, omega_matrix,
                          random_qt, fiber_matrices, best_fiber_variant,
                          torus_coaction_check, torus_galois_matrix,
-                         ParameterMismatch, NotInA, SizeLimit)
+                         ParameterMismatch, NotInA)
 
 
 class TestRelations:
@@ -118,16 +119,36 @@ class TestOmega:
 class TestFibers:
     def test_some_variant_is_exact(self):
         for (n, m) in ((1, 2), (1, 3), (2, 3)):
-            rep = fiber_matrices(n, m, 0.3, 0.7)
-            name, worst = best_fiber_variant(rep)
-            assert worst < 1e-10, (n, m)
+            rep = fiber_matrices(n, m, Fraction(3, 10), Fraction(7, 10))
+            name = best_fiber_variant(rep)
+            assert name is not None, (n, m)
             assert name.startswith("uniform")
 
     def test_printed_shift_discrepancy_reported(self):
         # the as-printed V fails V^m = e^{2 pi i y} unless m divides n
-        rep = fiber_matrices(1, 3, 0.0, 0.0)
-        assert rep["variants"]["printed-sub"]["V_power"] > 0.5
-        assert rep["variants"]["uniform-sub"]["V_power"] < 1e-10
+        rep = fiber_matrices(1, 3, Fraction(0), Fraction(0))
+        assert not rep["variants"]["printed-sub"]["V_power"]
+        assert rep["variants"]["uniform-sub"]["V_power"]
+
+    @pytest.mark.parametrize("n, m", [(1, 2), (1, 3), (2, 3), (3, 1),
+                                      (2, 5), (3, 4), (2, 2)])
+    def test_closed_form_over_quarter_grid(self, n, m):
+        """U is always unitary with U^m = e^{2 pi i x}; the shift below the
+        diagonal always commutes correctly, the one above iff m | 2n; the
+        printed V has V^m = e^{2 pi i y} iff m | n, the uniform one always."""
+        grid = [Fraction(i, 4) for i in range(5)]
+        for x in grid:
+            for y in grid:
+                for name, v in fiber_matrices(n, m, x, y)["variants"].items():
+                    assert v["unitary_U"] and v["unitary_V"] and v["U_power"]
+                    assert v["commutation"] == (name.endswith("-sub")
+                                                or 2 * n % m == 0), name
+                    assert v["V_power"] == (name.startswith("uniform")
+                                            or n % m == 0), name
+
+    def test_float_point_rejected(self):
+        with pytest.raises(ParameterMismatch):
+            fiber_matrices(1, 2, 0.25, Fraction(1, 2))
 
 
 def test_coaction_battery():
@@ -151,6 +172,20 @@ class TestGaloisDeterminant:
         g = torus_galois_matrix(4)
         assert g["unit"]
 
-    def test_size_limit(self):
-        with pytest.raises(SizeLimit):
-            torus_galois_matrix(5)
+    def test_units_beyond_four(self):
+        for n in range(5, 9):
+            assert torus_galois_matrix(n)["unit"], n
+
+    def test_structure_against_full_determinant(self):
+        """det of the matrix with the carry x set to t is t^{sum carry}
+        times det M0, the exponent and scalar of the returned dict."""
+        for n in range(1, 7):
+            g = torus_galois_matrix(n)
+            ((carries, d0),) = g["det"].items()
+            field = qt_one(n, 1).field
+            for t in (2, 3):
+                Mt = Mat(n * n, n * n,
+                         [[sum((c * t ** e for e, c in entry.items()),
+                               field.zero) if entry else field.zero
+                           for entry in row] for row in g["matrix"]], field)
+                assert det(Mt) == d0 * t ** carries, (n, t)
