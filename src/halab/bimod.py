@@ -21,9 +21,14 @@ Convention table (BialgebroidData.acts() returns the pair for its side):
       acts() = (left mult by t_L(l), left mult by s_L(l))
       H (x)_L H relations:  t_L(l) b (x) b'  -  b (x) s_L(l) b'
 
-  [several legs]  H (x)_L H (x)_R H, B (x)_R H (x)_L H, ... are a single
-      quotient of the plain tensor product by every pair's relations at
-      once; association order is immaterial for the resulting subquotient.
+  [several legs]  H (x)_L H (x)_R H, B (x)_R H (x)_L H, ... are built in
+      stages: Q balances every leg but the last, the last pair is
+      balanced on its own, and one elimination runs over the rows of Q
+      (x) e_j and e_a (x) the last pair's rows, for every basis vector e_a
+      of the legs before that pair.  These span the same relations as all
+      pairs' relations at once (V (x) span R is V (x) R, bimodule or
+      not), and canonical RREF rows are unique for a span, so the rows
+      are those of the direct build.  For base k nothing is eliminated.
 
   [Kronecker indexing]  as in linalg.kron: leg 0 is the slowest index,
       (i tensor j) -> i*dims[1] + j for two legs.
@@ -32,9 +37,9 @@ takeuchi and check_takeuchi_closure project sparse lifts with
 QuotientPresentation.project/apply: no Kronecker or dense matrix product.
 """
 
-import itertools
+import math
 
-from .linalg import Mat, quotient_by, kernel, kron_cols
+from .linalg import Mat, quotient_by, kernel
 from .reports import ViolationReport
 
 
@@ -44,39 +49,47 @@ class BaseMismatch(ValueError):
 
 def tensor_over(dims, pairs, field):
     """The QuotientPresentation of k^dims[0] (x) ... (x) k^dims[-1] by the
-    balancing relations of every pairs[i] = (right_acts, left_acts)."""
-    n = len(dims)
+    balancing relations of every pairs[i] = (right_acts, left_acts); three
+    or more legs are built in stages (see [several legs] above)."""
     for right_acts, left_acts in pairs:
         if len(right_acts) != len(left_acts):
             raise BaseMismatch("base dimension mismatch between the two legs")
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * dims[i + 1]
-    rels = []
-    for leg, (right_acts, left_acts) in enumerate(pairs):
-        sa, sb = strides[leg], strides[leg + 1]
-        other = [i for i in range(n) if i not in (leg, leg + 1)]
-        for Ra, La in zip(right_acts, left_acts):
-            # the nonzeros of each column of Ra and La, read once
-            rcols = [[(k, c) for k, c in enumerate(Ra.col(i)) if c]
-                     for i in range(dims[leg])]
-            lcols = [[(l, c) for l, c in enumerate(La.col(j)) if c]
-                     for j in range(dims[leg + 1])]
-            for idx in itertools.product(*[range(dims[i]) for i in other]):
-                base = sum(strides[i] * v for i, v in zip(other, idx))
-                for i in range(dims[leg]):
-                    for j in range(dims[leg + 1]):
-                        v = {}
-                        for k, c in rcols[i]:
-                            key = base + k * sa + j * sb
-                            v[key] = v.get(key, field.zero) + c
-                        for l, c in lcols[j]:
-                            key = base + i * sa + l * sb
-                            v[key] = v.get(key, field.zero) - c
-                        v = {k: x for k, x in v.items() if x}
-                        if v:
-                            rels.append(v)
-    return quotient_by(strides[0] * dims[0], rels, field)
+    if len(dims) <= 2:
+        return quotient_by(math.prod(dims), [
+            v for right_acts, left_acts in pairs
+            for Ra, La in zip(right_acts, left_acts)
+            for v in _balance(Ra, La, range(math.prod(dims))) if v], field)
+    d = dims[-1]
+    Q = tensor_over(dims[:-1], pairs[:-1], field)
+    last = tensor_over(dims[-2:], pairs[-1:], field)
+    step = last.ambient_dim
+    return quotient_by(math.prod(dims), [
+        {c * d + j: x for c, x in row.items()}  # Q's rows (x) e_j
+        for row in Q.rows.values() for j in range(d)] + [
+        {a * step + bj: x for bj, x in row.items()}  # e_a (x) last's rows
+        for a in range(math.prod(dims[:-2])) for row in last.rows.values()],
+        field)
+
+
+def _balance(A, B, cols):
+    """A e_i (x) e_j - e_i (x) B e_j as a dict of its nonzeros, for every
+    column i * B.rows + j in cols: the columns of kron(A, I) - kron(I, B)."""
+    zero, d = A.field.zero, B.rows
+    # the nonzeros of each column of A and B, read once
+    acols = [[(k, c) for k, c in enumerate(A.col(i)) if c]
+             for i in range(A.cols)]
+    bcols = [[(l, c) for l, c in enumerate(B.col(j)) if c]
+             for j in range(B.cols)]
+    out = []
+    for ij in cols:
+        i, j = divmod(ij, d)
+        v = {}
+        for k, c in acols[i]:
+            v[k * d + j] = v.get(k * d + j, zero) + c
+        for l, c in bcols[j]:
+            v[i * d + l] = v.get(i * d + l, zero) - c
+        out.append({k: x for k, x in v.items() if x})
+    return out
 
 
 class TakeuchiSubspace:
@@ -93,14 +106,8 @@ def takeuchi(square, first, second):
     multiplication by t_L(l) and s_L(l).  The constraint's columns are the
     projections of A e_i (x) e_j - e_i (x) B e_j at the non-pivots (i, j)."""
     rows = []
-    lifts, zero = square.section_cols, square.field.zero
     for A, B in zip(first, second):
-        I = Mat.identity(A.rows, A.field)
-        cols = kron_cols(A, I, lifts)
-        for u, v in zip(cols, kron_cols(I, B, lifts)):
-            for r, x in v.items():
-                u[r] = u.get(r, zero) - x
-        rows.extend(square.apply(cols).data)
+        rows.extend(square.apply(_balance(A, B, square.index)).data)
     stacked = Mat(len(rows), square.dim, rows, square.field)
     return TakeuchiSubspace(square, kernel(stacked))
 

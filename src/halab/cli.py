@@ -17,7 +17,7 @@ from .hopfalgebroid import (HopfAlgebroidData, check_coring,
                             check_bialgebroid, check_hopf_algebroid,
                             hopf_to_json, hopf_from_json)
 from .reports import ViolationReport
-from .linalg import mat_from_json
+from .linalg import mat_from_json, shaped_mat_from_json
 from . import zoo
 from . import galois
 from . import torus as torusmod
@@ -154,9 +154,8 @@ def _run_check(doc, level, path, seed):
             if "cleft_witness" not in payload:
                 raise DocumentError(
                     "%s: level cleft needs payload.cleft_witness" % path)
-            c = galois.ConvMorphism(
-                D, "R", "L", mat_from_json(payload["cleft_witness"],
-                                           D.field))
+            c = galois.ConvMorphism(D, "R", "L", shaped_mat_from_json(
+                payload, "cleft_witness", D.B.dim, D.H.total.dim, D.field))
             checks.append(("cleft", galois.check_cleft(D, c, seed)))
     elif kind == "composition":
         D1, D, D2, phi, psi, f1, f = galois.composition_from_json(payload)
@@ -389,7 +388,11 @@ def main(argv=None):
     except DocumentError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        print("error: malformed document: missing key %r" % (exc.args[0],),
+              file=sys.stderr)
+        return 2
+    except (TypeError, ValueError) as exc:
         print("error: malformed document: %r" % (exc,), file=sys.stderr)
         return 2
 

@@ -1271,19 +1271,25 @@ def comodule_to_json(D):
 
 
 def comodule_from_json(doc):
-    from .linalg import mat_from_json
+    from .linalg import shaped_mat_from_json
     from .hopfalgebroid import hopf_from_json
     H = hopf_from_json(doc["hopf_algebroid"])
     B = FDAlgebra.from_json(doc["B"])
-    field = B.field
-    etaR = mat_from_json(doc["etaR"], field) if "etaR" in doc else None
-    actL = [mat_from_json(a, field) for a in doc["actL"]] \
-        if "actL" in doc else None
-    return ComoduleAlgebraData(H, B,
-                               mat_from_json(doc["inclusionA"], field),
-                               mat_from_json(doc["rhoR_lift"], field),
-                               mat_from_json(doc["rhoL_lift"], field),
-                               name=doc.get("name"), etaR=etaR, actL=actL)
+    field, dB, dH = B.field, B.dim, H.total.dim
+    etaR = (shaped_mat_from_json(doc, "etaR", dB, H.rightb.base.dim, field)
+            if "etaR" in doc else None)
+    actL = None
+    if "actL" in doc:
+        if len(doc["actL"]) != H.leftb.base.dim:
+            raise ValueError("'actL' has %d matrices, must have %d" % (
+                len(doc["actL"]), H.leftb.base.dim))
+        actL = [shaped_mat_from_json({"actL": a}, "actL", dB, dB, field)
+                for a in doc["actL"]]
+    return ComoduleAlgebraData(
+        H, B, shaped_mat_from_json(doc, "inclusionA", dB, None, field),
+        shaped_mat_from_json(doc, "rhoR_lift", dB * dH, dB, field),
+        shaped_mat_from_json(doc, "rhoL_lift", dB * dH, dB, field),
+        name=doc.get("name"), etaR=etaR, actL=actL)
 
 
 def cocycle_to_json(C):

@@ -19,7 +19,7 @@ Axiom tags:
 """
 
 from .linalg import (Mat, kron, kron_cols, rank, solve_affine_sparse,
-                     NoSolution, ShapeMismatch, mat_from_json)
+                     NoSolution, ShapeMismatch, shaped_mat_from_json)
 from .bimod import tensor_over, takeuchi
 from .algebra import (FDAlgebra, check_algebra_morphism,
                       check_algebra_antimorphism)
@@ -46,6 +46,7 @@ class BialgebroidData:
         self.coproduct_lift = coproduct_lift  # Mat, dim^2 x dim
         self.counit = counit            # Mat, base.dim x dim
         self.name = name
+        self._acts = None
         self._square = None
         self._triple = None
         self._takeuchi = None
@@ -61,10 +62,13 @@ class BialgebroidData:
 
     def acts(self):
         """The (right_acts, left_acts) pair balancing H (x)_base H, see the
-        convention table in bimod."""
-        H = self.total
-        return self._images(H.right_mult_matrix if self.side == "right"
-                            else H.left_mult_matrix)
+        convention table in bimod (cached)."""
+        if self._acts is None:
+            H = self.total
+            self._acts = self._images(H.right_mult_matrix
+                                      if self.side == "right"
+                                      else H.left_mult_matrix)
+        return self._acts
 
     def square(self):
         """The coring tensor square H (x)_base H (cached)."""
@@ -188,38 +192,38 @@ def _counit_bimodule_check(B, rep):
 def _counit_action_check(B, rep):
     """Condition (c).  Right version: r . b := eps(s(r) b) is a right
     (B,s)-action on the base, i.e. (r . a) . b = r . (ab) and r . 1 = r.
-    Left version: b . l := eps(b s(l)) with (ab) . l = a . (b . l)."""
+    Left version: b . l := eps(b s(l)) with (ab) . l = a . (b . l).
+    s(r) is computed once per r, s(r . a) once per a and s(b . l) once
+    per b."""
     H, base = B.total, B.base
 
-    def act_right(rvec, bvec):
-        return B.counit.matvec(H.mul_vec(B.s.matvec(rvec), bvec))
-
-    def act_left(bvec, lvec):
-        return B.counit.matvec(H.mul_vec(bvec, B.s.matvec(lvec)))
+    def eps(x, y):
+        return B.counit.matvec(H.mul_vec(x, y))
 
     for r in range(base.dim):
         rv = base.basis_vec(r)
+        sr = B.s.matvec(rv)
         if B.side == "right":
-            rep.require(act_right(rv, H.unit) == rv,
+            rep.require(eps(sr, H.unit) == rv,
                         "right:counit-action", (r,), note="r.1 != r")
         else:
-            rep.require(act_left(H.unit, rv) == rv,
+            rep.require(eps(H.unit, sr) == rv,
                         "left:counit-action", (r,), note="1.l != l")
+            s_bl = [B.s.matvec(eps(H.basis_vec(b), sr))
+                    for b in range(H.dim)]
         for a in range(H.dim):
             av = H.basis_vec(a)
             if B.side == "right":
-                ra = act_right(rv, av)
+                s_ra = B.s.matvec(eps(sr, av))
             for b in range(H.dim):
                 bv = H.basis_vec(b)
                 ab = H.mul_vec(av, bv)
                 if B.side == "right":
-                    lhs = act_right(ra, bv)
-                    rhs = act_right(rv, ab)
-                    rep.require(lhs == rhs, "right:counit-action", (r, a, b))
+                    rep.require(eps(s_ra, bv) == eps(sr, ab),
+                                "right:counit-action", (r, a, b))
                 else:
-                    lhs = act_left(ab, rv)
-                    rhs = act_left(av, act_left(bv, rv))
-                    rep.require(lhs == rhs, "left:counit-action", (r, a, b))
+                    rep.require(eps(ab, sr) == eps(av, s_bl[b]),
+                                "left:counit-action", (r, a, b))
 
 
 def check_coring(B):
@@ -526,24 +530,16 @@ def bialgebroid_to_json(B):
             "counit": mat_to_json(B.counit)}
 
 
-def _shaped_mat(doc, key, rows, cols, field):
-    """The matrix doc[key], which must be rows x cols."""
-    M = mat_from_json(doc[key], field)
-    if (M.rows, M.cols) != (rows, cols):
-        raise ValueError("%r is %dx%d, must be %dx%d"
-                         % (key, M.rows, M.cols, rows, cols))
-    return M
-
-
 def bialgebroid_from_json(doc, total):
     base = FDAlgebra.from_json(doc["base"])
     field = total.field
     H, b = total.dim, base.dim
-    return BialgebroidData(total, base, doc["side"],
-                           _shaped_mat(doc, "s", H, b, field),
-                           _shaped_mat(doc, "t", H, b, field),
-                           _shaped_mat(doc, "delta_lift", H * H, H, field),
-                           _shaped_mat(doc, "counit", b, H, field))
+    return BialgebroidData(
+        total, base, doc["side"],
+        shaped_mat_from_json(doc, "s", H, b, field),
+        shaped_mat_from_json(doc, "t", H, b, field),
+        shaped_mat_from_json(doc, "delta_lift", H * H, H, field),
+        shaped_mat_from_json(doc, "counit", b, H, field))
 
 
 def hopf_to_json(Hd):
@@ -559,5 +555,6 @@ def hopf_from_json(doc):
     total = FDAlgebra.from_json(doc["total"])
     leftb = bialgebroid_from_json(doc["left"], total)
     rightb = bialgebroid_from_json(doc["right"], total)
-    S = _shaped_mat(doc, "antipode", total.dim, total.dim, total.field)
+    S = shaped_mat_from_json(doc, "antipode", total.dim, total.dim,
+                             total.field)
     return HopfAlgebroidData(leftb, rightb, S, name=doc.get("name"))

@@ -8,7 +8,9 @@ skips zero entries, so sparse structure still pays off.
 One elimination engine, _echelon_dict, does every row reduction: it takes
 list or dict rows, works on their nonzeros only and returns the canonical
 RREF (leftmost-first-nonzero pivots, fully back-substituted), so subspace
-equality is a plain entrywise comparison.  rref, rank, kernel, image,
+equality is a plain entrywise comparison.  It reduces each incoming vector
+in one pass and back-substitutes a new pivot only into the rows that are
+nonzero there, found through a column index.  rref, rank, kernel, image,
 solve_affine, solve_affine_sparse, inverse, det, Subspace and quotient_by
 are views of its output.  A QuotientPresentation stores only those
 canonical relation rows: project(vec) and apply(M) = proj * M reduce
@@ -227,48 +229,49 @@ def _echelon_dict(vectors, field):
     vectors, each a list or a dict {col: value}.  Returns (rows, scalars):
     rows maps each pivot column to its fully back-substituted dict row, in
     the order the pivots were found; scalars are the pivot values the new
-    rows were divided by, in the same order."""
+    rows were divided by, in the same order.
+
+    Every stored row is zero at every other pivot, so one pass reduces an
+    incoming vector completely: subtract v[q] * rows[q] for each pivot q
+    in its support.  where maps each non-pivot column to the pivots whose
+    rows are nonzero there, so a new pivot is back-substituted into those
+    rows only."""
     zero = field.zero
     rows = {}  # pivot column -> dict col -> value
+    where = {}  # non-pivot column -> set of pivots nonzero there
     scalars = []
     for vec in vectors:
         v = {c: x for c, x in _items(vec) if x}
-        while v:
-            p = min(v)
-            if p in rows:
-                f = v[p]
-                for c, x in rows[p].items():
-                    nv = v.get(c, zero) - f * x
-                    if nv:
-                        v[c] = nv
-                    elif c in v:
-                        del v[c]
-            else:
-                piv = v[p]
-                row = {c: x / piv for c, x in v.items()}
-                # reduce the new row against existing pivots to its right
-                for q in sorted(rows):
-                    if q in row:
-                        f = row[q]
-                        for c, x in rows[q].items():
-                            nv = row.get(c, zero) - f * x
-                            if nv:
-                                row[c] = nv
-                            elif c in row:
-                                del row[c]
-                # eliminate the new pivot from previously inserted rows
-                for q, other in rows.items():
-                    if p in other:
-                        f = other[p]
-                        for c, x in row.items():
-                            nv = other.get(c, zero) - f * x
-                            if nv:
-                                other[c] = nv
-                            elif c in other:
-                                del other[c]
-                rows[p] = row
-                scalars.append(piv)
-                break
+        for q in v.keys() & rows.keys():
+            f = v[q]
+            for c, x in rows[q].items():
+                nv = v.get(c, zero) - f * x
+                if nv:
+                    v[c] = nv
+                elif c in v:
+                    del v[c]
+        if not v:
+            continue
+        p = min(v)
+        piv = v.pop(p)
+        row = v if piv == 1 else {c: x / piv for c, x in v.items()}
+        for c in row:
+            where.setdefault(c, set()).add(p)
+        for q in where.pop(p, ()):
+            other = rows[q]
+            f = other.pop(p)
+            for c, x in row.items():
+                nv = other.get(c, zero) - f * x
+                if nv:
+                    if c not in other:
+                        where[c].add(q)
+                    other[c] = nv
+                elif c in other:
+                    del other[c]
+                    where[c].discard(q)
+        row[p] = field.one
+        rows[p] = row
+        scalars.append(piv)
     return rows, scalars
 
 
@@ -549,4 +552,14 @@ def mat_from_json(doc, field=QQ):
             raise ValueError("matrix entry %r outside a %dx%d matrix"
                              % (e, M.rows, M.cols))
         M.data[r][c] = field.parse(e["v"])
+    return M
+
+
+def shaped_mat_from_json(doc, key, rows, cols, field=QQ):
+    """The matrix doc[key], which must be rows x cols (any number of
+    columns when cols is None); a wrong shape is a ValueError naming key."""
+    M = mat_from_json(doc[key], field)
+    if M.rows != rows or cols not in (None, M.cols):
+        raise ValueError("%r is %dx%d, must be %dx%s" % (
+            key, M.rows, M.cols, rows, "n" if cols is None else cols))
     return M

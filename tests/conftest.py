@@ -4,6 +4,8 @@ Everything here is deterministic; the heavier collections are session
 fixtures so the expensive instances are built once.
 """
 
+import itertools
+
 import pytest
 
 from halab.fields import QQ, CyclotomicField
@@ -33,6 +35,15 @@ def group_tables():
         ("Z2xZ4", direct_product_table(cyclic_table(2), cyclic_table(4))),
         ("Z12", cyclic_table(12)),
     ]
+
+
+def symmetric_table(n):
+    """S_n on the permutation tuples in lexicographic order, product =
+    composition (right factor first), as zoo.s3_table for n = 3."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    return [[index[tuple(p[q[i]] for i in range(n))] for q in perms]
+            for p in perms]
 
 
 def groupoid_corpus():
@@ -120,6 +131,12 @@ def hopf_corpus():
     out.extend(smash_instances())
     out.extend(coupled_instances())
     out.extend(weak_conversions())
+    # larger than the benchmark mirror in bench/workloads.py (dim 16, 24)
+    out.append(("groupoid algebra indiscrete4",
+                groupoid_algebra(indiscrete_groupoid(4))))
+    out.append(("function algebroid indiscrete4",
+                function_algebroid(indiscrete_groupoid(4))))
+    out.append(("kS4", group_hopf_algebra(symmetric_table(4))))
     return out
 
 

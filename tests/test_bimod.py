@@ -1,13 +1,16 @@
 import math
+import random
 
 from halab.fields import QQ
 from halab.linalg import Mat, kron, quotient_by
 from halab.algebra import group_algebra
 from halab.bimod import tensor_over, check_takeuchi_closure, BaseMismatch
+from halab.hopfalgebroid import _coassociative
 from halab.zoo import (cyclic_table, indiscrete_groupoid, function_algebroid,
                        group_hopf_algebra, groupoid_algebra)
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 
 def test_tensor_over_k_is_plain_tensor():
@@ -127,3 +130,74 @@ def test_tensor_over_matches_kron_reference(name, Hd):
         ref = _reference_tensor(dims, pairs, QQ)
         assert got.proj == ref.proj, name
         assert got.section == ref.section, name
+
+
+def _s_t_mutations(hopf_corpus, per_instance=2):
+    """Seeded single-entry changes of s or t on either side: the actions
+    they give need not make a bimodule."""
+    from test_hopfalgebroid import remut
+    rng = random.Random(7)
+    out = []
+    for name, Hd in hopf_corpus:
+        if Hd.total.field != QQ or Hd.total.dim > 6:
+            continue
+        for _ in range(per_instance):
+            which = rng.choice(["sL", "tL", "sR", "tR"])
+            side = Hd.leftb if which[1] == "L" else Hd.rightb
+            M = getattr(side, which[0])
+            out.append(("%s %s" % (name, which),
+                        remut(Hd, which, rng.randrange(M.rows),
+                              rng.randrange(M.cols), QQ.one)))
+    return out
+
+
+def test_staged_triples_match_the_kron_reference(hopf_corpus):
+    """Every 3-leg quotient of the Q corpus (dimension at most 6, where the
+    dense reference stays cheap) in all four pair orders, and of seeded
+    s/t mutations: the staged build has the canonical rows of the direct
+    kron build, and coassociativity gets the same verdict in both."""
+    instances = [(name, Hd) for name, Hd in hopf_corpus
+                 if Hd.total.field == QQ and Hd.total.dim <= 6]
+    checked = 0
+    for name, Hd in instances + _s_t_mutations(hopf_corpus):
+        L, R = Hd.leftb, Hd.rightb
+        d = Hd.total.dim
+        for first, second in ((L, R), (R, L), (L, L), (R, R)):
+            pairs = [first.acts(), second.acts()]
+            got = tensor_over([d] * 3, pairs, QQ)
+            ref = _reference_tensor([d] * 3, pairs, QQ)
+            assert (got.rows, got.index, got.dim) == \
+                (ref.rows, ref.index, ref.dim), name
+            assert (_coassociative(first, second, got)
+                    == _coassociative(first, second, ref)), name
+            checked += 1
+    assert checked >= 4 * 40
+
+
+@st.composite
+def leg_actions(draw):
+    """3 or 4 legs of dimension 1..3 and, for each neighbouring pair, one
+    or two permutation matrices per side.  They make no bimodule, and the
+    quotient is often neither zero nor the whole tensor product: a pivot
+    of the first stage can then sit at any later leg index."""
+    dims = draw(st.lists(st.integers(1, 3), min_size=3, max_size=4))
+
+    def perm(n):
+        p = draw(st.permutations(range(n)))
+        return Mat(n, n, [[QQ.one if p[j] == i else QQ.zero
+                           for j in range(n)] for i in range(n)], QQ)
+    pairs = []
+    for a, b in zip(dims, dims[1:]):
+        r = draw(st.integers(1, 2))
+        pairs.append(([perm(a) for _ in range(r)],
+                      [perm(b) for _ in range(r)]))
+    return dims, pairs
+
+
+@given(leg_actions())
+@settings(max_examples=150, deadline=None)
+def test_staged_build_matches_the_kron_reference_on_random_actions(legs):
+    dims, pairs = legs
+    got = tensor_over(dims, pairs, QQ)
+    ref = _reference_tensor(dims, pairs, QQ)
+    assert (got.rows, got.index, got.dim) == (ref.rows, ref.index, ref.dim)

@@ -144,6 +144,46 @@ class TestSchemaErrors:
         assert main(["check", str(p)]) == 2
         assert where[-1] in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, attr, value", [
+        ("inclusionA", "rows", 3),
+        ("etaR", "cols", 3),
+        ("rhoR_lift", "rows", 6),
+        ("rhoL_lift", "cols", 3),
+        ("actL", "rows", 3),
+        ("cleft_witness", "cols", 3),
+    ])
+    def test_comodule_map_shape(self, tmp_path, capsys, key, attr, value):
+        """A comodule-algebra map of the wrong shape exits 2 and names its
+        key, at whatever level the check would first use it."""
+        with open(os.path.join(DOCS, "kz2_cleft.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        node = doc["payload"][key]
+        (node[0] if key == "actL" else node)[attr] = value
+        p = tmp_path / "bad_shape.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 2
+        assert repr(key) in capsys.readouterr().err
+
+    def test_comodule_action_count(self, tmp_path, capsys):
+        with open(os.path.join(DOCS, "kz2_cleft.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["payload"]["actL"].append(doc["payload"]["actL"][0])
+        p = tmp_path / "two_actions.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 2
+        assert "'actL'" in capsys.readouterr().err
+
+    def test_missing_key_names_itself(self, tmp_path, capsys):
+        with open(os.path.join(DOCS, "kz3_hopf.json"), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        del doc["payload"]["antipode"]
+        p = tmp_path / "no_antipode.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 2
+        assert "missing key 'antipode'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("field", [{"cyclotomic": 5}, "Q(zeta_5)"])
     def test_envelope_field_must_match_payload(self, tmp_path, capsys,
                                                field):

@@ -1,6 +1,7 @@
 """Static checks over the halab sources: every imported name is used,
-every quotient projection goes through project or apply, and no floating
-point reaches a torus verdict."""
+every quotient projection goes through project or apply, tensor quotients
+have one builder and rows one elimination engine, and no floating point
+reaches a torus verdict."""
 
 import ast
 from pathlib import Path
@@ -44,6 +45,28 @@ def test_one_projection_path(path):
             and _is_proj(node.value)))
     assert not dense, "%s applies a dense proj at lines %s" % (path.name,
                                                                dense)
+
+
+def _callers(name):
+    """(module file, top-level definition) for every call of name in the
+    halab sources, as a bare name or as an attribute."""
+    out = set()
+    for path in sorted(SRC.glob("*.py")):
+        for top in ast.parse(path.read_text(), filename=str(path)).body:
+            for call in ast.walk(top):
+                if isinstance(call, ast.Call) and name in (
+                        getattr(call.func, "id", None),
+                        getattr(call.func, "attr", None)):
+                    out.add((path.name, getattr(top, "name", "<module>")))
+    return out
+
+
+def test_one_quotient_builder_and_one_engine():
+    """quotient_by is called only by bimod.tensor_over, so every tensor
+    quotient has one builder; _echelon_dict is called only in linalg."""
+    assert _callers("quotient_by") == {("bimod.py", "tensor_over")}
+    engine = _callers("_echelon_dict")
+    assert engine and {module for module, _ in engine} == {"linalg.py"}
 
 
 def _float_uses(tree):

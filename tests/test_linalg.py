@@ -8,7 +8,8 @@ from halab.fields import QQ, CyclotomicField
 from halab.linalg import (Mat, kron, kron_cols, rref, rank, det, kernel,
                           image, Subspace, solve_affine, solve_affine_sparse,
                           inverse, is_invertible, quotient_by, mat_to_json,
-                          mat_from_json, NoSolution, ShapeMismatch)
+                          mat_from_json, NoSolution, ShapeMismatch,
+                          _echelon_dict)
 
 
 def qmat(rows, cols):
@@ -320,6 +321,73 @@ class TestDeterminant:
     def test_non_square(self):
         with pytest.raises(ShapeMismatch):
             det(Mat.zero(2, 3, QQ))
+
+
+def rescanning_echelon(vectors, field):
+    """The previous engine, kept as a reference: it reduces an incoming
+    vector one min(v) at a time, reduces each new row against every stored
+    pivot in sorted order and back-substitutes into every stored row."""
+    zero = field.zero
+    rows = {}
+    scalars = []
+    for vec in vectors:
+        v = {c: x for c, x in (vec.items() if isinstance(vec, dict)
+                               else enumerate(vec)) if x}
+        while v:
+            p = min(v)
+            if p in rows:
+                f = v[p]
+                for c, x in rows[p].items():
+                    nv = v.get(c, zero) - f * x
+                    if nv:
+                        v[c] = nv
+                    elif c in v:
+                        del v[c]
+            else:
+                piv = v[p]
+                row = {c: x / piv for c, x in v.items()}
+                for q in sorted(rows):
+                    if q in row:
+                        f = row[q]
+                        for c, x in rows[q].items():
+                            nv = row.get(c, zero) - f * x
+                            if nv:
+                                row[c] = nv
+                            elif c in row:
+                                del row[c]
+                for q, other in rows.items():
+                    if p in other:
+                        f = other[p]
+                        for c, x in row.items():
+                            nv = other.get(c, zero) - f * x
+                            if nv:
+                                other[c] = nv
+                            elif c in other:
+                                del other[c]
+                rows[p] = row
+                scalars.append(piv)
+                break
+    return rows, scalars
+
+
+class TestOnePassEngine:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_same_rows_order_and_scalars_as_rescanning_engine(self, data):
+        """Tall, often rank-deficient inputs over Q and Q(zeta_3), as lists
+        or as sparse dicts: the one-pass engine finds the same pivots in
+        the same order, with the same pivot scalars and rows."""
+        field = data.draw(st.sampled_from(FIELDS[:2]))
+        M = data.draw(matrices(rows=data.draw(st.integers(0, 9)),
+                               cols=data.draw(st.integers(0, 7)),
+                               field=field))
+        vectors = [sparse(r) if data.draw(st.booleans()) else r
+                   for r in M.data]
+        rows, scalars = _echelon_dict(vectors, field)
+        ref_rows, ref_scalars = rescanning_echelon(vectors, field)
+        assert rows == ref_rows
+        assert list(rows) == list(ref_rows)
+        assert scalars == ref_scalars
 
 
 # ---------------------------------------------------------------------------
