@@ -8,7 +8,7 @@ Wedderburn block shape.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .fields import QQ, parse_field, field_to_json
 from .linalg import Mat, kernel, rank, solve_affine_sparse, NoSolution
@@ -525,13 +525,12 @@ def _candidate_roots(field, coeffs):
             a0, an = abs(ints[0]), abs(ints[-1])
             for p in _divisors(a0):
                 for q in _divisors(an):
-                    rationals.add(Fraction(p, q))
-                    rationals.add(Fraction(-p, q))
+                    rationals.add(field.div(p, q))
+                    rationals.add(field.div(-p, q))
         cands.extend(sorted(rationals))
     else:
-        for r in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3, -3,
-                  Fraction(1, 3), Fraction(-1, 3)):
-            rationals.add(Fraction(r))
+        rationals.update((1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2), 3,
+                          -3, Fraction(1, 3), Fraction(-1, 3)))
         N = field.order
         for r in sorted(rationals):
             for k in range(N):
@@ -681,13 +680,13 @@ def _inverse_mod_power(q, lam, m, field):
     # then substitute u = x - lam.
     Q = _poly_taylor_shift(q, lam, field)
     inv = [field.zero] * m
-    inv[0] = field.one / Q[0]
+    inv[0] = field.div(field.one, Q[0])
     for k in range(1, m):
         acc = field.zero
         for i in range(1, k + 1):
             if i < len(Q) and Q[i]:
                 acc = acc + Q[i] * inv[k - i]
-        inv[k] = -acc / Q[0]
+        inv[k] = field.div(-acc, Q[0])
     # substitute back u = x - lam
     out = [field.zero]
     upow = [field.one]
@@ -760,8 +759,5 @@ def wedderburn_shape(A):
 
 
 def _isqrt_exact(d):
-    n = int(round(d ** 0.5))
-    for c in (n - 1, n, n + 1):
-        if c >= 0 and c * c == d:
-            return c
-    return None
+    n = isqrt(d)
+    return n if n * n == d else None

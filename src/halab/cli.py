@@ -3,7 +3,7 @@ check stack, drive the constructors, and run the quantum-torus battery.
 
 Documents are UTF-8 JSON with a {"kind", "field", "payload"} envelope;
 exit codes: 0 all checks pass, 1 violations found, 2 input or schema
-error."""
+error, 3 a check that could not reach a verdict (Inconclusive)."""
 
 import argparse
 import json
@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from .fields import parse_field, field_to_json
-from .algebra import FDAlgebra, validate_algebra, NotAGroup
+from .algebra import FDAlgebra, validate_algebra, NotAGroup, Inconclusive
 from .hopfalgebroid import (HopfAlgebroidData, check_coring,
                             check_bialgebroid, check_hopf_algebroid,
                             hopf_to_json, hopf_from_json)
@@ -395,6 +395,9 @@ def main(argv=None):
     except (TypeError, ValueError) as exc:
         print("error: malformed document: %r" % (exc,), file=sys.stderr)
         return 2
+    except Inconclusive as exc:
+        print("error: inconclusive: %s" % exc, file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

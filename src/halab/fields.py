@@ -1,10 +1,14 @@
 """Exact scalars: rationals and cyclotomic fields Q(zeta_N).
 
-Rationals are stdlib Fractions.  An element of Q(zeta_N) is the unique
-reduced remainder mod Phi_N in the power basis 1, z, ..., z^(d-1), where
-d = deg Phi_N = phi(N).  It is stored as d integer numerators over one
-positive common denominator, in lowest terms, so every value has exactly
-one form and equality is a tuple compare.
+A rational is an int when integral and a reduced Fraction otherwise, so
+the integer arithmetic of the paper's 0/+-1 examples runs in C; int / int
+is a float, so every quotient goes through field.div.  Fraction(n) equals,
+hashes and prints as n, so a Fraction of integral value costs speed only.
+An element of Q(zeta_N) is the unique reduced remainder mod Phi_N in the
+power basis 1, z, ..., z^(d-1), where d = deg Phi_N = phi(N).  It is
+stored as d integer numerators over one positive common denominator, in
+lowest terms, so every value has exactly one form and equality is a tuple
+compare.
 
 Phi_N is monic with integer coefficients, so z^k mod Phi_N has integer
 coefficients for every k.  Each field tabulates once, when it is built,
@@ -18,7 +22,6 @@ different cyclotomic orders raises FieldMismatch instead of
 auto-promoting, and such scalars compare unequal.
 """
 
-import cmath
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -122,29 +125,35 @@ def _fraction(text):
             "zero denominator in scalar literal %r" % text) from None
 
 
+def _rational(q):
+    """The Fraction q as an int when it is integral."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class RationalField:
-    """The field Q.  Elements are Fractions."""
+    """The field Q.  Elements are ints when integral, else Fractions."""
 
     order = None
-    zero = Fraction(0)   # Fractions are immutable, so both are shared
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_int(self, n):
-        return Fraction(n)
+        return n
 
     def parse(self, text):
-        return _fraction(text.strip())
+        return _rational(_fraction(text.strip()))
+
+    def div(self, a, b):
+        """The exact quotient a / b, an int when it is integral."""
+        return _rational(Fraction(a, b))
 
     def format(self, x):
         return str(x)
 
-    def to_complex(self, x):
-        return complex(x)
-
     def random(self, rng, span=9):
         num = rng.randint(-span, span)
         den = rng.randint(1, span)
-        return Fraction(num, den)
+        return _rational(Fraction(num, den))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -212,6 +221,10 @@ class CyclotomicField:
             return Cyc(self, (q,) + self._tail, 1)
         return Cyc(self, (q.numerator,) + self._tail, q.denominator)
 
+    def div(self, a, b):
+        """The exact quotient a / b, also when both are ints or Fractions."""
+        return (a if isinstance(a, Cyc) else self.from_rational(a)) / b
+
     def zeta(self, k=1):
         """zeta_N^k reduced mod Phi_N (a shared, immutable element)."""
         return self._zeta[k % self.order]
@@ -265,13 +278,6 @@ class CyclotomicField:
             else:
                 parts.append("%s*z^%d" % (c, k))
         return " + ".join(parts) if parts else "0"
-
-    def to_complex(self, x):
-        z = cmath.exp(2j * cmath.pi / self.order)
-        total = 0j
-        for k, c in enumerate(x.coeffs):
-            total += complex(c) * z ** k
-        return total
 
     def random(self, rng, span=4):
         return self._from_fractions([
@@ -422,13 +428,6 @@ class Cyc:
 def embed_root(N, k):
     """zeta_N^k as an element of Q(zeta_N)."""
     return CyclotomicField(N).zeta(k)
-
-
-def to_complex(x):
-    """Numeric value of an exact scalar (Fraction or Cyc)."""
-    if isinstance(x, Cyc):
-        return x.field.to_complex(x)
-    return complex(x)
 
 
 def parse_field(desc):

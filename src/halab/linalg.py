@@ -3,7 +3,8 @@
 Everything downstream (axiom checks, coinvariants, Galois maps) reduces to
 row reduction, kernels, affine solves and quotient presentations computed
 here.  Matrices are dense row-major lists of exact scalars; multiplication
-skips zero entries, so sparse structure still pays off.
+skips zero entries, so sparse structure still pays off.  Pivots divide
+through field.div: over Q an integral scalar is an int.
 
 One elimination engine, _echelon_dict, does every row reduction: it takes
 list or dict rows, works on their nonzeros only and returns the canonical
@@ -236,7 +237,7 @@ def _echelon_dict(vectors, field):
     in its support.  where maps each non-pivot column to the pivots whose
     rows are nonzero there, so a new pivot is back-substituted into those
     rows only."""
-    zero = field.zero
+    zero, div = field.zero, field.div
     rows = {}  # pivot column -> dict col -> value
     where = {}  # non-pivot column -> set of pivots nonzero there
     scalars = []
@@ -254,7 +255,7 @@ def _echelon_dict(vectors, field):
             continue
         p = min(v)
         piv = v.pop(p)
-        row = v if piv == 1 else {c: x / piv for c, x in v.items()}
+        row = v if piv == 1 else {c: div(x, piv) for c, x in v.items()}
         for c in row:
             where.setdefault(c, set()).add(p)
         for q in where.pop(p, ()):

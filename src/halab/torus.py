@@ -233,7 +233,7 @@ def fiber_matrices(n, m, x, y):
         raise ParameterMismatch("m must be positive")
     if not all(isinstance(t, (int, Fraction)) for t in (x, y)):
         raise ParameterMismatch("fiber coordinates must be int or Fraction")
-    L = lcm(Fraction(x).denominator, Fraction(y).denominator)
+    L = lcm(x.denominator, y.denominator)
     N = m * L
     field, q = _params(N)
     roots = [field.one]

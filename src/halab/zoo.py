@@ -523,7 +523,7 @@ def _characters(A):
         chi = []
         for i in range(A.dim):
             v = A.mul_vec(A.basis_vec(i), q)
-            c = v[pivot] / q[pivot]
+            c = field.div(v[pivot], q[pivot])
             if v != [c * x for x in q]:
                 raise NotSplit("a central idempotent does not define a "
                                "character")

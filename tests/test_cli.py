@@ -73,6 +73,23 @@ class TestCheckDocuments:
         assert main(["check", path, "--level", "algebra"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags", [[], ["--json"]])
+    def test_inconclusive_exits_3(self, monkeypatch, capsys, flags):
+        """A check that cannot reach a verdict is neither a failure (exit
+        1) nor a traceback: it prints the reason and exits 3."""
+        import halab.algebra
+        import halab.galois
+
+        def exhausted(*args):
+            raise halab.algebra.Inconclusive("normal-basis search exhausted")
+
+        monkeypatch.setattr(halab.galois, "check_cleft", exhausted)
+        path = os.path.join(DOCS, "kz2_cleft.json")
+        assert main(["check", path] + flags) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: inconclusive: normal-basis search exhausted\n"
+
 
 class TestSchemaErrors:
     def test_missing_file(self, capsys):

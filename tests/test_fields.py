@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from halab import fields
 from halab.fields import (QQ, CyclotomicField, Cyc, cyclotomic_polynomial,
-                          parse_field, field_to_json, to_complex, embed_root,
+                          parse_field, field_to_json, embed_root,
                           DivisionByZero)
 
 
@@ -29,6 +29,51 @@ class TestRationals:
         assert a * b == b * a
         if b:
             assert (a / b) * b == a
+
+
+class TestRationalRepresentation:
+    """Over Q an integral value is an int and any other a Fraction."""
+
+    def test_integral_values_are_ints(self):
+        for x in (QQ.parse("4/2"), QQ.div(6, 3), QQ.div(Fraction(3, 2),
+                                                        Fraction(3, 4))):
+            assert type(x) is int and x == 2
+        assert all(type(x) is int for x in (QQ.zero, QQ.one, QQ.from_int(-7)))
+
+    def test_other_values_are_fractions(self):
+        for x in (QQ.parse("1/2"), QQ.div(1, 2), QQ.div(3, 6)):
+            assert type(x) is Fraction and x == Fraction(1, 2)
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(1, 0)
+
+    @given(st.integers(-99, 99), st.integers(-20, 20).filter(bool))
+    def test_div_matches_fraction(self, a, b):
+        q = QQ.div(a, b)
+        assert q == Fraction(a, b)
+        assert type(q) is (int if a % b == 0 else Fraction)
+
+    def test_cyclotomic_div_is_exact(self):
+        F = CyclotomicField(3)
+        half = F.div(1, 2)
+        assert isinstance(half, Cyc)
+        assert half == Fraction(1, 2) and half + half == F.one
+        assert F.div(F.zeta(1), F.zeta(2)) == F.zeta(2)
+        with pytest.raises(DivisionByZero):
+            F.div(1, 0)
+
+    def test_format_matches_fraction(self):
+        for text in ["0", "-0", "7", " -12 ", "4/2", "-6/3", "0/5", "1/2",
+                     "-3/7", "22/7", "10/4", "2.0", "-1.5", "1e3"]:
+            assert QQ.format(QQ.parse(text)) == str(Fraction(text))
+
+    def test_random_is_int_or_proper_fraction(self):
+        import random
+        rng = random.Random(3)
+        xs = [QQ.random(rng) for _ in range(200)]
+        assert all(type(x) is int or x.denominator != 1 for x in xs)
+        assert {type(x) for x in xs} == {int, Fraction}
 
 
 class TestCyclotomic:
@@ -60,12 +105,6 @@ class TestCyclotomic:
         F = CyclotomicField(4)
         for text in ["1", "z", "-1*z", "1/2 + 3*z"]:
             assert F.parse(F.format(F.parse(text))) == F.parse(text)
-
-    def test_to_complex(self):
-        F = CyclotomicField(8)
-        z = to_complex(F.zeta(1))
-        assert abs(z ** 8 - 1) < 1e-12
-        assert abs(z ** 4 + 1) < 1e-12
 
     def test_embed_root(self):
         F = CyclotomicField(12)

@@ -1,7 +1,7 @@
 """Static checks over the halab sources: every imported name is used,
 every quotient projection goes through project or apply, tensor quotients
-have one builder and rows one elimination engine, and no floating point
-reaches a torus verdict."""
+have one builder and rows one elimination engine, no module uses floating
+point, and true division appears only in fields.py."""
 
 import ast
 from pathlib import Path
@@ -70,13 +70,14 @@ def test_one_quotient_builder_and_one_engine():
 
 
 def _float_uses(tree):
-    """Lines with a float or complex literal, a use of the name float, or
-    cmath."""
+    """Lines with a float or complex literal, a use of the name float,
+    complex or cmath, or an import of cmath."""
     return sorted(
         node.lineno for node in ast.walk(tree)
         if (isinstance(node, ast.Constant)
             and isinstance(node.value, (float, complex)))
-        or (isinstance(node, ast.Name) and node.id in ("float", "cmath"))
+        or (isinstance(node, ast.Name)
+            and node.id in ("float", "complex", "cmath"))
         or (isinstance(node, ast.alias) and node.name == "cmath")
         or (isinstance(node, ast.ImportFrom) and node.module == "cmath"))
 
@@ -89,3 +90,23 @@ def test_torus_verdicts_are_exact():
                    and node.name == "_torus_battery")
     assert not _float_uses(torus), "torus.py uses floating point"
     assert not _float_uses(battery), "cli._torus_battery uses floating point"
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_floating_point(path):
+    lines = _float_uses(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, "%s uses floating point at lines %s" % (path.name,
+                                                              lines)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_true_division_only_in_fields(path):
+    """int / int is a float, so every quotient goes through field.div and
+    the operator / appears in fields.py only."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign))
+        and isinstance(node.op, ast.Div))
+    assert path.name == "fields.py" or not lines, (
+        "%s divides with / at lines %s; use field.div" % (path.name, lines))

@@ -323,6 +323,66 @@ class TestDeterminant:
             det(Mat.zero(2, 3, QQ))
 
 
+def _scalars(obj):
+    """Every scalar in a nest of tuples, lists, Mats and Subspaces, with
+    None standing for an absent view."""
+    if isinstance(obj, Mat):
+        obj = obj.data
+    elif isinstance(obj, Subspace):
+        obj = obj.basis_rows
+    if isinstance(obj, (list, tuple)):
+        for x in obj:
+            yield from _scalars(x)
+    elif obj is not None:
+        yield obj
+
+
+def _q_views(M, rhs):
+    """rref, det, inverse and solve_affine of a Q-matrix and a right-hand
+    side, with None where a view does not apply."""
+    square = M.rows == M.cols
+    try:
+        solved = solve_affine(M, rhs)
+    except NoSolution:
+        solved = None
+    return (rref(M), det(M) if square else None,
+            inverse(M) if square and is_invertible(M) else None, solved)
+
+
+class TestMixedRationals:
+    """Over Q an integral scalar may be an int or a Fraction: the engine
+    gives the same values either way, never a float, and each integral
+    quotient it takes through QQ.div is an int."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_all_fraction_input(self, data):
+        rows = data.draw(st.integers(0, 4))
+        cols = data.draw(st.sampled_from([rows, data.draw(st.integers(0, 5))]))
+        M = data.draw(matrices(rows=rows, cols=cols, field=QQ))
+        rhs = [data.draw(scalar(QQ)) for _ in range(rows)]
+
+        def mixed(x):
+            return x.numerator if x.denominator == 1 and data.draw(
+                st.booleans()) else x
+        M_mixed = Mat(rows, cols, [[mixed(x) for x in r] for r in M.data], QQ)
+        rhs_mixed = [mixed(x) for x in rhs]
+        quotients = []
+        div = QQ.div
+
+        def recording_div(a, b):
+            quotients.append(div(a, b))
+            return quotients[-1]
+        QQ.div = recording_div
+        try:
+            got = _q_views(M_mixed, rhs_mixed)
+        finally:
+            del QQ.div
+        assert got == _q_views(M, rhs)
+        assert all(type(x) in (int, Fraction) for x in _scalars(got))
+        assert all(type(q) is int or q.denominator != 1 for q in quotients)
+
+
 def rescanning_echelon(vectors, field):
     """The previous engine, kept as a reference: it reduces an incoming
     vector one min(v) at a time, reduces each new row against every stored
