@@ -71,6 +71,17 @@ def tensor_over(dims, pairs, field):
         field)
 
 
+def tensor_once(memo, dims, pairs, field):
+    """tensor_over(dims, pairs, field), taken from the list memo when equal
+    inputs were built before and added to it otherwise."""
+    key = (dims, pairs, field)
+    for seen, qp in memo:
+        if seen == key:
+            return qp
+    memo.append((key, tensor_over(dims, pairs, field)))
+    return memo[-1][1]
+
+
 def _balance(A, B, cols):
     """A e_i (x) e_j - e_i (x) B e_j as a dict of its nonzeros, for every
     column i * B.rows + j in cols: the columns of kron(A, I) - kron(I, B)."""

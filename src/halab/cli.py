@@ -6,6 +6,7 @@ exit codes: 0 all checks pass, 1 violations found, 2 input or schema
 error, 3 a check that could not reach a verdict (Inconclusive)."""
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -94,15 +95,15 @@ def _checks_for_hopf(Hd, upto):
         rep.merge(validate_algebra(Hd.leftb.base))
         rep.merge(validate_algebra(Hd.rightb.base))
         checks.append(("algebra", rep))
+    sides = (Hd.leftb, Hd.rightb)
     if upto >= 1:
-        rep = ViolationReport()
-        for b in (Hd.leftb, Hd.rightb):
-            rep.merge(check_coring(b))
-        checks.append(("coring", rep))
+        corings = [check_coring(b) for b in sides]
+        checks.append(("coring", ViolationReport().merge(corings[0])
+                       .merge(corings[1])))
     if upto >= 2:
         rep = ViolationReport()
-        rep.merge(check_bialgebroid(Hd.leftb))
-        rep.merge(check_bialgebroid(Hd.rightb))
+        for b, coring in zip(sides, corings):
+            rep.merge(check_bialgebroid(b, coring))
         checks.append(("bialgebroid", rep))
     if upto >= 3:
         checks.append(("hopf-algebroid",
@@ -346,8 +347,9 @@ def cmd_torus(args):
 
 # ---------------------------------------------------------------------------
 
-def main(argv=None):
-    seed = int(os.environ.get("HALAB_SEED", "0"))
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built on the first main call and then reused."""
     parser = argparse.ArgumentParser(
         prog="halab",
         description="Exact checks for Hopf algebroids, comodule algebras "
@@ -360,7 +362,7 @@ def main(argv=None):
     p.add_argument("--json", action="store_true")
     p.add_argument("--field", default=None,
                    help="field for documents that do not declare one")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("build", help="run a constructor and write the result")
@@ -378,12 +380,22 @@ def main(argv=None):
     p.add_argument("--m", type=int, default=1)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--radius", type=int, default=None)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_torus)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) is None:
+            seed = os.environ.get("HALAB_SEED", "0")
+            try:
+                args.seed = int(seed)
+            except ValueError:
+                raise DocumentError(
+                    "HALAB_SEED must be an integer, not %r" % seed) from None
         return args.func(args)
     except DocumentError as exc:
         print("error: %s" % exc, file=sys.stderr)

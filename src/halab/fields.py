@@ -141,7 +141,10 @@ class RationalField:
         return n
 
     def parse(self, text):
-        return _rational(_fraction(text.strip()))
+        text = text.strip()
+        if _INTEGER.fullmatch(text):        # ASCII only: int("1_0") is 10
+            return int(text)
+        return _rational(_fraction(text))
 
     def div(self, a, b):
         """The exact quotient a / b, an int when it is integral."""
@@ -166,6 +169,7 @@ class RationalField:
 
 
 _FIELD_CACHE = {}
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 # a term: sign, then a coefficient (which may carry its own minus, as
 # format writes "1 + -1*z"), then an optional power of z

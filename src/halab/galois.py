@@ -19,7 +19,7 @@ from .linalg import (Mat, kron, kron_cols, rank, inverse, kernel, image,
 from .algebra import (FDAlgebra, ModuleOverA, is_projective, Inconclusive,
                       check_algebra_morphism, subalgebra_on_rows,
                       central_idempotents_split, center, NotSplit)
-from .bimod import tensor_over
+from .bimod import tensor_over, tensor_once
 from .hopfalgebroid import check_algebraic_morphism, check_geometric_morphism
 from .reports import ViolationReport
 
@@ -70,9 +70,10 @@ class ComoduleAlgebraData:
             actL = [B.right_mult_matrix(etaR.col(l))
                     for l in range(H.leftb.base.dim)]
         self.actL = actL
-        self._tRH = None
-        self._tLH = None
-        self._tAA = None
+        self.actR = [B.right_mult_matrix(etaR.col(r))
+                     for r in range(baseR.dim)]
+        # one memo with H's sides: equal inputs give one quotient
+        self._quotients = H.rightb._quotients
 
     @property
     def field(self):
@@ -82,38 +83,35 @@ class ComoduleAlgebraData:
     def dimA(self):
         return self.inclusionA.cols
 
-    def actR(self):
-        B = self.B
-        return [B.right_mult_matrix(self.etaR.col(r))
-                for r in range(self.H.rightb.base.dim)]
+    def _tensor(self, dims, pairs):
+        return tensor_once(self._quotients, dims, pairs, self.field)
 
     def tensorRH(self):
         """B (x)_R H."""
-        if self._tRH is None:
-            R = self.H.rightb
-            self._tRH = tensor_over([self.B.dim, R.total.dim],
-                                    [(self.actR(), R.acts()[1])], self.field)
-        return self._tRH
+        return self._tensor([self.B.dim, self.H.total.dim],
+                            [(self.actR, self.H.rightb.acts()[1])])
 
     def tensorLH(self):
         """B (x)_L H."""
-        if self._tLH is None:
-            L = self.H.leftb
-            self._tLH = tensor_over([self.B.dim, L.total.dim],
-                                    [(self.actL, L.acts()[1])], self.field)
-        return self._tLH
+        return self._tensor([self.B.dim, self.H.total.dim],
+                            [(self.actL, self.H.leftb.acts()[1])])
+
+    def tensorBHH(self, actB, first, second):
+        """B (x) H (x) H with the (B,H) pair balanced over the base of the
+        bialgebroid first, whose base acts on B by actB, and the (H,H)
+        pair over the base of the bialgebroid second."""
+        dH = self.H.total.dim
+        return self._tensor([self.B.dim, dH, dH],
+                            [(actB, first.acts()[1]), second.acts()])
 
     def tensorAA(self):
         """B (x)_A B."""
-        if self._tAA is None:
-            B = self.B
-            right_acts = [B.right_mult_matrix(self.inclusionA.col(a))
-                          for a in range(self.dimA)]
-            left_acts = [B.left_mult_matrix(self.inclusionA.col(a))
-                         for a in range(self.dimA)]
-            self._tAA = tensor_over([B.dim] * 2, [(right_acts, left_acts)],
-                                    self.field)
-        return self._tAA
+        B = self.B
+        cols = [self.inclusionA.col(a) for a in range(self.dimA)]
+        return self._tensor([B.dim] * 2, [([B.right_mult_matrix(c)
+                                            for c in cols],
+                                           [B.left_mult_matrix(c)
+                                            for c in cols])])
 
 
 def regular_comodule(Hd, name=None):
@@ -168,15 +166,6 @@ def _bh_mul(B, H, u, v):
     return out
 
 
-def _bhh_tensor(dimB, actB, first, second, field):
-    """B (x) H (x) H with the (B,H) pair balanced over the base of the
-    bialgebroid `first`, whose base acts on B by actB, and the (H,H) pair
-    over the base of the bialgebroid `second`."""
-    dH = first.total.dim
-    return tensor_over([dimB, dH, dH], [(actB, first.acts()[1]),
-                                        second.acts()], field)
-
-
 def check_comodule(D):
     """Coaction axioms: per-side coassociativity and counitality, the two
     mixed compatibility squares, module compatibility of each coaction with
@@ -189,12 +178,12 @@ def check_comodule(D):
     dB, dH = B.dim, H.dim
     I_B = Mat.identity(dB, field)
     I_H = Mat.identity(dH, field)
-    actR = D.actR()
+    actR = D.actR
     # per-side coassociativity
     for side, rho, actB, Hb in (("R", D.rhoR_lift, actR, R),
                                 ("L", D.rhoL_lift, D.actL, L)):
         dd = Hb.coproduct_lift
-        qp = _bhh_tensor(dB, actB, Hb, Hb, field)
+        qp = D.tensorBHH(actB, Hb, Hb)
         lhs = qp.apply(kron_cols(rho, I_H, rho))
         rhs = qp.apply(kron_cols(I_B, dd, rho))
         rep.require(lhs == rhs, "comodule:coassoc:%s" % side)
@@ -218,11 +207,11 @@ def check_comodule(D):
             rep.require(acc == B.basis_vec(b), "comodule:counit:%s" % side,
                         (b,))
     # mixed squares
-    qp = _bhh_tensor(dB, actR, R, L, field)
+    qp = D.tensorBHH(actR, R, L)
     lhs = qp.apply(kron_cols(D.rhoR_lift, I_H, D.rhoL_lift))
     rhs = qp.apply(kron_cols(I_B, L.coproduct_lift, D.rhoR_lift))
     rep.require(lhs == rhs, "comodule:mixed:RL")
-    qp = _bhh_tensor(dB, D.actL, L, R, field)
+    qp = D.tensorBHH(D.actL, L, R)
     lhs = qp.apply(kron_cols(D.rhoL_lift, I_H, D.rhoR_lift))
     rhs = qp.apply(kron_cols(I_B, R.coproduct_lift, D.rhoL_lift))
     rep.require(lhs == rhs, "comodule:mixed:LR")
@@ -596,7 +585,8 @@ def _normal_basis_witness(D, rep, seed):
                   for l in range(Hd.leftb.base.dim)]
     sqAH = tensor_over([dA, dH], [(right_acts, Hd.leftb.acts()[1])], field)
     # triple quotient (A x H x H): legs (A,H) over L, (H,H) over R
-    T = _bhh_tensor(dA, right_acts, Hd.leftb, Hd.rightb, field)
+    T = tensor_over([dA, dH, dH], [(right_acts, Hd.leftb.acts()[1]),
+                                   Hd.rightb.acts()], field)
     # unknown theta at lift level: (dA*dH) x dB
     nunk = dA * dH * dB
 

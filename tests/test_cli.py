@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 
@@ -50,9 +51,28 @@ class TestCheckDocuments:
         path = os.path.join(DOCS, "kz3_hopf.json")
         assert main(["check", path, "--level", "bialgebroid"]) == 0
         capsys.readouterr()
-        # one H (x)_base H (x)_base H per bialgebroid, shared by the coring
-        # and bialgebroid levels
-        assert ambient_dims.count(3 ** 3) == 2
+        # one H (x)_base H (x)_base H, shared by the coring and bialgebroid
+        # levels and, since kZ3's two sides act alike, by both sides
+        assert ambient_dims.count(3 ** 3) == 1
+        # smash_swap's sides act differently: one triple each
+        ambient_dims.clear()
+        path = os.path.join(DOCS, "smash_swap.json")
+        assert main(["check", path, "--level", "bialgebroid"]) == 0
+        capsys.readouterr()
+        assert ambient_dims.count(8 ** 3) == 2
+
+    def test_documents_twice_in_shuffled_order(self, capsys):
+        """No state of one call leaks into the next: every shipped document,
+        twice in one process and in a shuffled order, gives the exit code
+        and --json bytes recorded in bench/expected.json both times."""
+        with open(EXPECTED, encoding="utf-8") as fh:
+            golden = json.load(fh)["docs"]
+        paths = doc_paths() * 2
+        random.Random(5).shuffle(paths)
+        for path in paths:
+            recorded = golden[os.path.basename(path)]
+            assert main(["check", path, "--json"]) == recorded["exit"], path
+            assert capsys.readouterr().out == recorded["json"], path
 
     def test_mutation_reports_name_the_tag(self, capsys):
         path = os.path.join(DOCS, "mut_broken_counit.json")
@@ -273,10 +293,47 @@ def test_torus_battery(capsys):
     assert "pass" in out
 
 
-def test_seed_reaches_torus_params(tmp_path, capsys):
+def _torus_doc(tmp_path):
     p = tmp_path / "torus.json"
     p.write_text(json.dumps({"kind": "torus_params", "field": None,
                              "payload": {"n": 2, "samples": 5}}))
-    assert main(["check", str(p), "--json", "--seed", "7"]) == 0
+    return str(p)
+
+
+def test_seed_reaches_torus_params(tmp_path, capsys):
+    assert main(["check", _torus_doc(tmp_path), "--json", "--seed", "7"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["verdicts"]["torus"]["seed"] == 7
+
+
+def test_each_call_reads_its_own_seed(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; HALAB_SEED is read on every
+    call that has no --seed."""
+    path = _torus_doc(tmp_path)
+    for seed in (3, 11):
+        monkeypatch.setenv("HALAB_SEED", str(seed))
+        assert main(["check", path, "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdicts"]["torus"]["seed"] == seed
+
+
+def test_bad_seed_variable_exits_2(monkeypatch, capsys):
+    """A HALAB_SEED that is not an integer is an input error (exit 2, a
+    message naming the variable), not a failed check or a traceback."""
+    monkeypatch.setenv("HALAB_SEED", "abc")
+    path = os.path.join(DOCS, "kz3_hopf.json")
+    assert main(["check", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "HALAB_SEED" in err
+    # an explicit --seed never reads the variable
+    assert main(["check", path, "--seed", "1"]) == 0
+    capsys.readouterr()
+
+
+def test_main_works_after_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--level", "no-such-level", "x.json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["check", os.path.join(DOCS, "kz3_hopf.json")]) == 0
+    capsys.readouterr()

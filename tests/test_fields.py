@@ -48,6 +48,24 @@ class TestRationalRepresentation:
         with pytest.raises(ZeroDivisionError):
             QQ.div(1, 0)
 
+    @pytest.mark.parametrize("text", [
+        "0", "-0", "+5", " 7 ", "12345678901234567890", "3/1", "-2/4",
+        "1e3", "", "1/0", "abc", "1_0", "\u0663", "--5", "5 5"])
+    def test_parse_agrees_with_the_fraction_path(self, text):
+        """Integer literals are read by int(), the rest by Fraction: the
+        value, its type and whether it raises do not depend on the path.
+        The int path takes ASCII digits only, since int("1_0") is 10 where
+        the Fraction of Python 3.10 raises."""
+        try:
+            want = Fraction(text.strip())
+        except (ValueError, ZeroDivisionError):
+            with pytest.raises(ValueError):
+                QQ.parse(text)
+            return
+        got = QQ.parse(text)
+        assert got == want
+        assert type(got) is (int if want.denominator == 1 else Fraction)
+
     @given(st.integers(-99, 99), st.integers(-20, 20).filter(bool))
     def test_div_matches_fraction(self, a, b):
         q = QQ.div(a, b)

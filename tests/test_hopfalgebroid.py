@@ -220,3 +220,38 @@ def test_coring_and_takeuchi_form_no_kron_and_no_dense_product(monkeypatch):
         assert (B.square().dim, B.takeuchi().space.dim) == (32, 16)
     monkeypatch.undo()
     assert check_bialgebroid(Hd.leftb).ok and check_bialgebroid(Hd.rightb).ok
+
+
+def test_reused_reports_and_shared_quotients_match_fresh_runs(
+        hopf_corpus, monkeypatch):
+    """The check stack of `halab check` merges each side's coring report
+    into its bialgebroid report and builds one quotient for equal inputs
+    (the sides' squares and triples, hopf:(b)'s triples).  Fresh runs, with
+    every quotient rebuilt, give entry-for-entry the same reports on the
+    corpus and on seeded s/t mutations, whose sides act differently."""
+    from halab.cli import _checks_for_hopf
+    from test_bimod import _s_t_mutations
+    instances = list(hopf_corpus) + _s_t_mutations(hopf_corpus)
+    # the triple quotient each coassociativity check is decided in
+    used = []
+    monkeypatch.setattr(halab.hopfalgebroid, "_coassociative",
+                        lambda first, second, qp: used.append(
+                            (first, second, qp)) or _coassociative(
+                                first, second, qp))
+    got = [[rep.entries for _, rep in _checks_for_hopf(Hd, 3)[1:]]
+           for _, Hd in instances]
+    monkeypatch.undo()
+    monkeypatch.setattr(halab.hopfalgebroid, "tensor_once",
+                        lambda memo, dims, pairs, field:
+                        tensor_over(dims, pairs, field))
+    for first, second, qp in used:
+        fresh = tensor_over([first.total.dim] * 3,
+                            [first.acts(), second.acts()], qp.field)
+        assert (qp.rows, qp.dim) == (fresh.rows, fresh.dim)
+    for (name, Hd), entries in zip(instances, got):
+        L, R = Hd.leftb, Hd.rightb
+        assert entries == [
+            check_coring(L).merge(check_coring(R)).entries,
+            check_bialgebroid(L).merge(check_bialgebroid(R)).entries,
+            check_hopf_algebroid(Hd, skip_bialgebroids=True).entries], name
+    assert any(any(e) for e in got), "no mutation was caught"

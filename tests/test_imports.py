@@ -110,3 +110,10 @@ def test_true_division_only_in_fields(path):
         and isinstance(node.op, ast.Div))
     assert path.name == "fields.py" or not lines, (
         "%s divides with / at lines %s; use field.div" % (path.name, lines))
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_parses_as_python_3_10(path):
+    """pyproject.toml declares requires-python >= 3.10, so no module may use
+    newer syntax."""
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
