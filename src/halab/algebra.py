@@ -1,6 +1,9 @@
 """Finite-dimensional unital associative algebras by structure constants.
 
-An FDAlgebra stores mul[i][j] = coordinate vector of e_i * e_j.  All the
+An FDAlgebra stores its structure constants once, sparsely: mul[i][j] is
+e_i * e_j as a dict {k: c} of its nonzero coordinates.  Products walk only
+those nonzeros, and a product with a basis element (an int index in place
+of a vector) is read off them without building the basis vector.  All the
 predicates used downstream live here: validation, centers, radicals
 (Dickson trace form, characteristic 0), module projectivity via an affine
 splitting solve, central idempotent splitting over split fields, and the
@@ -31,10 +34,18 @@ class Inconclusive(Exception):
     pass
 
 
+def nonzeros(vec):
+    """A coordinate list as a dict {index: value} of its nonzeros; a dict
+    of nonzeros is returned as it is."""
+    if isinstance(vec, dict):
+        return vec
+    return {k: c for k, c in enumerate(vec) if c}
+
+
 class FDAlgebra:
     def __init__(self, dim, mul, unit, field=QQ, name=None):
         self.dim = dim
-        self.mul = mul          # mul[i][j] = list of scalars, length dim
+        self.mul = mul          # mul[i][j] = {k: c}, the nonzeros of e_i e_j
         self.unit = list(unit)  # coordinates of 1
         self.field = field
         self.name = name
@@ -50,43 +61,58 @@ class FDAlgebra:
         return v
 
     def mul_vec(self, x, y):
-        out = self.zero_vec()
-        for i, a in enumerate(x):
-            if not a:
-                continue
-            for j, b in enumerate(y):
-                if not b:
-                    continue
-                c = a * b
-                for k, s in enumerate(self.mul[i][j]):
-                    if s:
+        """x * y as a coordinate list.  Each factor is a coordinate list, a
+        dict {index: value} of nonzeros, or an int i standing for e_i."""
+        # A basis-index factor has its own loop, with no scan of a list and
+        # no product by one: turning it into {i: one} for the general loop
+        # made the mul_vec calls of a `docs` pass 15 ms instead of 10 ms.
+        mul, out = self.mul, [self.field.zero] * self.dim
+        if isinstance(x, int):
+            row = mul[x]
+            if isinstance(y, int):
+                for k, s in row[y].items():
+                    out[k] = s
+                return out
+            for j, b in y.items() if isinstance(y, dict) else enumerate(y):
+                if b:
+                    for k, s in row[j].items():
+                        out[k] = out[k] + b * s
+            return out
+        if isinstance(y, int):
+            for i, a in x.items() if isinstance(x, dict) else enumerate(x):
+                if a:
+                    for k, s in mul[i][y].items():
+                        out[k] = out[k] + a * s
+            return out
+        ys = nonzeros(y).items()
+        for i, a in x.items() if isinstance(x, dict) else enumerate(x):
+            if a:
+                row = mul[i]
+                for j, b in ys:
+                    c = a * b
+                    for k, s in row[j].items():
                         out[k] = out[k] + c * s
         return out
 
     def left_mult_matrix(self, x):
-        M = Mat.zero(self.dim, self.dim, self.field)
-        for j in range(self.dim):
-            col = self.mul_vec(x, self.basis_vec(j))
-            for i, v in enumerate(col):
-                M.data[i][j] = v
-        return M
+        """The matrix of y -> x y; x is a vector or a basis index."""
+        return self._matrix_of([self.mul_vec(x, j) for j in range(self.dim)])
 
     def right_mult_matrix(self, x):
-        M = Mat.zero(self.dim, self.dim, self.field)
-        for j in range(self.dim):
-            col = self.mul_vec(self.basis_vec(j), x)
-            for i, v in enumerate(col):
-                M.data[i][j] = v
-        return M
+        """The matrix of y -> y x; x is a vector or a basis index."""
+        return self._matrix_of([self.mul_vec(j, x) for j in range(self.dim)])
+
+    def _matrix_of(self, cols):
+        return Mat(self.dim, self.dim, [list(r) for r in zip(*cols)],
+                   self.field)
 
     def mul_matrix(self):
         """Multiplication as a matrix A tensor A -> A (kron convention)."""
         M = Mat.zero(self.dim, self.dim * self.dim, self.field)
         for i in range(self.dim):
             for j in range(self.dim):
-                for k, s in enumerate(self.mul[i][j]):
-                    if s:
-                        M.data[k][i * self.dim + j] = s
+                for k, s in self.mul[i][j].items():
+                    M.data[k][i * self.dim + j] = s
         return M
 
     def is_commutative(self):
@@ -105,10 +131,9 @@ class FDAlgebra:
         triples = []
         for i in range(self.dim):
             for j in range(self.dim):
-                for k, c in enumerate(self.mul[i][j]):
-                    if c:
-                        triples.append({"i": i, "j": j, "k": k,
-                                        "c": self.field.format(c)})
+                for k, c in sorted(self.mul[i][j].items()):
+                    triples.append({"i": i, "j": j, "k": k,
+                                    "c": self.field.format(c)})
         return {"field": field_to_json(self.field),
                 "dim": self.dim,
                 "unit": [self.field.format(c) for c in self.unit],
@@ -120,12 +145,16 @@ class FDAlgebra:
         dim = int(doc["dim"])
         if dim < 0:
             raise ValueError("'dim' is %d, must be >= 0" % dim)
-        mul = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+        mul = [[{} for _ in range(dim)] for _ in range(dim)]
         for t in doc["mul"]:
             i, j, k = int(t["i"]), int(t["j"]), int(t["k"])
             if not all(0 <= x < dim for x in (i, j, k)):
                 raise ValueError("'mul' entry %r outside dim %d" % (t, dim))
-            mul[i][j][k] = field.parse(t["c"])
+            c = field.parse(t["c"])
+            if c:
+                mul[i][j][k] = c
+            else:
+                mul[i][j].pop(k, None)
         unit = [field.parse(c) for c in doc["unit"]]
         if len(unit) != dim:
             raise ValueError("'unit' has %d entries for dim %d"
@@ -142,16 +171,16 @@ def validate_algebra(A):
     rep = ViolationReport()
     for i in range(A.dim):
         ei = A.basis_vec(i)
-        u = A.mul_vec(A.unit, ei)
+        u = A.mul_vec(A.unit, i)
         rep.require(u == ei, "unit", (i,), note="1*e_%d != e_%d" % (i, i))
-        u = A.mul_vec(ei, A.unit)
+        u = A.mul_vec(i, A.unit)
         rep.require(u == ei, "unit", (i,), note="e_%d*1 != e_%d" % (i, i))
     for i in range(A.dim):
         for j in range(A.dim):
             ij = A.mul[i][j]
             for k in range(A.dim):
-                lhs = A.mul_vec(ij, A.basis_vec(k))
-                rhs = A.mul_vec(A.basis_vec(i), A.mul[j][k])
+                lhs = A.mul_vec(ij, k)
+                rhs = A.mul_vec(i, A.mul[j][k])
                 rep.require(lhs == rhs, "associativity", (i, j, k))
     return rep
 
@@ -192,10 +221,7 @@ def check_group_table(table):
 def group_algebra(table, field=QQ, name=None):
     e, _ = check_group_table(table)
     n = len(table)
-    mul = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mul[i][j][table[i][j]] = field.one
+    mul = [[{table[i][j]: field.one} for j in range(n)] for i in range(n)]
     unit = [field.zero] * n
     unit[e] = field.one
     return FDAlgebra(n, mul, unit, field, name=name or "k[G]")
@@ -204,10 +230,7 @@ def group_algebra(table, field=QQ, name=None):
 def monoid_algebra(table, identity, field=QQ, name=None):
     """Like group_algebra but only requires a unital associative table."""
     n = len(table)
-    mul = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mul[i][j][table[i][j]] = field.one
+    mul = [[{table[i][j]: field.one} for j in range(n)] for i in range(n)]
     unit = [field.zero] * n
     unit[identity] = field.one
     A = FDAlgebra(n, mul, unit, field, name=name or "k[M]")
@@ -219,13 +242,11 @@ def monoid_algebra(table, identity, field=QQ, name=None):
 def matrix_algebra(n, field=QQ):
     """Full matrix algebra with basis e_{ab}, index a*n + b."""
     d = n * n
-    mul = [[[field.zero] * d for _ in range(d)] for _ in range(d)]
+    mul = [[{} for _ in range(d)] for _ in range(d)]
     for a in range(n):
         for b in range(n):
-            for c in range(n):
-                for e in range(n):
-                    if b == c:
-                        mul[a * n + b][c * n + e][a * n + e] = field.one
+            for e in range(n):
+                mul[a * n + b][b * n + e][a * n + e] = field.one
     unit = [field.zero] * d
     for a in range(n):
         unit[a * n + a] = field.one
@@ -234,9 +255,8 @@ def matrix_algebra(n, field=QQ):
 
 def product_field_algebra(n, field=QQ):
     """k^n with coordinatewise product (functions on an n-point set)."""
-    mul = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        mul[i][i][i] = field.one
+    mul = [[{i: field.one} if i == j else {} for j in range(n)]
+           for i in range(n)]
     unit = [field.one] * n
     return FDAlgebra(n, mul, unit, field, name="k^%d" % n)
 
@@ -260,16 +280,12 @@ def tensor_algebra(A, B, name=None):
         for j1 in range(B.dim):
             r = i1 * B.dim + j1
             for i2 in range(A.dim):
-                ai = A.mul[i1][i2]
+                ai = A.mul[i1][i2].items()
                 for j2 in range(B.dim):
-                    bj = B.mul[j1][j2]
-                    v = [field.zero] * d
-                    for k1, a in enumerate(ai):
-                        if a:
-                            for k2, b in enumerate(bj):
-                                if b:
-                                    v[k1 * B.dim + k2] = a * b
-                    mul[r][i2 * B.dim + j2] = v
+                    bj = B.mul[j1][j2].items()
+                    mul[r][i2 * B.dim + j2] = {k1 * B.dim + k2: a * b
+                                               for k1, a in ai
+                                               for k2, b in bj}
     unit = [field.zero] * d
     for k1, a in enumerate(A.unit):
         if a:
@@ -297,7 +313,7 @@ def subalgebra_on_rows(A, space):
     for a in range(m):
         for b in range(m):
             prod = A.mul_vec(list(basis_rows[a]), list(basis_rows[b]))
-            mul[a][b] = coords(prod)
+            mul[a][b] = nonzeros(coords(prod))
     unit = coords(A.unit)
     sub = FDAlgebra(m, mul, unit, field, name="subalgebra")
     incl = Mat.from_cols([list(r) for r in basis_rows], A.dim, field)
@@ -305,19 +321,13 @@ def subalgebra_on_rows(A, space):
 
 
 def direct_product(A, B):
-    d = A.dim + B.dim
-    field = A.field
-    mul = [[[field.zero] * d for _ in range(d)] for _ in range(d)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            for k, c in enumerate(A.mul[i][j]):
-                mul[i][j][k] = c
-    for i in range(B.dim):
-        for j in range(B.dim):
-            for k, c in enumerate(B.mul[i][j]):
-                mul[A.dim + i][A.dim + j][A.dim + k] = c
+    d, n = A.dim + B.dim, A.dim
+    mul = [row + [{} for _ in range(B.dim)] for row in A.mul]
+    mul += [[{} for _ in range(n)]
+            + [{n + k: c for k, c in prod.items()} for prod in row]
+            for row in B.mul]
     unit = list(A.unit) + list(B.unit)
-    return FDAlgebra(d, mul, unit, field)
+    return FDAlgebra(d, mul, unit, A.field)
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +338,11 @@ def check_algebra_morphism(phi, A, B, tag="morphism"):
     """phi: Mat (dim B x dim A).  Checks phi(1) = 1 and multiplicativity."""
     rep = ViolationReport()
     rep.require(phi.matvec(A.unit) == B.unit, tag + ":unit")
+    images = [phi.col(i) for i in range(A.dim)]
     for i in range(A.dim):
-        fi = phi.matvec(A.basis_vec(i))
         for j in range(A.dim):
             lhs = phi.matvec(A.mul[i][j])
-            rhs = B.mul_vec(fi, phi.matvec(A.basis_vec(j)))
+            rhs = B.mul_vec(images[i], images[j])
             rep.require(lhs == rhs, tag + ":multiplicative", (i, j))
     return rep
 
@@ -340,11 +350,11 @@ def check_algebra_morphism(phi, A, B, tag="morphism"):
 def check_algebra_antimorphism(phi, A, B, tag="antimorphism"):
     rep = ViolationReport()
     rep.require(phi.matvec(A.unit) == B.unit, tag + ":unit")
+    images = [phi.col(i) for i in range(A.dim)]
     for i in range(A.dim):
-        fi = phi.matvec(A.basis_vec(i))
         for j in range(A.dim):
             lhs = phi.matvec(A.mul[i][j])
-            rhs = B.mul_vec(phi.matvec(A.basis_vec(j)), fi)
+            rhs = B.mul_vec(images[j], images[i])
             rep.require(lhs == rhs, tag + ":antimultiplicative", (i, j))
     return rep
 
@@ -360,11 +370,11 @@ class ModuleOverA:
         self.side = side
 
     def act_matrix(self, x):
-        """Action matrix of an algebra element x (coordinate vector)."""
+        """Action matrix of an algebra element x (a coordinate list or a
+        dict of nonzeros)."""
         M = Mat.zero(self.dim, self.dim, self.algebra.field)
-        for i, c in enumerate(x):
-            if c:
-                M = M + self.action[i].scale(c)
+        for i, c in nonzeros(x).items():
+            M = M + self.action[i].scale(c)
         return M
 
     def validate(self):
@@ -384,10 +394,8 @@ class ModuleOverA:
 
 
 def regular_module(A, side="left"):
-    if side == "left":
-        action = [A.left_mult_matrix(A.basis_vec(i)) for i in range(A.dim)]
-    else:
-        action = [A.right_mult_matrix(A.basis_vec(i)) for i in range(A.dim)]
+    mult = A.left_mult_matrix if side == "left" else A.right_mult_matrix
+    action = [mult(i) for i in range(A.dim)]
     return ModuleOverA(A, A.dim, action, side)
 
 
@@ -433,8 +441,8 @@ def is_projective(M):
     #   left mult (left modules) or right mult by x (right modules).
     for xi in range(nA):
         X = M.action[xi]
-        actA = A.left_mult_matrix(A.basis_vec(xi)) if M.side == "left" \
-            else A.right_mult_matrix(A.basis_vec(xi))
+        actA = A.left_mult_matrix(xi) if M.side == "left" \
+            else A.right_mult_matrix(xi)
         for t in range(g):
             for b in range(nA):
                 for m in range(M.dim):
@@ -472,8 +480,8 @@ def center(A):
     """Kernel of the stacked commutator maps x -> x e_i - e_i x."""
     rows = []
     for i in range(A.dim):
-        L = A.left_mult_matrix(A.basis_vec(i))
-        R = A.right_mult_matrix(A.basis_vec(i))
+        L = A.left_mult_matrix(i)
+        R = A.right_mult_matrix(i)
         C = R - L  # columns: e_j e_i - e_i e_j
         rows.extend(C.data)
     stacked = Mat(len(rows), A.dim, rows, A.field)
@@ -483,7 +491,7 @@ def center(A):
 def jacobson_radical(A):
     """Kernel of the regular trace form T_ij = tr(L_i L_j) (Dickson;
     valid in characteristic 0)."""
-    L = [A.left_mult_matrix(A.basis_vec(i)) for i in range(A.dim)]
+    L = [A.left_mult_matrix(i) for i in range(A.dim)]
     T = Mat.zero(A.dim, A.dim, A.field)
     for i in range(A.dim):
         for j in range(A.dim):

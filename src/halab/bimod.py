@@ -1,9 +1,9 @@
 """Tensor products balanced over a base algebra and Takeuchi subspaces.
 
 Every tensor quotient over a base is built by one function,
-tensor_over(dims, pairs, field): the legs are coordinate spaces k^dims[i]
-and pairs[i] = (right_acts, left_acts) balances leg i against leg i+1 by
-the relations
+tensor_over(dims, pairs, field, memo=None): the legs are coordinate spaces
+k^dims[i] and pairs[i] = (right_acts, left_acts) balances leg i against
+leg i+1 by the relations
 
     (x_i . r) (x) x_{i+1}  -  x_i (x) (r . x_{i+1})
 
@@ -39,6 +39,7 @@ QuotientPresentation.project/apply: no Kronecker or dense matrix product.
 
 import math
 
+from .algebra import nonzeros
 from .linalg import Mat, quotient_by, kernel
 from .reports import ViolationReport
 
@@ -47,57 +48,53 @@ class BaseMismatch(ValueError):
     pass
 
 
-def tensor_over(dims, pairs, field):
+def tensor_over(dims, pairs, field, memo=None):
     """The QuotientPresentation of k^dims[0] (x) ... (x) k^dims[-1] by the
     balancing relations of every pairs[i] = (right_acts, left_acts); three
-    or more legs are built in stages (see [several legs] above)."""
-    for right_acts, left_acts in pairs:
-        if len(right_acts) != len(left_acts):
-            raise BaseMismatch("base dimension mismatch between the two legs")
-    if len(dims) <= 2:
-        return quotient_by(math.prod(dims), [
-            v for right_acts, left_acts in pairs
-            for Ra, La in zip(right_acts, left_acts)
-            for v in _balance(Ra, La, range(math.prod(dims))) if v], field)
-    d = dims[-1]
-    Q = tensor_over(dims[:-1], pairs[:-1], field)
-    last = tensor_over(dims[-2:], pairs[-1:], field)
-    step = last.ambient_dim
-    return quotient_by(math.prod(dims), [
-        {c * d + j: x for c, x in row.items()}  # Q's rows (x) e_j
-        for row in Q.rows.values() for j in range(d)] + [
-        {a * step + bj: x for bj, x in row.items()}  # e_a (x) last's rows
-        for a in range(math.prod(dims[:-2])) for row in last.rows.values()],
-        field)
-
-
-def tensor_once(memo, dims, pairs, field):
-    """tensor_over(dims, pairs, field), taken from the list memo when equal
-    inputs were built before and added to it otherwise."""
+    or more legs are built in stages (see [several legs] above).  memo, a
+    list shared by the callers that may ask for equal inputs, holds every
+    quotient built on it, stages included: an equal build found there is
+    returned as it is, so each distinct quotient is built once."""
+    memo = [] if memo is None else memo
     key = (dims, pairs, field)
     for seen, qp in memo:
         if seen == key:
             return qp
-    memo.append((key, tensor_over(dims, pairs, field)))
-    return memo[-1][1]
+    for right_acts, left_acts in pairs:
+        if len(right_acts) != len(left_acts):
+            raise BaseMismatch("base dimension mismatch between the two legs")
+    if len(dims) <= 2:
+        qp = quotient_by(math.prod(dims), [
+            v for right_acts, left_acts in pairs
+            for Ra, La in zip(right_acts, left_acts)
+            for v in _balance(Ra, La, range(math.prod(dims))) if v], field)
+    else:
+        d = dims[-1]
+        Q = tensor_over(dims[:-1], pairs[:-1], field, memo)
+        last = tensor_over(dims[-2:], pairs[-1:], field, memo)
+        step = last.ambient_dim
+        qp = quotient_by(math.prod(dims), [
+            {c * d + j: x for c, x in row.items()}  # Q's rows (x) e_j
+            for row in Q.rows.values() for j in range(d)] + [
+            {a * step + bj: x for bj, x in row.items()}  # e_a (x) last's rows
+            for a in range(math.prod(dims[:-2]))
+            for row in last.rows.values()], field)
+    memo.append((key, qp))
+    return qp
 
 
 def _balance(A, B, cols):
     """A e_i (x) e_j - e_i (x) B e_j as a dict of its nonzeros, for every
     column i * B.rows + j in cols: the columns of kron(A, I) - kron(I, B)."""
     zero, d = A.field.zero, B.rows
-    # the nonzeros of each column of A and B, read once
-    acols = [[(k, c) for k, c in enumerate(A.col(i)) if c]
-             for i in range(A.cols)]
-    bcols = [[(l, c) for l, c in enumerate(B.col(j)) if c]
-             for j in range(B.cols)]
+    acols, bcols = A.sparse_cols(), B.sparse_cols()
     out = []
     for ij in cols:
         i, j = divmod(ij, d)
         v = {}
-        for k, c in acols[i]:
+        for k, c in acols[i].items():
             v[k * d + j] = v.get(k * d + j, zero) + c
-        for l, c in bcols[j]:
+        for l, c in bcols[j].items():
             v[i * d + l] = v.get(i * d + l, zero) - c
         out.append({k: x for k, x in v.items() if x})
     return out
@@ -123,6 +120,25 @@ def takeuchi(square, first, second):
     return TakeuchiSubspace(square, kernel(stacked))
 
 
+def pair_mul(A, B, u, v):
+    """The factorwise product of u and v in A (x) B, as a coordinate list;
+    each of u and v is a coordinate list or a dict of its nonzeros."""
+    dB = B.dim
+    out = [A.field.zero] * (A.dim * dB)
+    nz_v = nonzeros(v).items()
+    for iu, cu in nonzeros(u).items():
+        a1, b1 = divmod(iu, dB)
+        for iv, cv in nz_v:
+            a2, b2 = divmod(iv, dB)
+            bb = B.mul[b1][b2].items()
+            c = cu * cv
+            for p, x in A.mul[a1][a2].items():
+                cp = c * x
+                for q, y in bb:
+                    out[p * dB + q] = out[p * dB + q] + cp * y
+    return out
+
+
 def check_takeuchi_closure(H, tk):
     """Factorwise products of spanning elements of the Takeuchi subspace
     stay inside it (so multiplication is well defined there)."""
@@ -131,24 +147,9 @@ def check_takeuchi_closure(H, tk):
     # the lifts of the basis, as dicts at the non-pivot columns
     lifts = [{c: v[qi] for c, qi in sq.index.items() if v[qi]}
              for v in tk.space.basis_rows]
-    d = H.dim
     for a, u in enumerate(lifts):
         for b, v in enumerate(lifts):
-            prod = {}
-            for iu, cu in u.items():
-                i, j = divmod(iu, d)
-                for iv, cv in v.items():
-                    k, l = divmod(iv, d)
-                    left = H.mul[i][k]
-                    right = H.mul[j][l]
-                    c = cu * cv
-                    for p, x in enumerate(left):
-                        if x:
-                            for q, y in enumerate(right):
-                                if y:
-                                    key = p * d + q
-                                    prod[key] = prod.get(
-                                        key, H.field.zero) + c * x * y
+            prod = pair_mul(H, H, u, v)
             rep.require(tk.space.contains(sq.project(prod)),
                         "takeuchi:closure", (a, b))
     return rep

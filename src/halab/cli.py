@@ -67,18 +67,20 @@ def _load(path, field_flag=None):
 
 def _check_fields(path, declared, payload):
     """Every algebra in the payload (a dict with a 'field') must be over
-    the field the envelope declares."""
-    stack = [payload]
+    the field the envelope declares.  Only the JSON objects and arrays are
+    pushed, so the scalars of the matrices are never visited."""
+    stack = [payload] if type(payload) in (dict, list) else []
     while stack:
         node = stack.pop()
-        if isinstance(node, dict):
+        if type(node) is dict:
             if "field" in node and parse_field(node["field"]) != declared:
                 raise DocumentError(
                     "%s: envelope field %r but payload algebra over %r"
                     % (path, declared, parse_field(node["field"])))
-            stack.extend(node.values())
-        elif isinstance(node, list):
-            stack.extend(node)
+            node = node.values()
+        for v in node:
+            if type(v) is dict or type(v) is list:
+                stack.append(v)
 
 
 def _level_index(level):

@@ -18,8 +18,8 @@ from .linalg import (Mat, kron, kron_cols, rank, inverse, kernel, image,
                      Subspace, solve_affine_sparse, NoSolution, ShapeMismatch)
 from .algebra import (FDAlgebra, ModuleOverA, is_projective, Inconclusive,
                       check_algebra_morphism, subalgebra_on_rows,
-                      central_idempotents_split, center, NotSplit)
-from .bimod import tensor_over, tensor_once
+                      central_idempotents_split, center, NotSplit, nonzeros)
+from .bimod import tensor_over, pair_mul
 from .hopfalgebroid import check_algebraic_morphism, check_geometric_morphism
 from .reports import ViolationReport
 
@@ -84,7 +84,7 @@ class ComoduleAlgebraData:
         return self.inclusionA.cols
 
     def _tensor(self, dims, pairs):
-        return tensor_once(self._quotients, dims, pairs, self.field)
+        return tensor_over(dims, pairs, self.field, self._quotients)
 
     def tensorRH(self):
         """B (x)_R H."""
@@ -143,29 +143,6 @@ def trivial_comodule(Hd, B, name=None):
     return ComoduleAlgebraData(Hd, B, inclusionA, rho, rho, name=name)
 
 
-def _bh_mul(B, H, u, v):
-    """Factorwise product of two vectors of B (x) H."""
-    dB, dH = B.dim, H.dim
-    field = B.field
-    out = [field.zero] * (dB * dH)
-    nu = [(i, c) for i, c in enumerate(u) if c]
-    nv = [(i, c) for i, c in enumerate(v) if c]
-    for iu, cu in nu:
-        b1, h1 = divmod(iu, dH)
-        for iv, cv in nv:
-            b2, h2 = divmod(iv, dH)
-            bb = B.mul[b1][b2]
-            hh = H.mul[h1][h2]
-            c = cu * cv
-            for p, x in enumerate(bb):
-                if x:
-                    cp = c * x
-                    for q, y in enumerate(hh):
-                        if y:
-                            out[p * dH + q] = out[p * dH + q] + cp * y
-    return out
-
-
 def check_comodule(D):
     """Coaction axioms: per-side coassociativity and counitality, the two
     mixed compatibility squares, module compatibility of each coaction with
@@ -191,19 +168,12 @@ def check_comodule(D):
     for side, rho, eps, acts in (("R", D.rhoR_lift, R.counit, actR),
                                  ("L", D.rhoL_lift, L.counit, D.actL)):
         for b in range(dB):
-            col = rho.col(b)
             acc = [field.zero] * dB
-            for idx, c in enumerate(col):
-                if not c:
-                    continue
+            for idx, c in rho.sparse_cols()[b].items():
                 bp, h = divmod(idx, dH)
-                ev = eps.matvec(H.basis_vec(h))
-                for r, cr in enumerate(ev):
-                    if cr:
-                        v = acts[r].col(bp)
-                        for k in range(dB):
-                            if v[k]:
-                                acc[k] = acc[k] + c * cr * v[k]
+                for r, cr in eps.sparse_cols()[h].items():
+                    for k, x in acts[r].sparse_cols()[bp].items():
+                        acc[k] = acc[k] + c * cr * x
             rep.require(acc == B.basis_vec(b), "comodule:counit:%s" % side,
                         (b,))
     # mixed squares
@@ -234,7 +204,7 @@ def check_comodule(D):
             ci = rho.col(i)
             for j in range(dB):
                 lhs = sq.project(rho.matvec(B.mul[i][j]))
-                rhs = sq.project(_bh_mul(B, H, ci, rho.col(j)))
+                rhs = sq.project(pair_mul(B, H, ci, rho.col(j)))
                 rep.require(lhs == rhs, "comodule:multiplicative:%s" % side,
                             (i, j))
         one = {b * dH + h: x * y for b, x in enumerate(B.unit) if x
@@ -301,11 +271,11 @@ def galois_maps(D):
     # the lifts of a (x) b, keyed by the column a * dB + b
     lift_R, lift_L = {}, {}
     for a in range(dB):
-        La = B.left_mult_matrix(B.basis_vec(a))
+        La = B.left_mult_matrix(a)
         for b, v in enumerate(kron_cols(La, I_H, D.rhoR_lift)):
             lift_R[a * dB + b] = v
     for b in range(dB):
-        Rb = B.right_mult_matrix(B.basis_vec(b))
+        Rb = B.right_mult_matrix(b)
         for a, v in enumerate(kron_cols(Rb, I_H, D.rhoL_lift)):
             lift_L[a * dB + b] = v
     galR = sqR.apply([lift_R[c] for c in sqAA.index])
@@ -470,45 +440,31 @@ def _conv_inverse(D, c):
     idR = conv_identity(D, "R").map
     dR = D.H.rightb.coproduct_lift
     dL = D.H.leftb.coproduct_lift
-    m = B.mul_matrix()
     rows = []
     rhs = []
 
     def unk(i, h):
         return i * dH + h
     # c * d = mu (c x d) Delta_R = idL ;   d * c = mu (d x c) Delta_L = idR
+    cmap = c.map.sparse_cols()
     for h in range(dH):
-        colR = dR.col(h)
-        colL = dL.col(h)
         for out in range(dB):
             row1 = {}
             row2 = {}
-            for idx, coef in enumerate(colR):
-                if not coef:
-                    continue
+            for idx, coef in dR.sparse_cols()[h].items():
                 h1, h2 = divmod(idx, dH)
-                cv = c.map.col(h1)
-                for b1, cb in enumerate(cv):
-                    if not cb:
-                        continue
-                    Lm = B.left_mult_matrix(B.basis_vec(b1))
+                for b1, cb in cmap[h1].items():
                     for b2 in range(dB):
-                        v = Lm.data[out][b2]
+                        v = B.mul[b1][b2].get(out)
                         if v:
                             key = unk(b2, h2)
                             row1[key] = row1.get(key, field.zero) \
                                 + coef * cb * v
-            for idx, coef in enumerate(colL):
-                if not coef:
-                    continue
+            for idx, coef in dL.sparse_cols()[h].items():
                 h1, h2 = divmod(idx, dH)
-                cv = c.map.col(h2)
-                for b2, cb in enumerate(cv):
-                    if not cb:
-                        continue
-                    Rm = B.right_mult_matrix(B.basis_vec(b2))
+                for b2, cb in cmap[h2].items():
                     for b1 in range(dB):
-                        v = Rm.data[out][b1]
+                        v = B.mul[b1][b2].get(out)
                         if v:
                             key = unk(b1, h1)
                             row2[key] = row2.get(key, field.zero) \
@@ -583,10 +539,11 @@ def _normal_basis_witness(D, rep, seed):
                           for l in range(Hd.leftb.base.dim)], dA, field)
     right_acts = [Aalg.right_mult_matrix(etaA.col(l))
                   for l in range(Hd.leftb.base.dim)]
-    sqAH = tensor_over([dA, dH], [(right_acts, Hd.leftb.acts()[1])], field)
-    # triple quotient (A x H x H): legs (A,H) over L, (H,H) over R
+    sqAH = D._tensor([dA, dH], [(right_acts, Hd.leftb.acts()[1])])
+    # triple quotient (A x H x H): legs (A,H) over L, (H,H) over R; its
+    # stages are sqAH and H's square, so neither is built again
     T = tensor_over([dA, dH, dH], [(right_acts, Hd.leftb.acts()[1]),
-                                   Hd.rightb.acts()], field)
+                                   Hd.rightb.acts()], field, D._quotients)
     # unknown theta at lift level: (dA*dH) x dB
     nunk = dA * dH * dB
 
@@ -598,7 +555,7 @@ def _normal_basis_witness(D, rep, seed):
     prows = sqAH.proj.data
     for a in range(dA):
         La = B.left_mult_matrix(Aincl.col(a))
-        PLA = sqAH.apply(kron(Aalg.left_mult_matrix(Aalg.basis_vec(a)),
+        PLA = sqAH.apply(kron(Aalg.left_mult_matrix(a),
                               Mat.identity(dH, field))).data
         for prow, plarow in zip(prows, PLA):
             for b in range(dB):
@@ -715,26 +672,26 @@ class CocycleData:
         self.sigma = sigma      # Mat dim N x (dim B)^2
         self.name = name
 
-    def act(self, bvec, nvec):
-        dN = self.N.dim
-        dB = self.BL.total.dim
-        w = [self.N.field.zero] * (dB * dN)
-        for i, c in enumerate(bvec):
-            if c:
-                for j, x in enumerate(nvec):
-                    if x:
-                        w[i * dN + j] = c * x
-        return self.action.matvec(w)
+    def act(self, b, n):
+        """The action b . n in N."""
+        return _on_pair(self.action, b, n, self.N.dim)
 
-    def sig(self, uvec, vvec):
-        dB = self.BL.total.dim
-        w = [self.N.field.zero] * (dB * dB)
-        for i, c in enumerate(uvec):
-            if c:
-                for j, x in enumerate(vvec):
-                    if x:
-                        w[i * dB + j] = c * x
-        return self.sigma.matvec(w)
+    def sig(self, u, v):
+        """The cocycle sigma(u, v) in N."""
+        return _on_pair(self.sigma, u, v, self.BL.total.dim)
+
+
+def _on_pair(M, u, v, d):
+    """M applied to u (x) v, where v has d coordinates.  Each of u and v is
+    a coordinate list, a dict of nonzeros or an int i standing for e_i; for
+    two ints the result is the column u * d + v of M."""
+    if isinstance(u, int) and isinstance(v, int):
+        return M.col(u * d + v)
+    one = M.field.one
+    u = {u: one} if isinstance(u, int) else nonzeros(u)
+    v = {v: one} if isinstance(v, int) else nonzeros(v)
+    return M.matvec({i * d + j: c * x for i, c in u.items()
+                     for j, x in v.items()})
 
 
 def validate_cocycle(C):
@@ -746,11 +703,11 @@ def validate_cocycle(C):
     N = C.N
     field = N.field
     dB, dN = Balg.dim, N.dim
-    dd = Bb.coproduct_lift
+    dd = Bb.coproduct_lift.sparse_cols()
     # measuring (i)
     for b in range(dB):
-        lhs = C.act(Balg.basis_vec(b), N.unit)
-        rhs = C.etaN.matvec(Bb.counit.matvec(Balg.basis_vec(b)))
+        lhs = C.act(b, N.unit)
+        rhs = C.etaN.matvec(Bb.counit.col(b))
         rep.require(lhs == rhs, "measuring:(i)", (b,))
     # measuring (ii)
     for l in range(Bb.base.dim):
@@ -758,111 +715,81 @@ def validate_cocycle(C):
         sl = Bb.s.col(l)
         el = C.etaN.col(l)
         for b in range(dB):
-            bv = Balg.basis_vec(b)
+            tb, sb = Balg.mul_vec(tl, b), Balg.mul_vec(sl, b)
             for n in range(dN):
-                nv = N.basis_vec(n)
-                bn = C.act(bv, nv)
-                lhs = C.act(Balg.mul_vec(tl, bv), nv)
+                bn = C.act(b, n)
+                lhs = C.act(tb, n)
                 rep.require(lhs == N.mul_vec(bn, el), "measuring:(ii)",
                             (l, b, n, 1))
-                lhs = C.act(Balg.mul_vec(sl, bv), nv)
+                lhs = C.act(sb, n)
                 rep.require(lhs == N.mul_vec(el, bn), "measuring:(ii)",
                             (l, b, n, 2))
     # measuring (iii)
     for b in range(dB):
-        col = dd.col(b)
-        bv = Balg.basis_vec(b)
         for n in range(dN):
             for np in range(dN):
-                lhs = C.act(bv, N.mul[n][np])
+                lhs = C.act(b, N.mul[n][np])
                 acc = N.zero_vec()
-                for idx, c in enumerate(col):
-                    if not c:
-                        continue
+                for idx, c in dd[b].items():
                     b1, b2 = divmod(idx, dB)
-                    v = N.mul_vec(C.act(Balg.basis_vec(b1), N.basis_vec(n)),
-                                  C.act(Balg.basis_vec(b2), N.basis_vec(np)))
+                    v = N.mul_vec(C.act(b1, n), C.act(b2, np))
                     for k in range(dN):
                         if v[k]:
                             acc[k] = acc[k] + c * v[k]
                 rep.require(lhs == acc, "measuring:(iii)", (b, n, np))
     # normality
     for b in range(dB):
-        bv = Balg.basis_vec(b)
-        target = C.etaN.matvec(Bb.counit.matvec(bv))
-        rep.require(C.sig(Balg.unit, bv) == target, "cocycle:normality",
+        target = C.etaN.matvec(Bb.counit.col(b))
+        rep.require(C.sig(Balg.unit, b) == target, "cocycle:normality",
                     (b, 1))
-        rep.require(C.sig(bv, Balg.unit) == target, "cocycle:normality",
+        rep.require(C.sig(b, Balg.unit) == target, "cocycle:normality",
                     (b, 2))
     # cocycle condition
     for a in range(dB):
-        ca = dd.col(a)
         for b in range(dB):
-            cb = dd.col(b)
             for c in range(dB):
-                cc = dd.col(c)
                 lhs = N.zero_vec()
                 rhs = N.zero_vec()
-                for ia, va in enumerate(ca):
-                    if not va:
-                        continue
+                for ia, va in dd[a].items():
                     a1, a2 = divmod(ia, dB)
-                    for ib, vb in enumerate(cb):
-                        if not vb:
-                            continue
+                    for ib, vb in dd[b].items():
                         b1, b2 = divmod(ib, dB)
                         # rhs uses only Delta(a), Delta(b)
-                        term = N.mul_vec(
-                            C.sig(Balg.basis_vec(a1), Balg.basis_vec(b1)),
-                            C.sig(Balg.mul[a2][b2], Balg.basis_vec(c)))
+                        term = N.mul_vec(C.sig(a1, b1),
+                                         C.sig(Balg.mul[a2][b2], c))
                         for k in range(dN):
                             if term[k]:
                                 rhs[k] = rhs[k] + va * vb * term[k]
-                        for ic, vc in enumerate(cc):
-                            if not vc:
-                                continue
+                        for ic, vc in dd[c].items():
                             c1, c2 = divmod(ic, dB)
                             term = N.mul_vec(
-                                C.act(Balg.basis_vec(a1),
-                                      C.sig(Balg.basis_vec(b1),
-                                            Balg.basis_vec(c1))),
-                                C.sig(Balg.basis_vec(a2),
-                                      Balg.mul[b2][c2]))
+                                C.act(a1, C.sig(b1, c1)),
+                                C.sig(a2, Balg.mul[b2][c2]))
                             for k in range(dN):
                                 if term[k]:
                                     lhs[k] = lhs[k] + va * vb * vc * term[k]
                 rep.require(lhs == rhs, "cocycle:condition", (a, b, c))
     # twisted module (iii): unitality
     for n in range(dN):
-        rep.require(C.act(Balg.unit, N.basis_vec(n)) == N.basis_vec(n),
+        rep.require(C.act(Balg.unit, n) == N.basis_vec(n),
                     "twisted:(iii)", (n,))
     # twisted module (iv)
     for a in range(dB):
-        ca = dd.col(a)
         for b in range(dB):
-            cb = dd.col(b)
             for n in range(dN):
-                nv = N.basis_vec(n)
                 lhs = N.zero_vec()
                 rhs = N.zero_vec()
-                for ia, va in enumerate(ca):
-                    if not va:
-                        continue
+                for ia, va in dd[a].items():
                     a1, a2 = divmod(ia, dB)
-                    for ib, vb in enumerate(cb):
-                        if not vb:
-                            continue
+                    for ib, vb in dd[b].items():
                         b1, b2 = divmod(ib, dB)
-                        term = N.mul_vec(
-                            C.act(Balg.basis_vec(a1),
-                                  C.act(Balg.basis_vec(b1), nv)),
-                            C.sig(Balg.basis_vec(a2), Balg.basis_vec(b2)))
+                        term = N.mul_vec(C.act(a1, C.act(b1, n)),
+                                         C.sig(a2, b2))
                         for k in range(dN):
                             if term[k]:
                                 lhs[k] = lhs[k] + va * vb * term[k]
-                        term = N.mul_vec(
-                            C.sig(Balg.basis_vec(a1), Balg.basis_vec(b1)),
-                            C.act(Balg.mul[a2][b2], nv))
+                        term = N.mul_vec(C.sig(a1, b1),
+                                         C.act(Balg.mul[a2][b2], n))
                         for k in range(dN):
                             if term[k]:
                                 rhs[k] = rhs[k] + va * vb * term[k]
@@ -899,28 +826,25 @@ def crossed_product(C):
                 for it, ct in trip.items():
                     b1, r2 = divmod(it, dB * dB)
                     b2, b3 = divmod(r2, dB)
-                    actn = C.act(Balg.basis_vec(b1), N.basis_vec(n2))
+                    actn = C.act(b1, n2)
                     for ip, cp in enumerate(pair):
                         if not cp:
                             continue
                         bp1, bp2 = divmod(ip, dB)
-                        sgv = C.sig(Balg.basis_vec(b2),
-                                    Balg.basis_vec(bp1))
-                        nfac = N.mul_vec(
-                            N.mul_vec(N.basis_vec(n1), actn), sgv)
-                        bfac = Balg.mul[b3][bp2]
+                        nfac = N.mul_vec(N.mul_vec(n1, actn), C.sig(b2, bp1))
+                        bfac = Balg.mul[b3][bp2].items()
                         coef = cu * cv * ct * cp
                         for kn in range(dN):
                             if nfac[kn]:
                                 ck = coef * nfac[kn]
-                                for kb in range(dB):
-                                    if bfac[kb]:
-                                        out[kn * dB + kb] = \
-                                            out[kn * dB + kb] + ck * bfac[kb]
+                                for kb, y in bfac:
+                                    out[kn * dB + kb] = \
+                                        out[kn * dB + kb] + ck * y
         return out
 
     lifts = sq.section_cols
-    mul = [[sq.project(lift_mul(ui, uj)) for uj in lifts] for ui in lifts]
+    mul = [[nonzeros(sq.project(lift_mul(ui, uj))) for uj in lifts]
+           for ui in lifts]
     one = {i * dB + j: a * b for i, a in enumerate(N.unit) if a
            for j, b in enumerate(Balg.unit) if b}
     return FDAlgebra(sq.dim, mul, sq.project(one), field,
@@ -993,8 +917,7 @@ def _prop4_square(rep, D1, D2, phi, psi):
         H1b = D1.H.rightb if side == "R" else D1.H.leftb
         H2 = D2.H.total
         # B1 (x)_{B1} H2: B1 acts on H2 through s_2
-        right_acts = [B1.right_mult_matrix(B1.basis_vec(b))
-                      for b in range(B1.dim)]
+        right_acts = [B1.right_mult_matrix(b) for b in range(B1.dim)]
         left_acts = [H2.left_mult_matrix((H2b.s * _b1_to_base(D2)).col(b))
                      for b in range(B1.dim)]
         T = tensor_over([B1.dim, H2.dim], [(right_acts, left_acts)], field)
@@ -1118,7 +1041,7 @@ class HopfBimoduleWitness:
                 if not c:
                     continue
                 h1, h2 = divmod(idx, H1.dim)
-                DL = DL + kron(H1.left_mult_matrix(H1.basis_vec(h1)),
+                DL = DL + kron(H1.left_mult_matrix(h1),
                                self.bimodule.left_acts[h2]).scale(c)
             rep.require(lc * La == DL * lc, tag + ":left-equivariance", (i,))
         for j in range(H2.dim):
@@ -1130,7 +1053,7 @@ class HopfBimoduleWitness:
                     continue
                 h1, h2 = divmod(idx, H2.dim)
                 DR = DR + kron(self.bimodule.right_acts[h1],
-                               H2.right_mult_matrix(H2.basis_vec(h2))).scale(c)
+                               H2.right_mult_matrix(h2)).scale(c)
             rep.require(rc * Ra == DR * rc, tag + ":right-equivariance", (j,))
         return rep
 
@@ -1154,15 +1077,14 @@ def _iso_equivariance(rep, tag, iso, sq, P, Q, C, right):
     field = C.field
     lifts = sq.section_cols
     for i in range(C.dim):
-        e = C.basis_vec(i)
         lhs = iso * sq.apply(kron_cols(P.left_acts[i],
                                        Mat.identity(Q.dim, field), lifts))
-        rep.require(lhs == C.left_mult_matrix(e) * iso, tag + ":equivariance",
+        rep.require(lhs == C.left_mult_matrix(i) * iso, tag + ":equivariance",
                     (i, "left") if right else (i,))
         if right:
             lhs = iso * sq.apply(kron_cols(Mat.identity(P.dim, field),
                                            Q.right_acts[i], lifts))
-            rep.require(lhs == C.right_mult_matrix(e) * iso,
+            rep.require(lhs == C.right_mult_matrix(i) * iso,
                         tag + ":equivariance", (i, "right"))
 
 
@@ -1202,7 +1124,7 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
             rep.require(iso * Lsrc == Ltgt * iso, tag + ":A-equivariance",
                         (a,))
         for j in range(target.dim):
-            Rt = target.right_mult_matrix(target.basis_vec(j))
+            Rt = target.right_mult_matrix(j)
             rep.require(iso * W.right_acts[j] == Rt * iso,
                         tag + ":right-equivariance", (j,))
     # Hopf side
@@ -1224,7 +1146,7 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
                 and rank(isoU) == U.bimodule.dim
                 and U.bimodule.dim == H2.dim, "morita:U-collapse:bijective")
     for j in range(H2.dim):
-        Rt = H2.right_mult_matrix(H2.basis_vec(j))
+        Rt = H2.right_mult_matrix(j)
         rep.require(isoU * U.bimodule.right_acts[j] == Rt * isoU,
                     "morita:U-collapse:equivariance", (j,))
     rep.require(kron(isoU, Mat.identity(H2.dim, field)) * U.rcoact
@@ -1235,7 +1157,7 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
                 and rank(isoV) == V.bimodule.dim
                 and V.bimodule.dim == H1.dim, "morita:V-collapse:bijective")
     for j in range(H1.dim):
-        Rt = H1.right_mult_matrix(H1.basis_vec(j))
+        Rt = H1.right_mult_matrix(j)
         rep.require(isoV * V.bimodule.right_acts[j] == Rt * isoV,
                     "morita:V-collapse:equivariance", (j,))
     rep.require(kron(isoV, Mat.identity(H1.dim, field)) * V.rcoact

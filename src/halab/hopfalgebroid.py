@@ -20,7 +20,7 @@ Axiom tags:
 
 from .linalg import (Mat, kron, kron_cols, rank, solve_affine_sparse,
                      NoSolution, ShapeMismatch, shaped_mat_from_json)
-from .bimod import tensor_over, tensor_once, takeuchi
+from .bimod import tensor_over, takeuchi
 from .algebra import (FDAlgebra, check_algebra_morphism,
                       check_algebra_antimorphism)
 from .reports import ViolationReport
@@ -72,14 +72,14 @@ class BialgebroidData:
     def square(self):
         """The coring tensor square H (x)_base H (built once)."""
         H = self.total
-        return tensor_once(self._quotients, [H.dim] * 2, [self.acts()],
-                           H.field)
+        return tensor_over([H.dim] * 2, [self.acts()], H.field,
+                           self._quotients)
 
     def triple(self):
         """H (x)_base H (x)_base H, home of coassociativity (built once)."""
         H = self.total
-        return tensor_once(self._quotients, [H.dim] * 3, [self.acts()] * 2,
-                           H.field)
+        return tensor_over([H.dim] * 3, [self.acts()] * 2, H.field,
+                           self._quotients)
 
     def takeuchi(self):
         if self._takeuchi is None:
@@ -98,7 +98,7 @@ class BialgebroidData:
         n = self.base.dim
         acts = ([H.right_mult_matrix(self.s.col(r)) for r in range(n)],
                 [H.left_mult_matrix(self.s.col(r)) for r in range(n)])
-        return tensor_once(self._quotients, [H.dim] * 2, [acts], H.field)
+        return tensor_over([H.dim] * 2, [acts], H.field, self._quotients)
 
 
 class HopfAlgebroidData:
@@ -131,31 +131,26 @@ def _counit_check(B, rep):
         sum s(eps(x_i)) y_i = b   and   sum t(eps(y_i)) x_i = b."""
     H = B.total
     d = H.dim
+    # s(eps(e_i)) and t(eps(e_i)) for every basis element, computed once
+    s_eps = [B.s.matvec(B.counit.col(i)) for i in range(d)]
+    t_eps = [B.t.matvec(B.counit.col(i)) for i in range(d)]
+    cols = B.coproduct_lift.sparse_cols()
     for bidx in range(d):
-        col = B.coproduct_lift.col(bidx)
         lhs1 = H.zero_vec()
         lhs2 = H.zero_vec()
-        for i in range(d):
-            for j in range(d):
-                c = col[i * d + j]
-                if not c:
-                    continue
-                ei, ej = H.basis_vec(i), H.basis_vec(j)
-                if B.side == "right":
-                    te = B.t.matvec(B.counit.col(i))
-                    v1 = H.mul_vec(ej, te)
-                    se = B.s.matvec(B.counit.col(j))
-                    v2 = H.mul_vec(ei, se)
-                else:
-                    se = B.s.matvec(B.counit.col(i))
-                    v1 = H.mul_vec(se, ej)
-                    te = B.t.matvec(B.counit.col(j))
-                    v2 = H.mul_vec(te, ei)
-                for k in range(d):
-                    if v1[k]:
-                        lhs1[k] = lhs1[k] + c * v1[k]
-                    if v2[k]:
-                        lhs2[k] = lhs2[k] + c * v2[k]
+        for ij, c in cols[bidx].items():
+            i, j = divmod(ij, d)
+            if B.side == "right":
+                v1 = H.mul_vec(j, t_eps[i])
+                v2 = H.mul_vec(i, s_eps[j])
+            else:
+                v1 = H.mul_vec(s_eps[i], j)
+                v2 = H.mul_vec(t_eps[j], i)
+            for k in range(d):
+                if v1[k]:
+                    lhs1[k] = lhs1[k] + c * v1[k]
+                if v2[k]:
+                    lhs2[k] = lhs2[k] + c * v2[k]
         target = H.basis_vec(bidx)
         rep.require(lhs1 == target, "%s:counit" % B.side, (bidx, 1))
         rep.require(lhs2 == target, "%s:counit" % B.side, (bidx, 2))
@@ -168,18 +163,18 @@ def _counit_bimodule_check(B, rep):
         sr, tr = B.s.col(r), B.t.col(r)
         for rp in range(base.dim):
             srp, trp = B.s.col(rp), B.t.col(rp)
+            if B.side == "left":
+                st = H.mul_vec(sr, trp)
             for bidx in range(H.dim):
-                b = H.basis_vec(bidx)
                 if B.side == "right":
                     # r.b.r' = b s(r') t(r)
-                    x = H.mul_vec(H.mul_vec(b, srp), tr)
+                    x = H.mul_vec(H.mul_vec(bidx, srp), tr)
                 else:
                     # l.b.l' = s(l) t(l') b
-                    x = H.mul_vec(H.mul_vec(sr, trp), b)
+                    x = H.mul_vec(st, bidx)
                 lhs = B.counit.matvec(x)
                 eb = B.counit.col(bidx)
-                rhs = base.mul_vec(base.mul_vec(base.basis_vec(r), eb),
-                                   base.basis_vec(rp))
+                rhs = base.mul_vec(base.mul_vec(r, eb), rp)
                 rep.require(lhs == rhs, "%s:counit-bimodule" % B.side,
                             (r, bidx, rp))
 
@@ -188,8 +183,9 @@ def _counit_action_check(B, rep):
     """Condition (c).  Right version: r . b := eps(s(r) b) is a right
     (B,s)-action on the base, i.e. (r . a) . b = r . (ab) and r . 1 = r.
     Left version: b . l := eps(b s(l)) with (ab) . l = a . (b . l).
-    s(r) is computed once per r, s(r . a) once per a and s(b . l) once
-    per b."""
+    Per base element, the action is the matrix eps . (multiplication by
+    s(r)), so r . (ab) is read off at the structure constants of ab;
+    s(r . a) is computed once per a and s(b . l) once per b."""
     H, base = B.total, B.base
 
     def eps(x, y):
@@ -199,25 +195,24 @@ def _counit_action_check(B, rep):
         rv = base.basis_vec(r)
         sr = B.s.col(r)
         if B.side == "right":
-            rep.require(eps(sr, H.unit) == rv,
+            dot = B.counit * H.left_mult_matrix(sr)     # b -> r . b
+            rep.require(dot.matvec(H.unit) == rv,
                         "right:counit-action", (r,), note="r.1 != r")
         else:
-            rep.require(eps(H.unit, sr) == rv,
+            dot = B.counit * H.right_mult_matrix(sr)    # b -> b . l
+            rep.require(dot.matvec(H.unit) == rv,
                         "left:counit-action", (r,), note="1.l != l")
-            s_bl = [B.s.matvec(eps(H.basis_vec(b), sr))
-                    for b in range(H.dim)]
+            s_bl = [B.s.matvec(dot.col(b)) for b in range(H.dim)]
         for a in range(H.dim):
-            av = H.basis_vec(a)
             if B.side == "right":
-                s_ra = B.s.matvec(eps(sr, av))
+                s_ra = B.s.matvec(dot.col(a))
             for b in range(H.dim):
-                bv = H.basis_vec(b)
-                ab = H.mul_vec(av, bv)
+                ab = dot.matvec(H.mul[a][b])
                 if B.side == "right":
-                    rep.require(eps(s_ra, bv) == eps(sr, ab),
+                    rep.require(eps(s_ra, b) == ab,
                                 "right:counit-action", (r, a, b))
                 else:
-                    rep.require(eps(ab, sr) == eps(av, s_bl[b]),
+                    rep.require(ab == eps(a, s_bl[b]),
                                 "left:counit-action", (r, a, b))
 
 
@@ -256,7 +251,7 @@ def check_bialgebroid(B, coring=None):
     sq = B.square()
     tk = B.takeuchi()
     for bidx in range(H.dim):
-        q = sq.project(B.coproduct_lift.col(bidx))
+        q = sq.project(B.coproduct_lift.sparse_cols()[bidx])
         rep.require(tk.space.contains(q), "%s:takeuchi" % B.side, (bidx,))
     return rep
 
@@ -282,13 +277,12 @@ def check_hopf_algebroid(Hd, skip_bialgebroids=False):
     a_rep.require(R.s * (R.counit * L.t) == L.t, "hopf:(a)",
                   note="sR.epsR.tL != tL")
     rep.merge(a_rep)
-    # (b) mixed coassociativity, both squares; a mixed triple is a side's
-    # triple when the actions agree, else it is dropped before the next
+    # (b) mixed coassociativity, both squares; the sides share one memo,
+    # so a mixed triple is a side's triple when the actions agree
     for first, second, note in ((L, R, "H xL H xR H square"),
                                 (R, L, "H xR H xL H square")):
-        qp = (first.triple() if first.acts() == second.acts() else
-              tensor_over([H.dim] * 3, [first.acts(), second.acts()],
-                          H.field))
+        qp = tensor_over([H.dim] * 3, [first.acts(), second.acts()],
+                         H.field, first._quotients)
         rep.require(_coassociative(first, second, qp), "hopf:(b)", note=note)
     # An antipode of deficient rank pollutes (c) and (d) with cascading
     # failures, and broken counit triangles do the same to (d) -- both
@@ -304,41 +298,34 @@ def check_hopf_algebroid(Hd, skip_bialgebroids=False):
         for r in range(R.base.dim):
             tr, sr = R.t.col(r), R.s.col(r)
             for h in range(H.dim):
-                hv = H.basis_vec(h)
-                lhs = S.matvec(H.mul_vec(H.mul_vec(tl, hv), tr))
+                lhs = S.matvec(H.mul_vec(H.mul_vec(tl, h), tr))
                 rhs = H.mul_vec(H.mul_vec(sr, S.col(h)), sl)
                 rep.require(lhs == rhs, "hopf:(c)", (l, h, r))
     if not a_rep.ok:
         return rep
     # (d) the two convolution identities, on lifts
     d = H.dim
-    dL, dR = L.coproduct_lift, R.coproduct_lift
+    S_cols = [S.col(i) for i in range(d)]
+    colsL = L.coproduct_lift.sparse_cols()
+    colsR = R.coproduct_lift.sparse_cols()
     for bidx in range(d):
-        colL = dL.col(bidx)
         lhs = H.zero_vec()
-        for i in range(d):
-            Si = S.col(i)
-            for j in range(d):
-                c = colL[i * d + j]
-                if c:
-                    v = H.mul_vec(Si, H.basis_vec(j))
-                    for k in range(d):
-                        if v[k]:
-                            lhs[k] = lhs[k] + c * v[k]
+        for ij, c in colsL[bidx].items():
+            i, j = divmod(ij, d)
+            v = H.mul_vec(S_cols[i], j)
+            for k in range(d):
+                if v[k]:
+                    lhs[k] = lhs[k] + c * v[k]
         rhs = R.s.matvec(R.counit.col(bidx))
         rep.require(lhs == rhs, "hopf:(d)", (bidx,),
                     note="muL(S x id)DeltaL != sR.epsR")
-        colR = dR.col(bidx)
         lhs = H.zero_vec()
-        for i in range(d):
-            ei = H.basis_vec(i)
-            for j in range(d):
-                c = colR[i * d + j]
-                if c:
-                    v = H.mul_vec(ei, S.col(j))
-                    for k in range(d):
-                        if v[k]:
-                            lhs[k] = lhs[k] + c * v[k]
+        for ij, c in colsR[bidx].items():
+            i, j = divmod(ij, d)
+            v = H.mul_vec(i, S_cols[j])
+            for k in range(d):
+                if v[k]:
+                    lhs[k] = lhs[k] + c * v[k]
         rhs = L.s.matvec(L.counit.col(bidx))
         rep.require(lhs == rhs, "hopf:(d)", (bidx,),
                     note="muR(id x S)DeltaR != sL.epsL")
@@ -361,32 +348,27 @@ def solve_antipode(B, want_kernel=False):
     def unk(k, i):
         return k * d + i
 
+    cols = B.coproduct_lift.sparse_cols()
     for bidx in range(d):
-        col = B.coproduct_lift.col(bidx)
         eps_b = B.counit.data[0][bidx]
         # sum_ij c_ij S(e_i) e_j = eps(b) 1   -> rows per output coord
+        rows1 = [{} for _ in range(d)]
+        rows2 = [{} for _ in range(d)]
+        for ij, c in cols[bidx].items():
+            i, j = divmod(ij, d)
+            # S(e_i) e_j: S(e_i) = sum_k S_ki e_k
+            for k in range(d):
+                for out, v in H.mul[k][j].items():
+                    row1, key = rows1[out], unk(k, i)
+                    row1[key] = row1.get(key, field.zero) + c * v
+                for out, v in H.mul[i][k].items():
+                    row2, key = rows2[out], unk(k, j)
+                    row2[key] = row2.get(key, field.zero) + c * v
         for out in range(d):
-            row1 = {}
-            row2 = {}
-            for i in range(d):
-                for j in range(d):
-                    c = col[i * d + j]
-                    if not c:
-                        continue
-                    # S(e_i) e_j: S(e_i) = sum_k S_ki e_k
-                    for k in range(d):
-                        v = H.mul[k][j][out]
-                        if v:
-                            key = unk(k, i)
-                            row1[key] = row1.get(key, field.zero) + c * v
-                        v = H.mul[i][k][out]
-                        if v:
-                            key = unk(k, j)
-                            row2[key] = row2.get(key, field.zero) + c * v
             target = eps_b * eta[out]
-            rows.append({k: v for k, v in row1.items() if v})
+            rows.append({k: v for k, v in rows1[out].items() if v})
             rhs.append(target)
-            rows.append({k: v for k, v in row2.items() if v})
+            rows.append({k: v for k, v in rows2[out].items() if v})
             rhs.append(target)
     try:
         x, kern = solve_affine_sparse(rows, rhs, d * d, field,

@@ -2,9 +2,12 @@
 
 Everything downstream (axiom checks, coinvariants, Galois maps) reduces to
 row reduction, kernels, affine solves and quotient presentations computed
-here.  Matrices are dense row-major lists of exact scalars; multiplication
-skips zero entries, so sparse structure still pays off.  Pivots divide
-through field.div: over Q an integral scalar is an int.
+here.  A Mat keeps its entries as dense row-major lists (data, the form
+constructors write) and reads them through one sparse view: the columns
+as dicts of their nonzeros, built on the first column read and kept.
+matvec, col, kron_cols and QuotientPresentation.apply walk that view, so
+they skip zero cells by construction.  Pivots divide through field.div:
+over Q an integral scalar is an int.
 
 One elimination engine, _echelon_dict, does every row reduction: it takes
 list or dict rows, works on their nonzeros only and returns the canonical
@@ -42,7 +45,12 @@ def _items(vec):
 
 
 class Mat:
-    __slots__ = ("rows", "cols", "data", "field")
+    """A rows x cols matrix.  data is its dense, writable form; the sparse
+    column view that the readers use is computed from data once, on the
+    first column read.  The library writes no Mat after reading it; to
+    change entries of a Mat that was read, write them on a copy()."""
+
+    __slots__ = ("rows", "cols", "data", "field", "_sparse_cols")
 
     def __init__(self, rows, cols, data, field=QQ):
         if len(data) != rows or any(len(r) != cols for r in data):
@@ -51,6 +59,7 @@ class Mat:
         self.cols = cols
         self.data = data
         self.field = field
+        self._sparse_cols = None
 
     # -- constructors -----------------------------------------------------
 
@@ -86,8 +95,24 @@ class Mat:
     def copy(self):
         return Mat(self.rows, self.cols, [list(r) for r in self.data], self.field)
 
+    def sparse_cols(self):
+        """The columns as dicts {row: value} of their nonzeros, built on the
+        first call and shared by every later one (callers do not modify
+        them)."""
+        if self._sparse_cols is None:
+            cols = [{} for _ in range(self.cols)]
+            for i, r in enumerate(self.data):
+                for j, x in enumerate(r):
+                    if x:
+                        cols[j][i] = x
+            self._sparse_cols = cols
+        return self._sparse_cols
+
     def col(self, j):
-        return [self.data[i][j] for i in range(self.rows)]
+        out = [self.field.zero] * self.rows
+        for i, x in self.sparse_cols()[j].items():
+            out[i] = x
+        return out
 
     def transpose(self):
         return Mat(self.cols, self.rows,
@@ -140,18 +165,16 @@ class Mat:
         return out
 
     def matvec(self, vec):
-        if len(vec) != self.cols:
+        """self * vec for a list or a dict {col: value}, summed over the
+        nonzeros of vec and of the columns they pick."""
+        if not isinstance(vec, dict) and len(vec) != self.cols:
             raise ShapeMismatch("matvec length mismatch")
-        nz = [(k, v) for k, v in enumerate(vec) if v]
-        zero = self.field.zero
-        out = []
-        for ri in self.data:
-            acc = zero
-            for k, v in nz:
-                a = ri[k]
-                if a:
-                    acc = acc + a * v
-            out.append(acc)
+        cols = self.sparse_cols()
+        out = [self.field.zero] * self.rows
+        for k, v in _items(vec):
+            if v:
+                for i, a in cols[k].items():
+                    out[i] = out[i] + a * v
         return out
 
     def __eq__(self, other):
@@ -191,16 +214,9 @@ def kron(A, B):
 
 
 def _columns(M):
-    """The columns of a Mat as dicts {row: value} of its nonzeros; a list
-    of columns (lists or dicts) is returned as it is."""
-    if not isinstance(M, Mat):
-        return M
-    cols = [{} for _ in range(M.cols)]
-    for i, r in enumerate(M.data):
-        for j, x in enumerate(r):
-            if x:
-                cols[j][i] = x
-    return cols
+    """The sparse columns of a Mat; a list of columns (lists or dicts) is
+    returned as it is."""
+    return M.sparse_cols() if isinstance(M, Mat) else M
 
 
 def kron_cols(A, B, M):
@@ -404,8 +420,7 @@ def kernel(M):
 
 def image(M):
     """Column space of M with canonical basis."""
-    return Subspace.from_spanning(
-        M.rows, [M.col(j) for j in range(M.cols)], M.field)
+    return Subspace.from_spanning(M.rows, M.sparse_cols(), M.field)
 
 
 def solve_affine(constraint, rhs):

@@ -13,7 +13,8 @@ from .fields import QQ, CyclotomicField
 from .linalg import Mat, kron, inverse, solve_affine, NoSolution, image
 from .algebra import (FDAlgebra, check_group_table, product_field_algebra,
                       opposite, central_idempotents_split, NotSplit,
-                      subalgebra_on_rows)
+                      subalgebra_on_rows, nonzeros)
+from .bimod import pair_mul
 from .hopfalgebroid import BialgebroidData, HopfAlgebroidData
 from .reports import ViolationReport
 
@@ -429,7 +430,7 @@ def groupoid_algebra(G, field=QQ):
     G.validate()
     d = G.n_morphisms
     m = G.n_objects
-    mul = [[[field.zero] * d for _ in range(d)] for _ in range(d)]
+    mul = [[{} for _ in range(d)] for _ in range(d)]
     for (f, g), h in G.compose.items():
         mul[f][g][h] = field.one
     unit = [field.zero] * d
@@ -491,10 +492,7 @@ def monoid_bialgebra(table, identity, field=QQ):
     """The grouplike bialgebra of a finite monoid, as a one-sided
     bialgebroid over k.  Not Hopf unless the monoid is a group."""
     n = len(table)
-    mul = [[[field.zero] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            mul[i][j][table[i][j]] = field.one
+    mul = [[{table[i][j]: field.one} for j in range(n)] for i in range(n)]
     unit = [field.zero] * n
     unit[identity] = field.one
     H = FDAlgebra(n, mul, unit, field, name="monoid algebra")
@@ -522,7 +520,7 @@ def _characters(A):
         pivot = next(i for i, c in enumerate(q) if c)
         chi = []
         for i in range(A.dim):
-            v = A.mul_vec(A.basis_vec(i), q)
+            v = A.mul_vec(i, q)
             c = field.div(v[pivot], q[pivot])
             if v != [c * x for x in q]:
                 raise NotSplit("a central idempotent does not define a "
@@ -641,33 +639,6 @@ class WeakHopfData:
         self.name = name
 
 
-def _pair_mul(H, u, v):
-    """Factorwise product of two vectors in H (x) H."""
-    d = H.dim
-    field = H.field
-    out = [field.zero] * (d * d)
-    for i in range(d):
-        for j in range(d):
-            cu = u[i * d + j]
-            if not cu:
-                continue
-            for k in range(d):
-                for l in range(d):
-                    cv = v[k * d + l]
-                    if not cv:
-                        continue
-                    a = H.mul[i][k]
-                    b = H.mul[j][l]
-                    c = cu * cv
-                    for p in range(d):
-                        if a[p]:
-                            cap = c * a[p]
-                            for q in range(d):
-                                if b[q]:
-                                    out[p * d + q] = out[p * d + q] + cap * b[q]
-    return out
-
-
 def _triple_mul(H, u, v):
     """Factorwise product of two vectors in H (x) H (x) H."""
     d = H.dim
@@ -681,20 +652,15 @@ def _triple_mul(H, u, v):
         for iv, cv in nz_v:
             j1, r2 = divmod(iv, d * d)
             j2, j3 = divmod(r2, d)
-            a, b, cc = H.mul[i1][j1], H.mul[i2][j2], H.mul[i3][j3]
+            b, cc = H.mul[i2][j2].items(), H.mul[i3][j3].items()
             c = cu * cv
-            for p in range(d):
-                if not a[p]:
-                    continue
-                cp = c * a[p]
-                for q in range(d):
-                    if not b[q]:
-                        continue
-                    cq = cp * b[q]
-                    for s in range(d):
-                        if cc[s]:
-                            key = p * d * d + q * d + s
-                            out[key] = out[key] + cq * cc[s]
+            for p, x in H.mul[i1][j1].items():
+                cp = c * x
+                for q, y in b:
+                    cq = cp * y
+                    for s, z in cc:
+                        key = p * d * d + q * d + s
+                        out[key] = out[key] + cq * z
     return out
 
 
@@ -715,7 +681,7 @@ def check_weak_hopf(W):
         Di = D.col(i)
         for j in range(d):
             lhs = D.matvec(H.mul[i][j])
-            rhs = _pair_mul(H, Di, D.col(j))
+            rhs = pair_mul(H, H, Di, D.col(j))
             rep.require(lhs == rhs, "weak:coproduct-multiplicative", (i, j))
     # (i) coassociative
     rep.require(kron(D, I) * D == kron(I, D) * D, "weak:coassociative")
@@ -744,12 +710,10 @@ def check_weak_hopf(W):
     def eps_of(vec):
         return eps.matvec(vec)[0]
     for x in range(d):
-        ex = H.basis_vec(x)
         for y in range(d):
             Dy = D.col(y)
             for z in range(d):
-                ez = H.basis_vec(z)
-                mid = eps_of(H.mul_vec(H.mul[x][y], ez))
+                mid = eps_of(H.mul_vec(H.mul[x][y], z))
                 lhs = field.zero
                 rhs = field.zero
                 for i in range(d):
@@ -779,9 +743,7 @@ def check_weak_hopf(W):
                 continue
             i1, r = divmod(idx, d * d)
             i2, i3 = divmod(r, d)
-            v = H.mul_vec(H.mul_vec(S.matvec(H.basis_vec(i1)),
-                                    H.basis_vec(i2)),
-                          S.matvec(H.basis_vec(i3)))
+            v = H.mul_vec(H.mul_vec(S.col(i1), i2), S.col(i3))
             for k in range(d):
                 if v[k]:
                     s_mid[k] = s_mid[k] + c * v[k]
@@ -789,8 +751,8 @@ def check_weak_hopf(W):
             if not c:
                 continue
             i, j = divmod(idx, d)
-            v = H.mul_vec(H.basis_vec(i), S.matvec(H.basis_vec(j)))
-            u = H.mul_vec(S.matvec(H.basis_vec(i)), H.basis_vec(j))
+            v = H.mul_vec(i, S.col(j))
+            u = H.mul_vec(S.col(i), j)
             for k in range(d):
                 if v[k]:
                     hs[k] = hs[k] + c * v[k]
@@ -815,16 +777,15 @@ def weak_projections(W):
     pL = Mat.zero(d, d, field)
     pR = Mat.zero(d, d, field)
     for h in range(d):
-        eh = H.basis_vec(h)
         for i in range(d):
             for j in range(d):
                 c = w[i * d + j]
                 if not c:
                     continue
-                cl = W.counit.matvec(H.mul_vec(H.basis_vec(i), eh))[0]
+                cl = W.counit.matvec(H.mul[i][h])[0]
                 if cl:
                     pL.data[j][h] = pL.data[j][h] + c * cl
-                cr = W.counit.matvec(H.mul_vec(eh, H.basis_vec(j)))[0]
+                cr = W.counit.matvec(H.mul[h][j])[0]
                 if cr:
                     pR.data[i][h] = pR.data[i][h] + c * cr
     return pL, pR
@@ -854,7 +815,7 @@ def weak_hopf_to_algebroid(W):
                 c = w[i * d + j]
                 if not c:
                     continue
-                cr = W.counit.matvec(H.mul_vec(rv, H.basis_vec(i)))[0]
+                cr = W.counit.matvec(H.mul_vec(rv, i))[0]
                 if cr:
                     tR.data[j][r] = tR.data[j][r] + c * cr
     # eps_R = pR in base coordinates
@@ -928,22 +889,15 @@ def smash_algebroid(A, table, action):
             for g in range(n):
                 row = idx(i, j, g)
                 for k in range(a):
-                    uk = action[g].col(k)
-                    left = A.mul_vec(A.basis_vec(i), uk)
+                    left = nonzeros(A.mul_vec(i, action[g].col(k)))
                     for l in range(a):
-                        vl = action[g].col(l)
-                        right = A.mul_vec(vl, A.basis_vec(j))
+                        right = nonzeros(A.mul_vec(action[g].col(l), j))
                         for h in range(n):
-                            col = idx(k, l, h)
-                            vec = [field.zero] * d
                             gh = table[g][h]
-                            for p in range(a):
-                                if left[p]:
-                                    for q in range(a):
-                                        if right[q]:
-                                            vec[idx(p, q, gh)] = \
-                                                left[p] * right[q]
-                            mul[row][col] = vec
+                            mul[row][idx(k, l, h)] = {
+                                idx(p, q, gh): x * y
+                                for p, x in left.items()
+                                for q, y in right.items()}
     unit = [field.zero] * d
     for i in range(a):
         if A.unit[i]:
@@ -1028,9 +982,8 @@ def twisted_group_algebra(n, t, field=None):
         for b in range(n):
             for c in range(n):
                 for e in range(n):
-                    vec = [field.zero] * d
-                    vec[idx(a + c, b + e)] = scal(t * b * c)
-                    mul[idx(a, b)][idx(c, e)] = vec
+                    mul[idx(a, b)][idx(c, e)] = {
+                        idx(a + c, b + e): scal(t * b * c)}
     unit = [field.zero] * d
     unit[idx(0, 0)] = field.one
     return FDAlgebra(d, mul, unit, field,

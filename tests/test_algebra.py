@@ -1,4 +1,8 @@
+from fractions import Fraction
+from functools import lru_cache
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halab.fields import QQ, CyclotomicField
 from halab.linalg import Mat, Subspace, rank
@@ -9,8 +13,11 @@ from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
                            check_algebra_morphism, regular_module,
                            is_projective, center, jacobson_radical,
                            minimal_polynomial, central_idempotents_split,
-                           wedderburn_shape, ModuleOverA, NotAGroup, NotSplit)
-from halab.zoo import cyclic_table, klein_table, s3_table, and_monoid_table
+                           wedderburn_shape, ModuleOverA, NotAGroup, NotSplit,
+                           nonzeros)
+from halab.zoo import (cyclic_table, klein_table, s3_table, and_monoid_table,
+                       groupoid_algebra, indiscrete_groupoid,
+                       action_groupoid)
 
 
 def constructor_corpus():
@@ -41,11 +48,14 @@ def test_group_table_rejects_non_groups():
 
 
 def test_validate_flags_broken_product():
-    A = group_algebra(cyclic_table(2))
-    A.mul[1][1] = A.basis_vec(1)                  # now g*g = g: associativity survives
-    A.mul[1][0] = A.basis_vec(0)                  # but unit axiom breaks
+    # k[Z2] with g*g = g (associativity survives) and g*e = e, so the unit
+    # law fails on the right at g, and only there
+    one = QQ.one
+    A = FDAlgebra(2, [[{0: one}, {1: one}], [{0: one}, {1: one}]],
+                  [one, QQ.zero], QQ)
     rep = validate_algebra(A)
-    assert not rep.ok
+    assert [(e["tag"], e["indices"], e["note"]) for e in rep.entries] == [
+        ("unit", (1,), "e_1*1 != e_1")]
 
 
 class TestStructureTheory:
@@ -60,8 +70,7 @@ class TestStructureTheory:
 
     def test_radical_of_dual_numbers(self):
         # k[x]/(x^2)
-        mul = [[[QQ.one, QQ.zero], [QQ.zero, QQ.one]],
-               [[QQ.zero, QQ.one], [QQ.zero, QQ.zero]]]
+        mul = [[{0: QQ.one}, {1: QQ.one}], [{1: QQ.one}, {}]]
         A = FDAlgebra(2, mul, [QQ.one, QQ.zero], QQ, name="dual numbers")
         assert validate_algebra(A).ok
         assert jacobson_radical(A).dim == 1
@@ -101,8 +110,7 @@ class TestModules:
 
     def test_non_projective_module(self):
         # over the dual numbers, k with x acting by zero is not projective
-        mul = [[[QQ.one, QQ.zero], [QQ.zero, QQ.one]],
-               [[QQ.zero, QQ.one], [QQ.zero, QQ.zero]]]
+        mul = [[{0: QQ.one}, {1: QQ.one}], [{1: QQ.one}, {}]]
         A = FDAlgebra(2, mul, [QQ.one, QQ.zero], QQ)
         acts = [Mat.identity(1, QQ), Mat.zero(1, 1, QQ)]
         flag, _ = is_projective(ModuleOverA(A, 1, acts, side="left"))
@@ -133,3 +141,83 @@ def test_algebra_json_round_trip():
     doc = A.to_json()
     B = FDAlgebra.from_json(doc)
     assert B.dim == A.dim and B.unit == A.unit and B.mul == A.mul
+
+
+# ---------------------------------------------------------------------------
+# sparse structure constants against a dense reference product
+
+F3 = CyclotomicField(3)
+
+
+@lru_cache(maxsize=None)
+def product_corpus(field):
+    """Group, groupoid, matrix and tensor algebras over field."""
+    kz3 = group_algebra(cyclic_table(3), field)
+    m2 = matrix_algebra(2, field)
+    return [
+        ("kZ3", kz3),
+        ("kS3", group_algebra(s3_table(), field)),
+        ("groupoid indiscrete2",
+         groupoid_algebra(indiscrete_groupoid(2), field).total),
+        ("groupoid Z2-swap", groupoid_algebra(
+            action_groupoid(cyclic_table(2), [[0, 1], [1, 0]]), field).total),
+        ("M2", m2),
+        ("M3", matrix_algebra(3, field)),
+        ("kZ3 (x) M2", tensor_algebra(kz3, m2)),
+        ("M2 enveloping", enveloping(m2)),
+    ]
+
+
+def dense_product(A, x, y):
+    """x * y through the structure constants spelled out as dense vectors
+    from the to_json triples, visiting every k of every (i, j) that x and
+    y pick."""
+    field = A.field
+    table = [[[field.zero] * A.dim for _ in range(A.dim)]
+             for _ in range(A.dim)]
+    for t in A.to_json()["mul"]:
+        table[t["i"]][t["j"]][t["k"]] = field.parse(t["c"])
+    out = [field.zero] * A.dim
+    for i in range(A.dim):
+        for j in range(A.dim):
+            if x[i] and y[j]:
+                c = x[i] * y[j]
+                for k, s in enumerate(table[i][j]):
+                    out[k] = out[k] + c * s
+    return out
+
+
+def coordinates(field, dim):
+    coeff = st.sampled_from([0, 0, 0, 1, -1, 2, Fraction(1, 2), -3])
+    if field is QQ:
+        entry = coeff
+    else:
+        entry = st.tuples(coeff, coeff).map(
+            lambda cs: field.from_rational(cs[0])
+            + field.from_rational(cs[1]) * field.zeta(1))
+    return st.lists(entry, min_size=dim, max_size=dim)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_sparse_products_match_the_dense_reference(data):
+    """mul_vec on lists and on dicts of nonzeros, its basis-index forms
+    and the multiplication matrices equal the dense reference, over Q and
+    Q(zeta_3)."""
+    field = data.draw(st.sampled_from([QQ, F3]))
+    name, A = data.draw(st.sampled_from(product_corpus(field)))
+    x = data.draw(coordinates(field, A.dim))
+    y = data.draw(coordinates(field, A.dim))
+    i = data.draw(st.integers(0, A.dim - 1))
+    j = data.draw(st.integers(0, A.dim - 1))
+    ei, ej = A.basis_vec(i), A.basis_vec(j)
+    assert A.mul_vec(x, y) == dense_product(A, x, y), name
+    assert A.mul_vec(nonzeros(x), nonzeros(y)) == dense_product(A, x, y)
+    assert A.mul_vec(i, y) == dense_product(A, ei, y), name
+    assert A.mul_vec(x, j) == dense_product(A, x, ej), name
+    assert A.mul_vec(i, j) == dense_product(A, ei, ej), name
+    assert A.mul_vec(nonzeros(x), j) == dense_product(A, x, ej), name
+    assert A.left_mult_matrix(x).col(j) == dense_product(A, x, ej), name
+    assert A.right_mult_matrix(x).col(j) == dense_product(A, ej, x), name
+    assert A.left_mult_matrix(i) == A.left_mult_matrix(ei), name
+    assert A.right_mult_matrix(i) == A.right_mult_matrix(ei), name

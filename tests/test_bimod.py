@@ -2,12 +2,13 @@ import math
 import random
 
 from halab.fields import QQ
-from halab.linalg import Mat, kron, quotient_by
+from halab.linalg import Mat, Subspace, kron, quotient_by
 from halab.algebra import group_algebra
-from halab.bimod import tensor_over, check_takeuchi_closure, BaseMismatch
+from halab.bimod import (tensor_over, check_takeuchi_closure, BaseMismatch,
+                         TakeuchiSubspace)
 from halab.hopfalgebroid import _coassociative
-from halab.zoo import (cyclic_table, indiscrete_groupoid, function_algebroid,
-                       group_hopf_algebra, groupoid_algebra)
+from halab.zoo import (cyclic_table, s3_table, indiscrete_groupoid,
+                       function_algebroid, group_hopf_algebra, groupoid_algebra)
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -88,6 +89,27 @@ def test_takeuchi_contains_coproduct_image():
         tkL = L.takeuchi()
         for b in range(H.dim):
             assert tkL.space.contains(sqL.proj.matvec(L.coproduct_lift.col(b)))
+
+
+def test_takeuchi_closure_multiplies_factorwise():
+    # over base k the square of kS3 is all of kS3 (x) kS3.  With x the sum
+    # of the group elements, x (x) x spans a subspace closed under
+    # factorwise products (x^2 = 6x) that misses e (x) e; g (x) e for g of
+    # order 3 spans one that is not closed ((g (x) e)^2 = g^2 (x) e)
+    table = s3_table()
+    Hd = group_hopf_algebra(table)
+    H, sq = Hd.total, Hd.rightb.square()
+    d = H.dim
+    assert sq.dim == d * d
+    g = next(i for i in range(d) if table[i][i])
+    closed = Subspace.from_spanning(sq.dim, [[1] * sq.dim], QQ)
+    assert check_takeuchi_closure(H, TakeuchiSubspace(sq, closed)).ok
+    ge = [0] * sq.dim
+    ge[g * d] = 1
+    rep = check_takeuchi_closure(
+        H, TakeuchiSubspace(sq, Subspace.from_spanning(sq.dim, [ge], QQ)))
+    assert [(e["tag"], e["indices"]) for e in rep.entries] == [
+        ("takeuchi:closure", (0, 0))]
 
 
 def test_takeuchi_proper_for_algebroid():

@@ -241,8 +241,8 @@ def test_reused_reports_and_shared_quotients_match_fresh_runs(
     got = [[rep.entries for _, rep in _checks_for_hopf(Hd, 3)[1:]]
            for _, Hd in instances]
     monkeypatch.undo()
-    monkeypatch.setattr(halab.hopfalgebroid, "tensor_once",
-                        lambda memo, dims, pairs, field:
+    monkeypatch.setattr(halab.hopfalgebroid, "tensor_over",
+                        lambda dims, pairs, field, memo=None:
                         tensor_over(dims, pairs, field))
     for first, second, qp in used:
         fresh = tensor_over([first.total.dim] * 3,

@@ -1,7 +1,8 @@
 """Static checks over the halab sources: every imported name is used,
 every quotient projection goes through project or apply, tensor quotients
-have one builder and rows one elimination engine, no module uses floating
-point, and true division appears only in fields.py."""
+have one builder and rows one elimination engine, products with a basis
+element are lookups, a Mat is written only before it is read, no module
+uses floating point, and true division appears only in fields.py."""
 
 import ast
 from pathlib import Path
@@ -67,6 +68,80 @@ def test_one_quotient_builder_and_one_engine():
     assert _callers("quotient_by") == {("bimod.py", "tensor_over")}
     engine = _callers("_echelon_dict")
     assert engine and {module for module, _ in engine} == {"linalg.py"}
+
+
+def _call_name(node):
+    return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_products_with_basis_elements_are_lookups(path):
+    """A product with a basis element passes its index (mul_vec(i, y),
+    left_mult_matrix(i)) or reads a column (M.col(i)); no call of
+    mul_vec, matvec or a multiplication matrix builds basis_vec(...) as
+    an argument."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _call_name(node) in ("mul_vec", "matvec", "left_mult_matrix",
+                                 "right_mult_matrix")
+        and any(isinstance(arg, ast.Call) and _call_name(arg) == "basis_vec"
+                for arg in node.args))
+    assert not lines, "%s multiplies by basis_vec(...) at lines %s" % (
+        path.name, lines)
+
+
+def _written_mat(target):
+    """X for an assignment target X.data[..] or X.data[..][..], else None."""
+    if not isinstance(target, ast.Subscript):
+        return None
+    while isinstance(target, ast.Subscript):
+        target = target.value
+    if (isinstance(target, ast.Attribute) and target.attr == "data"
+            and isinstance(target.value, ast.Name)):
+        return target.value.id
+    return None
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_a_mat_is_written_before_it_is_read(path):
+    """Mat readers use a sparse column view cached on the first read, so
+    the sources write X.data[..] only on a Mat X that the same function
+    made with Mat.zero, Mat.identity or copy(), and use X in no other way
+    than X.data, X.rows, X.cols or X.field between making it and its last
+    write (in source order)."""
+    bad = []
+    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(fn, ast.FunctionDef):
+            continue
+        made, writes = {}, {}
+        for node in ast.walk(fn):
+            targets = (node.targets if isinstance(node, ast.Assign) else
+                       [node.target] if isinstance(node, ast.AugAssign)
+                       else [])
+            for t in targets:
+                if _written_mat(t):
+                    writes.setdefault(_written_mat(t), []).append(t.lineno)
+                elif (isinstance(t, ast.Name)
+                      and isinstance(node.value, ast.Call)
+                      and _call_name(node.value) in ("zero", "identity",
+                                                     "copy")):
+                    made[t.id] = t.lineno
+        plain = {id(node.value) for node in ast.walk(fn)
+                 if isinstance(node, ast.Attribute)
+                 and node.attr in ("data", "rows", "cols", "field")}
+        for name, lines in writes.items():
+            early = [node.lineno for node in ast.walk(fn)
+                     if isinstance(node, ast.Name) and node.id == name
+                     and isinstance(node.ctx, ast.Load)
+                     and id(node) not in plain
+                     and made.get(name, max(lines)) < node.lineno
+                     < max(lines)]
+            if name not in made or early:
+                bad.append((fn.name, name, max(lines)))
+    assert not bad, "%s writes a Mat it did not just make: %s" % (path.name,
+                                                                  bad)
 
 
 def _float_uses(tree):

@@ -39,6 +39,26 @@ class TestMat:
         for j in range(2):
             assert A.matvec(B.col(j)) == C.col(j)
 
+    def test_a_copy_sees_writes_after_the_original_was_read(self):
+        """The sparse column view is built on the first read and kept, so
+        entries are changed on a fresh copy(), whose readers see them."""
+        A = Mat.from_cols([[1, 0], [0, 2], [3, 0]], 2, QQ)
+        I1, trivial = Mat.identity(1, QQ), quotient_by(2, [], QQ)
+        assert A.matvec([1, 1, 1]) == [4, 2]
+        assert kron_cols(A, I1, [{0: 1}]) == [{0: 1}]
+        assert trivial.apply(A) == A
+        B = A.copy()
+        B.data[1][0] = 5
+        assert B.matvec([1, 0, 0]) == [1, 5]
+        assert B.matvec({0: 1}) == [1, 5]
+        assert B.col(0) == [1, 5]
+        assert kron_cols(B, I1, [{0: 1}]) == [{0: 1, 1: 5}]
+        assert kron_cols(I1, B, [{0: 1}]) == [{0: 1, 1: 5}]
+        assert kron_cols(Mat.identity(2, QQ), I1, B) == [
+            {0: 1, 1: 5}, {1: 2}, {0: 3}]
+        assert trivial.apply(B) == B
+        assert A.matvec([1, 0, 0]) == [1, 0]
+
     @given(qmat(2, 2), qmat(2, 2), qmat(2, 2), qmat(2, 2))
     @settings(max_examples=25)
     def test_kron_mixed_product(self, A, B, C, D):
