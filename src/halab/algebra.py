@@ -14,7 +14,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .fields import QQ, parse_field, field_to_json
-from .linalg import Mat, kernel, rank, solve_affine_sparse, NoSolution
+from .linalg import (Mat, kernel, rank, solve_affine_sparse, vstack,
+                     NoSolution)
 from .reports import ViolationReport
 
 
@@ -95,25 +96,24 @@ class FDAlgebra:
         return out
 
     def left_mult_matrix(self, x):
-        """The matrix of y -> x y; x is a vector or a basis index."""
-        return self._matrix_of([self.mul_vec(x, j) for j in range(self.dim)])
+        """The matrix of y -> x y; x is a vector or a basis index i, whose
+        matrix has the columns mul[i][j]."""
+        return Mat.from_cols(
+            self.mul[x] if isinstance(x, int) else
+            [self.mul_vec(x, j) for j in range(self.dim)], self.dim,
+            self.field)
 
     def right_mult_matrix(self, x):
         """The matrix of y -> y x; x is a vector or a basis index."""
-        return self._matrix_of([self.mul_vec(j, x) for j in range(self.dim)])
-
-    def _matrix_of(self, cols):
-        return Mat(self.dim, self.dim, [list(r) for r in zip(*cols)],
-                   self.field)
+        return Mat.from_cols(
+            [row[x] for row in self.mul] if isinstance(x, int) else
+            [self.mul_vec(j, x) for j in range(self.dim)], self.dim,
+            self.field)
 
     def mul_matrix(self):
         """Multiplication as a matrix A tensor A -> A (kron convention)."""
-        M = Mat.zero(self.dim, self.dim * self.dim, self.field)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, s in self.mul[i][j].items():
-                    M.data[k][i * self.dim + j] = s
-        return M
+        return Mat.from_cols([c for row in self.mul for c in row], self.dim,
+                             self.field)
 
     def is_commutative(self):
         return self.noncommutative_witness() is None
@@ -301,8 +301,8 @@ def subalgebra_on_rows(A, space):
     Coordinates are read off at the pivots; raises ValueError if the span
     is not closed under multiplication or misses the unit."""
     field = A.field
-    basis_rows = space.basis_rows
-    m = len(basis_rows)
+    rows = [space.rows[p] for p in space.pivots]
+    m = len(rows)
 
     def coords(vec):
         if not space.contains(vec):
@@ -312,12 +312,11 @@ def subalgebra_on_rows(A, space):
     mul = [[None] * m for _ in range(m)]
     for a in range(m):
         for b in range(m):
-            prod = A.mul_vec(list(basis_rows[a]), list(basis_rows[b]))
+            prod = A.mul_vec(rows[a], rows[b])
             mul[a][b] = nonzeros(coords(prod))
     unit = coords(A.unit)
     sub = FDAlgebra(m, mul, unit, field, name="subalgebra")
-    incl = Mat.from_cols([list(r) for r in basis_rows], A.dim, field)
-    return sub, incl
+    return sub, space.basis
 
 
 def direct_product(A, B):
@@ -372,7 +371,7 @@ class ModuleOverA:
     def act_matrix(self, x):
         """Action matrix of an algebra element x (a coordinate list or a
         dict of nonzeros)."""
-        M = Mat.zero(self.dim, self.dim, self.algebra.field)
+        M = Mat.from_cols([{}] * self.dim, self.dim, self.algebra.field)
         for i, c in nonzeros(x).items():
             M = M + self.action[i].scale(c)
         return M
@@ -408,14 +407,13 @@ def is_projective(M):
     g = M.dim
     nA = A.dim
     free_dim = g * nA      # A^g, coordinates (slot, algebra basis)
-    # pi: A^g -> M,  (slot t, a) -> a . m_t  (or m_t . a on the right)
-    pi = Mat.zero(M.dim, free_dim, field)
+    # pi: A^g -> M,  (slot t, a) -> a . m_t  (or m_t . a on the right);
+    # its rows as dicts
+    pi_rows = [{} for _ in range(M.dim)]
     for t in range(g):
         for a in range(nA):
-            col = M.action[a].col(t) if M.side == "left" \
-                else M.action[a].col(t)
-            for i, v in enumerate(col):
-                pi.data[i][t * nA + a] = v
+            for i, v in M.action[a].sparse_cols()[t].items():
+                pi_rows[i][t * nA + a] = v
     # unknown sigma: M -> A^g, entries s[(t*nA+a), m]; constraints:
     #   pi . sigma = id_M
     #   sigma(x . m) = x . sigma(m) for algebra basis x
@@ -428,11 +426,7 @@ def is_projective(M):
     rhs = []
     for i in range(M.dim):
         for m in range(M.dim):
-            row = {}
-            for r in range(free_dim):
-                if pi.data[i][r]:
-                    row[unk(r, m)] = pi.data[i][r]
-            rows.append(row)
+            rows.append({unk(r, m): v for r, v in pi_rows[i].items()})
             rhs.append(field.one if i == m else field.zero)
     # module-map condition per algebra basis element x:
     # for each target slot t, algebra coordinate b, source m:
@@ -440,23 +434,23 @@ def is_projective(M):
     #   on A in coordinate b), where on A^g the action is componentwise
     #   left mult (left modules) or right mult by x (right modules).
     for xi in range(nA):
-        X = M.action[xi]
+        X = M.action[xi].sparse_cols()
         actA = A.left_mult_matrix(xi) if M.side == "left" \
             else A.right_mult_matrix(xi)
+        actA_rows = [{} for _ in range(nA)]
+        for a, col in enumerate(actA.sparse_cols()):
+            for b, v in col.items():
+                actA_rows[b][a] = v
         for t in range(g):
             for b in range(nA):
                 for m in range(M.dim):
                     row = {}
-                    for mp in range(M.dim):
-                        if X.data[mp][m]:
-                            row[unk(t * nA + b, mp)] = \
-                                row.get(unk(t * nA + b, mp), field.zero) \
-                                + X.data[mp][m]
-                    for a in range(nA):
-                        if actA.data[b][a]:
-                            key = unk(t * nA + a, m)
-                            row[key] = row.get(key, field.zero) \
-                                - actA.data[b][a]
+                    for mp, v in X[m].items():
+                        key = unk(t * nA + b, mp)
+                        row[key] = row.get(key, field.zero) + v
+                    for a, v in actA_rows[b].items():
+                        key = unk(t * nA + a, m)
+                        row[key] = row.get(key, field.zero) - v
                     row = {k: v for k, v in row.items() if v}
                     if row:
                         rows.append(row)
@@ -465,11 +459,8 @@ def is_projective(M):
         x, _ = solve_affine_sparse(rows, rhs, nunk, field)
     except NoSolution:
         return False, None
-    sigma = Mat.zero(free_dim, M.dim, field)
-    for r in range(free_dim):
-        for c in range(M.dim):
-            sigma.data[r][c] = x[unk(r, c)]
-    return True, sigma
+    return True, Mat.from_cols([x[c::M.dim] for c in range(M.dim)],
+                               free_dim, field)
 
 
 # ---------------------------------------------------------------------------
@@ -478,29 +469,21 @@ def is_projective(M):
 
 def center(A):
     """Kernel of the stacked commutator maps x -> x e_i - e_i x."""
-    rows = []
-    for i in range(A.dim):
-        L = A.left_mult_matrix(i)
-        R = A.right_mult_matrix(i)
-        C = R - L  # columns: e_j e_i - e_i e_j
-        rows.extend(C.data)
-    stacked = Mat(len(rows), A.dim, rows, A.field)
-    return kernel(stacked)
+    return kernel(vstack([A.right_mult_matrix(i) - A.left_mult_matrix(i)
+                          for i in range(A.dim)], A.dim, A.field))
 
 
 def jacobson_radical(A):
     """Kernel of the regular trace form T_ij = tr(L_i L_j) (Dickson;
     valid in characteristic 0)."""
     L = [A.left_mult_matrix(i) for i in range(A.dim)]
-    T = Mat.zero(A.dim, A.dim, A.field)
-    for i in range(A.dim):
-        for j in range(A.dim):
-            P = L[i] * L[j]
-            tr = A.field.zero
-            for k in range(A.dim):
-                tr = tr + P.data[k][k]
-            T.data[i][j] = tr
-    return kernel(T)
+    zero = A.field.zero
+
+    def trace(P):
+        return sum((c.get(k, zero) for k, c in enumerate(P.sparse_cols())),
+                   zero)
+    return kernel(Mat.from_cols([[trace(L[i] * L[j]) for i in range(A.dim)]
+                                 for j in range(A.dim)], A.dim, A.field))
 
 
 def _poly_eval_alg(A, coeffs, w, e):
@@ -599,12 +582,11 @@ def minimal_polynomial(A, w, e, max_deg):
     for d in range(1, max_deg + 2):
         powers.append(A.mul_vec(powers[-1], w))
         # look for dependence: sum c_i powers[i] = 0 with c_d = 1
-        M = Mat.from_cols(powers[:-1], A.dim, field)
         try:
             sol, _ = solve_affine_sparse(
-                [{j: M.data[i][j] for j in range(M.cols) if M.data[i][j]}
+                [{j: p[i] for j, p in enumerate(powers[:-1]) if p[i]}
                  for i in range(A.dim)],
-                [v for v in powers[-1]], M.cols, field)
+                powers[-1], d, field)
         except NoSolution:
             continue
         coeffs = [-c for c in sol] + [field.one]
@@ -623,8 +605,8 @@ def central_idempotents_split(A):
     while changed:
         changed = False
         for e in list(components):
-            for zrow in Z.basis_rows:
-                w = A.mul_vec(e, list(zrow))
+            for p in Z.pivots:
+                w = A.mul_vec(e, Z.rows[p])
                 coeffs = minimal_polynomial(A, w, e, A.dim)
                 if len(coeffs) <= 2:
                     continue  # scalar action on this component

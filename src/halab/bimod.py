@@ -40,7 +40,7 @@ QuotientPresentation.project/apply: no Kronecker or dense matrix product.
 import math
 
 from .algebra import nonzeros
-from .linalg import Mat, quotient_by, kernel
+from .linalg import quotient_by, kernel, vstack
 from .reports import ViolationReport
 
 
@@ -111,13 +111,12 @@ def takeuchi(square, first, second):
     sum first[r] b_i (x) b_i' = sum b_i (x) second[r] b_i'
     for every base element r.  For a right bialgebroid first/second are
     left multiplication by s_R(r) and t_R(r); for a left one, right
-    multiplication by t_L(l) and s_L(l).  The constraint's columns are the
-    projections of A e_i (x) e_j - e_i (x) B e_j at the non-pivots (i, j)."""
-    rows = []
-    for A, B in zip(first, second):
-        rows.extend(square.apply(_balance(A, B, square.index)).data)
-    stacked = Mat(len(rows), square.dim, rows, square.field)
-    return TakeuchiSubspace(square, kernel(stacked))
+    multiplication by t_L(l) and s_L(l).  The constraint stacks, for every
+    r, the projections of A e_i (x) e_j - e_i (x) B e_j at the non-pivots
+    (i, j)."""
+    return TakeuchiSubspace(square, kernel(vstack(
+        [square.apply(_balance(A, B, square.index))
+         for A, B in zip(first, second)], square.dim, square.field)))
 
 
 def pair_mul(A, B, u, v):
@@ -144,12 +143,14 @@ def check_takeuchi_closure(H, tk):
     stay inside it (so multiplication is well defined there)."""
     rep = ViolationReport()
     sq = tk.ambient
-    # the lifts of the basis, as dicts at the non-pivot columns
-    lifts = [{c: v[qi] for c, qi in sq.index.items() if v[qi]}
-             for v in tk.space.basis_rows]
+    # the lifts of the basis rows, at the non-pivot columns
+    nonpivots = list(sq.index)
+    space = tk.space
+    lifts = [{nonpivots[qi]: x for qi, x in space.rows[p].items()}
+             for p in space.pivots]
     for a, u in enumerate(lifts):
         for b, v in enumerate(lifts):
             prod = pair_mul(H, H, u, v)
-            rep.require(tk.space.contains(sq.project(prod)),
+            rep.require(space.contains(sq.project(prod)),
                         "takeuchi:closure", (a, b))
     return rep

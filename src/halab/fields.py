@@ -429,11 +429,6 @@ class Cyc:
         return self.field.format(self)
 
 
-def embed_root(N, k):
-    """zeta_N^k as an element of Q(zeta_N)."""
-    return CyclotomicField(N).zeta(k)
-
-
 def parse_field(desc):
     """Field descriptor from JSON form: 'Q' or {'cyclotomic': N}."""
     if desc == "Q":

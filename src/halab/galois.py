@@ -132,15 +132,15 @@ def trivial_comodule(Hd, B, name=None):
     """b -> b (x) 1 on both sides, over a Hopf algebroid with base k."""
     if Hd.rightb.base.dim != 1:
         raise ShapeMismatch("trivial coaction needs base k")
-    H = Hd.total
-    field = B.field
-    rho = Mat.zero(B.dim * H.dim, B.dim, field)
-    for b in range(B.dim):
-        for h in range(H.dim):
-            if H.unit[h]:
-                rho.data[b * H.dim + h][b] = H.unit[h]
-    inclusionA = Mat.identity(B.dim, field)
+    rho = _times_one(B, Hd.total)
+    inclusionA = Mat.identity(B.dim, B.field)
     return ComoduleAlgebraData(Hd, B, inclusionA, rho, rho, name=name)
+
+
+def _times_one(B, H):
+    """The map b -> b (x) 1 from B to B (x)_k H."""
+    return Mat.from_cols([{b * H.dim + h: x for h, x in enumerate(H.unit)}
+                          for b in range(B.dim)], B.dim * H.dim, B.field)
 
 
 def check_comodule(D):
@@ -216,18 +216,9 @@ def check_comodule(D):
 
 def coinvariants(D, side):
     """Kernel of rho_side - ((.) x 1) in the quotient presentation."""
-    H = D.H.total
-    B = D.B
-    field = D.field
-    dH = H.dim
     sq = D.tensorRH() if side == "R" else D.tensorLH()
     rho = D.rhoR_lift if side == "R" else D.rhoL_lift
-    T = Mat.zero(B.dim * dH, B.dim, field)
-    for b in range(B.dim):
-        for h in range(dH):
-            if H.unit[h]:
-                T.data[b * dH + h][b] = H.unit[h]
-    return kernel(sq.apply(rho - T))
+    return kernel(sq.apply(rho - _times_one(D.B, D.H.total)))
 
 
 def phi_map(D):
@@ -448,6 +439,7 @@ def _conv_inverse(D, c):
     # c * d = mu (c x d) Delta_R = idL ;   d * c = mu (d x c) Delta_L = idR
     cmap = c.map.sparse_cols()
     for h in range(dH):
+        idL_h, idR_h = idL.col(h), idR.col(h)
         for out in range(dB):
             row1 = {}
             row2 = {}
@@ -470,15 +462,12 @@ def _conv_inverse(D, c):
                             row2[key] = row2.get(key, field.zero) \
                                 + coef * cb * v
             rows.append({k: v for k, v in row1.items() if v})
-            rhs.append(idL.data[out][h])
+            rhs.append(idL_h[out])
             rows.append({k: v for k, v in row2.items() if v})
-            rhs.append(idR.data[out][h])
+            rhs.append(idR_h[out])
     x, _ = solve_affine_sparse(rows, rhs, dB * dH, field)
-    dmat = Mat.zero(dB, dH, field)
-    for i in range(dB):
-        for h in range(dH):
-            dmat.data[i][h] = x[unk(i, h)]
-    return ConvMorphism(D, "L", "R", dmat)
+    return ConvMorphism(D, "L", "R", Mat.from_cols(
+        [x[h::dH] for h in range(dH)], dB, field))
 
 
 def check_cleft(D, c, seed=0):
@@ -492,7 +481,7 @@ def check_cleft(D, c, seed=0):
     H = D.H.total
     Hd = D.H
     field = D.field
-    dB, dH = B.dim, H.dim
+    dH = H.dim
     rep.require(c.domain == "R" and c.codomain == "L", "cleft:labels")
     # L-R bimodule map: c(sL(l) h) = etaL(l) c(h), c(h sR(r)) = c(h) etaR(r)
     for l in range(Hd.leftb.base.dim):
@@ -549,71 +538,50 @@ def _normal_basis_witness(D, rep, seed):
 
     def unk(alpha, b):
         return alpha * dB + b
-    rows = []
-    rhs = []
-    # left A-linearity after projection to the quotient
-    prows = sqAH.proj.data
+    rows = {}   # a constraint's key -> its row
+
+    def add(key, col, v):
+        row = rows.setdefault(key, {})
+        row[col] = row.get(col, field.zero) + v
+    # left A-linearity after projection to the quotient: for every a, every
+    # coordinate qi and every b, P (theta La) = P (L_a (x) id) theta there
+    units = [{alpha: field.one} for alpha in range(dA * dH)]
+    P = sqAH.apply(units).sparse_cols()
+    I_H = Mat.identity(dH, field)
     for a in range(dA):
-        La = B.left_mult_matrix(Aincl.col(a))
-        PLA = sqAH.apply(kron(Aalg.left_mult_matrix(a),
-                              Mat.identity(dH, field))).data
-        for prow, plarow in zip(prows, PLA):
+        La = B.left_mult_matrix(Aincl.col(a)).sparse_cols()
+        PLA = sqAH.apply(kron_cols(Aalg.left_mult_matrix(a), I_H,
+                                   units)).sparse_cols()
+        for alpha in range(dA * dH):
+            for qi, pv in P[alpha].items():
+                for b in range(dB):
+                    for bp, v in La[b].items():
+                        add(("linear", a, qi, b), unk(alpha, bp), pv * v)
+            for qi, c2 in PLA[alpha].items():
+                for b in range(dB):
+                    add(("linear", a, qi, b), unk(alpha, b), -c2)
+    # comodule-map square in the triple quotient: (id (x) Delta_R) theta =
+    # (theta (x) id) rho, projected to T, at every coordinate and every b
+    lhs = T.apply(kron_cols(Mat.identity(dA, field), Hd.rightb.coproduct_lift,
+                            units)).sparse_cols()
+    for alpha in range(dA * dH):
+        for qi, v in lhs[alpha].items():
             for b in range(dB):
-                row = {}
-                for alpha in range(dA * dH):
-                    if prow[alpha]:
-                        for bp in range(dB):
-                            v = La.data[bp][b]
-                            if v:
-                                key = unk(alpha, bp)
-                                row[key] = row.get(key, field.zero) \
-                                    + prow[alpha] * v
-                for alpha, c2 in enumerate(plarow):
-                    if c2:
-                        key = unk(alpha, b)
-                        row[key] = row.get(key, field.zero) - c2
-                row = {k: v for k, v in row.items() if v}
-                if row:
-                    rows.append(row)
-                    rhs.append(field.zero)
-    # comodule-map square in the triple quotient
-    dRl = Hd.rightb.coproduct_lift
-    rho = D.rhoR_lift
-    for prow in T.proj.data:
-        # coefficient of theta[(a,h)][b] in lhs: sum_{h1,h2} prow[(a,h1,h2)]
-        # dR[(h1,h2)][h]
-        lhs_coef = {}
-        for idx, pv in enumerate(prow):
-            if not pv:
-                continue
-            a, r2 = divmod(idx, dH * dH)
-            h1, h2 = divmod(r2, dH)
-            for h in range(dH):
-                v = dRl.data[h1 * dH + h2][h]
-                if v:
-                    key = (a, h)
-                    lhs_coef[key] = lhs_coef.get(key, field.zero) + pv * v
-        for b in range(dB):
-            row = {}
-            for (a, h), v in lhs_coef.items():
-                if v:
-                    key = unk(a * dH + h, b)
-                    row[key] = row.get(key, field.zero) + v
-            rcol = rho.col(b)
-            for idx, pv in enumerate(prow):
-                if not pv:
-                    continue
-                a, r2 = divmod(idx, dH * dH)
-                h1, h2 = divmod(r2, dH)
-                for bp in range(dB):
-                    cv = rcol[bp * dH + h2]
-                    if cv:
-                        key = unk(a * dH + h1, bp)
-                        row[key] = row.get(key, field.zero) - pv * cv
-            row = {k: v for k, v in row.items() if v}
-            if row:
-                rows.append(row)
-                rhs.append(field.zero)
+                add(("square", qi, b), unk(alpha, b), v)
+    for b, col in enumerate(D.rhoR_lift.sparse_cols()):
+        fibres = {}     # bp -> the H-coordinates of rho(b) at bp
+        for idx, cv in col.items():
+            bp, h2 = divmod(idx, dH)
+            fibres.setdefault(bp, {})[h2] = cv
+        for bp, fibre in fibres.items():
+            for alpha in range(dA * dH):
+                image = T.project({alpha * dH + h2: cv
+                                   for h2, cv in fibre.items()})
+                for qi, v in image.items():
+                    add(("square", qi, b), unk(alpha, bp), -v)
+    rows = [r for r in ({k: v for k, v in row.items() if v}
+                        for row in rows.values()) if r]
+    rhs = [field.zero] * len(rows)
     try:
         _, kern = solve_affine_sparse(rows, rhs, nunk, field,
                                       want_kernel=True)
@@ -630,11 +598,11 @@ def _normal_basis_witness(D, rep, seed):
         return
 
     def quot_map(vec):
-        Th = Mat.zero(dA * dH, dB, field)
-        for alpha in range(dA * dH):
-            for b in range(dB):
-                Th.data[alpha][b] = vec[unk(alpha, b)]
-        return sqAH.apply(Th)
+        cols = [{} for _ in range(dB)]
+        for k, v in vec.items():
+            alpha, b = divmod(k, dB)
+            cols[b][alpha] = v
+        return sqAH.apply(cols)
     for vec in sols:
         M = quot_map(vec)
         if rank(M) == dB:
@@ -642,13 +610,12 @@ def _normal_basis_witness(D, rep, seed):
             return
     rng = random.Random(seed)
     for _ in range(64):
-        combo = [field.zero] * nunk
+        combo = {}
         for vec in sols:
             coeff = field.random(rng)
             if coeff:
-                for i, v in enumerate(vec):
-                    if v:
-                        combo[i] = combo[i] + coeff * v
+                for i, v in vec.items():
+                    combo[i] = combo.get(i, field.zero) + coeff * v
         M = quot_map(combo)
         if rank(M) == dB:
             rep.require(True, "cleft:normal-basis")
@@ -701,7 +668,6 @@ def validate_cocycle(C):
     Bb = C.BL
     Balg = Bb.total
     N = C.N
-    field = N.field
     dB, dN = Balg.dim, N.dim
     dd = Bb.coproduct_lift.sparse_cols()
     # measuring (i)
@@ -843,11 +809,11 @@ def crossed_product(C):
         return out
 
     lifts = sq.section_cols
-    mul = [[nonzeros(sq.project(lift_mul(ui, uj))) for uj in lifts]
-           for ui in lifts]
-    one = {i * dB + j: a * b for i, a in enumerate(N.unit) if a
-           for j, b in enumerate(Balg.unit) if b}
-    return FDAlgebra(sq.dim, mul, sq.project(one), field,
+    mul = [[sq.project(lift_mul(ui, uj)) for uj in lifts] for ui in lifts]
+    one = sq.project({i * dB + j: a * b for i, a in enumerate(N.unit) if a
+                      for j, b in enumerate(Balg.unit) if b})
+    return FDAlgebra(sq.dim, mul, [one.get(qi, field.zero)
+                                   for qi in range(sq.dim)], field,
                      name="crossed product")
 
 
@@ -945,7 +911,6 @@ def verify_topological_equiv(D1, D2, beta, phiL, phiR):
     """beta: B1 -> B2 an A-ring isomorphism intertwining both coactions;
     (phiL, phiR): an isomorphism of the Hopf algebroids."""
     rep = ViolationReport()
-    field = D1.field
     rep.merge(check_algebra_morphism(beta, D1.B, D2.B, tag="topo:B-ring"))
     rep.require(rank(beta) == D1.B.dim and beta.rows == beta.cols,
                 "topo:B-invertible")
@@ -1035,7 +1000,7 @@ class HopfBimoduleWitness:
         # coactions are bimodule maps (H acting through its factor)
         for i in range(H1.dim):
             La = self.bimodule.left_acts[i]
-            DL = Mat.zero(H1.dim * dU, H1.dim * dU, field)
+            DL = Mat.from_cols([{}] * (H1.dim * dU), H1.dim * dU, field)
             col = d1.col(i)
             for idx, c in enumerate(col):
                 if not c:
@@ -1046,7 +1011,7 @@ class HopfBimoduleWitness:
             rep.require(lc * La == DL * lc, tag + ":left-equivariance", (i,))
         for j in range(H2.dim):
             Ra = self.bimodule.right_acts[j]
-            DR = Mat.zero(dU * H2.dim, dU * H2.dim, field)
+            DR = Mat.from_cols([{}] * (dU * H2.dim), dU * H2.dim, field)
             col = d2.col(j)
             for idx, c in enumerate(col):
                 if not c:
@@ -1116,7 +1081,7 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
                     tag + ":bijective")
         for a in range(D1.dimA):
             lav = incl_src.col(a)
-            Lsrc = Mat.zero(W.dim, W.dim, field)
+            Lsrc = Mat.from_cols([{}] * W.dim, W.dim, field)
             for i, c in enumerate(lav):
                 if c:
                     Lsrc = Lsrc + W.left_acts[i].scale(c)
@@ -1182,10 +1147,13 @@ def comodule_to_json(D):
             "name": D.name}
 
 
-def comodule_from_json(doc):
+def comodule_from_json(doc, H=None):
+    """The comodule algebra of doc; H, when given, is the Hopf algebroid
+    already parsed from doc["hopf_algebroid"]."""
     from .linalg import shaped_mat_from_json
     from .hopfalgebroid import hopf_from_json
-    H = hopf_from_json(doc["hopf_algebroid"])
+    if H is None:
+        H = hopf_from_json(doc["hopf_algebroid"])
     B = FDAlgebra.from_json(doc["B"])
     field, dB, dH = B.field, B.dim, H.total.dim
     etaR = (shaped_mat_from_json(doc, "etaR", dB, H.rightb.base.dim, field)
@@ -1245,10 +1213,22 @@ def composition_to_json(D1, D, D2, phi, psi, f1=None, f=None):
 
 
 def composition_from_json(doc):
+    """The composition of doc.  Equal hopf_algebroid payloads are parsed
+    once, so their comodule algebras share one H and its quotients."""
     from .linalg import mat_from_json
-    D1 = comodule_from_json(doc["inner"])
-    D = comodule_from_json(doc["middle"])
-    D2 = comodule_from_json(doc["outer"])
+    from .hopfalgebroid import hopf_from_json
+    parsed = []   # (payload, H)
+
+    def comodule(part):
+        payload = part["hopf_algebroid"]
+        H = next((H for seen, H in parsed if seen == payload), None)
+        if H is None:
+            H = hopf_from_json(payload)
+            parsed.append((payload, H))
+        return comodule_from_json(part, H)
+    D1 = comodule(doc["inner"])
+    D = comodule(doc["middle"])
+    D2 = comodule(doc["outer"])
     field = D.field
     phi = mat_from_json(doc["phi"], field)
     psi = mat_from_json(doc["psi"], field)

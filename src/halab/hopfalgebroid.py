@@ -341,7 +341,7 @@ def solve_antipode(B, want_kernel=False):
         raise ShapeMismatch("solve_antipode needs a bialgebra over k")
     d = H.dim
     field = H.field
-    eta = [B.s.data[i][0] for i in range(d)]  # unit image in H
+    eta = B.s.col(0)  # unit image in H
     rows = []
     rhs = []
 
@@ -350,7 +350,7 @@ def solve_antipode(B, want_kernel=False):
 
     cols = B.coproduct_lift.sparse_cols()
     for bidx in range(d):
-        eps_b = B.counit.data[0][bidx]
+        eps_b = B.counit.col(bidx)[0]
         # sum_ij c_ij S(e_i) e_j = eps(b) 1   -> rows per output coord
         rows1 = [{} for _ in range(d)]
         rows2 = [{} for _ in range(d)]
@@ -375,10 +375,7 @@ def solve_antipode(B, want_kernel=False):
                                       want_kernel=True)
     except NoSolution:
         raise NoAntipode()
-    S = Mat.zero(d, d, field)
-    for k in range(d):
-        for i in range(d):
-            S.data[k][i] = x[unk(k, i)]
+    S = Mat.from_cols([x[i::d] for i in range(d)], d, field)
     if want_kernel:
         return S, kern
     return S
@@ -445,7 +442,7 @@ def _descends(phi, src, tgt):
     """phi (x) phi maps the relations of the quotient src into those of
     tgt: the image of each relation row of src projects to zero in tgt."""
     images = kron_cols(phi, phi, list(src.rows.values()))
-    return not any(any(tgt.project(v)) for v in images)
+    return not any(tgt.project(v) for v in images)
 
 
 def check_geometric_morphism(f, phi, source, target):
@@ -471,7 +468,7 @@ def check_geometric_morphism(f, phi, source, target):
                     note="phi x_f phi does not descend")
         mulS = BS.total.mul_matrix()
         mulK = K.mul_matrix()
-        section = sqS.section
+        section = Mat.from_cols(sqS.section_cols, sqS.ambient_dim, K.field)
         lhs = phi * (mulS * section)
         rhs = mulK * (kron(phi, phi) * section)
         rep.require(lhs == rhs, tag, note="multiplication square")

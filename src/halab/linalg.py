@@ -2,31 +2,37 @@
 
 Everything downstream (axiom checks, coinvariants, Galois maps) reduces to
 row reduction, kernels, affine solves and quotient presentations computed
-here.  A Mat keeps its entries as dense row-major lists (data, the form
-constructors write) and reads them through one sparse view: the columns
-as dicts of their nonzeros, built on the first column read and kept.
-matvec, col, kron_cols and QuotientPresentation.apply walk that view, so
-they skip zero cells by construction.  Pivots divide through field.div:
-over Q an integral scalar is an int.
+here.  A Mat is its nonzero columns, as dicts {row: value}, and the
+library builds every Mat from them: Mat.from_cols, products, sums, kron
+and QuotientPresentation.apply, so no product, projection or comparison
+walks a zero cell.  The dense constructors Mat(rows, cols, data), zero
+and copy() stay for tests and benchmark mutations, which write entries
+into .data; such a Mat builds its columns on the first column read.  ==
+compares nonzero columns, so two Mats are equal however each was built.
+Pivots divide through field.div: over Q an integral scalar is an int.
 
 One elimination engine, _echelon_dict, does every row reduction: it takes
 list or dict rows, works on their nonzeros only and returns the canonical
 RREF (leftmost-first-nonzero pivots, fully back-substituted), so subspace
-equality is a plain entrywise comparison.  It reduces each incoming vector
-in one pass and back-substitutes a new pivot only into the rows that are
-nonzero there, found through a column index.  rref, rank, kernel, image,
-solve_affine, solve_affine_sparse, inverse, det, Subspace and quotient_by
-are views of its output.  A QuotientPresentation stores only those
-canonical relation rows: project(vec) and apply(M) = proj * M reduce
-against them, and the dense proj and section are built only when read.
-kron_cols(A, B, M) gives the columns of kron(A, B) * M from the nonzeros
-of the three factors, so lifts such as (Delta (x) id) Delta are projected
-without forming a Kronecker product.
+equality is a plain comparison of dict rows.  It reduces each incoming
+vector in one pass (_reduce, which Subspace.contains shares) and
+back-substitutes a new pivot only into the rows that are nonzero there,
+found through a column index.  rref, rank, kernel, image, solve_affine,
+solve_affine_sparse, inverse, det, Subspace and quotient_by are views of
+its output; a Mat reaches it as dict rows read from its columns.  A
+QuotientPresentation stores only the canonical relation rows:
+project(vec) returns the dict of a projected vector's nonzeros and
+apply(M) = proj * M is the Mat of the projected columns.  kron_cols(A, B,
+M) gives the columns of kron(A, B) * M from the nonzeros of the three
+factors, so lifts such as (Delta (x) id) Delta are projected without
+forming a Kronecker product.
 
 Kronecker convention, fixed once for the whole package:
     kron(A, B) acts on pure tensors by (i tensor j) -> i*dimB + j,
 i.e. the second factor varies fastest.
 """
+
+from operator import add, sub
 
 from .fields import QQ
 
@@ -45,23 +51,40 @@ def _items(vec):
 
 
 class Mat:
-    """A rows x cols matrix.  data is its dense, writable form; the sparse
-    column view that the readers use is computed from data once, on the
-    first column read.  The library writes no Mat after reading it; to
-    change entries of a Mat that was read, write them on a copy()."""
+    """A rows x cols matrix, held as its nonzero columns: dicts {row:
+    value}.  The library builds every Mat from its columns (from_cols,
+    identity, products, sums, kron, QuotientPresentation.apply).
+    Mat(rows, cols, data), zero and copy() hold dense rows instead,
+    because tests and benchmark mutations write entries into .data; such
+    a Mat builds its columns on the first column read, and no reader sees
+    a later write.  Reading .data of a Mat built from its columns builds
+    the dense rows once, as a view.  To change entries of a Mat that was
+    read, write them on a copy()."""
 
-    __slots__ = ("rows", "cols", "data", "field", "_sparse_cols")
+    __slots__ = ("rows", "cols", "field", "_data", "_cols")
 
     def __init__(self, rows, cols, data, field=QQ):
         if len(data) != rows or any(len(r) != cols for r in data):
             raise ShapeMismatch("bad matrix data shape")
         self.rows = rows
         self.cols = cols
-        self.data = data
         self.field = field
-        self._sparse_cols = None
+        self._data = data
+        self._cols = None
 
     # -- constructors -----------------------------------------------------
+
+    @classmethod
+    def from_cols(cls, cols_list, ambient_dim, field=QQ):
+        """The ambient_dim x len(cols_list) matrix with these columns, each
+        a list or a dict {row: value}; zeros are dropped."""
+        M = cls.__new__(cls)
+        M.rows = ambient_dim
+        M.cols = len(cols_list)
+        M.field = field
+        M._data = None
+        M._cols = [{i: v for i, v in _items(col) if v} for col in cols_list]
+        return M
 
     @classmethod
     def zero(cls, rows, cols, field=QQ):
@@ -70,43 +93,42 @@ class Mat:
 
     @classmethod
     def identity(cls, n, field=QQ):
-        M = cls.zero(n, n, field)
-        for i in range(n):
-            M.data[i][i] = field.one
-        return M
-
-    @classmethod
-    def from_cols(cls, cols_list, ambient_dim, field=QQ):
-        M = cls.zero(ambient_dim, len(cols_list), field)
-        for j, col in enumerate(cols_list):
-            for i, v in _items(col):
-                M.data[i][j] = v
-        return M
+        return cls.from_cols([{i: field.one} for i in range(n)], n, field)
 
     @classmethod
     def column(cls, vec, field=QQ):
-        return cls(len(vec), 1, [[v] for v in vec], field)
+        return cls.from_cols([vec], len(vec), field)
 
-    # -- basic ops --------------------------------------------------------
+    # -- the two forms ----------------------------------------------------
 
-    def __getitem__(self, ij):
-        return self.data[ij[0]][ij[1]]
-
-    def copy(self):
-        return Mat(self.rows, self.cols, [list(r) for r in self.data], self.field)
+    @property
+    def data(self):
+        """The dense rows (built from the columns on the first read when
+        the Mat was built from them)."""
+        if self._data is None:
+            z = self.field.zero
+            rows = [[z] * self.cols for _ in range(self.rows)]
+            for j, col in enumerate(self._cols):
+                for i, x in col.items():
+                    rows[i][j] = x
+            self._data = rows
+        return self._data
 
     def sparse_cols(self):
-        """The columns as dicts {row: value} of their nonzeros, built on the
-        first call and shared by every later one (callers do not modify
-        them)."""
-        if self._sparse_cols is None:
+        """The columns as dicts {row: value} of their nonzeros, shared by
+        every call (callers do not modify them)."""
+        if self._cols is None:
             cols = [{} for _ in range(self.cols)]
-            for i, r in enumerate(self.data):
+            for i, r in enumerate(self._data):
                 for j, x in enumerate(r):
                     if x:
                         cols[j][i] = x
-            self._sparse_cols = cols
-        return self._sparse_cols
+            self._cols = cols
+        return self._cols
+
+    def copy(self):
+        return Mat(self.rows, self.cols, [list(r) for r in self.data],
+                   self.field)
 
     def col(self, j):
         out = [self.field.zero] * self.rows
@@ -114,35 +136,30 @@ class Mat:
             out[i] = x
         return out
 
-    def transpose(self):
-        return Mat(self.cols, self.rows,
-                   [[self.data[i][j] for i in range(self.rows)]
-                    for j in range(self.cols)], self.field)
+    # -- arithmetic, column by column -------------------------------------
 
     def __add__(self, other):
-        self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [[a + b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.data, other.data)], self.field)
+        return self._merge(other, add)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return Mat(self.rows, self.cols,
-                   [[a - b for a, b in zip(ra, rb)]
-                    for ra, rb in zip(self.data, other.data)], self.field)
+        return self._merge(other, sub)
 
-    def __neg__(self):
-        return Mat(self.rows, self.cols,
-                   [[-a for a in r] for r in self.data], self.field)
-
-    def scale(self, c):
-        return Mat(self.rows, self.cols,
-                   [[c * a for a in r] for r in self.data], self.field)
-
-    def _same_shape(self, other):
+    def _merge(self, other, op):
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch("%dx%d vs %dx%d"
                                 % (self.rows, self.cols, other.rows, other.cols))
+        zero, out = self.field.zero, []
+        for a, b in zip(self.sparse_cols(), other.sparse_cols()):
+            c = dict(a)
+            for i, x in b.items():
+                c[i] = op(c.get(i, zero), x)
+            out.append(c)
+        return Mat.from_cols(out, self.rows, self.field)
+
+    def scale(self, c):
+        return Mat.from_cols([{i: c * x for i, x in col.items()}
+                              for col in self.sparse_cols()],
+                             self.rows, self.field)
 
     def __mul__(self, other):
         if not isinstance(other, Mat):
@@ -150,67 +167,48 @@ class Mat:
         if self.cols != other.rows:
             raise ShapeMismatch("cannot multiply %dx%d by %dx%d"
                                 % (self.rows, self.cols, other.rows, other.cols))
-        out = Mat.zero(self.rows, other.cols, self.field)
-        for i in range(self.rows):
-            ri = self.data[i]
-            oi = out.data[i]
-            for k in range(self.cols):
-                a = ri[k]
-                if a:
-                    rk = other.data[k]
-                    for j in range(other.cols):
-                        b = rk[j]
-                        if b:
-                            oi[j] = oi[j] + a * b
-        return out
+        cols, zero = self.sparse_cols(), self.field.zero
+        return Mat.from_cols([_combine(cols, col, zero)
+                              for col in other.sparse_cols()],
+                             self.rows, self.field)
 
     def matvec(self, vec):
         """self * vec for a list or a dict {col: value}, summed over the
         nonzeros of vec and of the columns they pick."""
         if not isinstance(vec, dict) and len(vec) != self.cols:
             raise ShapeMismatch("matvec length mismatch")
-        cols = self.sparse_cols()
         out = [self.field.zero] * self.rows
-        for k, v in _items(vec):
-            if v:
-                for i, a in cols[k].items():
-                    out[i] = out[i] + a * v
+        for i, x in _combine(self.sparse_cols(), vec,
+                             self.field.zero).items():
+            out[i] = x
         return out
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
             return NotImplemented
         return (self.rows, self.cols) == (other.rows, other.cols) \
-            and self.data == other.data
+            and self.sparse_cols() == other.sparse_cols()
 
     def __hash__(self):
-        return hash((self.rows, self.cols,
-                     tuple(tuple(r) for r in self.data)))
+        return hash((self.rows, self.cols, tuple(
+            frozenset(col.items()) for col in self.sparse_cols())))
 
     def is_zero(self):
-        return all(not v for r in self.data for v in r)
+        return not any(self.sparse_cols())
 
     def __repr__(self):
         return "Mat(%dx%d)" % (self.rows, self.cols)
 
 
-def kron(A, B):
-    """Kronecker product with (i tensor j) -> i*B.rows + j on row indices
-    and (k tensor l) -> k*B.cols + l on column indices."""
-    out = Mat.zero(A.rows * B.rows, A.cols * B.cols, A.field)
-    for i in range(A.rows):
-        for k in range(A.cols):
-            a = A.data[i][k]
-            if not a:
-                continue
-            for j in range(B.rows):
-                rb = B.data[j]
-                ro = out.data[i * B.rows + j]
-                base = k * B.cols
-                for l in range(B.cols):
-                    if rb[l]:
-                        ro[base + l] = a * rb[l]
-    return out
+def _combine(cols, vec, zero):
+    """sum of v * cols[k] over the nonzeros (k, v) of vec (a list or a
+    dict), as a dict; entries that cancel stay, as zeros."""
+    acc = {}
+    for k, v in _items(vec):
+        if v:
+            for i, a in cols[k].items():
+                acc[i] = acc.get(i, zero) + a * v
+    return acc
 
 
 def _columns(M):
@@ -241,6 +239,52 @@ def kron_cols(A, B, M):
     return out
 
 
+def kron(A, B):
+    """Kronecker product with (i tensor j) -> i*B.rows + j on row indices
+    and (k tensor l) -> k*B.cols + l on column indices: kron_cols over the
+    identity columns."""
+    one = A.field.one
+    return Mat.from_cols(
+        kron_cols(A, B, [{c: one} for c in range(A.cols * B.cols)]),
+        A.rows * B.rows, A.field)
+
+
+def vstack(mats, ncols, field=QQ):
+    """The Mats in mats, each with ncols columns, stacked top to bottom."""
+    cols, top = [{} for _ in range(ncols)], 0
+    for M in mats:
+        for col, c in zip(cols, M.sparse_cols()):
+            for i, x in c.items():
+                col[top + i] = x
+        top += M.rows
+    return Mat.from_cols(cols, top, field)
+
+
+def _rows(M):
+    """The rows of M as dicts {col: value}, read from its columns."""
+    rows = [{} for _ in range(M.rows)]
+    for j, col in enumerate(M.sparse_cols()):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
+
+
+def _reduce(vec, rows, zero):
+    """vec (a list or a dict) minus v[q] * rows[q] for every pivot q in its
+    support, as a dict of its nonzeros.  Every row of rows is zero at every
+    other pivot, so this one pass leaves vec zero at every pivot."""
+    v = {c: x for c, x in _items(vec) if x}
+    for q in v.keys() & rows.keys():
+        f = v[q]
+        for c, x in rows[q].items():
+            nv = v.get(c, zero) - f * x
+            if nv:
+                v[c] = nv
+            elif c in v:
+                del v[c]
+    return v
+
+
 def _echelon_dict(vectors, field):
     """The one elimination engine: canonical RREF of a spanning set of
     vectors, each a list or a dict {col: value}.  Returns (rows, scalars):
@@ -248,25 +292,15 @@ def _echelon_dict(vectors, field):
     the order the pivots were found; scalars are the pivot values the new
     rows were divided by, in the same order.
 
-    Every stored row is zero at every other pivot, so one pass reduces an
-    incoming vector completely: subtract v[q] * rows[q] for each pivot q
-    in its support.  where maps each non-pivot column to the pivots whose
-    rows are nonzero there, so a new pivot is back-substituted into those
-    rows only."""
+    One _reduce pass reduces an incoming vector completely.  where maps
+    each non-pivot column to the pivots whose rows are nonzero there, so a
+    new pivot is back-substituted into those rows only."""
     zero, div = field.zero, field.div
     rows = {}  # pivot column -> dict col -> value
     where = {}  # non-pivot column -> set of pivots nonzero there
     scalars = []
     for vec in vectors:
-        v = {c: x for c, x in _items(vec) if x}
-        for q in v.keys() & rows.keys():
-            f = v[q]
-            for c, x in rows[q].items():
-                nv = v.get(c, zero) - f * x
-                if nv:
-                    v[c] = nv
-                elif c in v:
-                    del v[c]
+        v = _reduce(vec, rows, zero)
         if not v:
             continue
         p = min(v)
@@ -292,46 +326,31 @@ def _echelon_dict(vectors, field):
     return rows, scalars
 
 
-def _dense_rows(rows, ncols, field):
-    """Dict rows keyed by pivot as dense lists, in increasing pivot order,
-    and their pivots."""
-    pivots = sorted(rows)
-    out = []
-    for p in pivots:
-        r = [field.zero] * ncols
-        for c, x in rows[p].items():
-            r[c] = x
-        out.append(r)
-    return out, pivots
-
-
 def _kernel_vectors(rows, ncols, field):
-    """One null vector per free column below ncols of the echelon rows:
-    1 at the free column, minus the rows' entries there at their pivots."""
-    kern = []
-    for f in range(ncols):
-        if f in rows:
-            continue
-        v = [field.zero] * ncols
-        v[f] = field.one
-        for p, row in rows.items():
-            if f in row:
-                v[p] = -row[f]
-        kern.append(v)
-    return kern
+    """One null vector per free column f below ncols of the echelon rows,
+    as a dict: 1 at f, minus the rows' entries at f at their pivots."""
+    kern = {f: {f: field.one} for f in range(ncols) if f not in rows}
+    for p, row in rows.items():
+        for c, x in row.items():
+            if c in kern:
+                kern[c][p] = -x
+    return list(kern.values())
 
 
 def rref(M):
     """Reduced row echelon form with the leftmost-first-nonzero pivot rule.
     Returns (R, pivot column list)."""
-    R, pivots = _dense_rows(_echelon_dict(M.data, M.field)[0], M.cols,
-                            M.field)
-    R += [[M.field.zero] * M.cols for _ in range(M.rows - len(R))]
-    return Mat(M.rows, M.cols, R, M.field), pivots
+    rows = _echelon_dict(_rows(M), M.field)[0]
+    pivots = sorted(rows)
+    cols = [{} for _ in range(M.cols)]
+    for i, p in enumerate(pivots):
+        for c, x in rows[p].items():
+            cols[c][i] = x
+    return Mat.from_cols(cols, M.rows, M.field), pivots
 
 
 def rank(M):
-    return len(_echelon_dict(M.data, M.field)[0])
+    return len(_echelon_dict(_rows(M), M.field)[0])
 
 
 def det(M):
@@ -339,7 +358,7 @@ def det(M):
     times the sign of the order in which the pivot columns were found."""
     if M.rows != M.cols:
         raise ShapeMismatch("determinant of non-square matrix")
-    rows, scalars = _echelon_dict(M.data, M.field)
+    rows, scalars = _echelon_dict(_rows(M), M.field)
     if len(rows) < M.rows:
         return M.field.zero
     out = M.field.one
@@ -355,43 +374,45 @@ def det(M):
 
 
 class Subspace:
-    """A subspace of k^n with a canonical (RREF-row) basis, so equality of
-    subspaces is plain equality of basis matrices."""
+    """A subspace of k^n with a canonical basis: the RREF rows of
+    _echelon_dict, kept as dicts by pivot, so two subspaces are equal
+    exactly when these rows are."""
 
-    __slots__ = ("ambient_dim", "basis_rows", "pivots", "field")
+    __slots__ = ("ambient_dim", "rows", "pivots", "field")
 
-    def __init__(self, ambient_dim, basis_rows, pivots, field):
+    def __init__(self, ambient_dim, rows, field):
         self.ambient_dim = ambient_dim
-        self.basis_rows = basis_rows
-        self.pivots = pivots
+        self.rows = rows
+        self.pivots = sorted(rows)
         self.field = field
 
     @classmethod
     def from_spanning(cls, ambient_dim, vectors, field=QQ):
-        rows, pivots = _dense_rows(_echelon_dict(vectors, field)[0],
-                                   ambient_dim, field)
-        return cls(ambient_dim, rows, pivots, field)
+        return cls(ambient_dim, _echelon_dict(vectors, field)[0], field)
 
     @property
     def dim(self):
-        return len(self.basis_rows)
+        return len(self.rows)
+
+    @property
+    def basis_rows(self):
+        """The canonical rows as dense lists, in increasing pivot order."""
+        basis = self.basis
+        return [basis.col(j) for j in range(self.dim)]
 
     @property
     def basis(self):
         """Basis vectors as the columns of a matrix (canonical order)."""
-        return Mat.from_cols(self.basis_rows, self.ambient_dim, self.field)
+        return Mat.from_cols([self.rows[p] for p in self.pivots],
+                             self.ambient_dim, self.field)
 
     def contains(self, vec):
-        v = list(vec)
-        for row, p in zip(self.basis_rows, self.pivots):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, row)]
-        return not any(v)
+        """Whether vec, a list or a dict, lies in the subspace."""
+        return not _reduce(vec, self.rows, self.field.zero)
 
     def coords(self, vec):
-        """The values of vec at the pivots: its coordinates in the basis
-        when vec lies in the subspace (a canonical row has 1 at its
+        """The values of the list vec at the pivots: its coordinates in the
+        basis when vec lies in the subspace (a canonical row has 1 at its
         pivot)."""
         return [vec[p] for p in self.pivots]
 
@@ -402,10 +423,10 @@ class Subspace:
         if not isinstance(other, Subspace):
             return NotImplemented
         return (self.ambient_dim == other.ambient_dim
-                and self.basis_rows == other.basis_rows)
+                and self.rows == other.rows)
 
     def __le__(self, other):
-        return other.contains_all(self.basis_rows)
+        return other.contains_all(self.rows.values())
 
     def __repr__(self):
         return "Subspace(dim %d of %d)" % (self.dim, self.ambient_dim)
@@ -413,7 +434,7 @@ class Subspace:
 
 def kernel(M):
     """Null space of M with canonical basis."""
-    rows, _ = _echelon_dict(M.data, M.field)
+    rows, _ = _echelon_dict(_rows(M), M.field)
     return Subspace.from_spanning(
         M.cols, _kernel_vectors(rows, M.cols, M.field), M.field)
 
@@ -428,14 +449,9 @@ def solve_affine(constraint, rhs):
     Subspace) or raises NoSolution."""
     if len(rhs) != constraint.rows:
         raise ShapeMismatch("rhs length mismatch")
-    x, kern = solve_affine_sparse([dict(enumerate(r)) for r in constraint.data],
-                                  rhs, constraint.cols, constraint.field,
-                                  want_kernel=True)
+    x, kern = solve_affine_sparse(_rows(constraint), rhs, constraint.cols,
+                                  constraint.field, want_kernel=True)
     return x, Subspace.from_spanning(constraint.cols, kern, constraint.field)
-
-
-def is_invertible(M):
-    return M.rows == M.cols and rank(M) == M.rows
 
 
 def inverse(M):
@@ -444,20 +460,26 @@ def inverse(M):
         raise ShapeMismatch("inverse of non-square matrix")
     n = M.rows
     field = M.field
-    aug = [{**dict(enumerate(r)), n + i: field.one}
-           for i, r in enumerate(M.data)]
+    aug = _rows(M)
+    for i, row in enumerate(aug):
+        row[n + i] = field.one
     rows, _ = _echelon_dict(aug, field)
     if any(p >= n for p in rows):
         raise NoSolution("matrix is singular")
-    return Mat(n, n, [[rows[p].get(n + j, field.zero) for j in range(n)]
-                      for p in range(n)], field)
+    cols = [{} for _ in range(n)]
+    for p, row in rows.items():
+        for c, x in row.items():
+            if c >= n:
+                cols[c - n][p] = x
+    return Mat.from_cols(cols, n, field)
 
 
 def solve_affine_sparse(constraint_rows, rhs, ncols, field=QQ, want_kernel=False):
     """Sparse variant of solve_affine.  constraint_rows is a list of dicts
     {col: value}; rhs a dense list of the same length.  Unknowns occupy
     columns 0..ncols-1; the right-hand side is treated as column ncols.
-    Returns (particular, kernel_vectors_or_None) or raises NoSolution."""
+    Returns (particular, kernel vectors as dicts, or None) or raises
+    NoSolution."""
     aug = []
     for row, b in zip(constraint_rows, rhs):
         r = dict(row)
@@ -479,7 +501,8 @@ class QuotientPresentation:
     of _echelon_dict: rows maps each pivot column to its dict row (1 at the
     pivot, the rest at non-pivot columns).  The quotient coordinates are the
     non-pivot columns in increasing order; index maps each to its
-    coordinate.  proj and section are dense views built on each read."""
+    coordinate.  project and apply give sparse results: no dense
+    projection matrix is ever formed."""
 
     __slots__ = ("ambient_dim", "rows", "pivots", "index", "dim", "field")
 
@@ -493,53 +516,41 @@ class QuotientPresentation:
         self.field = field
 
     def project(self, vec):
-        """proj . vec for a list or a dict {col: value}: a non-pivot column
-        goes to its own coordinate; a pivot p spreads -v * row_p[c] onto the
+        """proj . vec, for a list or a dict {col: value}, as a dict
+        {coordinate: value} of its nonzeros: a non-pivot column goes to
+        its own coordinate; a pivot p spreads -v * row_p[c] onto the
         non-pivot columns c of its row."""
         if not isinstance(vec, dict) and len(vec) != self.ambient_dim:
             raise ShapeMismatch("project length mismatch")
-        index, out = self.index, [self.field.zero] * self.dim
+        index, zero, out = self.index, self.field.zero, {}
         for c, v in _items(vec):
             if not v:
                 continue
             qi = index.get(c)
             if qi is not None:
-                out[qi] = out[qi] + v
+                out[qi] = out.get(qi, zero) + v
                 continue
             for c2, x in self.rows[c].items():
                 if c2 != c:
                     qi = index[c2]
-                    out[qi] = out[qi] - v * x
-        return out
+                    out[qi] = out.get(qi, zero) - v * x
+        return {qi: x for qi, x in out.items() if x}
 
     def apply(self, M):
-        """proj * M, column by column through project; M is a Mat or a
+        """proj * M, built from the projected columns; M is a Mat or a
         list of columns (lists or dicts)."""
-        cols = [self.project(col) for col in _columns(M)]
-        return Mat(self.dim, len(cols),
-                   [[col[qi] for col in cols] for qi in range(self.dim)],
-                   self.field)
-
-    @property
-    def proj(self):
-        """The dim x ambient_dim projection matrix."""
-        return self.apply(Mat.identity(self.ambient_dim, self.field))
-
-    @property
-    def section(self):
-        """Coordinate qi -> e_c for its non-pivot column c."""
-        return Mat.from_cols(self.section_cols, self.ambient_dim, self.field)
+        return Mat.from_cols([self.project(col) for col in _columns(M)],
+                             self.dim, self.field)
 
     @property
     def section_cols(self):
-        """The columns of section as dicts."""
+        """Coordinate qi -> e_c for its non-pivot column c, as dicts."""
         return [{c: self.field.one} for c in self.index]
 
     @property
     def relations(self):
         """The relation span, read from the stored rows."""
-        n, field = self.ambient_dim, self.field
-        return Subspace(n, *_dense_rows(self.rows, n, field), field)
+        return Subspace(self.ambient_dim, self.rows, self.field)
 
 
 def quotient_by(ambient_dim, relation_vectors, field=QQ):
@@ -550,25 +561,27 @@ def quotient_by(ambient_dim, relation_vectors, field=QQ):
 
 
 def mat_to_json(M):
-    """Sparse matrix form: omitted entries are zero."""
-    entries = []
-    for i in range(M.rows):
-        for j in range(M.cols):
-            v = M.data[i][j]
-            if v:
-                entries.append({"r": i, "c": j, "v": M.field.format(v)})
-    return {"rows": M.rows, "cols": M.cols, "entries": entries}
+    """Sparse matrix form, entries in row-major order: omitted entries are
+    zero."""
+    entries = sorted((i, j, x) for j, col in enumerate(M.sparse_cols())
+                     for i, x in col.items())
+    return {"rows": M.rows, "cols": M.cols,
+            "entries": [{"r": i, "c": j, "v": M.field.format(x)}
+                        for i, j, x in entries]}
 
 
 def mat_from_json(doc, field=QQ):
-    M = Mat.zero(int(doc["rows"]), int(doc["cols"]), field)
+    rows, ncols = int(doc["rows"]), int(doc["cols"])
+    if rows < 0 or ncols < 0:
+        raise ShapeMismatch("bad matrix data shape")
+    cols = [{} for _ in range(ncols)]
     for e in doc["entries"]:
         r, c = int(e["r"]), int(e["c"])
-        if not (0 <= r < M.rows and 0 <= c < M.cols):
+        if not (0 <= r < rows and 0 <= c < ncols):
             raise ValueError("matrix entry %r outside a %dx%d matrix"
-                             % (e, M.rows, M.cols))
-        M.data[r][c] = field.parse(e["v"])
-    return M
+                             % (e, rows, ncols))
+        cols[c][r] = field.parse(e["v"])
+    return Mat.from_cols(cols, rows, field)
 
 
 def shaped_mat_from_json(doc, key, rows, cols, field=QQ):

@@ -243,10 +243,10 @@ def fiber_matrices(n, m, x, y):
 
     def mat(exps):
         # {(i, j): k} -> the matrix with zeta_N^k at (i, j), zero elsewhere
-        M = Mat.zero(m, m, field)
+        cols = [{} for _ in range(m)]
         for (i, j), k in exps.items():
-            M.data[i][j] = roots[k % N]
-        return M
+            cols[j][i] = roots[k % N]
+        return Mat.from_cols(cols, m, field)
 
     def unitary(exps):
         adjoint = mat({(j, i): -k for (i, j), k in exps.items()})
@@ -350,8 +350,9 @@ def torus_galois_matrix(n):
         if len(powers) != 1:
             raise ValueError("column %d mixes powers of the carry" % col)
         carries += powers.pop()
-    M0 = Mat(dim, dim, [[sum(e.values(), field.zero) if e else field.zero
-                         for e in row] for row in M], field)
+    M0 = Mat.from_cols([{r: sum(row[c].values(), field.zero)
+                         for r, row in enumerate(M) if row[c]}
+                        for c in range(dim)], dim, field)
     d0 = det(M0)
     dpoly = {carries: d0} if d0 else {}
     return {"matrix": M, "det": dpoly, "unit": bool(dpoly)}

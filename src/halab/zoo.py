@@ -381,11 +381,8 @@ def disjoint_union_gset(gset, copies):
 # assembling a Hopf algebroid from a right bialgebroid plus antipode
 
 def _swap_matrix(d, field):
-    M = Mat.zero(d * d, d * d, field)
-    for i in range(d):
-        for j in range(d):
-            M.data[j * d + i][i * d + j] = field.one
-    return M
+    return Mat.from_cols([{j * d + i: field.one} for i in range(d)
+                          for j in range(d)], d * d, field)
 
 
 def assemble_hopf_algebroid(rightb, S, left_coproduct_lift=None, name=None):
@@ -438,18 +435,11 @@ def groupoid_algebra(G, field=QQ):
         unit[u] = field.one
     H = FDAlgebra(d, mul, unit, field, name="groupoid algebra")
     base = product_field_algebra(m, field)
-    iota = Mat.zero(d, m, field)
-    for x in range(m):
-        iota.data[G.units[x]][x] = field.one
-    dR = Mat.zero(d * d, d, field)
-    for f in range(d):
-        dR.data[f * d + f][f] = field.one
-    epsR = Mat.zero(m, d, field)
-    for f in range(d):
-        epsR.data[G.src[f]][f] = field.one
-    S = Mat.zero(d, d, field)
-    for f in range(d):
-        S.data[G.inv[f]][f] = field.one
+    one = field.one
+    iota = Mat.from_cols([{G.units[x]: one} for x in range(m)], d, field)
+    dR = _grouplike_coproduct(d, field)
+    epsR = Mat.from_cols([{G.src[f]: one} for f in range(d)], m, field)
+    S = Mat.from_cols([{G.inv[f]: one} for f in range(d)], d, field)
     rightb = BialgebroidData(H, base, "right", iota, iota, dR, epsR)
     return assemble_hopf_algebroid(rightb, S, name="groupoid algebra")
 
@@ -465,20 +455,18 @@ def function_algebroid(G, field=QQ):
     H = product_field_algebra(d, field)
     H.name = "functions on morphisms"
     base = product_field_algebra(m, field)
-    sR = Mat.zero(d, m, field)
-    tR = Mat.zero(d, m, field)
-    for f in range(d):
-        sR.data[f][G.src[f]] = field.one
-        tR.data[f][G.tgt[f]] = field.one
-    dR = Mat.zero(d * d, d, field)
+    one = field.one
+    sR = Mat.from_cols([{f: one for f in range(d) if G.src[f] == x}
+                        for x in range(m)], d, field)
+    tR = Mat.from_cols([{f: one for f in range(d) if G.tgt[f] == x}
+                        for x in range(m)], d, field)
+    dcols = [{} for _ in range(d)]
     for (g, h), f in G.compose.items():
-        dR.data[g * d + h][f] = field.one
-    epsR = Mat.zero(m, d, field)
-    for x in range(m):
-        epsR.data[x][G.units[x]] = field.one
-    S = Mat.zero(d, d, field)
-    for f in range(d):
-        S.data[G.inv[f]][f] = field.one
+        dcols[f][g * d + h] = one
+    dR = Mat.from_cols(dcols, d * d, field)
+    epsR = Mat.from_cols([{x: one for x in range(m) if G.units[x] == f}
+                          for f in range(d)], m, field)
+    S = Mat.from_cols([{G.inv[f]: one} for f in range(d)], d, field)
     rightb = BialgebroidData(H, base, "right", sR, tR, dR, epsR)
     return assemble_hopf_algebroid(rightb, S, name="function algebroid")
 
@@ -498,11 +486,20 @@ def monoid_bialgebra(table, identity, field=QQ):
     H = FDAlgebra(n, mul, unit, field, name="monoid algebra")
     base = product_field_algebra(1, field)
     eta = Mat.from_cols([unit], n, field)
-    dR = Mat.zero(n * n, n, field)
-    for i in range(n):
-        dR.data[i * n + i][i] = field.one
-    eps = Mat(1, n, [[field.one] * n], field)
-    return BialgebroidData(H, base, "right", eta, eta, dR, eps)
+    return BialgebroidData(H, base, "right", eta, eta,
+                           _grouplike_coproduct(n, field),
+                           _row([field.one] * n, field))
+
+
+def _grouplike_coproduct(d, field):
+    """The lift of e_f -> e_f (x) e_f."""
+    return Mat.from_cols([{f * d + f: field.one} for f in range(d)], d * d,
+                         field)
+
+
+def _row(vec, field):
+    """The 1 x len(vec) matrix with entries vec."""
+    return Mat.from_cols([[x] for x in vec], 1, field)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +540,8 @@ def reconstruct_groupoid(Hd):
     obj_chars = _characters(R.base)
     mor_chars = _characters(H)
     m, d = len(obj_chars), len(mor_chars)
-    obj_rows = [Mat(1, R.base.dim, [chi], field) for _, chi in obj_chars]
-    mor_rows = [Mat(1, H.dim, [chi], field) for _, chi in mor_chars]
+    obj_rows = [_row(chi, field) for _, chi in obj_chars]
+    mor_rows = [_row(chi, field) for _, chi in mor_chars]
 
     def find_object(row):
         for x in range(m):
@@ -599,7 +596,7 @@ def coupled_from_character(Hd, sigma):
         raise ValueError("needs a Hopf algebra over k")
     field = H.field
     d = H.dim
-    sig = Mat(1, d, [list(sigma)], field)
+    sig = _row(sigma, field)
     one = field.one
     # character test
     if sig.matvec(H.unit)[0] != one:
@@ -774,8 +771,9 @@ def weak_projections(W):
     d = H.dim
     field = H.field
     w = W.coproduct.matvec(H.unit)
-    pL = Mat.zero(d, d, field)
-    pR = Mat.zero(d, d, field)
+    zero = field.zero
+    pL = [[zero] * d for _ in range(d)]
+    pR = [[zero] * d for _ in range(d)]
     for h in range(d):
         for i in range(d):
             for j in range(d):
@@ -784,11 +782,11 @@ def weak_projections(W):
                     continue
                 cl = W.counit.matvec(H.mul[i][h])[0]
                 if cl:
-                    pL.data[j][h] = pL.data[j][h] + c * cl
+                    pL[h][j] = pL[h][j] + c * cl
                 cr = W.counit.matvec(H.mul[h][j])[0]
                 if cr:
-                    pR.data[i][h] = pR.data[i][h] + c * cr
-    return pL, pR
+                    pR[h][i] = pR[h][i] + c * cr
+    return Mat.from_cols(pL, d, field), Mat.from_cols(pR, d, field)
 
 
 def weak_hopf_to_algebroid(W):
@@ -807,7 +805,7 @@ def weak_hopf_to_algebroid(W):
     Rbase, incl = subalgebra_on_rows(H, Rspace)
     m = Rbase.dim
     w = W.coproduct.matvec(H.unit)
-    tR = Mat.zero(d, m, field)
+    tcols = [[field.zero] * d for _ in range(m)]
     for r in range(m):
         rv = incl.col(r)
         for i in range(d):
@@ -817,7 +815,8 @@ def weak_hopf_to_algebroid(W):
                     continue
                 cr = W.counit.matvec(H.mul_vec(rv, i))[0]
                 if cr:
-                    tR.data[j][r] = tR.data[j][r] + c * cr
+                    tcols[r][j] = tcols[r][j] + c * cr
+    tR = Mat.from_cols(tcols, d, field)
     # eps_R = pR in base coordinates
     epsR = Mat.from_cols([Rspace.coords(pR.col(h)) for h in range(d)],
                          m, field)
@@ -834,11 +833,9 @@ def groupoid_weak_hopf(G, field=QQ):
     Hd = groupoid_algebra(G, field)
     H = Hd.total
     d = H.dim
-    D = Mat.zero(d * d, d, field)
-    for f in range(d):
-        D.data[f * d + f][f] = field.one
-    eps = Mat(1, d, [[field.one] * d], field)
-    return WeakHopfData(H, D, eps, Hd.antipode, name="groupoid weak Hopf")
+    return WeakHopfData(H, _grouplike_coproduct(d, field),
+                        _row([field.one] * d, field), Hd.antipode,
+                        name="groupoid weak Hopf")
 
 
 # ---------------------------------------------------------------------------
@@ -906,50 +903,29 @@ def smash_algebroid(A, table, action):
                     unit[idx(i, j, e)] = A.unit[i] * A.unit[j]
     H = FDAlgebra(d, mul, unit, field, name="smash product")
 
-    sR = Mat.zero(d, a, field)
-    tR = Mat.zero(d, a, field)
-    for r in range(a):
-        for j in range(a):
-            if A.unit[j]:
-                sR.data[idx(r, j, e)][r] = A.unit[j]
-                tR.data[idx(j, r, e)][r] = A.unit[j]
+    sR = Mat.from_cols([{idx(r, j, e): u for j, u in enumerate(A.unit)}
+                        for r in range(a)], d, field)
+    tR = Mat.from_cols([{idx(j, r, e): u for j, u in enumerate(A.unit)}
+                        for r in range(a)], d, field)
     # counit (a x a')#g -> alpha_{g^{-1}}(a a'); untwisted for trivial actions
-    epsR = Mat.zero(a, d, field)
-    for i in range(a):
-        for j in range(a):
-            prod = A.mul[i][j]
-            for g in range(n):
-                col = idx(i, j, g)
-                tw = action[inv_g[g]].matvec(prod)
-                for p in range(a):
-                    epsR.data[p][col] = tw[p]
-    dR = Mat.zero(d * d, d, field)
-    for i in range(a):
-        for j in range(a):
-            for g in range(n):
-                col = idx(i, j, g)
-                for p in range(a):
-                    if not A.unit[p]:
-                        continue
-                    for q in range(a):
-                        if not A.unit[q]:
-                            continue
-                        r1 = idx(p, j, g)
-                        r2 = idx(i, q, g)
-                        dR.data[r1 * d + r2][col] = A.unit[p] * A.unit[q]
-    S = Mat.zero(d, d, field)
+    epsR = Mat.from_cols([action[inv_g[g]].matvec(A.mul[i][j])
+                          for i in range(a) for j in range(a)
+                          for g in range(n)], a, field)
+    units = [(p, u) for p, u in enumerate(A.unit) if u]
+    dR = Mat.from_cols([{idx(p, j, g) * d + idx(i, q, g): u * v
+                         for p, u in units for q, v in units}
+                        for i in range(a) for j in range(a)
+                        for g in range(n)], d * d, field)
+    scols = []
     for i in range(a):
         for j in range(a):
             for g in range(n):
-                col = idx(i, j, g)
                 gi = inv_g[g]
-                u = action[gi].col(j)
-                v = action[gi].col(i)
-                for p in range(a):
-                    if u[p]:
-                        for q in range(a):
-                            if v[q]:
-                                S.data[idx(p, q, gi)][col] = u[p] * v[q]
+                u = nonzeros(action[gi].col(j))
+                v = nonzeros(action[gi].col(i))
+                scols.append({idx(p, q, gi): x * y for p, x in u.items()
+                              for q, y in v.items()})
+    S = Mat.from_cols(scols, d, field)
     rightb = BialgebroidData(H, A, "right", sR, tR, dR, epsR)
     return assemble_hopf_algebroid(rightb, S, name="smash algebroid")
 
@@ -1011,16 +987,14 @@ def classical_covering_instance(table, gset, field=QQ):
     B.name = "functions on the total space"
     orbit_of = gset.orbit_index()
     m = len(gset.orbits())
-    inclusion = Mat.zero(npts, m, field)
-    for y in range(npts):
-        inclusion.data[y][orbit_of[y]] = field.one
-    rho = Mat.zero(npts * dH, npts, field)
-    for z in range(npts):
-        o = orbit_of[z]
-        for g in range(n):
-            y = gset.act[inv_g[g]][z]
-            mor = o * n + g           # deck_groupoid morphism indexing
-            rho.data[y * dH + mor][z] = field.one
+    one = field.one
+    inclusion = Mat.from_cols([{y: one for y in range(npts)
+                                if orbit_of[y] == o} for o in range(m)],
+                              npts, field)
+    # deck_groupoid morphism indexing: orbit * n + g
+    rho = Mat.from_cols([{gset.act[inv_g[g]][z] * dH + orbit_of[z] * n + g:
+                          one for g in range(n)} for z in range(npts)],
+                        npts * dH, field)
     return ComoduleAlgebraData(Hd, B, inclusion, rho, rho,
                                name="classical covering")
 
@@ -1037,10 +1011,8 @@ def nontransitive_control_instance(field=QQ):
     B = product_field_algebra(4, field)
     act = [[0, 1, 2, 3], [1, 0, 3, 2]]
     inclusion = Mat.from_cols([[field.one] * 4], 4, field)
-    rho = Mat.zero(4 * dH, 4, field)
-    for z in range(4):
-        for g in range(2):
-            rho.data[act[g][z] * dH + g][z] = field.one
+    rho = Mat.from_cols([{act[g][z] * dH + g: field.one for g in range(2)}
+                         for z in range(4)], 4 * dH, field)
     return ComoduleAlgebraData(Hd, B, inclusion, rho, rho,
                                name="nontransitive control")
 
@@ -1114,20 +1086,18 @@ def example7_extract(D):
     chars = _characters(H)
     if len(chars) != H.dim:
         raise NotSplit("H does not split into characters")
-    pt_rows = [Mat(1, B.dim, [chi], field) for _, chi in pts]
+    pt_rows = [_row(chi, field) for _, chi in pts]
     dH = H.dim
     perms = set()
     for _, gamma in chars:
-        P = Mat.zero(B.dim, B.dim, field)
-        for b in range(B.dim):
-            col = D.rhoR_lift.col(b)
-            for bp in range(B.dim):
-                acc = field.zero
-                for h in range(dH):
-                    c = col[bp * dH + h]
-                    if c:
-                        acc = acc + c * gamma[h]
-                P.data[bp][b] = acc
+        pcols = []
+        for col in D.rhoR_lift.sparse_cols():
+            pcol = {}
+            for idx, c in col.items():
+                bp, h = divmod(idx, dH)
+                pcol[bp] = pcol.get(bp, field.zero) + c * gamma[h]
+            pcols.append(pcol)
+        P = Mat.from_cols(pcols, B.dim, field)
         perm = []
         for p in range(n):
             row = pt_rows[p] * P

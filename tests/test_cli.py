@@ -88,6 +88,34 @@ class TestCheckDocuments:
         assert main(["check", path, "--json"]) == 0
         assert capsys.readouterr().out == first
 
+    def test_scalar_extension_keeps_every_report(self, tmp_path, capsys):
+        """Q(zeta_3) contains Q and a rational document keeps its basis
+        there, so every document over Q, read over Q(zeta_3) instead,
+        gives the same exit code and the same --json bytes."""
+        def over_q_zeta_3(node):
+            if isinstance(node, dict):
+                return {k: {"cyclotomic": 3} if k == "field"
+                        else over_q_zeta_3(v) for k, v in node.items()}
+            if isinstance(node, list):
+                return [over_q_zeta_3(v) for v in node]
+            return node
+        extended = 0
+        for path in doc_paths():
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if doc.get("field") not in (None, "Q"):
+                continue
+            doc = over_q_zeta_3(doc)
+            doc["field"] = {"cyclotomic": 3}
+            p = tmp_path / os.path.basename(path)
+            p.write_text(json.dumps(doc))
+            code = main(["check", path, "--json", "--seed", "1"])
+            over_q = capsys.readouterr().out
+            assert main(["check", str(p), "--json", "--seed", "1"]) == code
+            assert capsys.readouterr().out == over_q, path
+            extended += 1
+        assert extended == 15
+
     def test_level_override(self, capsys):
         path = os.path.join(DOCS, "kz3_hopf.json")
         assert main(["check", path, "--level", "algebra"]) == 0

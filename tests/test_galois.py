@@ -218,9 +218,11 @@ class TestComposition:
         U = HopfBimoduleWitness(Hd, Hd, Ubi, dR, dR)
         V = HopfBimoduleWitness(Hd, Hd, Ubi, dR, dR)
         sqXY = _bimodule_tensor(X, Y)
-        isoXY = B.mul_matrix() * sqXY.section
+        isoXY = B.mul_matrix() * Mat.from_cols(sqXY.section_cols,
+                                               sqXY.ambient_dim, QQ)
         sqUV = _bimodule_tensor(Ubi, Ubi)
-        isoUV = H.mul_matrix() * sqUV.section
+        isoUV = H.mul_matrix() * Mat.from_cols(sqUV.section_cols,
+                                               sqUV.ambient_dim, QQ)
         isos = {"XY": isoXY, "YX": isoXY,
                 "Xcollapse": Mat.identity(B.dim, QQ),
                 "Ycollapse": Mat.identity(B.dim, QQ),
@@ -270,4 +272,7 @@ class TestSerialization:
         doc = composition_to_json(D1, D, D2, phi, psi)
         E1, E, E2, p, q, f1, f = composition_from_json(doc)
         assert p == phi and q == psi
+        # inner and outer carry equal kZ2 payloads: parsed once, one memo
+        assert E1.H is E2.H and E1._quotients is E2._quotients
+        assert E.H is not E1.H
         assert check_composition(E1, E, E2, p, q, f1, f).ok

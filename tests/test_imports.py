@@ -1,8 +1,8 @@
 """Static checks over the halab sources: every imported name is used,
 every quotient projection goes through project or apply, tensor quotients
 have one builder and rows one elimination engine, products with a basis
-element are lookups, a Mat is written only before it is read, no module
-uses floating point, and true division appears only in fields.py."""
+element are lookups, no Mat's .data is ever written, no module uses
+floating point, and true division appears only in fields.py."""
 
 import ast
 from pathlib import Path
@@ -29,23 +29,18 @@ def test_no_unused_imports(path):
     assert not unused, "%s imports names it never uses: %s" % (path.name, unused)
 
 
-def _is_proj(node):
-    return isinstance(node, ast.Attribute) and node.attr == "proj"
-
-
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_one_projection_path(path):
-    """No module multiplies by a quotient's dense .proj or calls
-    .proj.matvec: every projection goes through project or apply."""
+    """No module reads a quotient's dense .proj or .section: every
+    projection goes through project or apply, and every lift of a
+    quotient coordinate through section_cols."""
     tree = ast.parse(path.read_text(), filename=str(path))
     dense = sorted(
         node.lineno for node in ast.walk(tree)
-        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
-            and (_is_proj(node.left) or _is_proj(node.right)))
-        or (isinstance(node, ast.Attribute) and node.attr == "matvec"
-            and _is_proj(node.value)))
-    assert not dense, "%s applies a dense proj at lines %s" % (path.name,
-                                                               dense)
+        if isinstance(node, ast.Attribute)
+        and node.attr in ("proj", "section"))
+    assert not dense, "%s reads a dense proj or section at lines %s" % (
+        path.name, dense)
 
 
 def _callers(name):
@@ -92,56 +87,38 @@ def test_products_with_basis_elements_are_lookups(path):
         path.name, lines)
 
 
-def _written_mat(target):
-    """X for an assignment target X.data[..] or X.data[..][..], else None."""
-    if not isinstance(target, ast.Subscript):
-        return None
-    while isinstance(target, ast.Subscript):
-        target = target.value
-    if (isinstance(target, ast.Attribute) and target.attr == "data"
-            and isinstance(target.value, ast.Name)):
-        return target.value.id
-    return None
+def _data_writes(tree):
+    """Lines that assign to or delete X.data, an item of it or an item of
+    its rows, in any target form (plain, augmented, tuple)."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(getattr(node, "ctx", None), (ast.Store, ast.Del)):
+            continue
+        base = node
+        while isinstance(base, ast.Subscript):
+            base = base.value
+        if isinstance(base, ast.Attribute) and base.attr == "data":
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_data_writes_are_found():
+    tree = ast.parse("M.data[i][j] = 1\n"
+                     "M.data[0], P.data[1] = a, b\n"
+                     "N.data[i][j] += 1\n"
+                     "Q.data = []\n"
+                     "x = R.data[0][1]\n")
+    assert _data_writes(tree) == [1, 2, 2, 3, 4]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_a_mat_is_written_before_it_is_read(path):
-    """Mat readers use a sparse column view cached on the first read, so
-    the sources write X.data[..] only on a Mat X that the same function
-    made with Mat.zero, Mat.identity or copy(), and use X in no other way
-    than X.data, X.rows, X.cols or X.field between making it and its last
-    write (in source order)."""
-    bad = []
-    for fn in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-        if not isinstance(fn, ast.FunctionDef):
-            continue
-        made, writes = {}, {}
-        for node in ast.walk(fn):
-            targets = (node.targets if isinstance(node, ast.Assign) else
-                       [node.target] if isinstance(node, ast.AugAssign)
-                       else [])
-            for t in targets:
-                if _written_mat(t):
-                    writes.setdefault(_written_mat(t), []).append(t.lineno)
-                elif (isinstance(t, ast.Name)
-                      and isinstance(node.value, ast.Call)
-                      and _call_name(node.value) in ("zero", "identity",
-                                                     "copy")):
-                    made[t.id] = t.lineno
-        plain = {id(node.value) for node in ast.walk(fn)
-                 if isinstance(node, ast.Attribute)
-                 and node.attr in ("data", "rows", "cols", "field")}
-        for name, lines in writes.items():
-            early = [node.lineno for node in ast.walk(fn)
-                     if isinstance(node, ast.Name) and node.id == name
-                     and isinstance(node.ctx, ast.Load)
-                     and id(node) not in plain
-                     and made.get(name, max(lines)) < node.lineno
-                     < max(lines)]
-            if name not in made or early:
-                bad.append((fn.name, name, max(lines)))
-    assert not bad, "%s writes a Mat it did not just make: %s" % (path.name,
-                                                                  bad)
+    """The sources never write a Mat's .data at all, so no Mat is written
+    after it was read: the library builds every Mat from its columns, and
+    only tests and benchmark mutations write the dense rows of a Mat made
+    by Mat(...), Mat.zero or copy()."""
+    lines = _data_writes(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, "%s writes .data at lines %s" % (path.name, lines)
 
 
 def _float_uses(tree):
