@@ -3,8 +3,10 @@
 An FDAlgebra stores its structure constants once, sparsely: mul[i][j] is
 e_i * e_j as a dict {k: c} of its nonzero coordinates.  Products walk only
 those nonzeros, and a product with a basis element (an int index in place
-of a vector) is read off them without building the basis vector.  All the
-predicates used downstream live here: validation, centers, radicals
+of a vector) is read off them without building the basis vector;
+convolve(F, G, lift) evaluates mu (F (x) G) lift on coproduct lifts the
+same way, with no Kronecker product.  All the predicates used downstream
+live here: validation, centers, radicals
 (Dickson trace form, characteristic 0), module projectivity via an affine
 splitting solve, central idempotent splitting over split fields, and the
 Wedderburn block shape.
@@ -15,7 +17,7 @@ from math import isqrt, lcm
 
 from .fields import QQ, parse_field, field_to_json
 from .linalg import (Mat, kernel, rank, solve_affine_sparse, vstack,
-                     NoSolution)
+                     NoSolution, ShapeMismatch, _combine)
 from .reports import ViolationReport
 
 
@@ -110,10 +112,32 @@ class FDAlgebra:
             [self.mul_vec(j, x) for j in range(self.dim)], self.dim,
             self.field)
 
-    def mul_matrix(self):
-        """Multiplication as a matrix A tensor A -> A (kron convention)."""
-        return Mat.from_cols([c for row in self.mul for c in row], self.dim,
-                             self.field)
+    def convolve(self, F, G, lift):
+        """The Mat mu (F (x) G) lift, the convolution of F and G along a
+        coproduct lift: a nonzero v of a lift column at k (x) l adds
+        v F(e_k) G(e_l), read off the structure constants mul[i][j].  F and G are Mats into
+        this algebra and lift a Mat with F.cols * G.cols rows; neither a
+        Kronecker product nor a multiplication matrix is formed."""
+        if F.rows != self.dim or G.rows != self.dim \
+                or lift.rows != F.cols * G.cols:
+            raise ShapeMismatch("cannot convolve %dx%d and %dx%d along %dx%d"
+                                % (F.rows, F.cols, G.rows, G.cols, lift.rows,
+                                   lift.cols))
+        fcols, gcols, n = F.sparse_cols(), G.sparse_cols(), G.cols
+        mul, zero, out = self.mul, self.field.zero, []
+        for col in lift.sparse_cols():
+            acc = {}
+            for kl, v in col.items():
+                k, l = divmod(kl, n)
+                gl = gcols[l].items()
+                for i, a in fcols[k].items():
+                    va, row = v * a, mul[i]
+                    for j, b in gl:
+                        c = va * b
+                        for r, s in row[j].items():
+                            acc[r] = acc.get(r, zero) + c * s
+            out.append(acc)
+        return Mat.from_cols(out, self.dim, self.field)
 
     def is_commutative(self):
         return self.noncommutative_witness() is None
@@ -167,21 +191,31 @@ class FDAlgebra:
 
 
 def validate_algebra(A):
-    """Check associativity on all basis triples and the two-sided unit law."""
+    """Check associativity on all basis triples and the two-sided unit law,
+    comparing the nonzeros of both sides: (e_i e_j) e_k sums the columns
+    e_a e_k over the nonzeros of e_i e_j, e_i (e_j e_k) the columns e_i e_b
+    over those of e_j e_k."""
     rep = ViolationReport()
+    zero = A.field.zero
+
+    def equal(lhs, rhs):
+        # entries that cancel stay in _combine's dicts, as zeros
+        return lhs == rhs or ({r: x for r, x in lhs.items() if x}
+                              == {r: x for r, x in rhs.items() if x})
+    right = [[row[k] for row in A.mul] for k in range(A.dim)]  # e_a e_k
     for i in range(A.dim):
-        ei = A.basis_vec(i)
-        u = A.mul_vec(A.unit, i)
-        rep.require(u == ei, "unit", (i,), note="1*e_%d != e_%d" % (i, i))
-        u = A.mul_vec(i, A.unit)
-        rep.require(u == ei, "unit", (i,), note="e_%d*1 != e_%d" % (i, i))
+        ei = {i: A.field.one}
+        rep.require(equal(_combine(right[i], A.unit, zero), ei), "unit",
+                    (i,), note="1*e_%d != e_%d" % (i, i))
+        rep.require(equal(_combine(A.mul[i], A.unit, zero), ei), "unit",
+                    (i,), note="e_%d*1 != e_%d" % (i, i))
     for i in range(A.dim):
         for j in range(A.dim):
             ij = A.mul[i][j]
             for k in range(A.dim):
-                lhs = A.mul_vec(ij, k)
-                rhs = A.mul_vec(i, A.mul[j][k])
-                rep.require(lhs == rhs, "associativity", (i, j, k))
+                rep.require(equal(_combine(right[k], ij, zero),
+                                  _combine(A.mul[i], A.mul[j][k], zero)),
+                            "associativity", (i, j, k))
     return rep
 
 

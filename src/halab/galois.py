@@ -14,7 +14,7 @@ Tensor conventions follow bimod:
 
 import random
 
-from .linalg import (Mat, kron, kron_cols, rank, inverse, kernel, image,
+from .linalg import (Mat, kron_cols, rank, inverse, kernel, image,
                      Subspace, solve_affine_sparse, NoSolution, ShapeMismatch)
 from .algebra import (FDAlgebra, ModuleOverA, is_projective, Inconclusive,
                       check_algebra_morphism, subalgebra_on_rows,
@@ -416,9 +416,8 @@ def convolution_compose(f, g):
     D = f.ambient
     J = f.domain
     dd = D.H.rightb.coproduct_lift if J == "R" else D.H.leftb.coproduct_lift
-    m = D.B.mul_matrix()
     return ConvMorphism(D, g.domain, f.codomain,
-                        m * (kron(f.map, g.map) * dd))
+                        D.B.convolve(f.map, g.map, dd))
 
 
 def _conv_inverse(D, c):
@@ -987,40 +986,41 @@ class HopfBimoduleWitness:
         d1 = self.H1d.rightb.coproduct_lift
         d2 = self.H2d.rightb.coproduct_lift
         lc, rc = self.lcoact, self.rcoact
-        rep.require(kron(d1, I_U) * lc == kron(I_1, lc) * lc,
+        rep.require(kron_cols(d1, I_U, lc) == kron_cols(I_1, lc, lc),
                     tag + ":left-coassoc")
-        rep.require(kron(self.H1d.rightb.counit, I_U) * lc == I_U,
-                    tag + ":left-counit")
-        rep.require(kron(rc, I_2) * rc == kron(I_U, d2) * rc,
+        rep.require(kron_cols(self.H1d.rightb.counit, I_U, lc)
+                    == I_U.sparse_cols(), tag + ":left-counit")
+        rep.require(kron_cols(rc, I_2, rc) == kron_cols(I_U, d2, rc),
                     tag + ":right-coassoc")
-        rep.require(kron(I_U, self.H2d.rightb.counit) * rc == I_U,
-                    tag + ":right-counit")
-        rep.require(kron(I_1, rc) * lc == kron(lc, I_2) * rc,
+        rep.require(kron_cols(I_U, self.H2d.rightb.counit, rc)
+                    == I_U.sparse_cols(), tag + ":right-counit")
+        rep.require(kron_cols(I_1, rc, lc) == kron_cols(lc, I_2, rc),
                     tag + ":bicomodule")
-        # coactions are bimodule maps (H acting through its factor)
-        for i in range(H1.dim):
-            La = self.bimodule.left_acts[i]
-            DL = Mat.from_cols([{}] * (H1.dim * dU), H1.dim * dU, field)
-            col = d1.col(i)
-            for idx, c in enumerate(col):
-                if not c:
-                    continue
-                h1, h2 = divmod(idx, H1.dim)
-                DL = DL + kron(H1.left_mult_matrix(h1),
-                               self.bimodule.left_acts[h2]).scale(c)
-            rep.require(lc * La == DL * lc, tag + ":left-equivariance", (i,))
-        for j in range(H2.dim):
-            Ra = self.bimodule.right_acts[j]
-            DR = Mat.from_cols([{}] * (dU * H2.dim), dU * H2.dim, field)
-            col = d2.col(j)
-            for idx, c in enumerate(col):
-                if not c:
-                    continue
-                h1, h2 = divmod(idx, H2.dim)
-                DR = DR + kron(self.bimodule.right_acts[h1],
-                               H2.right_mult_matrix(h2)).scale(c)
-            rep.require(rc * Ra == DR * rc, tag + ":right-equivariance", (j,))
+        # coactions are bimodule maps: the coaction of x . u is Delta(x)
+        # times the coaction of u, factor by factor, and likewise on the right
+        acts = self.bimodule
+        L1 = [H1.left_mult_matrix(h) for h in range(H1.dim)]
+        R2 = [H2.right_mult_matrix(h) for h in range(H2.dim)]
+        for i, col in enumerate(d1.sparse_cols()):
+            rep.require(lc * acts.left_acts[i]
+                        == _diagonal(col, L1, acts.left_acts, lc),
+                        tag + ":left-equivariance", (i,))
+        for j, col in enumerate(d2.sparse_cols()):
+            rep.require(rc * acts.right_acts[j]
+                        == _diagonal(col, acts.right_acts, R2, rc),
+                        tag + ":right-equivariance", (j,))
         return rep
+
+
+def _diagonal(delta, first, second, M):
+    """The sum of c * (first[h1] (x) second[h2]) * M over the nonzeros c
+    of the coproduct column delta at h1 (x) h2, built with kron_cols."""
+    out = Mat.from_cols([{}] * M.cols, M.rows, M.field)
+    for idx, c in delta.items():
+        h1, h2 = divmod(idx, len(second))
+        out = out + Mat.from_cols(kron_cols(first[h1], second[h2], M),
+                                  M.rows, M.field).scale(c)
+    return out
 
 
 def _bimodule_tensor(X, Y):
@@ -1106,28 +1106,18 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
                       U.bimodule, H2, False)
     # collapsed Hopf isomorphisms: U = H2 and V = H1 as right modules and
     # right comodules
-    isoU = isos["Ucollapse"]
-    rep.require(isoU.rows == H2.dim and isoU.cols == U.bimodule.dim
-                and rank(isoU) == U.bimodule.dim
-                and U.bimodule.dim == H2.dim, "morita:U-collapse:bijective")
-    for j in range(H2.dim):
-        Rt = H2.right_mult_matrix(j)
-        rep.require(isoU * U.bimodule.right_acts[j] == Rt * isoU,
-                    "morita:U-collapse:equivariance", (j,))
-    rep.require(kron(isoU, Mat.identity(H2.dim, field)) * U.rcoact
-                == D2.H.rightb.coproduct_lift * isoU,
-                "morita:U-collapse:comodule")
-    isoV = isos["Vcollapse"]
-    rep.require(isoV.rows == H1.dim and isoV.cols == V.bimodule.dim
-                and rank(isoV) == V.bimodule.dim
-                and V.bimodule.dim == H1.dim, "morita:V-collapse:bijective")
-    for j in range(H1.dim):
-        Rt = H1.right_mult_matrix(j)
-        rep.require(isoV * V.bimodule.right_acts[j] == Rt * isoV,
-                    "morita:V-collapse:equivariance", (j,))
-    rep.require(kron(isoV, Mat.identity(H1.dim, field)) * V.rcoact
-                == D1.H.rightb.coproduct_lift * isoV,
-                "morita:V-collapse:comodule")
+    for name, W, D in (("U", U, D2), ("V", V, D1)):
+        iso, H, dim = isos[name + "collapse"], D.H.total, W.bimodule.dim
+        tag = "morita:%s-collapse" % name
+        rep.require(iso.rows == H.dim and iso.cols == dim
+                    and rank(iso) == dim and dim == H.dim, tag + ":bijective")
+        for j in range(H.dim):
+            rep.require(iso * W.bimodule.right_acts[j]
+                        == H.right_mult_matrix(j) * iso,
+                        tag + ":equivariance", (j,))
+        lifted = kron_cols(iso, Mat.identity(H.dim, field), W.rcoact)
+        rep.require(Mat.from_cols(lifted, iso.rows * H.dim, field)
+                    == D.H.rightb.coproduct_lift * iso, tag + ":comodule")
     return rep
 
 

@@ -22,10 +22,15 @@ solve_affine_sparse, inverse, det, Subspace and quotient_by are views of
 its output; a Mat reaches it as dict rows read from its columns.  A
 QuotientPresentation stores only the canonical relation rows:
 project(vec) returns the dict of a projected vector's nonzeros and
-apply(M) = proj * M is the Mat of the projected columns.  kron_cols(A, B,
-M) gives the columns of kron(A, B) * M from the nonzeros of the three
-factors, so lifts such as (Delta (x) id) Delta are projected without
-forming a Kronecker product.
+apply(M) = proj * M is the Mat of the projected columns.
+
+A lift through a tensor product takes one of two product paths:
+kron_cols(A, B, M), the columns of kron(A, B) * M built from the nonzeros
+of the three factors (so (Delta (x) id) Delta is never a Kronecker
+product), and algebra.FDAlgebra.convolve(F, G, lift), mu (F (x) G) lift
+read off the structure constants.  kron itself is kron_cols over identity
+columns; it stays for tests and the benchmark harness, which read it, and
+for the coupled:commute lines of hopfalgebroid.check_coupled.
 
 Kronecker convention, fixed once for the whole package:
     kron(A, B) acts on pure tensors by (i tensor j) -> i*dimB + j,

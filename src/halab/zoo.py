@@ -5,15 +5,19 @@ group actions, and the brute-force automorphism computation.
 
 Every constructor returns data that the checkers in hopfalgebroid / galois
 accept verbatim; the test suite runs the full axiom suites on all of them.
+Products of coproduct lifts take the two paths of linalg: kron_cols for
+(A (x) B) M and FDAlgebra.convolve for mu (F (x) G) Delta; no Kronecker
+product is formed here (linalg.kron stays for tests and the benchmark
+harness).
 """
 
 import itertools
 
 from .fields import QQ, CyclotomicField
-from .linalg import Mat, kron, inverse, solve_affine, NoSolution, image
+from .linalg import Mat, kron_cols, inverse, solve_affine, NoSolution, image
 from .algebra import (FDAlgebra, check_group_table, product_field_algebra,
                       opposite, central_idempotents_split, NotSplit,
-                      subalgebra_on_rows, nonzeros)
+                      subalgebra_on_rows, nonzeros, tensor_algebra)
 from .bimod import pair_mul
 from .hopfalgebroid import BialgebroidData, HopfAlgebroidData
 from .reports import ViolationReport
@@ -399,10 +403,9 @@ def assemble_hopf_algebroid(rightb, S, left_coproduct_lift=None, name=None):
     tL = rightb.s
     if left_coproduct_lift is None:
         Sinv = inverse(S)
-        left_coproduct_lift = _swap_matrix(d, field) * \
-            (kron(Sinv, Sinv) * (rightb.coproduct_lift * S))
-    I = Mat.identity(d, field)
-    P = H.mul_matrix() * (kron(I, S) * rightb.coproduct_lift)
+        left_coproduct_lift = _swap_matrix(d, field) * Mat.from_cols(
+            kron_cols(Sinv, Sinv, rightb.coproduct_lift * S), d * d, field)
+    P = H.convolve(Mat.identity(d, field), S, rightb.coproduct_lift)
     eps_cols = []
     for j in range(d):
         try:
@@ -561,7 +564,8 @@ def reconstruct_groupoid(Hd):
     compose = {}
     for f in range(d):
         for g in range(d):
-            w = kron(mor_rows[f], mor_rows[g]) * R.coproduct_lift
+            w = Mat.from_cols(kron_cols(mor_rows[f], mor_rows[g],
+                                        R.coproduct_lift), 1, field)
             if w.is_zero():
                 continue
             h = find_morphism(w)
@@ -610,11 +614,10 @@ def coupled_from_character(Hd, sigma):
     S = Hd.antipode
     dR = R.coproduct_lift
     I = Mat.identity(d, field)
-    d3 = kron(dR, I) * dR
-    sigS = sig * S
-    U = kron(sigS, I)                       # H (x) H -> H, y (x) z -> sig(S y) z
-    d2lift = kron(I, U) * d3
-    coupling = kron(sig, S) * dR
+    # (I x sig S x I)(Delta x I) Delta, as ((I x sig S) Delta x I) Delta
+    first = Mat.from_cols(kron_cols(I, sig * S, dR), d, field)
+    d2lift = Mat.from_cols(kron_cols(first, I, dR), d * d, field)
+    coupling = Mat.from_cols(kron_cols(sig, S, dR), d, field)
     eta = Mat.from_cols([H.unit], d, field)
     base = product_field_algebra(1, field)
     H1 = BialgebroidData(H, base, "left", eta, eta, dR, R.counit,
@@ -634,31 +637,6 @@ class WeakHopfData:
         self.counit = counit            # Mat 1 x d
         self.antipode = antipode        # Mat d x d
         self.name = name
-
-
-def _triple_mul(H, u, v):
-    """Factorwise product of two vectors in H (x) H (x) H."""
-    d = H.dim
-    field = H.field
-    out = [field.zero] * (d ** 3)
-    nz_u = [(i, c) for i, c in enumerate(u) if c]
-    nz_v = [(i, c) for i, c in enumerate(v) if c]
-    for iu, cu in nz_u:
-        i1, r = divmod(iu, d * d)
-        i2, i3 = divmod(r, d)
-        for iv, cv in nz_v:
-            j1, r2 = divmod(iv, d * d)
-            j2, j3 = divmod(r2, d)
-            b, cc = H.mul[i2][j2].items(), H.mul[i3][j3].items()
-            c = cu * cv
-            for p, x in H.mul[i1][j1].items():
-                cp = c * x
-                for q, y in b:
-                    cq = cp * y
-                    for s, z in cc:
-                        key = p * d * d + q * d + s
-                        out[key] = out[key] + cq * z
-    return out
 
 
 def check_weak_hopf(W):
@@ -681,85 +659,53 @@ def check_weak_hopf(W):
             rhs = pair_mul(H, H, Di, D.col(j))
             rep.require(lhs == rhs, "weak:coproduct-multiplicative", (i, j))
     # (i) coassociative
-    rep.require(kron(D, I) * D == kron(I, D) * D, "weak:coassociative")
-    # (i) weak unitality
-    w = D.matvec(H.unit)
-    D2unit = (kron(D, I) * D).matvec(H.unit)
-    w_oplus_1 = [field.zero] * (d ** 3)   # Delta(1) (x) 1
-    one_oplus_w = [field.zero] * (d ** 3)  # 1 (x) Delta(1)
-    for i in range(d):
-        for j in range(d):
-            c = w[i * d + j]
-            if not c:
-                continue
-            for k in range(d):
-                if H.unit[k]:
-                    w_oplus_1[i * d * d + j * d + k] = c * H.unit[k]
-                    one_oplus_w[k * d * d + i * d + j] = c * H.unit[k]
-    rep.require(_triple_mul(H, w_oplus_1, one_oplus_w) == D2unit,
+    rep.require(kron_cols(D, I, D) == kron_cols(I, D, D),
+                "weak:coassociative")
+    # (i) weak unitality, products in (H (x) H) (x) H
+    scalar, unit = [{0: field.one}], Mat.column(H.unit, field)
+    w = Mat.column(D.matvec(H.unit), field)
+    w_1 = kron_cols(w, unit, scalar)[0]     # Delta(1) (x) 1
+    one_w = kron_cols(unit, w, scalar)[0]   # 1 (x) Delta(1)
+    D2unit = kron_cols(D, I, w.sparse_cols())[0]
+    HH = tensor_algebra(H, H)
+    rep.require(nonzeros(pair_mul(HH, H, w_1, one_w)) == D2unit,
                 "weak:unitality", note="(D(1) x 1)(1 x D(1)) != D2(1)")
-    rep.require(_triple_mul(H, one_oplus_w, w_oplus_1) == D2unit,
+    rep.require(nonzeros(pair_mul(HH, H, one_w, w_1)) == D2unit,
                 "weak:unitality", note="(1 x D(1))(D(1) x 1) != D2(1)")
     # (iii) counital
-    rep.require(kron(eps, I) * D == I, "weak:counital", note="left")
-    rep.require(kron(I, eps) * D == I, "weak:counital", note="right")
+    rep.require(kron_cols(eps, I, D) == I.sparse_cols(), "weak:counital",
+                note="left")
+    rep.require(kron_cols(I, eps, D) == I.sparse_cols(), "weak:counital",
+                note="right")
     # (iii) weak multiplicativity
     def eps_of(vec):
         return eps.matvec(vec)[0]
     for x in range(d):
         for y in range(d):
-            Dy = D.col(y)
+            Dy = D.sparse_cols()[y].items()
             for z in range(d):
                 mid = eps_of(H.mul_vec(H.mul[x][y], z))
-                lhs = field.zero
-                rhs = field.zero
-                for i in range(d):
-                    for j in range(d):
-                        c = Dy[i * d + j]
-                        if not c:
-                            continue
-                        lhs = lhs + c * eps_of(H.mul[x][i]) * \
-                            eps_of(H.mul[j][z])
-                        rhs = rhs + c * eps_of(H.mul[x][j]) * \
-                            eps_of(H.mul[i][z])
+                lhs = rhs = field.zero
+                for ij, c in Dy:
+                    i, j = divmod(ij, d)
+                    lhs = lhs + c * eps_of(H.mul[x][i]) * eps_of(H.mul[j][z])
+                    rhs = rhs + c * eps_of(H.mul[x][j]) * eps_of(H.mul[i][z])
                 rep.require(lhs == mid, "weak:counit-multiplicative",
                             (x, y, z, 1))
                 rep.require(rhs == mid, "weak:counit-multiplicative",
                             (x, y, z, 2))
-    # projections for (v)
+    # (v) the antipode; S(h1) h2 S(h3) is read off (Delta x id) Delta
     pL, pR = weak_projections(W)
-    D2 = kron(D, I) * D
-    for h in range(d):
-        trip = D2.col(h)
-        s_mid = H.zero_vec()   # S(h1) h2 S(h3)
-        hs = H.zero_vec()      # h1 S(h2)
-        sh = H.zero_vec()      # S(h1) h2
-        Dh = D.col(h)
-        for idx, c in enumerate(trip):
-            if not c:
-                continue
-            i1, r = divmod(idx, d * d)
-            i2, i3 = divmod(r, d)
-            v = H.mul_vec(H.mul_vec(S.col(i1), i2), S.col(i3))
-            for k in range(d):
-                if v[k]:
-                    s_mid[k] = s_mid[k] + c * v[k]
-        for idx, c in enumerate(Dh):
-            if not c:
-                continue
-            i, j = divmod(idx, d)
-            v = H.mul_vec(i, S.col(j))
-            u = H.mul_vec(S.col(i), j)
-            for k in range(d):
-                if v[k]:
-                    hs[k] = hs[k] + c * v[k]
-                if u[k]:
-                    sh[k] = sh[k] + c * u[k]
-        rep.require(s_mid == S.col(h), "weak:antipode", (h, 1),
+    sh = H.convolve(S, I, D)        # S(h1) h2
+    cols = zip(H.convolve(sh, S, D).sparse_cols(), S.sparse_cols(),
+               H.convolve(I, S, D).sparse_cols(), pL.sparse_cols(),
+               sh.sparse_cols(), pR.sparse_cols())
+    for h, (smid, s_h, hs, pl_h, sh_h, pr_h) in enumerate(cols):
+        rep.require(smid == s_h, "weak:antipode", (h, 1),
                     note="S(h1) h2 S(h3) != S(h)")
-        rep.require(hs == pL.col(h), "weak:antipode", (h, 2),
+        rep.require(hs == pl_h, "weak:antipode", (h, 2),
                     note="h1 S(h2) != pL(h)")
-        rep.require(sh == pR.col(h), "weak:antipode", (h, 3),
+        rep.require(sh_h == pr_h, "weak:antipode", (h, 3),
                     note="S(h1) h2 != pR(h)")
     return rep
 

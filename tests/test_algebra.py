@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halab.fields import QQ, CyclotomicField
-from halab.linalg import Mat, Subspace, rank
+from halab.linalg import Mat, Subspace, rank, kron, inverse
 from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
                            group_algebra, monoid_algebra, matrix_algebra,
                            product_field_algebra, opposite, enveloping,
@@ -56,6 +56,30 @@ def test_validate_flags_broken_product():
     rep = validate_algebra(A)
     assert [(e["tag"], e["indices"], e["note"]) for e in rep.entries] == [
         ("unit", (1,), "e_1*1 != e_1")]
+
+
+def in_basis(A, P):
+    """A with the columns of the invertible P as its basis."""
+    Pi = inverse(P)
+    cols = [P.col(i) for i in range(A.dim)]
+    return FDAlgebra(A.dim, [[nonzeros(Pi.matvec(A.mul_vec(x, y)))
+                              for y in cols] for x in cols],
+                     Pi.matvec(A.unit), A.field)
+
+
+def test_validate_compares_values_where_products_cancel():
+    """In a general basis both sides of an associativity triple have
+    entries that cancel; M2 and kS3 still validate, and a bumped
+    structure constant is still flagged."""
+    # unit upper triangular columns, so every leading block is invertible
+    P = [[1, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 2, 1, 0, 0, 0],
+         [0, 0, -1, 1, 0, 0], [0, 0, 0, 1, 1, 0], [1, 0, 0, 0, 2, 1]]
+    for A in (matrix_algebra(2), group_algebra(s3_table())):
+        d = A.dim
+        B = in_basis(A, Mat.from_cols([col[:d] for col in P[:d]], d, QQ))
+        assert validate_algebra(B).ok
+        B.mul[1][2][0] = B.mul[1][2].get(0, 0) + 1
+        assert not validate_algebra(B).ok
 
 
 class TestStructureTheory:
@@ -221,3 +245,39 @@ def test_sparse_products_match_the_dense_reference(data):
     assert A.right_mult_matrix(x).col(j) == dense_product(A, ej, x), name
     assert A.left_mult_matrix(i) == A.left_mult_matrix(ei), name
     assert A.right_mult_matrix(i) == A.right_mult_matrix(ei), name
+
+
+def reference_convolution(A, F, G, lift):
+    """mu (F (x) G) lift through the multiplication matrix A (x) A -> A and
+    the Kronecker product."""
+    mul = Mat.from_cols([c for row in A.mul for c in row], A.dim, A.field)
+    return mul * (kron(F, G) * lift)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_convolve_matches_the_kron_reference(data):
+    """FDAlgebra.convolve equals the multiplication matrix times kron(F, G)
+    times the lift, over Q and Q(zeta_3), for rectangular F and G (fewer
+    or more columns than rows, as for a counit into a small base or a
+    source map out of it), for identities in either place, and for lifts
+    with a zero column."""
+    field = data.draw(st.sampled_from([QQ, F3]))
+    name, A = data.draw(st.sampled_from(
+        product_corpus(field) + [("k", product_field_algebra(1, field)),
+                                 ("k2", product_field_algebra(2, field))]))
+
+    def draw_map():
+        if data.draw(st.booleans()):
+            return Mat.identity(A.dim, field)
+        cols = data.draw(st.integers(1, min(A.dim + 2, 5)))
+        return Mat.from_cols([data.draw(coordinates(field, A.dim))
+                              for _ in range(cols)], A.dim, field)
+
+    F, G = draw_map(), draw_map()
+    cols = [data.draw(coordinates(field, F.cols * G.cols))
+            for _ in range(data.draw(st.integers(0, 3)))]
+    cols.insert(data.draw(st.integers(0, len(cols))), {})
+    lift = Mat.from_cols(cols, F.cols * G.cols, field)
+    assert A.convolve(F, G, lift) == reference_convolution(A, F, G, lift), \
+        name

@@ -23,6 +23,14 @@ from halab.zoo import (cyclic_table, group_hopf_algebra, monoid_bialgebra,
 from conftest import cocycle_instances
 
 
+def multiplication(A, sq):
+    """The product of A on the lifts of the coordinates of the quotient sq
+    of A (x) A."""
+    I = Mat.identity(A.dim, A.field)
+    return A.convolve(I, I, Mat.from_cols(sq.section_cols, sq.ambient_dim,
+                                          A.field))
+
+
 def monoid_control():
     """Regular coaction of the AND-monoid bialgebra on itself; the
     identity stands in for the (nonexistent) antipode and is never used
@@ -218,11 +226,9 @@ class TestComposition:
         U = HopfBimoduleWitness(Hd, Hd, Ubi, dR, dR)
         V = HopfBimoduleWitness(Hd, Hd, Ubi, dR, dR)
         sqXY = _bimodule_tensor(X, Y)
-        isoXY = B.mul_matrix() * Mat.from_cols(sqXY.section_cols,
-                                               sqXY.ambient_dim, QQ)
+        isoXY = multiplication(B, sqXY)
         sqUV = _bimodule_tensor(Ubi, Ubi)
-        isoUV = H.mul_matrix() * Mat.from_cols(sqUV.section_cols,
-                                               sqUV.ambient_dim, QQ)
+        isoUV = multiplication(H, sqUV)
         isos = {"XY": isoXY, "YX": isoXY,
                 "Xcollapse": Mat.identity(B.dim, QQ),
                 "Ycollapse": Mat.identity(B.dim, QQ),

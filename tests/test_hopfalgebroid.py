@@ -4,7 +4,7 @@ import pytest
 
 import halab.hopfalgebroid
 from halab.fields import QQ, CyclotomicField
-from halab.linalg import Mat, kron
+from halab.linalg import Mat, kron, kron_cols, inverse, rank
 from halab.algebra import product_field_algebra
 from halab.bimod import tensor_over
 from halab.hopfalgebroid import (BialgebroidData, HopfAlgebroidData,
@@ -21,6 +21,7 @@ from halab.zoo import (cyclic_table, s3_table, group_hopf_algebra,
                        smash_algebroid, direct_product_table)
 
 from conftest import symmetric_table
+from test_algebra import in_basis
 
 
 def remut(Hd, which, i, j, delta):
@@ -266,3 +267,58 @@ def test_ks4_times_z2_passes():
                                                  cyclic_table(2)))
     rep = check_hopf_algebroid(Hd)
     assert rep.ok and rep.entries == []
+
+
+def change_of_basis(Hd, P):
+    """Hd with its total algebra written in the basis of the columns of the
+    invertible P, the bases left as they are: mul' = P^-1 mul(P ., P .),
+    unit' = P^-1 unit, s' = P^-1 s, t' = P^-1 t, Delta' = (P^-1 (x) P^-1)
+    Delta P, eps' = eps P and S' = P^-1 S P."""
+    H2, Pi = in_basis(Hd.total, P), inverse(P)
+    d, field = H2.dim, H2.field
+
+    def side(B):
+        lift = kron_cols(Pi, Pi, B.coproduct_lift * P)
+        return BialgebroidData(H2, B.base, B.side, Pi * B.s, Pi * B.t,
+                               Mat.from_cols(lift, d * d, field),
+                               B.counit * P)
+    return HopfAlgebroidData(side(Hd.leftb), side(Hd.rightb),
+                             Pi * Hd.antipode * P)
+
+
+def random_basis(d, field, rng):
+    """The identity plus d seeded entries from {-1, 1, 2}, redrawn until
+    it is invertible."""
+    while True:
+        P = Mat.identity(d, field).copy()
+        for _ in range(d):
+            P.data[rng.randrange(d)][rng.randrange(d)] = \
+                field.from_int(rng.choice([-1, 1, 2]))
+        if rank(P) == d:
+            return P
+
+
+def test_verdicts_do_not_depend_on_the_basis(hopf_corpus):
+    """Every corpus instance of dimension at most 6, and a seeded
+    single-entry mutation of each (of Delta_R, eps_R, S or s_R), gets the
+    same ok and the same tag set in a seeded general basis; the indices
+    may differ."""
+    rng = random.Random(10)
+    checked = failing = 0
+    for name, Hd in hopf_corpus:
+        d = Hd.total.dim
+        if d > 6:
+            continue
+        which = rng.choice(["dR", "epsR", "S", "sR"])
+        M = {"dR": Hd.rightb.coproduct_lift, "epsR": Hd.rightb.counit,
+             "S": Hd.antipode, "sR": Hd.rightb.s}[which]
+        mutant = remut(Hd, which, rng.randrange(M.rows),
+                       rng.randrange(M.cols), Hd.total.field.one)
+        for label, inst in ((name, Hd), ("%s %s" % (name, which), mutant)):
+            rep = check_hopf_algebroid(inst)
+            P = random_basis(d, inst.total.field, rng)
+            moved = check_hopf_algebroid(change_of_basis(inst, P))
+            assert (moved.ok, moved.tags()) == (rep.ok, rep.tags()), label
+            checked += 1
+            failing += not rep.ok
+    assert checked >= 50 and failing >= 20

@@ -1,8 +1,10 @@
 """Static checks over the halab sources: every imported name is used,
 every quotient projection goes through project or apply, tensor quotients
 have one builder and rows one elimination engine, products with a basis
-element are lookups, no Mat's .data is ever written, no module uses
-floating point, and true division appears only in fields.py."""
+element are lookups, no product takes a kron(...) operand outside
+hopfalgebroid.check_coupled (lifts go through FDAlgebra.convolve and
+kron_cols), no Mat's .data is ever written, no module uses floating
+point, and true division appears only in fields.py."""
 
 import ast
 from pathlib import Path
@@ -85,6 +87,36 @@ def test_products_with_basis_elements_are_lookups(path):
                 for arg in node.args))
     assert not lines, "%s multiplies by basis_vec(...) at lines %s" % (
         path.name, lines)
+
+
+def _kron_products(tree):
+    """The top-level definitions of tree that hold a product with a
+    kron(...) call as an operand, at any depth."""
+    return {getattr(top, "name", "<module>") for top in tree.body
+            for node in ast.walk(top)
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+            and any(isinstance(x, ast.Call) and _call_name(x) == "kron"
+                    for x in (node.left, node.right))}
+
+
+def test_kron_products_are_found():
+    tree = ast.parse("def f():\n    return m * (kron(F, G) * X)\n"
+                     "def g():\n    return linalg.kron(A, B) * M\n"
+                     "def h():\n    return M * kron(A, B)\n"
+                     "def k():\n    return kron_cols(A, B, M), kron(A, B)\n")
+    assert _kron_products(tree) == {"f", "g", "h"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_lifts_are_not_multiplied_through_kron(path):
+    """Coproduct lifts go through FDAlgebra.convolve (mu (F (x) G) lift)
+    or kron_cols (kron(A, B) * M): no product forms a Kronecker product.
+    check_coupled keeps its coupled:commute lines until the benchmark
+    stops reading hopfalgebroid.kron."""
+    found = _kron_products(ast.parse(path.read_text(), filename=str(path)))
+    allowed = {"check_coupled"} if path.name == "hopfalgebroid.py" else set()
+    assert found <= allowed, "%s multiplies by kron(...) in %s" % (
+        path.name, sorted(found - allowed))
 
 
 def _data_writes(tree):
