@@ -5,18 +5,21 @@ e_i * e_j as a dict {k: c} of its nonzero coordinates.  Products walk only
 those nonzeros, and a product with a basis element (an int index in place
 of a vector) is read off them without building the basis vector;
 convolve(F, G, lift) evaluates mu (F (x) G) lift on coproduct lifts the
-same way, with no Kronecker product.  All the predicates used downstream
-live here: validation, centers, radicals
-(Dickson trace form, characteristic 0), module projectivity via an affine
-splitting solve, central idempotent splitting over split fields, and the
-Wedderburn block shape.
+same way, with no Kronecker product, and convolution_terms gives the
+same convolution with an unknown leg as linalg.solve_map terms.  All the
+predicates used downstream live here: validation, centers, radicals
+(Dickson trace form, characteristic 0), module projectivity via a
+solve_map for a splitting, central idempotent splitting over split fields
+(polynomial arithmetic from the toolkit in fields), and the Wedderburn
+block shape.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .fields import QQ, parse_field, field_to_json
-from .linalg import (Mat, kernel, rank, solve_affine_sparse, vstack,
+from .fields import (QQ, parse_field, field_to_json, _poly_mul,
+                     _poly_divmod, _poly_ext_gcd)
+from .linalg import (Mat, kernel, kron, leg_slices, rank, solve_map, vstack,
                      NoSolution, ShapeMismatch, _combine)
 from .reports import ViolationReport
 
@@ -98,19 +101,21 @@ class FDAlgebra:
         return out
 
     def left_mult_matrix(self, x):
-        """The matrix of y -> x y; x is a vector or a basis index i, whose
-        matrix has the columns mul[i][j]."""
+        """The matrix of y -> x y; x is a vector, a dict of nonzeros or a
+        basis index i, whose matrix has the columns mul[i][j]."""
+        zero, mul = self.field.zero, self.mul
         return Mat.from_cols(
-            self.mul[x] if isinstance(x, int) else
-            [self.mul_vec(x, j) for j in range(self.dim)], self.dim,
-            self.field)
+            mul[x] if isinstance(x, int) else
+            [_combine([row[j] for row in mul], x, zero)
+             for j in range(self.dim)], self.dim, self.field)
 
     def right_mult_matrix(self, x):
-        """The matrix of y -> y x; x is a vector or a basis index."""
+        """The matrix of y -> y x; x is a vector, a dict of nonzeros or a
+        basis index, whose matrix has the columns mul[j][x]."""
+        zero, mul = self.field.zero, self.mul
         return Mat.from_cols(
-            [row[x] for row in self.mul] if isinstance(x, int) else
-            [self.mul_vec(j, x) for j in range(self.dim)], self.dim,
-            self.field)
+            [row[x] for row in mul] if isinstance(x, int) else
+            [_combine(row, x, zero) for row in mul], self.dim, self.field)
 
     def convolve(self, F, G, lift):
         """The Mat mu (F (x) G) lift, the convolution of F and G along a
@@ -138,6 +143,19 @@ class FDAlgebra:
                             acc[r] = acc.get(r, zero) + c * s
             out.append(acc)
         return Mat.from_cols(out, self.dim, self.field)
+
+    def convolution_terms(self, F, lift, unknown_leg):
+        """The (L, R) terms of mu (F (x) X) lift (unknown_leg 1) or of
+        mu (X (x) F) lift (unknown_leg 0), linear in the unknown map X, for
+        linalg.solve_map: one term per nonzero F e_k, L the multiplication
+        by F e_k on the side of its leg and R the slice of lift at k."""
+        fcols = F.sparse_cols()
+        if unknown_leg == 1:
+            mult = self.left_mult_matrix
+            slices = leg_slices(lift, lift.rows // F.cols, 0)
+        else:
+            mult, slices = self.right_mult_matrix, leg_slices(lift, F.cols, 1)
+        return [(mult(fcols[k]), P) for k, P in enumerate(slices) if fcols[k]]
 
     def is_commutative(self):
         return self.noncommutative_witness() is None
@@ -434,67 +452,25 @@ def regular_module(A, side="left"):
 
 def is_projective(M):
     """Decide projectivity of a finite-dimensional module by solving for a
-    module-map section of the free cover A^g -> M built on the module's
-    basis as generators.  Returns (flag, section columns or None)."""
+    module-map section sigma: M -> A^g of the free cover pi: A^g -> M,
+    (slot t, a) -> a . m_t, built on the module's basis as generators:
+    pi sigma = I, and sigma X_x = (I_g (x) act_x) sigma for every basis
+    element x, where act_x multiplies A by x on the module's side.
+    Returns (flag, section or None)."""
     A = M.algebra
-    field = A.field
-    g = M.dim
-    nA = A.dim
-    free_dim = g * nA      # A^g, coordinates (slot, algebra basis)
-    # pi: A^g -> M,  (slot t, a) -> a . m_t  (or m_t . a on the right);
-    # its rows as dicts
-    pi_rows = [{} for _ in range(M.dim)]
-    for t in range(g):
-        for a in range(nA):
-            for i, v in M.action[a].sparse_cols()[t].items():
-                pi_rows[i][t * nA + a] = v
-    # unknown sigma: M -> A^g, entries s[(t*nA+a), m]; constraints:
-    #   pi . sigma = id_M
-    #   sigma(x . m) = x . sigma(m) for algebra basis x
-    nunk = free_dim * M.dim
-
-    def unk(r, c):
-        return r * M.dim + c
-
-    rows = []
-    rhs = []
-    for i in range(M.dim):
-        for m in range(M.dim):
-            rows.append({unk(r, m): v for r, v in pi_rows[i].items()})
-            rhs.append(field.one if i == m else field.zero)
-    # module-map condition per algebra basis element x:
-    # for each target slot t, algebra coordinate b, source m:
-    #   sum_m' sigma[(t,b), m'] X[m', m]  = sum_a sigma[(t,a), m] * (x-action
-    #   on A in coordinate b), where on A^g the action is componentwise
-    #   left mult (left modules) or right mult by x (right modules).
-    for xi in range(nA):
-        X = M.action[xi].sparse_cols()
-        actA = A.left_mult_matrix(xi) if M.side == "left" \
-            else A.right_mult_matrix(xi)
-        actA_rows = [{} for _ in range(nA)]
-        for a, col in enumerate(actA.sparse_cols()):
-            for b, v in col.items():
-                actA_rows[b][a] = v
-        for t in range(g):
-            for b in range(nA):
-                for m in range(M.dim):
-                    row = {}
-                    for mp, v in X[m].items():
-                        key = unk(t * nA + b, mp)
-                        row[key] = row.get(key, field.zero) + v
-                    for a, v in actA_rows[b].items():
-                        key = unk(t * nA + a, m)
-                        row[key] = row.get(key, field.zero) - v
-                    row = {k: v for k, v in row.items() if v}
-                    if row:
-                        rows.append(row)
-                        rhs.append(field.zero)
+    field, g = A.field, M.dim
+    pi = Mat.from_cols([M.action[a].sparse_cols()[t] for t in range(g)
+                        for a in range(A.dim)], g, field)
+    mult = A.left_mult_matrix if M.side == "left" else A.right_mult_matrix
+    I_g = Mat.identity(g, field)
+    blocks = [([(pi, None)], I_g)]
+    blocks += [([(kron(I_g, mult(x)), None),
+                 (None, M.action[x].scale(-field.one))], None)
+               for x in range(A.dim)]
     try:
-        x, _ = solve_affine_sparse(rows, rhs, nunk, field)
+        return True, solve_map(blocks, g * A.dim, g, field)
     except NoSolution:
         return False, None
-    return True, Mat.from_cols([x[c::M.dim] for c in range(M.dim)],
-                               free_dim, field)
 
 
 # ---------------------------------------------------------------------------
@@ -591,13 +567,7 @@ def _split_linear(coeffs, field):
                 break
         if found is None:
             return None
-        # synthetic division of work by (x - lam)
-        n = len(work) - 1
-        q = [field.zero] * n
-        q[n - 1] = work[n]
-        for i in range(n - 2, -1, -1):
-            q[i] = work[i + 1] + found * q[i + 1]
-        work = q
+        work = _poly_divmod(work, [-found, field.one], field)[0]
         for r, m in roots:
             if r == found:
                 roots.remove((r, m))
@@ -615,16 +585,14 @@ def minimal_polynomial(A, w, e, max_deg):
     powers = [list(e)]
     for d in range(1, max_deg + 2):
         powers.append(A.mul_vec(powers[-1], w))
-        # look for dependence: sum c_i powers[i] = 0 with c_d = 1
+        # look for dependence: sum c_i powers[i] = powers[d]
         try:
-            sol, _ = solve_affine_sparse(
-                [{j: p[i] for j, p in enumerate(powers[:-1]) if p[i]}
-                 for i in range(A.dim)],
-                powers[-1], d, field)
+            sol = solve_map([([(Mat.from_cols(powers[:-1], A.dim, field),
+                                None)], Mat.column(powers[-1], field))],
+                            d, 1, field)
         except NoSolution:
             continue
-        coeffs = [-c for c in sol] + [field.one]
-        return coeffs
+        return [-c for c in sol.col(0)] + [field.one]
     raise RuntimeError("no minimal polynomial found (not an algebra element?)")
 
 
@@ -634,124 +602,46 @@ def central_idempotents_split(A):
     roots; raises NotSplit otherwise."""
     field = A.field
     Z = center(A)
-    components = [list(A.unit)]
-    changed = True
-    while changed:
-        changed = False
-        for e in list(components):
-            for p in Z.pivots:
-                w = A.mul_vec(e, Z.rows[p])
-                coeffs = minimal_polynomial(A, w, e, A.dim)
-                if len(coeffs) <= 2:
-                    continue  # scalar action on this component
-                roots = _split_linear(coeffs, field)
-                if roots is None:
-                    raise NotSplit("minimal polynomial does not split: %s"
-                                   % (coeffs,))
-                if len(roots) < 2:
-                    continue
-                # CRT idempotents for each distinct root
-                new = []
-                for lam, m in roots:
-                    # q = prod over other roots of (x-mu)^mult
-                    qpoly = [field.one]
-                    for mu, mm in roots:
-                        if mu == lam:
-                            continue
-                        for _ in range(mm):
-                            qpoly = _poly_shift_mul(qpoly, mu, field)
-                    # need inverse of q modulo (x-lam)^m: for m == 1 it is
-                    # the scalar 1/q(lam); larger m via power series of
-                    # 1/q around lam, truncated at degree m-1.
-                    inv = _inverse_mod_power(qpoly, lam, m, field)
-                    proj = _poly_mul_generic(qpoly, inv, field)
-                    val = _poly_eval_alg(A, proj, w, e)
-                    if any(val):
-                        new.append(val)
-                if len(new) >= 2:
-                    components.remove(e)
-                    components.extend(new)
-                    changed = True
-                    break
-            if changed:
+    # a component that splits is replaced by its pieces at the end of the
+    # queue; one that no central element splits is final, so none is
+    # examined twice
+    pending, components = [list(A.unit)], []
+    while pending:
+        e = pending.pop(0)
+        ws = [A.mul_vec(e, Z.rows[p]) for p in Z.pivots]
+        if rank(Mat.from_cols(ws, A.dim, field)) == 1:
+            components.append(e)    # e Z = k e: every e z is a scalar on e
+            continue
+        for w in ws:
+            coeffs = minimal_polynomial(A, w, e, A.dim)
+            if len(coeffs) <= 2:
+                continue  # scalar action on this component
+            roots = _split_linear(coeffs, field)
+            if roots is None:
+                raise NotSplit("minimal polynomial does not split: %s"
+                               % (coeffs,))
+            if len(roots) < 2:
+                continue
+            # CRT idempotents for each distinct root lam of multiplicity m:
+            # q = coeffs / (x - lam)^m times the inverse of q modulo
+            # (x - lam)^m, from extended Euclid
+            new = []
+            for lam, m in roots:
+                power = [field.one]
+                for _ in range(m):
+                    power = _poly_mul(power, [-lam, field.one], field)
+                q = _poly_divmod(coeffs, power, field)[0]
+                g, inv, _ = _poly_ext_gcd(q, power, field)
+                proj = _poly_mul(q, [field.div(c, g[0]) for c in inv], field)
+                val = _poly_eval_alg(A, proj, w, e)
+                if any(val):
+                    new.append(val)
+            if len(new) >= 2:
+                pending.extend(new)
                 break
+        else:
+            components.append(e)
     return components
-
-
-def _poly_shift_mul(p, mu, field):
-    """p(x) * (x - mu)."""
-    out = [field.zero] * (len(p) + 1)
-    for i, c in enumerate(p):
-        out[i + 1] = out[i + 1] + c
-        out[i] = out[i] - mu * c
-    return out
-
-
-def _poly_mul_generic(a, b, field):
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _inverse_mod_power(q, lam, m, field):
-    """Inverse of q(x) modulo (x - lam)^m, as a polynomial in x.
-    Computed via the Taylor expansion of 1/q at lam."""
-    # shift: Q(u) = q(lam + u); invert as a power series in u to order m-1;
-    # then substitute u = x - lam.
-    Q = _poly_taylor_shift(q, lam, field)
-    inv = [field.zero] * m
-    inv[0] = field.div(field.one, Q[0])
-    for k in range(1, m):
-        acc = field.zero
-        for i in range(1, k + 1):
-            if i < len(Q) and Q[i]:
-                acc = acc + Q[i] * inv[k - i]
-        inv[k] = field.div(-acc, Q[0])
-    # substitute back u = x - lam
-    out = [field.zero]
-    upow = [field.one]
-    for k in range(m):
-        if inv[k]:
-            term = [inv[k] * c for c in upow]
-            out = _poly_add(out, term, field)
-        upow = _poly_shift_mul(upow, lam, field)
-    return out
-
-
-def _poly_taylor_shift(p, lam, field):
-    """Coefficients of p(lam + u) as a polynomial in u."""
-    out = [field.zero] * len(p)
-    # Horner: p(lam + u) built by repeated synthetic division
-    work = list(p)
-    for k in range(len(p)):
-        # remainder of division by (u) after shifting = p^(k)(lam)/k!
-        acc = field.zero
-        for c in reversed(work):
-            acc = acc * lam + c
-        out[k] = acc
-        # divide work by (x - lam): quotient
-        n = len(work) - 1
-        if n == 0:
-            break
-        q = [field.zero] * n
-        q[n - 1] = work[n]
-        for i in range(n - 2, -1, -1):
-            q[i] = work[i + 1] + lam * q[i + 1]
-        work = q
-    return out
-
-
-def _poly_add(a, b, field):
-    out = [field.zero] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] = out[i] + x
-    for i, x in enumerate(b):
-        out[i] = out[i] + x
-    return out
 
 
 def wedderburn_shape(A):

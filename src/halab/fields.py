@@ -37,82 +37,6 @@ class DivisionByZero(ZeroDivisionError):
 
 
 # ---------------------------------------------------------------------------
-# polynomial helpers (dense lists of Fractions, index = power)
-
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return _poly_trim(out)
-
-
-def _poly_divmod(a, b):
-    """Exact division with remainder, b monic-or-not, over Q."""
-    a = list(a)
-    q = [Fraction(0)] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        c = a[i + len(b) - 1] / lead
-        if c:
-            q[i] = c
-            for j, y in enumerate(b):
-                a[i + j] -= c * y
-    return q, _poly_trim(a)
-
-
-_CYCLO_CACHE = {}
-
-
-def cyclotomic_polynomial(N):
-    """Coefficient list of Phi_N, computed by dividing x^N - 1 by the
-    product of Phi_d over proper divisors d of N."""
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    if N in _CYCLO_CACHE:
-        return list(_CYCLO_CACHE[N])
-    num = [Fraction(-1)] + [Fraction(0)] * (N - 1) + [Fraction(1)]  # x^N - 1
-    den = [Fraction(1)]
-    for d in range(1, N):
-        if N % d == 0:
-            den = _poly_mul(den, cyclotomic_polynomial(d))
-    q, r = _poly_divmod(num, den)
-    assert not r, "cyclotomic division must be exact"
-    _CYCLO_CACHE[N] = q
-    return list(q)
-
-
-def _poly_ext_gcd(a, b):
-    """Extended Euclid over Q[x]: returns (g, u, v) with u*a + v*b = g."""
-    r0, r1 = list(a), list(b)
-    u0, u1 = [Fraction(1)], []
-    v0, v1 = [], [Fraction(1)]
-    while r1:
-        q, r = _poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1))
-        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1))
-    return r0, u0, v0
-
-
-def _poly_sub(a, b):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, x in enumerate(b):
-        out[i] -= x
-    return _poly_trim(out)
-
-
-# ---------------------------------------------------------------------------
 # field descriptors
 
 
@@ -295,6 +219,84 @@ class CyclotomicField:
 QQ = RationalField()
 
 
+# ---------------------------------------------------------------------------
+# polynomials: coefficient lists over a field, index = power.  The one
+# polynomial toolkit: cyclotomic_polynomial and Cyc.inverse use it over Q,
+# and algebra's central idempotent splitting over the document's field.
+
+def _poly_trim(p):
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _poly_mul(a, b, field=QQ):
+    out = [field.zero] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] = out[i + j] + x * y
+    return _poly_trim(out)
+
+
+def _poly_divmod(a, b, field=QQ):
+    """Exact division with remainder by b (monic or not)."""
+    a = list(a)
+    q = [field.zero] * max(0, len(a) - len(b) + 1)
+    inv = field.one if b[-1] == field.one else field.div(field.one, b[-1])
+    for i in range(len(a) - len(b), -1, -1):
+        c = a[i + len(b) - 1] * inv
+        if c:
+            q[i] = c
+            for j, y in enumerate(b):
+                a[i + j] = a[i + j] - c * y
+    return q, _poly_trim(a)
+
+
+def _poly_sub(a, b, field=QQ):
+    out = [field.zero] * max(len(a), len(b))
+    for i, x in enumerate(a):
+        out[i] = out[i] + x
+    for i, x in enumerate(b):
+        out[i] = out[i] - x
+    return _poly_trim(out)
+
+
+def _poly_ext_gcd(a, b, field=QQ):
+    """Extended Euclid: returns (g, u, v) with u*a + v*b = g."""
+    r0, r1 = list(a), list(b)
+    u0, u1 = [field.one], []
+    v0, v1 = [], [field.one]
+    while r1:
+        q, r = _poly_divmod(r0, r1, field)
+        r0, r1 = r1, r
+        u0, u1 = u1, _poly_sub(u0, _poly_mul(q, u1, field), field)
+        v0, v1 = v1, _poly_sub(v0, _poly_mul(q, v1, field), field)
+    return r0, u0, v0
+
+
+_CYCLO_CACHE = {}
+
+
+def cyclotomic_polynomial(N):
+    """Coefficient list of Phi_N, computed by dividing x^N - 1 by the
+    product of Phi_d over proper divisors d of N."""
+    if N < 1:
+        raise ValueError("N must be >= 1")
+    if N in _CYCLO_CACHE:
+        return list(_CYCLO_CACHE[N])
+    num = [-1] + [0] * (N - 1) + [1]  # x^N - 1
+    den = [1]
+    for d in range(1, N):
+        if N % d == 0:
+            den = _poly_mul(den, cyclotomic_polynomial(d))
+    q, r = _poly_divmod(num, den)
+    assert not r, "cyclotomic division must be exact"
+    _CYCLO_CACHE[N] = q
+    return list(q)
+
+
 def _canon(field, num, den):
     """The Cyc num/den in lowest terms (num a tuple of ints, den > 0)."""
     g = gcd(den, *num)
@@ -390,7 +392,7 @@ class Cyc:
         g, u, _ = _poly_ext_gcd(list(self.coeffs), self.field.poly)
         # g is a nonzero constant since Phi_N is irreducible over Q
         assert len(g) == 1
-        inv = [c / g[0] for c in u]
+        inv = [QQ.div(c, g[0]) for c in u]
         _, r = _poly_divmod(inv, self.field.poly)
         return self.field._from_fractions(r)
 

@@ -14,8 +14,8 @@ Tensor conventions follow bimod:
 
 import random
 
-from .linalg import (Mat, kron_cols, rank, inverse, kernel, image,
-                     Subspace, solve_affine_sparse, NoSolution, ShapeMismatch)
+from .linalg import (Mat, kron_cols, leg_slices, rank, inverse, kernel,
+                     image, Subspace, solve_map, NoSolution, ShapeMismatch)
 from .algebra import (FDAlgebra, ModuleOverA, is_projective, Inconclusive,
                       check_algebra_morphism, subalgebra_on_rows,
                       central_idempotents_split, center, NotSplit, nonzeros)
@@ -421,52 +421,15 @@ def convolution_compose(f, g):
 
 
 def _conv_inverse(D, c):
-    """Solve for d: L -> R with c * d = id_L and d * c = id_R."""
-    B = D.B
-    H = D.H.total
-    field = D.field
-    dB, dH = B.dim, H.dim
-    idL = conv_identity(D, "L").map
-    idR = conv_identity(D, "R").map
-    dR = D.H.rightb.coproduct_lift
-    dL = D.H.leftb.coproduct_lift
-    rows = []
-    rhs = []
-
-    def unk(i, h):
-        return i * dH + h
-    # c * d = mu (c x d) Delta_R = idL ;   d * c = mu (d x c) Delta_L = idR
-    cmap = c.map.sparse_cols()
-    for h in range(dH):
-        idL_h, idR_h = idL.col(h), idR.col(h)
-        for out in range(dB):
-            row1 = {}
-            row2 = {}
-            for idx, coef in dR.sparse_cols()[h].items():
-                h1, h2 = divmod(idx, dH)
-                for b1, cb in cmap[h1].items():
-                    for b2 in range(dB):
-                        v = B.mul[b1][b2].get(out)
-                        if v:
-                            key = unk(b2, h2)
-                            row1[key] = row1.get(key, field.zero) \
-                                + coef * cb * v
-            for idx, coef in dL.sparse_cols()[h].items():
-                h1, h2 = divmod(idx, dH)
-                for b2, cb in cmap[h2].items():
-                    for b1 in range(dB):
-                        v = B.mul[b1][b2].get(out)
-                        if v:
-                            key = unk(b1, h1)
-                            row2[key] = row2.get(key, field.zero) \
-                                + coef * cb * v
-            rows.append({k: v for k, v in row1.items() if v})
-            rhs.append(idL_h[out])
-            rows.append({k: v for k, v in row2.items() if v})
-            rhs.append(idR_h[out])
-    x, _ = solve_affine_sparse(rows, rhs, dB * dH, field)
-    return ConvMorphism(D, "L", "R", Mat.from_cols(
-        [x[h::dH] for h in range(dH)], dB, field))
+    """Solve for d: L -> R with c * d = mu (c (x) d) Delta_R = id_L and
+    d * c = mu (d (x) c) Delta_L = id_R."""
+    B, Hd = D.B, D.H
+    blocks = [(B.convolution_terms(c.map, Hd.rightb.coproduct_lift, 1),
+               conv_identity(D, "L").map),
+              (B.convolution_terms(c.map, Hd.leftb.coproduct_lift, 0),
+               conv_identity(D, "R").map)]
+    return ConvMorphism(D, "L", "R",
+                        solve_map(blocks, B.dim, Hd.total.dim, D.field))
 
 
 def check_cleft(D, c, seed=0):
@@ -510,10 +473,10 @@ def check_cleft(D, c, seed=0):
     return rep
 
 
-def _normal_basis_witness(D, rep, seed):
-    """Solve the linear system for a left-A-linear right-comodule map
-    B -> A (x)_L H and search seeded combinations of the solution space for
-    an invertible one."""
+def _normal_basis_solutions(D):
+    """The quotient A (x)_L H and the kernel basis, as (dA*dH) x dB Mats
+    at lift level, of the linear system for a left-A-linear
+    right-comodule map B -> A (x)_L H."""
     B = D.B
     H = D.H.total
     Hd = D.H
@@ -532,91 +495,53 @@ def _normal_basis_witness(D, rep, seed):
     # stages are sqAH and H's square, so neither is built again
     T = tensor_over([dA, dH, dH], [(right_acts, Hd.leftb.acts()[1]),
                                    Hd.rightb.acts()], field, D._quotients)
-    # unknown theta at lift level: (dA*dH) x dB
-    nunk = dA * dH * dB
-
-    def unk(alpha, b):
-        return alpha * dB + b
-    rows = {}   # a constraint's key -> its row
-
-    def add(key, col, v):
-        row = rows.setdefault(key, {})
-        row[col] = row.get(col, field.zero) + v
-    # left A-linearity after projection to the quotient: for every a, every
-    # coordinate qi and every b, P (theta La) = P (L_a (x) id) theta there
+    # unknown theta: B -> A (x) H at lift level, (dA*dH) x dB.  Left
+    # A-linearity after projection to sqAH: P theta L_a = P (L_a (x) id)
+    # theta for every a; the comodule-map square in the triple quotient:
+    # T (id (x) Delta_R) theta = T (theta (x) id) rho, the right side a sum
+    # over the H-leg h of rho of T E_h theta slice_h, where E_h is
+    # alpha -> alpha (x) e_h
     units = [{alpha: field.one} for alpha in range(dA * dH)]
-    P = sqAH.apply(units).sparse_cols()
-    I_H = Mat.identity(dH, field)
-    for a in range(dA):
-        La = B.left_mult_matrix(Aincl.col(a)).sparse_cols()
-        PLA = sqAH.apply(kron_cols(Aalg.left_mult_matrix(a), I_H,
-                                   units)).sparse_cols()
-        for alpha in range(dA * dH):
-            for qi, pv in P[alpha].items():
-                for b in range(dB):
-                    for bp, v in La[b].items():
-                        add(("linear", a, qi, b), unk(alpha, bp), pv * v)
-            for qi, c2 in PLA[alpha].items():
-                for b in range(dB):
-                    add(("linear", a, qi, b), unk(alpha, b), -c2)
-    # comodule-map square in the triple quotient: (id (x) Delta_R) theta =
-    # (theta (x) id) rho, projected to T, at every coordinate and every b
-    lhs = T.apply(kron_cols(Mat.identity(dA, field), Hd.rightb.coproduct_lift,
-                            units)).sparse_cols()
-    for alpha in range(dA * dH):
-        for qi, v in lhs[alpha].items():
-            for b in range(dB):
-                add(("square", qi, b), unk(alpha, b), v)
-    for b, col in enumerate(D.rhoR_lift.sparse_cols()):
-        fibres = {}     # bp -> the H-coordinates of rho(b) at bp
-        for idx, cv in col.items():
-            bp, h2 = divmod(idx, dH)
-            fibres.setdefault(bp, {})[h2] = cv
-        for bp, fibre in fibres.items():
-            for alpha in range(dA * dH):
-                image = T.project({alpha * dH + h2: cv
-                                   for h2, cv in fibre.items()})
-                for qi, v in image.items():
-                    add(("square", qi, b), unk(alpha, bp), -v)
-    rows = [r for r in ({k: v for k, v in row.items() if v}
-                        for row in rows.values()) if r]
-    rhs = [field.zero] * len(rows)
-    try:
-        _, kern = solve_affine_sparse(rows, rhs, nunk, field,
-                                      want_kernel=True)
-    except NoSolution:
-        rep.require(False, "cleft:normal-basis", note="no intertwiner")
-        return
+    P, I_H, minus = sqAH.apply(units), Mat.identity(dH, field), -field.one
+    blocks = [([(P, B.left_mult_matrix(Aincl.col(a))),
+                (sqAH.apply(kron_cols(Aalg.left_mult_matrix(a), I_H,
+                                      units)).scale(minus), None)], None)
+              for a in range(dA)]
+    square = [(T.apply(kron_cols(Mat.identity(dA, field),
+                                 Hd.rightb.coproduct_lift, units)), None)]
+    for h, P in enumerate(leg_slices(D.rhoR_lift, dH, 1)):
+        E_h = [{alpha * dH + h: minus} for alpha in range(dA * dH)]
+        square.append((T.apply(E_h), P))
+    blocks.append((square, None))
+    return sqAH, solve_map(blocks, dA * dH, dB, field, want_kernel=True)[1]
+
+
+def _normal_basis_witness(D, rep, seed):
+    """Search the solutions of _normal_basis_solutions, then seeded
+    combinations of them, for an invertible one."""
+    sqAH, sols = _normal_basis_solutions(D)
+    dB, field = D.B.dim, D.field
     if sqAH.dim != dB:
         rep.require(False, "cleft:normal-basis",
                     note="dimension mismatch: %d vs %d" % (sqAH.dim, dB))
         return
-    sols = kern or []
     if not sols:
         rep.require(False, "cleft:normal-basis", note="only zero solution")
         return
-
-    def quot_map(vec):
-        cols = [{} for _ in range(dB)]
-        for k, v in vec.items():
-            alpha, b = divmod(k, dB)
-            cols[b][alpha] = v
-        return sqAH.apply(cols)
-    for vec in sols:
-        M = quot_map(vec)
-        if rank(M) == dB:
+    for K in sols:
+        if rank(sqAH.apply(K)) == dB:
             rep.require(True, "cleft:normal-basis")
             return
     rng = random.Random(seed)
     for _ in range(64):
-        combo = {}
-        for vec in sols:
+        combo = [{} for _ in range(dB)]
+        for K in sols:
             coeff = field.random(rng)
             if coeff:
-                for i, v in vec.items():
-                    combo[i] = combo.get(i, field.zero) + coeff * v
-        M = quot_map(combo)
-        if rank(M) == dB:
+                for col, kcol in zip(combo, K.sparse_cols()):
+                    for i, v in kcol.items():
+                        col[i] = col.get(i, field.zero) + coeff * v
+        if rank(sqAH.apply(combo)) == dB:
             rep.require(True, "cleft:normal-basis")
             return
     raise Inconclusive("normal-basis search exhausted without an "

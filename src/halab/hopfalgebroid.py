@@ -23,8 +23,8 @@ Axiom tags:
   hopf:(a) hopf:(b) hopf:(c) hopf:(d) hopf:S-bijective
 """
 
-from .linalg import (Mat, kron, kron_cols, rank, solve_affine_sparse,
-                     NoSolution, ShapeMismatch, shaped_mat_from_json)
+from .linalg import (Mat, kron, kron_cols, rank, solve_map, NoSolution,
+                     ShapeMismatch, shaped_mat_from_json)
 from .bimod import tensor_over, takeuchi
 from .algebra import (FDAlgebra, check_algebra_morphism,
                       check_algebra_antimorphism, opposite)
@@ -316,52 +316,23 @@ def check_hopf_algebroid(Hd, skip_bialgebroids=False):
 
 
 def solve_antipode(B, want_kernel=False):
-    """Solve the convolution-inverse system for a bialgebra over k (a
-    bialgebroid with one-dimensional base).  Returns the antipode matrix,
-    or raises NoAntipode; the solution is unique when one exists."""
+    """Solve the convolution-inverse system mu (S (x) id) Delta = s eps =
+    mu (id (x) S) Delta for a bialgebra over k (a bialgebroid with
+    one-dimensional base).  Returns the antipode matrix, with the kernel
+    basis of the system when want_kernel, or raises NoAntipode; the
+    solution is unique when one exists."""
     H = B.total
     if B.base.dim != 1:
         raise ShapeMismatch("solve_antipode needs a bialgebra over k")
-    d = H.dim
-    field = H.field
-    eta = B.s.col(0)  # unit image in H
-    rows = []
-    rhs = []
-
-    def unk(k, i):
-        return k * d + i
-
-    cols = B.coproduct_lift.sparse_cols()
-    for bidx in range(d):
-        eps_b = B.counit.col(bidx)[0]
-        # sum_ij c_ij S(e_i) e_j = eps(b) 1   -> rows per output coord
-        rows1 = [{} for _ in range(d)]
-        rows2 = [{} for _ in range(d)]
-        for ij, c in cols[bidx].items():
-            i, j = divmod(ij, d)
-            # S(e_i) e_j: S(e_i) = sum_k S_ki e_k
-            for k in range(d):
-                for out, v in H.mul[k][j].items():
-                    row1, key = rows1[out], unk(k, i)
-                    row1[key] = row1.get(key, field.zero) + c * v
-                for out, v in H.mul[i][k].items():
-                    row2, key = rows2[out], unk(k, j)
-                    row2[key] = row2.get(key, field.zero) + c * v
-        for out in range(d):
-            target = eps_b * eta[out]
-            rows.append({k: v for k, v in rows1[out].items() if v})
-            rhs.append(target)
-            rows.append({k: v for k, v in rows2[out].items() if v})
-            rhs.append(target)
+    I, lift, target = Mat.identity(H.dim, H.field), B.coproduct_lift, \
+        B.s * B.counit
     try:
-        x, kern = solve_affine_sparse(rows, rhs, d * d, field,
-                                      want_kernel=True)
+        S, kern = solve_map([(H.convolution_terms(I, lift, 0), target),
+                             (H.convolution_terms(I, lift, 1), target)],
+                            H.dim, H.dim, H.field, want_kernel=True)
     except NoSolution:
         raise NoAntipode()
-    S = Mat.from_cols([x[i::d] for i in range(d)], d, field)
-    if want_kernel:
-        return S, kern
-    return S
+    return (S, kern) if want_kernel else S
 
 
 def check_coupled(H1, H2, C):

@@ -24,6 +24,13 @@ QuotientPresentation stores only the canonical relation rows:
 project(vec) returns the dict of a projected vector's nonzeros and
 apply(M) = proj * M is the Mat of the projected columns.
 
+Every system for an unknown linear map goes through solve_map(blocks,
+rows, cols, field): sum L X R = rhs per block, unknown X[p][q] at column
+p * cols + q, solved by solve_affine_sparse, so no caller numbers
+unknowns by hand.  leg_slices cuts a lift into the per-leg slices that
+turn a convolution with an unknown leg into such terms.  Polynomials are
+not here: fields holds the one polynomial toolkit.
+
 A lift through a tensor product takes one of two product paths:
 kron_cols(A, B, M), the columns of kron(A, B) * M built from the nonzeros
 of the three factors (so (Delta (x) id) Delta is never a Kronecker
@@ -499,6 +506,76 @@ def solve_affine_sparse(constraint_rows, rhs, ncols, field=QQ, want_kernel=False
         x[p] = row.get(ncols, field.zero)
     kern = _kernel_vectors(rows, ncols, field) if want_kernel else None
     return x, kern
+
+
+def solve_map(blocks, rows, cols, field=QQ, want_kernel=False):
+    """The rows x cols Mat X with sum(L * X * R for L, R in terms) == rhs
+    for every (terms, rhs) in blocks; an L or R of None is the identity
+    and an rhs of None is zero.  Unknown X[p][q] is column p * cols + q of
+    the system that solve_affine_sparse solves, so the particular solution
+    and the kernel basis are those of that row-major order.  Returns X, or
+    (X, kernel basis as rows x cols Mats) when want_kernel; raises
+    NoSolution."""
+    zero, one = field.zero, field.one
+    eqs, rhs = [], []
+    for terms, target in blocks:
+        acc = {}    # (i, j) -> the row of entry (i, j) of sum L X R
+        for L, R in terms:
+            lrows = [{p: one} for p in range(rows)] if L is None else _rows(L)
+            rcols = [{q: one} for q in range(cols)] if R is None \
+                else R.sparse_cols()
+            rcols = [(j, col.items()) for j, col in enumerate(rcols) if col]
+            for i, lrow in enumerate(lrows):
+                if not lrow:
+                    continue
+                lterms = [(p * cols, a) for p, a in lrow.items()]
+                for j, rcol in rcols:
+                    row = acc.setdefault((i, j), {})
+                    for base, a in lterms:
+                        for q, b in rcol:
+                            row[base + q] = row.get(base + q, zero) + a * b
+        values = {} if target is None else {
+            (i, j): v for j, col in enumerate(target.sparse_cols())
+            for i, v in col.items()}
+        for key, row in acc.items():
+            b = values.pop(key, zero)
+            if b or any(row.values()):      # terms may cancel
+                eqs.append(row)
+                rhs.append(b)
+        eqs.extend({} for _ in values)
+        rhs.extend(values.values())
+    x, kern = solve_affine_sparse(eqs, rhs, rows * cols, field, want_kernel)
+    X = Mat.from_cols([x[q::cols] for q in range(cols)], rows, field)
+    if not want_kernel:
+        return X
+    basis = []
+    for vec in kern:
+        kcols = [{} for _ in range(cols)]
+        for k, v in vec.items():
+            p, q = divmod(k, cols)
+            kcols[q][p] = v
+        basis.append(Mat.from_cols(kcols, rows, field))
+    return X, basis
+
+
+def leg_slices(lift, n, fixed):
+    """Cut a lift, whose rows k * n + l are pairs of legs, into one Mat per
+    value of the fixed leg (0: the first leg k, 1: the second leg l); the
+    slice of k has the rows l and the slice of l the rows k.  So a
+    convolution with one unknown leg X is a sum of L X R terms:
+        mu (F (x) X) lift = sum_k L_{F e_k} X slice_k   (fixed 0),
+        mu (X (x) G) lift = sum_l R_{G e_l} X slice_l   (fixed 1)."""
+    m = lift.rows // n
+    count, size = (m, n) if fixed == 0 else (n, m)
+    out = [[{} for _ in range(lift.cols)] for _ in range(count)]
+    for c, col in enumerate(lift.sparse_cols()):
+        for kl, v in col.items():
+            k, l = divmod(kl, n)
+            if fixed == 0:
+                out[k][c][l] = v
+            else:
+                out[l][c][k] = v
+    return [Mat.from_cols(cs, size, lift.field) for cs in out]
 
 
 class QuotientPresentation:

@@ -14,10 +14,10 @@ harness).
 import itertools
 
 from .fields import QQ, CyclotomicField
-from .linalg import Mat, kron_cols, inverse, solve_affine, NoSolution, image
+from .linalg import Mat, kron_cols, inverse, solve_map, NoSolution, image
 from .algebra import (FDAlgebra, check_group_table, product_field_algebra,
                       opposite, central_idempotents_split, NotSplit,
-                      subalgebra_on_rows, nonzeros, tensor_algebra)
+                      subalgebra_on_rows, nonzeros)
 from .bimod import pair_mul
 from .hopfalgebroid import BialgebroidData, HopfAlgebroidData
 from .reports import ViolationReport
@@ -406,15 +406,11 @@ def assemble_hopf_algebroid(rightb, S, left_coproduct_lift=None, name=None):
         left_coproduct_lift = _swap_matrix(d, field) * Mat.from_cols(
             kron_cols(Sinv, Sinv, rightb.coproduct_lift * S), d * d, field)
     P = H.convolve(Mat.identity(d, field), S, rightb.coproduct_lift)
-    eps_cols = []
-    for j in range(d):
-        try:
-            x, _ = solve_affine(sL, P.col(j))
-        except NoSolution:
-            raise ValueError("mu (id x S) Delta does not land in the image "
-                             "of the would-be left source; no left counit")
-        eps_cols.append(x)
-    epsL = Mat.from_cols(eps_cols, rightb.base.dim, field)
+    try:
+        epsL = solve_map([([(sL, None)], P)], rightb.base.dim, d, field)
+    except NoSolution:
+        raise ValueError("mu (id x S) Delta does not land in the image "
+                         "of the would-be left source; no left counit")
     leftb = BialgebroidData(H, L, "left", sL, tL, left_coproduct_lift, epsL,
                             name=None if name is None else name + ":left")
     return HopfAlgebroidData(leftb, rightb, S, name=name)
@@ -637,6 +633,36 @@ class WeakHopfData:
         self.counit = counit            # Mat 1 x d
         self.antipode = antipode        # Mat d x d
         self.name = name
+        self._eps_products = None
+
+    def eps_products(self):
+        """The d x d table eps(e_a e_b), read off the structure constants
+        (built once)."""
+        if self._eps_products is None:
+            H = self.algebra
+            zero = H.field.zero
+            eps = [col.get(0, zero) for col in self.counit.sparse_cols()]
+            self._eps_products = [
+                [sum((c * eps[k] for k, c in prod.items()), zero)
+                 for prod in row] for row in H.mul]
+        return self._eps_products
+
+
+def _three_leg_product(H, u, v):
+    """The factorwise product in H (x) H (x) H of u and v, each a dict
+    {(a, b, c): coefficient} of its nonzeros, as a dict of the nonzeros
+    at (a * d + b) * d + c."""
+    d, zero, mul = H.dim, H.field.zero, H.mul
+    out = {}
+    for (a1, b1, c1), x in u.items():
+        for (a2, b2, c2), y in v.items():
+            rs = mul[c1][c2].items()
+            for p, s in mul[a1][a2].items():
+                for q, t in mul[b1][b2].items():
+                    xyst, base = x * y * s * t, (p * d + q) * d
+                    for r, z in rs:
+                        out[base + r] = out.get(base + r, zero) + xyst * z
+    return {k: x for k, x in out.items() if x}
 
 
 def check_weak_hopf(W):
@@ -661,35 +687,40 @@ def check_weak_hopf(W):
     # (i) coassociative
     rep.require(kron_cols(D, I, D) == kron_cols(I, D, D),
                 "weak:coassociative")
-    # (i) weak unitality, products in (H (x) H) (x) H
-    scalar, unit = [{0: field.one}], Mat.column(H.unit, field)
-    w = Mat.column(D.matvec(H.unit), field)
-    w_1 = kron_cols(w, unit, scalar)[0]     # Delta(1) (x) 1
-    one_w = kron_cols(unit, w, scalar)[0]   # 1 (x) Delta(1)
-    D2unit = kron_cols(D, I, w.sparse_cols())[0]
-    HH = tensor_algebra(H, H)
-    rep.require(nonzeros(pair_mul(HH, H, w_1, one_w)) == D2unit,
+    # (i) weak unitality, products in H (x) H (x) H over the nonzeros of
+    # Delta(1) and of 1
+    w = D.matvec(H.unit)
+    units = nonzeros(H.unit).items()
+    w_1 = {}    # Delta(1) (x) 1
+    one_w = {}  # 1 (x) Delta(1)
+    for ij, c in nonzeros(w).items():
+        i, j = divmod(ij, d)
+        for k, u in units:
+            w_1[i, j, k] = c * u
+            one_w[k, i, j] = u * c
+    D2unit = kron_cols(D, I, [w])[0]
+    rep.require(_three_leg_product(H, w_1, one_w) == D2unit,
                 "weak:unitality", note="(D(1) x 1)(1 x D(1)) != D2(1)")
-    rep.require(nonzeros(pair_mul(HH, H, one_w, w_1)) == D2unit,
+    rep.require(_three_leg_product(H, one_w, w_1) == D2unit,
                 "weak:unitality", note="(1 x D(1))(D(1) x 1) != D2(1)")
     # (iii) counital
     rep.require(kron_cols(eps, I, D) == I.sparse_cols(), "weak:counital",
                 note="left")
     rep.require(kron_cols(I, eps, D) == I.sparse_cols(), "weak:counital",
                 note="right")
-    # (iii) weak multiplicativity
-    def eps_of(vec):
-        return eps.matvec(vec)[0]
+    # (iii) weak multiplicativity, read off the table E of eps(e_a e_b)
+    E = W.eps_products()
     for x in range(d):
         for y in range(d):
             Dy = D.sparse_cols()[y].items()
             for z in range(d):
-                mid = eps_of(H.mul_vec(H.mul[x][y], z))
+                mid = sum((c * E[k][z] for k, c in H.mul[x][y].items()),
+                          field.zero)
                 lhs = rhs = field.zero
                 for ij, c in Dy:
                     i, j = divmod(ij, d)
-                    lhs = lhs + c * eps_of(H.mul[x][i]) * eps_of(H.mul[j][z])
-                    rhs = rhs + c * eps_of(H.mul[x][j]) * eps_of(H.mul[i][z])
+                    lhs = lhs + c * E[x][i] * E[j][z]
+                    rhs = rhs + c * E[x][j] * E[i][z]
                 rep.require(lhs == mid, "weak:counit-multiplicative",
                             (x, y, z, 1))
                 rep.require(rhs == mid, "weak:counit-multiplicative",
@@ -714,25 +745,15 @@ def weak_projections(W):
     """The idempotents pL(h) = eps(1_(1) h) 1_(2) and
     pR(h) = 1_(1) eps(h 1_(2))."""
     H = W.algebra
-    d = H.dim
-    field = H.field
-    w = W.coproduct.matvec(H.unit)
-    zero = field.zero
-    pL = [[zero] * d for _ in range(d)]
-    pR = [[zero] * d for _ in range(d)]
-    for h in range(d):
-        for i in range(d):
-            for j in range(d):
-                c = w[i * d + j]
-                if not c:
-                    continue
-                cl = W.counit.matvec(H.mul[i][h])[0]
-                if cl:
-                    pL[h][j] = pL[h][j] + c * cl
-                cr = W.counit.matvec(H.mul[h][j])[0]
-                if cr:
-                    pR[h][i] = pR[h][i] + c * cr
-    return Mat.from_cols(pL, d, field), Mat.from_cols(pR, d, field)
+    d, zero, E = H.dim, H.field.zero, W.eps_products()
+    pL = [{} for _ in range(d)]
+    pR = [{} for _ in range(d)]
+    for ij, c in nonzeros(W.coproduct.matvec(H.unit)).items():
+        i, j = divmod(ij, d)
+        for h in range(d):
+            pL[h][j] = pL[h].get(j, zero) + c * E[i][h]
+            pR[h][i] = pR[h].get(i, zero) + c * E[h][j]
+    return Mat.from_cols(pL, d, H.field), Mat.from_cols(pR, d, H.field)
 
 
 def weak_hopf_to_algebroid(W):
@@ -750,18 +771,14 @@ def weak_hopf_to_algebroid(W):
     Rspace = image(pR)
     Rbase, incl = subalgebra_on_rows(H, Rspace)
     m = Rbase.dim
-    w = W.coproduct.matvec(H.unit)
-    tcols = [[field.zero] * d for _ in range(m)]
-    for r in range(m):
-        rv = incl.col(r)
-        for i in range(d):
-            for j in range(d):
-                c = w[i * d + j]
-                if not c:
-                    continue
-                cr = W.counit.matvec(H.mul_vec(rv, i))[0]
-                if cr:
-                    tcols[r][j] = tcols[r][j] + c * cr
+    # t(r) = eps(r 1_(1)) 1_(2), read off the table of eps(e_a e_b)
+    E = W.eps_products()
+    tcols = [{} for _ in range(m)]
+    for ij, c in nonzeros(W.coproduct.matvec(H.unit)).items():
+        i, j = divmod(ij, d)
+        for r, rv in enumerate(incl.sparse_cols()):
+            cr = sum((x * E[k][i] for k, x in rv.items()), field.zero)
+            tcols[r][j] = tcols[r].get(j, field.zero) + c * cr
     tR = Mat.from_cols(tcols, d, field)
     # eps_R = pR in base coordinates
     epsR = Mat.from_cols([Rspace.coords(pR.col(h)) for h in range(d)],

@@ -119,9 +119,9 @@ def weak_conversions():
     ]
 
 
-@pytest.fixture(scope="session")
-def hopf_corpus():
-    """Every zoo constructor output covered by the soundness criterion."""
+def hopf_instances():
+    """The corpus Hopf algebroids of dimension <= 12: group algebras,
+    groupoid algebras, function algebroids, smash, coupled and weak."""
     out = []
     for name, table in group_tables():
         out.append(("k" + name, group_hopf_algebra(table)))
@@ -131,6 +131,13 @@ def hopf_corpus():
     out.extend(smash_instances())
     out.extend(coupled_instances())
     out.extend(weak_conversions())
+    return out
+
+
+@pytest.fixture(scope="session")
+def hopf_corpus():
+    """Every zoo constructor output covered by the soundness criterion."""
+    out = hopf_instances()
     # larger than the benchmark mirror in bench/workloads.py (dim 16, 24)
     out.append(("groupoid algebra indiscrete4",
                 groupoid_algebra(indiscrete_groupoid(4))))
@@ -140,8 +147,7 @@ def hopf_corpus():
     return out
 
 
-@pytest.fixture(scope="session")
-def comodule_corpus():
+def comodule_instances():
     """Regular comodules over a spread of corpus algebroids (>= 10, all
     with bijective antipode)."""
     out = []
@@ -157,6 +163,11 @@ def comodule_corpus():
     for name, Hd in smash_instances()[1:]:
         out.append(regular_comodule(Hd, name="regular " + name))
     return out
+
+
+@pytest.fixture(scope="session")
+def comodule_corpus():
+    return comodule_instances()
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Static checks over the halab sources: every imported name is used,
 every quotient projection goes through project or apply, tensor quotients
-have one builder and rows one elimination engine, products with a basis
+have one builder, rows one elimination engine and systems for an unknown
+linear map one solver (linalg.solve_map), products with a basis
 element are lookups, no product takes a kron(...) operand outside
 hopfalgebroid.check_coupled (lifts go through FDAlgebra.convolve and
 kron_cols), no Mat's .data is ever written, no module uses floating
@@ -65,6 +66,19 @@ def test_one_quotient_builder_and_one_engine():
     assert _callers("quotient_by") == {("bimod.py", "tensor_over")}
     engine = _callers("_echelon_dict")
     assert engine and {module for module, _ in engine} == {"linalg.py"}
+
+
+def test_one_solver_for_unknown_maps():
+    """solve_affine_sparse is called only in linalg, so every system for an
+    unknown linear map is built by linalg.solve_map, and no function in
+    the sources is named unk: no module numbers unknowns by hand."""
+    solver = _callers("solve_affine_sparse")
+    assert solver and {module for module, _ in solver} == {"linalg.py"}
+    unk = sorted(
+        (path.name, node.lineno) for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef) and node.name == "unk")
+    assert not unk, "functions named unk at %s" % unk
 
 
 def _call_name(node):

@@ -2,37 +2,54 @@
 workload runs: the weak Hopf, coupling, Hopf-bimodule and Morita checks on
 seeded single-entry mutations of their inputs, and the Hopf algebroids
 that assemble_hopf_algebroid, coupled_from_character and
-weak_hopf_to_algebroid build for the corpus inputs.
+weak_hopf_to_algebroid build for the corpus inputs.  Also pinned: the
+outputs of the solves for an unknown linear map (is_projective sections,
+solve_antipode, _conv_inverse, the kernel basis of the normal-basis
+system) and check_cleft reports.  That kernel basis seeds check_cleft's
+search, and numbering the unknowns of linalg.solve_map column-major
+instead of row-major changes it.
 
 Each case is recorded as (number of entries, digest).  The digest
 is the sha256 prefix of the canonical JSON of the report entries (tag,
 indices, note) or of hopf_to_json; mat_to_json lists the nonzero entries
 in a fixed order, so equal digests mean Mat == on every structure map.
 The values were recorded with the kron(...) * M and multiplication-matrix
-forms that FDAlgebra.convolve and linalg.kron_cols replaced, and must not
-change."""
+forms that FDAlgebra.convolve and linalg.kron_cols replaced, and the
+solver cases with the hand-indexed systems that linalg.solve_map
+replaced; they must not change."""
 
 import hashlib
 import json
 import random
+from pathlib import Path
 
 import pytest
 
-from halab.linalg import Mat, mat_to_json
+from halab.fields import QQ
+from halab.linalg import Mat, mat_to_json, shaped_mat_from_json, NoSolution
+from halab.algebra import FDAlgebra, ModuleOverA, is_projective, \
+    regular_module, Inconclusive
 from halab.hopfalgebroid import (BialgebroidData, HopfAlgebroidData,
-                                 check_coupled, hopf_to_json)
+                                 check_coupled, hopf_to_json, solve_antipode,
+                                 NoAntipode)
 from halab.galois import (BimoduleWitness, HopfBimoduleWitness,
                           regular_comodule, verify_morita_data,
-                          _bimodule_tensor)
+                          _bimodule_tensor, ConvMorphism, _conv_inverse,
+                          check_cleft, comodule_from_json,
+                          _normal_basis_solutions)
 from halab.zoo import (cyclic_table, s3_table, group_hopf_algebra,
                        groupoid_weak_hopf, check_weak_hopf, WeakHopfData,
                        indiscrete_groupoid, group_groupoid,
                        groupoid_algebra, function_algebroid,
-                       coupled_from_character)
+                       coupled_from_character, monoid_bialgebra,
+                       and_monoid_table)
 
 from test_galois import multiplication
 from conftest import (coupled_instances, weak_conversions, smash_instances,
-                      groupoid_corpus, sign_character)
+                      groupoid_corpus, sign_character, hopf_instances,
+                      comodule_instances)
+
+DOCUMENTS = Path(__file__).resolve().parent.parent / "documents"
 
 
 def _digest(obj):
@@ -183,8 +200,122 @@ def _coupled_maps(Hd, sigma):
     return H1.coproduct_lift, H2.coproduct_lift, H2.counit, C
 
 
+def _sections(modules):
+    """(number of projective modules, digest of every flag and section)."""
+    out = []
+    for M in modules:
+        flag, section = is_projective(M)
+        out.append([flag, section and mat_to_json(section)])
+    return sum(flag for flag, _ in out), _digest(out)
+
+
+def _projective_cases():
+    """H over each base (right over R through s_R, left over L through
+    s_L) and the two regular modules of H, for every corpus instance; and
+    the dual numbers' trivial module, which is not projective."""
+    for name, Hd in hopf_instances():
+        H, L, R = Hd.total, Hd.leftb, Hd.rightb
+        modules = [
+            ModuleOverA(R.base, H.dim, [H.right_mult_matrix(R.s.col(r))
+                                        for r in range(R.base.dim)], "right"),
+            ModuleOverA(L.base, H.dim, [H.left_mult_matrix(L.s.col(r))
+                                        for r in range(L.base.dim)], "left"),
+            regular_module(H, "left"), regular_module(H, "right")]
+        yield "projective " + name, lambda modules=modules: _sections(
+            modules)
+    dual = FDAlgebra(2, [[{0: QQ.one}, {1: QQ.one}], [{1: QQ.one}, {}]],
+                     [QQ.one, QQ.zero], QQ)
+    trivial = ModuleOverA(dual, 1, [Mat.identity(1, QQ),
+                                    Mat.zero(1, 1, QQ)], "left")
+    yield "projective dual numbers trivial", lambda: _sections([trivial])
+
+
+def _antipode(B):
+    """(kernel size, digest of S and the kernel) or NoAntipode."""
+    try:
+        S, kern = solve_antipode(B, want_kernel=True)
+    except NoAntipode:
+        return 0, "NoAntipode"
+    return len(kern), _digest([mat_to_json(M) for M in [S] + list(kern)])
+
+
+def _antipode_cases():
+    """Every side with a one-dimensional base, as it is and with one
+    seeded entry of its coproduct bumped, and the AND monoid."""
+    rng = random.Random(16)
+    for name, Hd in hopf_instances():
+        for side, B in (("left", Hd.leftb), ("right", Hd.rightb)):
+            if B.base.dim != 1:
+                continue
+            bad = BialgebroidData(B.total, B.base, B.side, B.s, B.t,
+                                  _bumped(B.coproduct_lift, rng), B.counit)
+            yield "antipode %s %s" % (name, side), lambda B=B: _antipode(B)
+            yield "antipode %s %s, mutated Delta" % (name, side), \
+                lambda bad=bad: _antipode(bad)
+    and_monoid = monoid_bialgebra(and_monoid_table(), 1)
+    yield "antipode AND monoid", lambda: _antipode(and_monoid)
+
+
+def _conv_inverse_pin(D, c):
+    try:
+        d = _conv_inverse(D, ConvMorphism(D, "R", "L", c))
+    except NoSolution:
+        return 0, "NoSolution"
+    return 0, _digest(mat_to_json(d.map))
+
+
+def _conv_inverse_cases():
+    """The identity witness of each corpus comodule, and a seeded
+    single-entry mutation of it."""
+    rng = random.Random(17)
+    for D in comodule_instances():
+        I = Mat.identity(D.B.dim, D.field)
+        bumped = _bumped(I, rng)
+        yield "conv-inverse " + D.name, lambda D=D, I=I: _conv_inverse_pin(
+            D, I)
+        yield "conv-inverse %s, mutated" % D.name, \
+            lambda D=D, c=bumped: _conv_inverse_pin(D, c)
+
+
+def _normal_basis_cases():
+    """The kernel basis of the normal-basis system of each corpus comodule:
+    its order seeds check_cleft's search."""
+    def pin(D):
+        sols = _normal_basis_solutions(D)[1]
+        return len(sols), _digest([mat_to_json(K) for K in sols])
+    for D in comodule_instances():
+        yield "normal-basis kernel " + D.name, lambda D=D: pin(D)
+
+
+def _cleft_pin(D, c, seed):
+    try:
+        return _pin(check_cleft(D, ConvMorphism(D, "R", "L", c), seed))
+    except Inconclusive:
+        return 0, "Inconclusive"
+
+
+def _cleft_cases():
+    doc = json.loads((DOCUMENTS / "kz2_cleft.json").read_text())
+    payload = doc["payload"]
+    D = comodule_from_json(payload)
+    c = shaped_mat_from_json(payload, "cleft_witness", D.B.dim,
+                             D.H.total.dim, D.field)
+    instances = [("kz2_cleft.json", D, c)]
+    for name, table in (("kZ2", cyclic_table(2)), ("kZ3", cyclic_table(3))):
+        D = regular_comodule(group_hopf_algebra(table))
+        instances.append(("regular " + name, D,
+                          Mat.identity(D.B.dim, D.field)))
+    for name, D, c in instances:
+        for seed in (0, 1):
+            yield "cleft %s seed %d" % (name, seed), \
+                lambda D=D, c=c, seed=seed: _cleft_pin(D, c, seed)
+
+
 CASES = [case for gen in (_weak_cases, _coupled_cases, _hopf_bimodule_cases,
-                          _morita_cases, _constructor_cases)
+                          _morita_cases, _constructor_cases,
+                          _projective_cases, _antipode_cases,
+                          _conv_inverse_cases, _normal_basis_cases,
+                          _cleft_cases)
          for case in gen()]
 
 
@@ -248,7 +379,156 @@ RECORDED = {
     "built weak indiscrete2": (0, "7675fc81efca45b6"),
     "built weak kZ3": (0, "8e3a402ddc08d21e"),
     "built coupled kZ2 sign, mutated Delta": (0, "65e468e0b81bab87"),
-    "built coupled kS3 sign, mutated Delta": (0, "7382ad4ddb2cc298")}
+    "built coupled kS3 sign, mutated Delta": (0, "7382ad4ddb2cc298"),
+    "projective kZ2": (4, "c30e189c813ba022"),
+    "projective kZ3": (4, "ef1f5f0e59d19922"),
+    "projective kZ4": (4, "7ae5a1f1d1017d0c"),
+    "projective kZ5": (4, "82a55058f638538b"),
+    "projective kZ6": (4, "cf8c1fcaac21fc00"),
+    "projective kKlein": (4, "7ae5a1f1d1017d0c"),
+    "projective kS3": (4, "cf8c1fcaac21fc00"),
+    "projective kZ2xZ4": (4, "f213bcbcb409a13e"),
+    "projective kZ12": (4, "f9b9ffbca518e374"),
+    "projective groupoid algebra point": (4, "1ad88710ed290812"),
+    "projective function algebroid point": (4, "1ad88710ed290812"),
+    "projective groupoid algebra Z3-one-object": (4, "ef1f5f0e59d19922"),
+    "projective function algebroid Z3-one-object": (4, "02b99a8764d2830b"),
+    "projective groupoid algebra discrete3": (4, "f21f002938fe5c9d"),
+    "projective function algebroid discrete3": (4, "f21f002938fe5c9d"),
+    "projective groupoid algebra indiscrete2": (4, "5b3cae4b9d773cd1"),
+    "projective function algebroid indiscrete2": (4, "1555270c44f21395"),
+    "projective groupoid algebra indiscrete3": (4, "ae51287cda9b91df"),
+    "projective function algebroid indiscrete3": (4, "589a717889689e36"),
+    "projective groupoid algebra Z2-swap-action": (4, "8ae5f03c6f88291a"),
+    "projective function algebroid Z2-swap-action": (4, "d4dcaa29757b8516"),
+    "projective groupoid algebra deck-free-Z2": (4, "4a4b60fa6b06d3c9"),
+    "projective function algebroid deck-free-Z2": (4, "cf57eba157f2e63f"),
+    "projective smash k # Z2": (4, "c30e189c813ba022"),
+    "projective smash kZ2 # 1": (4, "523f1becbd68a4e1"),
+    "projective smash k2 # Z2 swap": (4, "8205398ec5b967e7"),
+    "projective coupled kZ4 zeta4": (4, "7ae5a1f1d1017d0c"),
+    "projective coupled kZ2 sign": (4, "c30e189c813ba022"),
+    "projective coupled kS3 sign": (4, "cf8c1fcaac21fc00"),
+    "projective weak indiscrete2": (4, "5b3cae4b9d773cd1"),
+    "projective weak kZ3": (4, "ef1f5f0e59d19922"),
+    "projective dual numbers trivial": (0, "fc1af5933538750e"),
+    "antipode kZ2 left": (0, "69fcbdaba1c27eae"),
+    "antipode kZ2 left, mutated Delta": (0, "NoAntipode"),
+    "antipode kZ2 right": (0, "69fcbdaba1c27eae"),
+    "antipode kZ2 right, mutated Delta": (0, "3d0b22bc9176bfaf"),
+    "antipode kZ3 left": (0, "79865376653fcb82"),
+    "antipode kZ3 left, mutated Delta": (0, "NoAntipode"),
+    "antipode kZ3 right": (0, "79865376653fcb82"),
+    "antipode kZ3 right, mutated Delta": (0, "NoAntipode"),
+    "antipode kZ4 left": (0, "ce3054eff3a9ab8c"),
+    "antipode kZ4 left, mutated Delta": (0, "bfba466ba47265f3"),
+    "antipode kZ4 right": (0, "ce3054eff3a9ab8c"),
+    "antipode kZ4 right, mutated Delta": (0, "NoAntipode"),
+    "antipode kZ5 left": (0, "8fbd4120778245de"),
+    "antipode kZ5 left, mutated Delta": (0, "b8f794753b00a1e1"),
+    "antipode kZ5 right": (0, "8fbd4120778245de"),
+    "antipode kZ5 right, mutated Delta": (0, "NoAntipode"),
+    "antipode kZ6 left": (0, "c9b200839756a3f2"),
+    "antipode kZ6 left, mutated Delta": (0, "NoAntipode"),
+    "antipode kZ6 right": (0, "c9b200839756a3f2"),
+    "antipode kZ6 right, mutated Delta": (0, "NoAntipode"),
+    "antipode kKlein left": (0, "bd9fa338371311e1"),
+    "antipode kKlein left, mutated Delta": (0, "03988c3cc4a5f303"),
+    "antipode kKlein right": (0, "bd9fa338371311e1"),
+    "antipode kKlein right, mutated Delta": (0, "7cdb4b6cbccadf06"),
+    "antipode kS3 left": (0, "a7457b6f7630f454"),
+    "antipode kS3 left, mutated Delta": (0, "NoAntipode"),
+    "antipode kS3 right": (0, "a7457b6f7630f454"),
+    "antipode kS3 right, mutated Delta": (0, "NoAntipode"),
+    "antipode kZ2xZ4 left": (0, "c78fb37042a95a7b"),
+    "antipode kZ2xZ4 left, mutated Delta": (0, "NoAntipode"),
+    "antipode kZ2xZ4 right": (0, "c78fb37042a95a7b"),
+    "antipode kZ2xZ4 right, mutated Delta": (0, "NoAntipode"),
+    "antipode kZ12 left": (0, "ed8a9ea030897836"),
+    "antipode kZ12 left, mutated Delta": (0, "NoAntipode"),
+    "antipode kZ12 right": (0, "ed8a9ea030897836"),
+    "antipode kZ12 right, mutated Delta": (0, "NoAntipode"),
+    "antipode groupoid algebra point left": (0, "aa865fe599ae9252"),
+    "antipode groupoid algebra point left, mutated Delta":
+        (0, "05ddcfcef4d4dfb0"),
+    "antipode groupoid algebra point right": (0, "aa865fe599ae9252"),
+    "antipode groupoid algebra point right, mutated Delta":
+        (0, "05ddcfcef4d4dfb0"),
+    "antipode function algebroid point left": (0, "aa865fe599ae9252"),
+    "antipode function algebroid point left, mutated Delta":
+        (0, "05ddcfcef4d4dfb0"),
+    "antipode function algebroid point right": (0, "aa865fe599ae9252"),
+    "antipode function algebroid point right, mutated Delta":
+        (0, "05ddcfcef4d4dfb0"),
+    "antipode groupoid algebra Z3-one-object left": (0, "79865376653fcb82"),
+    "antipode groupoid algebra Z3-one-object left, mutated Delta":
+        (0, "2068840fb748a20b"),
+    "antipode groupoid algebra Z3-one-object right": (0, "79865376653fcb82"),
+    "antipode groupoid algebra Z3-one-object right, mutated Delta":
+        (0, "NoAntipode"),
+    "antipode function algebroid Z3-one-object left": (0, "79865376653fcb82"),
+    "antipode function algebroid Z3-one-object left, mutated Delta":
+        (0, "79865376653fcb82"),
+    "antipode function algebroid Z3-one-object right": (0, "79865376653fcb82"),
+    "antipode function algebroid Z3-one-object right, mutated Delta":
+        (0, "79865376653fcb82"),
+    "antipode smash k # Z2 left": (0, "69fcbdaba1c27eae"),
+    "antipode smash k # Z2 left, mutated Delta": (0, "3d0b22bc9176bfaf"),
+    "antipode smash k # Z2 right": (0, "69fcbdaba1c27eae"),
+    "antipode smash k # Z2 right, mutated Delta": (0, "912719c1347da42f"),
+    "antipode coupled kZ4 zeta4 left": (0, "ce3054eff3a9ab8c"),
+    "antipode coupled kZ4 zeta4 left, mutated Delta": (0, "d201a9251e16d1fd"),
+    "antipode coupled kZ4 zeta4 right": (0, "2cfc13bf8f0ea352"),
+    "antipode coupled kZ4 zeta4 right, mutated Delta": (0, "NoAntipode"),
+    "antipode coupled kZ2 sign left": (0, "69fcbdaba1c27eae"),
+    "antipode coupled kZ2 sign left, mutated Delta": (0, "09ec884a130f5e50"),
+    "antipode coupled kZ2 sign right": (0, "69fcbdaba1c27eae"),
+    "antipode coupled kZ2 sign right, mutated Delta": (0, "f6a7f202b477f548"),
+    "antipode coupled kS3 sign left": (0, "a7457b6f7630f454"),
+    "antipode coupled kS3 sign left, mutated Delta": (0, "NoAntipode"),
+    "antipode coupled kS3 sign right": (0, "a7457b6f7630f454"),
+    "antipode coupled kS3 sign right, mutated Delta": (0, "NoAntipode"),
+    "antipode weak kZ3 left": (0, "79865376653fcb82"),
+    "antipode weak kZ3 left, mutated Delta": (0, "NoAntipode"),
+    "antipode weak kZ3 right": (0, "79865376653fcb82"),
+    "antipode weak kZ3 right, mutated Delta": (0, "NoAntipode"),
+    "antipode AND monoid": (0, "NoAntipode"),
+    "conv-inverse regular kZ2": (0, "0ffcf1a05891f6a0"),
+    "conv-inverse regular kZ2, mutated": (0, "8c02d5c7fd094e2a"),
+    "conv-inverse regular kZ3": (0, "7b3ac501497cf4f6"),
+    "conv-inverse regular kZ3, mutated": (0, "408cfe8ba66e1ed4"),
+    "conv-inverse regular kZ4": (0, "e198fdd755b42788"),
+    "conv-inverse regular kZ4, mutated": (0, "NoSolution"),
+    "conv-inverse regular kZ5": (0, "318ccc65049d717a"),
+    "conv-inverse regular kZ5, mutated": (0, "4f069397ad22bc14"),
+    "conv-inverse regular kZ6": (0, "2eedf58377c1c71f"),
+    "conv-inverse regular kZ6, mutated": (0, "cd24530177b8fcd1"),
+    "conv-inverse regular groupoid algebra": (0, "500dd52a283ab6fd"),
+    "conv-inverse regular groupoid algebra, mutated": (0, "NoSolution"),
+    "conv-inverse regular function algebroid": (0, "NoSolution"),
+    "conv-inverse regular function algebroid, mutated": (0, "NoSolution"),
+    "conv-inverse regular weak conversion": (0, "500dd52a283ab6fd"),
+    "conv-inverse regular weak conversion, mutated": (0, "NoSolution"),
+    "conv-inverse regular smash kZ2 # 1": (0, "NoSolution"),
+    "conv-inverse regular smash kZ2 # 1, mutated": (0, "NoSolution"),
+    "conv-inverse regular smash k2 # Z2 swap": (0, "NoSolution"),
+    "conv-inverse regular smash k2 # Z2 swap, mutated": (0, "NoSolution"),
+    "normal-basis kernel regular kZ2": (2, "6bed7b911137b21f"),
+    "normal-basis kernel regular kZ3": (3, "063f18bbe60f7dfb"),
+    "normal-basis kernel regular kZ4": (4, "9922c24a7ad5ff5e"),
+    "normal-basis kernel regular kZ5": (5, "215431b86ce8ed7e"),
+    "normal-basis kernel regular kZ6": (6, "bee7593d673a2f42"),
+    "normal-basis kernel regular groupoid algebra": (20, "9e3ff17cb4a9447a"),
+    "normal-basis kernel regular function algebroid": (18, "8b174cc743f53de9"),
+    "normal-basis kernel regular weak conversion": (20, "9e3ff17cb4a9447a"),
+    "normal-basis kernel regular smash kZ2 # 1": (32, "64ca01674789057e"),
+    "normal-basis kernel regular smash k2 # Z2 swap": (68, "9907e95aa9fc30b5"),
+    "cleft kz2_cleft.json seed 0": (0, "4f53cda18c2baa0c"),
+    "cleft kz2_cleft.json seed 1": (0, "4f53cda18c2baa0c"),
+    "cleft regular kZ2 seed 0": (0, "4f53cda18c2baa0c"),
+    "cleft regular kZ2 seed 1": (0, "4f53cda18c2baa0c"),
+    "cleft regular kZ3 seed 0": (0, "4f53cda18c2baa0c"),
+    "cleft regular kZ3 seed 1": (0, "4f53cda18c2baa0c")}
 
 
 def test_recorded_cases_are_the_generated_cases():
