@@ -1,9 +1,12 @@
 """Finite-dimensional unital associative algebras by structure constants.
 
 An FDAlgebra stores its structure constants once, sparsely: mul[i][j] is
-e_i * e_j as a dict {k: c} of its nonzero coordinates.  Products walk only
-those nonzeros, and a product with a basis element (an int index in place
-of a vector) is read off them without building the basis vector;
+e_i * e_j as a dict {k: c} of its nonzero coordinates.  Every element is
+such a dict too (unit, basis_vec, mul_vec's factors and product; a
+coordinate list given to the constructor is converted there, and to_json
+writes the unit as a list).  Products walk only those nonzeros and drop
+the entries that cancel, and a product with a basis element (an int index
+in place of a vector) is read off them without building the basis vector;
 convolve(F, G, lift) evaluates mu (F (x) G) lift on coproduct lifts the
 same way, with no Kronecker product, and convolution_terms gives the
 same convolution with an unknown leg as linalg.solve_map terms.  All the
@@ -20,7 +23,7 @@ from math import isqrt, lcm
 from .fields import (QQ, parse_field, field_to_json, _poly_mul,
                      _poly_divmod, _poly_ext_gcd)
 from .linalg import (Mat, kernel, kron, leg_slices, rank, solve_map, vstack,
-                     NoSolution, ShapeMismatch, _combine)
+                     NoSolution, ShapeMismatch, _add_scaled, _combine)
 from .reports import ViolationReport
 
 
@@ -40,69 +43,54 @@ class Inconclusive(Exception):
     pass
 
 
-def nonzeros(vec):
-    """A coordinate list as a dict {index: value} of its nonzeros; a dict
-    of nonzeros is returned as it is."""
-    if isinstance(vec, dict):
-        return vec
-    return {k: c for k, c in enumerate(vec) if c}
-
-
 class FDAlgebra:
     def __init__(self, dim, mul, unit, field=QQ, name=None):
         self.dim = dim
         self.mul = mul          # mul[i][j] = {k: c}, the nonzeros of e_i e_j
-        self.unit = list(unit)  # coordinates of 1
+        # the nonzero coordinates of 1; a coordinate list is converted here
+        self.unit = unit if isinstance(unit, dict) else {
+            k: c for k, c in enumerate(unit) if c}
         self.field = field
         self.name = name
 
     # -- element arithmetic ----------------------------------------------
 
-    def zero_vec(self):
-        return [self.field.zero] * self.dim
-
     def basis_vec(self, i):
-        v = self.zero_vec()
-        v[i] = self.field.one
-        return v
+        return {i: self.field.one}
 
     def mul_vec(self, x, y):
-        """x * y as a coordinate list.  Each factor is a coordinate list, a
-        dict {index: value} of nonzeros, or an int i standing for e_i."""
-        # A basis-index factor has its own loop, with no scan of a list and
-        # no product by one: turning it into {i: one} for the general loop
-        # made the mul_vec calls of a `docs` pass 15 ms instead of 10 ms.
-        mul, out = self.mul, [self.field.zero] * self.dim
-        if isinstance(x, int):
-            row = mul[x]
+        """x * y as the dict {index: value} of its nonzeros (shared with
+        mul when both factors are basis indices).  Each factor is a dict of
+        nonzeros or an int i standing for e_i."""
+        # A basis-index factor has its own loop, with no product by one:
+        # turning it into {i: one} for the general loop made the mul_vec
+        # calls of a `docs` pass 15 ms instead of 10 ms.
+        mul, zero, acc = self.mul, self.field.zero, {}
+        try:
+            if isinstance(x, int):
+                if isinstance(y, int):
+                    return mul[x][y]
+                return _combine(mul[x], y, zero)
             if isinstance(y, int):
-                for k, s in row[y].items():
-                    out[k] = s
-                return out
-            for j, b in y.items() if isinstance(y, dict) else enumerate(y):
-                if b:
-                    for k, s in row[j].items():
-                        out[k] = out[k] + b * s
-            return out
-        if isinstance(y, int):
-            for i, a in x.items() if isinstance(x, dict) else enumerate(x):
-                if a:
+                for i, a in x.items():
                     for k, s in mul[i][y].items():
-                        out[k] = out[k] + a * s
-            return out
-        ys = nonzeros(y).items()
-        for i, a in x.items() if isinstance(x, dict) else enumerate(x):
-            if a:
-                row = mul[i]
-                for j, b in ys:
-                    c = a * b
-                    for k, s in row[j].items():
-                        out[k] = out[k] + c * s
-        return out
+                        acc[k] = acc.get(k, zero) + a * s
+            else:
+                ys = y.items()
+                for i, a in x.items():
+                    row = mul[i]
+                    for j, b in ys:
+                        c = a * b
+                        for k, s in row[j].items():
+                            acc[k] = acc.get(k, zero) + c * s
+        except IndexError:
+            raise ShapeMismatch("factor index outside dimension %d"
+                                % self.dim) from None
+        return {k: v for k, v in acc.items() if v}
 
     def left_mult_matrix(self, x):
-        """The matrix of y -> x y; x is a vector, a dict of nonzeros or a
-        basis index i, whose matrix has the columns mul[i][j]."""
+        """The matrix of y -> x y; x is a dict of nonzeros or a basis index
+        i, whose matrix has the columns mul[i][j]."""
         zero, mul = self.field.zero, self.mul
         return Mat.from_cols(
             mul[x] if isinstance(x, int) else
@@ -110,8 +98,8 @@ class FDAlgebra:
              for j in range(self.dim)], self.dim, self.field)
 
     def right_mult_matrix(self, x):
-        """The matrix of y -> y x; x is a vector, a dict of nonzeros or a
-        basis index, whose matrix has the columns mul[j][x]."""
+        """The matrix of y -> y x; x is a dict of nonzeros or a basis
+        index, whose matrix has the columns mul[j][x]."""
         zero, mul = self.field.zero, self.mul
         return Mat.from_cols(
             [row[x] for row in mul] if isinstance(x, int) else
@@ -141,7 +129,7 @@ class FDAlgebra:
                         c = va * b
                         for r, s in row[j].items():
                             acc[r] = acc.get(r, zero) + c * s
-            out.append(acc)
+            out.append({r: x for r, x in acc.items() if x})
         return Mat.from_cols(out, self.dim, self.field)
 
     def convolution_terms(self, F, lift, unknown_leg):
@@ -178,7 +166,8 @@ class FDAlgebra:
                                     "c": self.field.format(c)})
         return {"field": field_to_json(self.field),
                 "dim": self.dim,
-                "unit": [self.field.format(c) for c in self.unit],
+                "unit": [self.field.format(self.unit.get(k, self.field.zero))
+                         for k in range(self.dim)],
                 "mul": triples}
 
     @classmethod
@@ -197,11 +186,10 @@ class FDAlgebra:
                 mul[i][j][k] = c
             else:
                 mul[i][j].pop(k, None)
-        unit = [field.parse(c) for c in doc["unit"]]
-        if len(unit) != dim:
+        if len(doc["unit"]) != dim:
             raise ValueError("'unit' has %d entries for dim %d"
-                             % (len(unit), dim))
-        return cls(dim, mul, unit, field)
+                             % (len(doc["unit"]), dim))
+        return cls(dim, mul, [field.parse(c) for c in doc["unit"]], field)
 
     def __repr__(self):
         return "FDAlgebra(dim %d%s)" % (
@@ -215,24 +203,19 @@ def validate_algebra(A):
     over those of e_j e_k."""
     rep = ViolationReport()
     zero = A.field.zero
-
-    def equal(lhs, rhs):
-        # entries that cancel stay in _combine's dicts, as zeros
-        return lhs == rhs or ({r: x for r, x in lhs.items() if x}
-                              == {r: x for r, x in rhs.items() if x})
     right = [[row[k] for row in A.mul] for k in range(A.dim)]  # e_a e_k
     for i in range(A.dim):
         ei = {i: A.field.one}
-        rep.require(equal(_combine(right[i], A.unit, zero), ei), "unit",
+        rep.require(_combine(right[i], A.unit, zero) == ei, "unit",
                     (i,), note="1*e_%d != e_%d" % (i, i))
-        rep.require(equal(_combine(A.mul[i], A.unit, zero), ei), "unit",
+        rep.require(_combine(A.mul[i], A.unit, zero) == ei, "unit",
                     (i,), note="e_%d*1 != e_%d" % (i, i))
     for i in range(A.dim):
         for j in range(A.dim):
             ij = A.mul[i][j]
             for k in range(A.dim):
-                rep.require(equal(_combine(right[k], ij, zero),
-                                  _combine(A.mul[i], A.mul[j][k], zero)),
+                rep.require(_combine(right[k], ij, zero)
+                            == _combine(A.mul[i], A.mul[j][k], zero),
                             "associativity", (i, j, k))
     return rep
 
@@ -274,18 +257,14 @@ def group_algebra(table, field=QQ, name=None):
     e, _ = check_group_table(table)
     n = len(table)
     mul = [[{table[i][j]: field.one} for j in range(n)] for i in range(n)]
-    unit = [field.zero] * n
-    unit[e] = field.one
-    return FDAlgebra(n, mul, unit, field, name=name or "k[G]")
+    return FDAlgebra(n, mul, {e: field.one}, field, name=name or "k[G]")
 
 
 def monoid_algebra(table, identity, field=QQ, name=None):
     """Like group_algebra but only requires a unital associative table."""
     n = len(table)
     mul = [[{table[i][j]: field.one} for j in range(n)] for i in range(n)]
-    unit = [field.zero] * n
-    unit[identity] = field.one
-    A = FDAlgebra(n, mul, unit, field, name=name or "k[M]")
+    A = FDAlgebra(n, mul, {identity: field.one}, field, name=name or "k[M]")
     if not validate_algebra(A).ok:
         raise ValueError("table is not a unital monoid")
     return A
@@ -299,9 +278,7 @@ def matrix_algebra(n, field=QQ):
         for b in range(n):
             for e in range(n):
                 mul[a * n + b][b * n + e][a * n + e] = field.one
-    unit = [field.zero] * d
-    for a in range(n):
-        unit[a * n + a] = field.one
+    unit = {a * n + a: field.one for a in range(n)}
     return FDAlgebra(d, mul, unit, field, name="M_%d" % n)
 
 
@@ -309,7 +286,7 @@ def product_field_algebra(n, field=QQ):
     """k^n with coordinatewise product (functions on an n-point set)."""
     mul = [[{i: field.one} if i == j else {} for j in range(n)]
            for i in range(n)]
-    unit = [field.one] * n
+    unit = {i: field.one for i in range(n)}
     return FDAlgebra(n, mul, unit, field, name="k^%d" % n)
 
 
@@ -338,12 +315,8 @@ def tensor_algebra(A, B, name=None):
                     mul[r][i2 * B.dim + j2] = {k1 * B.dim + k2: a * b
                                                for k1, a in ai
                                                for k2, b in bj}
-    unit = [field.zero] * d
-    for k1, a in enumerate(A.unit):
-        if a:
-            for k2, b in enumerate(B.unit):
-                if b:
-                    unit[k1 * B.dim + k2] = a * b
+    unit = {k1 * B.dim + k2: a * b for k1, a in A.unit.items()
+            for k2, b in B.unit.items()}
     return FDAlgebra(d, mul, unit, field, name=name)
 
 
@@ -364,8 +337,7 @@ def subalgebra_on_rows(A, space):
     mul = [[None] * m for _ in range(m)]
     for a in range(m):
         for b in range(m):
-            prod = A.mul_vec(rows[a], rows[b])
-            mul[a][b] = nonzeros(coords(prod))
+            mul[a][b] = coords(A.mul_vec(rows[a], rows[b]))
     unit = coords(A.unit)
     sub = FDAlgebra(m, mul, unit, field, name="subalgebra")
     return sub, space.basis
@@ -377,7 +349,8 @@ def direct_product(A, B):
     mul += [[{} for _ in range(n)]
             + [{n + k: c for k, c in prod.items()} for prod in row]
             for row in B.mul]
-    unit = list(A.unit) + list(B.unit)
+    unit = dict(A.unit)
+    unit.update((n + k, c) for k, c in B.unit.items())
     return FDAlgebra(d, mul, unit, A.field)
 
 
@@ -421,10 +394,9 @@ class ModuleOverA:
         self.side = side
 
     def act_matrix(self, x):
-        """Action matrix of an algebra element x (a coordinate list or a
-        dict of nonzeros)."""
+        """Action matrix of an algebra element x (a dict of nonzeros)."""
         M = Mat.from_cols([{}] * self.dim, self.dim, self.algebra.field)
-        for i, c in nonzeros(x).items():
+        for i, c in x.items():
             M = M + self.action[i].scale(c)
         return M
 
@@ -492,19 +464,19 @@ def jacobson_radical(A):
     def trace(P):
         return sum((c.get(k, zero) for k, c in enumerate(P.sparse_cols())),
                    zero)
-    return kernel(Mat.from_cols([[trace(L[i] * L[j]) for i in range(A.dim)]
-                                 for j in range(A.dim)], A.dim, A.field))
+    traces = [[trace(L[i] * L[j]) for i in range(A.dim)]
+              for j in range(A.dim)]
+    return kernel(Mat.from_cols([{i: t for i, t in enumerate(col) if t}
+                                 for col in traces], A.dim, A.field))
 
 
 def _poly_eval_alg(A, coeffs, w, e):
-    """Evaluate sum coeffs[i] * w^i inside A, with e as the unit (so w^0=e)."""
-    out = A.zero_vec()
-    p = list(e)
+    """Evaluate sum coeffs[i] * w^i inside A, with e as the unit (so
+    w^0=e), as the dict of its nonzeros."""
+    zero, out, p = A.field.zero, {}, e
     for c in coeffs:
         if c:
-            for k in range(A.dim):
-                if p[k]:
-                    out[k] = out[k] + c * p[k]
+            _add_scaled(out, c, p, zero)
         p = A.mul_vec(p, w)
     return out
 
@@ -582,17 +554,17 @@ def minimal_polynomial(A, w, e, max_deg):
     """Monic minimal polynomial of w acting in the unital commutative
     algebra with unit e, by the first linear dependence among e, w, w^2..."""
     field = A.field
-    powers = [list(e)]
+    powers = [e]
     for d in range(1, max_deg + 2):
         powers.append(A.mul_vec(powers[-1], w))
         # look for dependence: sum c_i powers[i] = powers[d]
+        P = Mat.from_cols(powers[:-1], A.dim, field)
+        target = Mat.from_cols(powers[-1:], A.dim, field)
         try:
-            sol = solve_map([([(Mat.from_cols(powers[:-1], A.dim, field),
-                                None)], Mat.column(powers[-1], field))],
-                            d, 1, field)
+            sol = solve_map([([(P, None)], target)], d, 1, field).col(0)
         except NoSolution:
             continue
-        return [-c for c in sol.col(0)] + [field.one]
+        return [-sol.get(i, field.zero) for i in range(d)] + [field.one]
     raise RuntimeError("no minimal polynomial found (not an algebra element?)")
 
 
@@ -605,7 +577,7 @@ def central_idempotents_split(A):
     # a component that splits is replaced by its pieces at the end of the
     # queue; one that no central element splits is final, so none is
     # examined twice
-    pending, components = [list(A.unit)], []
+    pending, components = [A.unit], []
     while pending:
         e = pending.pop(0)
         ws = [A.mul_vec(e, Z.rows[p]) for p in Z.pivots]
@@ -634,7 +606,7 @@ def central_idempotents_split(A):
                 g, inv, _ = _poly_ext_gcd(q, power, field)
                 proj = _poly_mul(q, [field.div(c, g[0]) for c in inv], field)
                 val = _poly_eval_alg(A, proj, w, e)
-                if any(val):
+                if val:
                     new.append(val)
             if len(new) >= 2:
                 pending.extend(new)

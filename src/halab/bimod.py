@@ -35,12 +35,13 @@ Convention table (BialgebroidData.acts() returns the pair for its side):
 
 takeuchi and check_takeuchi_closure project sparse lifts with
 QuotientPresentation.project/apply: no Kronecker or dense matrix product.
+Vectors of a tensor product are dicts of their nonzeros, as in linalg:
+pair_mul takes and returns them.
 """
 
 import math
 
-from .algebra import nonzeros
-from .linalg import quotient_by, kernel, vstack
+from .linalg import quotient_by, kernel, vstack, ShapeMismatch
 from .reports import ViolationReport
 
 
@@ -120,22 +121,25 @@ def takeuchi(square, first, second):
 
 
 def pair_mul(A, B, u, v):
-    """The factorwise product of u and v in A (x) B, as a coordinate list;
-    each of u and v is a coordinate list or a dict of its nonzeros."""
-    dB = B.dim
-    out = [A.field.zero] * (A.dim * dB)
-    nz_v = nonzeros(v).items()
-    for iu, cu in nonzeros(u).items():
-        a1, b1 = divmod(iu, dB)
-        for iv, cv in nz_v:
-            a2, b2 = divmod(iv, dB)
-            bb = B.mul[b1][b2].items()
-            c = cu * cv
-            for p, x in A.mul[a1][a2].items():
-                cp = c * x
-                for q, y in bb:
-                    out[p * dB + q] = out[p * dB + q] + cp * y
-    return out
+    """The factorwise product of u and v in A (x) B, each a dict of its
+    nonzeros, as the dict of the product's nonzeros."""
+    dB, zero, acc = B.dim, A.field.zero, {}
+    nz_v = v.items()
+    try:
+        for iu, cu in u.items():
+            a1, b1 = divmod(iu, dB)
+            for iv, cv in nz_v:
+                a2, b2 = divmod(iv, dB)
+                bb = B.mul[b1][b2].items()
+                c = cu * cv
+                for p, x in A.mul[a1][a2].items():
+                    cp, base = c * x, p * dB
+                    for q, y in bb:
+                        acc[base + q] = acc.get(base + q, zero) + cp * y
+    except IndexError:
+        raise ShapeMismatch("factor index outside dimension %d"
+                            % (A.dim * dB)) from None
+    return {k: x for k, x in acc.items() if x}
 
 
 def check_takeuchi_closure(H, tk):

@@ -15,10 +15,11 @@ Tensor conventions follow bimod:
 import random
 
 from .linalg import (Mat, kron_cols, leg_slices, rank, inverse, kernel,
-                     image, Subspace, solve_map, NoSolution, ShapeMismatch)
+                     image, Subspace, solve_map, NoSolution, ShapeMismatch,
+                     _add_scaled)
 from .algebra import (FDAlgebra, ModuleOverA, is_projective, Inconclusive,
                       check_algebra_morphism, subalgebra_on_rows,
-                      central_idempotents_split, center, NotSplit, nonzeros)
+                      central_idempotents_split, center, NotSplit)
 from .bimod import tensor_over, pair_mul
 from .hopfalgebroid import check_algebraic_morphism, check_geometric_morphism
 from .reports import ViolationReport
@@ -139,7 +140,7 @@ def trivial_comodule(Hd, B, name=None):
 
 def _times_one(B, H):
     """The map b -> b (x) 1 from B to B (x)_k H."""
-    return Mat.from_cols([{b * H.dim + h: x for h, x in enumerate(H.unit)}
+    return Mat.from_cols([{b * H.dim + h: x for h, x in H.unit.items()}
                           for b in range(B.dim)], B.dim * H.dim, B.field)
 
 
@@ -168,12 +169,12 @@ def check_comodule(D):
     for side, rho, eps, acts in (("R", D.rhoR_lift, R.counit, actR),
                                  ("L", D.rhoL_lift, L.counit, D.actL)):
         for b in range(dB):
-            acc = [field.zero] * dB
+            acc = {}
             for idx, c in rho.sparse_cols()[b].items():
                 bp, h = divmod(idx, dH)
                 for r, cr in eps.sparse_cols()[h].items():
-                    for k, x in acts[r].sparse_cols()[bp].items():
-                        acc[k] = acc[k] + c * cr * x
+                    _add_scaled(acc, c * cr, acts[r].sparse_cols()[bp],
+                                field.zero)
             rep.require(acc == B.basis_vec(b), "comodule:counit:%s" % side,
                         (b,))
     # mixed squares
@@ -207,8 +208,8 @@ def check_comodule(D):
                 rhs = sq.project(pair_mul(B, H, ci, rho.col(j)))
                 rep.require(lhs == rhs, "comodule:multiplicative:%s" % side,
                             (i, j))
-        one = {b * dH + h: x * y for b, x in enumerate(B.unit) if x
-               for h, y in enumerate(H.unit) if y}
+        one = {b * dH + h: x * y for b, x in B.unit.items()
+               for h, y in H.unit.items()}
         rep.require(sq.project(rho.matvec(B.unit)) == sq.project(one),
                     "comodule:unital:%s" % side)
     return rep
@@ -539,8 +540,7 @@ def _normal_basis_witness(D, rep, seed):
             coeff = field.random(rng)
             if coeff:
                 for col, kcol in zip(combo, K.sparse_cols()):
-                    for i, v in kcol.items():
-                        col[i] = col.get(i, field.zero) + coeff * v
+                    _add_scaled(col, coeff, kcol, field.zero)
         if rank(sqAH.apply(combo)) == dB:
             rep.require(True, "cleft:normal-basis")
             return
@@ -573,14 +573,14 @@ class CocycleData:
 
 
 def _on_pair(M, u, v, d):
-    """M applied to u (x) v, where v has d coordinates.  Each of u and v is
-    a coordinate list, a dict of nonzeros or an int i standing for e_i; for
-    two ints the result is the column u * d + v of M."""
+    """M applied to u (x) v, where v has d coordinates, as the dict of its
+    nonzeros.  Each of u and v is a dict of nonzeros or an int i standing
+    for e_i; for two ints the result is the column u * d + v of M."""
     if isinstance(u, int) and isinstance(v, int):
         return M.col(u * d + v)
     one = M.field.one
-    u = {u: one} if isinstance(u, int) else nonzeros(u)
-    v = {v: one} if isinstance(v, int) else nonzeros(v)
+    u = {u: one} if isinstance(u, int) else u
+    v = {v: one} if isinstance(v, int) else v
     return M.matvec({i * d + j: c * x for i, c in u.items()
                      for j, x in v.items()})
 
@@ -592,7 +592,7 @@ def validate_cocycle(C):
     Bb = C.BL
     Balg = Bb.total
     N = C.N
-    dB, dN = Balg.dim, N.dim
+    dB, dN, zero = Balg.dim, N.dim, N.field.zero
     dd = Bb.coproduct_lift.sparse_cols()
     # measuring (i)
     for b in range(dB):
@@ -619,13 +619,11 @@ def validate_cocycle(C):
         for n in range(dN):
             for np in range(dN):
                 lhs = C.act(b, N.mul[n][np])
-                acc = N.zero_vec()
+                acc = {}
                 for idx, c in dd[b].items():
                     b1, b2 = divmod(idx, dB)
-                    v = N.mul_vec(C.act(b1, n), C.act(b2, np))
-                    for k in range(dN):
-                        if v[k]:
-                            acc[k] = acc[k] + c * v[k]
+                    _add_scaled(acc, c, N.mul_vec(C.act(b1, n),
+                                                  C.act(b2, np)), zero)
                 rep.require(lhs == acc, "measuring:(iii)", (b, n, np))
     # normality
     for b in range(dB):
@@ -638,26 +636,19 @@ def validate_cocycle(C):
     for a in range(dB):
         for b in range(dB):
             for c in range(dB):
-                lhs = N.zero_vec()
-                rhs = N.zero_vec()
+                lhs, rhs = {}, {}
                 for ia, va in dd[a].items():
                     a1, a2 = divmod(ia, dB)
                     for ib, vb in dd[b].items():
                         b1, b2 = divmod(ib, dB)
                         # rhs uses only Delta(a), Delta(b)
-                        term = N.mul_vec(C.sig(a1, b1),
-                                         C.sig(Balg.mul[a2][b2], c))
-                        for k in range(dN):
-                            if term[k]:
-                                rhs[k] = rhs[k] + va * vb * term[k]
+                        _add_scaled(rhs, va * vb, N.mul_vec(
+                            C.sig(a1, b1), C.sig(Balg.mul[a2][b2], c)), zero)
                         for ic, vc in dd[c].items():
                             c1, c2 = divmod(ic, dB)
-                            term = N.mul_vec(
+                            _add_scaled(lhs, va * vb * vc, N.mul_vec(
                                 C.act(a1, C.sig(b1, c1)),
-                                C.sig(a2, Balg.mul[b2][c2]))
-                            for k in range(dN):
-                                if term[k]:
-                                    lhs[k] = lhs[k] + va * vb * vc * term[k]
+                                C.sig(a2, Balg.mul[b2][c2])), zero)
                 rep.require(lhs == rhs, "cocycle:condition", (a, b, c))
     # twisted module (iii): unitality
     for n in range(dN):
@@ -667,22 +658,15 @@ def validate_cocycle(C):
     for a in range(dB):
         for b in range(dB):
             for n in range(dN):
-                lhs = N.zero_vec()
-                rhs = N.zero_vec()
+                lhs, rhs = {}, {}
                 for ia, va in dd[a].items():
                     a1, a2 = divmod(ia, dB)
                     for ib, vb in dd[b].items():
                         b1, b2 = divmod(ib, dB)
-                        term = N.mul_vec(C.act(a1, C.act(b1, n)),
-                                         C.sig(a2, b2))
-                        for k in range(dN):
-                            if term[k]:
-                                lhs[k] = lhs[k] + va * vb * term[k]
-                        term = N.mul_vec(C.sig(a1, b1),
-                                         C.act(Balg.mul[a2][b2], n))
-                        for k in range(dN):
-                            if term[k]:
-                                rhs[k] = rhs[k] + va * vb * term[k]
+                        _add_scaled(lhs, va * vb, N.mul_vec(
+                            C.act(a1, C.act(b1, n)), C.sig(a2, b2)), zero)
+                        _add_scaled(rhs, va * vb, N.mul_vec(
+                            C.sig(a1, b1), C.act(Balg.mul[a2][b2], n)), zero)
                 rep.require(lhs == rhs, "twisted:(iv)", (a, b, n))
     return rep
 
@@ -693,7 +677,7 @@ def crossed_product(C):
     Bb = C.BL
     Balg = Bb.total
     N = C.N
-    field = N.field
+    field, zero = N.field, N.field.zero
     dB, dN = Balg.dim, N.dim
     right_acts = [N.right_mult_matrix(C.etaN.col(l))
                   for l in range(Bb.base.dim)]
@@ -705,40 +689,36 @@ def crossed_product(C):
     dd2 = kron_cols(dd, I_B, dd)     # b -> b1 x b2 x b3
 
     def lift_mul(u, v):
-        """The product of two lifts, each a dict {index: value}."""
-        out = [field.zero] * (dN * dB)
+        """The product of two lifts, each a dict {index: value} of its
+        nonzeros, as the dict of its nonzeros."""
+        acc = {}
         for iu, cu in u.items():
             n1, b = divmod(iu, dB)
             trip = dd2[b]
             for iv, cv in v.items():
                 n2, bp = divmod(iv, dB)
-                pair = dd.col(bp)
+                pair = dd.col(bp).items()
                 for it, ct in trip.items():
                     b1, r2 = divmod(it, dB * dB)
                     b2, b3 = divmod(r2, dB)
                     actn = C.act(b1, n2)
-                    for ip, cp in enumerate(pair):
-                        if not cp:
-                            continue
+                    for ip, cp in pair:
                         bp1, bp2 = divmod(ip, dB)
                         nfac = N.mul_vec(N.mul_vec(n1, actn), C.sig(b2, bp1))
                         bfac = Balg.mul[b3][bp2].items()
                         coef = cu * cv * ct * cp
-                        for kn in range(dN):
-                            if nfac[kn]:
-                                ck = coef * nfac[kn]
-                                for kb, y in bfac:
-                                    out[kn * dB + kb] = \
-                                        out[kn * dB + kb] + ck * y
-        return out
+                        for kn, xn in nfac.items():
+                            ck, base = coef * xn, kn * dB
+                            for kb, y in bfac:
+                                acc[base + kb] = \
+                                    acc.get(base + kb, zero) + ck * y
+        return {k: x for k, x in acc.items() if x}
 
     lifts = sq.section_cols
     mul = [[sq.project(lift_mul(ui, uj)) for uj in lifts] for ui in lifts]
-    one = sq.project({i * dB + j: a * b for i, a in enumerate(N.unit) if a
-                      for j, b in enumerate(Balg.unit) if b})
-    return FDAlgebra(sq.dim, mul, [one.get(qi, field.zero)
-                                   for qi in range(sq.dim)], field,
-                     name="crossed product")
+    one = sq.project({i * dB + j: a * b for i, a in N.unit.items()
+                      for j, b in Balg.unit.items()})
+    return FDAlgebra(sq.dim, mul, one, field, name="crossed product")
 
 
 # ---------------------------------------------------------------------------
@@ -1005,11 +985,9 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
                     and rank(iso) == W.dim and W.dim == target.dim,
                     tag + ":bijective")
         for a in range(D1.dimA):
-            lav = incl_src.col(a)
             Lsrc = Mat.from_cols([{}] * W.dim, W.dim, field)
-            for i, c in enumerate(lav):
-                if c:
-                    Lsrc = Lsrc + W.left_acts[i].scale(c)
+            for i, c in incl_src.col(a).items():
+                Lsrc = Lsrc + W.left_acts[i].scale(c)
             Ltgt = target.left_mult_matrix(incl_tgt.col(a))
             rep.require(iso * Lsrc == Ltgt * iso, tag + ":A-equivariance",
                         (a,))
@@ -1100,17 +1078,17 @@ def cocycle_to_json(C):
 
 
 def cocycle_from_json(doc):
-    from .linalg import mat_from_json
+    from .linalg import shaped_mat_from_json
     from .hopfalgebroid import bialgebroid_from_json
     total = FDAlgebra.from_json(doc["total"])
     BL = bialgebroid_from_json(doc["bialgebroid"], total)
     N = FDAlgebra.from_json(doc["N"])
-    field = N.field
-    return CocycleData(BL, N,
-                       mat_from_json(doc["etaN"], field),
-                       mat_from_json(doc["action"], field),
-                       mat_from_json(doc["sigma"], field),
-                       name=doc.get("name"))
+    field, dN, dB = N.field, N.dim, total.dim
+    return CocycleData(
+        BL, N, shaped_mat_from_json(doc, "etaN", dN, BL.base.dim, field),
+        shaped_mat_from_json(doc, "action", dN, dB * dN, field),
+        shaped_mat_from_json(doc, "sigma", dN, dB * dB, field),
+        name=doc.get("name"))
 
 
 def composition_to_json(D1, D, D2, phi, psi, f1=None, f=None):
@@ -1130,7 +1108,7 @@ def composition_to_json(D1, D, D2, phi, psi, f1=None, f=None):
 def composition_from_json(doc):
     """The composition of doc.  Equal hopf_algebroid payloads are parsed
     once, so their comodule algebras share one H and its quotients."""
-    from .linalg import mat_from_json
+    from .linalg import shaped_mat_from_json
     from .hopfalgebroid import hopf_from_json
     parsed = []   # (payload, H)
 
@@ -1145,8 +1123,11 @@ def composition_from_json(doc):
     D = comodule(doc["middle"])
     D2 = comodule(doc["outer"])
     field = D.field
-    phi = mat_from_json(doc["phi"], field)
-    psi = mat_from_json(doc["psi"], field)
-    f1 = mat_from_json(doc["f1"], field) if "f1" in doc else None
-    f = mat_from_json(doc["f"], field) if "f" in doc else None
+    h1, h, h2 = (E.H.total.dim for E in (D1, D, D2))
+    b1, b, b2 = (E.H.rightb.base.dim for E in (D1, D, D2))
+    phi = shaped_mat_from_json(doc, "phi", h, h1, field)
+    psi = shaped_mat_from_json(doc, "psi", h2, h, field)
+    f1 = shaped_mat_from_json(doc, "f1", b, b1, field) if "f1" in doc \
+        else None
+    f = shaped_mat_from_json(doc, "f", b2, b, field) if "f" in doc else None
     return D1, D, D2, phi, psi, f1, f

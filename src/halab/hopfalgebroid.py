@@ -344,8 +344,8 @@ def check_coupled(H1, H2, C):
     if A1.dim != A2.dim:
         raise ShapeMismatch("coupled pair on different carriers")
     I = Mat.identity(A1.dim, A1.field)
-    unit1 = Mat.column(A1.unit, A1.field)
-    unit2 = Mat.column(A2.unit, A2.field)
+    unit1 = Mat.from_cols([A1.unit], A1.dim, A1.field)
+    unit2 = Mat.from_cols([A2.unit], A2.dim, A2.field)
     rep.require(A1.convolve(C, I, H1.coproduct_lift) == unit1 * H2.counit,
                 "coupled:hexagon-1")
     rep.require(A2.convolve(I, C, H2.coproduct_lift) == unit2 * H1.counit,

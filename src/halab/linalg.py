@@ -2,27 +2,34 @@
 
 Everything downstream (axiom checks, coinvariants, Galois maps) reduces to
 row reduction, kernels, affine solves and quotient presentations computed
-here.  A Mat is its nonzero columns, as dicts {row: value}, and the
-library builds every Mat from them: Mat.from_cols, products, sums, kron
-and QuotientPresentation.apply, so no product, projection or comparison
-walks a zero cell.  The dense constructors Mat(rows, cols, data), zero
-and copy() stay for tests and benchmark mutations, which write entries
-into .data; such a Mat builds its columns on the first column read.  ==
-compares nonzero columns, so two Mats are equal however each was built.
-Pivots divide through field.div: over Q an integral scalar is an int.
+here.  A vector has one form: the dict {index: value} of its nonzeros,
+with no zero values.  Every kernel keeps that invariant (_combine,
+_add_scaled, Mat sums, scale, products, matvec, kron_cols, project,
+solve_map, mat_from_json), so == on vectors and on Mats is a plain dict
+comparison, and a cancelled entry is dropped where it cancels.  A Mat is
+its nonzero columns, and the library builds every Mat from them:
+Mat.from_cols stores dict columns as given, and products, sums, kron and
+QuotientPresentation.apply build them, so no product, projection or
+comparison walks a zero cell.  Results may be shared (col(j) is the
+stored column), so no caller modifies one.  The dense constructors
+Mat(rows, cols, data), zero and copy() stay for tests and benchmark
+mutations, which write entries into .data; such a Mat builds its columns
+on the first column read.  Pivots divide through field.div: over Q an
+integral scalar is an int.  An index outside a vector's range raises
+ShapeMismatch.
 
 One elimination engine, _echelon_dict, does every row reduction: it takes
-list or dict rows, works on their nonzeros only and returns the canonical
-RREF (leftmost-first-nonzero pivots, fully back-substituted), so subspace
-equality is a plain comparison of dict rows.  It reduces each incoming
-vector in one pass (_reduce, which Subspace.contains shares) and
-back-substitutes a new pivot only into the rows that are nonzero there,
-found through a column index.  rref, rank, kernel, image, solve_affine,
-solve_affine_sparse, inverse, det, Subspace and quotient_by are views of
-its output; a Mat reaches it as dict rows read from its columns.  A
-QuotientPresentation stores only the canonical relation rows:
-project(vec) returns the dict of a projected vector's nonzeros and
-apply(M) = proj * M is the Mat of the projected columns.
+dict rows of nonzeros and returns the canonical RREF (leftmost-first-
+nonzero pivots, fully back-substituted), so subspace equality is a plain
+comparison of dict rows.  It reduces each incoming vector in one pass
+(_reduce, which Subspace.contains shares) and back-substitutes a new
+pivot only into the rows that are nonzero there, found through a column
+index.  rref, rank, kernel, image, solve_affine_sparse, inverse, det,
+Subspace and quotient_by are views of its output; a Mat reaches it as
+dict rows read from its columns.  A QuotientPresentation stores only the
+canonical relation rows: project(vec) returns the dict of a projected
+vector's nonzeros and apply(M) = proj * M is the Mat of the projected
+columns.
 
 Every system for an unknown linear map goes through solve_map(blocks,
 rows, cols, field): sum L X R = rhs per block, unknown X[p][q] at column
@@ -57,11 +64,6 @@ class NoSolution(Exception):
     """Signal: the affine system is infeasible.  Not a fault."""
 
 
-def _items(vec):
-    """The (index, value) pairs of a list or of a dict {index: value}."""
-    return vec.items() if isinstance(vec, dict) else enumerate(vec)
-
-
 class Mat:
     """A rows x cols matrix, held as its nonzero columns: dicts {row:
     value}.  The library builds every Mat from its columns (from_cols,
@@ -89,13 +91,14 @@ class Mat:
     @classmethod
     def from_cols(cls, cols_list, ambient_dim, field=QQ):
         """The ambient_dim x len(cols_list) matrix with these columns, each
-        a list or a dict {row: value}; zeros are dropped."""
+        a dict {row: value} of its nonzeros, stored as given (and shared:
+        the caller does not modify them afterwards)."""
         M = cls.__new__(cls)
         M.rows = ambient_dim
         M.cols = len(cols_list)
         M.field = field
         M._data = None
-        M._cols = [{i: v for i, v in _items(col) if v} for col in cols_list]
+        M._cols = list(cols_list)
         return M
 
     @classmethod
@@ -106,10 +109,6 @@ class Mat:
     @classmethod
     def identity(cls, n, field=QQ):
         return cls.from_cols([{i: field.one} for i in range(n)], n, field)
-
-    @classmethod
-    def column(cls, vec, field=QQ):
-        return cls.from_cols([vec], len(vec), field)
 
     # -- the two forms ----------------------------------------------------
 
@@ -143,10 +142,8 @@ class Mat:
                    self.field)
 
     def col(self, j):
-        out = [self.field.zero] * self.rows
-        for i, x in self.sparse_cols()[j].items():
-            out[i] = x
-        return out
+        """Column j as the shared dict {row: value} of its nonzeros."""
+        return self.sparse_cols()[j]
 
     # -- arithmetic, column by column -------------------------------------
 
@@ -164,12 +161,16 @@ class Mat:
         for a, b in zip(self.sparse_cols(), other.sparse_cols()):
             c = dict(a)
             for i, x in b.items():
-                c[i] = op(c.get(i, zero), x)
+                v = op(c.get(i, zero), x)
+                if v:
+                    c[i] = v
+                else:
+                    del c[i]
             out.append(c)
         return Mat.from_cols(out, self.rows, self.field)
 
     def scale(self, c):
-        return Mat.from_cols([{i: c * x for i, x in col.items()}
+        return Mat.from_cols([{i: c * x for i, x in col.items()} if c else {}
                               for col in self.sparse_cols()],
                              self.rows, self.field)
 
@@ -185,15 +186,13 @@ class Mat:
                              self.rows, self.field)
 
     def matvec(self, vec):
-        """self * vec for a list or a dict {col: value}, summed over the
-        nonzeros of vec and of the columns they pick."""
-        if not isinstance(vec, dict) and len(vec) != self.cols:
-            raise ShapeMismatch("matvec length mismatch")
-        out = [self.field.zero] * self.rows
-        for i, x in _combine(self.sparse_cols(), vec,
-                             self.field.zero).items():
-            out[i] = x
-        return out
+        """self * vec for a dict {col: value} of nonzeros, as the dict of
+        the nonzeros of the product."""
+        try:
+            return _combine(self.sparse_cols(), vec, self.field.zero)
+        except IndexError:
+            raise ShapeMismatch("matvec index outside %d columns"
+                                % self.cols) from None
 
     def __eq__(self, other):
         if not isinstance(other, Mat):
@@ -213,34 +212,42 @@ class Mat:
 
 
 def _combine(cols, vec, zero):
-    """sum of v * cols[k] over the nonzeros (k, v) of vec (a list or a
-    dict), as a dict; entries that cancel stay, as zeros."""
+    """sum of v * cols[k] over the items (k, v) of the dict vec, as the
+    dict of its nonzeros: entries that cancel are dropped."""
     acc = {}
-    for k, v in _items(vec):
+    for k, v in vec.items():
+        for i, a in cols[k].items():
+            acc[i] = acc.get(i, zero) + a * v
+    return {i: x for i, x in acc.items() if x}
+
+
+def _add_scaled(acc, c, vec, zero):
+    """acc += c * vec for dicts of nonzeros, in place; acc stays free of
+    zeros."""
+    for k, x in vec.items():
+        v = acc.get(k, zero) + c * x
         if v:
-            for i, a in cols[k].items():
-                acc[i] = acc.get(i, zero) + a * v
-    return acc
+            acc[k] = v
+        else:
+            del acc[k]
 
 
 def _columns(M):
-    """The sparse columns of a Mat; a list of columns (lists or dicts) is
-    returned as it is."""
+    """The sparse columns of a Mat; a list of dict columns is returned as
+    it is."""
     return M.sparse_cols() if isinstance(M, Mat) else M
 
 
 def kron_cols(A, B, M):
     """The columns of kron(A, B) * M as dicts {row: value}, built from the
     nonzeros of A, B and M without forming the Kronecker product.  M is a
-    Mat or a list of columns (lists or dicts)."""
+    Mat or a list of dict columns."""
     acols, bcols = _columns(A), _columns(B)
     zero = A.field.zero
     out = []
     for col in _columns(M):
         acc = {}
-        for kl, v in _items(col):
-            if not v:
-                continue
+        for kl, v in col.items():
             k, l = divmod(kl, B.cols)
             bl = bcols[l].items()
             for i, a in acols[k].items():
@@ -282,10 +289,10 @@ def _rows(M):
 
 
 def _reduce(vec, rows, zero):
-    """vec (a list or a dict) minus v[q] * rows[q] for every pivot q in its
-    support, as a dict of its nonzeros.  Every row of rows is zero at every
+    """The dict vec minus v[q] * rows[q] for every pivot q in its support,
+    as a new dict of its nonzeros.  Every row of rows is zero at every
     other pivot, so this one pass leaves vec zero at every pivot."""
-    v = {c: x for c, x in _items(vec) if x}
+    v = dict(vec)
     for q in v.keys() & rows.keys():
         f = v[q]
         for c, x in rows[q].items():
@@ -299,7 +306,7 @@ def _reduce(vec, rows, zero):
 
 def _echelon_dict(vectors, field):
     """The one elimination engine: canonical RREF of a spanning set of
-    vectors, each a list or a dict {col: value}.  Returns (rows, scalars):
+    vectors, each a dict {col: value} of nonzeros.  Returns (rows, scalars):
     rows maps each pivot column to its fully back-substituted dict row, in
     the order the pivots were found; scalars are the pivot values the new
     rows were divided by, in the same order.
@@ -407,26 +414,20 @@ class Subspace:
         return len(self.rows)
 
     @property
-    def basis_rows(self):
-        """The canonical rows as dense lists, in increasing pivot order."""
-        basis = self.basis
-        return [basis.col(j) for j in range(self.dim)]
-
-    @property
     def basis(self):
         """Basis vectors as the columns of a matrix (canonical order)."""
         return Mat.from_cols([self.rows[p] for p in self.pivots],
                              self.ambient_dim, self.field)
 
     def contains(self, vec):
-        """Whether vec, a list or a dict, lies in the subspace."""
+        """Whether the dict vec lies in the subspace."""
         return not _reduce(vec, self.rows, self.field.zero)
 
     def coords(self, vec):
-        """The values of the list vec at the pivots: its coordinates in the
-        basis when vec lies in the subspace (a canonical row has 1 at its
-        pivot)."""
-        return [vec[p] for p in self.pivots]
+        """The nonzero values of the dict vec at the pivots, keyed by the
+        pivot's position: its coordinates in the basis when vec lies in
+        the subspace (a canonical row has 1 at its pivot)."""
+        return {i: vec[p] for i, p in enumerate(self.pivots) if p in vec}
 
     def contains_all(self, vectors):
         return all(self.contains(v) for v in vectors)
@@ -456,16 +457,6 @@ def image(M):
     return Subspace.from_spanning(M.rows, M.sparse_cols(), M.field)
 
 
-def solve_affine(constraint, rhs):
-    """Solve constraint * x = rhs.  Returns (particular solution, kernel
-    Subspace) or raises NoSolution."""
-    if len(rhs) != constraint.rows:
-        raise ShapeMismatch("rhs length mismatch")
-    x, kern = solve_affine_sparse(_rows(constraint), rhs, constraint.cols,
-                                  constraint.field, want_kernel=True)
-    return x, Subspace.from_spanning(constraint.cols, kern, constraint.field)
-
-
 def inverse(M):
     """Exact inverse of a square matrix; raises NoSolution if singular."""
     if M.rows != M.cols:
@@ -487,23 +478,21 @@ def inverse(M):
 
 
 def solve_affine_sparse(constraint_rows, rhs, ncols, field=QQ, want_kernel=False):
-    """Sparse variant of solve_affine.  constraint_rows is a list of dicts
-    {col: value}; rhs a dense list of the same length.  Unknowns occupy
-    columns 0..ncols-1; the right-hand side is treated as column ncols.
-    Returns (particular, kernel vectors as dicts, or None) or raises
-    NoSolution."""
+    """Solve the system whose equations are the dicts {col: value} of
+    constraint_rows, with right-hand sides rhs (one scalar per equation).
+    Unknowns occupy columns 0..ncols-1; the right-hand side is treated as
+    column ncols.  Returns (particular solution as the dict of its
+    nonzeros, kernel vectors as dicts or None) or raises NoSolution."""
     aug = []
     for row, b in zip(constraint_rows, rhs):
-        r = dict(row)
         if b:
-            r[ncols] = b
-        aug.append(r)
+            row = dict(row)
+            row[ncols] = b
+        aug.append(row)
     rows, _ = _echelon_dict(aug, field)
     if ncols in rows:
         raise NoSolution()
-    x = [field.zero] * ncols
-    for p, row in rows.items():
-        x[p] = row.get(ncols, field.zero)
+    x = {p: row[ncols] for p, row in rows.items() if ncols in row}
     kern = _kernel_vectors(rows, ncols, field) if want_kernel else None
     return x, kern
 
@@ -538,24 +527,27 @@ def solve_map(blocks, rows, cols, field=QQ, want_kernel=False):
             (i, j): v for j, col in enumerate(target.sparse_cols())
             for i, v in col.items()}
         for key, row in acc.items():
+            row = {c: x for c, x in row.items() if x}     # terms may cancel
             b = values.pop(key, zero)
-            if b or any(row.values()):      # terms may cancel
+            if b or row:
                 eqs.append(row)
                 rhs.append(b)
         eqs.extend({} for _ in values)
         rhs.extend(values.values())
     x, kern = solve_affine_sparse(eqs, rhs, rows * cols, field, want_kernel)
-    X = Mat.from_cols([x[q::cols] for q in range(cols)], rows, field)
+    X = _unflatten(x, rows, cols, field)
     if not want_kernel:
         return X
-    basis = []
-    for vec in kern:
-        kcols = [{} for _ in range(cols)]
-        for k, v in vec.items():
-            p, q = divmod(k, cols)
-            kcols[q][p] = v
-        basis.append(Mat.from_cols(kcols, rows, field))
-    return X, basis
+    return X, [_unflatten(vec, rows, cols, field) for vec in kern]
+
+
+def _unflatten(vec, rows, cols, field):
+    """The rows x cols Mat whose entry (p, q) is vec[p * cols + q]."""
+    kcols = [{} for _ in range(cols)]
+    for k, v in vec.items():
+        p, q = divmod(k, cols)
+        kcols[q][p] = v
+    return Mat.from_cols(kcols, rows, field)
 
 
 def leg_slices(lift, n, fixed):
@@ -598,21 +590,21 @@ class QuotientPresentation:
         self.field = field
 
     def project(self, vec):
-        """proj . vec, for a list or a dict {col: value}, as a dict
+        """proj . vec, for a dict {col: value} of nonzeros, as a dict
         {coordinate: value} of its nonzeros: a non-pivot column goes to
         its own coordinate; a pivot p spreads -v * row_p[c] onto the
         non-pivot columns c of its row."""
-        if not isinstance(vec, dict) and len(vec) != self.ambient_dim:
-            raise ShapeMismatch("project length mismatch")
-        index, zero, out = self.index, self.field.zero, {}
-        for c, v in _items(vec):
-            if not v:
-                continue
+        index, rows, zero, out = self.index, self.rows, self.field.zero, {}
+        for c, v in vec.items():
             qi = index.get(c)
             if qi is not None:
                 out[qi] = out.get(qi, zero) + v
                 continue
-            for c2, x in self.rows[c].items():
+            row = rows.get(c)
+            if row is None:
+                raise ShapeMismatch("project index %r outside dimension %d"
+                                    % (c, self.ambient_dim))
+            for c2, x in row.items():
                 if c2 != c:
                     qi = index[c2]
                     out[qi] = out.get(qi, zero) - v * x
@@ -620,7 +612,7 @@ class QuotientPresentation:
 
     def apply(self, M):
         """proj * M, built from the projected columns; M is a Mat or a
-        list of columns (lists or dicts)."""
+        list of dict columns."""
         return Mat.from_cols([self.project(col) for col in _columns(M)],
                              self.dim, self.field)
 
@@ -636,8 +628,8 @@ class QuotientPresentation:
 
 
 def quotient_by(ambient_dim, relation_vectors, field=QQ):
-    """Quotient of k^ambient_dim by the span of the relation vectors (lists
-    or dicts), presented by their canonical rows."""
+    """Quotient of k^ambient_dim by the span of the relation vectors (dicts
+    of nonzeros), presented by their canonical rows."""
     return QuotientPresentation(
         ambient_dim, _echelon_dict(relation_vectors, field)[0], field)
 
@@ -662,15 +654,21 @@ def mat_from_json(doc, field=QQ):
         if not (0 <= r < rows and 0 <= c < ncols):
             raise ValueError("matrix entry %r outside a %dx%d matrix"
                              % (e, rows, ncols))
-        cols[c][r] = field.parse(e["v"])
+        x = field.parse(e["v"])
+        if x:
+            cols[c][r] = x
+        else:
+            cols[c].pop(r, None)
     return Mat.from_cols(cols, rows, field)
 
 
 def shaped_mat_from_json(doc, key, rows, cols, field=QQ):
     """The matrix doc[key], which must be rows x cols (any number of
-    columns when cols is None); a wrong shape is a ValueError naming key."""
-    M = mat_from_json(doc[key], field)
-    if M.rows != rows or cols not in (None, M.cols):
+    columns when cols is None); a wrong declared shape is a ValueError
+    naming key, raised before any entry is read."""
+    node = doc[key]
+    r, c = int(node["rows"]), int(node["cols"])
+    if r != rows or cols not in (None, c):
         raise ValueError("%r is %dx%d, must be %dx%s" % (
-            key, M.rows, M.cols, rows, "n" if cols is None else cols))
-    return M
+            key, r, c, rows, "n" if cols is None else cols))
+    return mat_from_json(node, field)

@@ -17,7 +17,7 @@ from .fields import QQ, CyclotomicField
 from .linalg import Mat, kron_cols, inverse, solve_map, NoSolution, image
 from .algebra import (FDAlgebra, check_group_table, product_field_algebra,
                       opposite, central_idempotents_split, NotSplit,
-                      subalgebra_on_rows, nonzeros)
+                      subalgebra_on_rows)
 from .bimod import pair_mul
 from .hopfalgebroid import BialgebroidData, HopfAlgebroidData
 from .reports import ViolationReport
@@ -429,9 +429,7 @@ def groupoid_algebra(G, field=QQ):
     mul = [[{} for _ in range(d)] for _ in range(d)]
     for (f, g), h in G.compose.items():
         mul[f][g][h] = field.one
-    unit = [field.zero] * d
-    for u in G.units:
-        unit[u] = field.one
+    unit = {u: field.one for u in G.units}
     H = FDAlgebra(d, mul, unit, field, name="groupoid algebra")
     base = product_field_algebra(m, field)
     one = field.one
@@ -480,11 +478,10 @@ def monoid_bialgebra(table, identity, field=QQ):
     bialgebroid over k.  Not Hopf unless the monoid is a group."""
     n = len(table)
     mul = [[{table[i][j]: field.one} for j in range(n)] for i in range(n)]
-    unit = [field.zero] * n
-    unit[identity] = field.one
-    H = FDAlgebra(n, mul, unit, field, name="monoid algebra")
+    H = FDAlgebra(n, mul, {identity: field.one}, field,
+                  name="monoid algebra")
     base = product_field_algebra(1, field)
-    eta = Mat.from_cols([unit], n, field)
+    eta = Mat.from_cols([H.unit], n, field)
     return BialgebroidData(H, base, "right", eta, eta,
                            _grouplike_coproduct(n, field),
                            _row([field.one] * n, field))
@@ -496,9 +493,14 @@ def _grouplike_coproduct(d, field):
                          field)
 
 
+def _nonzero(vec):
+    """The dict vec without its zero values (entries that cancelled)."""
+    return {k: x for k, x in vec.items() if x}
+
+
 def _row(vec, field):
-    """The 1 x len(vec) matrix with entries vec."""
-    return Mat.from_cols([[x] for x in vec], 1, field)
+    """The 1 x len(vec) matrix with the entries of the list vec."""
+    return Mat.from_cols([{0: x} if x else {} for x in vec], 1, field)
 
 
 # ---------------------------------------------------------------------------
@@ -513,18 +515,17 @@ def _characters(A):
     field = A.field
     out = []
     for q in idems:
-        pivot = next(i for i, c in enumerate(q) if c)
+        pivot = min(q)
         chi = []
         for i in range(A.dim):
             v = A.mul_vec(i, q)
-            c = field.div(v[pivot], q[pivot])
-            if v != [c * x for x in q]:
+            c = field.div(v.get(pivot, field.zero), q[pivot])
+            if v != ({k: c * x for k, x in q.items()} if c else {}):
                 raise NotSplit("a central idempotent does not define a "
                                "character")
             chi.append(c)
         out.append((q, chi))
-    out.sort(key=lambda pair: next(
-        i for i, c in enumerate(pair[0]) if c))
+    out.sort(key=lambda pair: min(pair[0]))
     return out
 
 
@@ -599,11 +600,11 @@ def coupled_from_character(Hd, sigma):
     sig = _row(sigma, field)
     one = field.one
     # character test
-    if sig.matvec(H.unit)[0] != one:
+    if sig.matvec(H.unit) != {0: one}:
         raise NotACharacter("sigma(1) != 1")
     for i in range(d):
         for j in range(d):
-            lhs = sig.matvec(H.mul[i][j])[0]
+            lhs = sig.matvec(H.mul[i][j]).get(0, field.zero)
             if lhs != sigma[i] * sigma[j]:
                 raise NotACharacter("sigma is not multiplicative at "
                                     "(%d, %d)" % (i, j))
@@ -690,10 +691,10 @@ def check_weak_hopf(W):
     # (i) weak unitality, products in H (x) H (x) H over the nonzeros of
     # Delta(1) and of 1
     w = D.matvec(H.unit)
-    units = nonzeros(H.unit).items()
+    units = H.unit.items()
     w_1 = {}    # Delta(1) (x) 1
     one_w = {}  # 1 (x) Delta(1)
-    for ij, c in nonzeros(w).items():
+    for ij, c in w.items():
         i, j = divmod(ij, d)
         for k, u in units:
             w_1[i, j, k] = c * u
@@ -748,12 +749,13 @@ def weak_projections(W):
     d, zero, E = H.dim, H.field.zero, W.eps_products()
     pL = [{} for _ in range(d)]
     pR = [{} for _ in range(d)]
-    for ij, c in nonzeros(W.coproduct.matvec(H.unit)).items():
+    for ij, c in W.coproduct.matvec(H.unit).items():
         i, j = divmod(ij, d)
         for h in range(d):
             pL[h][j] = pL[h].get(j, zero) + c * E[i][h]
             pR[h][i] = pR[h].get(i, zero) + c * E[h][j]
-    return Mat.from_cols(pL, d, H.field), Mat.from_cols(pR, d, H.field)
+    return tuple(Mat.from_cols([_nonzero(col) for col in p], d, H.field)
+                 for p in (pL, pR))
 
 
 def weak_hopf_to_algebroid(W):
@@ -774,12 +776,12 @@ def weak_hopf_to_algebroid(W):
     # t(r) = eps(r 1_(1)) 1_(2), read off the table of eps(e_a e_b)
     E = W.eps_products()
     tcols = [{} for _ in range(m)]
-    for ij, c in nonzeros(W.coproduct.matvec(H.unit)).items():
+    for ij, c in W.coproduct.matvec(H.unit).items():
         i, j = divmod(ij, d)
         for r, rv in enumerate(incl.sparse_cols()):
             cr = sum((x * E[k][i] for k, x in rv.items()), field.zero)
             tcols[r][j] = tcols[r].get(j, field.zero) + c * cr
-    tR = Mat.from_cols(tcols, d, field)
+    tR = Mat.from_cols([_nonzero(col) for col in tcols], d, field)
     # eps_R = pR in base coordinates
     epsR = Mat.from_cols([Rspace.coords(pR.col(h)) for h in range(d)],
                          m, field)
@@ -849,32 +851,28 @@ def smash_algebroid(A, table, action):
             for g in range(n):
                 row = idx(i, j, g)
                 for k in range(a):
-                    left = nonzeros(A.mul_vec(i, action[g].col(k)))
+                    left = A.mul_vec(i, action[g].col(k))
                     for l in range(a):
-                        right = nonzeros(A.mul_vec(action[g].col(l), j))
+                        right = A.mul_vec(action[g].col(l), j)
                         for h in range(n):
                             gh = table[g][h]
                             mul[row][idx(k, l, h)] = {
                                 idx(p, q, gh): x * y
                                 for p, x in left.items()
                                 for q, y in right.items()}
-    unit = [field.zero] * d
-    for i in range(a):
-        if A.unit[i]:
-            for j in range(a):
-                if A.unit[j]:
-                    unit[idx(i, j, e)] = A.unit[i] * A.unit[j]
+    unit = {idx(i, j, e): x * y for i, x in A.unit.items()
+            for j, y in A.unit.items()}
     H = FDAlgebra(d, mul, unit, field, name="smash product")
 
-    sR = Mat.from_cols([{idx(r, j, e): u for j, u in enumerate(A.unit)}
+    sR = Mat.from_cols([{idx(r, j, e): u for j, u in A.unit.items()}
                         for r in range(a)], d, field)
-    tR = Mat.from_cols([{idx(j, r, e): u for j, u in enumerate(A.unit)}
+    tR = Mat.from_cols([{idx(j, r, e): u for j, u in A.unit.items()}
                         for r in range(a)], d, field)
     # counit (a x a')#g -> alpha_{g^{-1}}(a a'); untwisted for trivial actions
     epsR = Mat.from_cols([action[inv_g[g]].matvec(A.mul[i][j])
                           for i in range(a) for j in range(a)
                           for g in range(n)], a, field)
-    units = [(p, u) for p, u in enumerate(A.unit) if u]
+    units = list(A.unit.items())
     dR = Mat.from_cols([{idx(p, j, g) * d + idx(i, q, g): u * v
                          for p, u in units for q, v in units}
                         for i in range(a) for j in range(a)
@@ -884,8 +882,8 @@ def smash_algebroid(A, table, action):
         for j in range(a):
             for g in range(n):
                 gi = inv_g[g]
-                u = nonzeros(action[gi].col(j))
-                v = nonzeros(action[gi].col(i))
+                u = action[gi].col(j)
+                v = action[gi].col(i)
                 scols.append({idx(p, q, gi): x * y for p, x in u.items()
                               for q, y in v.items()})
     S = Mat.from_cols(scols, d, field)
@@ -923,9 +921,7 @@ def twisted_group_algebra(n, t, field=None):
                 for e in range(n):
                     mul[idx(a, b)][idx(c, e)] = {
                         idx(a + c, b + e): scal(t * b * c)}
-    unit = [field.zero] * d
-    unit[idx(0, 0)] = field.one
-    return FDAlgebra(d, mul, unit, field,
+    return FDAlgebra(d, mul, {idx(0, 0): field.one}, field,
                      name="twisted group algebra (n=%d, t=%d)" % (n, t))
 
 
@@ -973,7 +969,7 @@ def nontransitive_control_instance(field=QQ):
     dH = Hd.total.dim
     B = product_field_algebra(4, field)
     act = [[0, 1, 2, 3], [1, 0, 3, 2]]
-    inclusion = Mat.from_cols([[field.one] * 4], 4, field)
+    inclusion = Mat.from_cols([{z: field.one for z in range(4)}], 4, field)
     rho = Mat.from_cols([{act[g][z] * dH + g: field.one for g in range(2)}
                          for z in range(4)], 4 * dH, field)
     return ComoduleAlgebraData(Hd, B, inclusion, rho, rho,
@@ -1033,14 +1029,9 @@ def example7_extract(D):
     if Hd.rightb.base.dim != 1:
         raise NotSplit("needs a Hopf algebra over k (covering of a point)")
     dR = Hd.rightb.coproduct_lift
-    lift_unit = dR.matvec(H.unit)
-    expect = [field.zero] * (H.dim * H.dim)
-    for i in range(H.dim):
-        if H.unit[i]:
-            for j in range(H.dim):
-                if H.unit[j]:
-                    expect[i * H.dim + j] = H.unit[i] * H.unit[j]
-    if lift_unit != expect:
+    expect = {i * H.dim + j: x * y for i, x in H.unit.items()
+              for j, y in H.unit.items()}
+    if dR.matvec(H.unit) != expect:
         raise NotSplit("coproduct is not unital on this instance")
     pts = _characters(B)
     n = len(pts)
@@ -1060,7 +1051,7 @@ def example7_extract(D):
                 bp, h = divmod(idx, dH)
                 pcol[bp] = pcol.get(bp, field.zero) + c * gamma[h]
             pcols.append(pcol)
-        P = Mat.from_cols(pcols, B.dim, field)
+        P = Mat.from_cols([_nonzero(col) for col in pcols], B.dim, field)
         perm = []
         for p in range(n):
             row = pt_rows[p] * P

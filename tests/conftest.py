@@ -23,6 +23,11 @@ from halab.zoo import (cyclic_table, klein_table, s3_table, trivial_table,
                        weak_hopf_to_algebroid, check_group_table)
 
 
+def sparse(vec):
+    """The dict {index: value} of the nonzeros of a coordinate list."""
+    return {c: x for c, x in enumerate(vec) if x}
+
+
 def group_tables():
     return [
         ("Z2", cyclic_table(2)),

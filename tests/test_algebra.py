@@ -13,11 +13,12 @@ from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
                            check_algebra_morphism, regular_module,
                            is_projective, center, jacobson_radical,
                            minimal_polynomial, central_idempotents_split,
-                           wedderburn_shape, ModuleOverA, NotAGroup, NotSplit,
-                           nonzeros)
+                           wedderburn_shape, ModuleOverA, NotAGroup, NotSplit)
 from halab.zoo import (cyclic_table, klein_table, s3_table, and_monoid_table,
                        groupoid_algebra, indiscrete_groupoid,
                        action_groupoid)
+
+from conftest import sparse
 
 
 def constructor_corpus():
@@ -62,7 +63,7 @@ def in_basis(A, P):
     """A with the columns of the invertible P as its basis."""
     Pi = inverse(P)
     cols = [P.col(i) for i in range(A.dim)]
-    return FDAlgebra(A.dim, [[nonzeros(Pi.matvec(A.mul_vec(x, y)))
+    return FDAlgebra(A.dim, [[Pi.matvec(A.mul_vec(x, y))
                               for y in cols] for x in cols],
                      Pi.matvec(A.unit), A.field)
 
@@ -76,7 +77,8 @@ def test_validate_compares_values_where_products_cancel():
          [0, 0, -1, 1, 0, 0], [0, 0, 0, 1, 1, 0], [1, 0, 0, 0, 2, 1]]
     for A in (matrix_algebra(2), group_algebra(s3_table())):
         d = A.dim
-        B = in_basis(A, Mat.from_cols([col[:d] for col in P[:d]], d, QQ))
+        B = in_basis(A, Mat.from_cols([sparse(col[:d]) for col in P[:d]], d,
+                                      QQ))
         assert validate_algebra(B).ok
         B.mul[1][2][0] = B.mul[1][2].get(0, 0) + 1
         assert not validate_algebra(B).ok
@@ -225,8 +227,8 @@ def coordinates(field, dim):
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_sparse_products_match_the_dense_reference(data):
-    """mul_vec on lists and on dicts of nonzeros, its basis-index forms
-    and the multiplication matrices equal the dense reference, over Q and
+    """mul_vec on dicts of nonzeros, its basis-index forms and the
+    multiplication matrices equal the dense reference, over Q and
     Q(zeta_3)."""
     field = data.draw(st.sampled_from([QQ, F3]))
     name, A = data.draw(st.sampled_from(product_corpus(field)))
@@ -235,14 +237,18 @@ def test_sparse_products_match_the_dense_reference(data):
     i = data.draw(st.integers(0, A.dim - 1))
     j = data.draw(st.integers(0, A.dim - 1))
     ei, ej = A.basis_vec(i), A.basis_vec(j)
-    assert A.mul_vec(x, y) == dense_product(A, x, y), name
-    assert A.mul_vec(nonzeros(x), nonzeros(y)) == dense_product(A, x, y)
-    assert A.mul_vec(i, y) == dense_product(A, ei, y), name
-    assert A.mul_vec(x, j) == dense_product(A, x, ej), name
-    assert A.mul_vec(i, j) == dense_product(A, ei, ej), name
-    assert A.mul_vec(nonzeros(x), j) == dense_product(A, x, ej), name
-    assert A.left_mult_matrix(x).col(j) == dense_product(A, x, ej), name
-    assert A.right_mult_matrix(x).col(j) == dense_product(A, ej, x), name
+    di = [field.one if k == i else field.zero for k in range(A.dim)]
+    dj = [field.one if k == j else field.zero for k in range(A.dim)]
+    xs, ys = sparse(x), sparse(y)
+    assert A.mul_vec(xs, ys) == sparse(dense_product(A, x, y)), name
+    assert A.mul_vec(i, ys) == sparse(dense_product(A, di, y)), name
+    assert A.mul_vec(xs, j) == sparse(dense_product(A, x, dj)), name
+    assert A.mul_vec(i, j) == sparse(dense_product(A, di, dj)), name
+    assert A.mul_vec(ei, ej) == sparse(dense_product(A, di, dj)), name
+    assert A.left_mult_matrix(xs).col(j) == sparse(
+        dense_product(A, x, dj)), name
+    assert A.right_mult_matrix(xs).col(j) == sparse(
+        dense_product(A, dj, x)), name
     assert A.left_mult_matrix(i) == A.left_mult_matrix(ei), name
     assert A.right_mult_matrix(i) == A.right_mult_matrix(ei), name
 
@@ -271,11 +277,11 @@ def test_convolve_matches_the_kron_reference(data):
         if data.draw(st.booleans()):
             return Mat.identity(A.dim, field)
         cols = data.draw(st.integers(1, min(A.dim + 2, 5)))
-        return Mat.from_cols([data.draw(coordinates(field, A.dim))
+        return Mat.from_cols([sparse(data.draw(coordinates(field, A.dim)))
                               for _ in range(cols)], A.dim, field)
 
     F, G = draw_map(), draw_map()
-    cols = [data.draw(coordinates(field, F.cols * G.cols))
+    cols = [sparse(data.draw(coordinates(field, F.cols * G.cols)))
             for _ in range(data.draw(st.integers(0, 3)))]
     cols.insert(data.draw(st.integers(0, len(cols))), {})
     lift = Mat.from_cols(cols, F.cols * G.cols, field)

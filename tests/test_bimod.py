@@ -34,10 +34,8 @@ def test_tensor_over_subalgebra_collapses():
     # b h^2 (x) b'  ==  b (x) h^2 b'
     for b in range(4):
         for bp in range(4):
-            u = [QQ.zero] * 16
-            u[((b + 2) % 4) * 4 + bp] = QQ.one
-            v = [QQ.zero] * 16
-            v[b * 4 + (bp + 2) % 4] = QQ.one
+            u = {((b + 2) % 4) * 4 + bp: QQ.one}
+            v = {b * 4 + (bp + 2) % 4: QQ.one}
             assert sq.project(u) == sq.project(v)
 
 
@@ -102,10 +100,10 @@ def test_takeuchi_closure_multiplies_factorwise():
     d = H.dim
     assert sq.dim == d * d
     g = next(i for i in range(d) if table[i][i])
-    closed = Subspace.from_spanning(sq.dim, [[1] * sq.dim], QQ)
+    closed = Subspace.from_spanning(sq.dim, [dict.fromkeys(range(sq.dim), 1)],
+                                    QQ)
     assert check_takeuchi_closure(H, TakeuchiSubspace(sq, closed)).ok
-    ge = [0] * sq.dim
-    ge[g * d] = 1
+    ge = {g * d: 1}
     rep = check_takeuchi_closure(
         H, TakeuchiSubspace(sq, Subspace.from_spanning(sq.dim, [ge], QQ)))
     assert [(e["tag"], e["indices"]) for e in rep.entries] == [

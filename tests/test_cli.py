@@ -240,6 +240,63 @@ class TestSchemaErrors:
         assert main(["check", str(p)]) == 2
         assert "'actL'" in capsys.readouterr().err
 
+    @staticmethod
+    def _composition_with_base_maps():
+        """chain_z2_z4.json with the identity base maps f1 and f written
+        out, which check_composition otherwise assumes."""
+        from halab.galois import composition_from_json
+        from halab.linalg import Mat, mat_to_json
+        with open(os.path.join(DOCS, "chain_z2_z4.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        D1, D, D2 = composition_from_json(doc["payload"])[:3]
+        for key, E in (("f1", D1), ("f", D)):
+            doc["payload"][key] = mat_to_json(Mat.identity(
+                E.H.rightb.base.dim, E.field))
+        return doc
+
+    @pytest.mark.parametrize("name, key", [
+        ("klein_cocycle.json", "etaN"), ("klein_cocycle.json", "action"),
+        ("klein_cocycle.json", "sigma"), ("chain_z2_z4.json", "phi"),
+        ("chain_z2_z4.json", "psi"), ("chain_z2_z4.json", "f1"),
+        ("chain_z2_z4.json", "f")])
+    @pytest.mark.parametrize("attr, delta", [("rows", 1), ("rows", -1),
+                                             ("cols", 1), ("cols", -1)])
+    def test_cocycle_and_composition_map_shape(self, tmp_path, capsys, name,
+                                               key, attr, delta):
+        """A cocycle or composition matrix one row or column too many or
+        too few exits 2 with a message that names its key: never a
+        verdict, a failed check or a traceback."""
+        if name == "chain_z2_z4.json":
+            doc = self._composition_with_base_maps()
+            p = tmp_path / "base_maps.json"
+            p.write_text(json.dumps(doc))
+            assert main(["check", str(p)]) == 0
+            capsys.readouterr()
+        else:
+            with open(os.path.join(DOCS, name), encoding="utf-8") as fh:
+                doc = json.load(fh)
+        doc["payload"][key][attr] += delta
+        p = tmp_path / "bad_shape.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p), "--json"]) == 2
+        captured = capsys.readouterr()
+        assert repr(key) in captured.err and not captured.out
+
+    @pytest.mark.parametrize("name", ["mut_cocycle.json",
+                                      "mut_composition_psi.json"])
+    def test_shaped_mutations_still_fail_their_checks(self, capsys, name):
+        """The mutated cocycle and composition documents, whose matrices
+        have the right shapes, still exit 1 with the tags recorded in
+        bench/expected.json."""
+        with open(EXPECTED, encoding="utf-8") as fh:
+            tags = json.load(fh)["docs"][name]["tags"]
+        assert tags
+        assert main(["check", os.path.join(DOCS, name), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert sorted({v["tag"] for chk in report["checks"]
+                       for v in chk["violations"]}) == tags
+
     def test_missing_key_names_itself(self, tmp_path, capsys):
         with open(os.path.join(DOCS, "kz3_hopf.json"), encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -189,7 +189,7 @@ class TestCocycles:
         X = crossed_product(C)
         # (1 # g)(1 # g) = sigma(g, g) 1 # e = -1
         gg = X.mul_vec(X.basis_vec(1), X.basis_vec(1))
-        assert gg == [-QQ.one, QQ.zero]
+        assert gg == {0: -QQ.one}
 
 
 class TestComposition:

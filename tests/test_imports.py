@@ -4,8 +4,10 @@ have one builder, rows one elimination engine and systems for an unknown
 linear map one solver (linalg.solve_map), products with a basis
 element are lookups, no product takes a kron(...) operand outside
 hopfalgebroid.check_coupled (lifts go through FDAlgebra.convolve and
-kron_cols), no Mat's .data is ever written, no module uses floating
-point, and true division appears only in fields.py."""
+kron_cols), vectors have one form (dicts of their nonzeros: no dense
+[x.zero] * n list outside fields and the dense Mat views, and no
+list-or-dict helper), no Mat's .data is ever written, no module uses
+floating point, and true division appears only in fields.py."""
 
 import ast
 from pathlib import Path
@@ -131,6 +133,72 @@ def test_lifts_are_not_multiplied_through_kron(path):
     allowed = {"check_coupled"} if path.name == "hopfalgebroid.py" else set()
     assert found <= allowed, "%s multiplies by kron(...) in %s" % (
         path.name, sorted(found - allowed))
+
+
+def _dense_vectors(tree):
+    """(definition, line) of every list [x.zero] * n or n * [x.zero] in
+    tree, also where x.zero was first bound to a name; definition is the
+    innermost function (Class.method for a method)."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scan(child, where + child.name)
+                visit(child, where + child.name + ".")
+
+    def scan(func, name):
+        zeros = {t.id for node in ast.walk(func)
+                 if isinstance(node, ast.Assign)
+                 and isinstance(node.value, ast.Attribute)
+                 and node.value.attr == "zero"
+                 for t in node.targets if isinstance(t, ast.Name)}
+        for node in ast.walk(func):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                for x in (node.left, node.right):
+                    if isinstance(x, ast.List) and len(x.elts) == 1 and (
+                            (isinstance(x.elts[0], ast.Attribute)
+                             and x.elts[0].attr == "zero")
+                            or (isinstance(x.elts[0], ast.Name)
+                                and x.elts[0].id in zeros)):
+                        found.append((name, node.lineno))
+    visit(tree, "")
+    return sorted(set(found))
+
+
+def test_dense_vectors_are_found():
+    tree = ast.parse("def f(A):\n    return [A.field.zero] * A.dim\n"
+                     "class M:\n    def g(self):\n        z = F.zero\n"
+                     "        return [[z] * 2 for _ in range(3)]\n"
+                     "def h(n):\n    return n * [QQ.zero], [None] * n, "
+                     "[{}] * n, [x.one] * n\n")
+    assert _dense_vectors(tree) == [("M.g", 6), ("f", 2), ("h", 8)]
+
+
+def test_one_vector_form():
+    """Every vector is a dict of its nonzeros: no module defines or calls
+    a list-or-dict helper (_items, nonzeros) or zero_vec, and no dense
+    [x.zero] * n list is built outside fields (polynomial coefficients)
+    and the dense Mat views Mat.zero and Mat.data."""
+    helpers = ("_items", "nonzeros", "zero_vec")
+    for name in helpers:
+        assert not _callers(name), "%s is called in %s" % (name,
+                                                          _callers(name))
+    allowed = {("linalg.py", "Mat.zero"), ("linalg.py", "Mat.data")}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        defined = sorted(node.name for node in ast.walk(tree)
+                         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                         and node.name in helpers)
+        assert not defined, "%s defines %s" % (path.name, defined)
+        if path.name == "fields.py":
+            continue
+        dense = [(where, line) for where, line in _dense_vectors(tree)
+                 if (path.name, where) not in allowed]
+        assert not dense, "%s builds dense vectors at %s" % (path.name,
+                                                             dense)
 
 
 def _data_writes(tree):

@@ -6,10 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from halab.fields import QQ, CyclotomicField
 from halab.linalg import (Mat, kron, kron_cols, rref, rank, det, kernel,
-                          image, Subspace, solve_affine, solve_affine_sparse,
+                          image, Subspace, solve_map, solve_affine_sparse,
                           inverse, quotient_by, mat_to_json,
                           mat_from_json, NoSolution, ShapeMismatch,
                           _echelon_dict)
+
+from conftest import sparse
 
 
 def qmat(rows, cols):
@@ -28,7 +30,7 @@ class TestMat:
             A + Mat.zero(2, 3, QQ)
 
     def test_from_cols_round_trip(self):
-        cols = [[QQ.one, QQ.zero], [Fraction(3), Fraction(-1)]]
+        cols = [{0: QQ.one}, {0: Fraction(3), 1: Fraction(-1)}]
         A = Mat.from_cols(cols, 2, QQ)
         assert A.col(1) == cols[1]
         assert A == Mat(2, 2, [[QQ.one, Fraction(3)], [QQ.zero, Fraction(-1)]],
@@ -43,22 +45,21 @@ class TestMat:
     def test_a_copy_sees_writes_after_the_original_was_read(self):
         """The sparse column view is built on the first read and kept, so
         entries are changed on a fresh copy(), whose readers see them."""
-        A = Mat.from_cols([[1, 0], [0, 2], [3, 0]], 2, QQ)
+        A = Mat.from_cols([{0: 1}, {1: 2}, {0: 3}], 2, QQ)
         I1, trivial = Mat.identity(1, QQ), quotient_by(2, [], QQ)
-        assert A.matvec([1, 1, 1]) == [4, 2]
+        assert A.matvec({0: 1, 1: 1, 2: 1}) == {0: 4, 1: 2}
         assert kron_cols(A, I1, [{0: 1}]) == [{0: 1}]
         assert trivial.apply(A) == A
         B = A.copy()
         B.data[1][0] = 5
-        assert B.matvec([1, 0, 0]) == [1, 5]
-        assert B.matvec({0: 1}) == [1, 5]
-        assert B.col(0) == [1, 5]
+        assert B.matvec({0: 1}) == {0: 1, 1: 5}
+        assert B.col(0) == {0: 1, 1: 5}
         assert kron_cols(B, I1, [{0: 1}]) == [{0: 1, 1: 5}]
         assert kron_cols(I1, B, [{0: 1}]) == [{0: 1, 1: 5}]
         assert kron_cols(Mat.identity(2, QQ), I1, B) == [
             {0: 1, 1: 5}, {1: 2}, {0: 3}]
         assert trivial.apply(B) == B
-        assert A.matvec([1, 0, 0]) == [1, 0]
+        assert A.matvec({0: 1}) == {0: 1}
 
     @given(qmat(2, 2), qmat(2, 2), qmat(2, 2), qmat(2, 2))
     @settings(max_examples=25)
@@ -73,8 +74,8 @@ class TestEchelon:
 
     @given(qmat(3, 4))
     def test_kernel_annihilated(self, A):
-        for v in kernel(A).basis_rows:
-            assert A.matvec(v) == [QQ.zero] * 3
+        for v in kernel(A).rows.values():
+            assert A.matvec(v) == {}
 
     @given(qmat(3, 3))
     def test_image_contains_columns(self, A):
@@ -100,17 +101,20 @@ class TestSolve:
     def test_no_solution(self):
         A = Mat(2, 1, [[Fraction(1)], [Fraction(1)]], QQ)
         with pytest.raises(NoSolution):
-            solve_affine(A, [QQ.zero, QQ.one])
+            solve_map([([(A, None)], Mat.from_cols([{1: QQ.one}], 2, QQ))],
+                      1, 1, QQ)
 
     @given(qmat(3, 3), qmat(3, 1))
     def test_solve_affine_solves(self, A, b):
-        rhs = [b.data[i][0] for i in range(3)]
+        rhs = b.col(0)
         try:
-            x, hom = solve_affine(A, rhs)
+            X, kern = solve_map([([(A, None)], b)], 3, 1, QQ,
+                                want_kernel=True)
         except NoSolution:
             assert not image(A).contains(rhs)
         else:
-            assert A.matvec(x) == rhs
+            assert A.matvec(X.col(0)) == rhs
+            hom = Subspace.from_spanning(3, [K.col(0) for K in kern], QQ)
             assert hom == kernel(A)
 
     def test_sparse_agrees_with_dense(self):
@@ -120,31 +124,31 @@ class TestSolve:
         rows = [{j: A.data[i][j] for j in range(3) if A.data[i][j]}
                 for i in range(2)]
         x, _ = solve_affine_sparse(rows, rhs, 3)
-        assert A.matvec(x) == rhs
+        assert A.matvec(x) == sparse(rhs)
 
 
 class TestSubspace:
     def test_canonical_equality(self):
-        U = Subspace.from_spanning(3, [[QQ.one, QQ.one, QQ.zero],
-                                       [QQ.zero, QQ.one, QQ.one]], QQ)
-        V = Subspace.from_spanning(3, [[QQ.one, QQ.zero, -QQ.one],
-                                       [QQ.one, QQ.one, QQ.zero],
-                                       [QQ.one, Fraction(2), QQ.one]], QQ)
+        U = Subspace.from_spanning(3, [{0: QQ.one, 1: QQ.one},
+                                       {1: QQ.one, 2: QQ.one}], QQ)
+        V = Subspace.from_spanning(3, [{0: QQ.one, 2: -QQ.one},
+                                       {0: QQ.one, 1: QQ.one},
+                                       {0: QQ.one, 1: Fraction(2),
+                                        2: QQ.one}], QQ)
         assert U == V
         assert U.dim == 2
-        assert U.contains([QQ.one, Fraction(2), QQ.one])
-        assert not U.contains([QQ.one, QQ.zero, QQ.zero])
+        assert U.contains({0: QQ.one, 1: Fraction(2), 2: QQ.one})
+        assert not U.contains({0: QQ.one})
 
     def test_ordering(self):
-        U = Subspace.from_spanning(2, [[QQ.one, QQ.zero]], QQ)
-        W = Subspace.from_spanning(2, [[QQ.one, QQ.zero],
-                                       [QQ.zero, QQ.one]], QQ)
+        U = Subspace.from_spanning(2, [{0: QQ.one}], QQ)
+        W = Subspace.from_spanning(2, [{0: QQ.one}, {1: QQ.one}], QQ)
         assert U <= W and not W <= U
 
 
 class TestQuotient:
     def test_projection_section(self):
-        rels = [[QQ.one, -QQ.one, QQ.zero]]
+        rels = [{0: QQ.one, 1: -QQ.one}]
         q = quotient_by(3, rels, QQ)
         assert q.dim == 2
         assert q.apply(q.section_cols) == Mat.identity(2, QQ)
@@ -157,8 +161,9 @@ class TestQuotient:
 
     @given(qmat(3, 5))
     def test_relations_read_back_from_proj(self, M):
-        q = quotient_by(5, M.data, QQ)
-        assert q.relations == Subspace.from_spanning(5, M.data, QQ)
+        rels = [sparse(r) for r in M.data]
+        q = quotient_by(5, rels, QQ)
+        assert q.relations == Subspace.from_spanning(5, rels, QQ)
         assert q.relations.dim + q.dim == 5
 
 
@@ -274,7 +279,8 @@ class TestEngineAgainstReference:
         assert rref(M) == (Mat(M.rows, M.cols, R, M.field), pivots)
         assert rank(M) == len(pivots)
         K = kernel(M)
-        assert K.basis_rows == ref_kernel_rows(M)
+        assert [K.rows[p] for p in K.pivots] == [
+            sparse(r) for r in ref_kernel_rows(M)]
         assert K.dim == M.cols - len(pivots)
 
     @given(st.data())
@@ -284,22 +290,27 @@ class TestEngineAgainstReference:
         F = M.field
         if data.draw(st.booleans()):   # consistent by construction
             y = [data.draw(scalar(F)) for _ in range(M.cols)]
-            rhs = M.matvec(y)
+            rhs = M.matvec(sparse(y))
         else:
-            rhs = [data.draw(scalar(F)) for _ in range(M.rows)]
-        aug = [list(r) + [b] for r, b in zip(M.data, rhs)]
+            rhs = sparse([data.draw(scalar(F)) for _ in range(M.rows)])
+        aug = [list(r) + [rhs.get(i, F.zero)] for i, r in enumerate(M.data)]
         R, pivots = ref_rref(aug, M.cols + 1, F)
+        b = Mat.from_cols([rhs], M.rows, F)
         if M.cols in pivots:
             with pytest.raises(NoSolution):
-                solve_affine(M, rhs)
+                solve_map([([(M, None)], b)], M.cols, 1, F)
             return
-        x, hom = solve_affine(M, rhs)
+        X, kern = solve_map([([(M, None)], b)], M.cols, 1, F,
+                            want_kernel=True)
+        x = X.col(0)
         expect = [F.zero] * M.cols
         for r, p in enumerate(pivots):
             expect[p] = R[r][M.cols]
-        assert x == expect
+        assert x == sparse(expect)
         assert M.matvec(x) == rhs
-        assert hom.basis_rows == ref_kernel_rows(M)
+        hom = Subspace.from_spanning(M.cols, [K.col(0) for K in kern], F)
+        assert [hom.rows[p] for p in hom.pivots] == [
+            sparse(r) for r in ref_kernel_rows(M)]
 
     @given(st.integers(0, 4).flatmap(square))
     @settings(max_examples=150, deadline=None)
@@ -351,7 +362,9 @@ def _scalars(obj):
     if isinstance(obj, Mat):
         obj = obj.data
     elif isinstance(obj, Subspace):
-        obj = obj.basis_rows
+        obj = [obj.rows[p] for p in obj.pivots]
+    elif isinstance(obj, dict):
+        obj = list(obj.values())
     if isinstance(obj, (list, tuple)):
         for x in obj:
             yield from _scalars(x)
@@ -360,11 +373,13 @@ def _scalars(obj):
 
 
 def _q_views(M, rhs):
-    """rref, det, inverse and solve_affine of a Q-matrix and a right-hand
-    side, with None where a view does not apply."""
+    """rref, det, inverse and the solve_map solution and kernel of a
+    Q-matrix and a right-hand side, with None where a view does not
+    apply."""
     square = M.rows == M.cols
     try:
-        solved = solve_affine(M, rhs)
+        solved = solve_map([([(M, None)], Mat.from_cols(
+            [sparse(rhs)], M.rows, QQ))], M.cols, 1, QQ, want_kernel=True)
     except NoSolution:
         solved = None
     return (rref(M), det(M) if square else None,
@@ -413,8 +428,7 @@ def rescanning_echelon(vectors, field):
     rows = {}
     scalars = []
     for vec in vectors:
-        v = {c: x for c, x in (vec.items() if isinstance(vec, dict)
-                               else enumerate(vec)) if x}
+        v = dict(vec)
         while v:
             p = min(v)
             if p in rows:
@@ -456,15 +470,14 @@ class TestOnePassEngine:
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_same_rows_order_and_scalars_as_rescanning_engine(self, data):
-        """Tall, often rank-deficient inputs over Q and Q(zeta_3), as lists
-        or as sparse dicts: the one-pass engine finds the same pivots in
-        the same order, with the same pivot scalars and rows."""
+        """Tall, often rank-deficient inputs over Q and Q(zeta_3), as sparse
+        dicts: the one-pass engine finds the same pivots in the same
+        order, with the same pivot scalars and rows."""
         field = data.draw(st.sampled_from(FIELDS[:2]))
         M = data.draw(matrices(rows=data.draw(st.integers(0, 9)),
                                cols=data.draw(st.integers(0, 7)),
                                field=field))
-        vectors = [sparse(r) if data.draw(st.booleans()) else r
-                   for r in M.data]
+        vectors = [sparse(r) for r in M.data]
         rows, scalars = _echelon_dict(vectors, field)
         ref_rows, ref_scalars = rescanning_echelon(vectors, field)
         assert rows == ref_rows
@@ -494,8 +507,8 @@ def ref_quotient(n, rels, field):
 
 @st.composite
 def relation_sets(draw):
-    """(n, relation vectors, field) over Q or Q(zeta_3): a random (often
-    rank-deficient) set, no relations at all, or a spanning set."""
+    """(n, relation vectors as lists, field) over Q or Q(zeta_3): a random
+    (often rank-deficient) set, no relations at all, or a spanning set."""
     field = draw(st.sampled_from(FIELDS[:2]))
     n = draw(st.integers(1, 6))
     kind = draw(st.sampled_from(["random", "random", "empty", "full"]))
@@ -508,16 +521,12 @@ def relation_sets(draw):
     return n, rows, field
 
 
-def sparse(vec):
-    return {c: x for c, x in enumerate(vec) if x}
-
-
 class TestSparseQuotient:
     @given(relation_sets(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_project_and_apply_match_dense_reference(self, rels, data):
         n, vectors, field = rels
-        q = quotient_by(n, vectors, field)
+        q = quotient_by(n, [sparse(v) for v in vectors], field)
         proj, section = ref_quotient(n, vectors, field)
         assert (q.apply(Mat.identity(n, field)),
                 Mat.from_cols(q.section_cols, n, field)) == (proj, section)
@@ -525,17 +534,20 @@ class TestSparseQuotient:
         M = data.draw(matrices(rows=n, field=field))
         for j in range(M.cols):
             v = M.col(j)
-            assert q.project(v) == sparse(proj.matvec(v))
-            assert q.project(sparse(v)) == sparse(proj.matvec(v))
-        cols = [sparse(M.col(j)) for j in range(M.cols)]
+            assert q.project(v) == sparse(
+                [sum((a * v.get(c, field.zero) for c, a in enumerate(row)),
+                     field.zero) for row in proj.data])
+            assert q.project(v) == proj.matvec(v)
+        cols = [M.col(j) for j in range(M.cols)]
         assert q.apply(M) == q.apply(cols) == proj * M
         for v in vectors:
-            assert q.project(v) == {}
+            assert q.project(sparse(v)) == {}
 
     @given(relation_sets())
     @settings(max_examples=100, deadline=None)
     def test_relations_match_spanning_subspace(self, rels):
         n, vectors, field = rels
+        vectors = [sparse(v) for v in vectors]
         q = quotient_by(n, vectors, field)
         assert q.relations == Subspace.from_spanning(n, vectors, field)
         assert q.relations.dim + q.dim == n
@@ -543,7 +555,7 @@ class TestSparseQuotient:
 
     def test_project_checks_length(self):
         with pytest.raises(ShapeMismatch):
-            quotient_by(3, [], QQ).project([QQ.one] * 2)
+            quotient_by(3, [], QQ).project({3: QQ.one})
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -556,7 +568,6 @@ class TestSparseQuotient:
                                field=field))
         ref = kron(A, B) * M
         got = kron_cols(A, B, M)
-        assert got == [sparse(ref.col(j)) for j in range(ref.cols)]
+        assert got == [ref.col(j) for j in range(ref.cols)]
         assert kron_cols(A, B, [M.col(j) for j in range(M.cols)]) == got
-        assert kron_cols(A, B, [sparse(M.col(j))
-                                for j in range(M.cols)]) == got
+        assert kron_cols(A, B, M.sparse_cols()) == got
