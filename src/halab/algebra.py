@@ -3,13 +3,13 @@
 An FDAlgebra stores its structure constants once, sparsely: mul[i][j] is
 e_i * e_j as a dict {k: c} of its nonzero coordinates.  Every element is
 such a dict too (unit, basis_vec, mul_vec's factors and product; a
-coordinate list given to the constructor is converted there, and to_json
-writes the unit as a list).  Products walk only those nonzeros and drop
-the entries that cancel, and a product with a basis element (an int index
-in place of a vector) is read off them without building the basis vector;
-convolve(F, G, lift) evaluates mu (F (x) G) lift on coproduct lifts the
-same way, with no Kronecker product, and convolution_terms gives the
-same convolution with an unknown leg as linalg.solve_map terms.  All the
+coordinate list given to the constructor is converted there).  Products
+walk only those nonzeros and drop the entries that cancel, and a product
+with a basis element (an int index in place of a vector) is read off them
+without building the basis vector; convolve(F, G, lift) evaluates
+mu (F (x) G) lift on coproduct lifts the same way, with no Kronecker
+product, and convolution_terms gives the same convolution with an unknown
+leg as linalg.solve_map terms.  All the
 predicates used downstream live here: validation, centers, radicals
 (Dickson trace form, characteristic 0), module projectivity via a
 solve_map for a splitting, central idempotent splitting over split fields
@@ -20,8 +20,7 @@ block shape.
 from fractions import Fraction
 from math import isqrt, lcm
 
-from .fields import (QQ, parse_field, field_to_json, _poly_mul,
-                     _poly_divmod, _poly_ext_gcd)
+from .fields import QQ, _poly_mul, _poly_divmod, _poly_ext_gcd
 from .linalg import (Mat, kernel, kron, leg_slices, rank, solve_map, vstack,
                      NoSolution, ShapeMismatch, _add_scaled, _combine)
 from .reports import ViolationReport
@@ -154,42 +153,6 @@ class FDAlgebra:
                 if self.mul[i][j] != self.mul[j][i]:
                     return (i, j)
         return None
-
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self):
-        triples = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k, c in sorted(self.mul[i][j].items()):
-                    triples.append({"i": i, "j": j, "k": k,
-                                    "c": self.field.format(c)})
-        return {"field": field_to_json(self.field),
-                "dim": self.dim,
-                "unit": [self.field.format(self.unit.get(k, self.field.zero))
-                         for k in range(self.dim)],
-                "mul": triples}
-
-    @classmethod
-    def from_json(cls, doc):
-        field = parse_field(doc["field"])
-        dim = int(doc["dim"])
-        if dim < 0:
-            raise ValueError("'dim' is %d, must be >= 0" % dim)
-        mul = [[{} for _ in range(dim)] for _ in range(dim)]
-        for t in doc["mul"]:
-            i, j, k = int(t["i"]), int(t["j"]), int(t["k"])
-            if not all(0 <= x < dim for x in (i, j, k)):
-                raise ValueError("'mul' entry %r outside dim %d" % (t, dim))
-            c = field.parse(t["c"])
-            if c:
-                mul[i][j][k] = c
-            else:
-                mul[i][j].pop(k, None)
-        if len(doc["unit"]) != dim:
-            raise ValueError("'unit' has %d entries for dim %d"
-                             % (len(doc["unit"]), dim))
-        return cls(dim, mul, [field.parse(c) for c in doc["unit"]], field)
 
     def __repr__(self):
         return "FDAlgebra(dim %d%s)" % (

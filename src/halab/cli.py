@@ -1,9 +1,19 @@
-"""Command-line front end: parse instance documents, run the cumulative
-check stack, drive the constructors, and run the quantum-torus battery.
+"""Command-line front end and the document format: read and write instance
+documents, run the cumulative check stack, drive the constructors, and run
+the quantum-torus battery.
 
-Documents are UTF-8 JSON with a {"kind", "field", "payload"} envelope;
-exit codes: 0 all checks pass, 1 violations found, 2 input or schema
-error, 3 a check that could not reach a verdict (Inconclusive)."""
+Documents are UTF-8 JSON with a {"kind", "field", "payload"} envelope and
+an optional "level"; a constructor input may be a plain payload.  Only
+this module knows the format.  Its readers take a JSON node and its path
+(a tuple of keys and indices) and raise DocumentError(path, message),
+printed as "payload.left.s.entries[3].r: message".  Nothing is coerced: a
+count or index is a JSON integer in range, a scalar a string literal, and
+every nested algebra is over the envelope's field (or the first algebra's).
+An entry loop re-reads an entry through the checked readers only once the
+entry has failed, so a good entry costs its type checks alone.
+
+Exit codes: 0 all checks pass, 1 violations found, 2 input or schema error,
+3 a check that could not reach a verdict (Inconclusive)."""
 
 import argparse
 import functools
@@ -12,13 +22,12 @@ import os
 import sys
 from fractions import Fraction
 
-from .fields import parse_field, field_to_json
+from .fields import QQ, CyclotomicField
 from .algebra import FDAlgebra, validate_algebra, NotAGroup, Inconclusive
-from .hopfalgebroid import (HopfAlgebroidData, check_coring,
-                            check_bialgebroid, check_hopf_algebroid,
-                            hopf_to_json, hopf_from_json)
+from .linalg import Mat, ShapeMismatch
+from .hopfalgebroid import (BialgebroidData, HopfAlgebroidData, check_coring,
+                            check_bialgebroid, check_hopf_algebroid)
 from .reports import ViolationReport
-from .linalg import mat_from_json, shaped_mat_from_json
 from . import zoo
 from . import galois
 from . import torus as torusmod
@@ -39,55 +48,410 @@ KIND_MAX_LEVEL = {
 }
 
 
+# ---------------------------------------------------------------------------
+# the document format
+
+PAYLOAD = ("payload",)
+# the JSON name of each Python type that json.load returns
+_JSON = {"dict": "an object", "list": "an array", "str": "a string",
+         "int": "an integer", "float": "a number", "bool": "a boolean",
+         "NoneType": "null"}
+# what a malformed record raises in an entry loop: a missing key, a record
+# or literal of the wrong type, a bad literal
+_FAST_ERRORS = (KeyError, TypeError, AttributeError, ValueError)
+
+
 class DocumentError(Exception):
-    """Schema or input problems: exit code 2."""
+    """DocumentError(path, message): a malformed document or command line
+    (exit 2); path is the tuple of keys and indices of the node at fault."""
+
+    def __str__(self):
+        path, message = self.args
+        dotted = "".join("[%d]" % p if type(p) is int else "." + p
+                         for p in path)
+        return "%s: %s" % (dotted[1:], message) if path else message
 
 
-def _load(path, field_flag=None):
-    if not os.path.exists(path):
-        raise DocumentError("no such file: %s" % path)
+def _label(path):           # the nearest key on path: a matrix or array name
+    return repr(next(p for p in reversed(path) if type(p) is str))
+
+
+def _get(node, path, key, kind=None, length=None):
+    """node[key] (a key of an object or an index of an array), of JSON type
+    kind and, when length is given, an array of length entries."""
+    try:
+        value = node[key]
+    except KeyError:
+        raise DocumentError(path, "missing key %r" % (key,)) from None
+    if kind is not None and type(value) is not kind:
+        raise DocumentError(path + (key,), "must be %s, not %s" % (
+            _JSON[kind.__name__], _JSON.get(type(value).__name__, "?")))
+    if length is not None and len(value) != length:
+        raise DocumentError(path + (key,), "%s has %d entries, must have %d"
+                            % (_label(path + (key,)), len(value), length))
+    return value
+
+
+def _int(node, path, key, lo=0, hi=None):
+    """node[key]: a JSON integer (not a bool or a float), >= lo unless lo is
+    None, and in range(hi) when hi is given."""
+    x = _get(node, path, key, int)
+    if lo is not None and x < lo or hi is not None and x >= hi:
+        raise DocumentError(path + (key,), "is %d, must be %s" % (
+            x, ">= %d" % lo if hi is None else "in range(%d)" % hi))
+    return x
+
+
+def _each(node, path, key, length, read, *args):
+    """node[key]: an array (of length entries, when length is not None)
+    whose entries read(array, path, index, *args) reads."""
+    arr, p = _get(node, path, key, list, length), path + (key,)
+    return [read(arr, p, n, *args) for n in range(len(arr))]
+
+
+def _scalar(node, path, key, field):
+    """node[key]: a scalar literal of field, which is a JSON string."""
+    try:
+        return field.parse(_get(node, path, key, str))
+    except ValueError as exc:
+        raise DocumentError(path + (key,), str(exc)) from None
+
+
+def _reject(records, path, n, int_keys, bounds, scalar_key, field):
+    """Raise the DocumentError for records[n] (integer keys, each in range
+    of its bound, and a scalar literal), which an entry loop rejected."""
+    record, p = _get(records, path, n, dict), path + (n,)
+    for key, bound in zip(int_keys, bounds):
+        _int(record, p, key, 0, bound)
+    _scalar(record, p, scalar_key, field)
+    raise DocumentError(p, "malformed entry")
+
+
+def parse_field(desc, path=("field",)):
+    """The field of a JSON descriptor: "Q" or {"cyclotomic": N}, N >= 1."""
+    if desc == "Q":
+        return QQ
+    if type(desc) is dict and list(desc) == ["cyclotomic"]:
+        return CyclotomicField(_int(desc, path, "cyclotomic", 1))
+    raise DocumentError(path, "unknown field descriptor: %r" % (desc,))
+
+
+def field_to_json(field):
+    if field == QQ:
+        return "Q"
+    return {"cyclotomic": field.order}
+
+
+def mat_from_json(doc, field=QQ, path=("matrix",), rows=None, cols=None):
+    """The matrix {"rows", "cols", "entries": [{"r", "c", "v"}]}, omitted
+    entries zero; rows x cols when rows is given (cols None: at most rows
+    columns, as independent columns are), checked before any entry is
+    read."""
+    nrows, ncols = _int(doc, path, "rows"), _int(doc, path, "cols")
+    if rows is not None and (nrows != rows or (
+            ncols > rows if cols is None else ncols != cols)):
+        raise DocumentError(path, "%s is %dx%d, must be %dx%s" % (
+            _label(path), nrows, ncols, rows,
+            "n, n <= %d" % rows if cols is None else cols))
+    out = [{} for _ in range(ncols)]
+    parse, entries = field.parse, _get(doc, path, "entries", list)
+    for n, e in enumerate(entries):
+        try:
+            r, c, x = e["r"], e["c"], parse(e["v"])
+            ok = type(r) is int and type(c) is int \
+                and 0 <= r < nrows and 0 <= c < ncols
+        except _FAST_ERRORS:
+            ok = False
+        if not ok:
+            _reject(entries, path + ("entries",), n, "rc", (nrows, ncols),
+                    "v", field)
+        if x:
+            out[c][r] = x
+        else:
+            out[c].pop(r, None)
+    return Mat.from_cols(out, nrows, field)
+
+
+def shaped_mat_from_json(doc, key, rows, cols, field=QQ, path=PAYLOAD,
+                         optional=False):
+    """The rows x cols matrix doc[key] (cols None: at most rows columns);
+    None when optional and the key is absent or null."""
+    if optional and doc.get(key) is None:
+        return None
+    return _mat(doc, path, key, rows, cols, field)
+
+
+def _mat(node, path, key, rows, cols, field):
+    return mat_from_json(_get(node, path, key, dict), field, path + (key,),
+                         rows, cols)
+
+
+def mat_to_json(M):
+    """Sparse matrix form, entries in row-major order: omitted entries are
+    zero."""
+    entries = sorted((i, j, x) for j, col in enumerate(M.sparse_cols())
+                     for i, x in col.items())
+    return {"rows": M.rows, "cols": M.cols,
+            "entries": [{"r": i, "c": j, "v": M.field.format(x)}
+                        for i, j, x in entries]}
+
+
+def algebra_from_json(doc, field=None, path=PAYLOAD):
+    """The FDAlgebra of doc, which must be over field when one is given."""
+    F = parse_field(_get(doc, path, "field"), path + ("field",))
+    if field is not None and F != field:
+        raise DocumentError(path + ("field",),
+                            "%r, but the document is over %r" % (F, field))
+    dim = _int(doc, path, "dim")
+    unit = _each(doc, path, "unit", dim, _scalar, F)
+    mul = [[{} for _ in range(dim)] for _ in range(dim)]
+    parse, triples = F.parse, _get(doc, path, "mul", list)
+    for n, t in enumerate(triples):
+        try:
+            i, j, k, c = t["i"], t["j"], t["k"], parse(t["c"])
+            ok = type(i) is int and type(j) is int and type(k) is int \
+                and 0 <= i < dim and 0 <= j < dim and 0 <= k < dim
+        except _FAST_ERRORS:
+            ok = False
+        if not ok:
+            _reject(triples, path + ("mul",), n, "ijk", (dim,) * 3, "c", F)
+        if c:
+            mul[i][j][k] = c
+        else:
+            mul[i][j].pop(k, None)
+    return FDAlgebra(dim, mul, unit, F)
+
+
+def _algebra(doc, path, key, field):
+    return algebra_from_json(_get(doc, path, key, dict), field, path + (key,))
+
+
+def algebra_to_json(A):
+    F = A.field
+    return {"field": field_to_json(F), "dim": A.dim,
+            "unit": [F.format(A.unit.get(k, F.zero)) for k in range(A.dim)],
+            "mul": [{"i": i, "j": j, "k": k, "c": F.format(c)}
+                    for i in range(A.dim) for j in range(A.dim)
+                    for k, c in sorted(A.mul[i][j].items())]}
+
+
+def bialgebroid_from_json(doc, total, path=PAYLOAD):
+    """The bialgebroid of doc, on the total algebra already read."""
+    F, H = total.field, total.dim
+    base, side = _algebra(doc, path, "base", F), _get(doc, path, "side", str)
+    if side not in ("left", "right"):
+        raise DocumentError(path + ("side",), "must be 'left' or 'right'")
+    maps = [shaped_mat_from_json(doc, key, rows, cols, F, path)
+            for key, rows, cols in (("s", H, base.dim), ("t", H, base.dim),
+                                    ("delta_lift", H * H, H),
+                                    ("counit", base.dim, H))]
+    return BialgebroidData(total, base, side, *maps)
+
+
+def bialgebroid_to_json(B):
+    return {"base": algebra_to_json(B.base),
+            "side": B.side,
+            "s": mat_to_json(B.s),
+            "t": mat_to_json(B.t),
+            "delta_lift": mat_to_json(B.coproduct_lift),
+            "counit": mat_to_json(B.counit)}
+
+
+def hopf_from_json(doc, field=None, path=PAYLOAD):
+    total = _algebra(doc, path, "total", field)
+    leftb, rightb = (bialgebroid_from_json(_get(doc, path, key, dict), total,
+                                           path + (key,))
+                     for key in ("left", "right"))
+    return HopfAlgebroidData(leftb, rightb, shaped_mat_from_json(
+        doc, "antipode", total.dim, total.dim, total.field, path),
+        name=doc.get("name"))
+
+
+def hopf_to_json(Hd):
+    return {"total": algebra_to_json(Hd.total),
+            "left": bialgebroid_to_json(Hd.leftb),
+            "right": bialgebroid_to_json(Hd.rightb),
+            "antipode": mat_to_json(Hd.antipode),
+            "name": Hd.name}
+
+
+def comodule_from_json(doc, H=None, field=None, path=PAYLOAD):
+    """The comodule algebra of doc; H, when given, is the Hopf algebroid
+    already read from doc["hopf_algebroid"]."""
+    if H is None:
+        H = hopf_from_json(_get(doc, path, "hopf_algebroid", dict), field,
+                           path + ("hopf_algebroid",))
+    B = _algebra(doc, path, "B", H.total.field)
+    F, dB, dH = B.field, B.dim, H.total.dim
+    maps = [shaped_mat_from_json(doc, key, rows, cols, F, path)
+            for key, rows, cols in (("inclusionA", dB, None),
+                                    ("rhoR_lift", dB * dH, dB),
+                                    ("rhoL_lift", dB * dH, dB))]
+    etaR = shaped_mat_from_json(doc, "etaR", dB, H.rightb.base.dim, F, path,
+                                optional=True)
+    actL = None if doc.get("actL") is None else _each(
+        doc, path, "actL", H.leftb.base.dim, _mat, dB, dB, F)
+    try:
+        return galois.ComoduleAlgebraData(H, B, *maps, etaR=etaR, actL=actL,
+                                          name=doc.get("name"))
+    except ShapeMismatch as exc:
+        raise DocumentError(path, str(exc)) from None
+
+
+def comodule_to_json(D):
+    return {"hopf_algebroid": hopf_to_json(D.H),
+            "B": algebra_to_json(D.B),
+            "inclusionA": mat_to_json(D.inclusionA),
+            "rhoR_lift": mat_to_json(D.rhoR_lift),
+            "rhoL_lift": mat_to_json(D.rhoL_lift),
+            "etaR": mat_to_json(D.etaR),
+            "actL": [mat_to_json(a) for a in D.actL],
+            "name": D.name}
+
+
+def cocycle_from_json(doc, field=None, path=PAYLOAD):
+    total = _algebra(doc, path, "total", field)
+    BL = bialgebroid_from_json(_get(doc, path, "bialgebroid", dict), total,
+                               path + ("bialgebroid",))
+    N = _algebra(doc, path, "N", total.field)
+    F, dN, dB = N.field, N.dim, total.dim
+    maps = [shaped_mat_from_json(doc, key, dN, cols, F, path)
+            for key, cols in (("etaN", BL.base.dim), ("action", dB * dN),
+                              ("sigma", dB * dB))]
+    return galois.CocycleData(BL, N, *maps, name=doc.get("name"))
+
+
+def cocycle_to_json(C):
+    return {"total": algebra_to_json(C.BL.total),
+            "bialgebroid": bialgebroid_to_json(C.BL),
+            "N": algebra_to_json(C.N),
+            "etaN": mat_to_json(C.etaN),
+            "action": mat_to_json(C.action),
+            "sigma": mat_to_json(C.sigma),
+            "name": C.name}
+
+
+def composition_from_json(doc, field=None, path=PAYLOAD):
+    """The composition of doc, as (D1, D, D2, phi, psi, f1, f), every part
+    over the inner part's field.  Equal hopf_algebroid payloads (as JSON
+    text, where 2 and 2.0 differ) are read once, so their comodule
+    algebras share one H and its quotients."""
+    parsed, parts = {}, []
+    for key in ("inner", "middle", "outer"):
+        part, p = _get(doc, path, key, dict), path + (key,)
+        payload = _get(part, p, "hopf_algebroid", dict)
+        text = json.dumps(payload, sort_keys=True)
+        if text not in parsed:
+            parsed[text] = hopf_from_json(payload, field,
+                                          p + ("hopf_algebroid",))
+        parts.append(comodule_from_json(part, parsed[text], field, p))
+        field = parts[0].field
+    (h1, h, h2), (b1, b, b2) = zip(*((E.H.total.dim, E.H.rightb.base.dim)
+                                     for E in parts))
+    return (*parts, shaped_mat_from_json(doc, "phi", h, h1, field, path),
+            shaped_mat_from_json(doc, "psi", h2, h, field, path),
+            shaped_mat_from_json(doc, "f1", b, b1, field, path, optional=True),
+            shaped_mat_from_json(doc, "f", b2, b, field, path, optional=True))
+
+
+def composition_to_json(D1, D, D2, phi, psi, f1=None, f=None):
+    out = {"inner": comodule_to_json(D1),
+           "middle": comodule_to_json(D),
+           "outer": comodule_to_json(D2),
+           "phi": mat_to_json(phi),
+           "psi": mat_to_json(psi)}
+    if f1 is not None:
+        out["f1"] = mat_to_json(f1)
+    if f is not None:
+        out["f"] = mat_to_json(f)
+    return out
+
+
+def groupoid_from_json(doc, path=PAYLOAD):
+    """The FiniteGroupoid of doc, with every id, end, composite, inverse and
+    unit in range; the groupoid laws are FiniteGroupoid.validate's."""
+    objects = _get(doc, path, "objects", list)
+    morphs, p = _get(doc, path, "morphisms", list), path + ("morphisms",)
+    m, n = len(objects), len(morphs)
+    src, tgt = [None] * n, [None] * n
+    for k in range(n):
+        entry, q = _get(morphs, p, k, dict), p + (k,)
+        f = _int(entry, q, "id", 0, n)
+        if src[f] is not None:
+            raise DocumentError(q + ("id",), "morphism %d is listed twice" % f)
+        src[f], tgt[f] = _int(entry, q, "src", 0, m), _int(entry, q, "tgt",
+                                                           0, m)
+    compose = {(f, g): h for f, g, h in _each(doc, path, "compose", None,
+                                              _ints, n, 3)}
+    inv = dict(_each(doc, path, "inv", None, _ints, n, 2))
+    if len(inv) != n:
+        raise DocumentError(path + ("inv",), "morphism %d has no inverse"
+                            % min(set(range(n)) - set(inv)))
+    return zoo.FiniteGroupoid(objects, src, tgt, compose,
+                              _ints(doc, path, "units", n, m),
+                              [inv[f] for f in range(n)])
+
+
+def _ints(node, path, key, bound, length=None):
+    """node[key]: an array (of length entries) of integers in range(bound)."""
+    return _each(node, path, key, length, _int, 0, bound)
+
+
+def _table(doc, path):
+    """doc["table"]: an n x n array of integers in range(n)."""
+    n = len(_get(doc, path, "table", list))
+    return _each(doc, path, "table", n, _ints, n, n)
+
+
+def gset_from_json(doc, path=PAYLOAD):
+    """The GSet of doc: a group table and a row of points per element, every
+    entry in range; the group and action laws are GSet.validate's."""
+    table = _table(doc, path)
+    act = _get(doc, path, "act", list, len(table))
+    points = len(act[0]) if act and type(act[0]) is list else 0
+    return zoo.GSet(table, _each(doc, path, "act", None, _ints, points,
+                                 points))
+
+
+def load(path, field_flag=None):
+    """The document at path as a dict of its kind (None for a plain
+    constructor payload, read as the payload of a kindless envelope),
+    field (parsed, or None), level, payload and the JSON path of the
+    payload (() for a plain payload)."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DocumentError("%s: invalid JSON: %s" % (path, exc))
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise DocumentError("%s: missing 'kind' in envelope" % path)
-    if doc["kind"] not in KIND_MAX_LEVEL:
-        raise DocumentError("%s: unknown kind %r" % (path, doc["kind"]))
-    if field_flag is not None and doc.get("field") is not None:
-        raise DocumentError(
-            "%s declares its own field; --field is not allowed" % path)
-    if "payload" not in doc:
-        raise DocumentError("%s: missing 'payload'" % path)
-    if doc.get("field") is not None:
-        _check_fields(path, parse_field(doc["field"]), doc["payload"])
-    return doc
+    except OSError as exc:
+        raise DocumentError((), "cannot read %s: %s" % (path, exc.strerror))
+    except (ValueError, RecursionError) as exc:  # e.g. JSONDecodeError
+        raise DocumentError((), "%s: invalid JSON: %s" % (path, exc))
+    if type(doc) is not dict:
+        raise DocumentError((), "%s: must be a JSON object" % path)
+    at = PAYLOAD if "kind" in doc else ()
+    if not at:
+        doc = {"kind": None, "field": doc.get("field"), "payload": doc}
+    for key, known in (("kind", KIND_MAX_LEVEL), ("level", LEVELS)):
+        value = doc.get(key)
+        if value is not None and not (type(value) is str and value in known):
+            raise DocumentError((key,), "unknown %s %r" % (key, value))
+    field = doc.get("field")
+    if field is not None and field_flag is not None:
+        raise DocumentError(("field",), "the document declares its own "
+                            "field; --field is not allowed")
+    return {"kind": doc["kind"], "level": doc.get("level"), "path": at,
+            "payload": _get(doc, (), "payload", dict),
+            "field": None if field is None else parse_field(field)}
 
 
-def _check_fields(path, declared, payload):
-    """Every algebra in the payload (a dict with a 'field') must be over
-    the field the envelope declares.  Only the JSON objects and arrays are
-    pushed, so the scalars of the matrices are never visited."""
-    stack = [payload] if type(payload) in (dict, list) else []
-    while stack:
-        node = stack.pop()
-        if type(node) is dict:
-            if "field" in node and parse_field(node["field"]) != declared:
-                raise DocumentError(
-                    "%s: envelope field %r but payload algebra over %r"
-                    % (path, declared, parse_field(node["field"])))
-            node = node.values()
-        for v in node:
-            if type(v) is dict or type(v) is list:
-                stack.append(v)
+def write(path, kind, field, payload):
+    doc = {"kind": kind, "field": field_to_json(field), "payload": payload}
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
 
 
-def _level_index(level):
-    if level not in LEVELS:
-        raise DocumentError("unknown level %r" % level)
-    return LEVELS.index(level)
-
+# ---------------------------------------------------------------------------
+# check
 
 def _checks_for_hopf(Hd, upto):
     checks = []
@@ -114,33 +478,27 @@ def _checks_for_hopf(Hd, upto):
 
 
 def _run_check(doc, level, path, seed):
-    kind = doc["kind"]
-    payload = doc["payload"]
-    upto = _level_index(level)
+    kind, field, payload = doc["kind"], doc["field"], doc["payload"]
+    upto = LEVELS.index(level)
     checks = []
     verdicts = {}
     if kind == "algebra":
-        A = FDAlgebra.from_json(payload)
+        A = algebra_from_json(payload, field)
         checks.append(("algebra", validate_algebra(A)))
-    elif kind == "groupoid":
+    elif kind in ("groupoid", "gset"):
+        read = groupoid_from_json if kind == "groupoid" else gset_from_json
+        structure = read(payload)            # every index is in range
         rep = ViolationReport()
         try:
-            zoo.FiniteGroupoid.from_json(payload).validate()
-        except (zoo.InvalidGroupoid, KeyError, IndexError) as exc:
-            rep.require(False, "groupoid:structure", note=str(exc))
-        checks.append(("groupoid", rep))
-    elif kind == "gset":
-        rep = ViolationReport()
-        try:
-            zoo.GSet(payload["table"], payload["act"]).validate()
-        except (zoo.NotAnAction, NotAGroup) as exc:
-            rep.require(False, "gset:structure", note=str(exc))
-        checks.append(("gset", rep))
+            structure.validate()
+        except (zoo.InvalidGroupoid, zoo.NotAnAction, NotAGroup) as exc:
+            rep.require(False, kind + ":structure", note=str(exc))
+        checks.append((kind, rep))
     elif kind == "hopf_algebroid":
-        Hd = hopf_from_json(payload)
+        Hd = hopf_from_json(payload, field)
         checks.extend(_checks_for_hopf(Hd, upto))
     elif kind == "comodule_algebra":
-        D = galois.comodule_from_json(payload)
+        D = comodule_from_json(payload, field=field)
         checks.extend(_checks_for_hopf(D.H, min(upto, 3)))
         if upto >= 0:
             checks.append(("B-algebra", validate_algebra(D.B)))
@@ -154,25 +512,24 @@ def _run_check(doc, level, path, seed):
                         note=json.dumps(verdict.to_json(), sort_keys=True))
             checks.append(("covering", rep))
         if upto >= 6:
-            if "cleft_witness" not in payload:
-                raise DocumentError(
-                    "%s: level cleft needs payload.cleft_witness" % path)
             c = galois.ConvMorphism(D, "R", "L", shaped_mat_from_json(
                 payload, "cleft_witness", D.B.dim, D.H.total.dim, D.field))
             checks.append(("cleft", galois.check_cleft(D, c, seed)))
     elif kind == "composition":
-        D1, D, D2, phi, psi, f1, f = galois.composition_from_json(payload)
+        D1, D, D2, phi, psi, f1, f = composition_from_json(payload, field)
         checks.append(("composition",
                        galois.check_composition(D1, D, D2, phi, psi,
                                                 f1=f1, f=f)))
     elif kind == "cocycle":
-        C = galois.cocycle_from_json(payload)
+        C = cocycle_from_json(payload, field)
         checks.append(("cocycle", galois.validate_cocycle(C)))
     elif kind == "torus_params":
+        def param(key, default, lo):
+            return default if payload.get(key) is None \
+                else _int(payload, PAYLOAD, key, lo)
         code, report = _torus_battery(
-            payload.get("n", 1), payload.get("m", 1),
-            payload.get("samples", 100), payload.get("radius", None),
-            payload.get("seed", seed))
+            param("n", 1, 1), param("m", 1, 1), param("samples", 100, 0),
+            param("radius", None, 0), param("seed", seed, None))
         verdicts["torus"] = report
         rep = ViolationReport()
         rep.require(code == 0, "torus:battery")
@@ -207,11 +564,14 @@ def _print_report(report, as_json):
 
 
 def cmd_check(args):
-    doc = _load(args.path, args.field)
-    level = args.level or doc.get("level") or KIND_MAX_LEVEL[doc["kind"]]
-    if _level_index(level) > _level_index(KIND_MAX_LEVEL[doc["kind"]]):
-        raise DocumentError("level %s not applicable to kind %s"
-                            % (level, doc["kind"]))
+    doc = load(args.path, args.field)
+    kind = doc["kind"]
+    if kind is None:
+        raise DocumentError((), "missing key 'kind'")
+    level = args.level or doc["level"] or KIND_MAX_LEVEL[kind]
+    if LEVELS.index(level) > LEVELS.index(KIND_MAX_LEVEL[kind]):
+        raise DocumentError((), "level %s not applicable to kind %s"
+                            % (level, kind))
     code, report = _run_check(doc, level, args.path, args.seed)
     _print_report(report, args.json)
     return code
@@ -220,47 +580,47 @@ def cmd_check(args):
 # ---------------------------------------------------------------------------
 # build
 
-def _write_doc(path, kind, field, payload):
-    doc = {"kind": kind, "field": field, "payload": payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
-
-
 def cmd_build(args):
     what = args.what
     out = args.output
     if what == "twisted":
         if args.n is None or args.t is None:
-            raise DocumentError("build twisted needs --n and --t")
+            raise DocumentError((), "build twisted needs --n and --t")
         A = zoo.twisted_group_algebra(args.n, args.t)
         from .algebra import wedderburn_shape
         shape = wedderburn_shape(A)
-        _write_doc(out, "algebra", field_to_json(A.field), A.to_json())
+        write(out, "algebra", A.field, algebra_to_json(A))
         print("wedderburn shape: %s" % (tuple(shape),))
         return 0
     if args.input is None:
-        raise DocumentError("build %s needs an input document" % what)
-    if not os.path.exists(args.input):
-        raise DocumentError("no such file: %s" % args.input)
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DocumentError("%s: invalid JSON: %s" % (args.input, exc))
-    if "kind" in doc:
-        payload = doc.get("payload")
-        if payload is None:
-            raise DocumentError("%s: missing 'payload'" % args.input)
+        raise DocumentError((), "build %s needs an input document" % what)
+    doc = load(args.input)
+    payload, at = doc["payload"], doc["path"]
+    need = "gset" if what == "classical-covering" else "groupoid"
+    if what not in ("smash", "coupled") and doc["kind"] != need:
+        raise DocumentError((), "build %s needs a %s document" % (what, need))
+    if what == "classical-covering":
+        gs = gset_from_json(payload, at)
+        D = zoo.classical_covering_instance(gs.table, gs)
+        write(out, "comodule_algebra", D.field, comodule_to_json(D))
+        verdict = galois.check_covering(D)
+        print("covering verdict: %s"
+              % json.dumps(verdict.to_json(), sort_keys=True))
+        return 0
+    if what == "smash":
+        A = _algebra(payload, at, "A", doc["field"])
+        table = _table(payload, at)
+        Hd = zoo.smash_algebroid(A, table, _each(
+            payload, at, "action", len(table), _mat, A.dim, A.dim, A.field))
+    elif what == "coupled":
+        field = doc["field"] or QQ
+        table = _table(payload, at)
+        H1, H2, C = zoo.coupled_from_character(
+            zoo.group_hopf_algebra(table, field),
+            _each(payload, at, "character", len(table), _scalar, field))
+        Hd = HopfAlgebroidData(H1, H2, C, name="coupled pair")
     else:
-        # constructor inputs without a checkable kind are plain payloads
-        payload = doc
-        doc = {"kind": None, "field": doc.get("field"), "payload": payload}
-    if what in ("groupoid-algebra", "function-algebroid",
-                "weak-to-algebroid"):
-        if doc["kind"] != "groupoid":
-            raise DocumentError("build %s needs a groupoid document" % what)
-        G = zoo.FiniteGroupoid.from_json(payload)
+        G = groupoid_from_json(payload, at)
         G.validate()
         if what == "groupoid-algebra":
             Hd = zoo.groupoid_algebra(G)
@@ -268,38 +628,8 @@ def cmd_build(args):
             Hd = zoo.function_algebroid(G)
         else:
             Hd = zoo.weak_hopf_to_algebroid(zoo.groupoid_weak_hopf(G))
-        _write_doc(out, "hopf_algebroid", field_to_json(Hd.total.field),
-                   hopf_to_json(Hd))
-        return 0
-    if what == "smash":
-        A = FDAlgebra.from_json(payload["A"])
-        action = [mat_from_json(m, A.field) for m in payload["action"]]
-        Hd = zoo.smash_algebroid(A, payload["table"], action)
-        _write_doc(out, "hopf_algebroid", field_to_json(Hd.total.field),
-                   hopf_to_json(Hd))
-        return 0
-    if what == "coupled":
-        field = parse_field(doc.get("field") or "Q")
-        Hd = zoo.group_hopf_algebra(payload["table"], field)
-        sigma = [field.parse(v) for v in payload["character"]]
-        H1, H2, C = zoo.coupled_from_character(Hd, sigma)
-        out_hd = HopfAlgebroidData(H1, H2, C, name="coupled pair")
-        _write_doc(out, "hopf_algebroid", field_to_json(field),
-                   hopf_to_json(out_hd))
-        return 0
-    if what == "classical-covering":
-        if doc["kind"] != "gset":
-            raise DocumentError("build classical-covering needs a gset "
-                                "document")
-        gs = zoo.GSet(payload["table"], payload["act"])
-        D = zoo.classical_covering_instance(payload["table"], gs)
-        _write_doc(out, "comodule_algebra", field_to_json(D.field),
-                   galois.comodule_to_json(D))
-        verdict = galois.check_covering(D)
-        print("covering verdict: %s"
-              % json.dumps(verdict.to_json(), sort_keys=True))
-        return 0
-    raise DocumentError("unknown constructor %r" % what)
+    write(out, "hopf_algebroid", Hd.total.field, hopf_to_json(Hd))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +638,7 @@ def cmd_build(args):
 def _torus_battery(n, m, samples, radius, seed):
     import random as _random
     if n < 1 or m < 1:
-        raise DocumentError("torus parameters must be positive")
+        raise DocumentError((), "torus parameters must be positive")
     rng = _random.Random(seed)
     report = {"n": n, "m": m, "samples": samples, "seed": seed}
     mismatches = 0
@@ -397,7 +727,8 @@ def main(argv=None):
                 args.seed = int(seed)
             except ValueError:
                 raise DocumentError(
-                    "HALAB_SEED must be an integer, not %r" % seed) from None
+                    (), "HALAB_SEED must be an integer, not %r" % seed) \
+                    from None
         return args.func(args)
     except DocumentError as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -429,18 +429,3 @@ class Cyc:
 
     def __repr__(self):
         return self.field.format(self)
-
-
-def parse_field(desc):
-    """Field descriptor from JSON form: 'Q' or {'cyclotomic': N}."""
-    if desc == "Q":
-        return QQ
-    if isinstance(desc, dict) and "cyclotomic" in desc:
-        return CyclotomicField(int(desc["cyclotomic"]))
-    raise ValueError("unknown field descriptor: %r" % (desc,))
-
-
-def field_to_json(field):
-    if field == QQ:
-        return "Q"
-    return {"cyclotomic": field.order}

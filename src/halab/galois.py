@@ -1022,112 +1022,3 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
         rep.require(Mat.from_cols(lifted, iso.rows * H.dim, field)
                     == D.H.rightb.coproduct_lift * iso, tag + ":comodule")
     return rep
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def comodule_to_json(D):
-    from .linalg import mat_to_json
-    from .hopfalgebroid import hopf_to_json
-    return {"hopf_algebroid": hopf_to_json(D.H),
-            "B": D.B.to_json(),
-            "inclusionA": mat_to_json(D.inclusionA),
-            "rhoR_lift": mat_to_json(D.rhoR_lift),
-            "rhoL_lift": mat_to_json(D.rhoL_lift),
-            "etaR": mat_to_json(D.etaR),
-            "actL": [mat_to_json(a) for a in D.actL],
-            "name": D.name}
-
-
-def comodule_from_json(doc, H=None):
-    """The comodule algebra of doc; H, when given, is the Hopf algebroid
-    already parsed from doc["hopf_algebroid"]."""
-    from .linalg import shaped_mat_from_json
-    from .hopfalgebroid import hopf_from_json
-    if H is None:
-        H = hopf_from_json(doc["hopf_algebroid"])
-    B = FDAlgebra.from_json(doc["B"])
-    field, dB, dH = B.field, B.dim, H.total.dim
-    etaR = (shaped_mat_from_json(doc, "etaR", dB, H.rightb.base.dim, field)
-            if "etaR" in doc else None)
-    actL = None
-    if "actL" in doc:
-        if len(doc["actL"]) != H.leftb.base.dim:
-            raise ValueError("'actL' has %d matrices, must have %d" % (
-                len(doc["actL"]), H.leftb.base.dim))
-        actL = [shaped_mat_from_json({"actL": a}, "actL", dB, dB, field)
-                for a in doc["actL"]]
-    return ComoduleAlgebraData(
-        H, B, shaped_mat_from_json(doc, "inclusionA", dB, None, field),
-        shaped_mat_from_json(doc, "rhoR_lift", dB * dH, dB, field),
-        shaped_mat_from_json(doc, "rhoL_lift", dB * dH, dB, field),
-        name=doc.get("name"), etaR=etaR, actL=actL)
-
-
-def cocycle_to_json(C):
-    from .linalg import mat_to_json
-    from .hopfalgebroid import bialgebroid_to_json
-    return {"total": C.BL.total.to_json(),
-            "bialgebroid": bialgebroid_to_json(C.BL),
-            "N": C.N.to_json(),
-            "etaN": mat_to_json(C.etaN),
-            "action": mat_to_json(C.action),
-            "sigma": mat_to_json(C.sigma),
-            "name": C.name}
-
-
-def cocycle_from_json(doc):
-    from .linalg import shaped_mat_from_json
-    from .hopfalgebroid import bialgebroid_from_json
-    total = FDAlgebra.from_json(doc["total"])
-    BL = bialgebroid_from_json(doc["bialgebroid"], total)
-    N = FDAlgebra.from_json(doc["N"])
-    field, dN, dB = N.field, N.dim, total.dim
-    return CocycleData(
-        BL, N, shaped_mat_from_json(doc, "etaN", dN, BL.base.dim, field),
-        shaped_mat_from_json(doc, "action", dN, dB * dN, field),
-        shaped_mat_from_json(doc, "sigma", dN, dB * dB, field),
-        name=doc.get("name"))
-
-
-def composition_to_json(D1, D, D2, phi, psi, f1=None, f=None):
-    from .linalg import mat_to_json
-    out = {"inner": comodule_to_json(D1),
-           "middle": comodule_to_json(D),
-           "outer": comodule_to_json(D2),
-           "phi": mat_to_json(phi),
-           "psi": mat_to_json(psi)}
-    if f1 is not None:
-        out["f1"] = mat_to_json(f1)
-    if f is not None:
-        out["f"] = mat_to_json(f)
-    return out
-
-
-def composition_from_json(doc):
-    """The composition of doc.  Equal hopf_algebroid payloads are parsed
-    once, so their comodule algebras share one H and its quotients."""
-    from .linalg import shaped_mat_from_json
-    from .hopfalgebroid import hopf_from_json
-    parsed = []   # (payload, H)
-
-    def comodule(part):
-        payload = part["hopf_algebroid"]
-        H = next((H for seen, H in parsed if seen == payload), None)
-        if H is None:
-            H = hopf_from_json(payload)
-            parsed.append((payload, H))
-        return comodule_from_json(part, H)
-    D1 = comodule(doc["inner"])
-    D = comodule(doc["middle"])
-    D2 = comodule(doc["outer"])
-    field = D.field
-    h1, h, h2 = (E.H.total.dim for E in (D1, D, D2))
-    b1, b, b2 = (E.H.rightb.base.dim for E in (D1, D, D2))
-    phi = shaped_mat_from_json(doc, "phi", h, h1, field)
-    psi = shaped_mat_from_json(doc, "psi", h2, h, field)
-    f1 = shaped_mat_from_json(doc, "f1", b, b1, field) if "f1" in doc \
-        else None
-    f = shaped_mat_from_json(doc, "f", b2, b, field) if "f" in doc else None
-    return D1, D, D2, phi, psi, f1, f

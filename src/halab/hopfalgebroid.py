@@ -24,10 +24,10 @@ Axiom tags:
 """
 
 from .linalg import (Mat, kron, kron_cols, rank, solve_map, NoSolution,
-                     ShapeMismatch, shaped_mat_from_json)
+                     ShapeMismatch)
 from .bimod import tensor_over, takeuchi
-from .algebra import (FDAlgebra, check_algebra_morphism,
-                      check_algebra_antimorphism, opposite)
+from .algebra import (check_algebra_morphism, check_algebra_antimorphism,
+                      opposite)
 from .reports import ViolationReport
 
 
@@ -440,45 +440,3 @@ def check_geometric_morphism(f, phi, source, target):
     rep.require(phi * source.antipode == target.antipode * phi,
                 "geo-morphism:(d)", note="phi.S != S'.phi")
     return rep
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def bialgebroid_to_json(B):
-    from .linalg import mat_to_json
-    return {"base": B.base.to_json(),
-            "side": B.side,
-            "s": mat_to_json(B.s),
-            "t": mat_to_json(B.t),
-            "delta_lift": mat_to_json(B.coproduct_lift),
-            "counit": mat_to_json(B.counit)}
-
-
-def bialgebroid_from_json(doc, total):
-    base = FDAlgebra.from_json(doc["base"])
-    field = total.field
-    H, b = total.dim, base.dim
-    return BialgebroidData(
-        total, base, doc["side"],
-        shaped_mat_from_json(doc, "s", H, b, field),
-        shaped_mat_from_json(doc, "t", H, b, field),
-        shaped_mat_from_json(doc, "delta_lift", H * H, H, field),
-        shaped_mat_from_json(doc, "counit", b, H, field))
-
-
-def hopf_to_json(Hd):
-    from .linalg import mat_to_json
-    return {"total": Hd.total.to_json(),
-            "left": bialgebroid_to_json(Hd.leftb),
-            "right": bialgebroid_to_json(Hd.rightb),
-            "antipode": mat_to_json(Hd.antipode),
-            "name": Hd.name}
-
-
-def hopf_from_json(doc):
-    total = FDAlgebra.from_json(doc["total"])
-    leftb = bialgebroid_from_json(doc["left"], total)
-    rightb = bialgebroid_from_json(doc["right"], total)
-    S = shaped_mat_from_json(doc, "antipode", total.dim, total.dim,
-                             total.field)
-    return HopfAlgebroidData(leftb, rightb, S, name=doc.get("name"))

@@ -5,7 +5,7 @@ row reduction, kernels, affine solves and quotient presentations computed
 here.  A vector has one form: the dict {index: value} of its nonzeros,
 with no zero values.  Every kernel keeps that invariant (_combine,
 _add_scaled, Mat sums, scale, products, matvec, kron_cols, project,
-solve_map, mat_from_json), so == on vectors and on Mats is a plain dict
+solve_map, cli.mat_from_json), so == on vectors and on Mats is a plain dict
 comparison, and a cancelled entry is dropped where it cancels.  A Mat is
 its nonzero columns, and the library builds every Mat from them:
 Mat.from_cols stores dict columns as given, and products, sums, kron and
@@ -632,43 +632,3 @@ def quotient_by(ambient_dim, relation_vectors, field=QQ):
     of nonzeros), presented by their canonical rows."""
     return QuotientPresentation(
         ambient_dim, _echelon_dict(relation_vectors, field)[0], field)
-
-
-def mat_to_json(M):
-    """Sparse matrix form, entries in row-major order: omitted entries are
-    zero."""
-    entries = sorted((i, j, x) for j, col in enumerate(M.sparse_cols())
-                     for i, x in col.items())
-    return {"rows": M.rows, "cols": M.cols,
-            "entries": [{"r": i, "c": j, "v": M.field.format(x)}
-                        for i, j, x in entries]}
-
-
-def mat_from_json(doc, field=QQ):
-    rows, ncols = int(doc["rows"]), int(doc["cols"])
-    if rows < 0 or ncols < 0:
-        raise ShapeMismatch("bad matrix data shape")
-    cols = [{} for _ in range(ncols)]
-    for e in doc["entries"]:
-        r, c = int(e["r"]), int(e["c"])
-        if not (0 <= r < rows and 0 <= c < ncols):
-            raise ValueError("matrix entry %r outside a %dx%d matrix"
-                             % (e, rows, ncols))
-        x = field.parse(e["v"])
-        if x:
-            cols[c][r] = x
-        else:
-            cols[c].pop(r, None)
-    return Mat.from_cols(cols, rows, field)
-
-
-def shaped_mat_from_json(doc, key, rows, cols, field=QQ):
-    """The matrix doc[key], which must be rows x cols (any number of
-    columns when cols is None); a wrong declared shape is a ValueError
-    naming key, raised before any entry is read."""
-    node = doc[key]
-    r, c = int(node["rows"]), int(node["cols"])
-    if r != rows or cols not in (None, c):
-        raise ValueError("%r is %dx%d, must be %dx%s" % (
-            key, r, c, rows, "n" if cols is None else cols))
-    return mat_from_json(node, field)

@@ -179,30 +179,6 @@ class FiniteGroupoid:
                 raise InvalidGroupoid("inv(f) o f is not a unit at %d" % f)
         return True
 
-    def to_json(self):
-        return {
-            "objects": list(self.objects),
-            "morphisms": [{"id": f, "src": self.src[f], "tgt": self.tgt[f]}
-                          for f in range(self.n_morphisms)],
-            "compose": [[f, g, h] for (f, g), h in sorted(self.compose.items())],
-            "inv": [[f, self.inv[f]] for f in range(self.n_morphisms)],
-            "units": list(self.units),
-        }
-
-    @classmethod
-    def from_json(cls, doc):
-        morphs = doc["morphisms"]
-        src = [None] * len(morphs)
-        tgt = [None] * len(morphs)
-        for entry in morphs:
-            src[entry["id"]] = entry["src"]
-            tgt[entry["id"]] = entry["tgt"]
-        compose = {(f, g): h for f, g, h in doc["compose"]}
-        inv = [None] * len(morphs)
-        for f, g in doc["inv"]:
-            inv[f] = g
-        return cls(doc["objects"], src, tgt, compose, doc["units"], inv)
-
 
 def group_groupoid(table):
     """One-object groupoid with morphisms a group."""

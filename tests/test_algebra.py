@@ -17,6 +17,7 @@ from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
 from halab.zoo import (cyclic_table, klein_table, s3_table, and_monoid_table,
                        groupoid_algebra, indiscrete_groupoid,
                        action_groupoid)
+from halab.cli import algebra_to_json, algebra_from_json
 
 from conftest import sparse
 
@@ -164,8 +165,8 @@ class TestSubalgebras:
 
 def test_algebra_json_round_trip():
     A = group_algebra(s3_table())
-    doc = A.to_json()
-    B = FDAlgebra.from_json(doc)
+    doc = algebra_to_json(A)
+    B = algebra_from_json(doc)
     assert B.dim == A.dim and B.unit == A.unit and B.mul == A.mul
 
 
@@ -196,12 +197,12 @@ def product_corpus(field):
 
 def dense_product(A, x, y):
     """x * y through the structure constants spelled out as dense vectors
-    from the to_json triples, visiting every k of every (i, j) that x and
+    from the algebra_to_json triples, visiting every k of every (i, j) that x and
     y pick."""
     field = A.field
     table = [[[field.zero] * A.dim for _ in range(A.dim)]
              for _ in range(A.dim)]
-    for t in A.to_json()["mul"]:
+    for t in algebra_to_json(A)["mul"]:
         table[t["i"]][t["j"]][t["k"]] = field.parse(t["c"])
     out = [field.zero] * A.dim
     for i in range(A.dim):

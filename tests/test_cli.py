@@ -244,8 +244,8 @@ class TestSchemaErrors:
     def _composition_with_base_maps():
         """chain_z2_z4.json with the identity base maps f1 and f written
         out, which check_composition otherwise assumes."""
-        from halab.galois import composition_from_json
-        from halab.linalg import Mat, mat_to_json
+        from halab.cli import composition_from_json, mat_to_json
+        from halab.linalg import Mat
         with open(os.path.join(DOCS, "chain_z2_z4.json"),
                   encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -6,8 +6,8 @@ from hypothesis import given, strategies as st
 
 from halab import fields
 from halab.fields import (QQ, CyclotomicField, Cyc, cyclotomic_polynomial,
-                          parse_field, field_to_json,
                           DivisionByZero)
+from halab.cli import parse_field, field_to_json
 
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=20)

@@ -13,10 +13,10 @@ from halab.galois import (ComoduleAlgebraData, regular_comodule,
                           crossed_product, check_composition,
                           verify_topological_equiv, BimoduleWitness,
                           HopfBimoduleWitness, verify_morita_data,
-                          _bimodule_tensor, comodule_to_json,
-                          comodule_from_json, cocycle_to_json,
-                          cocycle_from_json, composition_to_json,
-                          composition_from_json)
+                          _bimodule_tensor)
+from halab.cli import (comodule_to_json, comodule_from_json, cocycle_to_json,
+                       cocycle_from_json, composition_to_json,
+                       composition_from_json)
 from halab.zoo import (cyclic_table, group_hopf_algebra, monoid_bialgebra,
                        and_monoid_table)
 

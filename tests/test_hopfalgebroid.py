@@ -12,8 +12,8 @@ from halab.hopfalgebroid import (BialgebroidData, HopfAlgebroidData,
                                  check_bialgebroid, check_hopf_algebroid,
                                  solve_antipode, check_coupled,
                                  check_algebraic_morphism,
-                                 check_geometric_morphism, NoAntipode,
-                                 hopf_to_json, hopf_from_json)
+                                 check_geometric_morphism, NoAntipode)
+from halab.cli import hopf_to_json, hopf_from_json
 from halab.zoo import (cyclic_table, s3_table, group_hopf_algebra,
                        groupoid_algebra, function_algebroid,
                        indiscrete_groupoid, monoid_bialgebra,

@@ -7,7 +7,9 @@ hopfalgebroid.check_coupled (lifts go through FDAlgebra.convolve and
 kron_cols), vectors have one form (dicts of their nonzeros: no dense
 [x.zero] * n list outside fields and the dense Mat views, and no
 list-or-dict helper), no Mat's .data is ever written, no module uses
-floating point, and true division appears only in fields.py."""
+floating point, true division appears only in fields.py, and the JSON
+document format (its readers and writers, json.load and open) lives in
+cli.py alone, which no other module imports."""
 
 import ast
 from pathlib import Path
@@ -283,3 +285,58 @@ def test_parses_as_python_3_10(path):
     """pyproject.toml declares requires-python >= 3.10, so no module may use
     newer syntax."""
     ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))
+
+
+def _document_format_uses(tree):
+    """(line, what) of every reader or writer of the document format that
+    tree defines and of every file or JSON read: a function named
+    from_json, *_from_json, *_to_json, parse_field or field_to_json, a
+    to_json method outside the report classes, a call of open, json.load
+    or json.loads, and an import of the cli module."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and item.name == "to_json" \
+                        and node.name not in ("ViolationReport",
+                                              "CoveringVerdict"):
+                    found.append((item.lineno, node.name + ".to_json"))
+        elif isinstance(node, ast.FunctionDef) and (
+                node.name in ("from_json", "parse_field", "field_to_json")
+                or node.name.endswith(("_from_json", "_to_json"))):
+            found.append((node.lineno, node.name))
+        elif isinstance(node, ast.Call) and (
+                getattr(node.func, "id", None) == "open"
+                or (getattr(node.func, "attr", None) in ("load", "loads")
+                    and getattr(node.func.value, "id", None) == "json")):
+            found.append((node.lineno, ast.unparse(node.func)))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module in ("cli", "halab.cli")
+                or any(alias.name == "cli" for alias in node.names)):
+            found.append((node.lineno, "import of cli"))
+    return sorted(found)
+
+
+def test_document_format_uses_are_found():
+    tree = ast.parse("class FDAlgebra:\n    def to_json(self): pass\n"
+                     "class ViolationReport:\n    def to_json(self): pass\n"
+                     "def hopf_from_json(doc): pass\n"
+                     "def parse_field(desc): pass\n"
+                     "json.load(open(path))\n"
+                     "from .cli import load\n"
+                     "from . import cli\n")
+    assert [what for _, what in _document_format_uses(tree)] == [
+        "FDAlgebra.to_json", "hopf_from_json", "parse_field", "json.load",
+        "open", "import of cli", "import of cli"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_one_document_module(path):
+    """The document format is known by cli.py alone: no other module
+    defines a reader or writer of it, opens a file or reads JSON, and
+    none imports cli."""
+    found = _document_format_uses(ast.parse(path.read_text(),
+                                            filename=str(path)))
+    assert path.name == "cli.py" or not found, (
+        "%s knows the document format at %s" % (path.name, found))

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from halab.fields import QQ, CyclotomicField
 from halab.linalg import (Mat, kron, kron_cols, rref, rank, det, kernel,
                           image, Subspace, solve_map, solve_affine_sparse,
-                          inverse, quotient_by, mat_to_json,
-                          mat_from_json, NoSolution, ShapeMismatch,
+                          inverse, quotient_by, NoSolution, ShapeMismatch,
                           _echelon_dict)
+from halab.cli import mat_to_json, mat_from_json
 
 from conftest import sparse
 

@@ -26,17 +26,17 @@ from pathlib import Path
 import pytest
 
 from halab.fields import QQ
-from halab.linalg import Mat, mat_to_json, shaped_mat_from_json, NoSolution
+from halab.linalg import Mat, NoSolution
 from halab.algebra import FDAlgebra, ModuleOverA, is_projective, \
     regular_module, Inconclusive
 from halab.hopfalgebroid import (BialgebroidData, HopfAlgebroidData,
-                                 check_coupled, hopf_to_json, solve_antipode,
-                                 NoAntipode)
+                                 check_coupled, solve_antipode, NoAntipode)
 from halab.galois import (BimoduleWitness, HopfBimoduleWitness,
                           regular_comodule, verify_morita_data,
                           _bimodule_tensor, ConvMorphism, _conv_inverse,
-                          check_cleft, comodule_from_json,
-                          _normal_basis_solutions)
+                          check_cleft, _normal_basis_solutions)
+from halab.cli import (mat_to_json, shaped_mat_from_json, hopf_to_json,
+                       comodule_from_json)
 from halab.zoo import (cyclic_table, s3_table, group_hopf_algebra,
                        groupoid_weak_hopf, check_weak_hopf, WeakHopfData,
                        indiscrete_groupoid, group_groupoid,
