@@ -31,7 +31,13 @@ class NotAGroup(ValueError):
 
 
 class NotSplit(Exception):
-    pass
+    """NotSplit(message, idempotents=()): a minimal polynomial does not
+    split over the candidate roots.  idempotents are the central
+    idempotents, each neither 0 nor 1, found before the split failed."""
+
+    def __init__(self, message, idempotents=()):
+        super().__init__(message)
+        self.idempotents = list(idempotents)
 
 
 class NotSemisimple(Exception):
@@ -488,9 +494,9 @@ def _poly_eval(coeffs, x, field):
 
 
 def _split_linear(coeffs, field):
-    """Factor the monic polynomial into linear factors over the candidate
-    root set.  Returns list of (root, multiplicity) or None if it does not
-    split over the candidates."""
+    """The linear factors of the monic polynomial over the candidate root
+    set: the list of (root, multiplicity) and the monic cofactor, which
+    has no candidate root and is [one] when the polynomial splits."""
     work = list(coeffs)
     roots = []
     cands = _candidate_roots(field, coeffs)
@@ -501,7 +507,7 @@ def _split_linear(coeffs, field):
                 found = lam
                 break
         if found is None:
-            return None
+            break
         work = _poly_divmod(work, [-found, field.one], field)[0]
         for r, m in roots:
             if r == found:
@@ -510,7 +516,7 @@ def _split_linear(coeffs, field):
                 break
         else:
             roots.append((found, 1))
-    return roots
+    return roots, work
 
 
 def minimal_polynomial(A, w, e, max_deg):
@@ -534,7 +540,8 @@ def minimal_polynomial(A, w, e, max_deg):
 def central_idempotents_split(A):
     """Complete list of primitive orthogonal central idempotents, when all
     needed minimal polynomials split into linear factors over the candidate
-    roots; raises NotSplit otherwise."""
+    roots; raises NotSplit otherwise, carrying the pieces split so far and
+    the idempotents of the linear factors of the polynomial that failed."""
     field = A.field
     Z = center(A)
     # a component that splits is replaced by its pieces at the end of the
@@ -551,11 +558,8 @@ def central_idempotents_split(A):
             coeffs = minimal_polynomial(A, w, e, A.dim)
             if len(coeffs) <= 2:
                 continue  # scalar action on this component
-            roots = _split_linear(coeffs, field)
-            if roots is None:
-                raise NotSplit("minimal polynomial does not split: %s"
-                               % (coeffs,))
-            if len(roots) < 2:
+            roots, rest = _split_linear(coeffs, field)
+            if len(rest) == 1 and len(roots) < 2:
                 continue
             # CRT idempotents for each distinct root lam of multiplicity m:
             # q = coeffs / (x - lam)^m times the inverse of q modulo
@@ -571,6 +575,13 @@ def central_idempotents_split(A):
                 val = _poly_eval_alg(A, proj, w, e)
                 if val:
                     new.append(val)
+            if len(rest) > 1:
+                # every piece is a nontrivial idempotent of A once the unit
+                # has split, and every root's lies strictly below e
+                pieces = components + [e] + pending
+                raise NotSplit("minimal polynomial does not split: %s"
+                               % (coeffs,),
+                               (pieces if len(pieces) > 1 else []) + new)
             if len(new) >= 2:
                 pending.extend(new)
                 break

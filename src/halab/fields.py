@@ -41,7 +41,11 @@ class DivisionByZero(ZeroDivisionError):
 
 
 def _fraction(text):
-    """Fraction(text), with a zero denominator reported as ValueError."""
+    """Fraction(text), with a zero denominator reported as ValueError.  An
+    exponent is rejected before Fraction sees it, since "1e800000" would
+    build 10^800000."""
+    if "e" in text or "E" in text:
+        raise ValueError("exponent in scalar literal %r" % text)
     try:
         return Fraction(text)
     except ZeroDivisionError:

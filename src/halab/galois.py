@@ -352,12 +352,15 @@ def check_covering(D):
     actB = [B.right_mult_matrix(Aincl.col(a)) for a in range(Aalg.dim)]
     MB = ModuleOverA(Aalg, B.dim, actB, side="right")
     B_proj, _ = is_projective(MB)
-    # central connectedness: one primitive idempotent in the center
+    # central connectedness: one primitive idempotent in the center; a
+    # failed split decides it only through a nontrivial idempotent found
     Z = center(B)
     Zalg, _ = subalgebra_on_rows(B, Z)
     try:
         connected = len(central_idempotents_split(Zalg)) == 1
-    except NotSplit:
+    except NotSplit as exc:
+        if not exc.idempotents:
+            raise Inconclusive("central connectedness: %s" % exc) from None
         connected = False
     # classification
     base_image = image(D.etaR)

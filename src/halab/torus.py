@@ -146,13 +146,23 @@ def decompose(f, n=None):
 
 
 def recompose(d):
-    """Sum a_i V^i, multiplied out exactly."""
+    """Sum a_i V^i in one pass: U^x V^b V^i = U^x V^{b+i} carries no
+    phase, so each term of a_i is added in place at (x, b + i)."""
     if not d.components:
         raise ParameterMismatch("empty decomposition")
     base = d.components[0]
     out = QTElement(base.n, base.m)
+    support = out.support
     for i, a in enumerate(d.components):
-        out = out + qt_mul(a, qt_monomial(base.n, base.m, 0, i))
+        base._check(a)
+        for (x, b), c in a.support.items():
+            key = (x, b + i)
+            old = support.get(key)
+            val = c if old is None else old + c
+            if val:
+                support[key] = val
+            elif old is not None:
+                del support[key]
     return out
 
 

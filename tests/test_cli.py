@@ -139,6 +139,28 @@ class TestCheckDocuments:
         assert err == "error: inconclusive: normal-basis search exhausted\n"
 
 
+    def test_unsplit_centre_exits_3(self, tmp_path, capsys):
+        """Q(i) = Q[x]/(x^2 + 1) as the trivial comodule over k: its centre
+        does not split over Q and has no nontrivial idempotent, so the
+        covering level is inconclusive, not a covering that is not
+        connected."""
+        from halab.algebra import FDAlgebra
+        from halab.cli import comodule_to_json, write
+        from halab.galois import trivial_comodule
+        from halab.zoo import cyclic_table, group_hopf_algebra
+        Qi = FDAlgebra(2, [[{0: 1}, {1: 1}], [{1: 1}, {0: -1}]], {0: 1})
+        D = trivial_comodule(group_hopf_algebra(cyclic_table(1)), Qi)
+        p = tmp_path / "gaussian.json"
+        write(str(p), "comodule_algebra", D.field, comodule_to_json(D))
+        assert main(["check", str(p), "--level", "comodule"]) == 0
+        capsys.readouterr()
+        assert main(["check", str(p), "--json"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: inconclusive: central connectedness: minimal "
+            "polynomial does not split: [1, 0, 1]\n")
+
+
 class TestSchemaErrors:
     def test_missing_file(self, capsys):
         assert main(["check", "no-such-file.json"]) == 2
@@ -179,6 +201,43 @@ class TestSchemaErrors:
         p.write_text(json.dumps(doc))
         assert main(["check", str(p)]) == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, value, where", [
+        ("kz3_hopf.json", "1e800000", "antipode.entries[0].v"),
+        ("kz3_hopf.json", "-2E3", "total.mul[0].c"),
+        ("z4_coupled.json", "1e800000 + z", "antipode.entries[0].v"),
+        ("z4_coupled.json", "z + 1e800000", "total.mul[0].c")])
+    def test_exponent_literal_exits_2(self, tmp_path, capsys, name, value,
+                                      where):
+        """A scalar literal with an exponent is rejected before it is
+        evaluated (1e800000 would build 10^800000), naming its path."""
+        with open(os.path.join(DOCS, name), encoding="utf-8") as fh:
+            doc = json.load(fh)
+        payload = doc["payload"]
+        if where.startswith("antipode"):
+            payload["antipode"]["entries"][0]["v"] = value
+        else:
+            payload["total"]["mul"][0]["c"] = value
+        p = tmp_path / name
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: payload.%s: " % where), err
+
+    @pytest.mark.parametrize("order", [1001, 1000000])
+    def test_cyclotomic_order_is_bounded(self, tmp_path, capsys, order):
+        """{"cyclotomic": N} above MAX_CYCLOTOMIC_ORDER exits 2 naming
+        field.cyclotomic, before Q(zeta_N) is built."""
+        with open(os.path.join(DOCS, "z4_coupled.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["field"] = {"cyclotomic": order}
+        p = tmp_path / "big_order.json"
+        p.write_text(json.dumps(doc))
+        assert main(["check", str(p)]) == 2
+        assert capsys.readouterr().err == (
+            "error: field.cyclotomic: is %d, must be in range(1, 1001)\n"
+            % order)
 
     @pytest.mark.parametrize("dim", [-1, 0, 2])
     def test_bad_base_dim(self, tmp_path, capsys, dim):

@@ -55,8 +55,11 @@ class TestRationalRepresentation:
         """Integer literals are read by int(), the rest by Fraction: the
         value, its type and whether it raises do not depend on the path.
         The int path takes ASCII digits only, since int("1_0") is 10 where
-        the Fraction of Python 3.10 raises."""
+        the Fraction of Python 3.10 raises.  A literal with an exponent
+        ("1e3") raises on both paths."""
         try:
+            if "e" in text.lower():
+                raise ValueError("exponent")
             want = Fraction(text.strip())
         except (ValueError, ZeroDivisionError):
             with pytest.raises(ValueError):
@@ -83,8 +86,18 @@ class TestRationalRepresentation:
 
     def test_format_matches_fraction(self):
         for text in ["0", "-0", "7", " -12 ", "4/2", "-6/3", "0/5", "1/2",
-                     "-3/7", "22/7", "10/4", "2.0", "-1.5", "1e3"]:
+                     "-3/7", "22/7", "10/4", "2.0", "-1.5", "1000"]:
             assert QQ.format(QQ.parse(text)) == str(Fraction(text))
+
+    @pytest.mark.parametrize("text", [
+        "1e3", "1E3", "-2.5e-1", " 1e800000 ", "1/2e3"])
+    def test_exponent_literals_are_rejected(self, text):
+        """An exponent is rejected before Fraction builds 10^k, over Q and
+        in the coefficients of Q(zeta_N)."""
+        with pytest.raises(ValueError, match="exponent"):
+            QQ.parse(text)
+        with pytest.raises(ValueError):
+            CyclotomicField(4).parse("z + " + text)
 
     def test_random_is_int_or_proper_fraction(self):
         import random

@@ -2,7 +2,8 @@ import pytest
 
 from halab.fields import QQ
 from halab.linalg import Mat, rank, Subspace
-from halab.algebra import product_field_algebra
+from halab.algebra import (FDAlgebra, product_field_algebra,
+                           central_idempotents_split, NotSplit, Inconclusive)
 from halab.hopfalgebroid import HopfAlgebroidData, BialgebroidData
 from halab.galois import (ComoduleAlgebraData, regular_comodule,
                           trivial_comodule, check_comodule, coinvariants,
@@ -137,6 +138,37 @@ class TestCovering:
         # kG over Q always contains the averaging idempotent, so the total
         # algebra is never connected
         assert v.centrally_connected is False
+
+    def test_split_idempotent_decides_disconnected(self):
+        """kZ_n over Q (n = 3..6) does not split, but the factor x - 1 of
+        x^n - 1 gives a nontrivial central idempotent, carried by
+        NotSplit: not connected is then exact."""
+        for n in range(3, 7):
+            H = group_hopf_algebra(cyclic_table(n)).total
+            with pytest.raises(NotSplit) as info:
+                central_idempotents_split(H)
+            idems = info.value.idempotents
+            assert idems
+            for e in idems:
+                assert H.mul_vec(e, e) == e and e != H.unit
+                assert all(H.mul_vec(e, H.basis_vec(j))
+                           == H.mul_vec(H.basis_vec(j), e)
+                           for j in range(H.dim))
+            v = check_covering(regular_comodule(
+                group_hopf_algebra(cyclic_table(n))))
+            assert v.centrally_connected is False
+
+    def test_unsplit_field_is_inconclusive(self):
+        """B = Q(i) = Q[x]/(x^2 + 1), as the trivial comodule over k: its
+        centre is a field that does not split over Q, so no idempotent is
+        found and the check is inconclusive instead of not connected."""
+        Qi = FDAlgebra(2, [[{0: 1}, {1: 1}], [{1: 1}, {0: -1}]], {0: 1})
+        D = trivial_comodule(group_hopf_algebra(cyclic_table(1)), Qi)
+        with pytest.raises(NotSplit) as info:
+            central_idempotents_split(Qi)
+        assert info.value.idempotents == []
+        with pytest.raises(Inconclusive, match="central connectedness"):
+            check_covering(D)
 
     def test_parity_instance_is_stratified(self):
         v = check_covering(sign_coaction())

@@ -7,9 +7,11 @@ hopfalgebroid.check_coupled (lifts go through FDAlgebra.convolve and
 kron_cols), vectors have one form (dicts of their nonzeros: no dense
 [x.zero] * n list outside fields and the dense Mat views, and no
 list-or-dict helper), no Mat's .data is ever written, no module uses
-floating point, true division appears only in fields.py, and the JSON
-document format (its readers and writers, json.load and open) lives in
-cli.py alone, which no other module imports."""
+floating point, true division appears only in fields.py,
+torus.recompose shifts exponents into one support instead of multiplying
+and adding elements, and the JSON document format (its readers and
+writers, json.load and open) lives in cli.py alone, which no other module
+imports."""
 
 import ast
 from pathlib import Path
@@ -248,6 +250,82 @@ def _float_uses(tree):
             and node.id in ("float", "complex", "cmath"))
         or (isinstance(node, ast.alias) and node.name == "cmath")
         or (isinstance(node, ast.ImportFrom) and node.module == "cmath"))
+
+
+# the calls that build a quantum-torus element
+_QT_BUILDERS = {"QTElement", "qt_mul", "qt_monomial", "qt_one", "L_operator",
+                "random_qt", "recompose"}
+
+
+def _is_components(node):
+    return isinstance(node, ast.Attribute) and node.attr == "components"
+
+
+def _element_sums(func):
+    """Lines of func with a + or += of quantum-torus elements: an operand
+    is a call that builds one, an entry of a decomposition's components,
+    or a name bound to either (by assignment or by a loop over the
+    components, also through enumerate)."""
+    def builds(node):
+        return (isinstance(node, ast.Call) and _call_name(node) in _QT_BUILDERS
+                or isinstance(node, ast.Subscript)
+                and _is_components(node.value))
+    names = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign) and builds(node.value):
+            names.update(t.id for t in node.targets
+                         if isinstance(t, ast.Name))
+        elif isinstance(node, ast.For):
+            it, target = node.iter, node.target
+            if isinstance(it, ast.Call) and _call_name(it) == "enumerate" \
+                    and isinstance(target, ast.Tuple):
+                it, target = it.args[0], target.elts[1]
+            if _is_components(it) and isinstance(target, ast.Name):
+                names.add(target.id)
+
+    def element(node):
+        return builds(node) or isinstance(node, ast.Name) and node.id in names
+    return sorted(
+        node.lineno for node in ast.walk(func)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and (element(node.left) or element(node.right))
+        or isinstance(node, ast.AugAssign) and isinstance(node.op, ast.Add)
+        and (element(node.target) or element(node.value)))
+
+
+def _function(tree, name):
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_element_sums_are_found():
+    tree = ast.parse(
+        "def f(d):\n"
+        "    out = QTElement(2, 1)\n"
+        "    for i, a in enumerate(d.components):\n"
+        "        out = out + qt_mul(a, qt_monomial(2, 1, 0, i))\n"
+        "def g(d):\n"
+        "    for a in d.components:\n"
+        "        s += a\n"
+        "    return d.components[0] + s\n"
+        "def h(d, support):\n"
+        "    for i, a in enumerate(d.components):\n"
+        "        for (x, b), c in a.support.items():\n"
+        "            support[(x, b + i)] = support.get((x, b + i)) + c\n")
+    assert [_element_sums(_function(tree, name)) for name in "fgh"] == [
+        [4], [7, 8], []]
+
+
+def test_recompose_shifts_exponents():
+    """torus.recompose adds each term at its shifted key in one support:
+    it multiplies by no V-monomial (no qt_mul, no qt_monomial) and sums
+    no QTElements with +."""
+    func = _function(ast.parse((SRC / "torus.py").read_text()), "recompose")
+    calls = {_call_name(node) for node in ast.walk(func)
+             if isinstance(node, ast.Call)}
+    assert not calls & {"qt_mul", "qt_monomial"}, calls
+    assert not _element_sums(func), (
+        "recompose adds QTElements at lines %s" % _element_sums(func))
 
 
 def test_torus_verdicts_are_exact():

@@ -10,7 +10,7 @@ from halab.torus import (QTElement, qt_monomial, qt_one, qt_mul, decompose,
                          recompose, L_operator, chi_product, omega_matrix,
                          random_qt, fiber_matrices, best_fiber_variant,
                          torus_coaction_check, torus_galois_matrix,
-                         ParameterMismatch, NotInA)
+                         DecomposedElement, ParameterMismatch, NotInA)
 
 
 class TestRelations:
@@ -90,6 +90,88 @@ class TestDecomposition:
         out = L_operator(a)
         F = a.field
         assert out.support == {(2, 0): F.zeta(-2 % n)}
+
+
+def _recompose_reference(d):
+    """The sum a_i V^i through qt_mul, one component at a time."""
+    if not d.components:
+        raise ParameterMismatch("empty decomposition")
+    base = d.components[0]
+    out = QTElement(base.n, base.m)
+    for i, a in enumerate(d.components):
+        out = out + qt_mul(a, qt_monomial(base.n, base.m, 0, i))
+    return out
+
+
+class TestRecompose:
+    """recompose (one pass, V^i as an exponent shift) against the
+    component-wise qt_mul formula, over Q, Q(zeta_3) and Q(zeta_4)."""
+
+    PARAMS = [(2, 1), (1, 2), (3, 1), (4, 1), (2, 2)]
+
+    @staticmethod
+    def _agree(d):
+        before = [dict(a.support) for a in d.components]
+        got = recompose(d)
+        want = _recompose_reference(d)
+        assert got == want
+        assert all(got.support.values()), "a cancelled term was kept"
+        assert [a.support for a in d.components] == before
+        return got
+
+    @pytest.mark.parametrize("n, m", PARAMS)
+    def test_random_components_outside_A(self, n, m):
+        """Components with any V-exponent, in any number, some empty."""
+        rng = random.Random(100 * n + m)
+        for _ in range(30):
+            comps = [random_qt(n, m, rng, radius=3, terms=rng.randint(0, 5))
+                     for _ in range(rng.randint(1, 5))]
+            self._agree(DecomposedElement(len(comps), comps))
+
+    @pytest.mark.parametrize("n, m", PARAMS)
+    def test_cancelling_components(self, n, m):
+        """a_0 = c U V + c' U^2, a_1 = -c U - c' U^2 V^-1: both terms of
+        the sum cancel, and a_2 = c U V^-1 brings U V back."""
+        rng = random.Random(7 * n + m)
+        F = QTElement(n, m).field
+        for _ in range(10):
+            c = F.random(rng) or F.one
+            c2 = F.random(rng) or F.one
+            a0 = QTElement(n, m, {(1, 1): c, (2, 0): c2})
+            a1 = QTElement(n, m, {(1, 0): -c, (2, -1): -c2})
+            assert self._agree(DecomposedElement(2, [a0, a1])) \
+                == QTElement(n, m)
+            a2 = QTElement(n, m, {(1, -1): c})
+            got = self._agree(DecomposedElement(3, [a0, a1, a2]))
+            assert got.support == {(1, 1): c}
+
+    @pytest.mark.parametrize("n, m", PARAMS)
+    def test_decompose_at_another_n(self, n, m):
+        rng = random.Random(31 * n + m)
+        for k in (1, 2, 3, 5):
+            for _ in range(10):
+                f = random_qt(n, m, rng)
+                assert self._agree(decompose(f, k)) == f
+
+    def test_empty_components(self):
+        for n, m in self.PARAMS:
+            zero = QTElement(n, m)
+            d = DecomposedElement(3, [QTElement(n, m) for _ in range(3)])
+            assert self._agree(d) == zero
+            U = qt_monomial(n, m, 1, 0)
+            d = DecomposedElement(3, [QTElement(n, m), QTElement(n, m), U])
+            assert self._agree(d).support == {(1, 2): U.field.one}
+
+    def test_parameter_mismatch(self):
+        with pytest.raises(ParameterMismatch):
+            recompose(DecomposedElement(1, []))
+        for comps in ([qt_one(2, 1), qt_one(3, 1)],
+                      [qt_one(2, 1), QTElement(2, 2)],
+                      [QTElement(3, 1), QTElement(1, 3)]):
+            with pytest.raises(ParameterMismatch):
+                recompose(DecomposedElement(2, comps))
+            with pytest.raises(ParameterMismatch):
+                _recompose_reference(DecomposedElement(2, comps))
 
 
 class TestOmega:
