@@ -94,12 +94,14 @@ def _get(node, path, key, kind=None, length=None):
 
 def _int(node, path, key, lo=0, hi=None):
     """node[key]: a JSON integer (not a bool or a float), >= lo unless lo is
-    None, and in range(hi) when hi is given."""
+    None, and in range(hi) when hi is given.  The message names the bound
+    that x crossed."""
     x = _get(node, path, key, int)
-    if lo is not None and x < lo or hi is not None and x >= hi:
-        raise DocumentError(path + (key,), "is %d, must be %s" % (
-            x, ">= %d" % lo if hi is None else "in range(%d)" % hi
-            if not lo else "in range(%d, %d)" % (lo, hi)))
+    if lo is not None and x < lo:
+        raise DocumentError(path + (key,), "is %d, must be >= %d" % (x, lo))
+    if hi is not None and x >= hi:
+        raise DocumentError(path + (key,), "is %d, must be in range(%s)" % (
+            x, "%d, %d" % (lo, hi) if lo else hi))
     return x
 
 
@@ -533,12 +535,10 @@ def _run_check(doc, level, path, seed):
         C = cocycle_from_json(payload, field)
         checks.append(("cocycle", galois.validate_cocycle(C)))
     elif kind == "torus_params":
-        def param(key, default, lo):
-            return default if payload.get(key) is None \
-                else _int(payload, PAYLOAD, key, lo)
-        code, report = _torus_battery(
-            param("n", 1, 1), param("m", 1, 1), param("samples", 100, 0),
-            param("radius", None, 0), param("seed", seed, None))
+        params = _torus_params(payload, PAYLOAD)
+        if payload.get("seed") is not None:
+            seed = _int(payload, PAYLOAD, "seed", None)
+        code, report = _torus_battery(*params, seed)
         verdicts["torus"] = report
         rep = ViolationReport()
         rep.require(code == 0, "torus:battery")
@@ -644,10 +644,40 @@ def cmd_build(args):
 # ---------------------------------------------------------------------------
 # torus battery
 
+# the largest n, m, samples and radius of the torus battery, so that the
+# slowest battery accepted runs in about 10 s (8.2 s at n = m = 9,
+# samples = 500, radius = 60, on a 2-vCPU host): the Galois determinant
+# grows about as n^6, the oracle as samples times the cost of Q(zeta_nm)
+# arithmetic, the coaction check as radius * n^2 and the fibers, over
+# Q(zeta_4m), as m^4; n * m and 4 * m stay within MAX_CYCLOTOMIC_ORDER
+MAX_TORUS_N = 10
+MAX_TORUS_M = 10
+MAX_TORUS_SAMPLES = 500
+MAX_TORUS_RADIUS = 60
+
+# (key, default, lo, max) of each battery parameter
+TORUS_PARAMS = (("n", 1, 1, MAX_TORUS_N), ("m", 1, 1, MAX_TORUS_M),
+                ("samples", 100, 0, MAX_TORUS_SAMPLES),
+                ("radius", None, 0, MAX_TORUS_RADIUS))
+
+
+def _torus_params(node, path, prefix=""):
+    """n, m, samples and radius of the battery, each node[prefix + key]
+    read in [lo, max] by _int, or its default when missing or null; a
+    radius below n, which the coaction check cannot sample, is rejected
+    too."""
+    n, m, samples, radius = [
+        default if node.get(prefix + key) is None
+        else _int(node, path, prefix + key, lo, top + 1)
+        for key, default, lo, top in TORUS_PARAMS]
+    if radius is not None and radius < n:
+        raise DocumentError(path + (prefix + "radius",),
+                            "is %d, must be >= n = %d" % (radius, n))
+    return n, m, samples, radius
+
+
 def _torus_battery(n, m, samples, radius, seed):
     import random as _random
-    if n < 1 or m < 1:
-        raise DocumentError((), "torus parameters must be positive")
     rng = _random.Random(seed)
     report = {"n": n, "m": m, "samples": samples, "seed": seed}
     mismatches = 0
@@ -675,8 +705,8 @@ def _torus_battery(n, m, samples, radius, seed):
 
 
 def cmd_torus(args):
-    code, report = _torus_battery(args.n, args.m, args.samples, args.radius,
-                                  args.seed)
+    flags = {"--" + key: value for key, value in vars(args).items()}
+    code, report = _torus_battery(*_torus_params(flags, (), "--"), args.seed)
     if args.json:
         print(json.dumps(report, sort_keys=True, indent=2))
     else:

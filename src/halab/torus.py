@@ -181,21 +181,44 @@ def L_operator(a, i=1):
 
 def chi_product(d1, d2):
     """Component k of the product is sum_i a_i L^i(b_{k-i}), with the V^n
-    carry multiplied into the coefficient whenever the V-exponents wrap."""
+    carry multiplied into the coefficient whenever the V-exponents wrap.
+    In normal order U^x V^b L^i(c U^y V^e) = q^{-(b+i)y} c U^{x+y} V^{b+e}
+    and the carry V^n shifts e by n with no phase, so each term pair is
+    added in place at its key of one component's support."""
     if d1.n != d2.n:
         raise ParameterMismatch("decompositions at different n")
     n = d1.n
+    for d in (d1, d2):
+        if not n or len(d.components) != n:
+            raise ParameterMismatch("%d components at n = %d"
+                                    % (len(d.components), n))
     base = d1.components[0]
-    base._check(d2.components[0])
+    for a in (*d1.components, *d2.components):
+        base._check(a)
+    for b in d2.components:           # L^i is defined on A alone
+        for _, e in b.support:
+            if e % base.n:
+                raise NotInA("V-exponent %d not divisible by %d"
+                             % (e, base.n))
+    N = base.n * base.m
     comps = [QTElement(base.n, base.m) for _ in range(n)]
-    vn = qt_monomial(base.n, base.m, 0, n)
-    for i in range(n):
-        for j in range(n):
-            k = (i + j) % n
-            term = qt_mul(d1.components[i], L_operator(d2.components[j], i))
-            if i + j >= n:
-                term = qt_mul(term, vn)
-            comps[k] = comps[k] + term
+    for i, a in enumerate(d1.components):
+        for j, b in enumerate(d2.components):
+            support = comps[(i + j) % n].support
+            carry = n if i + j >= n else 0
+            for (x, v), c1 in a.support.items():
+                for (y, e), c2 in b.support.items():
+                    term = c1 * c2
+                    k = (-(v + i) * y) % N
+                    if k:
+                        term = term * _power(base, k)
+                    key = (x + y, v + e + carry)
+                    old = support.get(key)
+                    val = term if old is None else old + term
+                    if val:
+                        support[key] = val
+                    elif old is not None:
+                        del support[key]
     return DecomposedElement(n, comps)
 
 

@@ -8,10 +8,10 @@ kron_cols), vectors have one form (dicts of their nonzeros: no dense
 [x.zero] * n list outside fields and the dense Mat views, and no
 list-or-dict helper), no Mat's .data is ever written, no module uses
 floating point, true division appears only in fields.py,
-torus.recompose shifts exponents into one support instead of multiplying
-and adding elements, and the JSON document format (its readers and
-writers, json.load and open) lives in cli.py alone, which no other module
-imports."""
+torus.recompose and torus.chi_product accumulate into supports in place
+instead of multiplying and adding elements, and the JSON document format
+(its readers and writers, json.load and open) lives in cli.py alone, which
+no other module imports."""
 
 import ast
 from pathlib import Path
@@ -316,16 +316,51 @@ def test_element_sums_are_found():
         [4], [7, 8], []]
 
 
+def _element_arithmetic(func):
+    """The qt_mul, qt_monomial and L_operator calls of func, and the lines
+    of its QTElement sums (_element_sums)."""
+    calls = {_call_name(node) for node in ast.walk(func)
+             if isinstance(node, ast.Call)}
+    return sorted(calls & {"qt_mul", "qt_monomial", "L_operator"}), \
+        _element_sums(func)
+
+
 def test_recompose_shifts_exponents():
     """torus.recompose adds each term at its shifted key in one support:
     it multiplies by no V-monomial (no qt_mul, no qt_monomial) and sums
     no QTElements with +."""
     func = _function(ast.parse((SRC / "torus.py").read_text()), "recompose")
-    calls = {_call_name(node) for node in ast.walk(func)
-             if isinstance(node, ast.Call)}
-    assert not calls & {"qt_mul", "qt_monomial"}, calls
-    assert not _element_sums(func), (
-        "recompose adds QTElements at lines %s" % _element_sums(func))
+    assert _element_arithmetic(func) == ([], [])
+
+
+def test_componentwise_chi_product_is_found():
+    """The component-wise chi_product that the one-pass one replaced
+    fails the guard below, at its qt_mul, qt_monomial and L_operator calls
+    and at its comps[k] = comps[k] + term line."""
+    tree = ast.parse(
+        "def chi_product(d1, d2):\n"
+        "    n = d1.n\n"
+        "    comps = [QTElement(2, 1) for _ in range(n)]\n"
+        "    vn = qt_monomial(2, 1, 0, n)\n"
+        "    for i in range(n):\n"
+        "        for j in range(n):\n"
+        "            k = (i + j) % n\n"
+        "            term = qt_mul(d1.components[i],\n"
+        "                          L_operator(d2.components[j], i))\n"
+        "            if i + j >= n:\n"
+        "                term = qt_mul(term, vn)\n"
+        "            comps[k] = comps[k] + term\n")
+    assert _element_arithmetic(_function(tree, "chi_product")) == (
+        ["L_operator", "qt_monomial", "qt_mul"], [12])
+
+
+def test_chi_product_accumulates_in_place():
+    """torus.chi_product adds each term pair at its key of one component's
+    support: the L^i twist and the V^n carry are exponent arithmetic (no
+    qt_mul, qt_monomial or L_operator) and no QTElements are summed."""
+    func = _function(ast.parse((SRC / "torus.py").read_text()),
+                     "chi_product")
+    assert _element_arithmetic(func) == ([], [])
 
 
 def test_torus_verdicts_are_exact():

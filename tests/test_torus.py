@@ -174,6 +174,175 @@ class TestRecompose:
                 _recompose_reference(DecomposedElement(2, comps))
 
 
+def _chi_product_reference(d1, d2):
+    """Component k = sum_i a_i L^i(b_{k-i}) through qt_mul and L_operator,
+    with the V^n carry multiplied in by qt_mul: the component-wise formula
+    that the one-pass chi_product replaced."""
+    if d1.n != d2.n:
+        raise ParameterMismatch("decompositions at different n")
+    n = d1.n
+    base = d1.components[0]
+    comps = [QTElement(base.n, base.m) for _ in range(n)]
+    vn = qt_monomial(base.n, base.m, 0, n)
+    for i in range(n):
+        for j in range(n):
+            term = qt_mul(d1.components[i], L_operator(d2.components[j], i))
+            if i + j >= n:
+                term = qt_mul(term, vn)
+            comps[(i + j) % n] = comps[(i + j) % n] + term
+    return DecomposedElement(n, comps)
+
+
+def _outcome(product, d1, d2):
+    """The component supports of product(d1, d2), or the class of the
+    NotInA or ParameterMismatch it raised."""
+    try:
+        return [a.support for a in product(d1, d2).components]
+    except (NotInA, ParameterMismatch) as exc:
+        return type(exc)
+
+
+class TestChiProduct:
+    """chi_product (one pass, the L^i twist and the V^n carry as exponent
+    arithmetic) against the component-wise qt_mul formula, over Q,
+    Q(zeta_3), Q(zeta_4) and Q(zeta_6)."""
+
+    PARAMS = [(2, 1), (1, 2), (3, 1), (4, 1), (2, 2), (6, 1)]
+
+    @staticmethod
+    def _agree(d1, d2):
+        before = [[dict(a.support) for a in d.components] for d in (d1, d2)]
+        got = _outcome(chi_product, d1, d2)
+        assert got == _outcome(_chi_product_reference, d1, d2)
+        assert [[a.support for a in d.components] for d in (d1, d2)] \
+            == before
+        if isinstance(got, list):
+            assert all(all(s.values()) for s in got), \
+                "a cancelled term was kept"
+        return got
+
+    @pytest.mark.parametrize("n, m", PARAMS)
+    def test_random_products(self, n, m):
+        rng = random.Random(100 * n + m)
+        for _ in range(30):
+            radius = rng.randint(0, 5)
+            f, g = (random_qt(n, m, rng, radius, rng.randint(0, 7))
+                    for _ in range(2))
+            got = self._agree(decompose(f), decompose(g))
+            assert recompose(DecomposedElement(n, [
+                QTElement(n, m, s) for s in got])) == qt_mul(f, g)
+
+    @pytest.mark.parametrize("n, m", PARAMS)
+    def test_cancelling_terms(self, n, m):
+        """Within one term pair: (c' + c U)(1 - (c/c') U) loses its U
+        terms.  Across term pairs: (c + c2 V)(d0 + d1 V) with
+        d0 = -c d1 / c2 loses its V term, which for n >= 2 comes from the
+        pairs (a_0, b_1) and (a_1, b_0)."""
+        rng = random.Random(7 * n + m)
+        F = QTElement(n, m).field
+        for _ in range(10):
+            c, c2, d1 = (F.random(rng) or F.one for _ in range(3))
+            f = QTElement(n, m, {(0, 0): c2, (1, 0): c})
+            g = QTElement(n, m, {(0, 0): F.one, (1, 0): -F.div(c, c2)})
+            got = self._agree(decompose(f), decompose(g))
+            assert all((1, 0) not in s for s in got)
+            f = QTElement(n, m, {(0, 0): c, (0, 1): c2})
+            g = QTElement(n, m, {(0, 0): -F.div(c * d1, c2), (0, 1): d1})
+            got = self._agree(decompose(f), decompose(g))
+            assert all(key[1] != 1 for s in got for key in s)
+            assert recompose(DecomposedElement(n, [
+                QTElement(n, m, s) for s in got])) == qt_mul(f, g)
+
+    def test_empty_components(self):
+        rng = random.Random(5)
+        for n, m in self.PARAMS:
+            zero = QTElement(n, m)
+            f = random_qt(n, m, rng)
+            for d1, d2 in ((decompose(zero), decompose(f)),
+                           (decompose(f), decompose(zero)),
+                           (decompose(zero), decompose(zero))):
+                assert self._agree(d1, d2) == [{}] * n
+            # one V-exponent class per factor: a in A, g in V^{n-1} A, so
+            # every component but the last is empty on both sides
+            a = QTElement(n, m, {(x, n * y): c
+                                 for (x, y), c in f.support.items()})
+            g = QTElement(n, m, {(x, n * y + n - 1): c
+                                 for (x, y), c in f.support.items()})
+            got = self._agree(decompose(g), decompose(a))
+            assert not any(got[:-1]) and got[-1]
+
+    @pytest.mark.parametrize("n, m", PARAMS)
+    def test_decompose_at_another_n(self, n, m):
+        """decompose(f, k) with k != f.n: L^i tests divisibility by the
+        element's n, so k = 1 raises NotInA whenever some term of g has a
+        V-exponent outside n Z, and k = 2n never does."""
+        rng = random.Random(31 * n + m)
+        outcomes = set()
+        for k in (1, 2, 3, 2 * n):
+            for _ in range(10):
+                f, g = random_qt(n, m, rng), random_qt(n, m, rng)
+                got = self._agree(decompose(f, k), decompose(g, k))
+                outcomes.add(got if got is NotInA else k)
+        assert 2 * n in outcomes
+        assert (NotInA in outcomes) == (n > 1)
+
+    def test_not_in_a(self):
+        """The V-exponents of the second factor are tested against the
+        element's n, not the decomposition's, and also when the first
+        factor is zero."""
+        for n, m in ((2, 1), (4, 1), (2, 2)):
+            zero = QTElement(n, m)
+            V = qt_monomial(n, m, 0, 1)
+            V2 = qt_monomial(n, m, 0, 2)
+            for k, b in ((1, V), (2, V), (n, V)):
+                d = DecomposedElement(k, [b] + [zero] * (k - 1))
+                for a in (zero, qt_one(n, m)):
+                    d1 = DecomposedElement(k, [a] + [zero] * (k - 1))
+                    assert self._agree(d1, d) is NotInA
+                    with pytest.raises(NotInA):
+                        chi_product(d1, d)
+            # V^2 at n = 2, decomposed at 4: in A for the element, so no
+            # NotInA although 4 does not divide 2
+            if n == 2:
+                d = DecomposedElement(4, [V2] + [zero] * 3)
+                assert isinstance(self._agree(d, d), list)
+
+    def test_parameter_mismatch(self):
+        one2, one3, z22 = qt_one(2, 1), qt_one(3, 1), QTElement(2, 2)
+        good = DecomposedElement(2, [one2, one2])
+        with pytest.raises(ParameterMismatch):
+            chi_product(good, DecomposedElement(3, [one2] * 3))
+        for bad in (DecomposedElement(2, [one2, one3]),
+                    DecomposedElement(2, [one2, z22])):
+            for d1, d2 in ((bad, good), (good, bad)):
+                assert self._agree(d1, d2) is ParameterMismatch
+                with pytest.raises(ParameterMismatch):
+                    chi_product(d1, d2)
+        empty = DecomposedElement(0, [])
+        with pytest.raises(ParameterMismatch):
+            chi_product(empty, empty)
+
+    def test_too_few_components(self):
+        """A components list shorter than n is a ParameterMismatch, not an
+        IndexError, in either factor."""
+        one = qt_one(3, 1)
+        full = decompose(one)
+        short = DecomposedElement(3, [one, QTElement(3, 1)])
+        for d1, d2 in ((short, full), (full, short)):
+            with pytest.raises(ParameterMismatch):
+                chi_product(d1, d2)
+
+    def test_too_many_components(self):
+        """A components list longer than n is a ParameterMismatch, not
+        silently cut to its first n entries, in either factor."""
+        one = qt_one(2, 1)
+        full = decompose(one)
+        long = DecomposedElement(2, [one, QTElement(2, 1), one])
+        for d1, d2 in ((long, full), (full, long)):
+            with pytest.raises(ParameterMismatch):
+                chi_product(d1, d2)
+
+
 class TestOmega:
     def test_displayed_matrices(self):
         assert omega_matrix(3, 0) == [[0, None, None],
