@@ -126,6 +126,8 @@ def pair_mul(A, B, u, v):
     dB, zero, acc = B.dim, A.field.zero, {}
     nz_v = v.items()
     try:
+        if u and min(u) < 0 or v and min(v) < 0:
+            raise IndexError                    # a list would wrap it
         for iu, cu in u.items():
             a1, b1 = divmod(iu, dB)
             for iv, cv in nz_v:

@@ -10,12 +10,17 @@ stored as d integer numerators over one positive common denominator, in
 lowest terms, so every value has exactly one form and equality is a tuple
 compare.
 
-Phi_N is monic with integer coefficients, so z^k mod Phi_N has integer
-coefficients for every k.  Each field tabulates once, when it is built,
-the rows z^k mod Phi_N for d <= k <= 2d-2 and the N powers of zeta: a
-product is an integer convolution folded through those rows followed by
-one gcd, and zeta(k) is a lookup.  No Fraction is created and no
-polynomial is divided on the way; only inverse runs extended Euclid.
+Phi_N is monic with integer coefficients, so z^t mod Phi_N has integer
+coefficients for every t.  Each field tabulates once, when it is built,
+one power table, z^t mod Phi_N for t < N.  A product is an integer
+convolution folded through its rows for d <= t <= 2d-2, followed by one
+gcd.  zeta(k) is a lookup of a cached Root, which carries the rows
+z^(i+k) for i < d: x * zeta^k is the signed sum of those rows over x's
+numerators, over x's own denominator.  It needs no gcd, since zeta^k is a
+unit of Z[zeta] and multiplying by it maps the lattice Z^d of numerators
+onto itself, so their gcd, and with it lowest terms, is kept.  No
+Fraction is created and no polynomial is divided on the way; only
+inverse runs extended Euclid.
 
 The ground field is fixed per document: arithmetic that mixes scalars of
 different cyclotomic orders raises FieldMismatch instead of
@@ -118,7 +123,7 @@ def _times_z(v, top):
 
 class CyclotomicField:
     """Q(zeta_N): the quotient Q[z]/Phi_N(z).  One instance per N; its
-    fold table, its N roots of unity, zero and one are built once."""
+    power table, its N roots of unity, zero and one are built once."""
 
     def __new__(cls, N):
         if N in _FIELD_CACHE:
@@ -128,18 +133,18 @@ class CyclotomicField:
         self.poly = cyclotomic_polynomial(N)
         d = self.degree = len(self.poly) - 1
         top = [-int(c) for c in self.poly[:d]]          # z^d mod Phi_N
-        # (k, nonzero (i, c) of z^k mod Phi_N) for d <= k <= 2d-2
-        self._fold = []
-        row = top
-        for k in range(d, 2 * d - 1):
-            self._fold.append((k, [(i, c) for i, c in enumerate(row) if c]))
-            row = _times_z(row, top)
-        self._tail = (0,) * (d - 1)
+        # the one power table: the nonzero (i, c) of z^t mod Phi_N for
+        # t < N, twice over, so z^(t+k) is rows[t + k] for t, k < N
+        table = []
         v = [1] + [0] * (d - 1)
-        self._zeta = []
         for _ in range(N):
-            self._zeta.append(Cyc(self, tuple(v), 1))
+            table.append(tuple(v))
             v = _times_z(v, top)
+        rows = [[(i, c) for i, c in enumerate(t) if c] for t in table] * 2
+        self._fold = [(k, rows[k % N]) for k in range(d, 2 * d - 1)]
+        self._tail = (0,) * (d - 1)
+        self._zeta = [Root(self, t, rows[k:k + d])
+                      for k, t in enumerate(table)]
         self.zero = Cyc(self, (0,) * d, 1)
         self.one = self._zeta[0]
         _FIELD_CACHE[N] = self
@@ -370,9 +375,13 @@ class Cyc:
         return o - self
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        # same field: skip _coerce (fields are one instance per N)
+        if other.__class__ is Cyc and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
         field = self.field
         d = field.degree
         out = [0] * (2 * d - 1)
@@ -413,6 +422,8 @@ class Cyc:
         return o * self.inverse()
 
     def __eq__(self, other):
+        if other.__class__ is Cyc and other.field is self.field:
+            return self.num == other.num and self.den == other.den
         # a value of another order is not comparable, so it is unequal
         # (only arithmetic across orders raises FieldMismatch)
         if isinstance(other, Cyc) and other.field.order != self.field.order:
@@ -433,3 +444,34 @@ class Cyc:
 
     def __repr__(self):
         return self.field.format(self)
+
+
+class Root(Cyc):
+    """zeta^k, one of the N roots a field caches, with its rows: rows[i]
+    is the nonzero (j, c) of z^(i+k) mod Phi_N for i < d.  x * zeta^k is
+    the sum of x's numerators times these rows, over x's own denominator,
+    in lowest terms with no convolution, no fold and no gcd (see the
+    module docstring).  Python tries a subclass's reflected method first,
+    so x * zeta^k takes this path too."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, field, num, rows):
+        super().__init__(field, num, 1)
+        self.rows = rows
+
+    def __mul__(self, other):
+        if other.__class__ is Cyc and other.field is self.field:
+            o = other
+        else:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        out = [0] * self.field.degree
+        for x, row in zip(o.num, self.rows):
+            if x:
+                for j, c in row:
+                    out[j] += x * c
+        return Cyc(self.field, tuple(out), o.den)
+
+    __rmul__ = __mul__

@@ -188,11 +188,20 @@ class Mat:
     def matvec(self, vec):
         """self * vec for a dict {col: value} of nonzeros, as the dict of
         the nonzeros of the product."""
+        # _combine's loop with each index checked as it is read: a
+        # negative one would wrap in the column list, and a check by min()
+        # made the cocycle documents about 5% slower
+        cols, zero, acc = self.sparse_cols(), self.field.zero, {}
         try:
-            return _combine(self.sparse_cols(), vec, self.field.zero)
+            for k, v in vec.items():
+                if k < 0:
+                    raise IndexError
+                for i, a in cols[k].items():
+                    acc[i] = acc.get(i, zero) + a * v
         except IndexError:
             raise ShapeMismatch("matvec index outside %d columns"
                                 % self.cols) from None
+        return {i: x for i, x in acc.items() if x}
 
     def __eq__(self, other):
         if not isinstance(other, Mat):

@@ -268,10 +268,8 @@ def fiber_matrices(n, m, x, y):
         raise ParameterMismatch("fiber coordinates must be int or Fraction")
     L = lcm(x.denominator, y.denominator)
     N = m * L
-    field, q = _params(N)
-    roots = [field.one]
-    for _ in range(N - 1):
-        roots.append(roots[-1] * q)
+    field, _ = _params(N)
+    roots = [1, -1][:N] if field is QQ else [field.zeta(k) for k in range(N)]
     xe, ye = int(x * L), int(y * L)        # e^{2 pi i x / m} = zeta_N^xe
 
     def mat(exps):

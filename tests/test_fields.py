@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -292,6 +293,78 @@ def test_cached_arithmetic_divides_no_polynomial(monkeypatch):
                 _ref_reduce([Fraction(0)] * k + [Fraction(1)], 12))
     _agrees(F.one, _ref_const(1, 12))
     _agrees(F.zero, _ref_const(0, 12))
+
+
+def _ref_root(k, N):
+    return _ref_reduce([Fraction(0)] * (k % N) + [Fraction(1)], N)
+
+
+@pytest.mark.parametrize("N", DIFF_ORDERS)
+def test_root_products_match_reference(N):
+    """x * zeta^k and zeta^k * x, for every k in [-2N, 2N], equal the
+    reference product in lowest terms, for Cyc, int, Fraction and Root
+    operands; zeta^a * zeta^b is zeta^(a+b)."""
+    F = CyclotomicField(N)
+    rng = random.Random(N)
+    operands = [(c, _ref_const(c, N)) for c in (0, 3, -2, Fraction(-5, 6))]
+    for _ in range(4):
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+              for _ in range(F.degree)]
+        operands.append((_element(F, cs), tuple(cs)))
+    operands += [(F.zeta(j), _ref_root(j, N)) for j in range(N)]
+    for k in range(-2 * N, 2 * N + 1):
+        z, rz = F.zeta(k), _ref_root(k, N)
+        for x, rx in operands:
+            want = _ref_mul(rx, rz, N)
+            _agrees(x * z, want)
+            _agrees(z * x, want)
+        for a in range(N):
+            assert F.zeta(a) * z == F.zeta(a + k)
+
+
+def test_root_products_take_no_gcd(monkeypatch):
+    """A root is a unit of Z[zeta], so x * zeta^k keeps x's denominator
+    and lowest terms with no gcd and no canonicalisation."""
+    F = CyclotomicField(12)
+    xs = [F.parse("1/2 + 3/4*z - 5/6*z^3"), F.div(7, 3), F.zero, F.zeta(5)]
+
+    def forbidden(*args):
+        raise AssertionError("gcd in a product by a root of unity")
+    cases = [(x, k) for x in xs for k in range(-12, 13)]
+    monkeypatch.setattr(fields, "gcd", forbidden)
+    monkeypatch.setattr(fields, "_canon", forbidden)
+    got = [(x * F.zeta(k), F.zeta(k) * x) for x, k in cases]
+    monkeypatch.undo()
+    for (a, b), (x, k) in zip(got, cases):
+        assert a == b == Cyc.__mul__(x, F.zeta(k))     # the convolution
+        assert gcd(a.den, *a.num) == 1
+
+
+def test_root_equals_and_hashes_as_its_value():
+    for N in (2, 3, 4, 12):
+        F = CyclotomicField(N)
+        for k in range(N):
+            root = F.zeta(k)
+            same = Cyc(F, root.num, root.den)
+            assert type(root) is not Cyc and type(same) is Cyc
+            assert root == same and same == root
+            assert hash(root) == hash(same)
+            assert {same: k}[root] == k
+            if not any(root.num[1:]):           # a rational root: +-1
+                assert root == root.num[0] == Fraction(root.num[0])
+                assert hash(root) == hash(root.num[0])
+                assert hash(root) == hash(Fraction(root.num[0]))
+    assert CyclotomicField(4).one == 1 and hash(CyclotomicField(4).one) == 1
+
+
+def test_roots_of_other_orders_do_not_mix():
+    root, x = CyclotomicField(3).zeta(1), CyclotomicField(4).parse("1 + z")
+    with pytest.raises(fields.FieldMismatch):
+        root * x
+    with pytest.raises(fields.FieldMismatch):
+        x * root
+    with pytest.raises(fields.FieldMismatch):
+        root * CyclotomicField(4).zeta(1)
 
 
 # ---------------------------------------------------------------------------

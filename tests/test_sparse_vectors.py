@@ -202,3 +202,24 @@ def test_an_index_outside_the_range_is_a_shape_mismatch():
                  lambda: q.project({3: QQ.one})):
         with pytest.raises(ShapeMismatch):
             call()
+
+
+def test_a_negative_index_is_a_shape_mismatch():
+    """A negative vector index would wrap in the lists behind matvec,
+    mul_vec and pair_mul and select the last column or basis element; it
+    raises ShapeMismatch instead."""
+    from halab.algebra import group_algebra
+    from halab.linalg import ShapeMismatch
+    from halab.zoo import cyclic_table
+    A = group_algebra(cyclic_table(3))
+    for call in (lambda: Mat.from_cols([{0: 1}, {1: 2}], 2).matvec({-1: 1}),
+                 lambda: A.mul_vec({-1: 1}, {0: 1}),
+                 lambda: A.mul_vec({0: 1}, {-3: 1}),
+                 lambda: A.mul_vec(-1, {0: 1}),
+                 lambda: A.mul_vec(0, -1),
+                 lambda: A.mul_vec({0: 1}, -1),
+                 lambda: pair_mul(A, A, {-1: 1}, {0: 1}),
+                 lambda: pair_mul(A, A, {0: 1}, {-9: 1})):
+        with pytest.raises(ShapeMismatch):
+            call()
+    assert A.mul_vec({}, {}) == {} and pair_mul(A, A, {}, {0: 1}) == {}

@@ -1,3 +1,5 @@
+import json
+import os
 import random
 from fractions import Fraction
 
@@ -11,6 +13,9 @@ from halab.torus import (QTElement, qt_monomial, qt_one, qt_mul, decompose,
                          random_qt, fiber_matrices, best_fiber_variant,
                          torus_coaction_check, torus_galois_matrix,
                          DecomposedElement, ParameterMismatch, NotInA)
+
+EXPECTED = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                        "expected.json")
 
 
 class TestRelations:
@@ -65,11 +70,13 @@ class TestDecomposition:
                 assert recompose(decompose(f)) == f
 
     def test_chi_oracle(self):
+        """The bench's oracle at N = 2, 3, 4 and beyond it at N = 5, 8,
+        12, where deg Phi_N = 4 and the roots have multi-term rows."""
         rng = random.Random(13)
-        for n in (2, 3, 4):
+        for n, m in ((2, 1), (3, 1), (4, 1), (5, 1), (2, 4), (3, 4)):
             for _ in range(50):
-                f = random_qt(n, 1, rng)
-                g = random_qt(n, 1, rng)
+                f = random_qt(n, m, rng)
+                g = random_qt(n, m, rng)
                 lhs = recompose(chi_product(decompose(f), decompose(g)))
                 assert lhs == qt_mul(f, g)
 
@@ -205,9 +212,11 @@ def _outcome(product, d1, d2):
 class TestChiProduct:
     """chi_product (one pass, the L^i twist and the V^n carry as exponent
     arithmetic) against the component-wise qt_mul formula, over Q,
-    Q(zeta_3), Q(zeta_4) and Q(zeta_6)."""
+    Q(zeta_3), Q(zeta_4), Q(zeta_6) and, with deg Phi_N = 4, Q(zeta_5),
+    Q(zeta_8) and Q(zeta_12)."""
 
-    PARAMS = [(2, 1), (1, 2), (3, 1), (4, 1), (2, 2), (6, 1)]
+    PARAMS = [(2, 1), (1, 2), (3, 1), (4, 1), (2, 2), (6, 1), (5, 1),
+              (2, 4), (3, 4)]
 
     @staticmethod
     def _agree(d1, d2):
@@ -422,6 +431,16 @@ class TestGaloisDeterminant:
         assert g["unit"]
         g = torus_galois_matrix(4)
         assert g["unit"]
+
+    def test_bench_determinants(self):
+        """n = 1..4 give the determinants recorded in bench/expected.json."""
+        with open(EXPECTED) as fh:
+            want = json.load(fh)["torus"]["galois_matrix"]
+        for n in range(1, 5):
+            g = torus_galois_matrix(n)
+            assert {str(k): str(v) for k, v in g["det"].items()} \
+                == want[str(n)]["det"], n
+            assert g["unit"] is want[str(n)]["unit"]
 
     def test_units_beyond_four(self):
         for n in range(5, 9):
