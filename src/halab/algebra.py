@@ -342,8 +342,10 @@ def direct_product(A, B):
 # morphisms and modules
 
 
-def check_algebra_morphism(phi, A, B, tag="morphism"):
-    """phi: Mat (dim B x dim A).  Checks phi(1) = 1 and multiplicativity."""
+def check_algebra_morphism(phi, A, B, tag="morphism", law="multiplicative"):
+    """phi: Mat (dim B x dim A).  Checks phi(1) = 1 and multiplicativity.
+    An antimorphism A -> B is a morphism A -> opposite(B), checked with
+    law="antimultiplicative", the tag its failures carry."""
     rep = ViolationReport()
     rep.require(phi.matvec(A.unit) == B.unit, tag + ":unit")
     images = [phi.col(i) for i in range(A.dim)]
@@ -351,19 +353,7 @@ def check_algebra_morphism(phi, A, B, tag="morphism"):
         for j in range(A.dim):
             lhs = phi.matvec(A.mul[i][j])
             rhs = B.mul_vec(images[i], images[j])
-            rep.require(lhs == rhs, tag + ":multiplicative", (i, j))
-    return rep
-
-
-def check_algebra_antimorphism(phi, A, B, tag="antimorphism"):
-    rep = ViolationReport()
-    rep.require(phi.matvec(A.unit) == B.unit, tag + ":unit")
-    images = [phi.col(i) for i in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = phi.matvec(A.mul[i][j])
-            rhs = B.mul_vec(images[j], images[i])
-            rep.require(lhs == rhs, tag + ":antimultiplicative", (i, j))
+            rep.require(lhs == rhs, tag + ":" + law, (i, j))
     return rep
 
 

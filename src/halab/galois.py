@@ -937,9 +937,11 @@ def _bimodule_tensor(X, Y):
                        X.left_algebra.field)
 
 
-def _iso_check(rep, tag, iso, sq, target_dim):
-    rep.require(iso.rows == target_dim and iso.cols == sq.dim
-                and rank(iso) == sq.dim and sq.dim == target_dim,
+def _iso_check(rep, tag, iso, dim, target_dim):
+    """iso, from a space of dimension dim to one of target_dim, is
+    bijective."""
+    rep.require(iso.rows == target_dim and iso.cols == dim
+                and rank(iso) == dim and dim == target_dim,
                 tag + ":bijective")
 
 
@@ -975,8 +977,8 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
     rep.merge(Y.check("morita:Y"))
     sqXY = _bimodule_tensor(X, Y)
     sqYX = _bimodule_tensor(Y, X)
-    _iso_check(rep, "morita:XY", isos["XY"], sqXY, B1.dim)
-    _iso_check(rep, "morita:YX", isos["YX"], sqYX, B2.dim)
+    _iso_check(rep, "morita:XY", isos["XY"], sqXY.dim, B1.dim)
+    _iso_check(rep, "morita:YX", isos["YX"], sqYX.dim, B2.dim)
     _iso_equivariance(rep, "morita:XY", isos["XY"], sqXY, X, Y, B1, True)
     _iso_equivariance(rep, "morita:YX", isos["YX"], sqYX, Y, X, B2, True)
     # collapsed (A, -)-bimodule isomorphisms
@@ -984,13 +986,10 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
             ("morita:Y-collapse", Y, B1, D2.inclusionA, D1.inclusionA),
             ("morita:X-collapse", X, B2, D1.inclusionA, D2.inclusionA)):
         iso = isos["Ycollapse" if W is Y else "Xcollapse"]
-        rep.require(iso.rows == target.dim and iso.cols == W.dim
-                    and rank(iso) == W.dim and W.dim == target.dim,
-                    tag + ":bijective")
+        _iso_check(rep, tag, iso, W.dim, target.dim)
+        left = ModuleOverA(W.left_algebra, W.dim, W.left_acts)
         for a in range(D1.dimA):
-            Lsrc = Mat.from_cols([{}] * W.dim, W.dim, field)
-            for i, c in incl_src.col(a).items():
-                Lsrc = Lsrc + W.left_acts[i].scale(c)
+            Lsrc = left.act_matrix(incl_src.col(a))
             Ltgt = target.left_mult_matrix(incl_tgt.col(a))
             rep.require(iso * Lsrc == Ltgt * iso, tag + ":A-equivariance",
                         (a,))
@@ -1004,8 +1003,8 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
     H1, H2 = D1.H.total, D2.H.total
     sqUV = _bimodule_tensor(U.bimodule, V.bimodule)
     sqVU = _bimodule_tensor(V.bimodule, U.bimodule)
-    _iso_check(rep, "morita:UV", isos["UV"], sqUV, H1.dim)
-    _iso_check(rep, "morita:VU", isos["VU"], sqVU, H2.dim)
+    _iso_check(rep, "morita:UV", isos["UV"], sqUV.dim, H1.dim)
+    _iso_check(rep, "morita:VU", isos["VU"], sqVU.dim, H2.dim)
     _iso_equivariance(rep, "morita:UV", isos["UV"], sqUV, U.bimodule,
                       V.bimodule, H1, False)
     _iso_equivariance(rep, "morita:VU", isos["VU"], sqVU, V.bimodule,
@@ -1013,10 +1012,9 @@ def verify_morita_data(D1, D2, X, Y, U, V, isos):
     # collapsed Hopf isomorphisms: U = H2 and V = H1 as right modules and
     # right comodules
     for name, W, D in (("U", U, D2), ("V", V, D1)):
-        iso, H, dim = isos[name + "collapse"], D.H.total, W.bimodule.dim
+        iso, H = isos[name + "collapse"], D.H.total
         tag = "morita:%s-collapse" % name
-        rep.require(iso.rows == H.dim and iso.cols == dim
-                    and rank(iso) == dim and dim == H.dim, tag + ":bijective")
+        _iso_check(rep, tag, iso, W.bimodule.dim, H.dim)
         for j in range(H.dim):
             rep.require(iso * W.bimodule.right_acts[j]
                         == H.right_mult_matrix(j) * iso,

@@ -142,7 +142,10 @@ class Mat:
                    self.field)
 
     def col(self, j):
-        """Column j as the shared dict {row: value} of its nonzeros."""
+        """Column j as the shared dict {row: value} of its nonzeros; an
+        index outside range(cols) raises ShapeMismatch."""
+        if not 0 <= j < self.cols:
+            raise ShapeMismatch("column %r outside %d" % (j, self.cols))
         return self.sparse_cols()[j]
 
     # -- arithmetic, column by column -------------------------------------
@@ -250,13 +253,16 @@ def _columns(M):
 def kron_cols(A, B, M):
     """The columns of kron(A, B) * M as dicts {row: value}, built from the
     nonzeros of A, B and M without forming the Kronecker product.  M is a
-    Mat or a list of dict columns."""
+    Mat or a list of dict columns; a row index of M outside
+    range(A.cols * B.cols) raises ShapeMismatch."""
     acols, bcols = _columns(A), _columns(B)
-    zero = A.field.zero
+    zero, n = A.field.zero, A.cols * B.cols
     out = []
     for col in _columns(M):
         acc = {}
         for kl, v in col.items():
+            if not 0 <= kl < n:
+                raise ShapeMismatch("row %r of M outside %d" % (kl, n))
             k, l = divmod(kl, B.cols)
             bl = bcols[l].items()
             for i, a in acols[k].items():

@@ -1,7 +1,7 @@
 """Instance constructors: finite groupoids and their two algebras, weak
 Hopf algebras, smash products over noncommutative bases, coupled pairs from
 characters, twisted group algebras, classical covering instances from free
-group actions, and the brute-force automorphism computation.
+group actions, and the automorphisms of Theorem 1.
 
 Every constructor returns data that the checkers in hopfalgebroid / galois
 accept verbatim; the test suite runs the full axiom suites on all of them.
@@ -40,10 +40,6 @@ class NotACharacter(ValueError):
 
 
 class NotCommutative(ValueError):
-    pass
-
-
-class SizeLimit(ValueError):
     pass
 
 
@@ -181,17 +177,15 @@ class FiniteGroupoid:
 
 
 def group_groupoid(table):
-    """One-object groupoid with morphisms a group."""
-    e, inv = check_group_table(table)
-    n = len(table)
-    compose = {(f, g): table[f][g] for f in range(n) for g in range(n)}
-    return FiniteGroupoid([0], [0] * n, [0] * n, compose, [e], inv)
+    """One-object groupoid with morphisms a group: the action groupoid of
+    the group on one point."""
+    return action_groupoid(table, [[0]] * len(table))
 
 
 def discrete_groupoid(n):
-    compose = {(x, x): x for x in range(n)}
-    return FiniteGroupoid(list(range(n)), list(range(n)), list(range(n)),
-                          compose, list(range(n)), list(range(n)))
+    """n objects and their units alone: the action groupoid of the trivial
+    group on n points."""
+    return action_groupoid(trivial_table(), [list(range(n))])
 
 
 def indiscrete_groupoid(n):
@@ -953,40 +947,24 @@ def nontransitive_control_instance(field=QQ):
 
 
 # ---------------------------------------------------------------------------
-# brute-force automorphisms of the forgetful functor
+# automorphisms of the forgetful functor
 
 def theorem1_automorphisms(table):
-    """Exhaustive search for the bijections of the regular G-set commuting
-    with every equivariant self-map (the right multiplications).  Returns
-    the resulting permutation group with a witness isomorphism from G."""
-    e, inv_g = check_group_table(table)
+    """The bijections of the regular G-set commuting with every
+    equivariant self-map (the right multiplications), in lexicographic
+    order.  Such a perm satisfies perm(h) = perm(e h) = perm(e) h, so it is
+    the left translation by perm(e): the n rows of the table are the only
+    candidates.  Returns the resulting permutation group with a witness
+    isomorphism from G."""
+    check_group_table(table)
     n = len(table)
-    if n > 8:
-        raise SizeLimit("exhaustive search limited to |G| <= 8")
-    found = []
-    for perm in itertools.permutations(range(n)):
-        ok = True
-        for h in range(n):
-            for x in range(n):
-                if perm[table[x][h]] != table[perm[x]][h]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            found.append(perm)
+    found = sorted(perm for perm in map(tuple, table)
+                   if all(perm[table[x][h]] == table[perm[x]][h]
+                          for h in range(n) for x in range(n)))
     index = {p: i for i, p in enumerate(found)}
-    group_table = []
-    for p in found:
-        row = []
-        for q in found:
-            comp = tuple(p[q[x]] for x in range(n))
-            row.append(index[comp])
-        group_table.append(row)
-    witness = []
-    for g in range(n):
-        lam = tuple(table[g][x] for x in range(n))
-        witness.append(index[lam])
+    group_table = [[index[tuple(p[x] for x in q)] for q in found]
+                   for p in found]
+    witness = [index[tuple(row)] for row in table]
     return {"table": group_table, "perms": found, "witness": witness}
 
 

@@ -20,6 +20,7 @@ from halab.galois import (check_covering, check_gal_factorization,
                           galois_maps, validate_cocycle, crossed_product,
                           regular_comodule, ComoduleAlgebraData)
 from halab.zoo import (cyclic_table, klein_table, s3_table,
+                       direct_product_table,
                        indiscrete_groupoid, function_algebroid,
                        reconstruct_groupoid, group_hopf_algebra,
                        regular_gset, disjoint_union_gset,
@@ -137,8 +138,11 @@ def test_criterion_08_twisted_plane_numerology():
 
 
 def test_criterion_09_regular_automorphisms_recover_the_group():
+    # the last three are above the old exhaustive search's |G| <= 8 cap
     for table in (cyclic_table(2), cyclic_table(3), klein_table(),
-                  s3_table()):
+                  s3_table(), cyclic_table(12),
+                  direct_product_table(s3_table(), cyclic_table(2)),
+                  direct_product_table(cyclic_table(4), cyclic_table(4))):
         n = len(table)
         out = theorem1_automorphisms(table)
         assert len(out["perms"]) == n

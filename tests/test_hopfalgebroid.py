@@ -62,6 +62,39 @@ class TestBialgebroid:
         B = monoid_bialgebra(and_monoid_table(), 1)
         assert check_bialgebroid(B).ok
 
+    @pytest.mark.parametrize("ctor, which, entries", [
+        (groupoid_algebra, "tL", [
+            ("left:tgt:unit", None),
+            ("left:tgt:antimultiplicative", (1, 0)),
+            ("left:commuting-images", (0, 0)),
+            ("left:commuting-images", (1, 0)),
+            ("left:counit-bimodule", (0, 2, 0)),
+            ("left:counit-bimodule", (0, 3, 0)),
+            ("left:takeuchi", (2,))]),
+        (groupoid_algebra, "tR", [
+            ("right:tgt:unit", None),
+            ("right:tgt:antimultiplicative", (1, 0)),
+            ("right:commuting-images", (0, 0)),
+            ("right:commuting-images", (1, 0)),
+            ("right:counit", (0, 1)),
+            ("right:counit", (2, 1)),
+            ("right:counit-bimodule", (0, 0, 0)),
+            ("right:counit-bimodule", (0, 2, 0)),
+            ("right:takeuchi", (2,))]),
+        (function_algebroid, "tL", [
+            ("left:tgt:unit", None),
+            ("left:tgt:antimultiplicative", (0, 1)),
+            ("left:tgt:antimultiplicative", (1, 0))]),
+    ], ids=["algebra-left", "algebra-right", "functions-left"])
+    def test_a_broken_target_map_is_pinned(self, ctor, which, entries):
+        """t[1][0] + 1 on indiscrete2: the entries (tag, indices, order)
+        recorded when the target map had its own antimorphism check; it
+        is now a morphism into opposite(H)."""
+        Hd = remut(ctor(indiscrete_groupoid(2)), which, 1, 0, QQ.one)
+        B = Hd.leftb if which == "tL" else Hd.rightb
+        assert [(e["tag"], e["indices"])
+                for e in check_bialgebroid(B).entries] == entries
+
 
 class TestAntipode:
     def test_kz3_antipode_is_inversion(self):

@@ -11,7 +11,8 @@ floating point, true division appears only in fields.py,
 torus.recompose and torus.chi_product accumulate into supports in place
 instead of multiplying and adding elements, and the JSON document format
 (its readers and writers, json.load and open) lives in cli.py alone, which
-no other module imports."""
+no other module imports.  Every top-level definition in the sources is
+referenced by name somewhere in src/, tests/ or bench/."""
 
 import ast
 from pathlib import Path
@@ -21,6 +22,7 @@ import pytest
 import halab.linalg
 
 SRC = Path(halab.linalg.__file__).parent
+REPO = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -453,3 +455,44 @@ def test_one_document_module(path):
                                             filename=str(path)))
     assert path.name == "cli.py" or not found, (
         "%s knows the document format at %s" % (path.name, found))
+
+
+def _unreferenced(defining, referencing):
+    """(file, name) of every top-level def or class of the (file, tree)
+    pairs in defining whose name no Name, Attribute or import alias of
+    the trees in referencing carries."""
+    refs = set()
+    for tree in referencing:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name.split(".")[-1])
+    return sorted((name, node.name) for name, tree in defining
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                  and node.name not in refs)
+
+
+def test_unreferenced_definitions_are_found():
+    defs = ast.parse("class SizeLimit(ValueError):\n    pass\n"
+                     "def used(): pass\ndef called(): pass\n"
+                     "def imported(): pass\ndef dead(): used()\n")
+    refs = ast.parse("zoo.called()\nfrom halab.zoo import imported\n")
+    assert _unreferenced([("zoo.py", defs)], [defs, refs]) == [
+        ("zoo.py", "SizeLimit"), ("zoo.py", "dead")]
+
+
+def test_every_definition_is_referenced():
+    """No top-level def or class in the sources is a leftover: each is
+    referenced by name in src/, tests/ or bench/, so a removed special
+    case leaves no exception class or helper behind."""
+    sources = [(path.name, ast.parse(path.read_text(), filename=str(path)))
+               for path in sorted(SRC.glob("*.py"))]
+    others = [ast.parse(path.read_text(), filename=str(path))
+              for folder in (REPO / "tests", REPO / "bench")
+              for path in sorted(folder.rglob("*.py"))]
+    dead = _unreferenced(sources, [tree for _, tree in sources] + others)
+    assert not dead, "definitions referenced nowhere: %s" % dead

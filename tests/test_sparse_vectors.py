@@ -223,3 +223,18 @@ def test_a_negative_index_is_a_shape_mismatch():
         with pytest.raises(ShapeMismatch):
             call()
     assert A.mul_vec({}, {}) == {} and pair_mul(A, A, {}, {0: 1}) == {}
+
+
+def test_kron_cols_and_col_reject_an_index_outside_the_shape():
+    """A negative row index of M would wrap in kron_cols' column lists and
+    a negative j in Mat.col; both raise ShapeMismatch, and so does an
+    index past the end."""
+    from halab.linalg import ShapeMismatch
+    I2 = Mat.identity(2, QQ)
+    for call in (lambda: kron_cols(I2, I2, [{-1: 1}]),
+                 lambda: kron_cols(I2, I2, [{0: 1}, {4: 1}]),
+                 lambda: I2.col(-1),
+                 lambda: I2.col(2)):
+        with pytest.raises(ShapeMismatch):
+            call()
+    assert kron_cols(I2, I2, [{3: 1}]) == [{3: 1}] and I2.col(1) == {1: 1}

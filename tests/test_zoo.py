@@ -1,9 +1,13 @@
+import hashlib
+import json
+
 import pytest
 
 from halab.fields import QQ, CyclotomicField
 from halab.linalg import Mat, rank
 from halab.algebra import (group_algebra, product_field_algebra,
-                           validate_algebra, center, wedderburn_shape)
+                           validate_algebra, center, wedderburn_shape,
+                           NotAGroup)
 from halab.hopfalgebroid import check_hopf_algebroid, check_bialgebroid
 from halab.zoo import (FiniteGroupoid, InvalidGroupoid, NotAnAction, NotFree,
                        NotACharacter, GSet, cyclic_table, klein_table,
@@ -19,7 +23,7 @@ from halab.zoo import (FiniteGroupoid, InvalidGroupoid, NotAnAction, NotFree,
                        nontransitive_control_instance,
                        theorem1_automorphisms, example7_extract)
 
-from conftest import groupoid_corpus
+from conftest import groupoid_corpus, group_tables
 
 
 def same_groupoid(G1, G2):
@@ -42,6 +46,27 @@ class TestGroupoids:
     def test_indiscrete_counts(self):
         G = indiscrete_groupoid(3)
         assert (G.n_objects, G.n_morphisms) == (3, 9)
+
+    def test_group_and_discrete_groupoids_are_pinned(self):
+        """group_groupoid and discrete_groupoid are action groupoids (on one
+        point, and of the trivial group); their fields, the insertion order
+        of compose included, are those of the constructors they replaced."""
+        def fields(G):
+            return (G.objects, G.src, G.tgt, list(G.compose.items()),
+                    G.units, G.inv)
+        assert fields(group_groupoid(cyclic_table(3))) == (
+            [0], [0, 0, 0], [0, 0, 0],
+            [((0, 0), 0), ((0, 1), 1), ((0, 2), 2), ((1, 0), 1),
+             ((1, 1), 2), ((1, 2), 0), ((2, 0), 2), ((2, 1), 0),
+             ((2, 2), 1)], [0], [0, 2, 1])
+        assert fields(discrete_groupoid(3)) == (
+            [0, 1, 2], [0, 1, 2], [0, 1, 2],
+            [((0, 0), 0), ((1, 1), 1), ((2, 2), 2)], [0, 1, 2], [0, 1, 2])
+        assert fields(discrete_groupoid(0)) == ([], [], [], [], [], [])
+
+    def test_a_bad_table_is_not_a_group(self):
+        with pytest.raises(NotAGroup):
+            group_groupoid([[0, 0], [0, 1]])
 
 
 class TestGSets:
@@ -203,3 +228,24 @@ def test_theorem1_small_groups():
     out = theorem1_automorphisms(cyclic_table(2))
     assert len(out["perms"]) == 2
     assert out["witness"] == [0, 1] or len(set(out["witness"])) == 2
+
+
+# sha256 prefixes of json.dumps(theorem1_automorphisms(table),
+# sort_keys=True) for the corpus tables of order <= 8, recorded with the
+# exhaustive search over all n! permutations of the regular G-set
+THEOREM1_PINS = {
+    "Z2": "603231e4be58c24b", "Z3": "fbcb201634122657",
+    "Z4": "4499bf3f899dd0cb", "Z5": "0e78f6827f424ccd",
+    "Z6": "f952cde85211257f", "Klein": "44ba878eba724dcf",
+    "S3": "18357188c50bd236", "Z2xZ4": "b7bd56225b631b45",
+}
+
+
+def test_theorem1_equals_the_exhaustive_search():
+    small = {name: table for name, table in group_tables()
+             if len(table) <= 8}
+    assert sorted(small) == sorted(THEOREM1_PINS)
+    for name, table in small.items():
+        text = json.dumps(theorem1_automorphisms(table), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] \
+            == THEOREM1_PINS[name], name
