@@ -12,15 +12,19 @@ compare.
 
 Phi_N is monic with integer coefficients, so z^t mod Phi_N has integer
 coefficients for every t.  Each field tabulates once, when it is built,
-one power table, z^t mod Phi_N for t < N.  A product is an integer
-convolution folded through its rows for d <= t <= 2d-2, followed by one
-gcd.  zeta(k) is a lookup of a cached Root, which carries the rows
-z^(i+k) for i < d: x * zeta^k is the signed sum of those rows over x's
-numerators, over x's own denominator.  It needs no gcd, since zeta^k is a
-unit of Z[zeta] and multiplying by it maps the lattice Z^d of numerators
-onto itself, so their gcd, and with it lowest terms, is kept.  No
-Fraction is created and no polynomial is divided on the way; only
-inverse runs extended Euclid.
+one power table, z^t mod Phi_N for t < N.  Every general product is one
+kernel, field.times(x, y, k) = x * y * zeta^k with k reduced mod N: each
+x_i * y_j lands at z^(i+j+k) of one integer convolution, every entry at
+or above z^d is folded through its row of the table, and one gcd puts the
+result in lowest terms; x * y is times(x, y, 0).  Over Q the roots of
+unity are +-1, so QQ.times(x, y, k) is x * y * (-1)^k.  zeta(k) is a
+lookup of a cached Root, which carries the rows z^(i+k) for i < d:
+x * zeta^k alone is the signed sum of those rows over x's numerators,
+over x's own denominator.  It needs no gcd, since zeta^k is a unit of
+Z[zeta] and multiplying by it maps the lattice Z^d of numerators onto
+itself, so their gcd, and with it lowest terms, is kept.  No Fraction is
+created and no polynomial is divided on the way; only inverse runs
+extended Euclid.
 
 The ground field is fixed per document: arithmetic that mixes scalars of
 different cyclotomic orders raises FieldMismatch instead of
@@ -86,10 +90,18 @@ class RationalField:
     def format(self, x):
         return str(x)
 
+    def times(self, x, y, k=0):
+        """x * y * (-1)^k: the roots of unity in Q are +-1, so this is
+        the kernel of CyclotomicField.times at N <= 2."""
+        p = x * y
+        return -p if k & 1 else p
+
     def random(self, rng, span=9):
-        num = rng.randint(-span, span)
-        den = rng.randint(1, span)
-        return _rational(Fraction(num, den))
+        # rng.choice(range(a, b + 1)) makes the one draw rng.randint(a, b)
+        # makes, with less work around it
+        num = rng.choice(range(-span, span + 1))
+        den = rng.choice(range(1, span + 1))
+        return num // den if num % den == 0 else Fraction(num, den)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -141,7 +153,11 @@ class CyclotomicField:
             table.append(tuple(v))
             v = _times_z(v, top)
         rows = [[(i, c) for i, c in enumerate(t) if c] for t in table] * 2
-        self._fold = [(k, rows[k % N]) for k in range(d, 2 * d - 1)]
+        # for each k < N, the (t, row of z^t) that times(x, y, k) folds:
+        # the powers d <= t <= 2d-2+k its convolution reaches
+        self._folds = [[(t, rows[t % N]) for t in range(max(d, k),
+                                                         2 * d - 1 + k)]
+                       for k in range(N)]
         self._tail = (0,) * (d - 1)
         self._zeta = [Root(self, t, rows[k:k + d])
                       for k, t in enumerate(table)]
@@ -165,6 +181,40 @@ class CyclotomicField:
     def zeta(self, k=1):
         """zeta_N^k reduced mod Phi_N (a shared, immutable element)."""
         return self._zeta[k % self.order]
+
+    def times(self, x, y, k=0):
+        """x * y * zeta^k in one integer convolution: with k reduced mod
+        N, each x_i * y_j lands at z^(i+j+k), every entry at or above z^d
+        is folded through its row of the power table, and one gcd gives
+        lowest terms.  x and y are elements of this field or ints or
+        Fractions."""
+        if x.__class__ is not Cyc or x.field is not self:
+            x = self._operand(x)
+        if y.__class__ is not Cyc or y.field is not self:
+            y = self._operand(y)
+        d = self.degree
+        k %= self.order
+        out = [0] * (2 * d - 1 + k)
+        ynum = y.num
+        for i, a in enumerate(x.num):
+            if a:
+                for t, b in enumerate(ynum, i + k):
+                    if b:
+                        out[t] += a * b
+        for t, row in self._folds[k]:
+            c = out[t]
+            if c:
+                for i, r in row:
+                    out[i] += c * r
+        return _canon(self, tuple(out[:d]), x.den * y.den)
+
+    def _operand(self, x):
+        """x as an element of this field: a Cyc of it is kept, an int or
+        Fraction embedded; a Cyc of another order raises FieldMismatch."""
+        o = self.zero._coerce(x)
+        if o is None:
+            raise TypeError("not a scalar of %r: %r" % (self, x))
+        return o
 
     def _from_fractions(self, cs):
         """The element with power-basis coefficients cs (reduced Fractions
@@ -217,9 +267,14 @@ class CyclotomicField:
         return " + ".join(parts) if parts else "0"
 
     def random(self, rng, span=4):
-        return self._from_fractions([
-            Fraction(rng.randint(-span, span), rng.randint(1, 3))
-            for _ in range(self.degree)])
+        # coefficient i is a_i / b_i, drawn as rng.randint(-span, span)
+        # and rng.randint(1, 3) draw them: numerators a_i * (L // b_i)
+        # over L = lcm of the b_i, then lowest terms
+        nums, dens = range(-span, span + 1), range(1, 4)
+        draws = [(rng.choice(nums), rng.choice(dens))
+                 for _ in range(self.degree)]
+        den = lcm(*(b for _, b in draws))
+        return _canon(self, tuple(a * (den // b) for a, b in draws), den)
 
     def __repr__(self):
         return "Q(zeta_%d)" % self.order
@@ -382,20 +437,7 @@ class Cyc:
             o = self._coerce(other)
             if o is None:
                 return NotImplemented
-        field = self.field
-        d = field.degree
-        out = [0] * (2 * d - 1)
-        nz = [(j, y) for j, y in enumerate(o.num) if y]
-        for i, x in enumerate(self.num):
-            if x:
-                for j, y in nz:
-                    out[i + j] += x * y
-        for k, row in field._fold:
-            c = out[k]
-            if c:
-                for i, r in row:
-                    out[i] += c * r
-        return _canon(field, tuple(out[:d]), self.den * o.den)
+        return self.field.times(self, o, 0)
 
     __rmul__ = __mul__
 

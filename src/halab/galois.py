@@ -250,9 +250,10 @@ def phi_map(D):
     return Phi, Psi
 
 
-def galois_maps(D):
-    """gal_R: a (x)_A b -> a b^[0] (x)_R b^[1] and
-    gal_L: a (x)_A b -> a_[0] b (x)_L a_[1], with bijectivity flags."""
+def _galois_pair(D):
+    """(gal_R, gal_L): gal_R: a (x)_A b -> a b^[0] (x)_R b^[1] and
+    gal_L: a (x)_A b -> a_[0] b (x)_L a_[1], on the quotient
+    coordinates."""
     H = D.H.total
     B = D.B
     field = D.field
@@ -270,14 +271,19 @@ def galois_maps(D):
         Rb = B.right_mult_matrix(b)
         for a, v in enumerate(kron_cols(Rb, I_H, D.rhoL_lift)):
             lift_L[a * dB + b] = v
-    galR = sqR.apply([lift_R[c] for c in sqAA.index])
-    galL = sqL.apply([lift_L[c] for c in sqAA.index])
-    rkR, rkL = rank(galR), rank(galL)
+    return (sqR.apply([lift_R[c] for c in sqAA.index]),
+            sqL.apply([lift_L[c] for c in sqAA.index]))
+
+
+def galois_maps(D):
+    """The two Galois maps of _galois_pair with their bijectivity flags:
+    each map is square (B (x)_A B onto B (x) H) and of full rank."""
+    galR, galL = _galois_pair(D)
     return {
         "galR": galR,
         "galL": galL,
-        "galR_bijective": sqAA.dim == sqR.dim and rkR == sqAA.dim,
-        "galL_bijective": sqAA.dim == sqL.dim and rkL == sqAA.dim,
+        "galR_bijective": galR.rows == galR.cols == rank(galR),
+        "galL_bijective": galL.rows == galL.cols == rank(galL),
     }
 
 
@@ -291,8 +297,8 @@ def check_gal_factorization(D):
                 "galois:phi-inverse", note="Phi . Psi != id")
     rep.require(Psi * Phi == Mat.identity(sqR.dim, D.field),
                 "galois:phi-inverse", note="Psi . Phi != id")
-    g = galois_maps(D)
-    rep.require(g["galL"] == Phi * g["galR"], "galois:factorization")
+    galR, galL = _galois_pair(D)
+    rep.require(galL == Phi * galR, "galois:factorization")
     return rep
 
 
@@ -748,23 +754,21 @@ def check_composition(D1, D, D2, phi, psi, f1=None, f=None):
     rep.require(rank(phi) == phi.cols, "composition:phi-injective")
     rep.require(rank(psi) == psi.rows, "composition:psi-surjective")
     I_B2 = Mat.identity(D.B.dim, field)
-    g1 = galois_maps(D1)
-    g = galois_maps(D)
-    g2 = galois_maps(D2)
+    # each covering's Galois maps, keyed by side
+    g1, g, g2 = (dict(zip("RL", _galois_pair(E))) for E in (D1, D, D2))
     Q1AA, QAA, Q2AA = D1.tensorAA(), D.tensorAA(), D2.tensorAA()
     for side in ("R", "L"):
         Q1BH = D1.tensorRH() if side == "R" else D1.tensorLH()
         QBH = D.tensorRH() if side == "R" else D.tensorLH()
         Q2BH = D2.tensorRH() if side == "R" else D2.tensorLH()
-        key = "gal%s" % side
         # (i): (iota x phi) gal_1 = gal (iota x iota)
-        lhs = QBH.apply(kron_cols(iota, phi, Q1BH.section_cols)) * g1[key]
-        rhs = g[key] * QAA.apply(kron_cols(iota, iota, Q1AA.section_cols))
+        lhs = QBH.apply(kron_cols(iota, phi, Q1BH.section_cols)) * g1[side]
+        rhs = g[side] * QAA.apply(kron_cols(iota, iota, Q1AA.section_cols))
         rep.require(lhs == rhs, "composition:(i):%s" % side)
         # (ii): (id x psi) gal = gal_2 surj
         surj = Q2AA.apply(QAA.section_cols)
-        lhs = Q2BH.apply(kron_cols(I_B2, psi, QBH.section_cols)) * g[key]
-        rhs = g2[key] * surj
+        lhs = Q2BH.apply(kron_cols(I_B2, psi, QBH.section_cols)) * g[side]
+        rhs = g2[side] * surj
         rep.require(lhs == rhs, "composition:(ii):%s" % side)
     hopf_chain = (D1.H.rightb.base.dim == 1 and D2.H.rightb.base.dim == 1
                   and _bialgebroids_coincide(D1.H)

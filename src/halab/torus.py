@@ -58,14 +58,23 @@ class QTElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.support)
+        out = QTElement(self.n, self.m)
+        support = out.support = dict(self.support)
         for key, c in other.support.items():
-            out[key] = out.get(key, self.field.zero) + c
-        return QTElement(self.n, self.m, out)
+            old = support.get(key)
+            val = c if old is None else old + c
+            if val:
+                support[key] = val
+            elif old is not None:
+                del support[key]
+        return out
 
     def scale(self, c):
-        return QTElement(self.n, self.m,
-                         {k: c * v for k, v in self.support.items()})
+        # a product of nonzero field elements is nonzero: nothing to filter
+        out = QTElement(self.n, self.m)
+        if c:
+            out.support = {k: c * v for k, v in self.support.items()}
+        return out
 
     def __eq__(self, other):
         if not isinstance(other, QTElement):
@@ -101,12 +110,10 @@ def qt_mul(f, g):
     out = QTElement(f.n, f.m)
     support = out.support
     N = f.n * f.m
+    times = f.field.times
     for (a, b), cf in f.support.items():
         for (c, e), cg in g.support.items():
-            term = cf * cg
-            k = (-b * c) % N
-            if k:
-                term = term * _power(f, k)
+            term = times(cf, cg, (-b * c) % N)
             key = (a + c, b + e)
             old = support.get(key)
             val = term if old is None else old + term
@@ -201,6 +208,7 @@ def chi_product(d1, d2):
                 raise NotInA("V-exponent %d not divisible by %d"
                              % (e, base.n))
     N = base.n * base.m
+    times = base.field.times
     comps = [QTElement(base.n, base.m) for _ in range(n)]
     for i, a in enumerate(d1.components):
         for j, b in enumerate(d2.components):
@@ -208,10 +216,7 @@ def chi_product(d1, d2):
             carry = n if i + j >= n else 0
             for (x, v), c1 in a.support.items():
                 for (y, e), c2 in b.support.items():
-                    term = c1 * c2
-                    k = (-(v + i) * y) % N
-                    if k:
-                        term = term * _power(base, k)
+                    term = times(c1, c2, (-(v + i) * y) % N)
                     key = (x + y, v + e + carry)
                     old = support.get(key)
                     val = term if old is None else old + term
@@ -233,14 +238,22 @@ def omega_matrix(n, k):
 
 
 def random_qt(n, m, rng, radius=6, terms=4):
+    """The sum of terms seeded terms c U^a V^b with |a|, |b| <= radius,
+    drawn as a, b, then c = field.random(rng); a key drawn again adds to
+    its coefficient."""
     el = QTElement(n, m)
+    support, sample = el.support, el.field.random
+    span = range(-radius, radius + 1)
     for _ in range(terms):
-        a = rng.randint(-radius, radius)
-        b = rng.randint(-radius, radius)
-        c = el.field.random(rng)
+        key = (rng.choice(span), rng.choice(span))
+        c = sample(rng)
         if c:
-            el.support[(a, b)] = el.support.get((a, b), el.field.zero) + c
-    el.support = {k: v for k, v in el.support.items() if v}
+            old = support.get(key)
+            val = c if old is None else old + c
+            if val:
+                support[key] = val
+            else:
+                del support[key]
     return el
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -420,3 +421,104 @@ def test_zero_denominator_is_a_value_error(field):
 def test_rational_zero_and_one_are_shared():
     assert QQ.zero is QQ.zero and QQ.one is QQ.one
     assert (QQ.zero, QQ.one) == (0, 1)
+
+
+# ---------------------------------------------------------------------------
+# the product kernel field.times(x, y, k) = x * y * zeta^k
+
+@pytest.mark.parametrize("N", DIFF_ORDERS)
+def test_times_matches_reference(N):
+    """F.times(x, y, k), for every k in [0, N), equals the reference
+    x * y * zeta^k in lowest terms, for zero, int, Fraction, Cyc and Root
+    operands on either side; k is read mod N."""
+    F = CyclotomicField(N)
+    rng = random.Random(7 * N)
+    operands = [(c, _ref_const(c, N)) for c in (0, 3, -2, Fraction(-5, 6))]
+    operands += [(F.zero, _ref_const(0, N))]
+    for _ in range(4):
+        cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+              for _ in range(F.degree)]
+        operands.append((_element(F, cs), tuple(cs)))
+    operands += [(F.zeta(j), _ref_root(j, N)) for j in range(N)]
+    for k in range(N):
+        rz = _ref_root(k, N)
+        for x, rx in operands:
+            for y, ry in operands:
+                got = F.times(x, y, k)
+                _agrees(got, _ref_mul(_ref_mul(rx, ry, N), rz, N))
+                assert F.times(x, y, k - N) == got
+                assert F.times(x, y, k + 2 * N) == got
+
+
+def test_times_over_q_is_a_sign():
+    """Q's roots of unity are +-1: QQ.times(x, y, k) is x * y * (-1)^k."""
+    xs = (0, 1, -3, 7, Fraction(2, 3), Fraction(-5, 4))
+    for x in xs:
+        for y in xs:
+            for k in (0, 1):
+                got = QQ.times(x, y, k)
+                assert got == x * y * (-1) ** k
+                assert type(got) is type(x * y)
+
+
+@given(field_case())
+def test_cyc_product_is_times_at_zero(case):
+    """x * y is the kernel at k = 0: the same numerators and denominator
+    as F.times(x, y, 0), also with int and Fraction operands."""
+    N, xs, ys, r = case
+    F = CyclotomicField(N)
+    x, y = _element(F, xs), _element(F, ys)
+    for a, b in ((x, y), (y, x), (x, r), (r, x), (x, F.zeta(1))):
+        got, want = a * b, F.times(a, b, 0)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_times_checks_its_operands():
+    F = CyclotomicField(4)
+    with pytest.raises(fields.FieldMismatch):
+        F.times(CyclotomicField(3).zeta(1), F.one, 1)
+    with pytest.raises(fields.FieldMismatch):
+        F.times(F.one, CyclotomicField(8).zeta(1), 0)
+    with pytest.raises(TypeError):
+        F.times(F.one, "z", 0)
+
+
+# ---------------------------------------------------------------------------
+# the samplers' streams
+
+def _stream_digest(values, rng):
+    """sha256 prefix of the sampled values, as (type, numerators,
+    denominator), and of the generator's state after drawing them."""
+    canon = [("Cyc", x.num, x.den) if isinstance(x, Cyc)
+             else (type(x).__name__, x.numerator, x.denominator)
+             for x in values]
+    text = repr((canon, rng.getstate()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# recorded from the Fraction-based samplers that drew with rng.randint:
+# 60 draws of QQ.random and 30 of CyclotomicField(N).random per seed 0-4,
+# keyed by degree (the sampler reads N only through it)
+SAMPLER_DIGESTS = {
+    "Q": ["558bb371aac72e0a", "7d7062b5b98b94d3", "0000205c81b91507",
+          "9dacf75ef887e00c", "9d6f4ece01f9a231"],
+    2: ["66b2aaf44350a010", "9b8a7883158d9c2e", "f8bdebe9868e5f68",
+        "3d52809b21eed351", "6d6dc3b1d2e51bdc"],
+    4: ["15717b4a70dc3b8a", "e8524d12db384b1c", "9c7d45adc32a1e8f",
+        "38b402c37e59432b", "ea41ad1d84992926"],
+}
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_samplers_keep_their_streams(seed):
+    """The samplers draw exactly what they drew before and return the
+    same values: a seeded run of any sampler sees the same inputs."""
+    rng = random.Random(seed)
+    assert _stream_digest([QQ.random(rng) for _ in range(60)], rng) \
+        == SAMPLER_DIGESTS["Q"][seed]
+    for N in (3, 4, 5, 8, 12):
+        F, rng = CyclotomicField(N), random.Random(seed)
+        values = [F.random(rng) for _ in range(30)]
+        assert _stream_digest(values, rng) == SAMPLER_DIGESTS[F.degree][seed]
+        for x in values:
+            assert x.den > 0 and gcd(x.den, *x.num) == 1

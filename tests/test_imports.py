@@ -9,7 +9,9 @@ kron_cols), vectors have one form (dicts of their nonzeros: no dense
 list-or-dict helper), no Mat's .data is ever written, no module uses
 floating point, true division appears only in fields.py,
 torus.recompose and torus.chi_product accumulate into supports in place
-instead of multiplying and adding elements, and the JSON document format
+instead of multiplying and adding elements, the torus products and
+Cyc.__mul__ share one scalar convolution (CyclotomicField.times), and the
+JSON document format
 (its readers and writers, json.load and open) lives in cli.py alone, which
 no other module imports.  Every top-level definition in the sources is
 referenced by name somewhere in src/, tests/ or bench/."""
@@ -318,12 +320,15 @@ def test_element_sums_are_found():
         [4], [7, 8], []]
 
 
+def _calls(func):
+    return {_call_name(node) for node in ast.walk(func)
+            if isinstance(node, ast.Call)}
+
+
 def _element_arithmetic(func):
     """The qt_mul, qt_monomial and L_operator calls of func, and the lines
     of its QTElement sums (_element_sums)."""
-    calls = {_call_name(node) for node in ast.walk(func)
-             if isinstance(node, ast.Call)}
-    return sorted(calls & {"qt_mul", "qt_monomial", "L_operator"}), \
+    return sorted(_calls(func) & {"qt_mul", "qt_monomial", "L_operator"}), \
         _element_sums(func)
 
 
@@ -363,6 +368,92 @@ def test_chi_product_accumulates_in_place():
     func = _function(ast.parse((SRC / "torus.py").read_text()),
                      "chi_product")
     assert _element_arithmetic(func) == ([], [])
+
+
+def test_torus_products_take_phases_in_the_kernel():
+    """qt_mul and chi_product multiply each term pair by one call of the
+    field's kernel times(x, y, k) = x * y * zeta^k: no phase q^k is looked
+    up with _power and multiplied in afterwards."""
+    tree = ast.parse((SRC / "torus.py").read_text())
+    for name in ("qt_mul", "chi_product"):
+        calls = _calls(_function(tree, name))
+        assert "_power" not in calls and "times" in calls, name
+
+
+def _convolutions(tree):
+    """The definitions (Class.method for a method) of tree that hold a
+    convolution loop: a for loop inside another, storing to a subscript
+    whose index reads a target of both loops.  An inner enumerate started
+    at an expression of the outer targets makes its index count as
+    both."""
+    def names(node):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    found = set()
+
+    def scan(func, where):
+        for outer in ast.walk(func):
+            if not isinstance(outer, ast.For):
+                continue
+            for inner in ast.walk(outer):
+                if inner is outer or not isinstance(inner, ast.For):
+                    continue
+                own, both = names(inner.target), names(outer.target)
+                it = inner.iter
+                if isinstance(it, ast.Call) and _call_name(it) == "enumerate" \
+                        and len(it.args) == 2 and names(it.args[1]) & both \
+                        and isinstance(inner.target, ast.Tuple):
+                    both |= names(inner.target.elts[0])
+                if any(isinstance(node, ast.Subscript)
+                       and isinstance(node.ctx, ast.Store)
+                       and names(node.slice) & own
+                       and names(node.slice) & both
+                       for node in ast.walk(inner)):
+                    found.add(where)
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, where + child.name + ".")
+            elif isinstance(child, ast.FunctionDef):
+                scan(child, where + child.name)
+                visit(child, where + child.name + ".")
+    visit(tree, "")
+    return found
+
+
+def test_convolutions_are_found():
+    """The product that the kernel replaced and the kernel's own loop are
+    convolutions; a root's row sum and a fold through rows are not."""
+    tree = ast.parse(
+        "class Cyc:\n"
+        "    def __mul__(self, o):\n"
+        "        nz = [(j, y) for j, y in enumerate(o.num) if y]\n"
+        "        for i, x in enumerate(self.num):\n"
+        "            for j, y in nz:\n"
+        "                out[i + j] += x * y\n"
+        "        for k, row in fold:\n"
+        "            for i, r in row:\n"
+        "                out[i] += out[k] * r\n"
+        "def times(x, y, k):\n"
+        "    for i, a in enumerate(x.num):\n"
+        "        for t, b in enumerate(y.num, i + k):\n"
+        "            out[t] += a * b\n"
+        "def row_sum(o, rows):\n"
+        "    for x, row in zip(o.num, rows):\n"
+        "        for j, c in row:\n"
+        "            out[j] += x * c\n")
+    assert _convolutions(tree) == {"Cyc.__mul__", "times"}
+
+
+def test_one_scalar_convolution():
+    """fields holds one convolution of integer numerators, the kernel
+    CyclotomicField.times that Cyc.__mul__ and the torus products share;
+    the others are the polynomial toolkit's, over a field's elements."""
+    found = _convolutions(ast.parse((SRC / "fields.py").read_text()))
+    assert {name for name in found if not name.startswith("_poly_")} \
+        == {"CyclotomicField.times"}
+    assert found - {"CyclotomicField.times"} == {"_poly_mul", "_poly_divmod"}
 
 
 def test_torus_verdicts_are_exact():

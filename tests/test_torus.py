@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -6,7 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halab.fields import QQ, CyclotomicField
+from halab.fields import QQ, CyclotomicField, Cyc
 from halab.linalg import Mat, det
 from halab.torus import (QTElement, qt_monomial, qt_one, qt_mul, decompose,
                          recompose, L_operator, chi_product, omega_matrix,
@@ -459,3 +460,83 @@ class TestGaloisDeterminant:
                                field.zero) if entry else field.zero
                            for entry in row] for row in g["matrix"]], field)
                 assert det(Mt) == d0 * t ** carries, (n, t)
+
+
+# ---------------------------------------------------------------------------
+# the sampler and the element sums
+
+def _sample_digest(elements, rng):
+    """sha256 prefix of the supports, as sorted (key, numerators,
+    denominator), and of the generator's state after drawing them.  An
+    element is its support as a dict: a key that cancels and is drawn
+    again may come back at another place in the dict's order."""
+    def scalar(c):
+        if isinstance(c, Cyc):
+            return ("Cyc", c.num, c.den)
+        return (type(c).__name__, c.numerator, c.denominator)
+    canon = [[(key, scalar(c)) for key, c in sorted(el.support.items())]
+             for el in elements]
+    text = repr((canon, rng.getstate()))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+# recorded from the sampler that drew with rng.randint and re-filtered its
+# support: 40 elements per (n, m) from random.Random(10 n + m), with the
+# defaults (radius 6, 4 terms) and with radius 1 and 8 terms, where keys
+# collide and cancel
+SAMPLE_DIGESTS = {
+    (1, 1): ("7c4ca2c8a226f619", "ca0693fb2a718dc4"),
+    (1, 2): ("3c883555964dc364", "dbb64fdfd9785eb2"),
+    (1, 3): ("575020a880b451b7", "02a91f5e4e9ec7ce"),
+    (2, 1): ("7436991916bffe1d", "97225263a51d2dad"),
+    (2, 2): ("c35e6e78c44f5fe2", "513f99d35366a8d9"),
+    (2, 3): ("9e0b0031e7babb40", "9ec927f6c1b8bcc0"),
+    (3, 1): ("7ea45ff1c71bf94e", "f96f86bce208b0e1"),
+    (3, 2): ("f23084383b855b3a", "ef4c104041bbc260"),
+    (3, 3): ("03b062239c7067d8", "90dc9b1407c359e5"),
+    (4, 1): ("0b3d4c8e0eb2b8d0", "fb05f1dc1e693738"),
+    (4, 2): ("1eef2eae881e914d", "6a4c696d7af177f1"),
+    (4, 3): ("7d1335f97f11363d", "36a5c9f5c232d726"),
+}
+
+
+@pytest.mark.parametrize("n, m", sorted(SAMPLE_DIGESTS))
+def test_random_qt_keeps_its_stream(n, m):
+    """random_qt draws what it drew before and builds the same elements,
+    with no zero coefficient in a support."""
+    for shape, want in zip(((6, 4), (1, 8)), SAMPLE_DIGESTS[n, m]):
+        rng = random.Random(10 * n + m)
+        els = [random_qt(n, m, rng, *shape) for _ in range(40)]
+        assert _sample_digest(els, rng) == want, shape
+        assert all(all(el.support.values()) for el in els)
+
+
+def _sum_reference(f, g):
+    """f + g as the filtering constructor builds it."""
+    out = dict(f.support)
+    for key, c in g.support.items():
+        out[key] = out.get(key, f.field.zero) + c
+    return QTElement(f.n, f.m, out)
+
+
+@pytest.mark.parametrize("n, m", [(2, 1), (1, 2), (3, 1), (4, 1), (2, 2),
+                                  (5, 1), (3, 4)])
+def test_sums_and_scales_build_the_filtered_support(n, m):
+    """f + g and f.scale(c) have the support, in the same order, that the
+    filtering constructor gives, also where terms cancel or c is zero."""
+    rng = random.Random(100 * n + m)
+    F = QTElement(n, m).field
+    for _ in range(30):
+        f, g = (random_qt(n, m, rng, rng.randint(0, 3), rng.randint(0, 6))
+                for _ in range(2))
+        c = F.random(rng)
+        for x, y in ((f, g), (g, f), (f, f.scale(-1)), (f, QTElement(n, m))):
+            got, want = x + y, _sum_reference(x, y)
+            assert list(got.support.items()) == list(want.support.items())
+            assert (got.n, got.m, got.field, got.q) \
+                == (want.n, want.m, want.field, want.q)
+        for s in (c, F.zero, F.one, 2):
+            got = f.scale(s)
+            want = QTElement(n, m, {k: s * v for k, v in f.support.items()})
+            assert list(got.support.items()) == list(want.support.items())
+    assert not (f + f.scale(-1)).support
