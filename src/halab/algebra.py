@@ -542,54 +542,69 @@ def minimal_polynomial(A, w, e, max_deg):
     raise RuntimeError("no minimal polynomial found (not an algebra element?)")
 
 
-def central_idempotents_split(A):
-    """Complete list of primitive orthogonal central idempotents, when all
-    needed minimal polynomials split into linear factors over the candidate
-    roots; raises NotSplit otherwise, carrying the pieces split so far and
-    the idempotents of the linear factors of the polynomial that failed."""
+def split_central_idempotent(A, zs, e):
+    """One split of the central idempotent e by the central elements zs
+    (a spanning list of the center): two or more orthogonal central
+    idempotents summing to e, or [] when e is primitive.  Raises NotSplit,
+    carrying the idempotents of the linear factors, when a minimal
+    polynomial does not split over the candidate roots."""
     field = A.field
+    ws = [A.mul_vec(e, z) for z in zs]
+    if rank(Mat.from_cols(ws, A.dim, field)) == 1:
+        return []    # e Z = k e: every e z is a scalar on e
+    for w in ws:
+        coeffs = minimal_polynomial(A, w, e, A.dim)
+        if len(coeffs) <= 2:
+            continue  # scalar action on this component
+        roots, rest = _split_linear(coeffs, field)
+        if len(rest) == 1 and len(roots) < 2:
+            continue
+        # CRT idempotents for each distinct root lam of multiplicity m:
+        # q = coeffs / (x - lam)^m times the inverse of q modulo
+        # (x - lam)^m, from extended Euclid
+        new = []
+        for lam, m in roots:
+            power = [field.one]
+            for _ in range(m):
+                power = _poly_mul(power, [-lam, field.one], field)
+            q = _poly_divmod(coeffs, power, field)[0]
+            g, inv, _ = _poly_ext_gcd(q, power, field)
+            proj = _poly_mul(q, [field.div(c, g[0]) for c in inv], field)
+            val = _poly_eval_alg(A, proj, w, e)
+            if val:
+                new.append(val)
+        if len(rest) > 1:
+            raise NotSplit("minimal polynomial does not split: %s"
+                           % (coeffs,), new)
+        if len(new) >= 2:
+            return new
+    return []
+
+
+def central_idempotents_split(A):
+    """Complete list of primitive orthogonal central idempotents, by
+    repeated split_central_idempotent from the unit, when all needed
+    minimal polynomials split; raises NotSplit otherwise, carrying the
+    pieces split so far and the idempotents of the linear factors of the
+    polynomial that failed."""
     Z = center(A)
+    zs = [Z.rows[p] for p in Z.pivots]
     # a component that splits is replaced by its pieces at the end of the
     # queue; one that no central element splits is final, so none is
     # examined twice
     pending, components = [A.unit], []
     while pending:
         e = pending.pop(0)
-        ws = [A.mul_vec(e, Z.rows[p]) for p in Z.pivots]
-        if rank(Mat.from_cols(ws, A.dim, field)) == 1:
-            components.append(e)    # e Z = k e: every e z is a scalar on e
-            continue
-        for w in ws:
-            coeffs = minimal_polynomial(A, w, e, A.dim)
-            if len(coeffs) <= 2:
-                continue  # scalar action on this component
-            roots, rest = _split_linear(coeffs, field)
-            if len(rest) == 1 and len(roots) < 2:
-                continue
-            # CRT idempotents for each distinct root lam of multiplicity m:
-            # q = coeffs / (x - lam)^m times the inverse of q modulo
-            # (x - lam)^m, from extended Euclid
-            new = []
-            for lam, m in roots:
-                power = [field.one]
-                for _ in range(m):
-                    power = _poly_mul(power, [-lam, field.one], field)
-                q = _poly_divmod(coeffs, power, field)[0]
-                g, inv, _ = _poly_ext_gcd(q, power, field)
-                proj = _poly_mul(q, [field.div(c, g[0]) for c in inv], field)
-                val = _poly_eval_alg(A, proj, w, e)
-                if val:
-                    new.append(val)
-            if len(rest) > 1:
-                # every piece is a nontrivial idempotent of A once the unit
-                # has split, and every root's lies strictly below e
-                pieces = components + [e] + pending
-                raise NotSplit("minimal polynomial does not split: %s"
-                               % (coeffs,),
-                               (pieces if len(pieces) > 1 else []) + new)
-            if len(new) >= 2:
-                pending.extend(new)
-                break
+        try:
+            new = split_central_idempotent(A, zs, e)
+        except NotSplit as exc:
+            # every piece is a nontrivial idempotent of A once the unit
+            # has split, and every root's lies strictly below e
+            pieces = components + [e] + pending
+            raise NotSplit(str(exc), (pieces if len(pieces) > 1 else [])
+                           + exc.idempotents) from None
+        if new:
+            pending.extend(new)
         else:
             components.append(e)
     return components

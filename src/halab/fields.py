@@ -225,11 +225,13 @@ class CyclotomicField:
 
     def parse(self, text):
         """Parse 'c0 + c1*z + c2*z^2' with rational coefficients."""
-        coeffs = [Fraction(0)] * self.degree
-        pos = 0
         text = text.strip()
+        if _INTEGER.fullmatch(text):        # ASCII only, as in QQ.parse
+            return Cyc(self, (int(text),) + self._tail, 1)
         if not text:
             raise ValueError("empty scalar literal")
+        coeffs = [Fraction(0)] * self.degree
+        pos = 0
         while pos < len(text):
             m = _TERM_RE.match(text, pos)
             if not m or m.end() == pos:

@@ -19,7 +19,7 @@ from .linalg import (Mat, kron_cols, leg_slices, rank, inverse, kernel,
                      _add_scaled)
 from .algebra import (FDAlgebra, ModuleOverA, is_projective, Inconclusive,
                       check_algebra_morphism, subalgebra_on_rows,
-                      central_idempotents_split, center, NotSplit)
+                      split_central_idempotent, center, NotSplit)
 from .bimod import tensor_over, pair_mul
 from .hopfalgebroid import check_algebraic_morphism, check_geometric_morphism
 from .reports import ViolationReport
@@ -338,8 +338,9 @@ def _bialgebroids_coincide(Hd):
 def check_covering(D):
     """Fills the covering flags: projectivity of H over its base through
     the source, bijectivity of both Galois maps, coinvariants equal to the
-    declared A, projectivity of B over A, central connectedness, and the
-    local/stratified/uniform classification."""
+    declared A, projectivity of B over A, central connectedness (the unit
+    of Z(B) does not split), and the local/stratified/uniform
+    classification."""
     H = D.H.total
     B = D.B
     R = D.H.rightb
@@ -358,12 +359,13 @@ def check_covering(D):
     actB = [B.right_mult_matrix(Aincl.col(a)) for a in range(Aalg.dim)]
     MB = ModuleOverA(Aalg, B.dim, actB, side="right")
     B_proj, _ = is_projective(MB)
-    # central connectedness: one primitive idempotent in the center; a
-    # failed split decides it only through a nontrivial idempotent found
+    # central connectedness: the unit of Z(B) does not split (Zalg is its
+    # own center); a failed split decides it only through an idempotent found
     Z = center(B)
     Zalg, _ = subalgebra_on_rows(B, Z)
     try:
-        connected = len(central_idempotents_split(Zalg)) == 1
+        connected = not split_central_idempotent(
+            Zalg, [Zalg.basis_vec(i) for i in range(Zalg.dim)], Zalg.unit)
     except NotSplit as exc:
         if not exc.idempotents:
             raise Inconclusive("central connectedness: %s" % exc) from None

@@ -13,6 +13,7 @@ from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
                            check_algebra_morphism, regular_module,
                            is_projective, center, jacobson_radical,
                            minimal_polynomial, central_idempotents_split,
+                           split_central_idempotent,
                            wedderburn_shape, ModuleOverA, NotAGroup, NotSplit)
 from halab.zoo import (cyclic_table, klein_table, s3_table, and_monoid_table,
                        groupoid_algebra, indiscrete_groupoid,
@@ -119,6 +120,24 @@ class TestStructureTheory:
         F3 = CyclotomicField(3)
         assert len(central_idempotents_split(
             group_algebra(cyclic_table(3), F3))) == 3
+
+    def test_one_split(self):
+        """One step splits e into orthogonal central idempotents summing to
+        e, and returns [] on a primitive one; the full decomposition is
+        the queue over this step."""
+        A = product_field_algebra(4)
+        zs = [A.basis_vec(i) for i in range(A.dim)]
+        pieces = split_central_idempotent(A, zs, A.unit)
+        assert len(pieces) >= 2
+        total = {}
+        for i, e in enumerate(pieces):
+            assert A.mul_vec(e, e) == e
+            assert all(not A.mul_vec(e, f) for f in pieces[i + 1:])
+            for k, c in e.items():
+                total[k] = total.get(k, 0) + c
+        assert {k: c for k, c in total.items() if c} == A.unit
+        for e in central_idempotents_split(A):
+            assert split_central_idempotent(A, zs, e) == []
 
     def test_minimal_polynomial(self):
         A = group_algebra(cyclic_table(3))

@@ -139,6 +139,24 @@ class TestCyclotomic:
         for text in ["1", "z", "-1*z", "1/2 + 3*z"]:
             assert F.parse(F.format(F.parse(text))) == F.parse(text)
 
+    @pytest.mark.parametrize("N", [1, 2, 3, 4, 5, 8, 12])
+    def test_integer_literal_agrees_with_the_term_path(self, N):
+        """An ASCII integer literal is read by one int(); a "+ 0*z" term
+        sends the same literal through the general term parser, which must
+        give the same num, den and type.  A non-ASCII digit is no integer
+        literal and takes the general path."""
+        F = CyclotomicField(N)
+        for text in ["0", "1", "-1", "+7", " 12 ", "007", "-0",
+                     "123456789012345678901234567890"]:
+            assert fields._INTEGER.fullmatch(text.strip())
+            got, want = F.parse(text), F.parse(text + " + 0*z")
+            assert type(got) is type(want) is Cyc
+            assert (got.num, got.den) == (want.num, want.den)
+            assert all(type(c) is int for c in got.num)
+        assert not fields._INTEGER.fullmatch("\u0663")
+        three = F.parse("\u0663")
+        assert (three.num, three.den) == ((3,) + (0,) * (F.degree - 1), 1)
+
     def test_embed_root(self):
         F = CyclotomicField(12)
         # the cube root of unity inside the 12th cyclotomic field

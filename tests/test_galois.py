@@ -1,9 +1,14 @@
+import glob
+import os
+
 import pytest
 
-from halab.fields import QQ
+from halab import algebra
+from halab.fields import QQ, CyclotomicField
 from halab.linalg import Mat, rank, Subspace
-from halab.algebra import (FDAlgebra, product_field_algebra,
-                           central_idempotents_split, NotSplit, Inconclusive)
+from halab.algebra import (FDAlgebra, product_field_algebra, direct_product,
+                           central_idempotents_split, split_central_idempotent,
+                           center, subalgebra_on_rows, NotSplit, Inconclusive)
 from halab.hopfalgebroid import HopfAlgebroidData, BialgebroidData
 from halab.galois import (ComoduleAlgebraData, regular_comodule,
                           trivial_comodule, check_comodule, coinvariants,
@@ -17,11 +22,42 @@ from halab.galois import (ComoduleAlgebraData, regular_comodule,
                           _bimodule_tensor)
 from halab.cli import (comodule_to_json, comodule_from_json, cocycle_to_json,
                        cocycle_from_json, composition_to_json,
-                       composition_from_json)
+                       composition_from_json, load)
 from halab.zoo import (cyclic_table, group_hopf_algebra, monoid_bialgebra,
-                       and_monoid_table)
+                       and_monoid_table, classical_covering_instance,
+                       disjoint_union_gset, regular_gset)
 
 from conftest import cocycle_instances
+
+
+DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "documents")
+# B = Q(i) = Q[x]/(x^2 + 1): a field that does not split over Q
+QI = FDAlgebra(2, [[{0: 1}, {1: 1}], [{1: 1}, {0: -1}]], {0: 1})
+
+
+def shipped_comodules():
+    """The comodule-algebra documents under documents/, by file name."""
+    out = []
+    for path in sorted(glob.glob(os.path.join(DOCS, "*.json"))):
+        doc = load(path)
+        if doc["kind"] == "comodule_algebra":
+            out.append((os.path.basename(path),
+                        comodule_from_json(doc["payload"],
+                                           field=doc["field"])))
+    return out
+
+
+def free_z2_covering(points):
+    """Functions on the free Z2-set of the given (even) number of points
+    over functions on its orbits."""
+    return classical_covering_instance(
+        cyclic_table(2),
+        disjoint_union_gset(regular_gset(cyclic_table(2)), points // 2))
+
+
+def over_k(B):
+    """B as the trivial comodule over k (a covering of a point)."""
+    return trivial_comodule(group_hopf_algebra(cyclic_table(1), B.field), B)
 
 
 def multiplication(A, sq):
@@ -162,13 +198,74 @@ class TestCovering:
         """B = Q(i) = Q[x]/(x^2 + 1), as the trivial comodule over k: its
         centre is a field that does not split over Q, so no idempotent is
         found and the check is inconclusive instead of not connected."""
-        Qi = FDAlgebra(2, [[{0: 1}, {1: 1}], [{1: 1}, {0: -1}]], {0: 1})
-        D = trivial_comodule(group_hopf_algebra(cyclic_table(1)), Qi)
+        D = over_k(QI)
         with pytest.raises(NotSplit) as info:
-            central_idempotents_split(Qi)
+            central_idempotents_split(QI)
         assert info.value.idempotents == []
         with pytest.raises(Inconclusive, match="central connectedness"):
             check_covering(D)
+
+    def test_connectedness_matches_the_full_decomposition(
+            self, comodule_corpus):
+        """check_covering stops at the first split of the unit of Z(B);
+        its verdict equals that of the full decomposition of Z(B), with a
+        NotSplit read as not connected when it carries an idempotent and
+        as Inconclusive otherwise."""
+        def reference(D):
+            Zalg, _ = subalgebra_on_rows(D.B, center(D.B))
+            try:
+                return len(central_idempotents_split(Zalg)) == 1
+            except NotSplit as exc:
+                return False if exc.idempotents else "inconclusive"
+
+        def shipped(D):
+            try:
+                return check_covering(D).centrally_connected
+            except Inconclusive as exc:
+                assert "central connectedness" in str(exc)
+                return "inconclusive"
+
+        cases = [(D.name, D) for D in comodule_corpus] + shipped_comodules()
+        cases += [("k^%d" % n, over_k(product_field_algebra(n)))
+                  for n in range(1, 13)]
+        cases += [("kZ%d/Q(zeta_%d)" % (n, n), regular_comodule(
+            group_hopf_algebra(cyclic_table(n), CyclotomicField(n))))
+            for n in (4, 6, 8, 12)]
+        cases += [("free Z2-set of %d" % n, free_z2_covering(n))
+                  for n in (4, 8, 12)]
+        cases += [("Q(i)", over_k(QI)),
+                  ("Q x Q(i)", over_k(direct_product(
+                      product_field_algebra(1), QI)))]
+        verdicts = {}
+        for name, D in cases:
+            verdicts[name] = shipped(D)
+            assert verdicts[name] == reference(D), name
+        assert verdicts["k^1"] is True
+        assert verdicts["Q(i)"] == "inconclusive"
+        # the unit of Q x Q(i) splits, and then the Q(i) piece does not
+        assert verdicts["Q x Q(i)"] is False
+        with pytest.raises(NotSplit) as info:
+            central_idempotents_split(direct_product(
+                product_field_algebra(1), QI))
+        assert len(info.value.idempotents) == 2
+
+    @pytest.mark.parametrize("build, parent_calls", [
+        (lambda: free_z2_covering(8), 28),
+        (lambda: dict(shipped_comodules())["z2_covering.json"], 6)],
+        ids=["free Z2-set of 8", "z2_covering.json"])
+    def test_connectedness_takes_one_minimal_polynomial(
+            self, monkeypatch, build, parent_calls):
+        """One split of the unit decides connectedness; the full
+        decomposition took parent_calls minimal polynomials here."""
+        D, calls = build(), []
+
+        def counting(*args):
+            calls.append(args)
+            return minimal_polynomial(*args)
+        minimal_polynomial = algebra.minimal_polynomial
+        monkeypatch.setattr(algebra, "minimal_polynomial", counting)
+        assert check_covering(D).centrally_connected is False
+        assert len(calls) == 1 < parent_calls
 
     def test_parity_instance_is_stratified(self):
         v = check_covering(sign_coaction())
