@@ -501,26 +501,18 @@ def _poly_eval(coeffs, x, field):
 def _split_linear(coeffs, field):
     """The linear factors of the monic polynomial over the candidate root
     set: the list of (root, multiplicity) and the monic cofactor, which
-    has no candidate root and is [one] when the polynomial splits."""
-    work = list(coeffs)
-    roots = []
-    cands = _candidate_roots(field, coeffs)
-    while len(work) > 1:
-        found = None
-        for lam in cands:
-            if not _poly_eval(work, lam, field):
-                found = lam
-                break
-        if found is None:
-            break
-        work = _poly_divmod(work, [-found, field.one], field)[0]
-        for r, m in roots:
-            if r == found:
-                roots.remove((r, m))
-                roots.append((found, m + 1))
-                break
-        else:
-            roots.append((found, 1))
+    has no candidate root and is [one] when the polynomial splits.  One
+    scan of the candidates: a candidate that is not a root of the
+    polynomial is not one of a factor, so a root is divided out for its
+    whole multiplicity before the scan moves on."""
+    work, roots = list(coeffs), []
+    for lam in _candidate_roots(field, coeffs):
+        m = 0
+        while len(work) > 1 and not _poly_eval(work, lam, field):
+            work = _poly_divmod(work, [-lam, field.one], field)[0]
+            m += 1
+        if m:
+            roots.append((lam, m))
     return roots, work
 
 

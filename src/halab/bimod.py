@@ -29,6 +29,7 @@ Convention table (BialgebroidData.acts() returns the pair for its side):
       pairs' relations at once (V (x) span R is V (x) R, bimodule or
       not), and canonical RREF rows are unique for a span, so the rows
       are those of the direct build.  For base k nothing is eliminated.
+      A checker asks for one only when two lifts differ (linalg.equal_in).
 
   [Kronecker indexing]  as in linalg.kron: leg 0 is the slowest index,
       (i tensor j) -> i*dims[1] + j for two legs.

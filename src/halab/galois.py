@@ -13,10 +13,11 @@ Tensor conventions follow bimod:
 """
 
 import random
+from functools import partial
 
 from .linalg import (Mat, kron_cols, leg_slices, rank, inverse, kernel,
-                     image, Subspace, solve_map, NoSolution, ShapeMismatch,
-                     _add_scaled)
+                     image, Subspace, solve_map, equal_in, NoSolution,
+                     ShapeMismatch, _add_scaled)
 from .algebra import (FDAlgebra, ModuleOverA, is_projective, Inconclusive,
                       check_algebra_morphism, subalgebra_on_rows,
                       split_central_idempotent, center, NotSplit)
@@ -157,14 +158,16 @@ def check_comodule(D):
     I_B = Mat.identity(dB, field)
     I_H = Mat.identity(dH, field)
     actR = D.actR
+    for rho in (D.rhoR_lift, D.rhoL_lift):
+        if rho.rows != dB * dH or rho.cols != dB:
+            raise ShapeMismatch("coaction lift shape")
     # per-side coassociativity
     for side, rho, actB, Hb in (("R", D.rhoR_lift, actR, R),
                                 ("L", D.rhoL_lift, D.actL, L)):
-        dd = Hb.coproduct_lift
-        qp = D.tensorBHH(actB, Hb, Hb)
-        lhs = qp.apply(kron_cols(rho, I_H, rho))
-        rhs = qp.apply(kron_cols(I_B, dd, rho))
-        rep.require(lhs == rhs, "comodule:coassoc:%s" % side)
+        rep.require(equal_in(partial(D.tensorBHH, actB, Hb, Hb),
+                             kron_cols(rho, I_H, rho),
+                             kron_cols(I_B, Hb.coproduct_lift, rho)),
+                    "comodule:coassoc:%s" % side)
     # counitality: m -> m^[0] . eps(m^[1]) = m, action of the base on B
     for side, rho, eps, acts in (("R", D.rhoR_lift, R.counit, actR),
                                  ("L", D.rhoL_lift, L.counit, D.actL)):
@@ -178,28 +181,26 @@ def check_comodule(D):
             rep.require(acc == B.basis_vec(b), "comodule:counit:%s" % side,
                         (b,))
     # mixed squares
-    qp = D.tensorBHH(actR, R, L)
-    lhs = qp.apply(kron_cols(D.rhoR_lift, I_H, D.rhoL_lift))
-    rhs = qp.apply(kron_cols(I_B, L.coproduct_lift, D.rhoR_lift))
-    rep.require(lhs == rhs, "comodule:mixed:RL")
-    qp = D.tensorBHH(D.actL, L, R)
-    lhs = qp.apply(kron_cols(D.rhoL_lift, I_H, D.rhoR_lift))
-    rhs = qp.apply(kron_cols(I_B, R.coproduct_lift, D.rhoL_lift))
-    rep.require(lhs == rhs, "comodule:mixed:LR")
+    for side, rho, act, first, second, other in (
+            ("RL", D.rhoR_lift, actR, R, L, D.rhoL_lift),
+            ("LR", D.rhoL_lift, D.actL, L, R, D.rhoR_lift)):
+        rep.require(equal_in(partial(D.tensorBHH, act, first, second),
+                             kron_cols(rho, I_H, other),
+                             kron_cols(I_B, second.coproduct_lift, rho)),
+                    "comodule:mixed:" + side)
     # module compatibility
-    sqR = D.tensorRH()
     for l in range(L.base.dim):
         tl = H.left_mult_matrix(L.t.col(l))
-        lhs = sqR.apply(D.rhoR_lift * D.actL[l])
-        rhs = sqR.apply(kron_cols(I_B, tl, D.rhoR_lift))
-        rep.require(lhs == rhs, "comodule:module-compat:R", (l,))
-    sqL = D.tensorLH()
+        rep.require(equal_in(D.tensorRH, D.rhoR_lift * D.actL[l],
+                             kron_cols(I_B, tl, D.rhoR_lift)),
+                    "comodule:module-compat:R", (l,))
     for r in range(R.base.dim):
         sr = H.right_mult_matrix(R.s.col(r))
-        lhs = sqL.apply(D.rhoL_lift * actR[r])
-        rhs = sqL.apply(kron_cols(I_B, sr, D.rhoL_lift))
-        rep.require(lhs == rhs, "comodule:module-compat:L", (r,))
+        rep.require(equal_in(D.tensorLH, D.rhoL_lift * actR[r],
+                             kron_cols(I_B, sr, D.rhoL_lift)),
+                    "comodule:module-compat:L", (r,))
     # algebra maps
+    sqR, sqL = D.tensorRH(), D.tensorLH()
     for side, rho, sq in (("R", D.rhoR_lift, sqR), ("L", D.rhoL_lift, sqL)):
         for i in range(dB):
             ci = rho.col(i)
@@ -475,11 +476,10 @@ def check_cleft(D, c, seed=0):
         rep.require(False, "cleft:invertibility",
                     note="no convolution inverse exists")
     # comodule-map square
-    sqR = D.tensorRH()
-    lhs = sqR.apply(D.rhoR_lift * c.map)
-    rhs = sqR.apply(kron_cols(c.map, Mat.identity(dH, field),
-                              Hd.rightb.coproduct_lift))
-    rep.require(lhs == rhs, "cleft:comodule-map")
+    rep.require(equal_in(D.tensorRH, D.rhoR_lift * c.map,
+                         kron_cols(c.map, Mat.identity(dH, field),
+                                   Hd.rightb.coproduct_lift)),
+                "cleft:comodule-map")
     if rep.ok:
         _normal_basis_witness(D, rep, seed)
     return rep
@@ -799,13 +799,14 @@ def _prop4_square(rep, D1, D2, phi, psi):
         right_acts = [B1.right_mult_matrix(b) for b in range(B1.dim)]
         left_acts = [H2.left_mult_matrix((H2b.s * _b1_to_base(D2)).col(b))
                      for b in range(B1.dim)]
-        T = tensor_over([B1.dim, H2.dim], [(right_acts, left_acts)], field)
+        T = partial(tensor_over, [B1.dim, H2.dim], [(right_acts, left_acts)],
+                    field)
         comp = psi * phi
         se = (H2b.s * _b1_to_base(D2)) * (D1.etaR * H1b.counit)
         I_B1, lifts = Mat.identity(B1.dim, field), Q1BH.section_cols
-        lhs = T.apply(kron_cols(I_B1, comp, lifts))
-        rhs = T.apply(kron_cols(I_B1, se, lifts))
-        rep.require(lhs == rhs, "composition:prop4:%s" % side)
+        rep.require(equal_in(T, kron_cols(I_B1, comp, lifts),
+                             kron_cols(I_B1, se, lifts)),
+                    "composition:prop4:%s" % side)
 
 
 def _b1_to_base(D2):
@@ -831,10 +832,9 @@ def verify_topological_equiv(D1, D2, beta, phiL, phiR):
     for side, phi in (("R", phiR), ("L", phiL)):
         rho1 = D1.rhoR_lift if side == "R" else D1.rhoL_lift
         rho2 = D2.rhoR_lift if side == "R" else D2.rhoL_lift
-        sq = D2.tensorRH() if side == "R" else D2.tensorLH()
-        lhs = sq.apply(kron_cols(beta, phi, rho1))
-        rhs = sq.apply(rho2 * beta)
-        rep.require(lhs == rhs, "topo:coaction:%s" % side)
+        sq = D2.tensorRH if side == "R" else D2.tensorLH
+        rep.require(equal_in(sq, kron_cols(beta, phi, rho1), rho2 * beta),
+                    "topo:coaction:%s" % side)
     rep.merge(check_algebraic_morphism(phiL, phiR, D1.H, D2.H))
     rep.require(rank(phiR) == D1.H.total.dim, "topo:H-invertible")
     rep.require(rank(phiL) == D1.H.total.dim, "topo:H-invertible")

@@ -29,7 +29,9 @@ Subspace and quotient_by are views of its output; a Mat reaches it as
 dict rows read from its columns.  A QuotientPresentation stores only the
 canonical relation rows: project(vec) returns the dict of a projected
 vector's nonzeros and apply(M) = proj * M is the Mat of the projected
-columns.
+columns.  equal_in compares two lifts in a quotient: lifts equal as
+vectors are equal in every quotient, so it builds the quotient and
+projects only when a pair of columns differs.
 
 Every system for an unknown linear map goes through solve_map(blocks,
 rows, cols, field): sum L X R = rhs per block, unknown X[p][q] at column
@@ -647,3 +649,19 @@ def quotient_by(ambient_dim, relation_vectors, field=QQ):
     of nonzeros), presented by their canonical rows."""
     return QuotientPresentation(
         ambient_dim, _echelon_dict(relation_vectors, field)[0], field)
+
+
+def equal_in(quotient, lhs, rhs):
+    """Whether lhs and rhs (Mats or lists of dict columns) are equal
+    column by column in the QuotientPresentation that the zero-argument
+    callable quotient returns.  Columns equal as vectors are equal in
+    every quotient, so quotient is called only when some pair differs,
+    and only the pairs that differ are projected."""
+    lcols, rcols = _columns(lhs), _columns(rhs)
+    if len(lcols) != len(rcols):
+        return False
+    differ = [(l, r) for l, r in zip(lcols, rcols) if l != r]
+    if not differ:
+        return True
+    qp = quotient()
+    return all(qp.project(l) == qp.project(r) for l, r in differ)

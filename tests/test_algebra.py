@@ -1,10 +1,12 @@
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halab.fields import QQ, CyclotomicField
+from halab.fields import QQ, CyclotomicField, _poly_mul, _poly_divmod
+from halab import algebra
 from halab.linalg import Mat, Subspace, rank, kron, inverse
 from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
                            group_algebra, monoid_algebra, matrix_algebra,
@@ -307,3 +309,52 @@ def test_convolve_matches_the_kron_reference(data):
     lift = Mat.from_cols(cols, F.cols * G.cols, field)
     assert A.convolve(F, G, lift) == reference_convolution(A, F, G, lift), \
         name
+
+
+def restart_scan(coeffs, field):
+    """The linear factors by a scan that restarts at the first candidate
+    after every root: the reference for algebra._split_linear."""
+    work, roots = list(coeffs), []
+    cands = algebra._candidate_roots(field, coeffs)
+    while len(work) > 1:
+        found = next((lam for lam in cands
+                      if not algebra._poly_eval(work, lam, field)), None)
+        if found is None:
+            break
+        work = _poly_divmod(work, [-found, field.one], field)[0]
+        for r, m in roots:
+            if r == found:
+                roots.remove((r, m))
+                roots.append((found, m + 1))
+                break
+        else:
+            roots.append((found, 1))
+    return roots, work
+
+
+def test_one_scan_splits_like_the_restart_scan():
+    """Seeded products of (x - c)^m, m <= 3, over candidate roots c, times
+    x^2 - 7, x^3 - 7 or 1 (no candidate has absolute value 7^(1/2) or
+    7^(1/3)), over Q and Q(zeta_N): the one scan gives the restart scan's
+    (root, multiplicity) list, in its order, and its cofactor."""
+    rng = random.Random(11)
+    small = [0, 1, -1, 2, -2, Fraction(1, 2), Fraction(-2, 3), 3]
+    for field in [QQ] + [CyclotomicField(n) for n in (3, 4, 8, 12)]:
+        one = field.one
+        if field == QQ:
+            roots, seven = small, 7
+        else:
+            roots = algebra._candidate_roots(field, [one])
+            seven = field.from_rational(7)
+        tails = [[-seven, field.zero, one],
+                 [-seven, field.zero, field.zero, one], [one]]
+        split = 0
+        for _ in range(12):
+            poly = rng.choice(tails)
+            for c in rng.sample(roots, rng.randint(1, 3)):
+                for _ in range(rng.randint(1, 3)):
+                    poly = _poly_mul(poly, [-c, one], field)
+            got = algebra._split_linear(poly, field)
+            assert got == restart_scan(poly, field), field
+            split += got[1] == [one]
+        assert 0 < split < 12

@@ -37,8 +37,14 @@ class TestCheckDocuments:
             assert main(["check", path, "--json"]) == recorded["exit"], path
             assert capsys.readouterr().out == recorded["json"], path
 
-    def test_bialgebroid_level_builds_each_triple_once(self, monkeypatch,
-                                                       capsys):
+    def test_triples_are_built_only_for_lifts_that_differ(
+            self, monkeypatch, capsys, tmp_path):
+        """A 3-leg quotient is built only when coassociativity's two lifts
+        differ as vectors.  kz3_hopf and smash_swap have equal lifts, so
+        --level bialgebroid builds no triple.  A smash_swap with one
+        entry of its left coproduct lift changed has lifts that differ:
+        the left triple and both mixed triples of hopf:(b) are built, each
+        once, and their stages are the two squares, also built once."""
         import halab.bimod
         ambient_dims = []
         original = halab.bimod.quotient_by
@@ -48,18 +54,27 @@ class TestCheckDocuments:
             return original(ambient_dim, relation_vectors, field)
 
         monkeypatch.setattr(halab.bimod, "quotient_by", counting)
-        path = os.path.join(DOCS, "kz3_hopf.json")
-        assert main(["check", path, "--level", "bialgebroid"]) == 0
-        capsys.readouterr()
-        # one H (x)_base H (x)_base H, shared by the coring and bialgebroid
-        # levels and, since kZ3's two sides act alike, by both sides
-        assert ambient_dims.count(3 ** 3) == 1
-        # smash_swap's sides act differently: one triple each
+        for name, d in (("kz3_hopf.json", 3), ("smash_swap.json", 8)):
+            ambient_dims.clear()
+            path = os.path.join(DOCS, name)
+            assert main(["check", path, "--level", "bialgebroid"]) == 0
+            capsys.readouterr()
+            assert ambient_dims.count(d ** 3) == 0, name
+        with open(os.path.join(DOCS, "smash_swap.json"),
+                  encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["payload"]["left"]["delta_lift"]["entries"][0]["v"] = "2"
+        path = tmp_path / "smash_swap_delta.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
         ambient_dims.clear()
-        path = os.path.join(DOCS, "smash_swap.json")
-        assert main(["check", path, "--level", "bialgebroid"]) == 0
+        assert main(["check", str(path), "--level", "bialgebroid"]) == 1
         capsys.readouterr()
-        assert ambient_dims.count(8 ** 3) == 2
+        assert sorted(ambient_dims) == [8 ** 2, 8 ** 2, 8 ** 3]
+        ambient_dims.clear()
+        assert main(["check", str(path)]) == 1
+        report = capsys.readouterr().out
+        assert "left:coassociativity" in report and "hopf:(b)" in report
+        assert sorted(ambient_dims) == [8 ** 2] * 2 + [8 ** 3] * 3
 
     def test_documents_twice_in_shuffled_order(self, capsys):
         """No state of one call leaks into the next: every shipped document,

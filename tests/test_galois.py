@@ -5,7 +5,7 @@ import pytest
 
 from halab import algebra
 from halab.fields import QQ, CyclotomicField
-from halab.linalg import Mat, rank, Subspace
+from halab.linalg import Mat, rank, Subspace, ShapeMismatch
 from halab.algebra import (FDAlgebra, product_field_algebra, direct_product,
                            central_idempotents_split, split_central_idempotent,
                            center, subalgebra_on_rows, NotSplit, Inconclusive)
@@ -108,6 +108,20 @@ class TestComodules:
         rho.data[0][1] = rho.data[0][1] + QQ.one
         bad = ComoduleAlgebraData(D.H, D.B, D.inclusionA, rho, D.rhoL_lift)
         assert not check_comodule(bad).ok
+
+    def test_a_coaction_lift_of_the_wrong_shape_is_rejected(self):
+        """A coaction lift with one extra empty row is a ShapeMismatch
+        where the lifts enter check_comodule, before any comparison."""
+        D = regular_comodule(group_hopf_algebra(cyclic_table(3)))
+        for which in ("rhoR_lift", "rhoL_lift"):
+            rho = getattr(D, which)
+            lifts = {"rhoR_lift": D.rhoR_lift, "rhoL_lift": D.rhoL_lift,
+                     which: Mat.from_cols(rho.sparse_cols(), rho.rows + 1,
+                                          QQ)}
+            bad = ComoduleAlgebraData(D.H, D.B, D.inclusionA, name="bad",
+                                      etaR=D.etaR, actL=D.actL, **lifts)
+            with pytest.raises(ShapeMismatch):
+                check_comodule(bad)
 
     def test_trivial_coaction_has_full_coinvariants(self):
         Hz2 = group_hopf_algebra(cyclic_table(2))

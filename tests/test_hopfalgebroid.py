@@ -4,7 +4,8 @@ import pytest
 
 import halab.hopfalgebroid
 from halab.fields import QQ, CyclotomicField
-from halab.linalg import Mat, kron, kron_cols, inverse, rank
+from halab.linalg import Mat, kron, kron_cols, inverse, rank, equal_in, \
+    ShapeMismatch
 from halab.algebra import product_field_algebra
 from halab.bimod import tensor_over
 from halab.hopfalgebroid import (BialgebroidData, HopfAlgebroidData,
@@ -236,10 +237,76 @@ def test_coassociative_matches_dense_formula(hopf_corpus):
                                    QQ.one))
         for H2 in instances:
             for first, second, qp in coassociativity_cases(H2):
-                got = _coassociative(first, second, qp)
+                got = _coassociative(first, second, lambda: qp)
                 assert got == dense_coassociative(first, second, qp), name
                 verdicts.append(got)
     assert True in verdicts and False in verdicts
+
+
+def _shifted(col, relation):
+    """col plus a relation row of a quotient, as the dict of its nonzeros."""
+    out = dict(col)
+    for i, x in relation.items():
+        v = out.get(i, 0) + x
+        if v:
+            out[i] = v
+        else:
+            del out[i]
+    return out
+
+
+def test_equal_in_matches_the_eager_comparison(hopf_corpus):
+    """equal_in against qp.apply(lhs) == qp.apply(rhs) on the
+    coassociativity lifts of the Q corpus and of seeded single-entry
+    delta_lift mutations, and on relation-shifted lifts: rhs with a
+    relation row of the quotient added to one column, which differs from
+    lhs as a vector but not in the quotient.  A counting callable shows
+    that the quotient is built exactly when some pair of columns
+    differs."""
+    rng = random.Random(3)
+    seen = set()
+    for n, (name, Hd) in enumerate(hopf_corpus):
+        d = Hd.total.dim
+        if Hd.total.field != QQ or d > 9:
+            continue
+        instances = [Hd]
+        if d <= 8:
+            instances.append(remut(Hd, "dL" if n % 2 else "dR",
+                                   rng.randrange(d * d), rng.randrange(d),
+                                   QQ.one))
+        I = Mat.identity(d, QQ)
+        for H2 in instances:
+            for first, second, qp in coassociativity_cases(H2):
+                F, S = first.coproduct_lift, second.coproduct_lift
+                lhs, rhs = kron_cols(F, I, S), kron_cols(I, S, F)
+                cases = [(lhs, rhs)]
+                if qp.rows:
+                    j = rng.randrange(len(rhs))
+                    shifted = list(rhs)
+                    shifted[j] = _shifted(rhs[j], rng.choice(
+                        list(qp.rows.values())))
+                    cases.append((lhs, shifted))
+                for l, r in cases:
+                    calls = []
+                    got = equal_in(lambda: calls.append(qp) or qp, l, r)
+                    assert got == (qp.apply(l) == qp.apply(r)), name
+                    assert len(calls) == (l != r), name
+                    seen.add((got, len(calls)))
+    assert seen == {(True, 0), (True, 1), (False, 1)}
+
+
+def test_a_coproduct_lift_of_the_wrong_shape_is_rejected():
+    """A coproduct lift with one extra empty row is a ShapeMismatch where
+    the lift enters check_coring, before any comparison."""
+    Hd = group_hopf_algebra(cyclic_table(3))
+    for side in (Hd.leftb, Hd.rightb):
+        lift = side.coproduct_lift
+        bad = BialgebroidData(side.total, side.base, side.side, side.s,
+                              side.t, Mat.from_cols(lift.sparse_cols(),
+                                                    lift.rows + 1, QQ),
+                              side.counit)
+        with pytest.raises(ShapeMismatch):
+            check_coring(bad)
 
 
 def test_coring_and_takeuchi_form_no_kron_and_no_dense_product(monkeypatch):
@@ -272,7 +339,7 @@ def test_reused_reports_and_shared_quotients_match_fresh_runs(
     used = []
     monkeypatch.setattr(halab.hopfalgebroid, "_coassociative",
                         lambda first, second, qp: used.append(
-                            (first, second, qp)) or _coassociative(
+                            (first, second, qp())) or _coassociative(
                                 first, second, qp))
     got = [[rep.entries for _, rep in _checks_for_hopf(Hd, 3)[1:]]
            for _, Hd in instances]

@@ -1,6 +1,8 @@
 """Static checks over the halab sources: every imported name is used,
-every quotient projection goes through project or apply, tensor quotients
-have one builder, rows one elimination engine and systems for an unknown
+every quotient projection goes through project or apply, no comparison
+has a quotient application on both sides (two lifts are compared by
+linalg.equal_in, which projects only the pairs that differ), tensor
+quotients have one builder, rows one elimination engine and systems for an unknown
 linear map one solver (linalg.solve_map), products with a basis
 element are lookups, no product takes a kron(...) operand outside
 hopfalgebroid.check_coupled (lifts go through FDAlgebra.convolve and
@@ -54,6 +56,65 @@ def test_one_projection_path(path):
         and node.attr in ("proj", "section"))
     assert not dense, "%s reads a dense proj or section at lines %s" % (
         path.name, dense)
+
+
+def _is_apply(node):
+    return isinstance(node, ast.Call) and _call_name(node) == "apply"
+
+
+def _eager_comparisons(tree):
+    """(top-level definition, line) of every comparison in tree whose
+    operands are all quotient applications: .apply(...) calls, or names
+    that the same definition binds to one."""
+    found = []
+    for top in tree.body:
+        applied = set()
+        for node in ast.walk(top):
+            if isinstance(node, ast.Assign):
+                for t in node.targets:
+                    pairs = (zip(t.elts, node.value.elts)
+                             if isinstance(t, ast.Tuple)
+                             and isinstance(node.value, ast.Tuple)
+                             else [(t, node.value)])
+                    applied.update(n.id for n, v in pairs
+                                   if isinstance(n, ast.Name)
+                                   and _is_apply(v))
+        found.extend(
+            (getattr(top, "name", "<module>"), node.lineno)
+            for node in ast.walk(top) if isinstance(node, ast.Compare)
+            and all(_is_apply(x) or isinstance(x, ast.Name)
+                    and x.id in applied
+                    for x in [node.left] + node.comparators))
+    return sorted(found)
+
+
+def test_eager_comparisons_are_found():
+    tree = ast.parse("def f(q):\n    return q.apply(a) == q.apply(b)\n"
+                     "def g(q):\n    lhs = q.apply(a)\n"
+                     "    rhs = q.apply(b)\n    return lhs == rhs\n"
+                     "def h(q):\n    x, y = q.apply(a), q.apply(b)\n"
+                     "    return x != y\n"
+                     "def k(q):\n    x = q.apply(a) * g\n"
+                     "    return x == h * q.apply(b), equal_in(q, a, b)\n")
+    assert _eager_comparisons(tree) == [("f", 2), ("g", 6), ("h", 9)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_lifts_are_compared_before_projecting(path):
+    """No comparison projects both of its sides through a quotient:
+    linalg.equal_in compares two lifts as vectors and builds and applies
+    the quotient only for pairs that differ."""
+    found = _eager_comparisons(ast.parse(path.read_text(),
+                                         filename=str(path)))
+    assert not found, "%s compares two quotient applications at %s" % (
+        path.name, found)
+
+
+def test_three_leg_identities_go_through_equal_in():
+    """Coassociativity of a bialgebroid and of a coaction, the identities
+    that live in a 3-leg quotient, are decided by linalg.equal_in."""
+    assert {("hopfalgebroid.py", "_coassociative"),
+            ("galois.py", "check_comodule")} <= _callers("equal_in")
 
 
 def _callers(name):

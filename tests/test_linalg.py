@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from halab.fields import QQ, CyclotomicField
 from halab.linalg import (Mat, kron, kron_cols, rref, rank, det, kernel,
                           image, Subspace, solve_map, solve_affine_sparse,
-                          inverse, quotient_by, NoSolution, ShapeMismatch,
-                          _echelon_dict)
+                          inverse, quotient_by, equal_in, NoSolution,
+                          ShapeMismatch, _echelon_dict)
 from halab.cli import mat_to_json, mat_from_json
 
 from conftest import sparse
@@ -556,6 +556,23 @@ class TestSparseQuotient:
     def test_project_checks_length(self):
         with pytest.raises(ShapeMismatch):
             quotient_by(3, [], QQ).project({3: QQ.one})
+
+    def test_equal_in_builds_the_quotient_only_for_pairs_that_differ(self):
+        """Equal columns never build the quotient; a pair that differs by a
+        relation is equal in it, one that differs otherwise is not, and
+        lifts with different column counts are never equal."""
+        one, built = QQ.one, []
+
+        def quotient():
+            built.append(1)
+            return quotient_by(3, [{0: one, 1: -one}], QQ)
+
+        e0, e1, e2 = ({i: one} for i in range(3))
+        M = Mat.from_cols([e0, e2], 3, QQ)
+        assert equal_in(quotient, M, [e0, e2]) and not built
+        assert equal_in(quotient, M, [e1, e2]) and len(built) == 1
+        assert not equal_in(quotient, M, [e0, e1]) and len(built) == 2
+        assert not equal_in(quotient, M, [e0]) and len(built) == 2
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
