@@ -4,8 +4,8 @@ import pytest
 
 import halab.hopfalgebroid
 from halab.fields import QQ, CyclotomicField
-from halab.linalg import Mat, kron, kron_cols, inverse, rank, equal_in, \
-    ShapeMismatch
+from halab.linalg import (Mat, kron, kron_cols, inverse, rank, equal_in,
+                          ShapeMismatch, _add_scaled)
 from halab.algebra import product_field_algebra
 from halab.bimod import tensor_over
 from halab.hopfalgebroid import (BialgebroidData, HopfAlgebroidData,
@@ -243,18 +243,6 @@ def test_coassociative_matches_dense_formula(hopf_corpus):
     assert True in verdicts and False in verdicts
 
 
-def _shifted(col, relation):
-    """col plus a relation row of a quotient, as the dict of its nonzeros."""
-    out = dict(col)
-    for i, x in relation.items():
-        v = out.get(i, 0) + x
-        if v:
-            out[i] = v
-        else:
-            del out[i]
-    return out
-
-
 def test_equal_in_matches_the_eager_comparison(hopf_corpus):
     """equal_in against qp.apply(lhs) == qp.apply(rhs) on the
     coassociativity lifts of the Q corpus and of seeded single-entry
@@ -283,8 +271,9 @@ def test_equal_in_matches_the_eager_comparison(hopf_corpus):
                 if qp.rows:
                     j = rng.randrange(len(rhs))
                     shifted = list(rhs)
-                    shifted[j] = _shifted(rhs[j], rng.choice(
-                        list(qp.rows.values())))
+                    shifted[j] = dict(rhs[j])
+                    _add_scaled(shifted[j], QQ.one,
+                                rng.choice(list(qp.rows.values())), QQ.zero)
                     cases.append((lhs, shifted))
                 for l, r in cases:
                     calls = []
