@@ -11,18 +11,18 @@ mu (F (x) G) lift on coproduct lifts the same way, with no Kronecker
 product, and convolution_terms gives the same convolution with an unknown
 leg as linalg.solve_map terms.  All the
 predicates used downstream live here: validation, centers, radicals
-(Dickson trace form, characteristic 0), module projectivity via a
-solve_map for a splitting, central idempotent splitting over split fields
-(polynomial arithmetic from the toolkit in fields), and the Wedderburn
-block shape.
+(Dickson trace form, characteristic 0), module projectivity by the dual
+basis lemma (Hom_A(M, A) from one solve_map, then one span test),
+central idempotent splitting over split fields (polynomial arithmetic
+from the toolkit in fields), and the Wedderburn block shape.
 """
 
 from fractions import Fraction
 from math import isqrt, lcm
 
 from .fields import QQ, _poly_mul, _poly_divmod, _poly_ext_gcd
-from .linalg import (Mat, kernel, kron, leg_slices, rank, solve_map, vstack,
-                     NoSolution, ShapeMismatch, _add_scaled, _combine)
+from .linalg import (Mat, Subspace, kernel, leg_slices, rank, solve_map,
+                     vstack, NoSolution, ShapeMismatch, _add_scaled, _combine)
 from .reports import ViolationReport
 
 
@@ -397,26 +397,27 @@ def regular_module(A, side="left"):
 
 
 def is_projective(M):
-    """Decide projectivity of a finite-dimensional module by solving for a
-    module-map section sigma: M -> A^g of the free cover pi: A^g -> M,
-    (slot t, a) -> a . m_t, built on the module's basis as generators:
-    pi sigma = I, and sigma X_x = (I_g (x) act_x) sigma for every basis
-    element x, where act_x multiplies A by x on the module's side.
-    Returns (flag, section or None)."""
+    """Decide projectivity of a finite-dimensional module by the dual basis
+    lemma: M is projective iff id_M is a k-combination of the maps
+    m -> f(m) . m_t, for f in Hom_A(M, A) and m_t the module's basis.
+    Hom_A(M, A) is the kernel of f X_x = act_x f for every basis element
+    x, where X_x is the action of x on M and act_x multiplies A by x on
+    the module's side; the map of f and t is pi_t f, where pi_t is
+    a -> a . m_t.  Returns the flag."""
     A = M.algebra
     field, g = A.field, M.dim
-    pi = Mat.from_cols([M.action[a].sparse_cols()[t] for t in range(g)
-                        for a in range(A.dim)], g, field)
     mult = A.left_mult_matrix if M.side == "left" else A.right_mult_matrix
-    I_g = Mat.identity(g, field)
-    blocks = [([(pi, None)], I_g)]
-    blocks += [([(kron(I_g, mult(x)), None),
-                 (None, M.action[x].scale(-field.one))], None)
-               for x in range(A.dim)]
-    try:
-        return True, solve_map(blocks, g * A.dim, g, field)
-    except NoSolution:
-        return False, None
+    blocks = [([(None, M.action[x]), (mult(x).scale(-field.one), None)], None)
+              for x in range(A.dim)]
+    _, homs = solve_map(blocks, A.dim, g, field, want_kernel=True)
+    acts = [act.sparse_cols() for act in M.action]
+    maps = [{i * g + j: v for j, col in enumerate((pi * f).sparse_cols())
+             for i, v in col.items()}
+            for pi in (Mat.from_cols([cols[t] for cols in acts], g, field)
+                       for t in range(g))
+            for f in homs]
+    return Subspace.from_spanning(g * g, maps, field).contains(
+        {i * g + i: field.one for i in range(g)})
 
 
 # ---------------------------------------------------------------------------

@@ -188,17 +188,15 @@ def check_comodule(D):
                              kron_cols(rho, I_H, other),
                              kron_cols(I_B, second.coproduct_lift, rho)),
                     "comodule:mixed:" + side)
-    # module compatibility
-    for l in range(L.base.dim):
-        tl = H.left_mult_matrix(L.t.col(l))
-        rep.require(equal_in(D.tensorRH, D.rhoR_lift * D.actL[l],
-                             kron_cols(I_B, tl, D.rhoR_lift)),
-                    "comodule:module-compat:R", (l,))
-    for r in range(R.base.dim):
-        sr = H.right_mult_matrix(R.s.col(r))
-        rep.require(equal_in(D.tensorLH, D.rhoL_lift * actR[r],
-                             kron_cols(I_B, sr, D.rhoL_lift)),
-                    "comodule:module-compat:L", (r,))
+    # module compatibility with the other side's base, which acts on H by
+    # acts()[0] (t_L on the left, s_R on the right) and on B by act
+    for side, rho, square, acts, act in (
+            ("R", D.rhoR_lift, D.tensorRH, L.acts()[0], D.actL),
+            ("L", D.rhoL_lift, D.tensorLH, R.acts()[0], actR)):
+        for i, mult in enumerate(acts):
+            rep.require(equal_in(square, rho * act[i],
+                                 kron_cols(I_B, mult, rho)),
+                        "comodule:module-compat:" + side, (i,))
     # algebra maps
     sqR, sqL = D.tensorRH(), D.tensorLH()
     for side, rho, sq in (("R", D.rhoR_lift, sqR), ("L", D.rhoL_lift, sqL)):
@@ -349,7 +347,7 @@ def check_covering(D):
     # H as a right module over the base via s_R
     actH = [H.right_mult_matrix(R.s.col(r)) for r in range(R.base.dim)]
     MH = ModuleOverA(R.base, H.dim, actH, side="right")
-    H_proj, _ = is_projective(MH)
+    H_proj = is_projective(MH)
     g = galois_maps(D)
     coinv = coinvariants(D, "R")
     declared = Subspace.from_spanning(
@@ -359,7 +357,7 @@ def check_covering(D):
     Aalg, Aincl = subalgebra_on_rows(B, declared)
     actB = [B.right_mult_matrix(Aincl.col(a)) for a in range(Aalg.dim)]
     MB = ModuleOverA(Aalg, B.dim, actB, side="right")
-    B_proj, _ = is_projective(MB)
+    B_proj = is_projective(MB)
     # central connectedness: the unit of Z(B) does not split (Zalg is its
     # own center); a failed split decides it only through an idempotent found
     Z = center(B)

@@ -10,7 +10,8 @@ import pytest
 
 from halab.fields import QQ, CyclotomicField
 from halab.linalg import Mat
-from halab.algebra import group_algebra, product_field_algebra
+from halab.algebra import (FDAlgebra, ModuleOverA, group_algebra,
+                           product_field_algebra, regular_module)
 from halab.hopfalgebroid import HopfAlgebroidData
 from halab.galois import CocycleData, regular_comodule
 from halab.zoo import (cyclic_table, klein_table, s3_table, trivial_table,
@@ -137,6 +138,30 @@ def hopf_instances():
     out.extend(coupled_instances())
     out.extend(weak_conversions())
     return out
+
+
+def dual_numbers():
+    """k[x]/(x^2) with the basis 1, x."""
+    return FDAlgebra(2, [[{0: QQ.one}, {1: QQ.one}], [{1: QQ.one}, {}]],
+                     [QQ.one, QQ.zero], QQ)
+
+
+def projective_modules():
+    """(name, modules): H over each base (right over R through s_R, left
+    over L through s_L) and the two regular modules of H, for every corpus
+    instance; and the dual numbers' trivial module, which is not
+    projective."""
+    for name, Hd in hopf_instances():
+        H, L, R = Hd.total, Hd.leftb, Hd.rightb
+        yield name, [
+            ModuleOverA(R.base, H.dim, [H.right_mult_matrix(R.s.col(r))
+                                        for r in range(R.base.dim)], "right"),
+            ModuleOverA(L.base, H.dim, [H.left_mult_matrix(L.s.col(r))
+                                        for r in range(L.base.dim)], "left"),
+            regular_module(H, "left"), regular_module(H, "right")]
+    yield "dual numbers trivial", [ModuleOverA(
+        dual_numbers(), 1, [Mat.identity(1, QQ), Mat.zero(1, 1, QQ)],
+        "left")]
 
 
 @pytest.fixture(scope="session")

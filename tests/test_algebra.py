@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -7,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from halab.fields import QQ, CyclotomicField, _poly_mul, _poly_divmod
 from halab import algebra
-from halab.linalg import Mat, Subspace, rank, kron, inverse
+from halab.linalg import (Mat, Subspace, rank, kron, inverse, solve_map,
+                          NoSolution)
 from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
                            group_algebra, monoid_algebra, matrix_algebra,
                            product_field_algebra, opposite, enveloping,
@@ -19,10 +21,10 @@ from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
                            wedderburn_shape, ModuleOverA, NotAGroup, NotSplit)
 from halab.zoo import (cyclic_table, klein_table, s3_table, and_monoid_table,
                        groupoid_algebra, indiscrete_groupoid,
-                       action_groupoid)
+                       action_groupoid, twisted_group_algebra)
 from halab.cli import algebra_to_json, algebra_from_json
 
-from conftest import sparse
+from conftest import sparse, dual_numbers, projective_modules
 
 
 def constructor_corpus():
@@ -150,10 +152,74 @@ class TestStructureTheory:
         assert coeffs == [-QQ.one, QQ.zero, QQ.zero, QQ.one]
 
 
+def free_cover_is_projective(M):
+    """The free-cover solver that is_projective replaced, as a reference:
+    M is projective iff pi: A^g -> M, (slot t, a) -> a . m_t, has a
+    module-map section sigma, pi sigma = I and sigma X_x = (I_g (x) act_x)
+    sigma for every basis element x."""
+    A = M.algebra
+    field, g = A.field, M.dim
+    pi = Mat.from_cols([M.action[a].sparse_cols()[t] for t in range(g)
+                        for a in range(A.dim)], g, field)
+    mult = A.left_mult_matrix if M.side == "left" else A.right_mult_matrix
+    I_g = Mat.identity(g, field)
+    blocks = [([(pi, None)], I_g)]
+    blocks += [([(kron(I_g, mult(x)), None),
+                 (None, M.action[x].scale(-field.one))], None)
+               for x in range(A.dim)]
+    try:
+        solve_map(blocks, g * A.dim, g, field)
+    except NoSolution:
+        return False
+    return True
+
+
+def truncated_polynomials(n):
+    """k[x]/(x^n) with the basis 1, x, ..., x^(n-1)."""
+    mul = [[{i + j: QQ.one} if i + j < n else {} for j in range(n)]
+           for i in range(n)]
+    return FDAlgebra(n, mul, {0: QQ.one}, QQ, name="k[x]/(x^%d)" % n)
+
+
+def jordan_module(A, sizes, side):
+    """The module over k[x]/(x^n) on which x acts by nilpotent Jordan
+    blocks of the given sizes; projective iff every size is n."""
+    g = sum(sizes)
+    shift, start = {}, 0
+    for s in sizes:
+        shift.update((i, i + 1) for i in range(start, start + s - 1))
+        start += s
+    acts, power = [], Mat.identity(g, QQ)
+    for _ in range(A.dim):
+        acts.append(power)
+        power = Mat.from_cols([{shift[j]: QQ.one} if j in shift else {}
+                               for j in range(g)], g, QQ) * power
+    return ModuleOverA(A, g, acts, side)
+
+
+def upper_triangular():
+    """The upper-triangular 2 x 2 matrices, with the basis e11, e12, e22."""
+    one = QQ.one
+    mul = [[{} for _ in range(3)] for _ in range(3)]
+    mul[0][0], mul[0][1], mul[1][2], mul[2][2] = {0: one}, {1: one}, \
+        {1: one}, {2: one}
+    return FDAlgebra(3, mul, {0: one, 2: one}, QQ, name="T2")
+
+
+def module_direct_sum(M, N):
+    """M (+) N, with the basis of N after that of M."""
+    g = M.dim + N.dim
+    acts = [Mat.from_cols(
+        P.sparse_cols() + [{M.dim + i: v for i, v in col.items()}
+                           for col in Q.sparse_cols()], g, QQ)
+        for P, Q in zip(M.action, N.action)]
+    return ModuleOverA(M.algebra, g, acts, M.side)
+
+
 class TestModules:
     def test_regular_module_projective(self):
         for A in (group_algebra(s3_table()), matrix_algebra(2)):
-            flag, _ = is_projective(regular_module(A))
+            flag = is_projective(regular_module(A))
             assert flag
 
     def test_non_projective_module(self):
@@ -161,8 +227,50 @@ class TestModules:
         mul = [[{0: QQ.one}, {1: QQ.one}], [{1: QQ.one}, {}]]
         A = FDAlgebra(2, mul, [QQ.one, QQ.zero], QQ)
         acts = [Mat.identity(1, QQ), Mat.zero(1, 1, QQ)]
-        flag, _ = is_projective(ModuleOverA(A, 1, acts, side="left"))
+        flag = is_projective(ModuleOverA(A, 1, acts, side="left"))
         assert not flag
+
+    def test_dual_basis_matches_free_cover_on_the_corpus(self):
+        for name, modules in projective_modules():
+            for M in modules:
+                assert is_projective(M) == free_cover_is_projective(M), name
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_jordan_blocks(self, n, side):
+        A = truncated_polynomials(n)
+        for count in (1, 2, 3):
+            for sizes in itertools.combinations_with_replacement(
+                    range(1, n + 1), count):
+                M = jordan_module(A, sizes, side)
+                assert M.validate().ok
+                flag = is_projective(M)
+                assert flag == free_cover_is_projective(M), sizes
+                assert flag == all(s == n for s in sizes), sizes
+
+    def test_simple_modules_of_upper_triangular(self):
+        A = upper_triangular()
+        one, zero = Mat.identity(1, QQ), Mat.zero(1, 1, QQ)
+        simple = {"S1": [one, zero, zero], "S2": [zero, zero, one]}
+        expected = {("S1", "left"): True, ("S2", "left"): False,
+                    ("S1", "right"): False, ("S2", "right"): True}
+        for (name, side), want in expected.items():
+            M = ModuleOverA(A, 1, simple[name], side)
+            assert M.validate().ok
+            assert is_projective(M) == free_cover_is_projective(M) == want
+
+    def test_trivial_plus_regular_dual_numbers_module(self):
+        A = dual_numbers()
+        trivial = ModuleOverA(A, 1, [Mat.identity(1, QQ), Mat.zero(1, 1, QQ)])
+        M = module_direct_sum(trivial, regular_module(A))
+        assert M.validate().ok
+        assert is_projective(M) is free_cover_is_projective(M) is False
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_twisted_group_algebra_regular_module(self, side):
+        # not run against the free-cover solver, which takes 4-5 s on each
+        M = regular_module(twisted_group_algebra(4, 1), side)
+        assert is_projective(M) is True
 
 
 class TestSubalgebras:

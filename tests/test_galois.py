@@ -5,7 +5,7 @@ import pytest
 
 from halab import algebra
 from halab.fields import QQ, CyclotomicField
-from halab.linalg import Mat, rank, Subspace, ShapeMismatch
+from halab.linalg import Mat, rank, Subspace, ShapeMismatch, kron_cols
 from halab.algebra import (FDAlgebra, product_field_algebra, direct_product,
                            central_idempotents_split, split_central_idempotent,
                            center, subalgebra_on_rows, NotSplit, Inconclusive)
@@ -25,7 +25,9 @@ from halab.cli import (comodule_to_json, comodule_from_json, cocycle_to_json,
                        composition_from_json, load)
 from halab.zoo import (cyclic_table, group_hopf_algebra, monoid_bialgebra,
                        and_monoid_table, classical_covering_instance,
-                       disjoint_union_gset, regular_gset)
+                       disjoint_union_gset, regular_gset, groupoid_algebra,
+                       indiscrete_groupoid)
+from halab.reports import ViolationReport
 
 from conftest import cocycle_instances
 
@@ -122,6 +124,40 @@ class TestComodules:
                                       etaR=D.etaR, actL=D.actL, **lifts)
             with pytest.raises(ShapeMismatch):
                 check_comodule(bad)
+
+    def test_a_wrong_base_action_fails_module_compatibility(self):
+        """A wrong entry of actL fails comodule:module-compat with the
+        entries, in order, of a loop per side that builds the
+        multiplications by t_L and s_R itself, where check_comodule reads
+        them as L.acts()[0] and R.acts()[0]."""
+        D = regular_comodule(groupoid_algebra(indiscrete_groupoid(2)))
+        actL = list(D.actL)
+        cols = actL[1].sparse_cols()
+        actL[1] = Mat.from_cols([{**cols[0], 0: cols[0].get(0, 0) + 1}]
+                                + cols[1:], actL[1].rows, QQ)
+        bad = ComoduleAlgebraData(D.H, D.B, D.inclusionA, D.rhoR_lift,
+                                  D.rhoL_lift, name="bad", etaR=D.etaR,
+                                  actL=actL)
+        H, R, L = bad.H.total, bad.H.rightb, bad.H.leftb
+        I_B = Mat.identity(bad.B.dim, QQ)
+        two_blocks = ViolationReport()
+        for l in range(L.base.dim):
+            tl = H.left_mult_matrix(L.t.col(l))
+            two_blocks.require(bad.tensorRH().apply(bad.rhoR_lift * actL[l])
+                               == bad.tensorRH().apply(
+                                   kron_cols(I_B, tl, bad.rhoR_lift)),
+                               "comodule:module-compat:R", (l,))
+        for r in range(R.base.dim):
+            sr = H.right_mult_matrix(R.s.col(r))
+            two_blocks.require(bad.tensorLH().apply(bad.rhoL_lift
+                                                    * bad.actR[r])
+                               == bad.tensorLH().apply(
+                                   kron_cols(I_B, sr, bad.rhoL_lift)),
+                               "comodule:module-compat:L", (r,))
+        assert not two_blocks.ok
+        compat = [e for e in check_comodule(bad).to_json()
+                  if e["tag"].startswith("comodule:module-compat:")]
+        assert compat == two_blocks.to_json()
 
     def test_trivial_coaction_has_full_coinvariants(self):
         Hz2 = group_hopf_algebra(cyclic_table(2))

@@ -4,12 +4,13 @@ has a quotient application on both sides (two lifts are compared by
 linalg.equal_in, which projects only the pairs that differ), tensor
 quotients have one builder, rows one elimination engine and systems for an unknown
 linear map one solver (linalg.solve_map), products with a basis
-element are lookups, no product takes a kron(...) operand outside
+element are lookups, nothing calls kron(...) outside
 hopfalgebroid.check_coupled (lifts go through FDAlgebra.convolve and
-kron_cols), vectors have one form (dicts of their nonzeros: no dense
-[x.zero] * n list outside fields and the dense Mat views, and no
-list-or-dict helper), no Mat's .data is ever written, no module uses
-floating point, true division appears only in fields.py,
+kron_cols, and projectivity through Hom_A(M, A)), vectors have one form
+(dicts of their nonzeros: no dense [x.zero] * n list outside fields and
+the dense Mat views, and no list-or-dict helper), no Mat's .data is ever
+written, no module uses floating point, true division appears only in
+fields.py,
 torus.recompose and torus.chi_product accumulate into supports in place
 instead of multiplying and adding elements, the torus products and
 Cyc.__mul__ share one scalar convolution (CyclotomicField.times), and the
@@ -202,6 +203,42 @@ def test_lifts_are_not_multiplied_through_kron(path):
     allowed = {"check_coupled"} if path.name == "hopfalgebroid.py" else set()
     assert found <= allowed, "%s multiplies by kron(...) in %s" % (
         path.name, sorted(found - allowed))
+
+
+def _kron_calls(tree):
+    """The top-level definitions of tree that call kron(...) at any depth,
+    and the names under which tree imports kron."""
+    calls = {getattr(top, "name", "<module>") for top in tree.body
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call) and _call_name(node) == "kron"}
+    imports = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names
+               if alias.name == "kron"}
+    return calls, imports
+
+
+def test_kron_calls_are_found():
+    tree = ast.parse("from .linalg import kron, kron_cols\n"
+                     "def f():\n    return solve([(kron(I, L), None)])\n"
+                     "def g():\n    return linalg.kron(A, B)\n"
+                     "def k():\n    return kron_cols(A, B, M)\n")
+    assert _kron_calls(tree) == ({"f", "g"}, {"kron"})
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_kron_is_called_only_by_check_coupled(path):
+    """No Kronecker product is built in src, as a product operand or
+    otherwise: lifts go through FDAlgebra.convolve and kron_cols, and
+    is_projective solves for Hom_A(M, A), with no I_g (x) act_x term.
+    hopfalgebroid.check_coupled, which the benchmark harness reaches
+    through hopfalgebroid.kron, is the one caller and its module the one
+    importer."""
+    calls, imports = _kron_calls(ast.parse(path.read_text(),
+                                           filename=str(path)))
+    owner = path.name == "hopfalgebroid.py"
+    assert calls <= ({"check_coupled"} if owner else set()), \
+        "%s calls kron(...) in %s" % (path.name, sorted(calls))
+    assert owner or not imports, "%s imports kron" % path.name
 
 
 def _dense_vectors(tree):

@@ -3,20 +3,21 @@ workload runs: the weak Hopf, coupling, Hopf-bimodule and Morita checks on
 seeded single-entry mutations of their inputs, and the Hopf algebroids
 that assemble_hopf_algebroid, coupled_from_character and
 weak_hopf_to_algebroid build for the corpus inputs.  Also pinned: the
-outputs of the solves for an unknown linear map (is_projective sections,
-solve_antipode, _conv_inverse, the kernel basis of the normal-basis
-system) and check_cleft reports.  That kernel basis seeds check_cleft's
-search, and numbering the unknowns of linalg.solve_map column-major
-instead of row-major changes it.
+outputs of the solves for an unknown linear map (solve_antipode,
+_conv_inverse, the kernel basis of the normal-basis system), the
+is_projective flags of the corpus modules and check_cleft reports.  That
+kernel basis seeds check_cleft's search, and numbering the unknowns of
+linalg.solve_map column-major instead of row-major changes it.
 
-Each case is recorded as (number of entries, digest).  The digest
-is the sha256 prefix of the canonical JSON of the report entries (tag,
-indices, note) or of hopf_to_json; mat_to_json lists the nonzero entries
-in a fixed order, so equal digests mean Mat == on every structure map.
-The values were recorded with the kron(...) * M and multiplication-matrix
-forms that FDAlgebra.convolve and linalg.kron_cols replaced, and the
-solver cases with the hand-indexed systems that linalg.solve_map
-replaced; they must not change."""
+Each case is recorded as (number of entries, digest), and each
+projectivity case as (number of projective modules, the flags).  The
+digest is the sha256 prefix of the canonical JSON of the report entries
+(tag, indices, note) or of hopf_to_json; mat_to_json lists the nonzero
+entries in a fixed order, so equal digests mean Mat == on every structure
+map.  The values were recorded with the kron(...) * M and
+multiplication-matrix forms that FDAlgebra.convolve and linalg.kron_cols
+replaced, and the solver cases with the hand-indexed systems that
+linalg.solve_map replaced; they must not change."""
 
 import hashlib
 import json
@@ -25,10 +26,8 @@ from pathlib import Path
 
 import pytest
 
-from halab.fields import QQ
 from halab.linalg import Mat, NoSolution
-from halab.algebra import FDAlgebra, ModuleOverA, is_projective, \
-    regular_module, Inconclusive
+from halab.algebra import is_projective, Inconclusive
 from halab.hopfalgebroid import (BialgebroidData, HopfAlgebroidData,
                                  check_coupled, solve_antipode, NoAntipode)
 from halab.galois import (BimoduleWitness, HopfBimoduleWitness,
@@ -47,7 +46,7 @@ from halab.zoo import (cyclic_table, s3_table, group_hopf_algebra,
 from test_galois import multiplication
 from conftest import (coupled_instances, weak_conversions, smash_instances,
                       groupoid_corpus, sign_character, hopf_instances,
-                      comodule_instances)
+                      comodule_instances, projective_modules)
 
 DOCUMENTS = Path(__file__).resolve().parent.parent / "documents"
 
@@ -200,34 +199,16 @@ def _coupled_maps(Hd, sigma):
     return H1.coproduct_lift, H2.coproduct_lift, H2.counit, C
 
 
-def _sections(modules):
-    """(number of projective modules, digest of every flag and section)."""
-    out = []
-    for M in modules:
-        flag, section = is_projective(M)
-        out.append([flag, section and mat_to_json(section)])
-    return sum(flag for flag, _ in out), _digest(out)
+def _flags(modules):
+    """(number of projective modules, the flag of each)."""
+    flags = [is_projective(M) for M in modules]
+    return sum(flags), flags
 
 
 def _projective_cases():
-    """H over each base (right over R through s_R, left over L through
-    s_L) and the two regular modules of H, for every corpus instance; and
-    the dual numbers' trivial module, which is not projective."""
-    for name, Hd in hopf_instances():
-        H, L, R = Hd.total, Hd.leftb, Hd.rightb
-        modules = [
-            ModuleOverA(R.base, H.dim, [H.right_mult_matrix(R.s.col(r))
-                                        for r in range(R.base.dim)], "right"),
-            ModuleOverA(L.base, H.dim, [H.left_mult_matrix(L.s.col(r))
-                                        for r in range(L.base.dim)], "left"),
-            regular_module(H, "left"), regular_module(H, "right")]
-        yield "projective " + name, lambda modules=modules: _sections(
-            modules)
-    dual = FDAlgebra(2, [[{0: QQ.one}, {1: QQ.one}], [{1: QQ.one}, {}]],
-                     [QQ.one, QQ.zero], QQ)
-    trivial = ModuleOverA(dual, 1, [Mat.identity(1, QQ),
-                                    Mat.zero(1, 1, QQ)], "left")
-    yield "projective dual numbers trivial", lambda: _sections([trivial])
+    """The flags of the corpus modules of conftest.projective_modules."""
+    for name, modules in projective_modules():
+        yield "projective " + name, lambda modules=modules: _flags(modules)
 
 
 def _antipode(B):
@@ -380,38 +361,38 @@ RECORDED = {
     "built weak kZ3": (0, "8e3a402ddc08d21e"),
     "built coupled kZ2 sign, mutated Delta": (0, "65e468e0b81bab87"),
     "built coupled kS3 sign, mutated Delta": (0, "7382ad4ddb2cc298"),
-    "projective kZ2": (4, "c30e189c813ba022"),
-    "projective kZ3": (4, "ef1f5f0e59d19922"),
-    "projective kZ4": (4, "7ae5a1f1d1017d0c"),
-    "projective kZ5": (4, "82a55058f638538b"),
-    "projective kZ6": (4, "cf8c1fcaac21fc00"),
-    "projective kKlein": (4, "7ae5a1f1d1017d0c"),
-    "projective kS3": (4, "cf8c1fcaac21fc00"),
-    "projective kZ2xZ4": (4, "f213bcbcb409a13e"),
-    "projective kZ12": (4, "f9b9ffbca518e374"),
-    "projective groupoid algebra point": (4, "1ad88710ed290812"),
-    "projective function algebroid point": (4, "1ad88710ed290812"),
-    "projective groupoid algebra Z3-one-object": (4, "ef1f5f0e59d19922"),
-    "projective function algebroid Z3-one-object": (4, "02b99a8764d2830b"),
-    "projective groupoid algebra discrete3": (4, "f21f002938fe5c9d"),
-    "projective function algebroid discrete3": (4, "f21f002938fe5c9d"),
-    "projective groupoid algebra indiscrete2": (4, "5b3cae4b9d773cd1"),
-    "projective function algebroid indiscrete2": (4, "1555270c44f21395"),
-    "projective groupoid algebra indiscrete3": (4, "ae51287cda9b91df"),
-    "projective function algebroid indiscrete3": (4, "589a717889689e36"),
-    "projective groupoid algebra Z2-swap-action": (4, "8ae5f03c6f88291a"),
-    "projective function algebroid Z2-swap-action": (4, "d4dcaa29757b8516"),
-    "projective groupoid algebra deck-free-Z2": (4, "4a4b60fa6b06d3c9"),
-    "projective function algebroid deck-free-Z2": (4, "cf57eba157f2e63f"),
-    "projective smash k # Z2": (4, "c30e189c813ba022"),
-    "projective smash kZ2 # 1": (4, "523f1becbd68a4e1"),
-    "projective smash k2 # Z2 swap": (4, "8205398ec5b967e7"),
-    "projective coupled kZ4 zeta4": (4, "7ae5a1f1d1017d0c"),
-    "projective coupled kZ2 sign": (4, "c30e189c813ba022"),
-    "projective coupled kS3 sign": (4, "cf8c1fcaac21fc00"),
-    "projective weak indiscrete2": (4, "5b3cae4b9d773cd1"),
-    "projective weak kZ3": (4, "ef1f5f0e59d19922"),
-    "projective dual numbers trivial": (0, "fc1af5933538750e"),
+    "projective kZ2": (4, [True, True, True, True]),
+    "projective kZ3": (4, [True, True, True, True]),
+    "projective kZ4": (4, [True, True, True, True]),
+    "projective kZ5": (4, [True, True, True, True]),
+    "projective kZ6": (4, [True, True, True, True]),
+    "projective kKlein": (4, [True, True, True, True]),
+    "projective kS3": (4, [True, True, True, True]),
+    "projective kZ2xZ4": (4, [True, True, True, True]),
+    "projective kZ12": (4, [True, True, True, True]),
+    "projective groupoid algebra point": (4, [True, True, True, True]),
+    "projective function algebroid point": (4, [True, True, True, True]),
+    "projective groupoid algebra Z3-one-object": (4, [True, True, True, True]),
+    "projective function algebroid Z3-one-object": (4, [True, True, True, True]),
+    "projective groupoid algebra discrete3": (4, [True, True, True, True]),
+    "projective function algebroid discrete3": (4, [True, True, True, True]),
+    "projective groupoid algebra indiscrete2": (4, [True, True, True, True]),
+    "projective function algebroid indiscrete2": (4, [True, True, True, True]),
+    "projective groupoid algebra indiscrete3": (4, [True, True, True, True]),
+    "projective function algebroid indiscrete3": (4, [True, True, True, True]),
+    "projective groupoid algebra Z2-swap-action": (4, [True, True, True, True]),
+    "projective function algebroid Z2-swap-action": (4, [True, True, True, True]),
+    "projective groupoid algebra deck-free-Z2": (4, [True, True, True, True]),
+    "projective function algebroid deck-free-Z2": (4, [True, True, True, True]),
+    "projective smash k # Z2": (4, [True, True, True, True]),
+    "projective smash kZ2 # 1": (4, [True, True, True, True]),
+    "projective smash k2 # Z2 swap": (4, [True, True, True, True]),
+    "projective coupled kZ4 zeta4": (4, [True, True, True, True]),
+    "projective coupled kZ2 sign": (4, [True, True, True, True]),
+    "projective coupled kS3 sign": (4, [True, True, True, True]),
+    "projective weak indiscrete2": (4, [True, True, True, True]),
+    "projective weak kZ3": (4, [True, True, True, True]),
+    "projective dual numbers trivial": (0, [False]),
     "antipode kZ2 left": (0, "69fcbdaba1c27eae"),
     "antipode kZ2 left, mutated Delta": (0, "NoAntipode"),
     "antipode kZ2 right": (0, "69fcbdaba1c27eae"),
