@@ -10,7 +10,9 @@ without building the basis vector; convolve(F, G, lift) evaluates
 mu (F (x) G) lift on coproduct lifts the same way, with no Kronecker
 product, and convolution_terms gives the same convolution with an unknown
 leg as linalg.solve_map terms.  All the
-predicates used downstream live here: validation, centers, radicals
+predicates used downstream live here: validation (the unit law, then
+associativity on the basis triples that do not contain a basis unit
+once the unit law holds), centers, radicals
 (Dickson trace form, characteristic 0), module projectivity by the dual
 basis lemma (Hom_A(M, A) from one solve_map, then one span test),
 central idempotent splitting over split fields (polynomial arithmetic
@@ -181,23 +183,27 @@ class FDAlgebra:
 
 
 def validate_algebra(A):
-    """Check associativity on all basis triples and the two-sided unit law,
+    """Check the two-sided unit law and associativity on basis triples,
     comparing the nonzeros of both sides: (e_i e_j) e_k sums the columns
     e_a e_k over the nonzeros of e_i e_j, e_i (e_j e_k) the columns e_i e_b
-    over those of e_j e_k."""
+    over those of e_j e_k.  When the unit is a basis element e_u and the
+    unit law holds, a triple containing u is skipped: by the unit law
+    each of its sides is the product of the other two factors."""
     rep = ViolationReport()
-    zero = A.field.zero
+    one, zero = A.field.one, A.field.zero
     right = [[row[k] for row in A.mul] for k in range(A.dim)]  # e_a e_k
     for i in range(A.dim):
-        ei = {i: A.field.one}
+        ei = {i: one}
         rep.require(_combine(right[i], A.unit, zero) == ei, "unit",
                     (i,), note="1*e_%d != e_%d" % (i, i))
         rep.require(_combine(A.mul[i], A.unit, zero) == ei, "unit",
                     (i,), note="e_%d*1 != e_%d" % (i, i))
-    for i in range(A.dim):
-        for j in range(A.dim):
+    basis = [i for i in range(A.dim)
+             if not (rep.ok and A.unit == {i: one})]
+    for i in basis:
+        for j in basis:
             ij = A.mul[i][j]
-            for k in range(A.dim):
+            for k in basis:
                 rep.require(_combine(right[k], ij, zero)
                             == _combine(A.mul[i], A.mul[j][k], zero),
                             "associativity", (i, j, k))
@@ -538,13 +544,17 @@ def minimal_polynomial(A, w, e, max_deg):
 def split_central_idempotent(A, zs, e):
     """One split of the central idempotent e by the central elements zs
     (a spanning list of the center): two or more orthogonal central
-    idempotents summing to e, or [] when e is primitive.  Raises NotSplit,
-    carrying the idempotents of the linear factors, when a minimal
-    polynomial does not split over the candidate roots."""
+    idempotents summing to e, from the first e z whose minimal polynomial
+    splits into two or more roots, or [] when e is primitive.  Raises
+    NotSplit when no e z splits e and some minimal polynomial does not
+    split over the candidate roots, carrying the first such polynomial's
+    message and the idempotents of its linear factors: the basis order of
+    zs decides no failure that a later element would have avoided."""
     field = A.field
     ws = [A.mul_vec(e, z) for z in zs]
     if rank(Mat.from_cols(ws, A.dim, field)) == 1:
         return []    # e Z = k e: every e z is a scalar on e
+    failed = None
     for w in ws:
         coeffs = minimal_polynomial(A, w, e, A.dim)
         if len(coeffs) <= 2:
@@ -567,10 +577,13 @@ def split_central_idempotent(A, zs, e):
             if val:
                 new.append(val)
         if len(rest) > 1:
-            raise NotSplit("minimal polynomial does not split: %s"
-                           % (coeffs,), new)
-        if len(new) >= 2:
+            if failed is None:
+                failed = NotSplit("minimal polynomial does not split: %s"
+                                  % (coeffs,), new)
+        elif len(new) >= 2:
             return new
+    if failed is not None:
+        raise failed
     return []
 
 

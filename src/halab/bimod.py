@@ -1,4 +1,4 @@
-"""Tensor products balanced over a base algebra and Takeuchi subspaces.
+"""Tensor products balanced over a base algebra.
 
 Every tensor quotient over a base is built by one function,
 tensor_over(dims, pairs, field, memo=None): the legs are coordinate spaces
@@ -34,16 +34,15 @@ Convention table (BialgebroidData.acts() returns the pair for its side):
   [Kronecker indexing]  as in linalg.kron: leg 0 is the slowest index,
       (i tensor j) -> i*dims[1] + j for two legs.
 
-takeuchi and check_takeuchi_closure project sparse lifts with
-QuotientPresentation.project/apply: no Kronecker or dense matrix product.
+No Takeuchi subspace is built: hopfalgebroid decides the corestriction
+of a coproduct to the Takeuchi product by comparing lifts in the square.
 Vectors of a tensor product are dicts of their nonzeros, as in linalg:
 pair_mul takes and returns them.
 """
 
 import math
 
-from .linalg import quotient_by, kernel, vstack, ShapeMismatch
-from .reports import ViolationReport
+from .linalg import quotient_by, ShapeMismatch
 
 
 class BaseMismatch(ValueError):
@@ -102,25 +101,6 @@ def _balance(A, B, cols):
     return out
 
 
-class TakeuchiSubspace:
-    def __init__(self, ambient, space):
-        self.ambient = ambient  # QuotientPresentation of the square
-        self.space = space      # Subspace in quotient coordinates
-
-
-def takeuchi(square, first, second):
-    """The subspace of the tensor square where
-    sum first[r] b_i (x) b_i' = sum b_i (x) second[r] b_i'
-    for every base element r.  For a right bialgebroid first/second are
-    left multiplication by s_R(r) and t_R(r); for a left one, right
-    multiplication by t_L(l) and s_L(l).  The constraint stacks, for every
-    r, the projections of A e_i (x) e_j - e_i (x) B e_j at the non-pivots
-    (i, j)."""
-    return TakeuchiSubspace(square, kernel(vstack(
-        [square.apply(_balance(A, B, square.index))
-         for A, B in zip(first, second)], square.dim, square.field)))
-
-
 def pair_mul(A, B, u, v):
     """The factorwise product of u and v in A (x) B, each a dict of its
     nonzeros, as the dict of the product's nonzeros."""
@@ -143,21 +123,3 @@ def pair_mul(A, B, u, v):
         raise ShapeMismatch("factor index outside dimension %d"
                             % (A.dim * dB)) from None
     return {k: x for k, x in acc.items() if x}
-
-
-def check_takeuchi_closure(H, tk):
-    """Factorwise products of spanning elements of the Takeuchi subspace
-    stay inside it (so multiplication is well defined there)."""
-    rep = ViolationReport()
-    sq = tk.ambient
-    # the lifts of the basis rows, at the non-pivot columns
-    nonpivots = list(sq.index)
-    space = tk.space
-    lifts = [{nonpivots[qi]: x for qi, x in space.rows[p].items()}
-             for p in space.pivots]
-    for a, u in enumerate(lifts):
-        for b, v in enumerate(lifts):
-            prod = pair_mul(H, H, u, v)
-            rep.require(space.contains(sq.project(prod)),
-                        "takeuchi:closure", (a, b))
-    return rep

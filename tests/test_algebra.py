@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from halab.fields import QQ, CyclotomicField, _poly_mul, _poly_divmod
 from halab import algebra
 from halab.linalg import (Mat, Subspace, rank, kron, inverse, solve_map,
-                          NoSolution)
+                          NoSolution, _combine)
 from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
                            group_algebra, monoid_algebra, matrix_algebra,
                            product_field_algebra, opposite, enveloping,
@@ -23,6 +23,7 @@ from halab.zoo import (cyclic_table, klein_table, s3_table, and_monoid_table,
                        groupoid_algebra, indiscrete_groupoid,
                        action_groupoid, twisted_group_algebra)
 from halab.cli import algebra_to_json, algebra_from_json
+from halab.reports import ViolationReport
 
 from conftest import sparse, dual_numbers, projective_modules
 
@@ -466,3 +467,68 @@ def test_one_scan_splits_like_the_restart_scan():
             assert got == restart_scan(poly, field), field
             split += got[1] == [one]
         assert 0 < split < 12
+
+
+def validate_algebra_reference(A):
+    """Reference: the unit law, then associativity on every basis triple,
+    as validated before the triples containing a basis unit were
+    skipped."""
+    rep = ViolationReport()
+    zero = A.field.zero
+    right = [[row[k] for row in A.mul] for k in range(A.dim)]
+    for i in range(A.dim):
+        ei = {i: A.field.one}
+        rep.require(_combine(right[i], A.unit, zero) == ei, "unit",
+                    (i,), note="1*e_%d != e_%d" % (i, i))
+        rep.require(_combine(A.mul[i], A.unit, zero) == ei, "unit",
+                    (i,), note="e_%d*1 != e_%d" % (i, i))
+    for i in range(A.dim):
+        for j in range(A.dim):
+            ij = A.mul[i][j]
+            for k in range(A.dim):
+                rep.require(_combine(right[k], ij, zero)
+                            == _combine(A.mul[i], A.mul[j][k], zero),
+                            "associativity", (i, j, k))
+    return rep
+
+
+def mutate_mul(A, i, j, k, delta):
+    """A copy of A with delta added to coordinate k of e_i e_j."""
+    mul = [[dict(p) for p in row] for row in A.mul]
+    mul[i][j][k] = mul[i][j].get(k, A.field.zero) + delta
+    return FDAlgebra(A.dim, mul, A.unit, A.field)
+
+
+def test_validation_matches_the_reference(hopf_corpus):
+    """validate_algebra gives entry for entry (tags, indices, notes,
+    order) the reference's report on the constructor corpus, the Q
+    corpus's total and base algebras up to dimension 12, and seeded
+    single-entry mutations of each product: some anywhere, some at
+    e_u e_j or e_i e_u for a basis unit e_u, which break the unit law and
+    so turn the skip of the unit's triples off."""
+    rng = random.Random(26)
+    algebras = list(constructor_corpus())
+    for name, Hd in hopf_corpus:
+        if Hd.total.field == QQ and Hd.total.dim <= 12:
+            algebras += [(name, Hd.total), (name + " base", Hd.leftb.base)]
+    cases, at_unit = [], 0
+    for name, A in algebras:
+        cases.append((name, A))
+        units = [u for u in range(A.dim) if A.unit == {u: A.field.one}]
+        for n in range(6):
+            i, j, k = (rng.randrange(A.dim) for _ in range(3))
+            if units and n % 2:
+                i, j = (units[0], j) if n % 4 == 1 else (i, units[0])
+                at_unit += 1
+            cases.append(("%s mul[%d][%d][%d]" % (name, i, j, k),
+                          mutate_mul(A, i, j, k, rng.choice([-1, 1]))))
+    tags, skipped_and_failed = set(), 0
+    for name, A in cases:
+        entries = validate_algebra(A).entries
+        assert entries == validate_algebra_reference(A).entries, name
+        tags.update(e["tag"] for e in entries)
+        skipped_and_failed += bool(entries) and all(
+            e["tag"] == "associativity" for e in entries) and any(
+            A.unit == {u: A.field.one} for u in range(A.dim))
+    assert tags == {"unit", "associativity"}
+    assert at_unit >= 50 and skipped_and_failed >= 20

@@ -76,6 +76,39 @@ class TestCheckDocuments:
         assert "left:coassociativity" in report and "hopf:(b)" in report
         assert sorted(ambient_dims) == [8 ** 2] * 2 + [8 ** 3] * 3
 
+    def test_quotient_builds_per_document(self, monkeypatch, capsys):
+        """check --json on each shipped document builds these tensor
+        quotients, and none for the Takeuchi corestriction or the counit
+        action, which compare lifts and read tables: kz3_hopf, z3_weak,
+        z4_coupled, cz3_func and mut_broken_counit built one square each
+        when the Takeuchi subspace was a kernel over it (22 in all).  No
+        Takeuchi kernel exists: bimod and hopfalgebroid have no kernel."""
+        import halab.bimod
+        import halab.hopfalgebroid
+        builds = []
+        original = halab.bimod.quotient_by
+
+        def counting(ambient_dim, relation_vectors, field):
+            builds[-1][1] += 1
+            return original(ambient_dim, relation_vectors, field)
+        monkeypatch.setattr(halab.bimod, "quotient_by", counting)
+        for path in doc_paths():
+            builds.append([os.path.basename(path), 0])
+            main(["check", path, "--json"])
+            capsys.readouterr()
+        assert dict(builds) == {
+            "chain_z2_z4.json": 4, "cz3_func.json": 0,
+            "klein_cocycle.json": 0, "kz2_cleft.json": 3,
+            "kz3_hopf.json": 0, "mut_broken_counit.json": 0,
+            "mut_cocycle.json": 0, "mut_composition_psi.json": 4,
+            "mut_nontransitive_covering.json": 2,
+            "regular_z2_gset.json": 0, "smash_swap.json": 2,
+            "twisted_m2.json": 0, "z2_covering.json": 1,
+            "z3_groupoid.json": 0, "z3_weak.json": 0, "z4_coupled.json": 0}
+        assert sum(n for _, n in builds) == 16
+        assert not hasattr(halab.bimod, "kernel")
+        assert not hasattr(halab.hopfalgebroid, "kernel")
+
     def test_documents_twice_in_shuffled_order(self, capsys):
         """No state of one call leaks into the next: every shipped document,
         twice in one process and in a shuffled order, gives the exit code

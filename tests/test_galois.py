@@ -255,6 +255,27 @@ class TestCovering:
         with pytest.raises(Inconclusive, match="central connectedness"):
             check_covering(D)
 
+    def test_a_split_does_not_depend_on_the_basis_order(self):
+        """B = Q(i) (x) Q(i) is Q(i) x Q(i).  x (x) 1 and 1 (x) x have the
+        minimal polynomial t^2 + 1, which does not split over Q, and
+        x (x) x has t^2 - 1.  In either order of the centre's basis the
+        one step returns (1 + x (x) x)/2 and (1 - x (x) x)/2, so B is
+        not connected; Q(i) alone stays inconclusive."""
+        B = algebra.tensor_algebra(QI, QI)
+        half = QQ.one / 2
+        expected = [{0: half, 3: -half}, {0: half, 3: half}]
+        zs = [B.basis_vec(i) for i in range(B.dim)]   # 1, 1x, x1, xx
+        for order in (zs, zs[::-1]):
+            pieces = split_central_idempotent(B, order, B.unit)
+            assert sorted(pieces, key=lambda e: e[3]) == expected
+        assert check_covering(over_k(B)).centrally_connected is False
+        with pytest.raises(NotSplit) as info:
+            split_central_idempotent(QI, [QI.basis_vec(0), QI.basis_vec(1)],
+                                     QI.unit)
+        assert info.value.idempotents == []
+        with pytest.raises(Inconclusive, match="central connectedness"):
+            check_covering(over_k(QI))
+
     def test_connectedness_matches_the_full_decomposition(
             self, comodule_corpus):
         """check_covering stops at the first split of the unit of Z(B);

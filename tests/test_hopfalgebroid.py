@@ -9,7 +9,7 @@ from halab.linalg import (Mat, kron, kron_cols, inverse, rank, equal_in,
 from halab.algebra import product_field_algebra
 from halab.bimod import tensor_over
 from halab.hopfalgebroid import (BialgebroidData, HopfAlgebroidData,
-                                 _coassociative, check_coring,
+                                 _coassociative, _in_takeuchi, check_coring,
                                  check_bialgebroid, check_hopf_algebroid,
                                  solve_antipode, check_coupled,
                                  check_algebraic_morphism,
@@ -23,6 +23,7 @@ from halab.zoo import (cyclic_table, s3_table, group_hopf_algebra,
 
 from conftest import symmetric_table
 from test_algebra import in_basis
+from test_bimod import takeuchi_of
 
 
 def remut(Hd, which, i, j, delta):
@@ -309,7 +310,8 @@ def test_coring_and_takeuchi_form_no_kron_and_no_dense_product(monkeypatch):
     monkeypatch.setattr(halab.hopfalgebroid, "kron", forbidden)
     for B in (Hd.leftb, Hd.rightb):
         assert check_coring(B).ok
-        assert (B.square().dim, B.takeuchi().space.dim) == (32, 16)
+        assert all(_in_takeuchi(B, B.coproduct_lift))
+        assert (B.square().dim, takeuchi_of(B).space.dim) == (32, 16)
     monkeypatch.undo()
     assert check_bialgebroid(Hd.leftb).ok and check_bialgebroid(Hd.rightb).ok
 
@@ -458,3 +460,105 @@ def test_verdicts_do_not_depend_on_the_base_basis(hopf_corpus):
             failing += not rep.ok
             moved_bases += inst.rightb.base.dim > 1
     assert checked >= 50 and failing >= 20 and moved_bases >= 20
+
+
+def counit_action_reference(B, rep):
+    """Reference for condition (c): r . b := eps(s(r) b) on a right
+    bialgebroid, b . l := eps(b s(l)) on a left one, with one product in H
+    and one matvec per triple (r, a, b), as decided before the checker
+    read (r . a) . b off the eps-mult tables."""
+    H, base = B.total, B.base
+
+    def eps(x, y):
+        return B.counit.matvec(H.mul_vec(x, y))
+
+    for r in range(base.dim):
+        rv = base.basis_vec(r)
+        sr = B.s.col(r)
+        if B.side == "right":
+            dot = B.counit * H.left_mult_matrix(sr)
+            rep.require(dot.matvec(H.unit) == rv,
+                        "right:counit-action", (r,), note="r.1 != r")
+        else:
+            dot = B.counit * H.right_mult_matrix(sr)
+            rep.require(dot.matvec(H.unit) == rv,
+                        "left:counit-action", (r,), note="1.l != l")
+            s_bl = [B.s.matvec(dot.col(b)) for b in range(H.dim)]
+        for a in range(H.dim):
+            if B.side == "right":
+                s_ra = B.s.matvec(dot.col(a))
+            for b in range(H.dim):
+                ab = dot.matvec(H.mul[a][b])
+                if B.side == "right":
+                    rep.require(eps(s_ra, b) == ab,
+                                "right:counit-action", (r, a, b))
+                else:
+                    rep.require(ab == eps(a, s_bl[b]),
+                                "left:counit-action", (r, a, b))
+
+
+STRUCTURE_MAPS = ("sL", "tL", "dL", "epsL", "sR", "tR", "dR", "epsR", "S")
+
+
+def test_lifts_and_tables_match_the_reference_formulas(hopf_corpus,
+                                                       monkeypatch):
+    """The Takeuchi corestriction decided on lifts and the counit action
+    read off eps-mult tables give entry for entry (tags, indices, order)
+    the reports of the reference formulas: a lift projected to the square
+    and tested against the Takeuchi kernel, and one product per triple.
+    On the Q corpus up to dimension 12 and on a seeded single-entry
+    mutation of each of the nine structure maps of every instance."""
+    from test_bimod import in_takeuchi_reference
+    rng = random.Random(26)
+    instances = []
+    for name, Hd in hopf_corpus:
+        if Hd.total.field != QQ or Hd.total.dim > 12:
+            continue
+        instances.append((name, Hd))
+        L, R = Hd.leftb, Hd.rightb
+        maps = {"sL": L.s, "tL": L.t, "dL": L.coproduct_lift,
+                "epsL": L.counit, "sR": R.s, "tR": R.t,
+                "dR": R.coproduct_lift, "epsR": R.counit, "S": Hd.antipode}
+        for which in STRUCTURE_MAPS:
+            M = maps[which]
+            instances.append(("%s %s" % (name, which), remut(
+                Hd, which, rng.randrange(M.rows), rng.randrange(M.cols),
+                QQ.one)))
+    got = [check_hopf_algebroid(Hd).entries for _, Hd in instances]
+    monkeypatch.setattr(halab.hopfalgebroid, "_in_takeuchi",
+                        in_takeuchi_reference)
+    monkeypatch.setattr(halab.hopfalgebroid, "_counit_action_check",
+                        counit_action_reference)
+    tags = set()
+    for (name, Hd), entries in zip(instances, got):
+        assert check_hopf_algebroid(Hd).entries == entries, name
+        tags.update(e["tag"].split(":", 1)[-1] for e in entries)
+    assert len(instances) >= 200
+    assert {"takeuchi", "counit-action"} <= tags
+
+
+def test_geometric_takeuchi_matches_the_reference(monkeypatch):
+    """Every single-entry change of phi = id on the groupoid algebra and
+    the function algebroid of indiscrete2 gets the same
+    check_geometric_morphism entries with the image tested on lifts and
+    against the reference Takeuchi kernel; some of them miss it."""
+    from test_bimod import in_takeuchi_reference
+    cases = []
+    for ctor in (groupoid_algebra, function_algebroid):
+        Hd = ctor(indiscrete_groupoid(2))
+        d, f = Hd.total.dim, Mat.identity(Hd.rightb.base.dim, QQ)
+        for i in range(d):
+            for j in range(d):
+                phi = Mat.identity(d, QQ).copy()
+                phi.data[i][j] = phi.data[i][j] + QQ.one
+                cases.append((f, phi, Hd))
+    got = [check_geometric_morphism(f, phi, Hd, Hd).entries
+           for f, phi, Hd in cases]
+    monkeypatch.setattr(halab.hopfalgebroid, "_in_takeuchi",
+                        in_takeuchi_reference)
+    missed = 0
+    for (f, phi, Hd), entries in zip(cases, got):
+        assert check_geometric_morphism(f, phi, Hd, Hd).entries == entries
+        missed += any(e["note"] == "image misses the Takeuchi subspace"
+                      for e in entries)
+    assert missed >= 4
