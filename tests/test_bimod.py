@@ -2,7 +2,8 @@ import math
 import random
 
 from halab.fields import QQ
-from halab.linalg import Mat, Subspace, kron, quotient_by, kernel, vstack
+from halab.linalg import (Mat, Subspace, kron, quotient_by, kernel, vstack,
+                          _columns)
 from halab.algebra import group_algebra
 from halab.bimod import tensor_over, pair_mul, BaseMismatch, _balance
 from halab.hopfalgebroid import _coassociative
@@ -102,8 +103,7 @@ def in_takeuchi_reference(B, cols):
     square and tested against the kernel, as the checkers did before they
     compared lifts."""
     sq, tk = B.square(), takeuchi_of(B)
-    return [tk.space.contains(sq.project(v))
-            for v in (cols.sparse_cols() if isinstance(cols, Mat) else cols)]
+    return [tk.space.contains(sq.project(v)) for v in _columns(cols)]
 
 
 def check_takeuchi_closure(H, tk):
