@@ -18,13 +18,10 @@ x_i * y_j lands at z^(i+j+k) of one integer convolution, every entry at
 or above z^d is folded through its row of the table, and one gcd puts the
 result in lowest terms; x * y is times(x, y, 0).  Over Q the roots of
 unity are +-1, so QQ.times(x, y, k) is x * y * (-1)^k.  zeta(k) is a
-lookup of a cached Root, which carries the rows z^(i+k) for i < d:
-x * zeta^k alone is the signed sum of those rows over x's numerators,
-over x's own denominator.  It needs no gcd, since zeta^k is a unit of
-Z[zeta] and multiplying by it maps the lattice Z^d of numerators onto
-itself, so their gcd, and with it lowest terms, is kept.  No Fraction is
-created and no polynomial is divided on the way; only inverse runs
-extended Euclid.
+lookup of one of the N roots of unity the field caches, plain elements
+whose products go through times like any other.  No Fraction is created
+and no polynomial is divided on the way; only inverse runs extended
+Euclid.
 
 The ground field is fixed per document: arithmetic that mixes scalars of
 different cyclotomic orders raises FieldMismatch instead of
@@ -159,8 +156,7 @@ class CyclotomicField:
                                                          2 * d - 1 + k)]
                        for k in range(N)]
         self._tail = (0,) * (d - 1)
-        self._zeta = [Root(self, t, rows[k:k + d])
-                      for k, t in enumerate(table)]
+        self._zeta = [Cyc(self, t, 1) for t in table]
         self.zero = Cyc(self, (0,) * d, 1)
         self.one = self._zeta[0]
         _FIELD_CACHE[N] = self
@@ -489,33 +485,3 @@ class Cyc:
     def __repr__(self):
         return self.field.format(self)
 
-
-class Root(Cyc):
-    """zeta^k, one of the N roots a field caches, with its rows: rows[i]
-    is the nonzero (j, c) of z^(i+k) mod Phi_N for i < d.  x * zeta^k is
-    the sum of x's numerators times these rows, over x's own denominator,
-    in lowest terms with no convolution, no fold and no gcd (see the
-    module docstring).  Python tries a subclass's reflected method first,
-    so x * zeta^k takes this path too."""
-
-    __slots__ = ("rows",)
-
-    def __init__(self, field, num, rows):
-        super().__init__(field, num, 1)
-        self.rows = rows
-
-    def __mul__(self, other):
-        if other.__class__ is Cyc and other.field is self.field:
-            o = other
-        else:
-            o = self._coerce(other)
-            if o is None:
-                return NotImplemented
-        out = [0] * self.field.degree
-        for x, row in zip(o.num, self.rows):
-            if x:
-                for j, c in row:
-                    out[j] += x * c
-        return Cyc(self.field, tuple(out), o.den)
-
-    __rmul__ = __mul__

@@ -13,7 +13,7 @@ Tensor conventions follow bimod:
 """
 
 import random
-from functools import partial
+from functools import cache, partial
 
 from .linalg import (Mat, kron_cols, leg_slices, rank, inverse, kernel,
                      image, Subspace, solve_map, equal_in, NoSolution,
@@ -197,19 +197,20 @@ def check_comodule(D):
             rep.require(equal_in(square, rho * act[i],
                                  kron_cols(I_B, mult, rho)),
                         "comodule:module-compat:" + side, (i,))
-    # algebra maps
-    sqR, sqL = D.tensorRH(), D.tensorLH()
-    for side, rho, sq in (("R", D.rhoR_lift, sqR), ("L", D.rhoL_lift, sqL)):
+    # algebra maps: lifts are compared first, and each side's square is
+    # built at most once, when some pair of lifts differs
+    one = {b * dH + h: x * y for b, x in B.unit.items()
+           for h, y in H.unit.items()}
+    for side, rho, square in (("R", D.rhoR_lift, D.tensorRH),
+                              ("L", D.rhoL_lift, D.tensorLH)):
+        sq = cache(square)
         for i in range(dB):
             ci = rho.col(i)
             for j in range(dB):
-                lhs = sq.project(rho.matvec(B.mul[i][j]))
-                rhs = sq.project(pair_mul(B, H, ci, rho.col(j)))
-                rep.require(lhs == rhs, "comodule:multiplicative:%s" % side,
-                            (i, j))
-        one = {b * dH + h: x * y for b, x in B.unit.items()
-               for h, y in H.unit.items()}
-        rep.require(sq.project(rho.matvec(B.unit)) == sq.project(one),
+                rep.require(equal_in(sq, [rho.matvec(B.mul[i][j])],
+                                     [pair_mul(B, H, ci, rho.col(j))]),
+                            "comodule:multiplicative:%s" % side, (i, j))
+        rep.require(equal_in(sq, [rho.matvec(B.unit)], [one]),
                     "comodule:unital:%s" % side)
     return rep
 

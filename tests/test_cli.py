@@ -480,7 +480,7 @@ class TestBuild:
 
 
 def test_torus_battery(capsys):
-    assert main(["torus", "--n", "2", "--samples", "40"]) == 0
+    assert main(["torus", "--n", "2"]) == 0
     out = capsys.readouterr().out
     assert "pass" in out
 
@@ -488,25 +488,80 @@ def test_torus_battery(capsys):
 def _torus_doc(tmp_path):
     p = tmp_path / "torus.json"
     p.write_text(json.dumps({"kind": "torus_params", "field": None,
-                             "payload": {"n": 2, "samples": 5}}))
+                             "payload": {"n": 3, "m": 2}}))
     return str(p)
 
 
-def test_seed_reaches_torus_params(tmp_path, capsys):
-    assert main(["check", _torus_doc(tmp_path), "--json", "--seed", "7"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["verdicts"]["torus"]["seed"] == 7
+def test_torus_output_does_not_depend_on_the_seed(tmp_path, monkeypatch,
+                                                  capsys):
+    """Every verdict of the battery is decided on residues or at fixed
+    points: halab torus --json and halab check of a torus_params document
+    print the same bytes under every HALAB_SEED."""
+    path = _torus_doc(tmp_path)
+    outputs = set()
+    for seed in ("0", "1", "7"):
+        monkeypatch.setenv("HALAB_SEED", seed)
+        assert main(["torus", "--n", "3", "--m", "2", "--json"]) == 0
+        torus_out = capsys.readouterr().out
+        assert main(["check", path, "--json"]) == 0
+        outputs.add((torus_out, capsys.readouterr().out))
+    assert len(outputs) == 1
+    (torus_out, check_out), = outputs
+    report = json.loads(torus_out)
+    assert report["oracle_mismatches"] == 0
+    assert "seed" not in report and "samples" not in report
+    assert json.loads(check_out)["verdicts"]["torus"] == report
 
 
-def test_each_call_reads_its_own_seed(tmp_path, monkeypatch, capsys):
+def _record_cleft_seeds(monkeypatch):
+    """The seeds galois.check_cleft receives, recorded as it runs."""
+    import halab.galois
+    seeds, check_cleft = [], halab.galois.check_cleft
+
+    def recording(D, c, seed=0):
+        seeds.append(seed)
+        return check_cleft(D, c, seed)
+    monkeypatch.setattr(halab.galois, "check_cleft", recording)
+    return seeds
+
+
+def test_seed_reaches_check_cleft(monkeypatch, capsys):
+    seeds = _record_cleft_seeds(monkeypatch)
+    path = os.path.join(DOCS, "kz2_cleft.json")
+    assert main(["check", path, "--json", "--seed", "7"]) == 0
+    capsys.readouterr()
+    assert seeds == [7]
+
+
+def test_each_call_reads_its_own_seed(monkeypatch, capsys):
     """The parser is built once per process; HALAB_SEED is read on every
     call that has no --seed."""
-    path = _torus_doc(tmp_path)
+    seeds = _record_cleft_seeds(monkeypatch)
+    path = os.path.join(DOCS, "kz2_cleft.json")
     for seed in (3, 11):
         monkeypatch.setenv("HALAB_SEED", str(seed))
         assert main(["check", path, "--json"]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert report["verdicts"]["torus"]["seed"] == seed
+        capsys.readouterr()
+    assert seeds == [3, 11]
+
+
+def test_failed_algebra_check_stops_the_stack(tmp_path, capsys):
+    """A Hopf algebroid whose total algebra is not associative gets the
+    algebra check alone: the coring, bialgebroid and Hopf-algebroid
+    axioms are read through its products and are not run."""
+    with open(os.path.join(DOCS, "kz3_hopf.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    mul = doc["payload"]["total"]["mul"]
+    entry = next(t for t in mul if (t["i"], t["j"]) == (1, 1))
+    entry["k"] = (entry["k"] + 1) % doc["payload"]["total"]["dim"]
+    p = tmp_path / "nonassociative.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"]] == ["algebra"]
+    assert not report["checks"][0]["ok"]
+    assert {v["tag"] for v in report["checks"][0]["violations"]} \
+        == {"associativity"}
 
 
 def test_bad_seed_variable_exits_2(monkeypatch, capsys):

@@ -21,7 +21,7 @@ from halab.cli import (main, algebra_from_json, algebra_to_json,
                        comodule_to_json, cocycle_from_json, cocycle_to_json,
                        composition_from_json, composition_to_json,
                        mat_to_json, shaped_mat_from_json, MAX_TORUS_N,
-                       MAX_TORUS_M, MAX_TORUS_SAMPLES, MAX_TORUS_RADIUS)
+                       MAX_TORUS_M)
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "documents")
 SHIPPED = sorted(n for n in os.listdir(DOCS) if n.endswith(".json"))
@@ -284,27 +284,25 @@ def test_a_shared_hopf_algebroid_is_read_for_every_part(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("key, value, message", [
-    ("seed", "abc", "payload.seed: must be an integer, not a string"),
-    ("samples", -3, "payload.samples: is -3, must be >= 0"),
+    ("m", "10", "payload.m: must be an integer, not a string"),
+    ("m", -3, "payload.m: is -3, must be >= 1"),
     ("n", True, "payload.n: must be an integer, not a boolean"),
-    ("radius", 2.5, "payload.radius: must be an integer, not a number"),
+    ("n", 2.25, "payload.n: must be an integer, not a number"),
 ])
 def test_torus_parameters_are_not_coerced(tmp_path, capsys, key, value,
                                           message):
     p = tmp_path / "torus.json"
     p.write_text(json.dumps({"kind": "torus_params", "field": None,
-                             "payload": {"n": 1, "samples": 2, key: value}}))
+                             "payload": {"n": 1, key: value}}))
     assert main(["check", str(p)]) == 2
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
-_TORUS_BOUNDS = [("n", 1, MAX_TORUS_N), ("m", 1, MAX_TORUS_M),
-                 ("samples", 0, MAX_TORUS_SAMPLES),
-                 ("radius", 0, MAX_TORUS_RADIUS)]
+_TORUS_BOUNDS = [("n", 1, MAX_TORUS_N), ("m", 1, MAX_TORUS_M)]
 
 
 def _torus_range(lo, top):
-    return "range(%d, %d)" % (lo, top + 1) if lo else "range(%d)" % (top + 1)
+    return "range(%d, %d)" % (lo, top + 1)
 
 
 @pytest.mark.parametrize("key, lo, top", _TORUS_BOUNDS)
@@ -314,8 +312,7 @@ def test_torus_parameters_are_bounded(tmp_path, capsys, key, lo, top):
     flag."""
     p = tmp_path / "torus.json"
     p.write_text(json.dumps({"kind": "torus_params", "field": None,
-                             "payload": {"n": 1, "samples": 2,
-                                         key: top + 1}}))
+                             "payload": {"n": 1, key: top + 1}}))
     assert main(["check", str(p)]) == 2
     assert capsys.readouterr().err == "error: payload.%s: is %d, must be " \
         "in %s\n" % (key, top + 1, _torus_range(lo, top))
@@ -328,31 +325,16 @@ def test_torus_parameters_are_bounded(tmp_path, capsys, key, lo, top):
         % (key, lo - 1, lo)
 
 
-def test_torus_radius_below_n_names_its_key(tmp_path, capsys):
-    """The coaction check samples exponents in [-radius, radius] and needs
-    radius >= n: a smaller one exits 2 naming payload.radius or --radius,
-    not a bare ParameterMismatch."""
-    p = tmp_path / "torus.json"
-    p.write_text(json.dumps({"kind": "torus_params", "field": None,
-                             "payload": {"n": 5, "radius": 2}}))
-    assert main(["check", str(p)]) == 2
-    assert capsys.readouterr().err == \
-        "error: payload.radius: is 2, must be >= n = 5\n"
-    assert main(["torus", "--n=5", "--radius=2"]) == 2
-    assert capsys.readouterr().err == \
-        "error: --radius: is 2, must be >= n = 5\n"
-
-
 @pytest.mark.parametrize("key, lo, top", _TORUS_BOUNDS)
 def test_torus_bounds_are_accepted(tmp_path, capsys, key, lo, top):
     """Each bound itself is accepted, the others kept small."""
-    params = {"n": 1, "samples": 0, key: top}
+    params = {"n": 1, key: top}
     p = tmp_path / "torus.json"
     p.write_text(json.dumps({"kind": "torus_params", "field": None,
                              "payload": params}))
     assert main(["check", str(p), "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["verdicts"]["torus"][
-        "samples"] == params["samples"]
+        key] == top
     assert main(["torus"] + ["--%s=%d" % item
                              for item in params.items()]) == 0
 

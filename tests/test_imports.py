@@ -1,6 +1,6 @@
 """Static checks over the halab sources: every imported name is used,
 every quotient projection goes through project or apply, no comparison
-has a quotient application on both sides (two lifts are compared by
+projects both of its sides through a quotient (two lifts are compared by
 linalg.equal_in, which projects only the pairs that differ), tensor
 quotients have one builder, rows one elimination engine and systems for an unknown
 linear map one solver (linalg.solve_map), products with a basis
@@ -59,14 +59,15 @@ def test_one_projection_path(path):
         path.name, dense)
 
 
-def _is_apply(node):
-    return isinstance(node, ast.Call) and _call_name(node) == "apply"
+def _is_projection(node):
+    return isinstance(node, ast.Call) and _call_name(node) in ("apply",
+                                                                "project")
 
 
 def _eager_comparisons(tree):
     """(top-level definition, line) of every comparison in tree whose
-    operands are all quotient applications: .apply(...) calls, or names
-    that the same definition binds to one."""
+    operands are all quotient projections: .apply(...) or .project(...)
+    calls, or names that the same definition binds to one."""
     found = []
     for top in tree.body:
         applied = set()
@@ -79,11 +80,11 @@ def _eager_comparisons(tree):
                              else [(t, node.value)])
                     applied.update(n.id for n, v in pairs
                                    if isinstance(n, ast.Name)
-                                   and _is_apply(v))
+                                   and _is_projection(v))
         found.extend(
             (getattr(top, "name", "<module>"), node.lineno)
             for node in ast.walk(top) if isinstance(node, ast.Compare)
-            and all(_is_apply(x) or isinstance(x, ast.Name)
+            and all(_is_projection(x) or isinstance(x, ast.Name)
                     and x.id in applied
                     for x in [node.left] + node.comparators))
     return sorted(found)
@@ -96,17 +97,24 @@ def test_eager_comparisons_are_found():
                      "def h(q):\n    x, y = q.apply(a), q.apply(b)\n"
                      "    return x != y\n"
                      "def k(q):\n    x = q.apply(a) * g\n"
-                     "    return x == h * q.apply(b), equal_in(q, a, b)\n")
-    assert _eager_comparisons(tree) == [("f", 2), ("g", 6), ("h", 9)]
+                     "    return x == h * q.apply(b), equal_in(q, a, b)\n"
+                     "def p(q):\n    return q.project(a) == q.project(b)\n"
+                     "def r(q):\n    lhs = q.project(a)\n"
+                     "    return lhs == q.project(b), q.project(a) == b\n")
+    assert _eager_comparisons(tree) == [("f", 2), ("g", 6), ("h", 9),
+                                        ("p", 14), ("r", 17)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_lifts_are_compared_before_projecting(path):
-    """No comparison projects both of its sides through a quotient:
-    linalg.equal_in compares two lifts as vectors and builds and applies
-    the quotient only for pairs that differ."""
+    """No comparison projects both of its sides through a quotient, by
+    apply or by project: linalg.equal_in, the one exemption, compares two
+    lifts as vectors and builds and projects the quotient only for pairs
+    that differ."""
     found = _eager_comparisons(ast.parse(path.read_text(),
                                          filename=str(path)))
+    if path.name == "linalg.py":
+        found = [(name, line) for name, line in found if name != "equal_in"]
     assert not found, "%s compares two quotient applications at %s" % (
         path.name, found)
 
@@ -562,6 +570,15 @@ def test_torus_verdicts_are_exact():
                    and node.name == "_torus_battery")
     assert not _float_uses(torus), "torus.py uses floating point"
     assert not _float_uses(battery), "cli._torus_battery uses floating point"
+    # no verdict from a sample: neither imports random or draws an element
+    for name, tree in (("torus.py", torus), ("cli._torus_battery", battery)):
+        imports = {alias.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   for alias in node.names} | {
+            node.module for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)}
+        assert "random" not in imports, "%s imports random" % name
+        assert "random_qt" not in _calls(tree), "%s calls random_qt" % name
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from halab.fields import QQ, CyclotomicField, Cyc
 from halab.linalg import Mat, det
+import halab.torus
 from halab.torus import (QTElement, qt_monomial, qt_one, qt_mul, decompose,
                          recompose, L_operator, chi_product, omega_matrix,
                          random_qt, fiber_matrices, best_fiber_variant,
-                         torus_coaction_check, torus_galois_matrix,
-                         DecomposedElement, ParameterMismatch, NotInA)
+                         oracle_mismatches, torus_coaction_check,
+                         torus_galois_matrix, DecomposedElement,
+                         ParameterMismatch, NotInA)
 
 EXPECTED = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
                         "expected.json")
@@ -413,11 +415,41 @@ class TestFibers:
 
 
 def test_coaction_battery():
-    for n in (2, 3):
-        out = torus_coaction_check(n, 4)
+    for n in (1, 2, 3, 4, 6):
+        out = torus_coaction_check(n)
         assert out["action_multiplicative"]
         assert out["invariance_exact"]
         assert out["coassociative"]
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (1, 2), (3, 1), (2, 2),
+                                  (5, 1), (2, 4), (3, 4)])
+def test_exact_oracle_finds_no_mismatch(n, m):
+    assert oracle_mismatches(n, m) == 0
+
+
+def test_exact_oracle_counts_a_phase_wrong_on_one_residue_class(
+        monkeypatch):
+    """A chi_product whose phase is off by q on the pairs with
+    b c = 7 mod 21 alone (n = 3, m = 7) is caught on each of them.  The
+    seeded pairs of random_qt, whose exponents lie in [-6, 6], never reach
+    that class, so no number of samples finds it."""
+    n, m, r = 3, 7, 7
+    N = n * m
+    assert all(b * c % N != r for b in range(-6, 7) for c in range(-6, 7))
+    product, q = chi_product, QTElement(n, m).q
+
+    def mutant(d1, d2):
+        # the oracle's pair (b, c, e) lands on U^(bN+c) V^(b+e)
+        out = product(d1, d2)
+        for comp in out.components:
+            for (x, v), c in comp.support.items():
+                if (x // N) * (x % N) % N == r:
+                    comp.support[x, v] = c * q
+        return out
+    monkeypatch.setattr(halab.torus, "chi_product", mutant)
+    wrong = sum(b * c % N == r for b in range(N) for c in range(N))
+    assert oracle_mismatches(n, m) == n * wrong > 0
 
 
 class TestGaloisDeterminant:
