@@ -479,11 +479,12 @@ def test_chi_product_accumulates_in_place():
 def test_torus_products_take_phases_in_the_kernel():
     """qt_mul and chi_product multiply each term pair by one call of the
     field's kernel times(x, y, k) = x * y * zeta^k: no phase q^k is looked
-    up with _power and multiplied in afterwards."""
+    up (in _params' table of roots or by zeta) and multiplied in
+    afterwards."""
     tree = ast.parse((SRC / "torus.py").read_text())
     for name in ("qt_mul", "chi_product"):
         calls = _calls(_function(tree, name))
-        assert "_power" not in calls and "times" in calls, name
+        assert not calls & {"_params", "zeta"} and "times" in calls, name
 
 
 def _convolutions(tree):
