@@ -1,7 +1,8 @@
 """Comodule algebras over Hopf algebroids, coinvariants, the comparison
 map between the two one-sided coaction tensor products, Galois maps,
-covering verdicts, cleftness, cocycles with crossed products, composition
-diagrams, and witness-based equivalence checks.
+covering verdicts, cleftness (through the witness's own normal-basis
+map), cocycles with crossed products, composition diagrams, and
+witness-based equivalence checks.  Every verdict is exact.
 
 Tensor conventions follow bimod:
   B (x)_R H : right R-action on B by right multiplication with eta_R,
@@ -12,11 +13,10 @@ Tensor conventions follow bimod:
   B (x)_A B : A acts through its image in B by plain multiplication.
 """
 
-import random
 from functools import cache, partial
 
-from .linalg import (Mat, kron_cols, leg_slices, rank, inverse, kernel,
-                     image, Subspace, solve_map, equal_in, NoSolution,
+from .linalg import (Mat, kron_cols, rank, inverse, kernel, image,
+                     Subspace, solve_map, equal_in, NoSolution,
                      ShapeMismatch, _add_scaled)
 from .algebra import (FDAlgebra, ModuleOverA, is_projective, Inconclusive,
                       check_algebra_morphism, subalgebra_on_rows,
@@ -444,18 +444,13 @@ def _conv_inverse(D, c):
                         solve_map(blocks, B.dim, Hd.total.dim, D.field))
 
 
-def check_cleft(D, c, seed=0):
+def check_cleft(D, c):
     """Cleftness through the witness c: R -> L: bimodule type, linear
-    solvability of a convolution inverse, the comodule-map square, and a
-    bounded search, seeded by seed, for a normal-basis witness (raises
-    Inconclusive when the search is exhausted without an invertible
-    combination)."""
+    solvability of a convolution inverse, the comodule-map square and,
+    when these hold, the normal basis that c itself gives (normal_basis).
+    Every answer is exact."""
     rep = ViolationReport()
-    B = D.B
-    H = D.H.total
-    Hd = D.H
-    field = D.field
-    dH = H.dim
+    B, H, Hd, field = D.B, D.H.total, D.H, D.field
     rep.require(c.domain == "R" and c.codomain == "L", "cleft:labels")
     # L-R bimodule map: c(sL(l) h) = etaL(l) c(h), c(h sR(r)) = c(h) etaR(r)
     for l in range(Hd.leftb.base.dim):
@@ -476,23 +471,26 @@ def check_cleft(D, c, seed=0):
                     note="no convolution inverse exists")
     # comodule-map square
     rep.require(equal_in(D.tensorRH, D.rhoR_lift * c.map,
-                         kron_cols(c.map, Mat.identity(dH, field),
+                         kron_cols(c.map, Mat.identity(H.dim, field),
                                    Hd.rightb.coproduct_lift)),
                 "cleft:comodule-map")
     if rep.ok:
-        _normal_basis_witness(D, rep, seed)
+        for question, holds in normal_basis(D, c).items():
+            rep.require(holds, "cleft:normal-basis",
+                        note="Theta %s: false" % question)
     return rep
 
 
-def _normal_basis_solutions(D):
-    """The quotient A (x)_L H and the kernel basis, as (dA*dH) x dB Mats
-    at lift level, of the linear system for a left-A-linear
-    right-comodule map B -> A (x)_L H."""
-    B = D.B
-    H = D.H.total
-    Hd = D.H
-    field = D.field
-    dB, dH = B.dim, H.dim
+def normal_basis(D, c):
+    """Whether the canonical map of the witness c, Theta: A (x)_L H -> B,
+    a (x) h -> a c(h), is a normal basis (Montgomery, CBMS 82, Thm 7.2.2;
+    Boehm-Brzezinski for Hopf algebroids), as three exact answers:
+    "descends" (Theta vanishes on the relation rows of A (x)_L H),
+    "colinear" (rho_R Theta = (Theta (x) id)(id_A (x) Delta_R) on lifts)
+    and "bijective" (rank dim B = dim A (x)_L H on the section columns).
+    A is the computed coinvariants; Theta is its own certificate."""
+    B, Hd, field = D.B, D.H, D.field
+    dB, dH = B.dim, Hd.total.dim
     coin = coinvariants(D, "R")
     dA = coin.dim
     Aalg, Aincl = subalgebra_on_rows(B, coin)
@@ -502,60 +500,18 @@ def _normal_basis_solutions(D):
     right_acts = [Aalg.right_mult_matrix(etaA.col(l))
                   for l in range(Hd.leftb.base.dim)]
     sqAH = D._tensor([dA, dH], [(right_acts, Hd.leftb.acts()[1])])
-    # triple quotient (A x H x H): legs (A,H) over L, (H,H) over R; its
-    # stages are sqAH and H's square, so neither is built again
-    T = tensor_over([dA, dH, dH], [(right_acts, Hd.leftb.acts()[1]),
-                                   Hd.rightb.acts()], field, D._quotients)
-    # unknown theta: B -> A (x) H at lift level, (dA*dH) x dB.  Left
-    # A-linearity after projection to sqAH: P theta L_a = P (L_a (x) id)
-    # theta for every a; the comodule-map square in the triple quotient:
-    # T (id (x) Delta_R) theta = T (theta (x) id) rho, the right side a sum
-    # over the H-leg h of rho of T E_h theta slice_h, where E_h is
-    # alpha -> alpha (x) e_h
-    units = [{alpha: field.one} for alpha in range(dA * dH)]
-    P, I_H, minus = sqAH.apply(units), Mat.identity(dH, field), -field.one
-    blocks = [([(P, B.left_mult_matrix(Aincl.col(a))),
-                (sqAH.apply(kron_cols(Aalg.left_mult_matrix(a), I_H,
-                                      units)).scale(minus), None)], None)
-              for a in range(dA)]
-    square = [(T.apply(kron_cols(Mat.identity(dA, field),
-                                 Hd.rightb.coproduct_lift, units)), None)]
-    for h, P in enumerate(leg_slices(D.rhoR_lift, dH, 1)):
-        E_h = [{alpha * dH + h: minus} for alpha in range(dA * dH)]
-        square.append((T.apply(E_h), P))
-    blocks.append((square, None))
-    return sqAH, solve_map(blocks, dA * dH, dB, field, want_kernel=True)[1]
-
-
-def _normal_basis_witness(D, rep, seed):
-    """Search the solutions of _normal_basis_solutions, then seeded
-    combinations of them, for an invertible one."""
-    sqAH, sols = _normal_basis_solutions(D)
-    dB, field = D.B.dim, D.field
-    if sqAH.dim != dB:
-        rep.require(False, "cleft:normal-basis",
-                    note="dimension mismatch: %d vs %d" % (sqAH.dim, dB))
-        return
-    if not sols:
-        rep.require(False, "cleft:normal-basis", note="only zero solution")
-        return
-    for K in sols:
-        if rank(sqAH.apply(K)) == dB:
-            rep.require(True, "cleft:normal-basis")
-            return
-    rng = random.Random(seed)
-    for _ in range(64):
-        combo = [{} for _ in range(dB)]
-        for K in sols:
-            coeff = field.random(rng)
-            if coeff:
-                for col, kcol in zip(combo, K.sparse_cols()):
-                    _add_scaled(col, coeff, kcol, field.zero)
-        if rank(sqAH.apply(combo)) == dB:
-            rep.require(True, "cleft:normal-basis")
-            return
-    raise Inconclusive("normal-basis search exhausted without an "
-                       "invertible witness")
+    # Theta on the lifts a (x) h, keyed by the column a * dH + h
+    theta = Mat.from_cols([B.mul_vec(Aincl.col(a), c.map.col(h))
+                           for a in range(dA) for h in range(dH)], dB, field)
+    coproduct = kron_cols(Mat.identity(dA, field), Hd.rightb.coproduct_lift,
+                          Mat.identity(dA * dH, field))
+    on_sections = Mat.from_cols([theta.col(col) for col in sqAH.index],
+                                dB, field)
+    return {
+        "descends": not any(theta.matvec(row) for row in sqAH.rows.values()),
+        "colinear": equal_in(D.tensorRH, D.rhoR_lift * theta, kron_cols(
+            theta, Mat.identity(dH, field), coproduct)),
+        "bijective": sqAH.dim == dB == rank(on_sections)}
 
 
 # ---------------------------------------------------------------------------

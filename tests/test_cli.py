@@ -82,7 +82,9 @@ class TestCheckDocuments:
         action, which compare lifts and read tables: kz3_hopf, z3_weak,
         z4_coupled, cz3_func and mut_broken_counit built one square each
         when the Takeuchi subspace was a kernel over it (22 in all).  No
-        Takeuchi kernel exists: bimod and hopfalgebroid have no kernel."""
+        Takeuchi kernel exists: bimod and hopfalgebroid have no kernel.
+        kz2_cleft's cleft level builds A (x)_L H alone: it built a triple
+        quotient as well when it searched for a normal basis."""
         import halab.bimod
         import halab.hopfalgebroid
         builds = []
@@ -98,14 +100,14 @@ class TestCheckDocuments:
             capsys.readouterr()
         assert dict(builds) == {
             "chain_z2_z4.json": 4, "cz3_func.json": 0,
-            "klein_cocycle.json": 0, "kz2_cleft.json": 3,
+            "klein_cocycle.json": 0, "kz2_cleft.json": 2,
             "kz3_hopf.json": 0, "mut_broken_counit.json": 0,
             "mut_cocycle.json": 0, "mut_composition_psi.json": 4,
             "mut_nontransitive_covering.json": 2,
             "regular_z2_gset.json": 0, "smash_swap.json": 2,
             "twisted_m2.json": 0, "z2_covering.json": 1,
             "z3_groupoid.json": 0, "z3_weak.json": 0, "z4_coupled.json": 0}
-        assert sum(n for _, n in builds) == 16
+        assert sum(n for _, n in builds) == 15
         assert not hasattr(halab.bimod, "kernel")
         assert not hasattr(halab.hopfalgebroid, "kernel")
 
@@ -157,9 +159,9 @@ class TestCheckDocuments:
             doc["field"] = {"cyclotomic": 3}
             p = tmp_path / os.path.basename(path)
             p.write_text(json.dumps(doc))
-            code = main(["check", path, "--json", "--seed", "1"])
+            code = main(["check", path, "--json"])
             over_q = capsys.readouterr().out
-            assert main(["check", str(p), "--json", "--seed", "1"]) == code
+            assert main(["check", str(p), "--json"]) == code
             assert capsys.readouterr().out == over_q, path
             extended += 1
         assert extended == 15
@@ -172,20 +174,22 @@ class TestCheckDocuments:
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_inconclusive_exits_3(self, monkeypatch, capsys, flags):
         """A check that cannot reach a verdict is neither a failure (exit
-        1) nor a traceback: it prints the reason and exits 3."""
+        1) nor a traceback: it prints the reason and exits 3.
+        check_covering is the one check that raises Inconclusive."""
         import halab.algebra
         import halab.galois
 
-        def exhausted(*args):
-            raise halab.algebra.Inconclusive("normal-basis search exhausted")
+        def unsplit(*args):
+            raise halab.algebra.Inconclusive("central connectedness: "
+                                             "no idempotent found")
 
-        monkeypatch.setattr(halab.galois, "check_cleft", exhausted)
+        monkeypatch.setattr(halab.galois, "check_covering", unsplit)
         path = os.path.join(DOCS, "kz2_cleft.json")
         assert main(["check", path] + flags) == 3
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == "error: inconclusive: normal-basis search exhausted\n"
-
+        assert err == "error: inconclusive: central connectedness: " \
+            "no idempotent found\n"
 
     def test_unsplit_centre_exits_3(self, tmp_path, capsys):
         """Q(i) = Q[x]/(x^2 + 1) as the trivial comodule over k: its centre
@@ -513,38 +517,6 @@ def test_torus_output_does_not_depend_on_the_seed(tmp_path, monkeypatch,
     assert json.loads(check_out)["verdicts"]["torus"] == report
 
 
-def _record_cleft_seeds(monkeypatch):
-    """The seeds galois.check_cleft receives, recorded as it runs."""
-    import halab.galois
-    seeds, check_cleft = [], halab.galois.check_cleft
-
-    def recording(D, c, seed=0):
-        seeds.append(seed)
-        return check_cleft(D, c, seed)
-    monkeypatch.setattr(halab.galois, "check_cleft", recording)
-    return seeds
-
-
-def test_seed_reaches_check_cleft(monkeypatch, capsys):
-    seeds = _record_cleft_seeds(monkeypatch)
-    path = os.path.join(DOCS, "kz2_cleft.json")
-    assert main(["check", path, "--json", "--seed", "7"]) == 0
-    capsys.readouterr()
-    assert seeds == [7]
-
-
-def test_each_call_reads_its_own_seed(monkeypatch, capsys):
-    """The parser is built once per process; HALAB_SEED is read on every
-    call that has no --seed."""
-    seeds = _record_cleft_seeds(monkeypatch)
-    path = os.path.join(DOCS, "kz2_cleft.json")
-    for seed in (3, 11):
-        monkeypatch.setenv("HALAB_SEED", str(seed))
-        assert main(["check", path, "--json"]) == 0
-        capsys.readouterr()
-    assert seeds == [3, 11]
-
-
 def test_failed_algebra_check_stops_the_stack(tmp_path, capsys):
     """A Hopf algebroid whose total algebra is not associative gets the
     algebra check alone: the coring, bialgebroid and Hopf-algebroid
@@ -564,17 +536,32 @@ def test_failed_algebra_check_stops_the_stack(tmp_path, capsys):
         == {"associativity"}
 
 
-def test_bad_seed_variable_exits_2(monkeypatch, capsys):
-    """A HALAB_SEED that is not an integer is an input error (exit 2, a
-    message naming the variable), not a failed check or a traceback."""
-    monkeypatch.setenv("HALAB_SEED", "abc")
-    path = os.path.join(DOCS, "kz3_hopf.json")
-    assert main(["check", path]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "HALAB_SEED" in err
-    # an explicit --seed never reads the variable
-    assert main(["check", path, "--seed", "1"]) == 0
-    capsys.readouterr()
+def test_failed_algebra_check_stops_the_comodule_stack(tmp_path, capsys):
+    """A comodule algebra whose Hopf algebroid's total algebra is not
+    associative gets its algebra checks alone: the comodule, covering and
+    cleft axioms are read through its products and are not run."""
+    with open(os.path.join(DOCS, "kz2_cleft.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    mul = doc["payload"]["hopf_algebroid"]["total"]["mul"]
+    entry = next(t for t in mul if (t["i"], t["j"]) == (0, 1))
+    entry["c"] = "2"
+    p = tmp_path / "nonassociative.json"
+    p.write_text(json.dumps(doc))
+    assert main(["check", str(p), "--json"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"]] == ["algebra", "B-algebra"]
+    assert not report["checks"][0]["ok"] and report["checks"][1]["ok"]
+    assert {v["tag"] for c in report["checks"] for v in c["violations"]} \
+        <= {"unit", "associativity"}
+    assert report["verdicts"] == {}
+
+
+def test_seed_is_not_an_option(capsys):
+    """No verdict of halab check depends on a seed, and it takes none."""
+    with pytest.raises(SystemExit) as exc:
+        main(["check", os.path.join(DOCS, "kz2_cleft.json"), "--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
 
 
 def test_main_works_after_a_usage_error(capsys):

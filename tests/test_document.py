@@ -298,6 +298,34 @@ def test_torus_parameters_are_not_coerced(tmp_path, capsys, key, value,
     assert capsys.readouterr().err == "error: %s\n" % message
 
 
+@pytest.mark.parametrize("payload, key", [
+    ({"n": 2, "M": 3, "samples": 5}, "M"),
+    ({"n": 2, "samples": 100}, "samples"),
+    ({"n": 2, "radius": 60}, "radius"),
+    ({"n": 2, "seed": 0}, "seed"),
+])
+def test_torus_parameters_reject_unknown_keys(tmp_path, capsys, payload,
+                                              key):
+    """A torus_params payload holds n, m and name alone: a misspelt key or
+    one of the removed samples, radius and seed keys exits 2 and names
+    the first such key, before any of the battery runs."""
+    p = tmp_path / "torus.json"
+    p.write_text(json.dumps({"kind": "torus_params", "field": None,
+                             "payload": payload}))
+    assert main(["check", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: payload.%s: unknown key\n" % key
+
+
+def test_torus_parameters_take_a_name(tmp_path, capsys):
+    p = tmp_path / "torus.json"
+    p.write_text(json.dumps({"kind": "torus_params", "field": None,
+                             "payload": {"name": "torus", "n": 2, "m": 1}}))
+    assert main(["check", str(p), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["instance"] == "torus"
+
+
 _TORUS_BOUNDS = [("n", 1, MAX_TORUS_N), ("m", 1, MAX_TORUS_M)]
 
 

@@ -19,17 +19,17 @@ from halab.galois import (ComoduleAlgebraData, regular_comodule,
                           crossed_product, check_composition,
                           verify_topological_equiv, BimoduleWitness,
                           HopfBimoduleWitness, verify_morita_data,
-                          _bimodule_tensor)
+                          _bimodule_tensor, normal_basis)
 from halab.cli import (comodule_to_json, comodule_from_json, cocycle_to_json,
                        cocycle_from_json, composition_to_json,
-                       composition_from_json, load)
+                       composition_from_json, load, shaped_mat_from_json)
 from halab.zoo import (cyclic_table, group_hopf_algebra, monoid_bialgebra,
                        and_monoid_table, classical_covering_instance,
                        disjoint_union_gset, regular_gset, groupoid_algebra,
                        indiscrete_groupoid)
 from halab.reports import ViolationReport
 
-from conftest import cocycle_instances
+from conftest import cocycle_instances, comodule_instances
 
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "documents")
@@ -375,6 +375,60 @@ class TestConvolutionAndCleft:
         D = regular_comodule(group_hopf_algebra(cyclic_table(2)))
         c = ConvMorphism(D, "R", "L", Mat.zero(2, 2, QQ))
         assert not check_cleft(D, c).ok
+
+
+def _document_witness():
+    """kz2_cleft.json's comodule algebra and cleft witness."""
+    payload = load(os.path.join(DOCS, "kz2_cleft.json"))["payload"]
+    D = comodule_from_json(payload)
+    return D, shaped_mat_from_json(payload, "cleft_witness", D.B.dim,
+                                   D.H.total.dim, D.field)
+
+
+def _identity_witnesses():
+    """The document's witness and the identity witness of each corpus
+    comodule, as (name, D, c)."""
+    D, c = _document_witness()
+    yield "kz2_cleft.json", D, ConvMorphism(D, "R", "L", c)
+    for D in comodule_instances():
+        yield D.name, D, ConvMorphism(D, "R", "L",
+                                      Mat.identity(D.B.dim, D.field))
+
+
+# the corpus comodules whose identity witness fails cleft:bimodule and
+# cleft:invertibility
+NOT_CLEFT = {"regular function algebroid", "regular smash kZ2 # 1",
+             "regular smash k2 # Z2 swap"}
+
+
+class TestNormalBasis:
+    """Theta(a (x) h) = a c(h) on A (x)_L H decides the normal basis."""
+
+    def test_theta_is_a_normal_basis_where_the_witness_cleaves(self):
+        cleft = 0
+        for name, D, c in _identity_witnesses():
+            answers = normal_basis(D, c)
+            if name in NOT_CLEFT:
+                assert not answers["descends"], name
+                assert set(check_cleft(D, c).tags()) == {
+                    "cleft:bimodule", "cleft:invertibility"}, name
+            else:
+                assert answers == {"descends": True, "colinear": True,
+                                   "bijective": True}, name
+                assert check_cleft(D, c).ok, name
+                cleft += 1
+        assert cleft == 8
+
+    def test_a_theta_that_is_not_bijective_is_reported(self, monkeypatch):
+        """Each false answer is one cleft:normal-basis entry naming it."""
+        import halab.galois
+        D, c = next(_identity_witnesses())[1:]
+        monkeypatch.setattr(halab.galois, "normal_basis", lambda D, c: {
+            "descends": True, "colinear": True, "bijective": False})
+        rep = check_cleft(D, c)
+        assert rep.to_json() == [{"tag": "cleft:normal-basis",
+                                  "indices": None,
+                                  "note": "Theta bijective: false"}]
 
 
 class TestCocycles:

@@ -9,7 +9,8 @@ hopfalgebroid.check_coupled (lifts go through FDAlgebra.convolve and
 kron_cols, and projectivity through Hom_A(M, A)), vectors have one form
 (dicts of their nonzeros: no dense [x.zero] * n list outside fields and
 the dense Mat views, and no list-or-dict helper), no Mat's .data is ever
-written, no module uses floating point, true division appears only in
+written, no module imports random or reads HALAB_SEED, no module uses
+floating point, true division appears only in
 fields.py,
 torus.recompose and torus.chi_product accumulate into supports in place
 instead of multiplying and adding elements, the torus products and
@@ -580,6 +581,26 @@ def test_torus_verdicts_are_exact():
             if isinstance(node, ast.ImportFrom)}
         assert "random" not in imports, "%s imports random" % name
         assert "random_qt" not in _calls(tree), "%s calls random_qt" % name
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_verdict_depends_on_a_seed(path):
+    """No module imports random or reads HALAB_SEED, and check_cleft, which
+    decides the normal basis through the witness's own map, takes no
+    seed."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imports = {alias.name for node in ast.walk(tree)
+               if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names} | {
+        node.module for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)}
+    assert "random" not in imports, "%s imports random" % path.name
+    assert not any(isinstance(node, ast.Constant) and node.value == "HALAB_SEED"
+                   for node in ast.walk(tree)), \
+        "%s reads HALAB_SEED" % path.name
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "check_cleft":
+            assert [a.arg for a in node.args.args] == ["D", "c"]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
