@@ -377,18 +377,13 @@ class TestConvolutionAndCleft:
         assert not check_cleft(D, c).ok
 
 
-def _document_witness():
-    """kz2_cleft.json's comodule algebra and cleft witness."""
+def _identity_witnesses():
+    """kz2_cleft.json with its witness and each corpus comodule with the
+    identity witness, as (name, D, c)."""
     payload = load(os.path.join(DOCS, "kz2_cleft.json"))["payload"]
     D = comodule_from_json(payload)
-    return D, shaped_mat_from_json(payload, "cleft_witness", D.B.dim,
-                                   D.H.total.dim, D.field)
-
-
-def _identity_witnesses():
-    """The document's witness and the identity witness of each corpus
-    comodule, as (name, D, c)."""
-    D, c = _document_witness()
+    c = shaped_mat_from_json(payload, "cleft_witness", D.B.dim,
+                             D.H.total.dim, D.field)
     yield "kz2_cleft.json", D, ConvMorphism(D, "R", "L", c)
     for D in comodule_instances():
         yield D.name, D, ConvMorphism(D, "R", "L",
