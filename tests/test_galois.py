@@ -3,13 +3,16 @@ import os
 
 import pytest
 
-from halab import algebra
+from halab import algebra, galois
 from halab.fields import QQ, CyclotomicField
-from halab.linalg import Mat, rank, Subspace, ShapeMismatch, kron_cols
+from halab.linalg import (Mat, rank, inverse, Subspace, ShapeMismatch,
+                          kron_cols)
 from halab.algebra import (FDAlgebra, product_field_algebra, direct_product,
                            central_idempotents_split, split_central_idempotent,
                            center, subalgebra_on_rows, NotSplit, Inconclusive)
-from halab.hopfalgebroid import HopfAlgebroidData, BialgebroidData
+from halab.hopfalgebroid import (HopfAlgebroidData, BialgebroidData,
+                                 check_geometric_morphism)
+from halab.bimod import tensor_over
 from halab.galois import (ComoduleAlgebraData, regular_comodule,
                           trivial_comodule, check_comodule, coinvariants,
                           phi_map, galois_maps, check_gal_factorization,
@@ -26,7 +29,8 @@ from halab.cli import (comodule_to_json, comodule_from_json, cocycle_to_json,
 from halab.zoo import (cyclic_table, group_hopf_algebra, monoid_bialgebra,
                        and_monoid_table, classical_covering_instance,
                        disjoint_union_gset, regular_gset, groupoid_algebra,
-                       indiscrete_groupoid)
+                       indiscrete_groupoid, trivial_table,
+                       coupled_from_character, nontransitive_control_instance)
 from halab.reports import ViolationReport
 
 from conftest import cocycle_instances, comodule_instances
@@ -97,6 +101,31 @@ def sign_coaction():
     inclA.data[2][1] = QQ.one
     return ComoduleAlgebraData(Hz2, B4, inclA, rho, rho,
                                name="parity coaction")
+
+
+def z2_z4_chain():
+    """k => kZ2 => kZ4 (the regular coverings), with kZ4 over kZ2 through
+    the parity coaction: (D1, D, D2, phi, psi)."""
+    Hz2 = group_hopf_algebra(cyclic_table(2))
+    Hz4 = group_hopf_algebra(cyclic_table(4))
+    phi = Mat.from_cols([{0: QQ.one}, {2: QQ.one}], 4, QQ)
+    psi = Mat.from_cols([{i % 2: QQ.one} for i in range(4)], 2, QQ)
+    rho2 = Mat.from_cols([{i * 2 + i % 2: QQ.one} for i in range(4)], 8, QQ)
+    D2 = ComoduleAlgebraData(Hz2, Hz4.total, phi, rho2, rho2)
+    return regular_comodule(Hz2), regular_comodule(Hz4), D2, phi, psi
+
+
+def prop4_chain():
+    """A chain whose outer symmetry, the coupled kZ2 sign pair, is not a
+    Hopf algebra over k, so check_composition decides its factorization
+    square through _prop4_square: k over k, then the regular comodule of
+    the pair twice, with phi the unit and psi the identity."""
+    D1 = trivial_comodule(group_hopf_algebra(trivial_table()),
+                          product_field_algebra(1))
+    D = regular_comodule(HopfAlgebroidData(*coupled_from_character(
+        group_hopf_algebra(cyclic_table(2)), [1, -1])))
+    return D1, D, D, Mat.from_cols([{0: QQ.one}], 2, QQ), \
+        Mat.identity(2, QQ)
 
 
 class TestComodules:
@@ -443,22 +472,26 @@ class TestCocycles:
 
 class TestComposition:
     def test_chain_passes(self):
-        Hz2 = group_hopf_algebra(cyclic_table(2))
-        Hz4 = group_hopf_algebra(cyclic_table(4))
-        D1 = regular_comodule(Hz2)
-        D = regular_comodule(Hz4)
-        B4 = Hz4.total
-        phi = Mat.zero(4, 2, QQ)
-        phi.data[0][0] = QQ.one
-        phi.data[2][1] = QQ.one
-        psi = Mat.zero(2, 4, QQ)
-        for i in range(4):
-            psi.data[i % 2][i] = QQ.one
-        rho2 = Mat.zero(8, 4, QQ)
-        for i in range(4):
-            rho2.data[i * 2 + (i % 2)][i] = QQ.one
-        D2 = ComoduleAlgebraData(Hz2, B4, phi, rho2, rho2)
+        assert check_composition(*z2_z4_chain()).ok
+
+    def test_prop4_square_is_reached(self, monkeypatch):
+        """The coupled sign pair is no Hopf algebra over k, so the chain's
+        factorization square is _prop4_square's: it holds for phi the
+        unit, and phi = e_1 fails it on both sides."""
+        calls = []
+        square = galois._prop4_square
+
+        def recording(*args):
+            calls.append(args[1:])
+            return square(*args)
+        monkeypatch.setattr(galois, "_prop4_square", recording)
+        D1, D, D2, phi, psi = prop4_chain()
         assert check_composition(D1, D, D2, phi, psi).ok
+        assert len(calls) == 1
+        e1 = Mat.from_cols([{1: QQ.one}], 2, QQ)
+        tags = check_composition(D1, D, D2, e1, psi).tags()
+        assert {"composition:prop4:R", "composition:prop4:L"} <= set(tags)
+        assert len(calls) == 2
 
     def test_morita_self_equivalence(self):
         Hd = group_hopf_algebra(cyclic_table(2))
@@ -510,20 +543,7 @@ class TestSerialization:
         assert validate_cocycle(back).ok
 
     def test_composition_round_trip(self):
-        Hz2 = group_hopf_algebra(cyclic_table(2))
-        Hz4 = group_hopf_algebra(cyclic_table(4))
-        D1 = regular_comodule(Hz2)
-        D = regular_comodule(Hz4)
-        phi = Mat.zero(4, 2, QQ)
-        phi.data[0][0] = QQ.one
-        phi.data[2][1] = QQ.one
-        psi = Mat.zero(2, 4, QQ)
-        for i in range(4):
-            psi.data[i % 2][i] = QQ.one
-        rho2 = Mat.zero(8, 4, QQ)
-        for i in range(4):
-            rho2.data[i * 2 + (i % 2)][i] = QQ.one
-        D2 = ComoduleAlgebraData(Hz2, Hz4.total, phi, rho2, rho2)
+        D1, D, D2, phi, psi = z2_z4_chain()
         doc = composition_to_json(D1, D, D2, phi, psi)
         E1, E, E2, p, q, f1, f = composition_from_json(doc)
         assert p == phi and q == psi
@@ -531,3 +551,168 @@ class TestSerialization:
         assert E1.H is E2.H and E1._quotients is E2._quotients
         assert E.H is not E1.H
         assert check_composition(E1, E, E2, p, q, f1, f).ok
+
+
+# ---------------------------------------------------------------------------
+# references: the Galois maps and Phi lifted at every ambient column, and
+# the composition squares as products of projected maps
+
+def reference_galois_pair(D):
+    """(gal_R, gal_L) from the lifts of a (x) b at all dB^2 columns, built
+    with multiplication matrices and kron_cols."""
+    B, dB = D.B, D.B.dim
+    I_H = Mat.identity(D.H.total.dim, D.field)
+    sqAA = D.tensorAA()
+    lift_R, lift_L = {}, {}
+    for a in range(dB):
+        for b, v in enumerate(kron_cols(B.left_mult_matrix(a), I_H,
+                                        D.rhoR_lift)):
+            lift_R[a * dB + b] = v
+    for b in range(dB):
+        for a, v in enumerate(kron_cols(B.right_mult_matrix(b), I_H,
+                                        D.rhoL_lift)):
+            lift_L[a * dB + b] = v
+    return (D.tensorRH().apply([lift_R[c] for c in sqAA.index]),
+            D.tensorLH().apply([lift_L[c] for c in sqAA.index]))
+
+
+def reference_phi_map(D):
+    """(Phi, Psi) from the lifts of m (x) h at all dB * dH columns."""
+    H, S = D.H.total, D.H.antipode
+    Sinv = inverse(S)
+    I_B = Mat.identity(D.B.dim, D.field)
+    phi_lift, psi_lift = {}, {}
+    for h in range(H.dim):
+        Rs = H.right_mult_matrix(S.col(h))
+        Ls = H.left_mult_matrix(Sinv.col(h))
+        for b, v in enumerate(kron_cols(I_B, Rs, D.rhoL_lift)):
+            phi_lift[b * H.dim + h] = v
+        for b, v in enumerate(kron_cols(I_B, Ls, D.rhoR_lift)):
+            psi_lift[b * H.dim + h] = v
+    sqR, sqL = D.tensorRH(), D.tensorLH()
+    return (sqL.apply([phi_lift[c] for c in sqR.index]),
+            sqR.apply([psi_lift[c] for c in sqL.index]))
+
+
+def reference_composition(D1, D, D2, phi, psi):
+    """check_composition with the Galois squares decided as products of
+    the projected Galois maps of all three coverings, and the factorization
+    square built per side and per column."""
+    rep = ViolationReport()
+    field = D.field
+    iota = D2.inclusionA
+    f1 = Mat.identity(D1.H.rightb.base.dim, field)
+    f = Mat.identity(D.H.rightb.base.dim, field)
+    rep.merge(check_geometric_morphism(f1, phi, D1.H, D.H))
+    rep.merge(check_geometric_morphism(f, psi, D.H, D2.H))
+    rep.require(rank(phi) == phi.cols, "composition:phi-injective")
+    rep.require(rank(psi) == psi.rows, "composition:psi-surjective")
+    I_B2 = Mat.identity(D.B.dim, field)
+    g1, g, g2 = (dict(zip("RL", reference_galois_pair(E)))
+                 for E in (D1, D, D2))
+    Q1AA, QAA, Q2AA = D1.tensorAA(), D.tensorAA(), D2.tensorAA()
+    for side in ("R", "L"):
+        Q1BH, QBH, Q2BH = (E.tensorRH() if side == "R" else E.tensorLH()
+                           for E in (D1, D, D2))
+        lhs = QBH.apply(kron_cols(iota, phi, Q1BH.section_cols)) * g1[side]
+        rhs = g[side] * QAA.apply(kron_cols(iota, iota, Q1AA.section_cols))
+        rep.require(lhs == rhs, "composition:(i):%s" % side)
+        surj = Q2AA.apply(QAA.section_cols)
+        lhs = Q2BH.apply(kron_cols(I_B2, psi, QBH.section_cols)) * g[side]
+        rep.require(lhs == g2[side] * surj, "composition:(ii):%s" % side)
+    if (D1.H.rightb.base.dim == 1 and D2.H.rightb.base.dim == 1
+            and galois._bialgebroids_coincide(D1.H)
+            and galois._bialgebroids_coincide(D2.H)):
+        rep.require(psi * phi == D2.H.rightb.s * D1.H.rightb.counit,
+                    "composition:prop5")
+        return rep
+    B1, H2 = D1.B, D2.H.total
+    for side in ("R", "L"):
+        Q1BH = D1.tensorRH() if side == "R" else D1.tensorLH()
+        H2b = D2.H.rightb if side == "R" else D2.H.leftb
+        H1b = D1.H.rightb if side == "R" else D1.H.leftb
+        right_acts = [B1.right_mult_matrix(b) for b in range(B1.dim)]
+        left_acts = [H2.left_mult_matrix(
+            (H2b.s * galois._b1_to_base(D2)).col(b)) for b in range(B1.dim)]
+        T = tensor_over([B1.dim, H2.dim], [(right_acts, left_acts)], field)
+        se = (H2b.s * galois._b1_to_base(D2)) * (D1.etaR * H1b.counit)
+        I_B1, lifts = Mat.identity(B1.dim, field), Q1BH.section_cols
+        rep.require(T.apply(kron_cols(I_B1, psi * phi, lifts))
+                    == T.apply(kron_cols(I_B1, se, lifts)),
+                    "composition:prop4:%s" % side)
+    return rep
+
+
+def bumped(M, i, j):
+    """M with 1 added to its entry (i, j)."""
+    out = M.copy()
+    out.data[i][j] = out.data[i][j] + out.field.one
+    return out
+
+
+def composition_cases():
+    """Criterion 11's chain, the shipped chain documents and the prop4
+    chain, each with its phi and psi bumped at two entries apiece."""
+    chains = [("z2_z4", z2_z4_chain()), ("prop4", prop4_chain())]
+    for name in ("chain_z2_z4.json", "mut_composition_psi.json"):
+        doc = load(os.path.join(DOCS, name))
+        chains.append((name, composition_from_json(doc["payload"],
+                                                   field=doc["field"])[:5]))
+    cases = []
+    for name, (D1, D, D2, phi, psi) in chains:
+        cases.append((name, (D1, D, D2, phi, psi)))
+        for which, M in (("phi", phi), ("psi", psi)):
+            for i, j in ((0, 0), (M.rows - 1, M.cols - 1)):
+                args = [D1, D, D2, phi, psi]
+                args[3 if which == "phi" else 4] = bumped(M, i, j)
+                cases.append(("%s %s+e%d,%d" % (name, which, i, j), args))
+    return cases
+
+
+def galois_corpus(comodule_corpus):
+    return (list(comodule_corpus) + [D for _, D in shipped_comodules()]
+            + [sign_coaction(), monoid_control(), free_z2_covering(4),
+               nontransitive_control_instance()])
+
+
+class TestLiftsAgainstReferences:
+    def test_galois_maps_match_the_all_columns_reference(self,
+                                                         comodule_corpus):
+        for D in galois_corpus(comodule_corpus):
+            g = galois_maps(D)
+            assert (g["galR"], g["galL"]) == reference_galois_pair(D), D.name
+
+    def test_phi_map_matches_the_all_columns_reference(self,
+                                                       comodule_corpus):
+        for D in galois_corpus(comodule_corpus):
+            assert phi_map(D) == reference_phi_map(D), D.name
+
+    def test_lifts_are_built_at_the_section_columns_alone(
+            self, comodule_corpus, monkeypatch):
+        """galois_maps lifts each side once per coordinate of B (x)_A B,
+        where the reference lifts all dB^2 columns."""
+        calls = []
+        lift = galois._gal_lift
+
+        def counting(*args):
+            calls.append(args[1])
+            return lift(*args)
+        monkeypatch.setattr(galois, "_gal_lift", counting)
+        for D in comodule_corpus:
+            del calls[:]
+            galois_maps(D)
+            n = D.tensorAA().dim
+            assert calls == ["R"] * n + ["L"] * n, D.name
+
+    def test_composition_reports_match_the_projected_squares(self):
+        cases = composition_cases()
+        assert len(cases) == 20
+        reached = set()
+        for name, args in cases:
+            new = check_composition(*args).entries
+            assert new == reference_composition(*args).entries, name
+            reached.update(e["tag"] for e in new)
+        # every square fails on some case, and is reported alike there
+        assert {"composition:" + t for t in (
+            "(i):R", "(i):L", "(ii):R", "(ii):L", "prop4:R", "prop4:L",
+            "prop5")} <= reached

@@ -65,13 +65,22 @@ def _is_projection(node):
                                                                 "project")
 
 
+def _projects(node, applied):
+    """Whether a quotient projection, .apply(...) or .project(...), or a
+    name in applied occurs in node at any depth."""
+    return any(_is_projection(n) or isinstance(n, ast.Name)
+               and n.id in applied for n in ast.walk(node))
+
+
 def _eager_comparisons(tree):
     """(top-level definition, line) of every comparison in tree whose
-    operands are all quotient projections: .apply(...) or .project(...)
-    calls, or names that the same definition binds to one."""
+    operands each contain a quotient projection at any depth: an
+    .apply(...) or .project(...) call, or a name that the same definition
+    binds to an expression containing one (q.apply(a) * g == h * x with
+    x = q.apply(b))."""
     found = []
     for top in tree.body:
-        applied = set()
+        bound = []
         for node in ast.walk(top):
             if isinstance(node, ast.Assign):
                 for t in node.targets:
@@ -79,14 +88,18 @@ def _eager_comparisons(tree):
                              if isinstance(t, ast.Tuple)
                              and isinstance(node.value, ast.Tuple)
                              else [(t, node.value)])
-                    applied.update(n.id for n, v in pairs
-                                   if isinstance(n, ast.Name)
-                                   and _is_projection(v))
+                    bound.extend((n.id, v) for n, v in pairs
+                                 if isinstance(n, ast.Name))
+        applied = set()
+        while True:     # names bound to names bound to projections, ...
+            more = {n for n, v in bound if _projects(v, applied)} - applied
+            if not more:
+                break
+            applied |= more
         found.extend(
             (getattr(top, "name", "<module>"), node.lineno)
             for node in ast.walk(top) if isinstance(node, ast.Compare)
-            and all(_is_projection(x) or isinstance(x, ast.Name)
-                    and x.id in applied
+            and all(_projects(x, applied)
                     for x in [node.left] + node.comparators))
     return sorted(found)
 
@@ -101,17 +114,21 @@ def test_eager_comparisons_are_found():
                      "    return x == h * q.apply(b), equal_in(q, a, b)\n"
                      "def p(q):\n    return q.project(a) == q.project(b)\n"
                      "def r(q):\n    lhs = q.project(a)\n"
-                     "    return lhs == q.project(b), q.project(a) == b\n")
+                     "    return lhs == q.project(b), q.project(a) == b\n"
+                     "def s(q):\n    p = q.apply(a)\n    x = g * p\n"
+                     "    return x == h * q.apply(b), x == g\n")
     assert _eager_comparisons(tree) == [("f", 2), ("g", 6), ("h", 9),
-                                        ("p", 14), ("r", 17)]
+                                        ("k", 12), ("p", 14), ("r", 17),
+                                        ("s", 21)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_lifts_are_compared_before_projecting(path):
     """No comparison projects both of its sides through a quotient, by
-    apply or by project: linalg.equal_in, the one exemption, compares two
-    lifts as vectors and builds and projects the quotient only for pairs
-    that differ."""
+    apply or by project at any depth of either side (a product of
+    projected maps included): linalg.equal_in, the one exemption,
+    compares two lifts as vectors and builds and projects the quotient
+    only for pairs that differ."""
     found = _eager_comparisons(ast.parse(path.read_text(),
                                          filename=str(path)))
     if path.name == "linalg.py":
@@ -125,6 +142,15 @@ def test_three_leg_identities_go_through_equal_in():
     that live in a 3-leg quotient, are decided by linalg.equal_in."""
     assert {("hopfalgebroid.py", "_coassociative"),
             ("galois.py", "check_comodule")} <= _callers("equal_in")
+
+
+def test_composition_squares_compare_lifts():
+    """check_composition decides its Galois squares and the prop4 square
+    on lifts through linalg.equal_in, and builds no Galois map."""
+    assert {("galois.py", "check_composition"),
+            ("galois.py", "_prop4_square")} <= _callers("equal_in")
+    for builder in ("_galois_pair", "galois_maps"):
+        assert ("galois.py", "check_composition") not in _callers(builder)
 
 
 def _callers(name):
