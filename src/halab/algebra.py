@@ -15,8 +15,11 @@ associativity on the basis triples that do not contain a basis unit
 once the unit law holds), centers, radicals
 (Dickson trace form, characteristic 0), module projectivity by the dual
 basis lemma (Hom_A(M, A) from one solve_map, then one span test),
-central idempotent splitting over split fields (polynomial arithmetic
-from the toolkit in fields), and the Wedderburn block shape.
+central idempotent splitting by one rule (coprime_factors finds the first
+e z whose minimal polynomial has two or more coprime factors over the
+candidate roots, split_central_idempotent maps them to their CRT
+idempotents with the polynomial toolkit in fields), and the Wedderburn
+block shape.
 """
 
 from fractions import Fraction
@@ -33,13 +36,7 @@ class NotAGroup(ValueError):
 
 
 class NotSplit(Exception):
-    """NotSplit(message, idempotents=()): a minimal polynomial does not
-    split over the candidate roots.  idempotents are the central
-    idempotents, each neither 0 nor 1, found before the split failed."""
-
-    def __init__(self, message, idempotents=()):
-        super().__init__(message)
-        self.idempotents = list(idempotents)
+    """A minimal polynomial does not split over the candidate roots."""
 
 
 class NotSemisimple(Exception):
@@ -541,58 +538,64 @@ def minimal_polynomial(A, w, e, max_deg):
     raise RuntimeError("no minimal polynomial found (not an algebra element?)")
 
 
-def split_central_idempotent(A, zs, e):
-    """One split of the central idempotent e by the central elements zs
-    (a spanning list of the center): two or more orthogonal central
-    idempotents summing to e, from the first e z whose minimal polynomial
-    splits into two or more roots, or [] when e is primitive.  Raises
-    NotSplit when no e z splits e and some minimal polynomial does not
-    split over the candidate roots, carrying the first such polynomial's
-    message and the idempotents of its linear factors: the basis order of
-    zs decides no failure that a later element would have avoided."""
+def coprime_factors(A, zs, e):
+    """The coprime factors that split the central idempotent e, from the
+    central elements zs (a spanning list of the center, as dicts or basis
+    indices): (w, its minimal polynomial, factors) for the first w = e z
+    whose minimal polynomial has two or more factors over the candidate
+    roots, a power of (x - lam) for each root lam and the cofactor with no
+    candidate root when it is not constant.  Returns None when e is
+    primitive; raises NotSplit when no e z has two factors and some
+    minimal polynomial does not split."""
     field = A.field
     ws = [A.mul_vec(e, z) for z in zs]
     if rank(Mat.from_cols(ws, A.dim, field)) == 1:
-        return []    # e Z = k e: every e z is a scalar on e
-    failed = None
+        return None    # e Z = k e: every e z is a scalar on e
+    unsplit = []
     for w in ws:
         coeffs = minimal_polynomial(A, w, e, A.dim)
-        if len(coeffs) <= 2:
-            continue  # scalar action on this component
         roots, rest = _split_linear(coeffs, field)
-        if len(rest) == 1 and len(roots) < 2:
-            continue
-        # CRT idempotents for each distinct root lam of multiplicity m:
-        # q = coeffs / (x - lam)^m times the inverse of q modulo
-        # (x - lam)^m, from extended Euclid
-        new = []
+        factors = []
         for lam, m in roots:
             power = [field.one]
             for _ in range(m):
                 power = _poly_mul(power, [-lam, field.one], field)
-            q = _poly_divmod(coeffs, power, field)[0]
-            g, inv, _ = _poly_ext_gcd(q, power, field)
-            proj = _poly_mul(q, [field.div(c, g[0]) for c in inv], field)
-            val = _poly_eval_alg(A, proj, w, e)
-            if val:
-                new.append(val)
+            factors.append(power)
         if len(rest) > 1:
-            if failed is None:
-                failed = NotSplit("minimal polynomial does not split: %s"
-                                  % (coeffs,), new)
-        elif len(new) >= 2:
-            return new
-    if failed is not None:
-        raise failed
-    return []
+            factors.append(rest)
+            unsplit.append(coeffs)
+        if len(factors) >= 2:
+            return w, coeffs, factors
+    if unsplit:
+        raise NotSplit("minimal polynomial does not split: %s" % (unsplit[0],))
+    return None
+
+
+def split_central_idempotent(A, zs, e):
+    """One split of the central idempotent e by the central elements zs:
+    the CRT idempotents of the coprime factors that coprime_factors finds,
+    orthogonal, central and summing to e, or [] when e is primitive.
+    Raises NotSplit as coprime_factors does, so the order of zs decides
+    which e z splits e, but not whether one does."""
+    found = coprime_factors(A, zs, e)
+    if found is None:
+        return []
+    w, coeffs, factors = found
+    field, pieces = A.field, []
+    for f in factors:
+        # q = coeffs / f times the inverse of q modulo f, from extended
+        # Euclid, is 1 modulo f and 0 modulo every other factor
+        q = _poly_divmod(coeffs, f, field)[0]
+        g, inv, _ = _poly_ext_gcd(q, f, field)
+        proj = _poly_mul(q, [field.div(c, g[0]) for c in inv], field)
+        pieces.append(_poly_eval_alg(A, proj, w, e))
+    return pieces
 
 
 def central_idempotents_split(A):
     """Complete list of primitive orthogonal central idempotents, by
     repeated split_central_idempotent from the unit, when all needed
-    minimal polynomials split; raises NotSplit otherwise, carrying the
-    pieces split so far and the idempotents of the linear factors of the
-    polynomial that failed."""
+    minimal polynomials split; raises NotSplit otherwise."""
     Z = center(A)
     zs = [Z.rows[p] for p in Z.pivots]
     # a component that splits is replaced by its pieces at the end of the
@@ -601,14 +604,7 @@ def central_idempotents_split(A):
     pending, components = [A.unit], []
     while pending:
         e = pending.pop(0)
-        try:
-            new = split_central_idempotent(A, zs, e)
-        except NotSplit as exc:
-            # every piece is a nontrivial idempotent of A once the unit
-            # has split, and every root's lies strictly below e
-            pieces = components + [e] + pending
-            raise NotSplit(str(exc), (pieces if len(pieces) > 1 else [])
-                           + exc.idempotents) from None
+        new = split_central_idempotent(A, zs, e)
         if new:
             pending.extend(new)
         else:
@@ -627,8 +623,6 @@ def wedderburn_shape(A):
         if n is None:
             raise Inconclusive("central simple block of non-square dim")
         return (n,)
-    if A.is_commutative():
-        return (1,) * A.dim
     try:
         idems = central_idempotents_split(A)
     except NotSplit as exc:

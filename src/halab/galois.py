@@ -22,7 +22,7 @@ from .linalg import (Mat, kron_cols, rank, inverse, kernel, image,
                      ShapeMismatch, _add_scaled)
 from .algebra import (FDAlgebra, ModuleOverA, is_projective, Inconclusive,
                       check_algebra_morphism, subalgebra_on_rows,
-                      split_central_idempotent, center, NotSplit)
+                      coprime_factors, center, NotSplit)
 from .bimod import tensor_over, pair_mul
 from .hopfalgebroid import check_algebraic_morphism, check_geometric_morphism
 from .reports import ViolationReport
@@ -356,17 +356,13 @@ def check_covering(D):
     actB = [B.right_mult_matrix(Aincl.col(a)) for a in range(Aalg.dim)]
     MB = ModuleOverA(Aalg, B.dim, actB, side="right")
     B_proj = is_projective(MB)
-    # central connectedness: the unit of Z(B) does not split (Zalg is its
-    # own center); a failed split decides it only through an idempotent found
-    Z = center(B)
-    Zalg, _ = subalgebra_on_rows(B, Z)
+    # central connectedness: the unit of Z(B) has no two coprime factors
+    # (Zalg is its own center); no idempotent is built
+    Zalg, _ = subalgebra_on_rows(B, center(B))
     try:
-        connected = not split_central_idempotent(
-            Zalg, [Zalg.basis_vec(i) for i in range(Zalg.dim)], Zalg.unit)
+        connected = coprime_factors(Zalg, range(Zalg.dim), Zalg.unit) is None
     except NotSplit as exc:
-        if not exc.idempotents:
-            raise Inconclusive("central connectedness: %s" % exc) from None
-        connected = False
+        raise Inconclusive("central connectedness: %s" % exc) from None
     # classification
     base_image = image(D.etaR)
     a_image = declared

@@ -18,7 +18,8 @@ from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
                            is_projective, center, jacobson_radical,
                            minimal_polynomial, central_idempotents_split,
                            split_central_idempotent,
-                           wedderburn_shape, ModuleOverA, NotAGroup, NotSplit)
+                           wedderburn_shape, ModuleOverA, NotAGroup, NotSplit,
+                           Inconclusive)
 from halab.zoo import (cyclic_table, klein_table, s3_table, and_monoid_table,
                        groupoid_algebra, indiscrete_groupoid,
                        action_groupoid, twisted_group_algebra)
@@ -112,6 +113,13 @@ class TestStructureTheory:
         assert wedderburn_shape(matrix_algebra(2)) == (2,)
         assert wedderburn_shape(product_field_algebra(3)) == (1, 1, 1)
         assert wedderburn_shape(group_algebra(cyclic_table(2))) == (1, 1)
+        assert wedderburn_shape(group_algebra(
+            cyclic_table(3), CyclotomicField(3))) == (1, 1, 1)
+        # Q(i) = Q[x]/(x^2 + 1) is commutative but one block over Q, not
+        # (1, 1): its centre does not split
+        QI = FDAlgebra(2, [[{0: 1}, {1: 1}], [{1: 1}, {0: -1}]], {0: 1})
+        with pytest.raises(Inconclusive, match="does not split"):
+            wedderburn_shape(QI)
 
     def test_central_idempotents(self):
         idems = central_idempotents_split(product_field_algebra(3))

@@ -1,5 +1,7 @@
 import glob
+import itertools
 import os
+import random
 
 import pytest
 
@@ -33,7 +35,8 @@ from halab.zoo import (cyclic_table, group_hopf_algebra, monoid_bialgebra,
                        coupled_from_character, nontransitive_control_instance)
 from halab.reports import ViolationReport
 
-from conftest import cocycle_instances, comodule_instances
+from conftest import cocycle_instances, comodule_instances, sparse
+from test_algebra import in_basis
 
 
 DOCS = os.path.join(os.path.dirname(__file__), os.pardir, "documents")
@@ -255,32 +258,43 @@ class TestCovering:
         assert v.centrally_connected is False
 
     def test_split_idempotent_decides_disconnected(self):
-        """kZ_n over Q (n = 3..6) does not split, but the factor x - 1 of
-        x^n - 1 gives a nontrivial central idempotent, carried by
-        NotSplit: not connected is then exact."""
+        """kZ_n over Q (n = 3..6) does not split, but x^n - 1 has the
+        coprime factors x - 1, x + 1 when n is even, and their cofactor:
+        one step returns their idempotents, the averaging and the sign
+        idempotent and the rest, so not connected is exact."""
         for n in range(3, 7):
             H = group_hopf_algebra(cyclic_table(n)).total
-            with pytest.raises(NotSplit) as info:
+            with pytest.raises(NotSplit):
                 central_idempotents_split(H)
-            idems = info.value.idempotents
-            assert idems
-            for e in idems:
+            zs = [H.basis_vec(i) for i in range(H.dim)]
+            pieces = split_central_idempotent(H, zs, H.unit)
+            roots = [{k: QQ.div(1, n) for k in range(n)}]
+            if n % 2 == 0:
+                roots.append({k: QQ.div((-1) ** k, n) for k in range(n)})
+            assert len(pieces) == len(roots) + 1
+            assert all(e in pieces for e in roots)
+            total = {}
+            for i, e in enumerate(pieces):
                 assert H.mul_vec(e, e) == e and e != H.unit
-                assert all(H.mul_vec(e, H.basis_vec(j))
-                           == H.mul_vec(H.basis_vec(j), e)
-                           for j in range(H.dim))
+                assert all(H.mul_vec(e, z) == H.mul_vec(z, e) for z in zs)
+                assert all(not H.mul_vec(e, f) for f in pieces[i + 1:])
+                for k, c in e.items():
+                    total[k] = total.get(k, 0) + c
+            assert {k: c for k, c in total.items() if c} == H.unit
             v = check_covering(regular_comodule(
                 group_hopf_algebra(cyclic_table(n))))
             assert v.centrally_connected is False
 
     def test_unsplit_field_is_inconclusive(self):
         """B = Q(i) = Q[x]/(x^2 + 1), as the trivial comodule over k: its
-        centre is a field that does not split over Q, so no idempotent is
-        found and the check is inconclusive instead of not connected."""
+        centre is a field that does not split over Q, so no two coprime
+        factors are found and the check is inconclusive instead of not
+        connected."""
         D = over_k(QI)
-        with pytest.raises(NotSplit) as info:
+        with pytest.raises(NotSplit):
             central_idempotents_split(QI)
-        assert info.value.idempotents == []
+        with pytest.raises(NotSplit):
+            algebra.coprime_factors(QI, range(QI.dim), QI.unit)
         with pytest.raises(Inconclusive, match="central connectedness"):
             check_covering(D)
 
@@ -298,25 +312,71 @@ class TestCovering:
             pieces = split_central_idempotent(B, order, B.unit)
             assert sorted(pieces, key=lambda e: e[3]) == expected
         assert check_covering(over_k(B)).centrally_connected is False
-        with pytest.raises(NotSplit) as info:
+        with pytest.raises(NotSplit):
             split_central_idempotent(QI, [QI.basis_vec(0), QI.basis_vec(1)],
                                      QI.unit)
-        assert info.value.idempotents == []
         with pytest.raises(Inconclusive, match="central connectedness"):
             check_covering(over_k(QI))
+
+    def test_every_order_of_a_skew_basis_is_not_connected(self):
+        """B = Q(i) x Q(sqrt 2) in the basis (1, 1), (i, sqrt 2),
+        (i, -sqrt 2), (1 + i, 0).  The middle two have the minimal
+        polynomial (t^2 + 1)(t^2 - 2), one factor with no rational root,
+        and (1 + i, 0) has t (t^2 - 2t + 2), two coprime factors.  A split
+        that gave up at the first polynomial that does not split was
+        Inconclusive in 16 of the 24 orders; every order, and each of 12
+        seeded bases of Q(i) x Q(sqrt 2), is decided as not connected."""
+        QS2 = FDAlgebra(2, [[{0: 1}, {1: 1}], [{1: 1}, {0: 2}]], {0: 1})
+        K = direct_product(QI, QS2)  # (1, 0), (i, 0), (0, 1), (0, sqrt 2)
+        skew = in_basis(K, Mat.from_cols(
+            [{0: 1, 2: 1}, {1: 1, 3: 1}, {1: 1, 3: -1}, {0: 1, 1: 1}],
+            4, QQ))
+        for order in itertools.permutations(range(4)):
+            B = in_basis(skew, Mat.from_cols([{i: 1} for i in order], 4, QQ))
+            assert check_covering(over_k(B)).centrally_connected is False
+        rng, bases = random.Random(5), 0
+        while bases < 12:
+            P = Mat.from_cols([sparse([rng.choice([-1, 0, 0, 1, 2])
+                                       for _ in range(4)])
+                               for _ in range(4)], 4, QQ)
+            if rank(P) == 4:
+                bases += 1
+                B = in_basis(K, P)
+                assert check_covering(over_k(B)).centrally_connected is False
+
+    def test_connectedness_builds_no_idempotent(self, monkeypatch):
+        """Connectedness asks only whether the unit of Z(B) has two coprime
+        factors: on regular kZ12 over Q(zeta_12) no CRT idempotent is
+        built, where building the split took 12 extended gcds."""
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return ext_gcd(*args)
+        ext_gcd = algebra._poly_ext_gcd
+        monkeypatch.setattr(algebra, "_poly_ext_gcd", counting)
+        D = regular_comodule(group_hopf_algebra(cyclic_table(12),
+                                                CyclotomicField(12)))
+        assert check_covering(D).centrally_connected is False
+        assert calls == []
 
     def test_connectedness_matches_the_full_decomposition(
             self, comodule_corpus):
         """check_covering stops at the first split of the unit of Z(B);
-        its verdict equals that of the full decomposition of Z(B), with a
-        NotSplit read as not connected when it carries an idempotent and
-        as Inconclusive otherwise."""
+        its verdict equals that of the full decomposition of Z(B).  Where
+        the full decomposition raises NotSplit, it equals the verdict of
+        coprime_factors over the reversed basis of the centre."""
         def reference(D):
             Zalg, _ = subalgebra_on_rows(D.B, center(D.B))
             try:
                 return len(central_idempotents_split(Zalg)) == 1
-            except NotSplit as exc:
-                return False if exc.idempotents else "inconclusive"
+            except NotSplit:
+                pass
+            try:
+                return algebra.coprime_factors(
+                    Zalg, range(Zalg.dim)[::-1], Zalg.unit) is None
+            except NotSplit:
+                return "inconclusive"
 
         def shipped(D):
             try:
@@ -343,11 +403,12 @@ class TestCovering:
         assert verdicts["k^1"] is True
         assert verdicts["Q(i)"] == "inconclusive"
         # the unit of Q x Q(i) splits, and then the Q(i) piece does not
+        QxQI = direct_product(product_field_algebra(1), QI)
         assert verdicts["Q x Q(i)"] is False
-        with pytest.raises(NotSplit) as info:
-            central_idempotents_split(direct_product(
-                product_field_algebra(1), QI))
-        assert len(info.value.idempotents) == 2
+        with pytest.raises(NotSplit):
+            central_idempotents_split(QxQI)
+        assert len(split_central_idempotent(
+            QxQI, [QxQI.basis_vec(i) for i in range(3)], QxQI.unit)) == 2
 
     @pytest.mark.parametrize("build, parent_calls", [
         (lambda: free_z2_covering(8), 28),
