@@ -491,8 +491,14 @@ def _candidate_roots(field, coeffs):
 
 
 def _divisors(n):
-    out = [d for d in range(1, abs(n) + 1) if n % d == 0]
-    return out or [1]
+    """The positive divisors of n, sorted ([1] for n = 0): the pairs
+    d, |n| // d for d <= isqrt(|n|)."""
+    n = abs(n)
+    out = set()
+    for d in range(1, isqrt(n) + 1):
+        if n % d == 0:
+            out.update((d, n // d))
+    return sorted(out) or [1]
 
 
 def _poly_eval(coeffs, x, field):

@@ -12,11 +12,18 @@ compare.
 
 Phi_N is monic with integer coefficients, so z^t mod Phi_N has integer
 coefficients for every t.  Each field tabulates once, when it is built,
-one power table, z^t mod Phi_N for t < N.  Every general product is one
-kernel, field.times(x, y, k) = x * y * zeta^k with k reduced mod N: each
-x_i * y_j lands at z^(i+j+k) of one integer convolution, every entry at
-or above z^d is folded through its row of the table, and one gcd puts the
-result in lowest terms; x * y is times(x, y, 0).  Over Q the roots of
+one power table, z^t mod Phi_N for t < N.  Every general product goes
+through field.times(x, y, k) = x * y * zeta^k with k reduced mod N, and
+one gcd puts the result in lowest terms; x * y is times(x, y, 0).  Up to
+degree 8, the numerators come from a straight-line kernel per phase k,
+written from the table on the first product at k and cached: it takes
+the d^2 products x_i * y_j once and returns each numerator as a signed
+sum of them, read off the rows z^((i+j+k) mod N), with no loop and no
+temporary list.  Above degree 8 (an order up to 1000 gives d up to 996)
+that form grows as d^2 times the row weight, and at d = 12 it is already
+slower than the loop on a rational operand, so there each x_i * y_j
+lands at z^(i+j+k) of one integer convolution and every entry at or
+above z^d is folded through its row of the table.  Over Q the roots of
 unity are +-1, so QQ.times(x, y, k) is x * y * (-1)^k.  zeta(k) is a
 lookup of one of the N roots of unity the field caches, plain elements
 whose products go through times like any other.  No Fraction is created
@@ -130,6 +137,11 @@ def _times_z(v, top):
     return out
 
 
+# the largest degree whose products run straight-line kernels (see the
+# module docstring for why the loop stays above it)
+_STRAIGHT_LINE_DEGREE = 8
+
+
 class CyclotomicField:
     """Q(zeta_N): the quotient Q[z]/Phi_N(z).  One instance per N; its
     power table, its N roots of unity, zero and one are built once."""
@@ -142,19 +154,23 @@ class CyclotomicField:
         self.poly = cyclotomic_polynomial(N)
         d = self.degree = len(self.poly) - 1
         top = [-int(c) for c in self.poly[:d]]          # z^d mod Phi_N
-        # the one power table: the nonzero (i, c) of z^t mod Phi_N for
-        # t < N, twice over, so z^(t+k) is rows[t + k] for t, k < N
+        # the one power table, z^t mod Phi_N for t < N, and its rows of
+        # nonzero (i, c)
         table = []
         v = [1] + [0] * (d - 1)
         for _ in range(N):
             table.append(tuple(v))
             v = _times_z(v, top)
-        rows = [[(i, c) for i, c in enumerate(t) if c] for t in table] * 2
-        # for each k < N, the (t, row of z^t) that times(x, y, k) folds:
-        # the powers d <= t <= 2d-2+k its convolution reaches
-        self._folds = [[(t, rows[t % N]) for t in range(max(d, k),
-                                                         2 * d - 1 + k)]
-                       for k in range(N)]
+        self._rows = [[(i, c) for i, c in enumerate(t) if c] for t in table]
+        if d <= _STRAIGHT_LINE_DEGREE:
+            self._kernels = [None] * N      # built per phase on first use
+        else:
+            self._kernels = None
+            # for each k < N, the (t, row of z^t) that times(x, y, k)
+            # folds: the powers d <= t <= 2d-2+k its convolution reaches
+            self._folds = [[(t, self._rows[t % N])
+                            for t in range(max(d, k), 2 * d - 1 + k)]
+                           for k in range(N)]
         self._tail = (0,) * (d - 1)
         self._zeta = [Cyc(self, t, 1) for t in table]
         self.zero = Cyc(self, (0,) * d, 1)
@@ -179,17 +195,22 @@ class CyclotomicField:
         return self._zeta[k % self.order]
 
     def times(self, x, y, k=0):
-        """x * y * zeta^k in one integer convolution: with k reduced mod
-        N, each x_i * y_j lands at z^(i+j+k), every entry at or above z^d
-        is folded through its row of the power table, and one gcd gives
-        lowest terms.  x and y are elements of this field or ints or
-        Fractions."""
+        """x * y * zeta^k with k reduced mod N, and one gcd for lowest
+        terms.  Up to degree _STRAIGHT_LINE_DEGREE the numerators come
+        from the straight-line kernel of phase k; above it each x_i * y_j
+        lands at z^(i+j+k) of one integer convolution, and every entry at
+        or above z^d is folded through its row of the power table.  x and
+        y are elements of this field or ints or Fractions."""
         if x.__class__ is not Cyc or x.field is not self:
             x = self._operand(x)
         if y.__class__ is not Cyc or y.field is not self:
             y = self._operand(y)
-        d = self.degree
         k %= self.order
+        kernels = self._kernels
+        if kernels is not None:
+            kernel = kernels[k] or self._kernel(k)
+            return _canon(self, kernel(x.num, y.num), x.den * y.den)
+        d = self.degree
         out = [0] * (2 * d - 1 + k)
         ynum = y.num
         for i, a in enumerate(x.num):
@@ -203,6 +224,39 @@ class CyclotomicField:
                 for i, r in row:
                     out[i] += c * r
         return _canon(self, tuple(out[:d]), x.den * y.den)
+
+    def _kernel(self, k):
+        """The straight-line kernel of phase k, built on first use and
+        cached: a function of the numerator tuples of x and y that
+        returns the numerators of x * y * z^k."""
+        namespace = {"__builtins__": {}}
+        exec(self._kernel_source(k), namespace)
+        kernel = self._kernels[k] = namespace["kernel"]
+        return kernel
+
+    def _kernel_source(self, k):
+        """The source of the kernel of phase k.  Each product x_i * y_j is
+        taken once, and numerator m is the signed sum of the products
+        whose row z^((i+j+k) mod N) holds z^m, times that coefficient.
+        The source holds only names and integer literals."""
+        d = self.degree
+        lines = ["def kernel(x, y):",
+                 "    %s, = x" % ", ".join("x%d" % i for i in range(d)),
+                 "    %s, = y" % ", ".join("y%d" % i for i in range(d))]
+        sums = [[] for _ in range(d)]
+        for i in range(d):
+            for j in range(d):
+                row = self._rows[(i + j + k) % self.order]
+                p = "x%d * y%d" % (i, j)
+                if len(row) > 1:        # named once, read in every sum
+                    lines.append("    x%dy%d = %s" % (i, j, p))
+                    p = "x%dy%d" % (i, j)
+                for m, c in row:
+                    term = p if abs(c) == 1 else "%d * %s" % (abs(c), p)
+                    sums[m].append(("- " if c < 0 else "+ ") + term)
+        lines.append("    return (%s,)" % ", ".join(
+            " ".join(terms).removeprefix("+ ") or "0" for terms in sums))
+        return "\n".join(lines)
 
     def _operand(self, x):
         """x as an element of this field: a Cyc of it is kept, an int or

@@ -152,6 +152,13 @@ class TestStructureTheory:
         for e in central_idempotents_split(A):
             assert split_central_idempotent(A, zs, e) == []
 
+    def test_divisors_match_trial_division(self):
+        """The divisors of n, listed in pairs up to isqrt(|n|), are the
+        sorted list of trial division up to |n|; 0 has the list [1]."""
+        for n in range(-2000, 2001):
+            brute = [d for d in range(1, abs(n) + 1) if n % d == 0] or [1]
+            assert algebra._divisors(n) == brute, n
+
     def test_minimal_polynomial(self):
         A = group_algebra(cyclic_table(3))
         w = A.basis_vec(1)

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import random
 from fractions import Fraction
@@ -235,7 +236,9 @@ def _agrees(x, ref):
 
 
 small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-DIFF_ORDERS = (1, 2, 3, 4, 5, 8, 12)
+# N = 16 is the largest degree (8) with straight-line kernels, N = 21
+# (degree 12) runs the loop
+DIFF_ORDERS = (1, 2, 3, 4, 5, 8, 12, 16, 21)
 
 
 @st.composite
@@ -427,7 +430,7 @@ def test_rational_zero_and_one_are_shared():
 
 @pytest.mark.parametrize("N", DIFF_ORDERS)
 def test_times_matches_reference(N):
-    """F.times(x, y, k), for every k in [0, N), equals the reference
+    """F.times(x, y, k), for every k in [-2N, 2N], equals the reference
     x * y * zeta^k in lowest terms, for zero, int, Fraction, Cyc and root
     operands on either side; k is read mod N."""
     F = CyclotomicField(N)
@@ -439,14 +442,61 @@ def test_times_matches_reference(N):
               for _ in range(F.degree)]
         operands.append((_element(F, cs), tuple(cs)))
     operands += [(F.zeta(j), _ref_root(j, N)) for j in range(N)]
-    for k in range(N):
-        rz = _ref_root(k, N)
-        for x, rx in operands:
-            for y, ry in operands:
+    for x, rx in operands:
+        for y, ry in operands:
+            want = _ref_mul(rx, ry, N)
+            for k in range(N):
                 got = F.times(x, y, k)
-                _agrees(got, _ref_mul(_ref_mul(rx, ry, N), rz, N))
-                assert F.times(x, y, k - N) == got
-                assert F.times(x, y, k + 2 * N) == got
+                _agrees(got, want)
+                for j in range(k - 2 * N, 2 * N + 1, N):
+                    assert F.times(x, y, j) == got
+                want = _ref_reduce((Fraction(0),) + want, N)    # times z
+
+
+# the node kinds of a kernel's body: names, integer literals, arithmetic,
+# tuples, assignments and the return
+_KERNEL_NODES = (ast.Name, ast.Constant, ast.BinOp, ast.UnaryOp, ast.Tuple,
+                 ast.Assign, ast.Return, ast.Load, ast.Store, ast.Add,
+                 ast.Sub, ast.Mult, ast.USub)
+
+
+@pytest.mark.parametrize("N", DIFF_ORDERS)
+def test_kernels_are_straight_line(N, monkeypatch):
+    """Up to degree 8, times builds the kernel of a phase on its first
+    product at that phase, once, and no other; every kernel's source is
+    a function of the two numerator tuples with no call, attribute,
+    subscript, loop or branch, and it reads no global.  Above degree 8
+    times keeps its loop and builds no kernel."""
+    F = CyclotomicField(N)
+    if F.degree > 8:
+        assert F._kernels is None
+        return
+    built = []
+    kernel = CyclotomicField._kernel
+
+    def counted(self, k):
+        built.append(k)
+        return kernel(self, k)
+    monkeypatch.setattr(CyclotomicField, "_kernel", counted)
+    monkeypatch.setattr(F, "_kernels", [None] * N)
+    phases = (3, -1, 3 + N, 0, 3)
+    for k in phases:
+        F.times(F.zeta(1), Fraction(-2, 3), k)
+    used = list(dict.fromkeys(k % N for k in phases))
+    assert built == used
+    assert [k for k, f in enumerate(F._kernels) if f] == sorted(used)
+    assert all(F._kernels[k].__code__.co_names == () for k in used)
+    signature = ast.parse("def kernel(x, y): pass").body[0]
+    for k in range(N):
+        (func,) = ast.parse(F._kernel_source(k)).body
+        assert isinstance(func, ast.FunctionDef)
+        assert not func.decorator_list
+        assert ast.dump(func.args) == ast.dump(signature.args)
+        nodes = [node for stmt in func.body for node in ast.walk(stmt)]
+        assert not [node for node in nodes
+                    if not isinstance(node, _KERNEL_NODES)], (N, k)
+        assert all(type(node.value) is int for node in nodes
+                   if isinstance(node, ast.Constant)), (N, k)
 
 
 def test_times_over_q_is_a_sign():

@@ -344,6 +344,16 @@ class TestCovering:
                 B = in_basis(K, P)
                 assert check_covering(over_k(B)).centrally_connected is False
 
+    def test_a_large_constant_is_split_at_once(self):
+        """k^2 in the basis (1, 1), (0, N), as the trivial comodule over k:
+        (0, N) has the minimal polynomial t (t - N), whose rational roots
+        come from the divisors of N.  They are found up to sqrt(N), so
+        N = 10^10 is decided as N = 10 is: not connected."""
+        k2 = product_field_algebra(2)
+        for N in (10, 10 ** 10):
+            B = in_basis(k2, Mat.from_cols([{0: 1, 1: 1}, {1: N}], 2, QQ))
+            assert check_covering(over_k(B)).centrally_connected is False
+
     def test_connectedness_builds_no_idempotent(self, monkeypatch):
         """Connectedness asks only whether the unit of Z(B) has two coprime
         factors: on regular kZ12 over Q(zeta_12) no CRT idempotent is

@@ -65,22 +65,16 @@ def _is_projection(node):
                                                                 "project")
 
 
-def _projects(node, applied):
-    """Whether a quotient projection, .apply(...) or .project(...), or a
-    name in applied occurs in node at any depth."""
-    return any(_is_projection(n) or isinstance(n, ast.Name)
-               and n.id in applied for n in ast.walk(node))
-
-
 def _eager_comparisons(tree):
     """(top-level definition, line) of every comparison in tree whose
     operands each contain a quotient projection at any depth: an
-    .apply(...) or .project(...) call, or a name that the same definition
-    binds to an expression containing one (q.apply(a) * g == h * x with
-    x = q.apply(b))."""
+    .apply(...) or .project(...) call, or a name whose latest binding in
+    the same definition before that line is an expression containing one
+    (q.apply(a) * g == h * x with x = q.apply(b)).  A name rebound to a
+    plain product before the comparison does not count."""
     found = []
     for top in tree.body:
-        bound = []
+        bound = {}      # name -> [(line, value)] of its bindings
         for node in ast.walk(top):
             if isinstance(node, ast.Assign):
                 for t in node.targets:
@@ -88,18 +82,28 @@ def _eager_comparisons(tree):
                              if isinstance(t, ast.Tuple)
                              and isinstance(node.value, ast.Tuple)
                              else [(t, node.value)])
-                    bound.extend((n.id, v) for n, v in pairs
-                                 if isinstance(n, ast.Name))
-        applied = set()
-        while True:     # names bound to names bound to projections, ...
-            more = {n for n, v in bound if _projects(v, applied)} - applied
-            if not more:
-                break
-            applied |= more
+                    for n, v in pairs:
+                        if isinstance(n, ast.Name):
+                            bound.setdefault(n.id, []).append(
+                                (node.lineno, v))
+
+        def projects(node, line):
+            """Whether node, read at line, contains a projection."""
+            return any(_is_projection(n) or isinstance(n, ast.Name)
+                       and applied(n.id, line) for n in ast.walk(node))
+
+        def applied(name, line):
+            """Whether the latest binding of name before line projects
+            (its names read at its own, earlier, line)."""
+            before = [b for b in bound.get(name, ()) if b[0] < line]
+            if not before:
+                return False
+            at, value = max(before, key=lambda b: b[0])
+            return projects(value, at)
         found.extend(
             (getattr(top, "name", "<module>"), node.lineno)
             for node in ast.walk(top) if isinstance(node, ast.Compare)
-            and all(_projects(x, applied)
+            and all(projects(x, node.lineno)
                     for x in [node.left] + node.comparators))
     return sorted(found)
 
@@ -116,10 +120,16 @@ def test_eager_comparisons_are_found():
                      "def r(q):\n    lhs = q.project(a)\n"
                      "    return lhs == q.project(b), q.project(a) == b\n"
                      "def s(q):\n    p = q.apply(a)\n    x = g * p\n"
-                     "    return x == h * q.apply(b), x == g\n")
+                     "    return x == h * q.apply(b), x == g\n"
+                     "def t(q):\n    lhs = q.apply(a)\n"
+                     "    rhs = q.apply(b)\n    ok = lhs == rhs\n"
+                     "    lhs = psi * phi\n    rhs = s * counit\n"
+                     "    return ok and lhs == rhs\n")
+    # t's first comparison reads projections, its second the rebound
+    # plain products
     assert _eager_comparisons(tree) == [("f", 2), ("g", 6), ("h", 9),
                                         ("k", 12), ("p", 14), ("r", 17),
-                                        ("s", 21)]
+                                        ("s", 21), ("t", 25)]
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
@@ -582,8 +592,10 @@ def test_convolutions_are_found():
 
 def test_one_scalar_convolution():
     """fields holds one convolution of integer numerators, the kernel
-    CyclotomicField.times that Cyc.__mul__ and the torus products share;
-    the others are the polynomial toolkit's, over a field's elements."""
+    CyclotomicField.times that Cyc.__mul__ and the torus products share
+    (its loop runs above degree 8; below it the straight-line kernels
+    that _kernel_source writes hold no loop); the others are the
+    polynomial toolkit's, over a field's elements."""
     found = _convolutions(ast.parse((SRC / "fields.py").read_text()))
     assert {name for name in found if not name.startswith("_poly_")} \
         == {"CyclotomicField.times"}
