@@ -131,8 +131,8 @@ def _reject(records, path, n, int_keys, bounds, scalar_key, field):
 
 
 # the largest cyclotomic order a document may name: CyclotomicField(N)
-# tabulates N roots of unity when it is built, about 4x the time per
-# doubling of N (0.02 s at N = 1000)
+# tabulates z^t mod Phi_N for t < N when built, about 4x the time per
+# doubling of N (0.02 s at N = 1000, 0.07 s at the prime 997, 2-vCPU host)
 MAX_CYCLOTOMIC_ORDER = 1000
 
 

@@ -23,12 +23,14 @@ temporary list.  Above degree 8 (an order up to 1000 gives d up to 996)
 that form grows as d^2 times the row weight, and at d = 12 it is already
 slower than the loop on a rational operand, so there each x_i * y_j
 lands at z^(i+j+k) of one integer convolution and every entry at or
-above z^d is folded through its row of the table.  Over Q the roots of
-unity are +-1, so QQ.times(x, y, k) is x * y * (-1)^k.  zeta(k) is a
-lookup of one of the N roots of unity the field caches, plain elements
-whose products go through times like any other.  No Fraction is created
-and no polynomial is divided on the way; only inverse runs extended
-Euclid.
+above z^d is folded through its row of the table, by a fold list built
+per phase on first use.  Over Q the roots of unity are +-1, so
+QQ.times(x, y, k) is x * y * (-1)^k, unless both are ints one Fraction
+of the signed product of the numerators over that of the denominators:
+one normalisation and no Fraction operator.  zeta(k) is a lookup of one
+of the N roots of unity the field caches, plain elements whose products
+go through times like any other.  A Cyc product creates no Fraction and
+divides no polynomial; only inverse runs extended Euclid.
 
 The ground field is fixed per document: arithmetic that mixes scalars of
 different cyclotomic orders raises FieldMismatch instead of
@@ -96,9 +98,13 @@ class RationalField:
 
     def times(self, x, y, k=0):
         """x * y * (-1)^k: the roots of unity in Q are +-1, so this is
-        the kernel of CyclotomicField.times at N <= 2."""
-        p = x * y
-        return -p if k & 1 else p
+        the kernel of CyclotomicField.times at N = 2.  Unless both are
+        ints it is Fraction(+-x.numerator * y.numerator, x.denominator *
+        y.denominator): one normalisation and no Fraction operator."""
+        if x.__class__ is int is y.__class__:
+            return -(x * y) if k & 1 else x * y
+        p = x.numerator * y.numerator
+        return Fraction(-p if k & 1 else p, x.denominator * y.denominator)
 
     def random(self, rng, span=9):
         # rng.choice(range(a, b + 1)) makes the one draw rng.randint(a, b)
@@ -166,11 +172,9 @@ class CyclotomicField:
             self._kernels = [None] * N      # built per phase on first use
         else:
             self._kernels = None
-            # for each k < N, the (t, row of z^t) that times(x, y, k)
-            # folds: the powers d <= t <= 2d-2+k its convolution reaches
-            self._folds = [[(t, self._rows[t % N])
-                            for t in range(max(d, k), 2 * d - 1 + k)]
-                           for k in range(N)]
+            # per phase k, built on first use: the (t, row of z^t) that
+            # times(x, y, k) folds, d <= t <= 2d-2+k
+            self._folds = [None] * N
         self._tail = (0,) * (d - 1)
         self._zeta = [Cyc(self, t, 1) for t in table]
         self.zero = Cyc(self, (0,) * d, 1)
@@ -218,7 +222,11 @@ class CyclotomicField:
                 for t, b in enumerate(ynum, i + k):
                     if b:
                         out[t] += a * b
-        for t, row in self._folds[k]:
+        folds = self._folds[k]
+        if folds is None:
+            folds = self._folds[k] = [(t, self._rows[t % self.order])
+                                      for t in range(max(d, k), 2 * d - 1 + k)]
+        for t, row in folds:
             c = out[t]
             if c:
                 for i, r in row:

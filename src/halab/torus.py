@@ -56,17 +56,15 @@ def _params(N):
 
 class QTElement:
     """Sum of c_{ab} U^a V^b with q = zeta_{nm}; support maps (a, b) to a
-    scalar of the matching exact field."""
+    nonzero scalar of the matching exact field.  No constructor or product
+    ever stores a zero: a product term is nonzero, so only sums are tested."""
 
     def __init__(self, n, m, support=None):
         self.n = n
         self.m = m
         self.field = _params(n * m)[0]
-        self.support = {}
-        if support:
-            for key, c in support.items():
-                if c:
-                    self.support[key] = c
+        self.support = {k: c for k, c in support.items() if c} \
+            if support else {}
 
     @property
     def q(self):
@@ -74,13 +72,19 @@ class QTElement:
         roots = _params(self.n * self.m)[1]
         return roots[1 % len(roots)]
 
+    def _empty(self):
+        """The zero element at self's n, m and field, not looked up."""
+        out = QTElement.__new__(QTElement)
+        out.n, out.m, out.field, out.support = self.n, self.m, self.field, {}
+        return out
+
     def _check(self, other):
         if (self.n, self.m) != (other.n, other.m):
             raise ParameterMismatch("elements live at different parameters")
 
     def __add__(self, other):
         self._check(other)
-        out = QTElement(self.n, self.m)
+        out = self._empty()
         support = out.support = dict(self.support)
         for key, c in other.support.items():
             old = support.get(key)
@@ -93,7 +97,7 @@ class QTElement:
 
     def scale(self, c):
         # a product of nonzero field elements is nonzero: nothing to filter
-        out = QTElement(self.n, self.m)
+        out = self._empty()
         if c:
             out.support = {k: c * v for k, v in self.support.items()}
         return out
@@ -114,11 +118,8 @@ class QTElement:
 
 
 def qt_monomial(n, m, a, b, coeff=None):
-    el = QTElement(n, m)
-    c = coeff if coeff is not None else el.field.one
-    if c:
-        el.support[(a, b)] = c
-    return el
+    c = coeff if coeff is not None else _params(n * m)[0].one
+    return QTElement(n, m, {(a, b): c})
 
 
 def qt_one(n, m):
@@ -127,21 +128,25 @@ def qt_one(n, m):
 
 def qt_mul(f, g):
     """Exact product in normal order: (U^a V^b)(U^c V^e) =
-    q^{-bc} U^{a+c} V^{b+e}."""
+    q^{-bc} U^{a+c} V^{b+e}; a fresh key's term goes in untested."""
     f._check(g)
-    out = QTElement(f.n, f.m)
+    out = f._empty()
     support = out.support
+    get = support.get
     N = f.n * f.m
     times = f.field.times
+    terms = list(g.support.items())
     for (a, b), cf in f.support.items():
-        for (c, e), cg in g.support.items():
-            term = times(cf, cg, (-b * c) % N)
+        p = -b % N                    # times reduces p * c; 0 at N = 1
+        for (c, e), cg in terms:
+            term = times(cf, cg, p * c)
             key = (a + c, b + e)
-            old = support.get(key)
-            val = term if old is None else old + term
-            if val:
+            old = get(key)
+            if old is None:
+                support[key] = term
+            elif val := old + term:
                 support[key] = val
-            elif old is not None:
+            else:
                 del support[key]
     return out
 
@@ -158,7 +163,7 @@ class DecomposedElement:
 def decompose(f, n=None):
     """Split f into sum a_i V^i with a_i in A = span{U^x V^{ny}}."""
     n = n if n is not None else f.n
-    comps = [QTElement(f.n, f.m) for _ in range(n)]
+    comps = [f._empty() for _ in range(n)]
     for (a, b), c in f.support.items():
         i = b % n
         comps[i].support[(a, b - i)] = c
@@ -171,17 +176,19 @@ def recompose(d):
     if not d.components:
         raise ParameterMismatch("empty decomposition")
     base = d.components[0]
-    out = QTElement(base.n, base.m)
+    out = base._empty()
     support = out.support
+    get = support.get
     for i, a in enumerate(d.components):
         base._check(a)
         for (x, b), c in a.support.items():
             key = (x, b + i)
-            old = support.get(key)
-            val = c if old is None else old + c
-            if val:
+            old = get(key)
+            if old is None:
+                support[key] = c
+            elif val := old + c:
                 support[key] = val
-            elif old is not None:
+            else:
                 del support[key]
     return out
 
@@ -189,7 +196,7 @@ def recompose(d):
 def L_operator(a, i=1):
     """L^i on A: multiplies the coefficient of U^x V^{ny} by q^{-xi}."""
     n = a.n
-    out = QTElement(a.n, a.m)
+    out = a._empty()
     N = a.n * a.m
     roots = _params(N)[1]
     for (x, b), c in a.support.items():
@@ -205,7 +212,7 @@ def chi_product(d1, d2):
     carry multiplied into the coefficient whenever the V-exponents wrap.
     In normal order U^x V^b L^i(c U^y V^e) = q^{-(b+i)y} c U^{x+y} V^{b+e}
     and the carry V^n shifts e by n with no phase, so each term pair is
-    added in place at its key of one component's support."""
+    added in place at its key of one component's support, as in qt_mul."""
     if d1.n != d2.n:
         raise ParameterMismatch("decompositions at different n")
     n = d1.n
@@ -216,27 +223,35 @@ def chi_product(d1, d2):
     base = d1.components[0]
     for a in (*d1.components, *d2.components):
         base._check(a)
-    for b in d2.components:           # L^i is defined on A alone
-        for _, e in b.support:
+    seconds = []                      # (j, terms of b_j), b_j nonzero
+    for j, b in enumerate(d2.components):
+        for _, e in b.support:        # L^i is defined on A alone
             if e % base.n:
                 raise NotInA("V-exponent %d not divisible by %d"
                              % (e, base.n))
+        if b.support:
+            seconds.append((j, list(b.support.items())))
     N = base.n * base.m
     times = base.field.times
-    comps = [QTElement(base.n, base.m) for _ in range(n)]
+    comps = [base._empty() for _ in range(n)]
     for i, a in enumerate(d1.components):
-        for j, b in enumerate(d2.components):
+        if not a.support:
+            continue
+        for j, terms in seconds:
             support = comps[(i + j) % n].support
+            get = support.get
             carry = n if i + j >= n else 0
             for (x, v), c1 in a.support.items():
-                for (y, e), c2 in b.support.items():
-                    term = times(c1, c2, (-(v + i) * y) % N)
+                p = -(v + i) % N      # as in qt_mul
+                for (y, e), c2 in terms:
+                    term = times(c1, c2, p * y)
                     key = (x + y, v + e + carry)
-                    old = support.get(key)
-                    val = term if old is None else old + term
-                    if val:
+                    old = get(key)
+                    if old is None:
+                        support[key] = term
+                    elif val := old + term:
                         support[key] = val
-                    elif old is not None:
+                    else:
                         del support[key]
     return DecomposedElement(n, comps)
 

@@ -510,6 +510,47 @@ def test_times_over_q_is_a_sign():
                 assert type(got) is type(x * y)
 
 
+q_scalars = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                      st.fractions(max_denominator=10 ** 6))
+
+
+@given(q_scalars, q_scalars,
+       st.one_of(st.integers(-7, 7), st.sampled_from((2 ** 64 + 1, -2 ** 65))))
+def test_times_over_q_is_the_signed_product(x, y, k):
+    """QQ.times(x, y, k) has the value and the type of x * y * (-1)^k,
+    over ints and Fractions and for every phase, also beyond 2^64."""
+    got, want = QQ.times(x, y, k), x * y * (-1) ** (k % 2)
+    assert got == want
+    assert type(got) is type(want)
+
+
+@pytest.mark.parametrize(
+    "N", [N for N in DIFF_ORDERS if len(cyclotomic_polynomial(N)) > 9])
+def test_fold_lists_are_built_per_phase(N, monkeypatch):
+    """Above degree 8 a new field holds no fold list; times builds the
+    fold list of a phase on its first product at that phase, once, and
+    no other, and it agrees with the reference product."""
+    monkeypatch.delitem(fields._FIELD_CACHE, N, raising=False)
+    F = CyclotomicField(N)
+    assert F._kernels is None and F._folds == [None] * N
+    built = []
+
+    class Folds(list):
+        def __setitem__(self, k, folds):
+            built.append(k)
+            super().__setitem__(k, folds)
+    monkeypatch.setattr(F, "_folds", Folds(F._folds))
+    x = _element(F, [Fraction(i - 3, i + 1) for i in range(F.degree)])
+    phases = (3, -1, 3 + N, 0, 3)
+    for k in phases:
+        _agrees(F.times(x, F.zeta(1), k),
+                _ref_mul(x.coeffs, _ref_root(k + 1, N), N))
+    used = list(dict.fromkeys(k % N for k in phases))
+    assert built == used
+    assert [k for k, f in enumerate(F._folds) if f is not None] \
+        == sorted(used)
+
+
 @given(field_case())
 def test_cyc_product_is_times_at_zero(case):
     """x * y is the kernel at k = 0: the same numerators and denominator

@@ -572,3 +572,84 @@ def test_sums_and_scales_build_the_filtered_support(n, m):
             want = QTElement(n, m, {k: s * v for k, v in f.support.items()})
             assert list(got.support.items()) == list(want.support.items())
     assert not (f + f.scale(-1)).support
+
+
+def _q_power(n, m, k):
+    """q^k by repeated multiplication, with k read mod N = n m."""
+    q = QTElement(n, m).q
+    out = QTElement(n, m).field.one
+    for _ in range(k % (n * m)):
+        out = out * q
+    return out
+
+
+def _qt_mul_reference(f, g):
+    """f g as the sum of its single-monomial products
+    (c U^a V^b)(c' U^x V^e) = c c' q^{-bx} U^{a+x} V^{b+e}, collected by
+    key and then put through the filtering constructor."""
+    out = {}
+    for (a, b), cf in f.support.items():
+        for (x, e), cg in g.support.items():
+            term = cf * cg * _q_power(f.n, f.m, -b * x)
+            out[a + x, b + e] = out.get((a + x, b + e), f.field.zero) + term
+    return QTElement(f.n, f.m, out)
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 1), (3, 1), (2, 2), (5, 1),
+                                  (4, 2)])
+def test_qt_mul_matches_the_monomial_reference(n, m):
+    """qt_mul, which adds a fresh key's term with no zero test, against
+    the reference over Q, Q(zeta_3), Q(zeta_4), Q(zeta_5) and Q(zeta_8):
+    the same product, with no zero coefficient, on seeded pairs with
+    colliding keys and on pairs whose terms cancel, within one key
+    ((c2 + c U)(1 - (c/c2) U) has no U term) and through a phase
+    ((V + c U)(U - (q^-1/c) V) has no U V term, as V U = q^-1 U V)."""
+    rng = random.Random(13 * n + m)
+    F = QTElement(n, m).field
+    q_inv = _q_power(n, m, -1)
+    cases = [tuple(random_qt(n, m, rng, rng.randint(0, 2), rng.randint(0, 8))
+                   for _ in range(2)) for _ in range(30)]
+    cancelled = []
+    for _ in range(5):
+        c, c2 = (F.random(rng) or F.one for _ in range(2))
+        cancelled.append(((1, 0), QTElement(n, m, {(0, 0): c2, (1, 0): c}),
+                          QTElement(n, m, {(0, 0): F.one,
+                                           (1, 0): -F.div(c, c2)})))
+        cancelled.append(((1, 1), QTElement(n, m, {(0, 1): F.one, (1, 0): c}),
+                          QTElement(n, m, {(1, 0): F.one,
+                                           (0, 1): -F.div(q_inv, c)})))
+    for key, f, g in cancelled:
+        assert key not in qt_mul(f, g).support
+        cases.append((f, g))
+    for f, g in cases:
+        got = qt_mul(f, g)
+        assert got == _qt_mul_reference(f, g)
+        assert all(got.support.values()), "a zero coefficient was stored"
+
+
+def test_products_over_q_use_no_fraction_operator(monkeypatch):
+    """Over Q every product term is built from numerators and
+    denominators: with Fraction's *, reflected * and unary - raising,
+    the oracle still finds no mismatch at (n, m) = (2, 1), and qt_mul
+    and chi_product give on 50 seeded pairs what they gave before."""
+    n, m = 2, 1
+    rng = random.Random(21)
+    pairs = [(random_qt(n, m, rng), random_qt(n, m, rng)) for _ in range(50)]
+    assert any(isinstance(c, Fraction)
+               for f, g in pairs for c in (*f.support.values(),
+                                           *g.support.values()))
+    want = [(qt_mul(f, g), chi_product(decompose(f), decompose(g)))
+            for f, g in pairs]
+
+    def forbidden(*args):
+        raise AssertionError("a Fraction operator ran")
+    for name in ("__mul__", "__rmul__", "__neg__"):
+        monkeypatch.setattr(Fraction, name, forbidden)
+    with pytest.raises(AssertionError):
+        -Fraction(1, 2)
+    assert oracle_mismatches(n, m) == 0
+    for (f, g), (product, chi) in zip(pairs, want):
+        got = chi_product(decompose(f), decompose(g))
+        assert [a.support for a in got.components] \
+            == [a.support for a in chi.components]
+        assert qt_mul(f, g) == product == recompose(got)
