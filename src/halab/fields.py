@@ -25,11 +25,11 @@ slower than the loop on a rational operand, so there each x_i * y_j
 lands at z^(i+j+k) of one integer convolution and every entry at or
 above z^d is folded through its row of the table, by a fold list built
 per phase on first use.  Over Q the roots of unity are +-1, so
-QQ.times(x, y, k) is x * y * (-1)^k, unless both are ints one Fraction
-of the signed product of the numerators over that of the denominators:
-one normalisation and no Fraction operator.  zeta(k) is a lookup of one
-of the N roots of unity the field caches, plain elements whose products
-go through times like any other.  A Cyc product creates no Fraction and
+QQ.times(x, y, k) is x * y * (-1)^k: an int product when both are ints,
+else one Fraction of the signed product of the numerators over that of
+the denominators, with one normalisation and no Fraction operator.
+zeta(k) is a lookup of one of the N roots of unity the field caches,
+plain elements whose products go through times like any other.  A Cyc product creates no Fraction and
 divides no polynomial; only inverse runs extended Euclid.
 
 The ground field is fixed per document: arithmetic that mixes scalars of
