@@ -9,8 +9,10 @@ with a basis element (an int index in place of a vector) is read off them
 without building the basis vector; convolve(F, G, lift) evaluates
 mu (F (x) G) lift on coproduct lifts the same way, with no Kronecker
 product, and convolution_terms gives the same convolution with an unknown
-leg as linalg.solve_map terms.  All the
-predicates used downstream live here: validation (the unit law, then
+leg as linalg.solve_map terms.  table_algebra is the one writer of
+structure constants given by a table, e_f e_g = e_h or 0 (group, monoid
+and groupoid algebras, k^n).  All the predicates used downstream live
+here: validation (the unit law, then
 associativity on the basis triples that do not contain a basis unit
 once the unit law holds), centers, radicals
 (Dickson trace form, characteristic 0), module projectivity by the dual
@@ -240,41 +242,29 @@ def check_group_table(table):
     return e, inv
 
 
+def table_algebra(dim, products, units, field=QQ, name=None):
+    """The algebra on e_0 .. e_{dim-1} with e_f e_g = e_h for each item
+    (f, g): h of the dict products, every other product zero, and unit
+    the sum of the e_u for u in units: the one writer of table structure
+    constants (group, monoid and groupoid algebras, k^n)."""
+    one = field.one
+    mul = [[{} for _ in range(dim)] for _ in range(dim)]
+    for (f, g), h in products.items():
+        mul[f][g] = {h: one}
+    return FDAlgebra(dim, mul, {u: one for u in units}, field, name=name)
+
+
 def group_algebra(table, field=QQ, name=None):
     e, _ = check_group_table(table)
-    n = len(table)
-    mul = [[{table[i][j]: field.one} for j in range(n)] for i in range(n)]
-    return FDAlgebra(n, mul, {e: field.one}, field, name=name or "k[G]")
-
-
-def monoid_algebra(table, identity, field=QQ, name=None):
-    """Like group_algebra but only requires a unital associative table."""
-    n = len(table)
-    mul = [[{table[i][j]: field.one} for j in range(n)] for i in range(n)]
-    A = FDAlgebra(n, mul, {identity: field.one}, field, name=name or "k[M]")
-    if not validate_algebra(A).ok:
-        raise ValueError("table is not a unital monoid")
-    return A
-
-
-def matrix_algebra(n, field=QQ):
-    """Full matrix algebra with basis e_{ab}, index a*n + b."""
-    d = n * n
-    mul = [[{} for _ in range(d)] for _ in range(d)]
-    for a in range(n):
-        for b in range(n):
-            for e in range(n):
-                mul[a * n + b][b * n + e][a * n + e] = field.one
-    unit = {a * n + a: field.one for a in range(n)}
-    return FDAlgebra(d, mul, unit, field, name="M_%d" % n)
+    products = {(i, j): h for i, row in enumerate(table)
+                for j, h in enumerate(row)}
+    return table_algebra(len(table), products, (e,), field, name or "k[G]")
 
 
 def product_field_algebra(n, field=QQ):
     """k^n with coordinatewise product (functions on an n-point set)."""
-    mul = [[{i: field.one} if i == j else {} for j in range(n)]
-           for i in range(n)]
-    unit = {i: field.one for i in range(n)}
-    return FDAlgebra(n, mul, unit, field, name="k^%d" % n)
+    return table_algebra(n, {(i, i): i for i in range(n)}, range(n), field,
+                         "k^%d" % n)
 
 
 def opposite(A):

@@ -528,8 +528,8 @@ def _run_check(doc, level, path):
                         note=json.dumps(verdict.to_json(), sort_keys=True))
             checks.append(("covering", rep))
         if upto >= 6:
-            c = galois.ConvMorphism(D, "R", "L", shaped_mat_from_json(
-                payload, "cleft_witness", D.B.dim, D.H.total.dim, D.field))
+            c = shaped_mat_from_json(payload, "cleft_witness", D.B.dim,
+                                     D.H.total.dim, D.field)
             checks.append(("cleft", galois.check_cleft(D, c)))
     elif kind == "composition":
         D1, D, D2, phi, psi, f1, f = composition_from_json(payload, field)

@@ -1,7 +1,8 @@
 """Comodule algebras over Hopf algebroids, coinvariants, the comparison
 map between the two one-sided coaction tensor products, Galois maps
 (lifted by one builder, _gal_lift, at the section columns of B (x)_A B
-alone), covering verdicts, cleftness (through the witness's own
+alone), covering verdicts, cleftness (the witness c: H -> B is a plain
+B.dim x H.dim Mat, decided through its convolution inverse and its own
 normal-basis map), cocycles with crossed products, composition diagrams
 (their Galois squares compared on lifts with equal_in), and
 witness-based equivalence checks.  Every verdict is exact.
@@ -29,10 +30,6 @@ from .reports import ViolationReport
 
 
 class AntipodeNotInvertible(Exception):
-    pass
-
-
-class LabelMismatch(ValueError):
     pass
 
 
@@ -388,73 +385,37 @@ def check_covering(D):
 
 
 # ---------------------------------------------------------------------------
-# convolution category and cleftness
-
-class ConvMorphism:
-    """A morphism domain -> codomain (labels in {R, L}) of the two-object
-    convolution category built from H's two corings and B's two ring
-    structures; the underlying map is a matrix H -> B."""
-
-    def __init__(self, ambient, domain, codomain, map):
-        if domain not in ("R", "L") or codomain not in ("R", "L"):
-            raise LabelMismatch("labels must be R or L")
-        self.ambient = ambient       # ComoduleAlgebraData
-        self.domain = domain
-        self.codomain = codomain
-        self.map = map
-
-
-def conv_identity(D, label):
-    """Identity of the object named by label: eta . eps_label."""
-    Hd = D.H
-    eps = Hd.rightb.counit if label == "R" else Hd.leftb.counit
-    return ConvMorphism(D, label, label, D.etaR * eps)
-
-
-def convolution_compose(f, g):
-    """f * g = mu_J . (f (x)_J g) . Delta_J for f: J -> I and g: K -> J."""
-    if f.ambient is not g.ambient:
-        raise LabelMismatch("morphisms live over different instances")
-    if f.domain != g.codomain:
-        raise LabelMismatch("inner labels disagree: %s vs %s"
-                            % (f.domain, g.codomain))
-    D = f.ambient
-    J = f.domain
-    dd = D.H.rightb.coproduct_lift if J == "R" else D.H.leftb.coproduct_lift
-    return ConvMorphism(D, g.domain, f.codomain,
-                        D.B.convolve(f.map, g.map, dd))
-
+# cleftness
 
 def _conv_inverse(D, c):
-    """Solve for d: L -> R with c * d = mu (c (x) d) Delta_R = id_L and
-    d * c = mu (d (x) c) Delta_L = id_R."""
+    """Solve for the witness c: H -> B's convolution inverse d: H -> B,
+    with c * d = mu (c (x) d) Delta_R = etaR eps_L and
+    d * c = mu (d (x) c) Delta_L = etaR eps_R."""
     B, Hd = D.B, D.H
-    blocks = [(B.convolution_terms(c.map, Hd.rightb.coproduct_lift, 1),
-               conv_identity(D, "L").map),
-              (B.convolution_terms(c.map, Hd.leftb.coproduct_lift, 0),
-               conv_identity(D, "R").map)]
-    return ConvMorphism(D, "L", "R",
-                        solve_map(blocks, B.dim, Hd.total.dim, D.field))
+    blocks = [(B.convolution_terms(c, Hd.rightb.coproduct_lift, 1),
+               D.etaR * Hd.leftb.counit),
+              (B.convolution_terms(c, Hd.leftb.coproduct_lift, 0),
+               D.etaR * Hd.rightb.counit)]
+    return solve_map(blocks, B.dim, Hd.total.dim, D.field)
 
 
 def check_cleft(D, c):
-    """Cleftness through the witness c: R -> L: bimodule type, linear
-    solvability of a convolution inverse, the comodule-map square and,
-    when these hold, the normal basis that c itself gives (normal_basis).
-    Every answer is exact."""
+    """Cleftness through the witness c: H -> B, a B.dim x H.dim Mat:
+    bimodule type, linear solvability of a convolution inverse, the
+    comodule-map square and, when these hold, the normal basis that c
+    itself gives (normal_basis).  Every answer is exact."""
     rep = ViolationReport()
     B, H, Hd, field = D.B, D.H.total, D.H, D.field
-    rep.require(c.domain == "R" and c.codomain == "L", "cleft:labels")
     # L-R bimodule map: c(sL(l) h) = etaL(l) c(h), c(h sR(r)) = c(h) etaR(r)
     for l in range(Hd.leftb.base.dim):
         sl = H.left_mult_matrix(Hd.leftb.s.col(l))
         el = B.left_mult_matrix(D.etaR.col(l))
-        rep.require(c.map * sl == el * c.map, "cleft:bimodule", (l,),
+        rep.require(c * sl == el * c, "cleft:bimodule", (l,),
                     note="left structure")
     for r in range(Hd.rightb.base.dim):
         sr = H.right_mult_matrix(Hd.rightb.s.col(r))
         er = B.right_mult_matrix(D.etaR.col(r))
-        rep.require(c.map * sr == er * c.map, "cleft:bimodule", (r,),
+        rep.require(c * sr == er * c, "cleft:bimodule", (r,),
                     note="right structure")
     # convolution inverse
     try:
@@ -463,8 +424,8 @@ def check_cleft(D, c):
         rep.require(False, "cleft:invertibility",
                     note="no convolution inverse exists")
     # comodule-map square
-    rep.require(equal_in(D.tensorRH, D.rhoR_lift * c.map,
-                         kron_cols(c.map, Mat.identity(H.dim, field),
+    rep.require(equal_in(D.tensorRH, D.rhoR_lift * c,
+                         kron_cols(c, Mat.identity(H.dim, field),
                                    Hd.rightb.coproduct_lift)),
                 "cleft:comodule-map")
     if rep.ok:
@@ -494,7 +455,7 @@ def normal_basis(D, c):
                   for l in range(Hd.leftb.base.dim)]
     sqAH = D._tensor([dA, dH], [(right_acts, Hd.leftb.acts()[1])])
     # Theta on the lifts a (x) h, keyed by the column a * dH + h
-    theta = Mat.from_cols([B.mul_vec(Aincl.col(a), c.map.col(h))
+    theta = Mat.from_cols([B.mul_vec(Aincl.col(a), c.col(h))
                            for a in range(dA) for h in range(dH)], dB, field)
     coproduct = kron_cols(Mat.identity(dA, field), Hd.rightb.coproduct_lift,
                           Mat.identity(dA * dH, field))

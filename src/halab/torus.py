@@ -2,11 +2,14 @@
 pointwise product through the diagonal operator L and the operator
 matrices Omega_k, the fiber-matrix presentation over rational points of
 the torus with its relations decided exactly, and the Z/n coaction with
-its Galois matrix and determinant.
+the determinant of its Galois matrix.
 
 Elements are finite-support Laurent polynomials in unitaries U, V with
 U V = q V U, written in normal order (U powers to the left); the carry
-rule V^b U^c = q^{-bc} U^c V^b follows from the defining relation.
+rule V^b U^c = q^{-bc} U^c V^b follows from the defining relation.  An
+element decomposes as the list [a_0, ..., a_{n-1}] of its Z/n
+components, f = sum a_i V^i with each a_i in A = span{U^x V^{ny}}; the
+list is what decompose returns and chi_product and recompose take.
 Every scalar lives in Q or Q(zeta_N); no verdict here passes through
 floating point.
 
@@ -151,35 +154,28 @@ def qt_mul(f, g):
     return out
 
 
-class DecomposedElement:
-    """Components a_0 .. a_{n-1}, each supported on V-exponents divisible
-    by n, representing sum a_i V^i."""
-
-    def __init__(self, n, components):
-        self.n = n
-        self.components = components
-
-
 def decompose(f, n=None):
-    """Split f into sum a_i V^i with a_i in A = span{U^x V^{ny}}."""
+    """Split f into sum a_i V^i with a_i in A = span{U^x V^{ny}}, as the
+    list [a_0, ..., a_{n-1}]."""
     n = n if n is not None else f.n
     comps = [f._empty() for _ in range(n)]
     for (a, b), c in f.support.items():
         i = b % n
         comps[i].support[(a, b - i)] = c
-    return DecomposedElement(n, comps)
+    return comps
 
 
 def recompose(d):
-    """Sum a_i V^i in one pass: U^x V^b V^i = U^x V^{b+i} carries no
-    phase, so each term of a_i is added in place at (x, b + i)."""
-    if not d.components:
+    """Sum a_i V^i over the list d = [a_0, ..., a_{n-1}] in one pass:
+    U^x V^b V^i = U^x V^{b+i} carries no phase, so each term of a_i is
+    added in place at (x, b + i)."""
+    if not d:
         raise ParameterMismatch("empty decomposition")
-    base = d.components[0]
+    base = d[0]
     out = base._empty()
     support = out.support
     get = support.get
-    for i, a in enumerate(d.components):
+    for i, a in enumerate(d):
         base._check(a)
         for (x, b), c in a.support.items():
             key = (x, b + i)
@@ -208,23 +204,23 @@ def L_operator(a, i=1):
 
 
 def chi_product(d1, d2):
-    """Component k of the product is sum_i a_i L^i(b_{k-i}), with the V^n
-    carry multiplied into the coefficient whenever the V-exponents wrap.
-    In normal order U^x V^b L^i(c U^y V^e) = q^{-(b+i)y} c U^{x+y} V^{b+e}
+    """The product of the decompositions d1 = [a_i] and d2 = [b_j], lists
+    of one length n >= 1: component k is sum_i a_i L^i(b_{k-i}), with the
+    V^n carry multiplied into the coefficient whenever the V-exponents
+    wrap.  In normal order
+    U^x V^b L^i(c U^y V^e) = q^{-(b+i)y} c U^{x+y} V^{b+e}
     and the carry V^n shifts e by n with no phase, so each term pair is
     added in place at its key of one component's support, as in qt_mul."""
-    if d1.n != d2.n:
+    n = len(d1)
+    if len(d2) != n:
         raise ParameterMismatch("decompositions at different n")
-    n = d1.n
-    for d in (d1, d2):
-        if not n or len(d.components) != n:
-            raise ParameterMismatch("%d components at n = %d"
-                                    % (len(d.components), n))
-    base = d1.components[0]
-    for a in (*d1.components, *d2.components):
+    if not n:
+        raise ParameterMismatch("empty decomposition")
+    base = d1[0]
+    for a in (*d1, *d2):
         base._check(a)
     seconds = []                      # (j, terms of b_j), b_j nonzero
-    for j, b in enumerate(d2.components):
+    for j, b in enumerate(d2):
         for _, e in b.support:        # L^i is defined on A alone
             if e % base.n:
                 raise NotInA("V-exponent %d not divisible by %d"
@@ -234,7 +230,7 @@ def chi_product(d1, d2):
     N = base.n * base.m
     times = base.field.times
     comps = [base._empty() for _ in range(n)]
-    for i, a in enumerate(d1.components):
+    for i, a in enumerate(d1):
         if not a.support:
             continue
         for j, terms in seconds:
@@ -253,7 +249,7 @@ def chi_product(d1, d2):
                         support[key] = val
                     else:
                         del support[key]
-    return DecomposedElement(n, comps)
+    return comps
 
 
 def oracle_mismatches(n, m):
@@ -413,32 +409,16 @@ def torus_coaction_check(n):
 
 def torus_galois_matrix(n):
     """The Galois map on the free A-basis: V^i (x) V^j maps to
-    sum_g q^{jg} V^{i+j} (x) delta_g, with the V^n carry kept as a
-    monomial coefficient.  Returns the n^2 x n^2 matrix over the monomial
-    ring (entries are dicts {V^n-power: scalar}, None for zero) together
-    with its exact determinant and a unit verdict.  Every column carries
-    one power x^c of the carry (checked), so M = M0 diag(x^c) with M0
-    scalar and det M = x^{sum c} det M0: the determinant is
-    {sum c: det M0}, or {} when det M0 = 0."""
+    sum_g q^{jg} V^{i+j} (x) delta_g.  Column (i, j) carries the V^n power
+    x^c, c = floor((i + j) / n), so M = M0 diag(x^c) with M0 scalar, built
+    here in one pass, and det M = x^{n(n-1)/2} det M0, since n(n-1)/2
+    pairs (i, j) have i + j >= n.  Returns the determinant {n(n-1)/2:
+    det M0} ({} when det M0 = 0) and a unit verdict."""
     field, roots = _params(n)
-    dim = n * n
     # row index: k * n + g  (V^k tensor delta_g); column: i * n + j
-    M = [[None] * dim for _ in range(dim)]
-    for i in range(n):
-        for j in range(n):
-            k = (i + j) % n
-            carry = (i + j - k) // n
-            for g in range(n):
-                M[k * n + g][i * n + j] = {carry: roots[j * g % n]}
-    carries = 0
-    for col in range(dim):
-        powers = {e for row in M if row[col] for e in row[col]}
-        if len(powers) != 1:
-            raise ValueError("column %d mixes powers of the carry" % col)
-        carries += powers.pop()
-    M0 = Mat.from_cols([{r: sum(row[c].values(), field.zero)
-                         for r, row in enumerate(M) if row[c]}
-                        for c in range(dim)], dim, field)
+    M0 = Mat.from_cols([{(i + j) % n * n + g: roots[j * g % n]
+                         for g in range(n)}
+                        for i in range(n) for j in range(n)], n * n, field)
     d0 = det(M0)
-    dpoly = {carries: d0} if d0 else {}
-    return {"matrix": M, "det": dpoly, "unit": bool(dpoly)}
+    dpoly = {n * (n - 1) // 2: d0} if d0 else {}
+    return {"det": dpoly, "unit": bool(dpoly)}

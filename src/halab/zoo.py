@@ -16,6 +16,7 @@ import itertools
 from .fields import QQ, CyclotomicField
 from .linalg import Mat, kron_cols, inverse, solve_map, NoSolution, image
 from .algebra import (FDAlgebra, check_group_table, product_field_algebra,
+                      table_algebra, tensor_algebra,
                       opposite, central_idempotents_split, NotSplit,
                       subalgebra_on_rows)
 from .bimod import pair_mul
@@ -396,11 +397,7 @@ def groupoid_algebra(G, field=QQ):
     G.validate()
     d = G.n_morphisms
     m = G.n_objects
-    mul = [[{} for _ in range(d)] for _ in range(d)]
-    for (f, g), h in G.compose.items():
-        mul[f][g][h] = field.one
-    unit = {u: field.one for u in G.units}
-    H = FDAlgebra(d, mul, unit, field, name="groupoid algebra")
+    H = table_algebra(d, G.compose, G.units, field, "groupoid algebra")
     base = product_field_algebra(m, field)
     one = field.one
     iota = Mat.from_cols([{G.units[x]: one} for x in range(m)], d, field)
@@ -447,9 +444,9 @@ def monoid_bialgebra(table, identity, field=QQ):
     """The grouplike bialgebra of a finite monoid, as a one-sided
     bialgebroid over k.  Not Hopf unless the monoid is a group."""
     n = len(table)
-    mul = [[{table[i][j]: field.one} for j in range(n)] for i in range(n)]
-    H = FDAlgebra(n, mul, {identity: field.one}, field,
-                  name="monoid algebra")
+    products = {(i, j): h for i, row in enumerate(table)
+                for j, h in enumerate(row)}
+    H = table_algebra(n, products, (identity,), field, "monoid algebra")
     base = product_field_algebra(1, field)
     eta = Mat.from_cols([H.unit], n, field)
     return BialgebroidData(H, base, "right", eta, eta,
@@ -619,23 +616,6 @@ class WeakHopfData:
         return self._eps_products
 
 
-def _three_leg_product(H, u, v):
-    """The factorwise product in H (x) H (x) H of u and v, each a dict
-    {(a, b, c): coefficient} of its nonzeros, as a dict of the nonzeros
-    at (a * d + b) * d + c."""
-    d, zero, mul = H.dim, H.field.zero, H.mul
-    out = {}
-    for (a1, b1, c1), x in u.items():
-        for (a2, b2, c2), y in v.items():
-            rs = mul[c1][c2].items()
-            for p, s in mul[a1][a2].items():
-                for q, t in mul[b1][b2].items():
-                    xyst, base = x * y * s * t, (p * d + q) * d
-                    for r, z in rs:
-                        out[base + r] = out.get(base + r, zero) + xyst * z
-    return {k: x for k, x in out.items() if x}
-
-
 def check_weak_hopf(W):
     """Axioms of a weak Hopf algebra: multiplicative coassociative weakly
     unital coproduct, counital weakly multiplicative counit, and the three
@@ -658,8 +638,8 @@ def check_weak_hopf(W):
     # (i) coassociative
     rep.require(kron_cols(D, I, D) == kron_cols(I, D, D),
                 "weak:coassociative")
-    # (i) weak unitality, products in H (x) H (x) H over the nonzeros of
-    # Delta(1) and of 1
+    # (i) weak unitality, products in (H (x) H) (x) H over the nonzeros of
+    # Delta(1) and of 1, keyed (a * d + b) * d + c
     w = D.matvec(H.unit)
     units = H.unit.items()
     w_1 = {}    # Delta(1) (x) 1
@@ -667,12 +647,13 @@ def check_weak_hopf(W):
     for ij, c in w.items():
         i, j = divmod(ij, d)
         for k, u in units:
-            w_1[i, j, k] = c * u
-            one_w[k, i, j] = u * c
+            w_1[ij * d + k] = c * u
+            one_w[(k * d + i) * d + j] = u * c
     D2unit = kron_cols(D, I, [w])[0]
-    rep.require(_three_leg_product(H, w_1, one_w) == D2unit,
+    HH = tensor_algebra(H, H)
+    rep.require(pair_mul(HH, H, w_1, one_w) == D2unit,
                 "weak:unitality", note="(D(1) x 1)(1 x D(1)) != D2(1)")
-    rep.require(_three_leg_product(H, one_w, w_1) == D2unit,
+    rep.require(pair_mul(HH, H, one_w, w_1) == D2unit,
                 "weak:unitality", note="(1 x D(1))(D(1) x 1) != D2(1)")
     # (iii) counital
     rep.require(kron_cols(eps, I, D) == I.sparse_cols(), "weak:counital",

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -11,7 +13,7 @@ from halab import algebra
 from halab.linalg import (Mat, Subspace, rank, kron, inverse, solve_map,
                           NoSolution, _combine)
 from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
-                           group_algebra, monoid_algebra, matrix_algebra,
+                           group_algebra, table_algebra,
                            product_field_algebra, opposite, enveloping,
                            tensor_algebra, direct_product, subalgebra_on_rows,
                            check_algebra_morphism, regular_module,
@@ -22,11 +24,20 @@ from halab.algebra import (FDAlgebra, validate_algebra, check_group_table,
                            Inconclusive)
 from halab.zoo import (cyclic_table, klein_table, s3_table, and_monoid_table,
                        groupoid_algebra, indiscrete_groupoid,
-                       action_groupoid, twisted_group_algebra)
+                       action_groupoid, twisted_group_algebra,
+                       monoid_bialgebra, function_algebroid,
+                       discrete_groupoid, deck_groupoid, regular_gset,
+                       disjoint_union_gset)
 from halab.cli import algebra_to_json, algebra_from_json
 from halab.reports import ViolationReport
 
 from conftest import sparse, dual_numbers, projective_modules
+
+
+def matrix_algebra(n, field=QQ):
+    """M_n(k) with basis e_{ab} at index a * n + b: the algebra of the
+    indiscrete groupoid on n objects."""
+    return groupoid_algebra(indiscrete_groupoid(n), field).total
 
 
 def constructor_corpus():
@@ -40,7 +51,7 @@ def constructor_corpus():
         ("M2 enveloping", enveloping(matrix_algebra(2))),
         ("kZ3 x M2", direct_product(kz3, matrix_algebra(2))),
         ("kZ3 (x) k2", tensor_algebra(kz3, product_field_algebra(2))),
-        ("AND monoid", monoid_algebra(and_monoid_table(), 1)),
+        ("AND monoid", monoid_bialgebra(and_monoid_table(), 1).total),
     ]
 
 
@@ -547,3 +558,93 @@ def test_validation_matches_the_reference(hopf_corpus):
             A.unit == {u: A.field.one} for u in range(A.dim))
     assert tags == {"unit", "associativity"}
     assert at_unit >= 50 and skipped_and_failed >= 20
+
+
+# ---------------------------------------------------------------------------
+# table_algebra, the one writer of table structure constants
+
+def _table_digest(A):
+    """The sha256 prefix of A's dim, mul, unit and name, each dict in its
+    insertion order and each scalar with its type."""
+    def entries(vec):
+        return [[k, type(x).__name__, str(x)] for k, x in vec.items()]
+    text = json.dumps([A.dim, [[entries(e) for e in row] for row in A.mul],
+                       entries(A.unit), A.name])
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def table_cases(field):
+    """(name, algebra) for every constructor that writes its structure
+    constants through table_algebra."""
+    for name, table in (("Z4", cyclic_table(4)), ("S3", s3_table()),
+                        ("Klein", klein_table())):
+        yield "k" + name, group_algebra(table, field)
+    for n in (1, 3, 5):
+        yield "k^%d" % n, product_field_algebra(n, field)
+    free4 = disjoint_union_gset(regular_gset(cyclic_table(2)), 2)
+    for name, G in (("indiscrete3", indiscrete_groupoid(3)),
+                    ("discrete2", discrete_groupoid(2)),
+                    ("deck-free-Z2", deck_groupoid(free4))):
+        yield "groupoid algebra " + name, groupoid_algebra(G, field).total
+        Hd = function_algebroid(G, field)
+        yield "function algebroid " + name, Hd.total
+        yield "function algebroid base " + name, Hd.rightb.base
+    yield "AND monoid", monoid_bialgebra(and_monoid_table(), 1, field).total
+
+
+# recorded with the hand-written structure-constant loops that
+# table_algebra replaced; they must not change
+TABLE_DIGESTS = {
+    'Q': {
+        'kZ4': '5b2fa7d26e113bc7',
+        'kS3': '29005f87dbf843a2',
+        'kKlein': 'ca96e111b940fa44',
+        'k^1': '00bcb24542bc7237',
+        'k^3': 'a2b0b7f624ff86aa',
+        'k^5': '13c1cbaffaa56586',
+        'groupoid algebra indiscrete3': 'a3973984b37666b9',
+        'function algebroid indiscrete3': 'ef67eecb8056eb02',
+        'function algebroid base indiscrete3': 'a2b0b7f624ff86aa',
+        'groupoid algebra discrete2': 'e1336249d0762ba8',
+        'function algebroid discrete2': '907f37487c16a4c0',
+        'function algebroid base discrete2': '99766392284c2100',
+        'groupoid algebra deck-free-Z2': '5771b5e56a515d6c',
+        'function algebroid deck-free-Z2': '72824623d0dfcf93',
+        'function algebroid base deck-free-Z2': '99766392284c2100',
+        'AND monoid': '6a5a041931a01067',
+    },
+    'Q(zeta3)': {
+        'kZ4': '925734a36f434403',
+        'kS3': 'dfa5841d5489f680',
+        'kKlein': '6955fdd53015b25b',
+        'k^1': '8c1697e88692295b',
+        'k^3': 'd4515347ef0f216b',
+        'k^5': 'f4abd50e87929e3a',
+        'groupoid algebra indiscrete3': '9251ae7cef3510e2',
+        'function algebroid indiscrete3': '09fed3991545dfa7',
+        'function algebroid base indiscrete3': 'd4515347ef0f216b',
+        'groupoid algebra discrete2': 'f71da38baa07a2f8',
+        'function algebroid discrete2': '180a56515be4ca81',
+        'function algebroid base discrete2': '34df1588ce035215',
+        'groupoid algebra deck-free-Z2': '663747273ca28883',
+        'function algebroid deck-free-Z2': '4fa04c34ad06e234',
+        'function algebroid base deck-free-Z2': '34df1588ce035215',
+        'AND monoid': '827958cfd7833508',
+    },
+}
+
+
+@pytest.mark.parametrize("label, field", [("Q", QQ), ("Q(zeta3)", F3)])
+def test_table_constructors_keep_their_structure_constants(label, field):
+    """mul, unit (in insertion order, with scalar types) and name of every
+    constructor built on table_algebra, as recorded before it existed."""
+    got = {name: _table_digest(A) for name, A in table_cases(field)}
+    assert got == TABLE_DIGESTS[label]
+
+
+def test_table_algebra_writes_a_partial_table():
+    """Products missing from the table are zero: e_1 e_1 = 0 gives the
+    dual numbers k[x]/(x^2)."""
+    A = table_algebra(2, {(0, 0): 0, (0, 1): 1, (1, 0): 1}, (0,), QQ, "dn")
+    D = dual_numbers()
+    assert (A.mul, A.unit, A.name) == (D.mul, D.unit, "dn")

@@ -18,8 +18,7 @@ from halab.bimod import tensor_over
 from halab.galois import (ComoduleAlgebraData, regular_comodule,
                           trivial_comodule, check_comodule, coinvariants,
                           phi_map, galois_maps, check_gal_factorization,
-                          check_covering, ConvMorphism, conv_identity,
-                          convolution_compose, check_cleft, LabelMismatch,
+                          check_covering, check_cleft,
                           AntipodeNotInvertible, validate_cocycle,
                           crossed_product, check_composition,
                           verify_topological_equiv, BimoduleWitness,
@@ -455,26 +454,18 @@ class TestCovering:
 
 class TestConvolutionAndCleft:
     def test_identity_is_neutral(self):
+        """e = eta_R eps_R is neutral for the convolution over Delta_R."""
         D = regular_comodule(group_hopf_algebra(cyclic_table(2)))
-        e = conv_identity(D, "R")
-        assert convolution_compose(e, e).map == e.map
-
-    def test_label_mismatch(self):
-        D = regular_comodule(group_hopf_algebra(cyclic_table(2)))
-        f = ConvMorphism(D, "R", "L", Mat.identity(2, QQ))
-        g = ConvMorphism(D, "R", "L", Mat.identity(2, QQ))
-        with pytest.raises(LabelMismatch):
-            convolution_compose(f, g)      # codomain L != domain R
+        e = D.etaR * D.H.rightb.counit
+        assert D.B.convolve(e, e, D.H.rightb.coproduct_lift) == e
 
     def test_regular_kz2_is_cleft(self):
         D = regular_comodule(group_hopf_algebra(cyclic_table(2)))
-        c = ConvMorphism(D, "R", "L", Mat.identity(2, QQ))
-        assert check_cleft(D, c).ok
+        assert check_cleft(D, Mat.identity(2, QQ)).ok
 
     def test_wrong_witness_fails(self):
         D = regular_comodule(group_hopf_algebra(cyclic_table(2)))
-        c = ConvMorphism(D, "R", "L", Mat.zero(2, 2, QQ))
-        assert not check_cleft(D, c).ok
+        assert not check_cleft(D, Mat.zero(2, 2, QQ)).ok
 
 
 def _identity_witnesses():
@@ -484,10 +475,9 @@ def _identity_witnesses():
     D = comodule_from_json(payload)
     c = shaped_mat_from_json(payload, "cleft_witness", D.B.dim,
                              D.H.total.dim, D.field)
-    yield "kz2_cleft.json", D, ConvMorphism(D, "R", "L", c)
+    yield "kz2_cleft.json", D, c
     for D in comodule_instances():
-        yield D.name, D, ConvMorphism(D, "R", "L",
-                                      Mat.identity(D.B.dim, D.field))
+        yield D.name, D, Mat.identity(D.B.dim, D.field)
 
 
 # the corpus comodules whose identity witness fails cleft:bimodule and

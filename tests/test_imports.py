@@ -18,7 +18,8 @@ Cyc.__mul__ share one scalar convolution (CyclotomicField.times), and the
 JSON document format
 (its readers and writers, json.load and open) lives in cli.py alone, which
 no other module imports.  Every top-level definition in the sources is
-referenced by name somewhere in src/, tests/ or bench/."""
+referenced by name somewhere in src/, tests/ or bench/, and those that
+only tests reference are a pinned list that may only shrink."""
 
 import ast
 from pathlib import Path
@@ -404,19 +405,21 @@ _QT_BUILDERS = {"QTElement", "qt_mul", "qt_monomial", "qt_one", "L_operator",
                 "random_qt", "recompose"}
 
 
-def _is_components(node):
-    return isinstance(node, ast.Attribute) and node.attr == "components"
-
-
 def _element_sums(func):
     """Lines of func with a + or += of quantum-torus elements: an operand
-    is a call that builds one, an entry of a decomposition's components,
-    or a name bound to either (by assignment or by a loop over the
-    components, also through enumerate)."""
+    is a call that builds one, an entry of a decomposition (a list of
+    components passed as an argument of func), or a name bound to either
+    (by assignment or by a loop over a decomposition, also through
+    enumerate)."""
+    params = {arg.arg for arg in func.args.args}
+
+    def decomposition(node):
+        return isinstance(node, ast.Name) and node.id in params
+
     def builds(node):
         return (isinstance(node, ast.Call) and _call_name(node) in _QT_BUILDERS
                 or isinstance(node, ast.Subscript)
-                and _is_components(node.value))
+                and decomposition(node.value))
     names = set()
     for node in ast.walk(func):
         if isinstance(node, ast.Assign) and builds(node.value):
@@ -427,7 +430,7 @@ def _element_sums(func):
             if isinstance(it, ast.Call) and _call_name(it) == "enumerate" \
                     and isinstance(target, ast.Tuple):
                 it, target = it.args[0], target.elts[1]
-            if _is_components(it) and isinstance(target, ast.Name):
+            if decomposition(it) and isinstance(target, ast.Name):
                 names.add(target.id)
 
     def element(node):
@@ -449,14 +452,14 @@ def test_element_sums_are_found():
     tree = ast.parse(
         "def f(d):\n"
         "    out = QTElement(2, 1)\n"
-        "    for i, a in enumerate(d.components):\n"
+        "    for i, a in enumerate(d):\n"
         "        out = out + qt_mul(a, qt_monomial(2, 1, 0, i))\n"
         "def g(d):\n"
-        "    for a in d.components:\n"
+        "    for a in d:\n"
         "        s += a\n"
-        "    return d.components[0] + s\n"
+        "    return d[0] + s\n"
         "def h(d, support):\n"
-        "    for i, a in enumerate(d.components):\n"
+        "    for i, a in enumerate(d):\n"
         "        for (x, b), c in a.support.items():\n"
         "            support[(x, b + i)] = support.get((x, b + i)) + c\n")
     assert [_element_sums(_function(tree, name)) for name in "fgh"] == [
@@ -489,14 +492,14 @@ def test_componentwise_chi_product_is_found():
     and at its comps[k] = comps[k] + term line."""
     tree = ast.parse(
         "def chi_product(d1, d2):\n"
-        "    n = d1.n\n"
+        "    n = len(d1)\n"
         "    comps = [QTElement(2, 1) for _ in range(n)]\n"
         "    vn = qt_monomial(2, 1, 0, n)\n"
         "    for i in range(n):\n"
         "        for j in range(n):\n"
         "            k = (i + j) % n\n"
-        "            term = qt_mul(d1.components[i],\n"
-        "                          L_operator(d2.components[j], i))\n"
+        "            term = qt_mul(d1[i],\n"
+        "                          L_operator(d2[j], i))\n"
         "            if i + j >= n:\n"
         "                term = qt_mul(term, vn)\n"
         "            comps[k] = comps[k] + term\n")
@@ -762,3 +765,41 @@ def test_every_definition_is_referenced():
               for path in sorted(folder.rglob("*.py"))]
     dead = _unreferenced(sources, [tree for _, tree in sources] + others)
     assert not dead, "definitions referenced nowhere: %s" % dead
+
+
+# Top-level definitions that only tests reference.  The list may only
+# shrink: a definition leaves it when a src or bench caller appears or
+# when it is deleted, and a new test-only definition is not added.  The
+# first group checks claims of the paper and stays (ROADMAP item 6).
+TEST_ONLY = {
+    ("zoo.py", "theorem1_automorphisms"), ("zoo.py", "example7_extract"),
+    ("zoo.py", "reconstruct_groupoid"), ("galois.py", "verify_morita_data"),
+    ("galois.py", "verify_topological_equiv"),
+    ("galois.py", "HopfBimoduleWitness"),
+    ("galois.py", "check_gal_factorization"),
+    ("galois.py", "crossed_product"),
+    # helpers with no paper claim of their own
+    ("algebra.py", "direct_product"), ("algebra.py", "enveloping"),
+    ("algebra.py", "regular_module"), ("cli.py", "cocycle_to_json"),
+    ("cli.py", "composition_to_json"), ("galois.py", "BimoduleWitness"),
+    ("galois.py", "trivial_comodule"), ("hopfalgebroid.py", "check_coupled"),
+    ("hopfalgebroid.py", "solve_antipode"), ("linalg.py", "rref"),
+    ("torus.py", "L_operator"), ("torus.py", "omega_matrix"),
+    ("torus.py", "qt_one"), ("zoo.py", "and_monoid_table"),
+    ("zoo.py", "monoid_bialgebra"),
+    ("zoo.py", "nontransitive_control_instance")}
+
+
+def test_test_only_definitions_only_shrink():
+    """The top-level src definitions that no src or bench file references
+    (by the name rule of _unreferenced) are exactly TEST_ONLY."""
+    sources = [(path.name, ast.parse(path.read_text(), filename=str(path)))
+               for path in sorted(SRC.glob("*.py"))]
+    bench = [ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((REPO / "bench").rglob("*.py"))]
+    found = set(_unreferenced(sources, [tree for _, tree in sources] + bench))
+    assert not found - TEST_ONLY, \
+        "new test-only definitions: %s" % sorted(found - TEST_ONLY)
+    assert not TEST_ONLY - found, \
+        "no longer test-only, drop from TEST_ONLY: %s" \
+        % sorted(TEST_ONLY - found)

@@ -33,7 +33,7 @@ from halab.hopfalgebroid import (BialgebroidData, HopfAlgebroidData,
                                  check_coupled, solve_antipode, NoAntipode)
 from halab.galois import (BimoduleWitness, HopfBimoduleWitness,
                           regular_comodule, verify_morita_data,
-                          _bimodule_tensor, ConvMorphism, _conv_inverse,
+                          _bimodule_tensor, _conv_inverse,
                           check_cleft, normal_basis)
 from halab.cli import (mat_to_json, shaped_mat_from_json, hopf_to_json,
                        comodule_from_json)
@@ -240,10 +240,10 @@ def _antipode_cases():
 
 def _conv_inverse_pin(D, c):
     try:
-        d = _conv_inverse(D, ConvMorphism(D, "R", "L", c))
+        d = _conv_inverse(D, c)
     except NoSolution:
         return 0, "NoSolution"
-    return 0, _digest(mat_to_json(d.map))
+    return 0, _digest(mat_to_json(d))
 
 
 def _conv_inverse_witnesses():
@@ -264,7 +264,7 @@ def _conv_inverse_cases():
 
 
 def _cleft_pin(D, c):
-    return _pin(check_cleft(D, ConvMorphism(D, "R", "L", c)))
+    return _pin(check_cleft(D, c))
 
 
 def _cleft_cases():
@@ -278,8 +278,21 @@ def _cleft_cases():
         D = regular_comodule(group_hopf_algebra(table))
         instances.append(("regular " + name, D,
                           Mat.identity(D.B.dim, D.field)))
+    # B = M_2(k) is not commutative, so a Theta built as c(h) a in place
+    # of a c(h) changes these two pins
+    D = regular_comodule(groupoid_algebra(indiscrete_groupoid(2)))
+    c = Mat.identity(D.B.dim, D.field)
+    instances.append(("regular groupoid algebra indiscrete2", D, c))
     for name, D, c in instances:
         yield "cleft " + name, lambda D=D, c=c: _cleft_pin(D, c)
+    yield "normal-basis regular groupoid algebra indiscrete2", \
+        lambda: _normal_basis_pin(D, c)
+
+
+def _normal_basis_pin(D, c):
+    """(number of true answers, digest of the answers)."""
+    answers = normal_basis(D, c)
+    return sum(answers.values()), _digest(answers)
 
 
 CASES = [case for gen in (_weak_cases, _coupled_cases, _hopf_bimodule_cases,
@@ -485,7 +498,10 @@ RECORDED = {
     "conv-inverse regular smash k2 # Z2 swap, mutated": (0, "NoSolution"),
     "cleft kz2_cleft.json": (0, "4f53cda18c2baa0c"),
     "cleft regular kZ2": (0, "4f53cda18c2baa0c"),
-    "cleft regular kZ3": (0, "4f53cda18c2baa0c")}
+    "cleft regular kZ3": (0, "4f53cda18c2baa0c"),
+    "cleft regular groupoid algebra indiscrete2": (0, "4f53cda18c2baa0c"),
+    "normal-basis regular groupoid algebra indiscrete2":
+        (3, "8ea4c5c7cb7eebb3")}
 
 
 def test_recorded_cases_are_the_generated_cases():
@@ -504,6 +520,5 @@ def test_check_cleft_reaches_a_verdict_on_every_witness():
     conditions hold.  Every answer is exact."""
     for D, I, bumped in _conv_inverse_witnesses():
         for c in (I, bumped):
-            c = ConvMorphism(D, "R", "L", c)
             assert isinstance(check_cleft(D, c).ok, bool), D.name
             assert set(map(type, normal_basis(D, c).values())) == {bool}

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -14,7 +15,7 @@ from halab.torus import (QTElement, qt_monomial, qt_one, qt_mul, decompose,
                          recompose, L_operator, chi_product, omega_matrix,
                          random_qt, fiber_matrices, best_fiber_variant,
                          oracle_mismatches, torus_coaction_check,
-                         torus_galois_matrix, DecomposedElement,
+                         torus_galois_matrix,
                          ParameterMismatch, NotInA)
 
 EXPECTED = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
@@ -85,7 +86,7 @@ class TestDecomposition:
 
     def test_components_live_in_base(self):
         f = random_qt(3, 1, random.Random(3))
-        for comp in decompose(f).components:
+        for comp in decompose(f):
             for (a, b) in comp.support:
                 assert b % 3 == 0
 
@@ -104,11 +105,11 @@ class TestDecomposition:
 
 def _recompose_reference(d):
     """The sum a_i V^i through qt_mul, one component at a time."""
-    if not d.components:
+    if not d:
         raise ParameterMismatch("empty decomposition")
-    base = d.components[0]
+    base = d[0]
     out = QTElement(base.n, base.m)
-    for i, a in enumerate(d.components):
+    for i, a in enumerate(d):
         out = out + qt_mul(a, qt_monomial(base.n, base.m, 0, i))
     return out
 
@@ -121,12 +122,12 @@ class TestRecompose:
 
     @staticmethod
     def _agree(d):
-        before = [dict(a.support) for a in d.components]
+        before = [dict(a.support) for a in d]
         got = recompose(d)
         want = _recompose_reference(d)
         assert got == want
         assert all(got.support.values()), "a cancelled term was kept"
-        assert [a.support for a in d.components] == before
+        assert [a.support for a in d] == before
         return got
 
     @pytest.mark.parametrize("n, m", PARAMS)
@@ -136,7 +137,7 @@ class TestRecompose:
         for _ in range(30):
             comps = [random_qt(n, m, rng, radius=3, terms=rng.randint(0, 5))
                      for _ in range(rng.randint(1, 5))]
-            self._agree(DecomposedElement(len(comps), comps))
+            self._agree(comps)
 
     @pytest.mark.parametrize("n, m", PARAMS)
     def test_cancelling_components(self, n, m):
@@ -149,10 +150,9 @@ class TestRecompose:
             c2 = F.random(rng) or F.one
             a0 = QTElement(n, m, {(1, 1): c, (2, 0): c2})
             a1 = QTElement(n, m, {(1, 0): -c, (2, -1): -c2})
-            assert self._agree(DecomposedElement(2, [a0, a1])) \
-                == QTElement(n, m)
+            assert self._agree([a0, a1]) == QTElement(n, m)
             a2 = QTElement(n, m, {(1, -1): c})
-            got = self._agree(DecomposedElement(3, [a0, a1, a2]))
+            got = self._agree([a0, a1, a2])
             assert got.support == {(1, 1): c}
 
     @pytest.mark.parametrize("n, m", PARAMS)
@@ -166,48 +166,48 @@ class TestRecompose:
     def test_empty_components(self):
         for n, m in self.PARAMS:
             zero = QTElement(n, m)
-            d = DecomposedElement(3, [QTElement(n, m) for _ in range(3)])
+            d = [QTElement(n, m) for _ in range(3)]
             assert self._agree(d) == zero
             U = qt_monomial(n, m, 1, 0)
-            d = DecomposedElement(3, [QTElement(n, m), QTElement(n, m), U])
+            d = [QTElement(n, m), QTElement(n, m), U]
             assert self._agree(d).support == {(1, 2): U.field.one}
 
     def test_parameter_mismatch(self):
         with pytest.raises(ParameterMismatch):
-            recompose(DecomposedElement(1, []))
+            recompose([])
         for comps in ([qt_one(2, 1), qt_one(3, 1)],
                       [qt_one(2, 1), QTElement(2, 2)],
                       [QTElement(3, 1), QTElement(1, 3)]):
             with pytest.raises(ParameterMismatch):
-                recompose(DecomposedElement(2, comps))
+                recompose(comps)
             with pytest.raises(ParameterMismatch):
-                _recompose_reference(DecomposedElement(2, comps))
+                _recompose_reference(comps)
 
 
 def _chi_product_reference(d1, d2):
     """Component k = sum_i a_i L^i(b_{k-i}) through qt_mul and L_operator,
     with the V^n carry multiplied in by qt_mul: the component-wise formula
     that the one-pass chi_product replaced."""
-    if d1.n != d2.n:
+    if len(d1) != len(d2):
         raise ParameterMismatch("decompositions at different n")
-    n = d1.n
-    base = d1.components[0]
+    n = len(d1)
+    base = d1[0]
     comps = [QTElement(base.n, base.m) for _ in range(n)]
     vn = qt_monomial(base.n, base.m, 0, n)
     for i in range(n):
         for j in range(n):
-            term = qt_mul(d1.components[i], L_operator(d2.components[j], i))
+            term = qt_mul(d1[i], L_operator(d2[j], i))
             if i + j >= n:
                 term = qt_mul(term, vn)
             comps[(i + j) % n] = comps[(i + j) % n] + term
-    return DecomposedElement(n, comps)
+    return comps
 
 
 def _outcome(product, d1, d2):
     """The component supports of product(d1, d2), or the class of the
     NotInA or ParameterMismatch it raised."""
     try:
-        return [a.support for a in product(d1, d2).components]
+        return [a.support for a in product(d1, d2)]
     except (NotInA, ParameterMismatch) as exc:
         return type(exc)
 
@@ -223,11 +223,10 @@ class TestChiProduct:
 
     @staticmethod
     def _agree(d1, d2):
-        before = [[dict(a.support) for a in d.components] for d in (d1, d2)]
+        before = [[dict(a.support) for a in d] for d in (d1, d2)]
         got = _outcome(chi_product, d1, d2)
         assert got == _outcome(_chi_product_reference, d1, d2)
-        assert [[a.support for a in d.components] for d in (d1, d2)] \
-            == before
+        assert [[a.support for a in d] for d in (d1, d2)] == before
         if isinstance(got, list):
             assert all(all(s.values()) for s in got), \
                 "a cancelled term was kept"
@@ -241,8 +240,8 @@ class TestChiProduct:
             f, g = (random_qt(n, m, rng, radius, rng.randint(0, 7))
                     for _ in range(2))
             got = self._agree(decompose(f), decompose(g))
-            assert recompose(DecomposedElement(n, [
-                QTElement(n, m, s) for s in got])) == qt_mul(f, g)
+            assert recompose([QTElement(n, m, s) for s in got]) \
+                == qt_mul(f, g)
 
     @pytest.mark.parametrize("n, m", PARAMS)
     def test_cancelling_terms(self, n, m):
@@ -262,8 +261,8 @@ class TestChiProduct:
             g = QTElement(n, m, {(0, 0): -F.div(c * d1, c2), (0, 1): d1})
             got = self._agree(decompose(f), decompose(g))
             assert all(key[1] != 1 for s in got for key in s)
-            assert recompose(DecomposedElement(n, [
-                QTElement(n, m, s) for s in got])) == qt_mul(f, g)
+            assert recompose([QTElement(n, m, s) for s in got]) \
+                == qt_mul(f, g)
 
     def test_empty_components(self):
         rng = random.Random(5)
@@ -307,49 +306,48 @@ class TestChiProduct:
             V = qt_monomial(n, m, 0, 1)
             V2 = qt_monomial(n, m, 0, 2)
             for k, b in ((1, V), (2, V), (n, V)):
-                d = DecomposedElement(k, [b] + [zero] * (k - 1))
+                d = [b] + [zero] * (k - 1)
                 for a in (zero, qt_one(n, m)):
-                    d1 = DecomposedElement(k, [a] + [zero] * (k - 1))
+                    d1 = [a] + [zero] * (k - 1)
                     assert self._agree(d1, d) is NotInA
                     with pytest.raises(NotInA):
                         chi_product(d1, d)
             # V^2 at n = 2, decomposed at 4: in A for the element, so no
             # NotInA although 4 does not divide 2
             if n == 2:
-                d = DecomposedElement(4, [V2] + [zero] * 3)
+                d = [V2] + [zero] * 3
                 assert isinstance(self._agree(d, d), list)
 
     def test_parameter_mismatch(self):
         one2, one3, z22 = qt_one(2, 1), qt_one(3, 1), QTElement(2, 2)
-        good = DecomposedElement(2, [one2, one2])
+        good = [one2, one2]
         with pytest.raises(ParameterMismatch):
-            chi_product(good, DecomposedElement(3, [one2] * 3))
-        for bad in (DecomposedElement(2, [one2, one3]),
-                    DecomposedElement(2, [one2, z22])):
+            chi_product(good, [one2] * 3)
+        for bad in ([one2, one3], [one2, z22]):
             for d1, d2 in ((bad, good), (good, bad)):
                 assert self._agree(d1, d2) is ParameterMismatch
                 with pytest.raises(ParameterMismatch):
                     chi_product(d1, d2)
-        empty = DecomposedElement(0, [])
         with pytest.raises(ParameterMismatch):
-            chi_product(empty, empty)
+            chi_product([], [])
 
     def test_too_few_components(self):
-        """A components list shorter than n is a ParameterMismatch, not an
-        IndexError, in either factor."""
+        """A decomposition with fewer components than the other factor's
+        is a ParameterMismatch, not an IndexError, in either factor."""
         one = qt_one(3, 1)
         full = decompose(one)
-        short = DecomposedElement(3, [one, QTElement(3, 1)])
+        short = [one, QTElement(3, 1)]
         for d1, d2 in ((short, full), (full, short)):
             with pytest.raises(ParameterMismatch):
                 chi_product(d1, d2)
 
     def test_too_many_components(self):
-        """A components list longer than n is a ParameterMismatch, not
-        silently cut to its first n entries, in either factor."""
+        """A decomposition with more components than the other factor's is
+        a ParameterMismatch, not silently cut to the other's length, in
+        either factor."""
         one = qt_one(2, 1)
         full = decompose(one)
-        long = DecomposedElement(2, [one, QTElement(2, 1), one])
+        long = [one, QTElement(2, 1), one]
         for d1, d2 in ((long, full), (full, long)):
             with pytest.raises(ParameterMismatch):
                 chi_product(d1, d2)
@@ -442,7 +440,7 @@ def test_exact_oracle_counts_a_phase_wrong_on_one_residue_class(
     def mutant(d1, d2):
         # the oracle's pair (b, c, e) lands on U^(bN+c) V^(b+e)
         out = product(d1, d2)
-        for comp in out.components:
+        for comp in out:
             for (x, v), c in comp.support.items():
                 if (x // N) * (x % N) % N == r:
                     comp.support[x, v] = c * q
@@ -480,18 +478,37 @@ class TestGaloisDeterminant:
             assert torus_galois_matrix(n)["unit"], n
 
     def test_structure_against_full_determinant(self):
-        """det of the matrix with the carry x set to t is t^{sum carry}
-        times det M0, the exponent and scalar of the returned dict."""
+        """det of the Galois matrix with the carry x set to t, written out
+        entry by entry (V^i (x) V^j -> sum_g q^{jg} x^c V^{(i+j) mod n}
+        (x) delta_g, c = floor((i + j) / n)), is t^{n(n-1)/2} det M0, the
+        exponent and scalar of the returned dict."""
         for n in range(1, 7):
-            g = torus_galois_matrix(n)
-            ((carries, d0),) = g["det"].items()
-            field = qt_one(n, 1).field
+            ((carries, d0),) = torus_galois_matrix(n)["det"].items()
+            assert carries == n * (n - 1) // 2
+            field, roots = halab.torus._params(n)
             for t in (2, 3):
-                Mt = Mat(n * n, n * n,
-                         [[sum((c * t ** e for e, c in entry.items()),
-                               field.zero) if entry else field.zero
-                           for entry in row] for row in g["matrix"]], field)
+                Mt = Mat.zero(n * n, n * n, field)
+                for i, j, g in itertools.product(range(n), repeat=3):
+                    Mt.data[(i + j) % n * n + g][i * n + j] = \
+                        roots[j * g % n] * t ** ((i + j) // n)
                 assert det(Mt) == d0 * t ** carries, (n, t)
+
+    def test_determinants_as_recorded(self):
+        """det for n = 1..8, as recorded when the matrix was still built
+        over the monomial ring with its carries checked column by column."""
+        want = {
+            1: "{0: 1}", 2: "{1: -4}", 3: "{3: 81 + 162*z}",
+            4: "{6: 65536}",
+            5: "{10: 244140625 + 488281250*z^2 + 488281250*z^3}",
+            6: "{15: -101559956668416}",
+            7: "{21: -191581231380566414401 + -383162462761132828802*z"
+               " + -383162462761132828802*z^2"
+               " + -383162462761132828802*z^4}",
+            8: "{28: 79228162514264337593543950336}"}
+        for n, text in want.items():
+            g = torus_galois_matrix(n)
+            assert repr(g["det"]) == text and g["unit"], n
+            assert set(g) == {"det", "unit"}
 
 
 # ---------------------------------------------------------------------------
@@ -650,6 +667,5 @@ def test_products_over_q_use_no_fraction_operator(monkeypatch):
     assert oracle_mismatches(n, m) == 0
     for (f, g), (product, chi) in zip(pairs, want):
         got = chi_product(decompose(f), decompose(g))
-        assert [a.support for a in got.components] \
-            == [a.support for a in chi.components]
+        assert [a.support for a in got] == [a.support for a in chi]
         assert qt_mul(f, g) == product == recompose(got)
