@@ -21,9 +21,27 @@ from halab.zoo import (FiniteGroupoid, InvalidGroupoid, NotAnAction, NotFree,
                        weak_hopf_to_algebroid, WeakHopfData, smash_algebroid,
                        twisted_group_algebra, classical_covering_instance,
                        nontransitive_control_instance,
-                       theorem1_automorphisms, example7_extract)
+                       theorem1_automorphisms, example7_extract,
+                       s3_table)
 
-from conftest import groupoid_corpus, group_tables
+from conftest import groupoid_corpus, group_tables, smash_instances
+
+
+def _canonical(obj):
+    """obj with every dict key and scalar written by str (so 2 and
+    Fraction(2) agree) and every tuple as a list."""
+    if isinstance(obj, dict):
+        return {str(k): _canonical(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_canonical(x) for x in obj]
+    return str(obj)
+
+
+def _digest(obj):
+    """The sha256 prefix of the canonical JSON of obj: dict keys sorted,
+    so equal digests mean equal values whatever the insertion order."""
+    text = json.dumps(_canonical(obj), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def same_groupoid(G1, G2):
@@ -64,9 +82,45 @@ class TestGroupoids:
             [((0, 0), 0), ((1, 1), 1), ((2, 2), 2)], [0, 1, 2], [0, 1, 2])
         assert fields(discrete_groupoid(0)) == ([], [], [], [], [], [])
 
+    def test_constructed_groupoids_are_pinned(self):
+        """Every field of the indiscrete, action and deck groupoids, compose
+        compared as a dict, and the insertion order of compose for the deck
+        groupoids and a non-abelian group groupoid, as recorded with the
+        hand-written index loops of each constructor."""
+        s3 = s3_table()
+        free = disjoint_union_gset(regular_gset(cyclic_table(2)), 2)
+        klein3 = disjoint_union_gset(regular_gset(klein_table()), 3)
+        built = {"indiscrete%d" % n: indiscrete_groupoid(n) for n in range(5)}
+        built.update({
+            "Z2 swap": action_groupoid(cyclic_table(2), [[0, 1], [1, 0]]),
+            "S3 regular": action_groupoid(s3, [list(row) for row in s3]),
+            "deck free Z2 x 2": deck_groupoid(free),
+            "deck Klein x 3": deck_groupoid(klein3)})
+        fields = {name: _digest([G.objects, G.src, G.tgt,
+                                 sorted(G.compose.items()), G.units, G.inv])
+                  for name, G in built.items()}
+        assert fields == GROUPOID_PINS
+        orders = {name: _digest(list(built[name].compose))
+                  for name in ("deck free Z2 x 2", "deck Klein x 3")}
+        orders["S3 group"] = _digest(list(group_groupoid(s3).compose))
+        assert orders == COMPOSE_ORDER_PINS
+
     def test_a_bad_table_is_not_a_group(self):
         with pytest.raises(NotAGroup):
             group_groupoid([[0, 0], [0, 1]])
+
+
+# _digest of the fields of each groupoid, and of the keys of compose in
+# insertion order, recorded with the hand-written constructors
+GROUPOID_PINS = {
+    "indiscrete0": "4eceefa0f0e75652", "indiscrete1": "28b2c7d3b9de4551",
+    "indiscrete2": "ec36185d83120ff1", "indiscrete3": "8626ceff44ca8fff",
+    "indiscrete4": "f1f5310dc63d7147", "Z2 swap": "aa114fd3e8de0ffa",
+    "S3 regular": "e134e32c531769e2", "deck free Z2 x 2": "aba79a62b21e0881",
+    "deck Klein x 3": "ebff50a67c0848c6"}
+COMPOSE_ORDER_PINS = {
+    "deck free Z2 x 2": "048da4de669a3d0a",
+    "deck Klein x 3": "a09d7735ee36b94d", "S3 group": "bdaf05289c31dd55"}
 
 
 class TestGSets:
@@ -178,11 +232,34 @@ class TestSmash:
         assert Hd.total.dim == 4           # A (x) A^op
         assert Hd.rightb.base.dim == 2
 
+    def test_structure_constants_are_pinned(self):
+        """mul, both coproduct lifts and the antipode of the corpus smash
+        algebroids and of kZ2 # Z2 by the sign automorphism, as values,
+        recorded with the hand-written six-deep product loop."""
+        kz2 = group_algebra(cyclic_table(2))
+        sign = Mat.from_cols([{0: QQ.one}, {1: -QQ.one}], 2, QQ)
+        instances = smash_instances() + [(
+            "smash kZ2 # Z2 sign",
+            smash_algebroid(kz2, cyclic_table(2), [Mat.identity(2, QQ), sign]))]
+        got = {name: _digest([Hd.total.mul, Hd.total.unit,
+                              Hd.rightb.coproduct_lift.sparse_cols(),
+                              Hd.leftb.coproduct_lift.sparse_cols(),
+                              Hd.antipode.sparse_cols()])
+               for name, Hd in instances}
+        assert got == SMASH_PINS
+
     def test_non_automorphism_rejected(self):
         k2 = product_field_algebra(2)
         bad = Mat(2, 2, [[QQ.one, QQ.one], [QQ.zero, QQ.zero]], QQ)
         with pytest.raises(NotAnAction):
             smash_algebroid(k2, cyclic_table(2), [Mat.identity(2, QQ), bad])
+
+
+# _digest of mul, unit, both coproduct lifts and the antipode
+SMASH_PINS = {
+    "smash k # Z2": "fb54c994fad72e1d", "smash kZ2 # 1": "6ec4f8a88a97fae1",
+    "smash k2 # Z2 swap": "a77986520dd19ca8",
+    "smash kZ2 # Z2 sign": "d3c409de420f841e"}
 
 
 class TestTwisted:
@@ -203,6 +280,71 @@ class TestCharacters:
         Hd = group_hopf_algebra(cyclic_table(2))
         with pytest.raises(NotACharacter):
             coupled_from_character(Hd, [QQ.one, QQ.one + QQ.one])
+
+
+def _rejection(build):
+    """The type and message of the exception that build() raises."""
+    try:
+        build()
+    except (NotAnAction, NotACharacter) as exc:
+        return type(exc).__name__, str(exc)
+    raise AssertionError("no rejection")
+
+
+def test_every_rejection_message_is_pinned():
+    """Each NotAnAction branch of GSet.validate and smash_algebroid and
+    each NotACharacter branch of coupled_from_character, with its exact
+    message."""
+    z2, z3, z4 = cyclic_table(2), cyclic_table(3), cyclic_table(4)
+    k1, k2 = product_field_algebra(1), product_field_algebra(2)
+    i1, i2 = Mat.identity(1, QQ), Mat.identity(2, QQ)
+    one = QQ.one
+    swap = Mat.from_cols([{1: one}, {0: one}], 2, QQ)
+    kills = Mat.from_cols([{0: one}, {}], 2, QQ)
+    both = Mat.from_cols([{0: one}, {0: one}], 2, QQ)
+    square = Mat.from_cols([{0: 2 * one, 1: -one}, {0: -one, 1: 2 * one}],
+                           2, QQ)
+    cases = [
+        (lambda: GSet(z2, [[0, 1]]).validate(),
+         "one permutation per group element required"),
+        (lambda: GSet(z2, [[0, 1], [0, 0]]).validate(),
+         "element 1 does not act bijectively"),
+        (lambda: GSet(z2, [[1, 0], [0, 1]]).validate(),
+         "identity does not act as identity"),
+        (lambda: GSet(z3, [[0, 1], [1, 0], [1, 0]]).validate(),
+         "action fails at (1, 1, 0)"),
+        (lambda: action_groupoid(z3, [[0, 1], [1, 0], [1, 0]]),
+         "action fails at (1, 1, 0)"),
+        (lambda: smash_algebroid(k1, z2, [i1]),
+         "one automorphism per group element required"),
+        (lambda: smash_algebroid(k1, z2, [i1, i2]),
+         "automorphism 1 has wrong shape"),
+        (lambda: smash_algebroid(k2, z2, [i2, kills]),
+         "element 1 does not fix the unit"),
+        (lambda: smash_algebroid(k2, z2, [i2, both]),
+         "element 1 does not fix the unit"),
+        (lambda: smash_algebroid(k2, z2, [square, i2]),
+         "element 0 is not multiplicative"),
+        (lambda: smash_algebroid(k2, z2, [i2, square]),
+         "element 1 is not multiplicative"),
+        (lambda: smash_algebroid(k2, z2, [swap, i2]),
+         "identity must act as the identity"),
+        (lambda: smash_algebroid(k2, z3, [i2, swap, swap]),
+         "action is not a homomorphism at (1, 1)"),
+    ]
+    for table, sigma, message in (
+            (z2, [0, 0], "sigma(1) != 1"),
+            (z2, [0, 1], "sigma(1) != 1"),
+            (z2, [1, 2], "sigma is not multiplicative at (1, 1)"),
+            (z3, [1, 1, 2], "sigma is not multiplicative at (1, 1)"),
+            (z4, [1, -1, 1, 1], "sigma is not multiplicative at (1, 2)")):
+        Hd = group_hopf_algebra(table)
+        cases.append((lambda Hd=Hd, sigma=sigma: coupled_from_character(
+            Hd, [one * x for x in sigma]), message))
+    for build, message in cases:
+        kind = "NotACharacter" if message.startswith("sigma") \
+            else "NotAnAction"
+        assert _rejection(build) == (kind, message)
 
 
 class TestCoveringInstances:
