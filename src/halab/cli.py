@@ -36,15 +36,18 @@ from . import torus as torusmod
 LEVELS = ["algebra", "coring", "bialgebroid", "hopf-algebroid",
           "comodule", "covering", "cleft", "composition"]
 
-KIND_MAX_LEVEL = {
-    "algebra": "algebra",
-    "groupoid": "algebra",
-    "gset": "algebra",
-    "hopf_algebroid": "hopf-algebroid",
-    "comodule_algebra": "cleft",
-    "composition": "composition",
-    "cocycle": "algebra",
-    "torus_params": "algebra",
+# the levels each kind is checked at, the last its default: the Hopf-
+# algebroid and comodule-algebra checks are stacks that stop at any level
+# up to theirs, and every other kind has one check
+KIND_LEVELS = {
+    "algebra": ["algebra"],
+    "groupoid": ["algebra"],
+    "gset": ["algebra"],
+    "hopf_algebroid": LEVELS[:LEVELS.index("hopf-algebroid") + 1],
+    "comodule_algebra": LEVELS[:LEVELS.index("cleft") + 1],
+    "composition": ["composition"],
+    "cocycle": ["algebra"],
+    "torus_params": ["algebra"],
 }
 
 
@@ -424,7 +427,7 @@ def gset_from_json(doc, path=PAYLOAD):
                                  points))
 
 
-def load(path, field_flag=None):
+def load(path):
     """The document at path as a dict of its kind (None for a plain
     constructor payload, read as the payload of a kindless envelope),
     field (parsed, or None), level, payload and the JSON path of the
@@ -441,14 +444,11 @@ def load(path, field_flag=None):
     at = PAYLOAD if "kind" in doc else ()
     if not at:
         doc = {"kind": None, "field": doc.get("field"), "payload": doc}
-    for key, known in (("kind", KIND_MAX_LEVEL), ("level", LEVELS)):
+    for key, known in (("kind", KIND_LEVELS), ("level", LEVELS)):
         value = doc.get(key)
         if value is not None and not (type(value) is str and value in known):
             raise DocumentError((key,), "unknown %s %r" % (key, value))
     field = doc.get("field")
-    if field is not None and field_flag is not None:
-        raise DocumentError(("field",), "the document declares its own "
-                            "field; --field is not allowed")
     return {"kind": doc["kind"], "level": doc.get("level"), "path": at,
             "payload": _get(doc, (), "payload", dict),
             "field": None if field is None else parse_field(field)}
@@ -578,12 +578,12 @@ def _print_report(report, as_json):
 
 
 def cmd_check(args):
-    doc = load(args.path, args.field)
+    doc = load(args.path)
     kind = doc["kind"]
     if kind is None:
         raise DocumentError((), "missing key 'kind'")
-    level = args.level or doc["level"] or KIND_MAX_LEVEL[kind]
-    if LEVELS.index(level) > LEVELS.index(KIND_MAX_LEVEL[kind]):
+    level = args.level or doc["level"] or KIND_LEVELS[kind][-1]
+    if level not in KIND_LEVELS[kind]:
         raise DocumentError((), "level %s not applicable to kind %s"
                             % (level, kind))
     code, report = _run_check(doc, level, args.path)
@@ -715,8 +715,6 @@ def _parser():
     p.add_argument("path")
     p.add_argument("--level", choices=LEVELS, default=None)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--field", default=None,
-                   help="field for documents that do not declare one")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("build", help="run a constructor and write the result")

@@ -703,6 +703,9 @@ def _prop4_square(rep, D1, D2, phi, psi):
     B1 (x)_A H1 -> B1 (x)_{B1} H2, for both one-sided pairs."""
     field = D1.field
     B1, H2 = D1.B, D2.H.total
+    if D2.inclusionA.cols != D2.H.rightb.base.dim:
+        # s_2 acts on B1 only where B1 is the base of H2, in its coordinates
+        raise ShapeMismatch("inner covering base does not match B1")
     I_B1, comp = Mat.identity(B1.dim, field), psi * phi
     # B1 (x)_{B1} H2: B1 acts on H2 through s_2
     right_acts = [B1.right_mult_matrix(b) for b in range(B1.dim)]
@@ -710,23 +713,14 @@ def _prop4_square(rep, D1, D2, phi, psi):
         lifts = (D1.tensorRH() if side == "R" else D1.tensorLH()).section_cols
         H1b, H2b = ((D1.H.rightb, D2.H.rightb) if side == "R"
                     else (D1.H.leftb, D2.H.leftb))
-        s2 = H2b.s * _b1_to_base(D2)
-        left_acts = [H2.left_mult_matrix(s2.col(b)) for b in range(B1.dim)]
+        left_acts = [H2.left_mult_matrix(H2b.s.col(b))
+                     for b in range(B1.dim)]
         T = partial(tensor_over, [B1.dim, H2.dim], [(right_acts, left_acts)],
                     field)
-        se = s2 * (D1.etaR * H1b.counit)
+        se = H2b.s * (D1.etaR * H1b.counit)
         rep.require(equal_in(T, kron_cols(I_B1, comp, lifts),
                              kron_cols(I_B1, se, lifts)),
                     "composition:prop4:%s" % side)
-
-
-def _b1_to_base(D2):
-    """Coordinates of B1 (the declared A of the inner covering) in the base
-    of its symmetry; identity when they already share coordinates."""
-    b = D2.H.rightb.base.dim
-    if D2.inclusionA.cols == b:
-        return Mat.identity(b, D2.field)
-    raise ShapeMismatch("inner covering base does not match B1")
 
 
 # ---------------------------------------------------------------------------

@@ -214,10 +214,6 @@ class Mat:
         return (self.rows, self.cols) == (other.rows, other.cols) \
             and self.sparse_cols() == other.sparse_cols()
 
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(
-            frozenset(col.items()) for col in self.sparse_cols())))
-
     def is_zero(self):
         return not any(self.sparse_cols())
 

@@ -5,6 +5,10 @@ group actions, and the automorphisms of Theorem 1.
 
 Every constructor returns data that the checkers in hopfalgebroid / galois
 accept verbatim; the test suite runs the full axiom suites on all of them.
+Each structure has one writer: labelled_groupoid writes every groupoid
+table, algebra.table_algebra every table algebra, and the smash product is
+multiplied in enveloping(A); structure maps are checked by
+algebra.check_algebra_morphism.
 Products of coproduct lifts take the two paths of linalg: kron_cols for
 (A (x) B) M and FDAlgebra.convolve for mu (F (x) G) Delta; no Kronecker
 product is formed here (linalg.kron stays for tests and the benchmark
@@ -16,11 +20,12 @@ import itertools
 from .fields import QQ, CyclotomicField
 from .linalg import Mat, kron_cols, inverse, solve_map, NoSolution, image
 from .algebra import (FDAlgebra, check_group_table, product_field_algebra,
-                      table_algebra, tensor_algebra,
-                      opposite, central_idempotents_split, NotSplit,
-                      subalgebra_on_rows)
+                      table_algebra, tensor_algebra, enveloping,
+                      check_algebra_morphism, opposite,
+                      central_idempotents_split, NotSplit, subalgebra_on_rows)
 from .bimod import pair_mul
 from .hopfalgebroid import BialgebroidData, HopfAlgebroidData
+from .galois import ComoduleAlgebraData
 from .reports import ViolationReport
 
 
@@ -189,58 +194,47 @@ def discrete_groupoid(n):
     return action_groupoid(trivial_table(), [list(range(n))])
 
 
+def labelled_groupoid(n_objects, arrows, ends, compose, unit, inverse):
+    """The groupoid on the objects 0 .. n_objects - 1 whose morphism i is
+    the label arrows[i]: ends(a) is the pair (source, target) of the label
+    a, compose(a, b) the label of a o b where src(a) == tgt(b), unit(x) the
+    label of the unit at x and inverse(a) the label of the inverse of a.
+    The one writer of FiniteGroupoid tables; compose is filled for f in
+    index order, then g."""
+    index = {a: i for i, a in enumerate(arrows)}
+    src, tgt = [], []
+    into = [[] for _ in range(n_objects)]   # the morphisms into each object
+    for g, a in enumerate(arrows):
+        x, y = ends(a)
+        src.append(x)
+        tgt.append(y)
+        into[y].append(g)
+    table = {(f, g): index[compose(a, arrows[g])]
+             for f, a in enumerate(arrows) for g in into[src[f]]}
+    return FiniteGroupoid(range(n_objects), src, tgt, table,
+                          [index[unit(x)] for x in range(n_objects)],
+                          [index[inverse(a)] for a in arrows])
+
+
 def indiscrete_groupoid(n):
     """Exactly one morphism x -> y for every pair; morphism (x, y) has
     index y * n + x (source x, target y)."""
-    def idx(x, y):
-        return y * n + x
-    src = [0] * (n * n)
-    tgt = [0] * (n * n)
-    for x in range(n):
-        for y in range(n):
-            src[idx(x, y)] = x
-            tgt[idx(x, y)] = y
-    compose = {}
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                compose[(idx(y, z), idx(x, y))] = idx(x, z)
-    units = [idx(x, x) for x in range(n)]
-    inv = [0] * (n * n)
-    for x in range(n):
-        for y in range(n):
-            inv[idx(x, y)] = idx(y, x)
-    return FiniteGroupoid(list(range(n)), src, tgt, compose, units, inv)
+    return labelled_groupoid(
+        n, [(x, y) for y in range(n) for x in range(n)], lambda a: a,
+        lambda a, b: (b[0], a[1]), lambda x: (x, x), lambda a: a[::-1])
 
 
 def action_groupoid(table, act):
-    """Objects = points, morphism (g, x): x -> g.x, composition
-    (g, h.x) o (h, x) = (gh, x)."""
-    gs = GSet(table, act)
-    gs.validate()
-    n = len(table)
-    npts = gs.n_points
-
-    def idx(g, x):
-        return g * npts + x
-    src = [0] * (n * npts)
-    tgt = [0] * (n * npts)
-    for g in range(n):
-        for x in range(npts):
-            src[idx(g, x)] = x
-            tgt[idx(g, x)] = act[g][x]
-    compose = {}
-    for g in range(n):
-        for h in range(n):
-            for x in range(npts):
-                compose[(idx(g, act[h][x]), idx(h, x))] = idx(table[g][h], x)
+    """Objects = points, morphism (g, x): x -> g.x with index g * |X| + x,
+    composition (g, h.x) o (h, x) = (gh, x)."""
+    GSet(table, act).validate()
     e, inv_g = check_group_table(table)
-    units = [idx(e, x) for x in range(npts)]
-    inv = [0] * (n * npts)
-    for g in range(n):
-        for x in range(npts):
-            inv[idx(g, x)] = idx(inv_g[g], act[g][x])
-    return FiniteGroupoid(list(range(npts)), src, tgt, compose, units, inv)
+    points = range(len(act[0]))
+    return labelled_groupoid(
+        len(points), [(g, x) for g in range(len(table)) for x in points],
+        lambda a: (a[1], act[a[0]][a[1]]),
+        lambda a, b: (table[a[0]][b[0]], b[1]), lambda x: (e, x),
+        lambda a: (inv_g[a[0]], act[a[0]][a[1]]))
 
 
 def deck_groupoid(gset):
@@ -250,27 +244,13 @@ def deck_groupoid(gset):
     gset.validate()
     if not gset.is_free():
         raise NotFree("action is not free")
-    orbits = gset.orbits()
-    n = len(gset.table)
-    m = len(orbits)
-
-    def idx(o, g):
-        return o * n + g
-    src = [0] * (m * n)
-    tgt = [0] * (m * n)
-    for o in range(m):
-        for g in range(n):
-            src[idx(o, g)] = o
-            tgt[idx(o, g)] = o
-    compose = {}
-    for o in range(m):
-        for g in range(n):
-            for h in range(n):
-                compose[(idx(o, g), idx(o, h))] = idx(o, gset.table[g][h])
-    e, inv_g = check_group_table(gset.table)
-    units = [idx(o, e) for o in range(m)]
-    inv = [idx(o, inv_g[g]) for o in range(m) for g in range(n)]
-    return FiniteGroupoid(list(range(m)), src, tgt, compose, units, inv)
+    table = gset.table
+    e, inv_g = check_group_table(table)
+    m = len(gset.orbits())
+    return labelled_groupoid(
+        m, [(o, g) for o in range(m) for g in range(len(table))],
+        lambda a: (a[0], a[0]), lambda a, b: (a[0], table[a[1]][b[1]]),
+        lambda o: (o, e), lambda a: (a[0], inv_g[a[1]]))
 
 
 # ---------------------------------------------------------------------------
@@ -565,16 +545,12 @@ def coupled_from_character(Hd, sigma):
     field = H.field
     d = H.dim
     sig = _row(sigma, field)
-    one = field.one
-    # character test
-    if sig.matvec(H.unit) != {0: one}:
-        raise NotACharacter("sigma(1) != 1")
-    for i in range(d):
-        for j in range(d):
-            lhs = sig.matvec(H.mul[i][j]).get(0, field.zero)
-            if lhs != sigma[i] * sigma[j]:
-                raise NotACharacter("sigma is not multiplicative at "
-                                    "(%d, %d)" % (i, j))
+    base = product_field_algebra(1, field)
+    rep = check_algebra_morphism(sig, H, base)
+    if not rep.ok:
+        at = rep.entries[0]["indices"]       # None for the unit
+        raise NotACharacter("sigma(1) != 1" if at is None else
+                            "sigma is not multiplicative at (%d, %d)" % at)
     S = Hd.antipode
     dR = R.coproduct_lift
     I = Mat.identity(d, field)
@@ -583,7 +559,6 @@ def coupled_from_character(Hd, sigma):
     d2lift = Mat.from_cols(kron_cols(first, I, dR), d * d, field)
     coupling = Mat.from_cols(kron_cols(sig, S, dR), d, field)
     eta = Mat.from_cols([H.unit], d, field)
-    base = product_field_algebra(1, field)
     H1 = BialgebroidData(H, base, "left", eta, eta, dR, R.counit,
                          name="coupled pair, first structure")
     H2 = BialgebroidData(H, base, "right", eta, eta, d2lift, sig,
@@ -770,20 +745,15 @@ def smash_algebroid(A, table, action):
     field = A.field
     if len(action) != n:
         raise NotAnAction("one automorphism per group element required")
-    I_a = Mat.identity(a, field)
-    for g in range(n):
-        M = action[g]
+    for g, M in enumerate(action):
         if M.rows != a or M.cols != a:
             raise NotAnAction("automorphism %d has wrong shape" % g)
-        if M.matvec(A.unit) != A.unit:
+        tags = check_algebra_morphism(M, A, A).tags()
+        if "morphism:unit" in tags:
             raise NotAnAction("element %d does not fix the unit" % g)
-        for i in range(a):
-            for j in range(a):
-                if M.matvec(A.mul[i][j]) != \
-                        A.mul_vec(M.col(i), M.col(j)):
-                    raise NotAnAction(
-                        "element %d is not multiplicative" % g)
-    if action[e] != I_a:
+        if tags:
+            raise NotAnAction("element %d is not multiplicative" % g)
+    if action[e] != Mat.identity(a, field):
         raise NotAnAction("identity must act as the identity")
     for g in range(n):
         for h in range(n):
@@ -791,29 +761,27 @@ def smash_algebroid(A, table, action):
                 raise NotAnAction("action is not a homomorphism at "
                                   "(%d, %d)" % (g, h))
 
-    d = a * a * n
+    # the carrier is A^e (x) kG: (a_i (x) a_j) # g has index r * n + g for
+    # r = i * a + j, the index of a_i (x) a_j in A^e
+    E = enveloping(A)
+    d = E.dim * n
 
     def idx(i, j, g):
         return (i * a + j) * n + g
 
+    # alpha_g (x) alpha_g on A^e, as its columns
+    alphas = [kron_cols(M, M, Mat.identity(E.dim, field)) for M in action]
+    # (x # g)(y # h) = x alpha_g(y) # gh
     mul = [[None] * d for _ in range(d)]
-    for i in range(a):
-        for j in range(a):
-            for g in range(n):
-                row = idx(i, j, g)
-                for k in range(a):
-                    left = A.mul_vec(i, action[g].col(k))
-                    for l in range(a):
-                        right = A.mul_vec(action[g].col(l), j)
-                        for h in range(n):
-                            gh = table[g][h]
-                            mul[row][idx(k, l, h)] = {
-                                idx(p, q, gh): x * y
-                                for p, x in left.items()
-                                for q, y in right.items()}
-    unit = {idx(i, j, e): x * y for i, x in A.unit.items()
-            for j, y in A.unit.items()}
-    H = FDAlgebra(d, mul, unit, field, name="smash product")
+    for r in range(E.dim):
+        for g, alpha in enumerate(alphas):
+            row = mul[r * n + g]
+            for c, y in enumerate(alpha):
+                xy = E.mul_vec(r, y).items()
+                for h, gh in enumerate(table[g]):
+                    row[c * n + h] = {p * n + gh: x for p, x in xy}
+    H = FDAlgebra(d, mul, {p * n + e: x for p, x in E.unit.items()}, field,
+                  name="smash product")
 
     sR = Mat.from_cols([{idx(r, j, e): u for j, u in A.unit.items()}
                         for r in range(a)], d, field)
@@ -828,16 +796,10 @@ def smash_algebroid(A, table, action):
                          for p, u in units for q, v in units}
                         for i in range(a) for j in range(a)
                         for g in range(n)], d * d, field)
-    scols = []
-    for i in range(a):
-        for j in range(a):
-            for g in range(n):
-                gi = inv_g[g]
-                u = action[gi].col(j)
-                v = action[gi].col(i)
-                scols.append({idx(p, q, gi): x * y for p, x in u.items()
-                              for q, y in v.items()})
-    S = Mat.from_cols(scols, d, field)
+    S = Mat.from_cols([{p * n + inv_g[g]: x for p, x
+                        in alphas[inv_g[g]][j * a + i].items()}
+                       for i in range(a) for j in range(a) for g in range(n)],
+                      d, field)
     rightb = BialgebroidData(H, A, "right", sR, tR, dR, epsR)
     return assemble_hopf_algebroid(rightb, S, name="smash algebroid")
 
@@ -883,7 +845,6 @@ def classical_covering_instance(table, gset, field=QQ):
     """Functions on a free G-set over functions on its orbit space, with
     the coaction dual to the deck action.  Returns comodule-algebra data
     over the function algebroid of the deck groupoid."""
-    from .galois import ComoduleAlgebraData
     gset.validate()
     if not gset.is_free():
         raise NotFree("action is not free")
@@ -914,7 +875,6 @@ def nontransitive_control_instance(field=QQ):
     pairs, but with the declared base k (one pretended fiber): a valid
     comodule algebra whose coinvariants exceed the declared base and whose
     Galois map is rank deficient."""
-    from .galois import ComoduleAlgebraData
     table = cyclic_table(2)
     Hd = function_algebroid(group_groupoid(table), field)
     dH = Hd.total.dim

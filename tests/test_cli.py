@@ -175,6 +175,18 @@ class TestCheckDocuments:
         assert main(["check", path, "--level", "algebra"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("level", ["algebra", "cleft"])
+    def test_composition_has_only_its_own_level(self, capsys, level):
+        """A composition document has one check, at level composition:
+        another level exits 2 and runs no check."""
+        path = os.path.join(DOCS, "mut_composition_psi.json")
+        assert main(["check", path, "--level", level]) == 2
+        assert capsys.readouterr() == (
+            "", "error: level %s not applicable to kind composition\n"
+            % level)
+        assert main(["check", path, "--level", "composition"]) == 1
+        capsys.readouterr()
+
     @pytest.mark.parametrize("flags", [[], ["--json"]])
     def test_inconclusive_exits_3(self, monkeypatch, capsys, flags):
         """A check that cannot reach a verdict is neither a failure (exit
@@ -431,14 +443,6 @@ class TestSchemaErrors:
         p.write_text(json.dumps(doc))
         assert main(["check", str(p)]) == 2
         assert "Q(zeta_5)" in capsys.readouterr().err
-
-    def test_field_flag_conflicts_with_declared_field(self, capsys):
-        path = os.path.join(DOCS, "kz3_hopf.json")
-        with open(path, encoding="utf-8") as fh:
-            declared = json.load(fh)["field"]
-        assert declared is not None
-        assert main(["check", path, "--field", "Q"]) == 2
-        capsys.readouterr()
 
 
 class TestBuild:

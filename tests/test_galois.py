@@ -693,10 +693,10 @@ def reference_composition(D1, D, D2, phi, psi):
         H2b = D2.H.rightb if side == "R" else D2.H.leftb
         H1b = D1.H.rightb if side == "R" else D1.H.leftb
         right_acts = [B1.right_mult_matrix(b) for b in range(B1.dim)]
-        left_acts = [H2.left_mult_matrix(
-            (H2b.s * galois._b1_to_base(D2)).col(b)) for b in range(B1.dim)]
+        left_acts = [H2.left_mult_matrix(H2b.s.col(b))
+                     for b in range(B1.dim)]
         T = tensor_over([B1.dim, H2.dim], [(right_acts, left_acts)], field)
-        se = (H2b.s * galois._b1_to_base(D2)) * (D1.etaR * H1b.counit)
+        se = H2b.s * (D1.etaR * H1b.counit)
         I_B1, lifts = Mat.identity(B1.dim, field), Q1BH.section_cols
         rep.require(T.apply(kron_cols(I_B1, psi * phi, lifts))
                     == T.apply(kron_cols(I_B1, se, lifts)),
